@@ -3,7 +3,7 @@
 //! be the major computational bottleneck").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use indaas_bigint::BigUint;
+use indaas_bigint::{BigUint, Montgomery};
 use indaas_crypto::{sha256, CommutativeCipher, PaillierKeypair};
 use rand::SeedableRng;
 
@@ -40,7 +40,12 @@ fn bench_modpow(c: &mut Criterion) {
     let p = BigUint::from_hex(indaas_crypto::MODP_1024_HEX).unwrap();
     let base = BigUint::from_u64(0x1234_5678_9abc_def1);
     let exp = &p - &BigUint::from_u64(12345);
-    c.bench_function("bigint/modpow_1024", |b| b.iter(|| base.modpow(&exp, &p)));
+    // One context for every sample, as P-SOP holds one per party:
+    // `BigUint::modpow` would fold its construction into each.
+    let mont = Montgomery::new(&p).unwrap();
+    c.bench_function("bigint/modpow_1024", |b| {
+        b.iter(|| mont.modpow(&base, &exp))
+    });
 }
 
 criterion_group!(

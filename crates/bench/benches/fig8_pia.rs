@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use indaas_bench::synthetic_datasets;
+use indaas_graph::CancelToken;
 use indaas_pia::{run_ks, run_psop, KsConfig, PsopConfig, PsopParty};
-use indaas_simnet::SimNetwork;
+use indaas_simnet::{Message, SimNetwork};
 
 fn bench_psop(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8/psop");
@@ -67,9 +68,14 @@ fn bench_psop_party_steps(c: &mut Criterion) {
             &datasets,
             |b, d| {
                 b.iter(|| {
-                    let mut party = PsopParty::new(0, 2, &PsopConfig::default());
-                    let own = party.initial_payload(&d[0], true);
-                    party.relay(&own)
+                    let token = CancelToken::default();
+                    let mut party = PsopParty::new(0, 2, &PsopConfig::default(), &token);
+                    let payload = party.initial_payload(&d[0], true).unwrap();
+                    party.relay(&Message {
+                        from: 1,
+                        to: 0,
+                        payload,
+                    })
                 })
             },
         );

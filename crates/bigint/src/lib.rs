@@ -28,7 +28,7 @@ mod modular;
 mod prime;
 mod uint;
 
-pub use modular::Montgomery;
+pub use modular::{Montgomery, WindowedExp};
 pub use prime::{gen_prime, is_probable_prime};
 pub use uint::BigUint;
 

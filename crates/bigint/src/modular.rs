@@ -8,7 +8,10 @@ use crate::BigIntError;
 ///
 /// Exponentiations against the same modulus (the common case in the INDaaS
 /// P-SOP ring protocol, where every element is encrypted under the same
-/// group) share the precomputed `R^2 mod n` and `-n^{-1} mod 2^64` values.
+/// group) share the precomputed `R mod n`, `R^2 mod n` and
+/// `-n^{-1} mod 2^64` values. Operands live as `k`-limb little-endian
+/// slices padded to the modulus width; every product is written into
+/// caller-provided scratch.
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     n: BigUint,
@@ -16,8 +19,36 @@ pub struct Montgomery {
     k: usize,
     /// `-n[0]^{-1} mod 2^64`.
     n0inv: u64,
-    /// `R^2 mod n` where `R = 2^(64k)`.
-    rr: BigUint,
+    /// `R mod n` where `R = 2^(64k)`: one in Montgomery form, `k` limbs.
+    one: Vec<u64>,
+    /// `R^2 mod n`, `k` limbs.
+    rr: Vec<u64>,
+}
+
+/// An exponent recoded into fixed-width window digits, most significant
+/// first. Recode once when many bases are raised to the same exponent.
+#[derive(Clone, Debug)]
+pub struct WindowedExp {
+    width: usize,
+    digits: Vec<u8>,
+}
+
+impl WindowedExp {
+    /// Recodes `exp`. A `w`-bit window costs `2^w - 2` multiplies for the
+    /// table and one per digit, so the width grows with the exponent length.
+    pub fn new(exp: &BigUint) -> Self {
+        let width = match exp.bits() {
+            0..=23 => 1,
+            24..=79 => 3,
+            80..=239 => 4,
+            _ => 5,
+        };
+        let digits = (0..exp.bits().div_ceil(width).max(1))
+            .rev()
+            .map(|d| (0..width).fold(0, |acc, b| acc | (exp.bit(d * width + b) as u8) << b))
+            .collect();
+        WindowedExp { width, digits }
+    }
 }
 
 impl Montgomery {
@@ -30,13 +61,19 @@ impl Montgomery {
         }
         let k = n.limbs().len();
         let n0inv = inv64(n.limbs()[0]).wrapping_neg();
-        // R^2 mod n computed by shifting; runs once per modulus.
-        let r2 = (&BigUint::one() << (128 * k)).rem(n);
+        // R and R^2 mod n computed by shifting; runs once per modulus.
+        let r = (&BigUint::one() << (64 * k)).rem(n);
+        let padded = |v: BigUint| {
+            let mut limbs = v.limbs;
+            limbs.resize(k, 0);
+            limbs
+        };
         Some(Montgomery {
             n: n.clone(),
             k,
             n0inv,
-            rr: r2,
+            rr: padded((&r * &r).rem(n)),
+            one: padded(r),
         })
     }
 
@@ -45,66 +82,133 @@ impl Montgomery {
         &self.n
     }
 
-    /// Montgomery reduction of a (at most) `2k`-limb value `t`:
-    /// returns `t * R^{-1} mod n`.
-    fn redc(&self, t: &BigUint) -> BigUint {
+    /// Number of limbs in the modulus: the width of every operand slice.
+    pub fn limbs(&self) -> usize {
+        self.k
+    }
+
+    /// One in Montgomery form (`R mod n`).
+    pub(crate) fn one(&self) -> &[u64] {
+        &self.one
+    }
+
+    /// Scratch row for [`Montgomery::mul`] and [`Montgomery::sqr`].
+    pub(crate) fn scratch(&self) -> Vec<u64> {
+        vec![0; self.k + 1]
+    }
+
+    /// `acc = acc * b * R^{-1} mod n` for `acc`, `b` below `n`.
+    pub(crate) fn mul(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        self.mul_wide(t, acc, b);
+        self.reduce_once(acc, t);
+    }
+
+    /// `acc = acc^2 * R^{-1} mod n` for `acc` below `n`.
+    pub(crate) fn sqr(&self, acc: &mut [u64], t: &mut [u64]) {
+        self.mul_wide(t, acc, acc);
+        self.reduce_once(acc, t);
+    }
+
+    /// `t = a * b * R^{-1}`, below `2n`, in `k + 1` limbs: one fused
+    /// multiply-and-reduce (CIOS) pass. The slices are cut to width up
+    /// front so the inner loop carries no bounds checks.
+    fn mul_wide(&self, t: &mut [u64], a: &[u64], b: &[u64]) {
         let k = self.k;
-        let mut limbs = t.limbs().to_vec();
-        limbs.resize(2 * k + 1, 0);
-        for i in 0..k {
-            let m = limbs[i].wrapping_mul(self.n0inv);
-            // limbs += m * n << (64*i)
-            let mut carry: u128 = 0;
-            for (j, &nj) in self.n.limbs().iter().enumerate() {
-                let tot = limbs[i + j] as u128 + m as u128 * nj as u128 + carry;
-                limbs[i + j] = tot as u64;
-                carry = tot >> 64;
+        let (n, a, b, t) = (&self.n.limbs[..k], &a[..k], &b[..k], &mut t[..k + 1]);
+        t.fill(0);
+        for &bi in b {
+            let x = t[0] as u128 + a[0] as u128 * bi as u128;
+            let m = (x as u64).wrapping_mul(self.n0inv);
+            let y = (x as u64) as u128 + m as u128 * n[0] as u128;
+            let (mut c1, mut c2) = (x >> 64, y >> 64);
+            for j in 1..k {
+                let x = t[j] as u128 + a[j] as u128 * bi as u128 + c1;
+                c1 = x >> 64;
+                let y = (x as u64) as u128 + m as u128 * n[j] as u128 + c2;
+                c2 = y >> 64;
+                t[j - 1] = y as u64;
             }
-            let mut idx = i + k;
-            while carry != 0 {
-                let tot = limbs[idx] as u128 + carry;
-                limbs[idx] = tot as u64;
-                carry = tot >> 64;
-                idx += 1;
+            let top = t[k] as u128 + c1 + c2;
+            t[k - 1] = top as u64;
+            t[k] = (top >> 64) as u64;
+        }
+    }
+
+    /// `out = t mod n` for a `k + 1`-limb `t` below `2n`.
+    fn reduce_once(&self, out: &mut [u64], t: &[u64]) {
+        let k = self.k;
+        let (n, out, t) = (&self.n.limbs[..k], &mut out[..k], &t[..k + 1]);
+        let mut borrow = false;
+        for j in 0..k {
+            let (d, b1) = t[j].overflowing_sub(n[j]);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            out[j] = d;
+            borrow = b1 | b2;
+        }
+        if t[k] == 0 && borrow {
+            out.copy_from_slice(&t[..k]);
+        }
+    }
+
+    /// Leaves `base^exp` in Montgomery form in `acc`. `base` is a plain
+    /// `k`-limb value below `n`; `t` comes from [`Montgomery::scratch`].
+    pub(crate) fn pow_mont(&self, base: &[u64], exp: &WindowedExp, acc: &mut [u64], t: &mut [u64]) {
+        let k = self.k;
+        // table[i] = base^i in Montgomery form.
+        let mut table = vec![0u64; k << exp.width];
+        table[..k].copy_from_slice(&self.one);
+        table[k..2 * k].copy_from_slice(base);
+        self.mul(&mut table[k..2 * k], &self.rr, t);
+        for i in 2..1 << exp.width {
+            let (lo, hi) = table.split_at_mut(i * k);
+            hi[..k].copy_from_slice(&lo[(i - 1) * k..]);
+            self.mul(&mut hi[..k], &lo[k..2 * k], t);
+        }
+        let entry = |d: u8| &table[d as usize * k..][..k];
+        acc.copy_from_slice(entry(exp.digits[0]));
+        for &d in &exp.digits[1..] {
+            for _ in 0..exp.width {
+                self.sqr(acc, t);
+            }
+            if d != 0 {
+                self.mul(acc, entry(d), t);
             }
         }
-        let reduced = BigUint::from_limbs(limbs[k..].to_vec());
-        if reduced >= self.n {
-            reduced.checked_sub(&self.n).expect("reduced >= n")
+    }
+
+    /// Computes `base^exp mod n` on `k`-limb little-endian slices, `k` being
+    /// [`Montgomery::limbs`]. Allocates only the window table and two
+    /// scratch rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` or `out` is not exactly `k` limbs.
+    pub fn pow_limbs(&self, base: &[u64], exp: &WindowedExp, out: &mut [u64]) {
+        let mut t = self.scratch();
+        self.pow_mont(base, exp, out, &mut t);
+        // Leave Montgomery form: multiply by the plain one.
+        let mut one = vec![0; self.k];
+        one[0] = 1;
+        self.mul(out, &one, &mut t);
+    }
+
+    /// Computes `base^exp mod n` for an exponent recoded ahead of time.
+    pub fn pow(&self, base: &BigUint, exp: &WindowedExp) -> BigUint {
+        let mut b = if base < &self.n {
+            base.limbs.clone()
         } else {
-            reduced
-        }
+            base.rem(&self.n).limbs
+        };
+        b.resize(self.k, 0);
+        let mut out = vec![0; self.k];
+        self.pow_limbs(&b, exp, &mut out);
+        BigUint::from_limbs(out)
     }
 
-    /// Converts into Montgomery form: `a * R mod n`.
-    fn to_mont(&self, a: &BigUint) -> BigUint {
-        self.redc(&(a * &self.rr))
-    }
-
-    /// Multiplies two Montgomery-form values.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.redc(&(a * b))
-    }
-
-    /// Computes `base^exp mod n` using left-to-right square-and-multiply
-    /// over Montgomery representatives.
+    /// Computes `base^exp mod n` by fixed-window exponentiation over
+    /// Montgomery representatives.
     pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if self.n.is_one() {
-            return BigUint::zero();
-        }
-        let base = base.rem(&self.n);
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        let mont_base = self.to_mont(&base);
-        let mut acc = self.to_mont(&BigUint::one());
-        for i in (0..exp.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &mont_base);
-            }
-        }
-        self.redc(&acc)
+        self.pow(base, &WindowedExp::new(exp))
     }
 }
 
@@ -292,6 +396,38 @@ mod tests {
         let msg = BigUint::from_hex("123456789abcdef0fedcba9876543210").unwrap();
         let c = msg.modpow(&e, &p);
         assert_eq!(c.modpow(&d, &p), msg);
+    }
+
+    /// Known answer computed by the bit-at-a-time kernel this one
+    /// replaced: the RFC 3526 group, a 256-bit base, a 1024-bit exponent.
+    #[test]
+    fn modpow_1024_known_answer() {
+        let p = BigUint::from_hex(
+            "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74\
+             020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437\
+             4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed\
+             ee386bfb5a899fa5ae9f24117c4b1fe649286651ece65381ffffffffffffffff",
+        )
+        .unwrap();
+        let base =
+            BigUint::from_hex("1be1a0d68dd66f81c0acf2b20394a4571ca0226a2c126fc899aaa88eac6dc6e2")
+                .unwrap();
+        let exp = BigUint::from_hex(
+            "6b672b9a7e4feb4fd38386f90405bc0ae261413a758dd8eb2786be61df8dc27d\
+             e83155872104d106afa62cd172fcf4b66b82aaeb1dfdb9cff31487b910cfd49d\
+             107d40b257a32bd60ea390e71b3ebea7f3934762c8f5d796fddf0c31ffcbcf4a\
+             9935ba2f66205db3001fa5e1f64122d9eda1007efb57d4b06e6ec54fccaca818",
+        )
+        .unwrap();
+        let expect = "f38ebc1674a2b3f80a4d1b867c88d8998dfaa60376c9263d817f8626c86a6ebd\
+                      9c73fa08c1c55115478612ed5c0b72cebba6fdf89fbbe3cd29cc5fc4ebb24862\
+                      b72dc8166538e82a8799cced005b4e15a1a4bd3c02c705851e3a4de7be53e4af\
+                      fcee959232b044ccc3703f836254731b74667f1794c7701f2e30fd375728abcf";
+        let mont = Montgomery::new(&p).unwrap();
+        assert_eq!(mont.modpow(&base, &exp).to_hex(), expect);
+        // A base wider than the modulus reduces to the same residue.
+        let wide = &(&p * &p) + &base;
+        assert_eq!(mont.modpow(&wide, &exp).to_hex(), expect);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::modular::{Montgomery, WindowedExp};
 use crate::uint::BigUint;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -83,51 +84,80 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut impl Rng) -> bool
     let s = trailing_zeros(&n_minus_1);
     let d = &n_minus_1 >> s;
 
+    // One Montgomery context and one recoded `d` per candidate; every
+    // witness reuses both.
+    let round = MillerRabin::new(n, &d, s);
+
     // Deterministic witnesses cover n < 2^64 (Sinclair's set).
     if n.bits() <= 64 {
         const WITNESSES: [u64; 7] = [2, 325, 9375, 28178, 450775, 9780504, 1795265022];
         return WITNESSES
             .iter()
-            .all(|&a| miller_rabin_round(n, &BigUint::from_u64(a), &d, s, &n_minus_1));
+            .all(|&a| round.passes(&BigUint::from_u64(a)));
     }
 
     let two = BigUint::from_u64(2);
     let span = n_minus_1.checked_sub(&two).expect("n > 4");
     for _ in 0..rounds {
         let a = &BigUint::random_below(rng, &span) + &two; // a in [2, n-2]
-        if !miller_rabin_round(n, &a, &d, s, &n_minus_1) {
+        if !round.passes(&a) {
             return false;
         }
     }
     true
 }
 
-/// One Miller–Rabin round: returns false if `a` witnesses compositeness.
-fn miller_rabin_round(
-    n: &BigUint,
-    a: &BigUint,
-    d: &BigUint,
+/// The per-candidate state of Miller–Rabin for odd `n = d * 2^s + 1`:
+/// the squaring chain stays in Montgomery form, so `1` and `n - 1` are
+/// held in that form to compare against.
+struct MillerRabin {
+    ctx: Montgomery,
+    d: WindowedExp,
     s: usize,
-    n_minus_1: &BigUint,
-) -> bool {
-    let a = a.rem(n);
-    if a.is_zero() || a.is_one() {
-        return true;
+    minus_one: Vec<u64>,
+}
+
+impl MillerRabin {
+    fn new(n: &BigUint, d: &BigUint, s: usize) -> Self {
+        let ctx = Montgomery::new(n).expect("candidate is odd");
+        // (n - 1) * R = -R (mod n).
+        let mut minus_one = n
+            .checked_sub(&BigUint::from_limbs(ctx.one().to_vec()))
+            .expect("R mod n is below n")
+            .limbs;
+        minus_one.resize(ctx.limbs(), 0);
+        MillerRabin {
+            d: WindowedExp::new(d),
+            s,
+            minus_one,
+            ctx,
+        }
     }
-    let mut x = a.modpow(d, n);
-    if x.is_one() || &x == n_minus_1 {
-        return true;
-    }
-    for _ in 1..s {
-        x = (&x * &x).rem(n);
-        if &x == n_minus_1 {
+
+    /// One round: returns false if `a` witnesses compositeness.
+    fn passes(&self, a: &BigUint) -> bool {
+        let a = a.rem(self.ctx.modulus());
+        if a.is_zero() || a.is_one() {
             return true;
         }
-        if x.is_one() {
-            return false;
+        let mut base = a.limbs;
+        base.resize(self.ctx.limbs(), 0);
+        let (mut x, mut t) = (vec![0; base.len()], self.ctx.scratch());
+        self.ctx.pow_mont(&base, &self.d, &mut x, &mut t);
+        if x == self.ctx.one() || x == self.minus_one {
+            return true;
         }
+        for _ in 1..self.s {
+            self.ctx.sqr(&mut x, &mut t);
+            if x == self.minus_one {
+                return true;
+            }
+            if x == self.ctx.one() {
+                return false;
+            }
+        }
+        false
     }
-    false
 }
 
 /// Number of trailing zero bits.

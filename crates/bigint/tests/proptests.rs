@@ -1,6 +1,6 @@
 //! Property-based tests for the big-integer substrate.
 
-use indaas_bigint::BigUint;
+use indaas_bigint::{BigUint, Montgomery};
 use proptest::prelude::*;
 
 /// Strategy: a BigUint built from 0..=6 random limbs.
@@ -11,6 +11,58 @@ fn biguint() -> impl Strategy<Value = BigUint> {
 /// Strategy: a non-zero BigUint.
 fn biguint_nonzero() -> impl Strategy<Value = BigUint> {
     biguint().prop_filter("nonzero", |v| !v.is_zero())
+}
+
+/// Strategy: an odd modulus of 1–33 limbs; half the draws pin the top limb
+/// to `u64::MAX`, where every carry out of the top limb is live.
+fn odd_modulus() -> impl Strategy<Value = BigUint> {
+    // The vendored proptest has no tuple strategies: the first drawn word
+    // is the coin, the rest are the limbs.
+    proptest::collection::vec(any::<u64>(), 2..35).prop_map(|mut limbs| {
+        let top_max = limbs.remove(0) & 1 == 1;
+        limbs[0] |= 1;
+        let top = limbs.len() - 1;
+        limbs[top] = if top_max { u64::MAX } else { limbs[top] | 1 };
+        BigUint::from_limbs(limbs)
+    })
+}
+
+/// The edge bases of a modulus `n`: 0, 1, n−1, just above n, two limbs
+/// wider than n, and an unconstrained one.
+fn edge_base(n: &BigUint, kind: u8, noise: &BigUint) -> BigUint {
+    match kind {
+        0 => BigUint::zero(),
+        1 => BigUint::one(),
+        2 => n - &BigUint::one(),
+        3 => n + &noise.rem(n),
+        4 => &(&(n << 128) + noise) + &BigUint::one(),
+        _ => noise.clone(),
+    }
+}
+
+/// The edge exponents: 0, 1, 2^j, j ones, and an unconstrained one; `j`
+/// reaches every window width the kernel picks.
+fn edge_exp(kind: u8, j: usize, noise: &BigUint) -> BigUint {
+    match kind {
+        0 => BigUint::zero(),
+        1 => BigUint::one(),
+        2 => &BigUint::one() << j,
+        3 => &(&BigUint::one() << j) - &BigUint::one(),
+        _ => noise.clone(),
+    }
+}
+
+/// The definition, with none of the kernel's machinery: square, multiply
+/// and divide on whole values.
+fn modpow_reference(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let mut acc = BigUint::one().rem(m);
+    for i in (0..exp.bits()).rev() {
+        acc = (&acc * &acc).rem(m);
+        if exp.bit(i) {
+            acc = (&acc * base).rem(m);
+        }
+    }
+    acc
 }
 
 proptest! {
@@ -77,6 +129,34 @@ proptest! {
             acc = acc * b as u128 % m as u128;
         }
         prop_assert_eq!(big, BigUint::from_u64(acc as u64));
+    }
+
+    #[test]
+    fn montgomery_modpow_matches_reference(
+        n in odd_modulus(),
+        base_kind in 0u8..6,
+        exp_kind in 0u8..5,
+        j in 0usize..330,
+        base_noise in proptest::collection::vec(any::<u64>(), 0..36).prop_map(BigUint::from_limbs),
+        exp_noise in proptest::collection::vec(any::<u64>(), 0..6).prop_map(BigUint::from_limbs),
+    ) {
+        let base = edge_base(&n, base_kind, &base_noise);
+        let exp = edge_exp(exp_kind, j, &exp_noise);
+        let expect = modpow_reference(&base, &exp, &n);
+        let ctx = Montgomery::new(&n).expect("odd modulus");
+        prop_assert_eq!(ctx.modpow(&base, &exp), expect.clone());
+        prop_assert_eq!(base.modpow(&exp, &n), expect);
+    }
+
+    #[test]
+    fn montgomery_modpow_tiny_moduli(
+        three in any::<bool>(),
+        base in biguint(),
+        exp in biguint(),
+    ) {
+        let n = BigUint::from_u64(if three { 3 } else { 1 });
+        let ctx = Montgomery::new(&n).expect("odd modulus");
+        prop_assert_eq!(ctx.modpow(&base, &exp), modpow_reference(&base, &exp, &n));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! The group is the 1024-bit MODP group from RFC 3526 (a well-known safe
 //! prime), matching the paper's 1024-bit key size in Figure 8.
 
-use indaas_bigint::{BigUint, Montgomery};
+use indaas_bigint::{BigUint, Montgomery, WindowedExp};
 use rand::Rng;
 
 use crate::hash::sha256;
@@ -23,11 +23,12 @@ pub const MODP_1024_HEX: &str = "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd
      ee386bfb5a899fa5ae9f24117c4b1fe649286651ece65381ffffffffffffffff";
 
 /// A party's secret commutative-encryption key: an exponent and its inverse
-/// modulo `p-1`.
+/// modulo `p-1`, each recoded into window digits once at key generation —
+/// a party raises every element it handles to the same exponent.
 #[derive(Clone, Debug)]
 pub struct CommutativeKey {
-    enc_exp: BigUint,
-    dec_exp: BigUint,
+    enc_exp: WindowedExp,
+    dec_exp: WindowedExp,
 }
 
 /// Commutative cipher context: the shared group plus a party's secret key.
@@ -72,8 +73,8 @@ impl CommutativeCipher {
             }
             if let Ok(d) = e.modinv(&p_minus_1) {
                 break CommutativeKey {
-                    enc_exp: e,
-                    dec_exp: d,
+                    enc_exp: WindowedExp::new(&e),
+                    dec_exp: WindowedExp::new(&d),
                 };
             }
         };
@@ -109,24 +110,56 @@ impl CommutativeCipher {
 
     /// Encrypts a group element: `m^e mod p`.
     pub fn encrypt(&self, m: &BigUint) -> BigUint {
-        self.mont.modpow(m, &self.key.enc_exp)
+        self.mont.pow(m, &self.key.enc_exp)
     }
 
     /// Decrypts one layer this party added: `c^d mod p`.
     pub fn decrypt(&self, c: &BigUint) -> BigUint {
-        self.mont.modpow(c, &self.key.dec_exp)
+        self.mont.pow(c, &self.key.dec_exp)
     }
 
-    /// Serializes a ciphertext to fixed-width bytes (for traffic accounting
-    /// and wire transfer in the simulated network).
-    pub fn element_to_bytes(&self, c: &BigUint) -> Vec<u8> {
-        let width = self.mont.modulus().bits().div_ceil(8);
-        c.to_bytes_be_padded(width)
+    /// [`CommutativeCipher::encrypt`] on serialized elements: reads one
+    /// fixed-width big-endian element and writes its ciphertext in the same
+    /// form, going bytes → limbs → bytes with no [`BigUint`] in between.
+    /// Total on its input: any value is raised to the key modulo `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `element` or `out` is not exactly one element wide
+    /// ([`CommutativeCipher::ELEMENT_BYTES`] in the RFC 3526 group).
+    pub fn encrypt_bytes(&self, element: &[u8], out: &mut [u8]) {
+        assert_eq!(element.len(), self.element_width(), "element width");
+        let mut base = vec![0u64; self.mont.limbs()];
+        for (i, &b) in element.iter().rev().enumerate() {
+            base[i / 8] |= (b as u64) << (8 * (i % 8));
+        }
+        self.encrypt_limbs(&base, out);
     }
 
-    /// Deserializes a ciphertext.
-    pub fn element_from_bytes(&self, bytes: &[u8]) -> BigUint {
-        BigUint::from_bytes_be(bytes)
+    /// [`CommutativeCipher::hash_to_group`] then
+    /// [`CommutativeCipher::encrypt`], written as one serialized element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly one element wide.
+    pub fn encrypt_hashed(&self, data: &[u8], out: &mut [u8]) {
+        let mut base = self.hash_to_group(data).limbs().to_vec();
+        base.resize(self.mont.limbs(), 0);
+        self.encrypt_limbs(&base, out);
+    }
+
+    fn encrypt_limbs(&self, base: &[u64], out: &mut [u8]) {
+        assert_eq!(out.len(), self.element_width(), "element width");
+        let mut ct = vec![0u64; base.len()];
+        self.mont.pow_limbs(base, &self.key.enc_exp, &mut ct);
+        for (i, b) in out.iter_mut().rev().enumerate() {
+            *b = (ct[i / 8] >> (8 * (i % 8))) as u8;
+        }
+    }
+
+    /// Byte length of a serialized element of this cipher's group.
+    fn element_width(&self) -> usize {
+        self.mont.modulus().bits().div_ceil(8)
     }
 }
 
@@ -197,15 +230,62 @@ mod tests {
         assert_ne!(e1, e2, "distinct elements must stay distinct");
     }
 
+    /// The serialized path is the `BigUint` path, byte for byte — in the
+    /// 1,024-bit group and in a one-limb one.
     #[test]
-    fn ciphertext_bytes_fixed_width() {
+    fn encrypt_bytes_matches_encrypt() {
+        let mut r = rng();
+        let big = CommutativeCipher::generate(&mut r);
+        let small = CommutativeCipher::with_modulus(BigUint::from_u64(1019), &mut r);
+        for (cipher, width) in [(&big, CommutativeCipher::ELEMENT_BYTES), (&small, 2)] {
+            let m = cipher.hash_to_group(b"element");
+            let expect = cipher.encrypt(&m).to_bytes_be_padded(width);
+            let mut out = vec![0u8; width];
+            cipher.encrypt_bytes(&m.to_bytes_be_padded(width), &mut out);
+            assert_eq!(out, expect);
+            out.fill(0);
+            cipher.encrypt_hashed(b"element", &mut out);
+            assert_eq!(out, expect);
+        }
+    }
+
+    /// Known answers from the bit-at-a-time kernel this cipher used before
+    /// its exponents were recoded into window digits.
+    #[test]
+    fn known_answer_rfc3526() {
+        let c = CommutativeCipher::generate(&mut rng());
+        let m = c.hash_to_group(b"router 10.0.0.1");
+        assert_eq!(
+            c.encrypt(&m).to_hex(),
+            "a726365de8c8565039ca046ed816e6799f474495e2968feaee477af0451ce156\
+             7fe9cb518cd4e87ec2afb643eea52f6c6728789389cd519800ace3c18ba6c7a9\
+             a008418072125e4dbae50b3c8bb9087b5b0d95948ba681a73893f8dfcbd4611e\
+             a3082910458ee636f43aab0471f15db3292b3ce0a9753829c52a8e0a25ca887a"
+        );
+        assert_eq!(
+            c.decrypt(&m).to_hex(),
+            "262d0eed4221caa58675d1998bf87410a0248f162a2fb3a0e9c72b2953e2a941\
+             6e239dc94672221dd65c327fccac7aa57d94047289e7380ed18e7e59763b8d94\
+             10a26477d7fdc91347b237eb94d3e159268ad0d935ad38adf606efa92c0b32b1\
+             e4f223107891fd67a0aa9ef3e7b769442897945c260eb5370288132e0d8a5a7d"
+        );
+    }
+
+    /// Commutativity and decrypt∘encrypt = id on full-width (1,024-bit)
+    /// elements, where every limb of the kernel's operands is live.
+    #[test]
+    fn full_width_commutes_and_roundtrips() {
         let mut r = rng();
         let a = CommutativeCipher::generate(&mut r);
-        let m = a.hash_to_group(b"element");
-        let c = a.encrypt(&m);
-        let bytes = a.element_to_bytes(&c);
-        assert_eq!(bytes.len(), CommutativeCipher::ELEMENT_BYTES);
-        assert_eq!(a.element_from_bytes(&bytes), c);
+        let b = CommutativeCipher::generate(&mut r);
+        let p_minus_1 = a.modulus() - &BigUint::one();
+        let mut elements = vec![p_minus_1, BigUint::one()];
+        elements.extend((0..6).map(|_| BigUint::random_below(&mut r, a.modulus())));
+        for m in &elements {
+            assert_eq!(b.encrypt(&a.encrypt(m)), a.encrypt(&b.encrypt(m)));
+            assert_eq!(&a.decrypt(&a.encrypt(m)), m);
+            assert_eq!(&b.decrypt(&a.decrypt(&b.encrypt(&a.encrypt(m)))), m);
+        }
     }
 
     #[test]

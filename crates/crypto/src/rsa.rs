@@ -15,7 +15,6 @@ use crate::hash::sha256;
 /// An RSA signing keypair.
 #[derive(Clone, Debug)]
 pub struct SigningKey {
-    n: BigUint,
     d: BigUint,
     public: VerifyingKey,
 }
@@ -23,7 +22,8 @@ pub struct SigningKey {
 /// The public verification half.
 #[derive(Clone, Debug)]
 pub struct VerifyingKey {
-    n: BigUint,
+    /// Montgomery context of the modulus `n`, built once per key.
+    mont: Montgomery,
     e: BigUint,
 }
 
@@ -52,8 +52,11 @@ impl SigningKey {
             let Ok(d) = e.modinv(&phi) else {
                 continue; // gcd(e, phi) != 1: re-draw primes.
             };
-            let public = VerifyingKey { n: n.clone(), e };
-            return SigningKey { n, d, public };
+            let mont = Montgomery::new(&n).expect("product of odd primes is odd");
+            return SigningKey {
+                d,
+                public: VerifyingKey { mont, e },
+            };
         }
     }
 
@@ -65,31 +68,28 @@ impl SigningKey {
     /// Signs a message: `SHA-256(m)` interpreted as an integer below `n`,
     /// raised to the private exponent.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let h = digest_to_int(message, &self.n);
-        let mont = Montgomery::new(&self.n).expect("RSA modulus is odd");
-        let sig = mont.modpow(&h, &self.d);
-        Signature(sig.to_bytes_be_padded(self.n.bits().div_ceil(8)))
+        let mont = &self.public.mont;
+        let n = mont.modulus();
+        let sig = mont.modpow(&digest_to_int(message, n), &self.d);
+        Signature(sig.to_bytes_be_padded(n.bits().div_ceil(8)))
     }
 }
 
 impl VerifyingKey {
     /// Verifies a signature against a message.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
+        let n = self.mont.modulus();
         let sig = BigUint::from_bytes_be(&signature.0);
-        if sig >= self.n {
+        if &sig >= n {
             return false;
         }
-        let mont = match Montgomery::new(&self.n) {
-            Some(m) => m,
-            None => return false,
-        };
-        mont.modpow(&sig, &self.e) == digest_to_int(message, &self.n)
+        self.mont.modpow(&sig, &self.e) == digest_to_int(message, n)
     }
 
     /// Serializes the key for distribution (modulus ‖ exponent, both
     /// length-prefixed).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n.to_bytes_be();
+        let n = self.mont.modulus().to_bytes_be();
         let e = self.e.to_bytes_be();
         let mut out = Vec::with_capacity(n.len() + e.len() + 8);
         out.extend_from_slice(&(n.len() as u32).to_be_bytes());
@@ -99,14 +99,18 @@ impl VerifyingKey {
         out
     }
 
-    /// Parses a key serialized by [`VerifyingKey::to_bytes`].
+    /// Parses a key serialized by [`VerifyingKey::to_bytes`]. An even or
+    /// zero modulus, under which no signature verifies, is rejected here.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let n_len = u32::from_be_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
         let n = BigUint::from_bytes_be(bytes.get(4..4 + n_len)?);
         let rest = &bytes[4 + n_len..];
         let e_len = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?) as usize;
         let e = BigUint::from_bytes_be(rest.get(4..4 + e_len)?);
-        Some(VerifyingKey { n, e })
+        Some(VerifyingKey {
+            mont: Montgomery::new(&n)?,
+            e,
+        })
     }
 }
 
@@ -165,6 +169,13 @@ mod tests {
         let vk = VerifyingKey::from_bytes(&bytes).unwrap();
         let sig = sk.sign(b"serialized key check");
         assert!(vk.verify(b"serialized key check", &sig));
+    }
+
+    #[test]
+    fn even_modulus_key_rejected_at_parse() {
+        // modulus 10, exponent 3: no Montgomery context exists for it.
+        let bytes = [0, 0, 0, 1, 10, 0, 0, 0, 1, 3];
+        assert!(VerifyingKey::from_bytes(&bytes).is_none());
     }
 
     #[test]

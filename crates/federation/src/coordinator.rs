@@ -12,9 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use indaas_obs::TraceContext;
-use indaas_pia::{
-    count_final_lists, outcome_from_counts, PsopConfig, PsopOutcome, CIPHERTEXT_BYTES,
-};
+use indaas_pia::{check_payload, count_final_lists, outcome_from_counts, PsopConfig, PsopOutcome};
 use indaas_service::proto::{decode_payload, Request, Response};
 use indaas_service::{Client, ClientError};
 use indaas_simnet::TrafficStats;
@@ -189,7 +187,8 @@ impl FederationCoordinator {
         let parties: Vec<PartyReport> = reports.into_iter().map(|r| r.unwrap()).collect(); // lint:allow(panic_path) -- the any(is_err) guard above already returned via degrade_or_fail
 
         let (intersection, union) =
-            count_final_lists(parties.iter().map(|p| p.payload.as_slice()), k);
+            count_final_lists(parties.iter().map(|p| p.payload.as_slice()), k)
+                .map_err(|e| FederationError::Protocol(e.to_string()))?;
         // Reassemble the (k+1)-party traffic matrix from each daemon's
         // own accounting; the coordinator (party k) sends nothing and
         // receives every final list.
@@ -327,16 +326,12 @@ impl FederationCoordinator {
                 }
                 let payload = decode_payload(&payload)
                     .map_err(|e| FederationError::Protocol(format!("party {index}: {e}")))?;
-                // A truncated list would make `count_final_lists` treat
-                // the tail as a distinct ciphertext and silently inflate
-                // the union — reject anything that is not whole elements.
-                if !payload.len().is_multiple_of(CIPHERTEXT_BYTES) {
-                    return Err(FederationError::Protocol(format!(
-                        "party {index} returned {} bytes, not a multiple of the \
-                         {CIPHERTEXT_BYTES}-byte ciphertext width",
-                        payload.len()
-                    )));
-                }
+                // A truncated list would count its tail as one more
+                // distinct ciphertext and silently inflate the union —
+                // a list that is not whole group elements fails this
+                // party, by name, before any counting.
+                check_payload(index, &payload)
+                    .map_err(|e| FederationError::Protocol(e.to_string()))?;
                 Ok(PartyReport {
                     payload,
                     sent_bytes,

@@ -228,7 +228,7 @@ impl FederationEngine for Federation {
             session,
             conn,
             mailbox,
-            token,
+            token.clone(),
             round_timeout,
         )
         .with_trace(trace)
@@ -240,6 +240,7 @@ impl FederationEngine for Federation {
             index as usize,
             parties as usize,
             &mut transport,
+            &token,
         );
         self.sessions.remove(session);
         let (frame_retries, redials) = transport.retry_counts();

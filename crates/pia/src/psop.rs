@@ -26,8 +26,9 @@
 use std::collections::HashMap;
 
 use indaas_bigint::BigUint;
-use indaas_crypto::{shuffle, CommutativeCipher};
-use indaas_simnet::{SimNetwork, TrafficStats, Transport, TransportError};
+use indaas_crypto::{shuffle, CommutativeCipher, MODP_1024_HEX};
+use indaas_graph::{CancelToken, Cancelled};
+use indaas_simnet::{Message, PartyId, SimNetwork, TrafficStats, Transport, TransportError};
 use rand::SeedableRng;
 
 /// Configuration for a P-SOP run.
@@ -52,6 +53,64 @@ impl Default for PsopConfig {
 /// is a whole number of these (consumers validating peer input check
 /// against this instead of reaching into the crypto crate).
 pub const CIPHERTEXT_BYTES: usize = CommutativeCipher::ELEMENT_BYTES;
+
+/// Why a P-SOP run stopped.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PsopError {
+    /// The transport failed (peer loss, round deadline expiry).
+    Transport(TransportError),
+    /// The run's [`CancelToken`] tripped; polled once per element encrypted.
+    Cancelled(Cancelled),
+    /// Party `from` sent `len` bytes: not a positive multiple of
+    /// [`CIPHERTEXT_BYTES`].
+    RaggedPayload {
+        /// The sending party.
+        from: PartyId,
+        /// The payload's length in bytes.
+        len: usize,
+    },
+    /// Element `index` of party `from`'s payload is zero or not below the
+    /// group modulus.
+    ElementOutOfRange {
+        /// The sending party.
+        from: PartyId,
+        /// Position of the element in the payload.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for PsopError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PsopError::Transport(e) => write!(f, "{e}"),
+            PsopError::Cancelled(e) => write!(f, "{e}"),
+            PsopError::RaggedPayload { from, len } => write!(
+                f,
+                "party {from} sent a malformed P-SOP payload: {len} bytes is not a \
+                 positive multiple of the {CIPHERTEXT_BYTES}-byte ciphertext width"
+            ),
+            PsopError::ElementOutOfRange { from, index } => write!(
+                f,
+                "party {from} sent a malformed P-SOP payload: element {index} is \
+                 outside the group"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PsopError {}
+
+impl From<TransportError> for PsopError {
+    fn from(e: TransportError) -> Self {
+        PsopError::Transport(e)
+    }
+}
+
+impl From<Cancelled> for PsopError {
+    fn from(e: Cancelled) -> Self {
+        PsopError::Cancelled(e)
+    }
+}
 
 /// Result of a P-SOP run.
 #[derive(Clone, Debug)]
@@ -79,15 +138,17 @@ pub struct PsopParty {
     parties: usize,
     cipher: CommutativeCipher,
     rng: rand::rngs::StdRng,
+    token: CancelToken,
 }
 
 impl PsopParty {
-    /// Initializes party `index` of `parties` providers.
+    /// Initializes party `index` of `parties` providers; `token` is polled
+    /// before every element this party encrypts.
     ///
     /// # Panics
     ///
     /// Panics if `parties < 2` or `index` is out of range.
-    pub fn new(index: usize, parties: usize, config: &PsopConfig) -> Self {
+    pub fn new(index: usize, parties: usize, config: &PsopConfig, token: &CancelToken) -> Self {
         assert!(parties >= 2, "P-SOP needs at least two providers");
         assert!(index < parties, "party index out of range");
         // Weyl-sequence derivation keeps per-party streams disjoint for
@@ -103,6 +164,7 @@ impl PsopParty {
             parties,
             cipher,
             rng,
+            token: token.clone(),
         }
     }
 
@@ -118,47 +180,106 @@ impl PsopParty {
 
     /// Round 0: hash + encrypt + permute this party's own dataset into the
     /// wire payload for its ring successor.
-    pub fn initial_payload(&mut self, data: &[String], multiset: bool) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// [`PsopError::Cancelled`] if the token trips between two elements.
+    pub fn initial_payload(
+        &mut self,
+        data: &[String],
+        multiset: bool,
+    ) -> Result<Vec<u8>, PsopError> {
         let prepared = prepare(data, multiset);
-        let mut cts: Vec<BigUint> = prepared
-            .iter()
-            .map(|e| {
-                self.cipher
-                    .encrypt(&self.cipher.hash_to_group(e.as_bytes()))
-            })
-            .collect();
-        shuffle(&mut cts, &mut self.rng);
-        encode(&self.cipher, &cts)
+        self.encrypt_permuted(prepared.len(), |cipher, i, out| {
+            cipher.encrypt_hashed(prepared[i].as_bytes(), out)
+        })
     }
 
     /// Rounds 1..k−1: add this party's encryption layer to a circulating
     /// list and permute, producing the payload to forward.
-    pub fn relay(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut cts = decode(&self.cipher, payload);
-        for c in &mut cts {
-            *c = self.cipher.encrypt(c);
+    ///
+    /// # Errors
+    ///
+    /// [`PsopError::RaggedPayload`] / [`PsopError::ElementOutOfRange`] name
+    /// the sender of a payload that is not a whole list of group elements
+    /// (nothing is encrypted or forwarded); [`PsopError::Cancelled`] if the
+    /// token trips between two elements.
+    pub fn relay(&mut self, msg: &Message) -> Result<Vec<u8>, PsopError> {
+        check_payload(msg.from, &msg.payload)?;
+        let count = msg.payload.len() / CIPHERTEXT_BYTES;
+        self.encrypt_permuted(count, |cipher, i, out| {
+            cipher.encrypt_bytes(
+                &msg.payload[i * CIPHERTEXT_BYTES..][..CIPHERTEXT_BYTES],
+                out,
+            )
+        })
+    }
+
+    /// Draws this round's permutation, then writes the encryption of source
+    /// element `order[i]` straight into slot `i` of the outgoing payload.
+    fn encrypt_permuted(
+        &mut self,
+        count: usize,
+        encrypt: impl Fn(&CommutativeCipher, usize, &mut [u8]),
+    ) -> Result<Vec<u8>, PsopError> {
+        let mut order: Vec<usize> = (0..count).collect();
+        shuffle(&mut order, &mut self.rng);
+        let mut out = vec![0u8; count * CIPHERTEXT_BYTES];
+        for (slot, &source) in out.chunks_exact_mut(CIPHERTEXT_BYTES).zip(&order) {
+            self.token.check()?;
+            encrypt(&self.cipher, source, slot);
         }
-        shuffle(&mut cts, &mut self.rng);
-        encode(&self.cipher, &cts)
+        Ok(out)
     }
 }
 
+/// Refuses a payload that is not a non-empty list of whole group elements
+/// (each in `1..p`, compared as big-endian bytes), naming its sender.
+///
+/// # Errors
+///
+/// [`PsopError::RaggedPayload`] or [`PsopError::ElementOutOfRange`].
+pub fn check_payload(from: PartyId, payload: &[u8]) -> Result<(), PsopError> {
+    if payload.is_empty() || !payload.len().is_multiple_of(CIPHERTEXT_BYTES) {
+        return Err(PsopError::RaggedPayload {
+            from,
+            len: payload.len(),
+        });
+    }
+    let modulus = BigUint::from_hex(MODP_1024_HEX)
+        .expect("constant prime parses")
+        .to_bytes_be();
+    for (index, element) in payload.chunks_exact(CIPHERTEXT_BYTES).enumerate() {
+        if element.iter().all(|&b| b == 0) || element >= modulus.as_slice() {
+            return Err(PsopError::ElementOutOfRange { from, index });
+        }
+    }
+    Ok(())
+}
+
 /// The auditing agent's counting step: given every party's fully-encrypted
-/// list, counts distinct ciphertexts (union) and ciphertexts appearing in
-/// all `k` lists (intersection).
+/// list in party order, counts distinct ciphertexts (union) and ciphertexts
+/// appearing in all `k` lists (intersection).
+///
+/// # Errors
+///
+/// [`PsopError::RaggedPayload`] / [`PsopError::ElementOutOfRange`] naming
+/// the party whose list is not whole group elements — a truncated tail
+/// would otherwise count as one more distinct ciphertext.
 pub fn count_final_lists<'a>(
     payloads: impl IntoIterator<Item = &'a [u8]>,
     k: usize,
-) -> (usize, usize) {
+) -> Result<(usize, usize), PsopError> {
     let mut counts: HashMap<&[u8], usize> = HashMap::new();
-    for payload in payloads {
-        for chunk in payload.chunks(CommutativeCipher::ELEMENT_BYTES) {
+    for (party, payload) in payloads.into_iter().enumerate() {
+        check_payload(party, payload)?;
+        for chunk in payload.chunks_exact(CIPHERTEXT_BYTES) {
             *counts.entry(chunk).or_insert(0) += 1;
         }
     }
     let union = counts.len();
     let intersection = counts.values().filter(|&&c| c == k).count();
-    (intersection, union)
+    Ok((intersection, union))
 }
 
 /// Builds a [`PsopOutcome`] from agent-side counts and transport stats.
@@ -187,14 +308,15 @@ pub fn outcome_from_counts(
 ///
 /// # Panics
 ///
-/// Panics if fewer than two datasets are supplied or the network is not
-/// sized `k + 1`.
+/// Panics if fewer than two datasets are supplied, any dataset is empty
+/// or the network is not sized `k + 1`.
 pub fn run_psop(
     datasets: &[Vec<String>],
     config: &PsopConfig,
     net: &mut SimNetwork,
 ) -> PsopOutcome {
-    run_psop_transport(datasets, config, net).expect("in-process transport cannot fail")
+    run_psop_transport(datasets, config, net, &CancelToken::default())
+        .expect("in-process run with a token that never trips cannot fail")
 }
 
 /// [`run_psop`] over any [`Transport`] hosting all `k + 1` parties: the
@@ -204,19 +326,28 @@ pub fn run_psop(
 /// # Errors
 ///
 /// Propagates transport failures (impossible on [`SimNetwork`] with a
-/// correctly-sized network).
+/// correctly-sized network), refuses malformed payloads naming their
+/// sender, and returns [`PsopError::Cancelled`] within one element of
+/// encryption work of `token` tripping.
 ///
 /// # Panics
 ///
-/// Panics if fewer than two datasets are supplied or the transport is not
-/// sized `k + 1`.
+/// Panics if fewer than two datasets are supplied, any dataset is empty
+/// (an empty list on the wire is a truncated one; every entry point
+/// refuses empty component sets first) or the transport is not sized
+/// `k + 1`.
 pub fn run_psop_transport<T: Transport>(
     datasets: &[Vec<String>],
     config: &PsopConfig,
     net: &mut T,
-) -> Result<PsopOutcome, TransportError> {
+    token: &CancelToken,
+) -> Result<PsopOutcome, PsopError> {
     let k = datasets.len();
     assert!(k >= 2, "P-SOP needs at least two providers");
+    assert!(
+        datasets.iter().all(|d| !d.is_empty()),
+        "P-SOP datasets must be non-empty"
+    );
     assert_eq!(
         net.parties(),
         k + 1,
@@ -224,12 +355,14 @@ pub fn run_psop_transport<T: Transport>(
     );
     let agent = k;
 
-    let mut parties: Vec<PsopParty> = (0..k).map(|i| PsopParty::new(i, k, config)).collect();
+    let mut parties: Vec<PsopParty> = (0..k)
+        .map(|i| PsopParty::new(i, k, config, token))
+        .collect();
 
     // Round 0: every party encrypts + permutes its own list and sends it
     // to its successor.
     for (i, data) in datasets.iter().enumerate() {
-        let payload = parties[i].initial_payload(data, config.multiset);
+        let payload = parties[i].initial_payload(data, config.multiset)?;
         net.send(i, parties[i].successor(), payload)?;
     }
 
@@ -237,7 +370,7 @@ pub fn run_psop_transport<T: Transport>(
     for _round in 1..k {
         for (i, party) in parties.iter_mut().enumerate() {
             let msg = net.recv(i)?;
-            let payload = party.relay(&msg.payload);
+            let payload = party.relay(&msg)?;
             net.send(i, party.successor(), payload)?;
         }
     }
@@ -254,7 +387,7 @@ pub fn run_psop_transport<T: Transport>(
     for _ in 0..k {
         finals.push(net.recv(agent)?.payload);
     }
-    let (intersection, union) = count_final_lists(finals.iter().map(Vec::as_slice), k);
+    let (intersection, union) = count_final_lists(finals.iter().map(Vec::as_slice), k)?;
     Ok(outcome_from_counts(
         intersection,
         union,
@@ -276,7 +409,9 @@ pub fn run_psop_transport<T: Transport>(
 ///
 /// # Errors
 ///
-/// Propagates transport failures (peer loss, round deadline expiry).
+/// Propagates transport failures (peer loss, round deadline expiry),
+/// refuses a malformed payload naming the party that sent it, and returns
+/// [`PsopError::Cancelled`] within one element of `token` tripping.
 ///
 /// # Panics
 ///
@@ -287,14 +422,15 @@ pub fn run_psop_party<T: Transport>(
     index: usize,
     parties: usize,
     net: &mut T,
-) -> Result<(), TransportError> {
-    let mut party = PsopParty::new(index, parties, config);
+    token: &CancelToken,
+) -> Result<(), PsopError> {
+    let mut party = PsopParty::new(index, parties, config, token);
     let agent = parties;
-    let payload = party.initial_payload(data, config.multiset);
+    let payload = party.initial_payload(data, config.multiset)?;
     net.send(index, party.successor(), payload)?;
     for _round in 1..parties {
         let msg = net.recv(index)?;
-        let payload = party.relay(&msg.payload);
+        let payload = party.relay(&msg)?;
         net.send(index, party.successor(), payload)?;
     }
     let msg = net.recv(index)?;
@@ -315,21 +451,6 @@ fn prepare(data: &[String], multiset: bool) -> Vec<String> {
             *n += 1;
             format!("{e}\u{2016}{n}")
         })
-        .collect()
-}
-
-fn encode(cipher: &CommutativeCipher, cts: &[BigUint]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(cts.len() * CommutativeCipher::ELEMENT_BYTES);
-    for c in cts {
-        out.extend_from_slice(&cipher.element_to_bytes(c));
-    }
-    out
-}
-
-fn decode(cipher: &CommutativeCipher, bytes: &[u8]) -> Vec<BigUint> {
-    bytes
-        .chunks(CommutativeCipher::ELEMENT_BYTES)
-        .map(|c| cipher.element_from_bytes(c))
         .collect()
 }
 
@@ -456,9 +577,12 @@ mod tests {
         // non-blocking). Interleaving: all round-0 sends, then relays, etc.
         let k = datasets.len();
         let mut net = SimNetwork::new(k + 1);
-        let mut parties: Vec<PsopParty> = (0..k).map(|i| PsopParty::new(i, k, &config)).collect();
+        let token = CancelToken::default();
+        let mut parties: Vec<PsopParty> = (0..k)
+            .map(|i| PsopParty::new(i, k, &config, &token))
+            .collect();
         for (i, p) in parties.iter_mut().enumerate() {
-            let payload = p.initial_payload(&datasets[i], config.multiset);
+            let payload = p.initial_payload(&datasets[i], config.multiset).unwrap();
             let to = p.successor();
             Transport::send(&mut net, i, to, payload).unwrap();
         }
@@ -466,7 +590,7 @@ mod tests {
             for (i, p) in parties.iter_mut().enumerate() {
                 let msg = Transport::recv(&mut net, i).unwrap();
                 let to = p.successor();
-                let payload = p.relay(&msg.payload);
+                let payload = p.relay(&msg).unwrap();
                 Transport::send(&mut net, i, to, payload).unwrap();
             }
         }
@@ -477,7 +601,7 @@ mod tests {
         let finals: Vec<Vec<u8>> = (0..k)
             .map(|_| Transport::recv(&mut net, k).unwrap().payload)
             .collect();
-        let (intersection, union) = count_final_lists(finals.iter().map(Vec::as_slice), k);
+        let (intersection, union) = count_final_lists(finals.iter().map(Vec::as_slice), k).unwrap();
 
         assert_eq!(intersection, global.intersection);
         assert_eq!(union, global.union);
@@ -497,7 +621,194 @@ mod tests {
         // Two 128-byte "ciphertexts", one shared.
         let a: Vec<u8> = [vec![1u8; 128], vec![2u8; 128]].concat();
         let b: Vec<u8> = [vec![1u8; 128], vec![3u8; 128]].concat();
-        let (inter, union) = count_final_lists([a.as_slice(), b.as_slice()], 2);
-        assert_eq!((inter, union), (1, 3));
+        let counts = count_final_lists([a.as_slice(), b.as_slice()], 2);
+        assert_eq!(counts, Ok((1, 3)));
+    }
+
+    /// A transport that records every send and can corrupt one of them.
+    struct Tap {
+        net: SimNetwork,
+        log: Vec<u8>,
+        /// `(from, len)`: cut the first payload `from` sends to `len` bytes.
+        truncate: Option<(PartyId, usize)>,
+    }
+
+    impl Tap {
+        fn new(parties: usize) -> Self {
+            Tap {
+                net: SimNetwork::new(parties),
+                log: Vec::new(),
+                truncate: None,
+            }
+        }
+    }
+
+    impl Transport for Tap {
+        fn parties(&self) -> usize {
+            Transport::parties(&self.net)
+        }
+
+        fn send(
+            &mut self,
+            from: PartyId,
+            to: PartyId,
+            mut payload: Vec<u8>,
+        ) -> Result<(), TransportError> {
+            if let Some((_, len)) = self.truncate.take_if(|(party, _)| *party == from) {
+                payload.truncate(len);
+            }
+            for word in [from, to, payload.len()] {
+                self.log.extend_from_slice(&(word as u32).to_be_bytes());
+            }
+            self.log.extend_from_slice(&payload);
+            Transport::send(&mut self.net, from, to, payload)
+        }
+
+        fn recv(&mut self, to: PartyId) -> Result<Message, TransportError> {
+            Transport::recv(&mut self.net, to)
+        }
+
+        fn stats(&self) -> &TrafficStats {
+            Transport::stats(&self.net)
+        }
+    }
+
+    fn ring_datasets() -> [Vec<String>; 3] {
+        [
+            strings(&["libc", "ssl", "riak"]),
+            strings(&["libc", "boost"]),
+            strings(&["libc", "ssl", "redis", "zlib"]),
+        ]
+    }
+
+    /// Every byte of a 3-party run — 12 messages as `from ‖ to ‖ len ‖
+    /// payload` — hashes to what the parent commit's bit-at-a-time modexp
+    /// and `BigUint`-per-element relay put on the wire.
+    #[test]
+    fn three_party_transcript_known_answer() {
+        let mut tap = Tap::new(4);
+        let out = run_psop_transport(
+            &ring_datasets(),
+            &PsopConfig::default(),
+            &mut tap,
+            &CancelToken::default(),
+        )
+        .unwrap();
+        assert_eq!((out.intersection, out.union), (1, 6));
+        assert_eq!(tap.log.len(), 4752);
+        let digest: String = indaas_crypto::sha256(&tap.log)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "6d54eed9576860ebc2de409b55913b061d68bf018b714616c11dd6c14d0e41f3"
+        );
+    }
+
+    fn message(from: PartyId, payload: Vec<u8>) -> Message {
+        Message {
+            from,
+            to: 0,
+            payload,
+        }
+    }
+
+    #[test]
+    fn relay_refuses_malformed_payloads_naming_the_sender() {
+        let mut party = PsopParty::new(0, 3, &PsopConfig::default(), &CancelToken::default());
+        let good = [vec![0u8; 127], vec![7u8]].concat();
+        for len in [0, 1, 127, 129, 2 * 128 - 5] {
+            let payload: Vec<u8> = good.iter().cycle().take(len).copied().collect();
+            assert_eq!(
+                party.relay(&message(2, payload)),
+                Err(PsopError::RaggedPayload { from: 2, len })
+            );
+        }
+        // Zero, the modulus itself and the all-ones value are not in 1..p.
+        let modulus = BigUint::from_hex(MODP_1024_HEX).unwrap().to_bytes_be();
+        for bad in [vec![0u8; 128], modulus.clone(), vec![0xff; 128]] {
+            let payload = [good.clone(), bad].concat();
+            assert_eq!(
+                party.relay(&message(1, payload)),
+                Err(PsopError::ElementOutOfRange { from: 1, index: 1 })
+            );
+        }
+        // p − 1 is the largest element, and a refusal consumed nothing of
+        // the party's permutation stream.
+        let mut largest = modulus;
+        largest[127] -= 1;
+        let mut fresh = PsopParty::new(0, 3, &PsopConfig::default(), &CancelToken::default());
+        let msg = message(1, [good, largest].concat());
+        assert_eq!(party.relay(&msg), fresh.relay(&msg));
+        assert_eq!(party.relay(&msg).unwrap().len(), 2 * 128);
+    }
+
+    #[test]
+    fn agent_refuses_malformed_final_lists() {
+        let whole = vec![1u8; 128];
+        let ragged = vec![1u8; 128 + 64];
+        assert_eq!(
+            count_final_lists([whole.as_slice(), ragged.as_slice()], 2),
+            Err(PsopError::RaggedPayload { from: 1, len: 192 })
+        );
+        let zero = vec![0u8; 128];
+        assert_eq!(
+            count_final_lists([zero.as_slice(), whole.as_slice()], 2),
+            Err(PsopError::ElementOutOfRange { from: 0, index: 0 })
+        );
+    }
+
+    /// A list truncated in flight stops the run at the receiving party
+    /// with the sender named; no Jaccard is computed over the remainder.
+    #[test]
+    fn run_propagates_a_truncated_payload() {
+        let mut tap = Tap::new(4);
+        tap.truncate = Some((1, 128 + 17));
+        let err = run_psop_transport(
+            &ring_datasets(),
+            &PsopConfig::default(),
+            &mut tap,
+            &CancelToken::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, PsopError::RaggedPayload { from: 1, len: 145 });
+        assert!(err.to_string().contains("party 1 sent a malformed"));
+    }
+
+    /// The token is polled per element, not per run: a deadline that
+    /// falls inside one long relay stops it there.
+    #[test]
+    fn cancellation_lands_inside_a_relay() {
+        use std::time::{Duration, Instant};
+        // 4,000 valid elements: seconds of modexp if run to completion.
+        let payload: Vec<u8> = (0..4000u32)
+            .flat_map(|i| [vec![0u8; 124], (i + 2).to_be_bytes().to_vec()].concat())
+            .collect();
+        let msg = message(1, payload);
+        let config = PsopConfig::default();
+
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let mut party = PsopParty::new(0, 2, &config, &tripped);
+        assert_eq!(
+            party.relay(&msg),
+            Err(PsopError::Cancelled(Cancelled::ByRequest))
+        );
+        assert_eq!(
+            party.initial_payload(&strings(&["a"]), true),
+            Err(PsopError::Cancelled(Cancelled::ByRequest))
+        );
+
+        let deadline = Duration::from_millis(40);
+        let mut party = PsopParty::new(0, 2, &config, &CancelToken::with_deadline(deadline));
+        let started = Instant::now();
+        assert_eq!(
+            party.relay(&msg),
+            Err(PsopError::Cancelled(Cancelled::DeadlineExceeded))
+        );
+        // One element is ~0.5 ms of work; a run that only polled between
+        // payloads would return Ok after all 4,000.
+        assert!(started.elapsed() < deadline + Duration::from_millis(500));
     }
 }

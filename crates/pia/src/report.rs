@@ -6,7 +6,7 @@ use indaas_simnet::SimNetwork;
 use serde::{Deserialize, Serialize};
 
 use crate::minhash::{minhash_signature, signature_elements};
-use crate::psop::{run_psop, PsopConfig};
+use crate::psop::{run_psop, run_psop_transport, PsopConfig, PsopError};
 
 /// One ranked candidate deployment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -39,12 +39,12 @@ pub fn rank_deployments(
 }
 
 /// [`rank_deployments`] with cooperative cancellation, polled before each
-/// provider combination's P-SOP run (the protocol itself is the unit of
-/// work — combinations dominate the cost at scale).
+/// provider combination's P-SOP run and, inside a run, before every
+/// element encrypted — one large audit honours its deadline too.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] if the token trips between combinations.
+/// Returns [`Cancelled`] within one element of work of the token tripping.
 ///
 /// # Panics
 ///
@@ -72,7 +72,11 @@ pub fn rank_deployments_cancellable(
             })
             .collect();
         let mut net = SimNetwork::new(way + 1);
-        let outcome = run_psop(&datasets, config, &mut net);
+        let outcome = match run_psop_transport(&datasets, config, &mut net, token) {
+            Ok(outcome) => outcome,
+            Err(PsopError::Cancelled(reason)) => return Err(reason),
+            Err(e) => panic!("in-process P-SOP cannot fail: {e}"),
+        };
         let jaccard = match minhash {
             // δ/m slot-agreement estimator.
             Some(m) => outcome.intersection as f64 / m as f64,

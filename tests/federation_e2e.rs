@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use indaas::deps::VersionedDepDb;
-use indaas::federation::{provider_component_set, Federation, FederationCoordinator, PeerRegistry};
+use indaas::federation::{
+    provider_component_set, Federation, FederationCoordinator, PeerConn, PeerRegistry,
+};
 use indaas::pia::{run_psop, PsopConfig};
 use indaas::service::proto::{Request, Response, FEDERATION_PROTOCOL_VERSION};
 use indaas::service::{Client, ServeConfig, Server, V1Client};
@@ -542,4 +544,42 @@ fn empty_database_cannot_federate() {
         "unexpected error: {err}"
     );
     shutdown(vec![empty, full]);
+}
+
+/// A ring predecessor whose list arrives with a truncated tail must not
+/// have that tail encrypted and forwarded as a group element: the party
+/// that received it fails its run and names the sender.
+#[test]
+fn ragged_ring_payload_fails_the_party_naming_its_sender() {
+    let a = boot_daemon(PROVIDER_RECORDS[0], &[]);
+    let b = boot_daemon(PROVIDER_RECORDS[1], &[]);
+    let session = 0x0bad_5eed;
+    // The harness is hostile party 2, A's predecessor on a 3-party ring:
+    // it dials A as any peer would and delivers its round-0 list early
+    // (the session mailbox buffers it) — one whole element, 17 stray bytes.
+    let mut hostile = PeerConn::dial(&a.addr, "hostile-harness", Duration::from_secs(5)).unwrap();
+    let ragged = [vec![0u8; 127], vec![7u8], vec![0xab; 17]].concat();
+    hostile.send_frame(session, 0, 2, &ragged, None).unwrap();
+    // A plays party 0; its successor B only has to buffer A's own list.
+    let mut coordinator = Client::connect(&a.addr).unwrap();
+    let answer = coordinator.request(&Request::FederateStart {
+        session,
+        index: 0,
+        parties: 3,
+        successor: b.addr.clone(),
+        seed: PsopConfig::default().seed,
+        multiset: true,
+        round_timeout_ms: Some(5_000),
+    });
+    let message = match answer {
+        Ok(Response::Error { message }) => message,
+        Err(e) => e.to_string(),
+        Ok(other) => panic!("a ragged list must fail the party, got {other:?}"),
+    };
+    assert!(
+        message.contains("party 2 sent a malformed P-SOP payload: 145 bytes"),
+        "unexpected error: {message}"
+    );
+    drop(hostile);
+    shutdown(vec![a, b]);
 }
