@@ -3,8 +3,6 @@
 //!
 //! * the three risk-group engines head to head (MOCUS cut sets vs BDD
 //!   compilation vs failure sampling) on the same deployment graph,
-//! * lazy short-circuit sampling evaluation vs the paper's dense
-//!   bottom-up evaluation (the `minimize` flag switches the worker),
 //! * weighted (importance) sampling vs uniform coin flips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -57,39 +55,6 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lazy_vs_dense(c: &mut Criterion) {
-    let g = graph(16, false);
-    let mut group = c.benchmark_group("ablation/sampling_evaluator");
-    group.sample_size(10);
-    // minimize=true routes through the lazy short-circuit evaluator;
-    // minimize=false is the paper's dense per-round evaluation.
-    group.bench_function("lazy_1k_rounds", |b| {
-        b.iter(|| {
-            failure_sampling(
-                &g,
-                &SamplingConfig {
-                    rounds: 1_000,
-                    minimize: true,
-                    ..SamplingConfig::default()
-                },
-            )
-        })
-    });
-    group.bench_function("dense_1k_rounds", |b| {
-        b.iter(|| {
-            failure_sampling(
-                &g,
-                &SamplingConfig {
-                    rounds: 1_000,
-                    minimize: false,
-                    ..SamplingConfig::default()
-                },
-            )
-        })
-    });
-    group.finish();
-}
-
 fn bench_weighted_sampling(c: &mut Criterion) {
     let g = graph(8, true);
     let mut group = c.benchmark_group("ablation/weighted_sampling");
@@ -112,10 +77,5 @@ fn bench_weighted_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_lazy_vs_dense,
-    bench_weighted_sampling
-);
+criterion_group!(benches, bench_engines, bench_weighted_sampling);
 criterion_main!(benches);

@@ -58,7 +58,6 @@ fn bench_sampling(c: &mut Criterion) {
                             fail_prob: 0.5,
                             seed: 7,
                             threads: 1,
-                            minimize: true,
                             weighted: false,
                         },
                     )

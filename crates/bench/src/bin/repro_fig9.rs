@@ -113,7 +113,6 @@ fn main() {
                     fail_prob: 0.5,
                     seed: 9,
                     threads: 1,
-                    minimize: true,
                     weighted: false,
                 },
             )

@@ -108,6 +108,28 @@ mod tests {
         }
     }
 
+    /// The benchmark's sampling audit (topology A, 16-way, 2,000 rounds,
+    /// seed 7) reports this many groups. The count is a function of the
+    /// random draw stream, so a change that reorders or adds draws moves
+    /// it — and with it `sia.sampling_groups_per_kround`. Re-pin only in a
+    /// change that means to move the stream and says so.
+    #[test]
+    fn fig7_sampling_draw_stream_is_pinned() {
+        use indaas_sia::{build_fault_graph, failure_sampling, BuildSpec, SamplingConfig};
+        let (db, cand) = fig7_workload(FatTreeConfig::topology_a(), 16, None);
+        let spec = BuildSpec {
+            needed_alive: 15,
+            ..BuildSpec::all(cand.name, cand.servers)
+        };
+        let graph = build_fault_graph(&db, &spec).unwrap();
+        let config = SamplingConfig {
+            rounds: 2_000,
+            seed: 7,
+            ..SamplingConfig::default()
+        };
+        assert_eq!(failure_sampling(&graph, &config).len(), 701);
+    }
+
     #[test]
     fn synthetic_datasets_overlap() {
         let sets = synthetic_datasets(3, 100, 0.4);

@@ -220,7 +220,6 @@ impl AuditingAgent {
                         fail_prob,
                         seed,
                         threads,
-                        minimize: true,
                         weighted: false,
                     };
                     observed(obs, "rg_sampling", || {

@@ -344,9 +344,9 @@ impl FaultGraph {
         Ok(self.evaluate(&assignment))
     }
 
-    /// A precomputed evaluation plan for hot loops (failure sampling runs
-    /// millions of rounds; recomputing the topological order each time would
-    /// dominate). See [`EvalPlan`].
+    /// A precomputed evaluation plan for hot loops (Monte-Carlo probability
+    /// estimation runs millions of rounds; recomputing the topological order
+    /// each time would dominate). See [`EvalPlan`].
     pub fn eval_plan(&self) -> EvalPlan {
         EvalPlan {
             order: self.topo_order().expect("validated graphs are acyclic"),
@@ -378,6 +378,142 @@ impl EvalPlan {
             };
         }
     }
+}
+
+/// An incremental evaluator: failing-child counters per gate, updated along
+/// ancestors only, for questions of the form "does the top still fail if
+/// this one basic event recovers?" (the greedy shrink of failure sampling
+/// asks thousands per audit). A change costs the ancestors whose state it
+/// flips, not a walk of the graph; [`IncrementalEval::reset`] is O(1).
+pub struct IncrementalEval {
+    /// CSR parent lists: node `i`'s parents are
+    /// `parents[parent_start[i]..parent_start[i + 1]]`, one entry per edge.
+    parent_start: Vec<u32>,
+    parents: Vec<NodeId>,
+    counters: Vec<Counter>,
+    epoch: u32,
+    top: NodeId,
+    stack: Vec<NodeId>,
+}
+
+/// One node's failing-child count against its threshold. A basic event
+/// needs 1 and counts its own 0/1 state.
+#[derive(Clone, Copy)]
+struct Counter {
+    need: u32,
+    count: u32,
+    /// `count` is current iff this equals the evaluator's epoch; a stale
+    /// count reads as 0.
+    epoch: u32,
+}
+
+impl IncrementalEval {
+    /// Builds the evaluator with every basic event healthy.
+    pub fn new(graph: &FaultGraph) -> Self {
+        let n = graph.len();
+        let mut parent_start = vec![0u32; n + 1];
+        for node in graph.nodes() {
+            for &c in &node.children {
+                parent_start[c as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            parent_start[i + 1] += parent_start[i];
+        }
+        let mut next = parent_start.clone();
+        let mut parents = vec![0; parent_start[n] as usize];
+        for (id, node) in graph.nodes().iter().enumerate() {
+            for &c in &node.children {
+                parents[next[c as usize] as usize] = id as NodeId;
+                next[c as usize] += 1;
+            }
+        }
+        let counters = graph
+            .nodes()
+            .iter()
+            .map(|node| Counter {
+                need: node
+                    .gate
+                    .map_or(1, |g| g.threshold(node.children.len()) as u32),
+                count: 0,
+                epoch: 0,
+            })
+            .collect();
+        IncrementalEval {
+            parent_start,
+            parents,
+            counters,
+            epoch: 1,
+            top: graph.top(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Returns every basic event to healthy.
+    pub fn reset(&mut self) {
+        if self.epoch == u32::MAX {
+            self.counters.iter_mut().for_each(|c| c.epoch = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Whether the top event fails under the current assignment.
+    pub fn top_failed(&self) -> bool {
+        let top = self.counters[self.top as usize];
+        top.epoch == self.epoch && top.count >= top.need
+    }
+
+    /// Fails `basic`, which must be a basic event (no-op if it already is).
+    pub fn fail(&mut self, basic: NodeId) {
+        self.set(basic, true);
+    }
+
+    /// Recovers `basic`, which must be a basic event (no-op if it is
+    /// healthy).
+    pub fn repair(&mut self, basic: NodeId) {
+        self.set(basic, false);
+    }
+
+    fn set(&mut self, basic: NodeId, failed: bool) {
+        let epoch = self.epoch;
+        let own = current(&mut self.counters[basic as usize], epoch);
+        if (own.count == 1) == failed {
+            return;
+        }
+        own.count = u32::from(failed);
+        // A node is on the stack exactly when its state just flipped, which
+        // moves each parent's count by one; the parent flips in turn only
+        // when that crosses its threshold. Counts move one way within a
+        // call, so no node flips twice.
+        self.stack.push(basic);
+        while let Some(id) = self.stack.pop() {
+            let row = self.parent_start[id as usize] as usize
+                ..self.parent_start[id as usize + 1] as usize;
+            for &p in &self.parents[row] {
+                let c = current(&mut self.counters[p as usize], epoch);
+                let flipped = if failed {
+                    c.count += 1;
+                    c.count == c.need
+                } else {
+                    c.count -= 1;
+                    c.count + 1 == c.need
+                };
+                if flipped {
+                    self.stack.push(p);
+                }
+            }
+        }
+    }
+}
+
+/// The counter as of `epoch`: zeroed first if an earlier epoch left it.
+fn current(counter: &mut Counter, epoch: u32) -> &mut Counter {
+    if counter.epoch != epoch {
+        counter.epoch = epoch;
+        counter.count = 0;
+    }
+    counter
 }
 
 #[cfg(test)]
@@ -522,6 +658,45 @@ mod tests {
             }
             plan.evaluate_into(&g, &basic, &mut state);
             assert_eq!(state[g.top() as usize], g.evaluate(&basic));
+        }
+    }
+
+    #[test]
+    fn incremental_eval_matches_evaluate() {
+        let g = sample_graph();
+        let basic = g.basic_ids();
+        let mut inc = IncrementalEval::new(&g);
+        let mut assignment = vec![false; g.len()];
+        // Gray-code walk: every assignment of the five basics, one flip
+        // per step.
+        for step in 1u32..(1 << basic.len()) {
+            let id = basic[step.trailing_zeros() as usize];
+            assignment[id as usize] ^= true;
+            if assignment[id as usize] {
+                inc.fail(id);
+                inc.fail(id); // idempotent
+            } else {
+                inc.repair(id);
+            }
+            assert_eq!(inc.top_failed(), g.evaluate(&assignment), "step {step}");
+        }
+        inc.reset();
+        assert!(!inc.top_failed());
+        inc.fail(g.basic_by_name("ToR1").unwrap());
+        assert!(inc.top_failed());
+    }
+
+    #[test]
+    fn incremental_eval_survives_epoch_wraparound() {
+        let g = sample_graph();
+        let tor = g.basic_by_name("ToR1").unwrap();
+        let mut inc = IncrementalEval::new(&g);
+        inc.epoch = u32::MAX - 1;
+        for _ in 0..3 {
+            inc.reset();
+            assert!(!inc.top_failed(), "epoch {}", inc.epoch);
+            inc.fail(tor);
+            assert!(inc.top_failed(), "epoch {}", inc.epoch);
         }
     }
 

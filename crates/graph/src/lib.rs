@@ -47,4 +47,4 @@ pub use cancel::{CancelToken, Cancelled};
 pub use compose::compose;
 pub use detail::{ComponentSet, FaultSet};
 pub use dot::to_dot;
-pub use graph::{FaultGraph, FaultGraphBuilder, Gate, GraphError, Node, NodeId};
+pub use graph::{FaultGraph, FaultGraphBuilder, Gate, GraphError, IncrementalEval, Node, NodeId};

@@ -5,7 +5,7 @@ use indaas::deps::{
     SoftwareDep, VersionedDepDb,
 };
 use indaas::graph::detail::{component_sets_to_graph, ComponentSet};
-use indaas::graph::{FaultGraphBuilder, Gate};
+use indaas::graph::{FaultGraph, FaultGraphBuilder, Gate, IncrementalEval, NodeId};
 use indaas::sia::{
     failure_sampling, minimal_risk_groups, MinimalConfig, RgFamily, RiskGroup, SamplingConfig,
 };
@@ -24,6 +24,36 @@ fn component_sets() -> impl Strategy<Value = Vec<ComponentSet>> {
                 .collect()
         },
     )
+}
+
+/// Strategy: the gates of a random monotone DAG, one gene list per gate —
+/// the first gene picks AND / OR / k-of-n (and k), the rest pick children.
+fn dag_genes() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    proptest::collection::vec(proptest::collection::vec(0u32..1000, 2..6), 2..9usize)
+}
+
+/// Decodes [`dag_genes`] over `basics` basic events. A gate draws its
+/// children from *every* earlier node, so gates end up shared by several
+/// parents (or by none: nodes outside the top's cone exist too); the last
+/// gate is the top event.
+fn monotone_dag(basics: usize, genes: &[Vec<u32>]) -> FaultGraph {
+    let mut b = FaultGraphBuilder::new();
+    let mut nodes: Vec<NodeId> = (0..basics)
+        .map(|i| b.basic(format!("b{i}"), None))
+        .collect();
+    for (g, gene) in genes.iter().enumerate() {
+        let children: std::collections::BTreeSet<NodeId> = gene[1..]
+            .iter()
+            .map(|&pick| nodes[pick as usize % nodes.len()])
+            .collect();
+        let gate = match gene[0] % 3 {
+            0 => Gate::And,
+            1 => Gate::Or,
+            _ => Gate::KofN(1 + gene[0] / 3 % children.len() as u32),
+        };
+        nodes.push(b.gate(format!("g{g}"), gate, children.into_iter().collect()));
+    }
+    b.build(*nodes.last().unwrap()).unwrap()
 }
 
 /// Decodes a small integer into one of a few dozen distinct dependency
@@ -440,13 +470,73 @@ proptest! {
             fail_prob: 0.5,
             seed,
             threads: 1,
-            minimize: true,
             weighted: false,
         });
         let exact_named: std::collections::HashSet<_> =
             exact.to_named(&graph).into_iter().collect();
         for g in sampled.to_named(&graph) {
             prop_assert!(exact_named.contains(&g), "sampled {g:?} not minimal");
+        }
+    }
+
+    /// The incremental evaluator agrees with bottom-up evaluation after
+    /// every step of a random fail/repair sequence on a random DAG, and
+    /// again after a reset.
+    #[test]
+    fn incremental_eval_tracks_evaluate(
+        basics in 3usize..8,
+        genes in dag_genes(),
+        steps in proptest::collection::vec(0u32..1000, 1..40),
+    ) {
+        let graph = monotone_dag(basics, &genes);
+        let mut inc = IncrementalEval::new(&graph);
+        for round in 0..2 {
+            let mut assignment = vec![false; graph.len()];
+            for &step in &steps {
+                let id = (step as usize / 2 % basics) as NodeId;
+                let fail = step % 2 == 0;
+                assignment[id as usize] = fail;
+                if fail { inc.fail(id) } else { inc.repair(id) }
+                prop_assert!(
+                    inc.top_failed() == graph.evaluate(&assignment),
+                    "round {round} after {assignment:?}"
+                );
+            }
+            inc.reset();
+            prop_assert!(!inc.top_failed());
+        }
+    }
+
+    /// On random DAGs with shared gates, every sampled group fails the
+    /// top event, stops doing so when any one member recovers, and is in
+    /// the exact family. Few rounds, so that a group left unshrunk is
+    /// reported as it is and not subsumed away by a later round's.
+    #[test]
+    fn sampling_is_sound_on_random_dags(
+        basics in 3usize..8,
+        genes in dag_genes(),
+        seed in 0u64..1000,
+        rounds in 1u64..8,
+    ) {
+        let graph = monotone_dag(basics, &genes);
+        let exact = minimal_risk_groups(&graph, &MinimalConfig::default());
+        let sampled = failure_sampling(&graph, &SamplingConfig {
+            rounds,
+            seed,
+            ..SamplingConfig::default()
+        });
+        for g in sampled.groups() {
+            let mut assignment = vec![false; graph.len()];
+            for &id in g.ids() {
+                assignment[id as usize] = true;
+            }
+            prop_assert!(graph.evaluate(&assignment), "{g:?} does not fail the top");
+            for &id in g.ids() {
+                assignment[id as usize] = false;
+                prop_assert!(!graph.evaluate(&assignment), "{g:?} fails without {id}");
+                assignment[id as usize] = true;
+            }
+            prop_assert!(exact.contains(g), "{g:?} not in the exact family");
         }
     }
 
