@@ -329,15 +329,8 @@ struct ConnScalingPoint {
 
 #[derive(Serialize)]
 struct ConnScaling {
-    /// True when captured with `--conn-baseline` (pre-readiness-loop
-    /// thread-per-connection server; scaling gates skipped).
-    baseline_mode: bool,
     /// Process thread count before the first subscriber connects.
     idle_threads: usize,
-    /// Reference audit p99 at 64 connections measured against the
-    /// thread-per-connection server before the readiness-loop rewrite
-    /// ([`THREADED_BASELINE_AUDIT_P99_US`]).
-    threaded_baseline_audit_p99_us: f64,
     points: Vec<ConnScalingPoint>,
 }
 
@@ -353,15 +346,6 @@ struct BenchReport {
     instrumentation: InstrumentationOverhead,
     connection_scaling: ConnScaling,
 }
-
-/// Audit p99 at 64 idle connections against the *thread-per-connection*
-/// server, captured with `--conn-baseline` on the trajectory machine
-/// immediately before the readiness-loop rewrite. The full-mode gate
-/// holds the loop server within 2x of this on the same machine class;
-/// smoke mode records but does not gate latency (CI runners vary).
-/// Captured 2026-08-07: 64 conns cost 135 threads / 36.6 MiB RSS and a
-/// 439.4 us audit p99; 1024 conns cost 2055 threads / 73.0 MiB.
-const THREADED_BASELINE_AUDIT_P99_US: f64 = 439.4;
 
 /// Table-1 records the connection-scaling daemon serves audits over.
 const CONN_RECORDS: &str = r#"
@@ -449,7 +433,7 @@ fn audit_p99_us(client: &mut Client, spec: &AuditSpec, samples: usize) -> f64 {
 /// Boots an in-process daemon, holds N idle v2 subscribers at each
 /// level (cumulative — connections stay open as the level grows), and
 /// samples thread count, RSS, and control-path audit p99 at each level.
-fn connection_scaling(smoke: bool, baseline: bool) -> ConnScaling {
+fn connection_scaling(smoke: bool) -> ConnScaling {
     let levels: &[usize] = if smoke { &[16, 64] } else { &[64, 256, 1024] };
     let p99_samples = if smoke { 100 } else { 400 };
     let server = Server::bind(ServeConfig {
@@ -501,9 +485,7 @@ fn connection_scaling(smoke: bool, baseline: bool) -> ConnScaling {
         .expect("serve loop panicked")
         .expect("serve loop failed");
     ConnScaling {
-        baseline_mode: baseline,
         idle_threads,
-        threaded_baseline_audit_p99_us: THREADED_BASELINE_AUDIT_P99_US,
         points,
     }
 }
@@ -517,7 +499,6 @@ fn main() {
             .map(|v| v.parse::<usize>().unwrap_or_else(|e| panic!("{name}: {e}")))
     };
     let smoke = args.iter().any(|a| a == "--smoke");
-    let conn_baseline = args.iter().any(|a| a == "--conn-baseline");
     let shards = flag_value("--shards").unwrap_or(8);
     let readers = flag_value("--readers").unwrap_or(16);
     let out = args
@@ -605,8 +586,8 @@ fn main() {
          sharded {sharded_idle:.1} -> {sharded_loaded:.1} us"
     );
 
-    // Instrumentation-overhead phase: the flight recorder's write-path
-    // hooks must be invisible. The hooks cost three atomic RMWs per op
+    // Instrumentation-overhead phase: the daemon's write-path
+    // observability hooks must be invisible. The hooks cost three atomic RMWs per op
     // against an ingest measured in hundreds of microseconds, so any
     // honest signal is well under 1% — the design problem is measuring
     // that on an oversubscribed CI core where thread-scheduling noise
@@ -669,7 +650,7 @@ fn main() {
 
     // Connection-scaling phase runs last so the scoped-thread phases
     // above never share the process with a thousand open sockets.
-    let connection_scaling = connection_scaling(smoke, conn_baseline);
+    let connection_scaling = connection_scaling(smoke);
 
     let report = BenchReport {
         smoke,
@@ -739,7 +720,7 @@ fn main() {
         lat.sharded_loaded_p99_us,
         lat.global_loaded_p99_us
     );
-    // Instrumentation gates: the flight-recorder write-path hooks must
+    // Instrumentation gates: the write-path observability hooks must
     // cost ≤ 2% ingest throughput, and readers must stay within the same
     // wait-free band as the uninstrumented run. The best paired ratio
     // keeps the comparison honest on noisy runners; if every round still
@@ -763,49 +744,29 @@ fn main() {
     // Connection-scaling gates: the readiness loop makes subscriber
     // count a memory-bound number, so OS thread count must be flat in
     // connection count and the marginal RSS per idle subscriber must be
-    // buffer-sized, not stack-sized. `--conn-baseline` captures the
-    // pre-rewrite thread-per-connection numbers these gates are defined
-    // against, so it records without asserting.
+    // buffer-sized, not stack-sized.
     let scaling = &report.connection_scaling;
-    if !conn_baseline {
-        let first = scaling.points.first().expect("at least one level");
-        let last = scaling.points.last().expect("at least one level");
-        let thread_growth = last.os_threads.saturating_sub(first.os_threads);
-        assert!(
-            thread_growth <= 8,
-            "daemon grew {thread_growth} OS threads from {} to {} idle subscribers — \
-             thread count must be O(cores), independent of connections",
-            first.connections,
-            last.connections
-        );
-        let per_conn_kib = (last.vm_rss_kib.saturating_sub(first.vm_rss_kib)) as f64
-            / (last.connections - first.connections).max(1) as f64;
-        assert!(
-            per_conn_kib <= 128.0,
-            "marginal RSS {per_conn_kib:.1} KiB per idle subscriber exceeds the 128 KiB \
-             buffer-sized budget ({} KiB at {} conns -> {} KiB at {} conns)",
-            first.vm_rss_kib,
-            first.connections,
-            last.vm_rss_kib,
-            last.connections
-        );
-        // Latency gate only in full mode and only once the threaded
-        // baseline has been calibrated — CI smoke runners are too noisy
-        // for a cross-machine absolute-latency bound.
-        if !smoke && scaling.threaded_baseline_audit_p99_us > 0.0 {
-            let at_64 = scaling
-                .points
-                .iter()
-                .find(|p| p.connections == 64)
-                .expect("full mode measures the 64-connection level");
-            assert!(
-                at_64.audit_p99_us <= scaling.threaded_baseline_audit_p99_us * 2.0,
-                "audit p99 {:.1}us at 64 connections exceeds 2x the threaded baseline {:.1}us",
-                at_64.audit_p99_us,
-                scaling.threaded_baseline_audit_p99_us
-            );
-        }
-    }
+    let first = scaling.points.first().expect("at least one level");
+    let last = scaling.points.last().expect("at least one level");
+    let thread_growth = last.os_threads.saturating_sub(first.os_threads);
+    assert!(
+        thread_growth <= 8,
+        "daemon grew {thread_growth} OS threads from {} to {} idle subscribers — \
+         thread count must be O(cores), independent of connections",
+        first.connections,
+        last.connections
+    );
+    let per_conn_kib = (last.vm_rss_kib.saturating_sub(first.vm_rss_kib)) as f64
+        / (last.connections - first.connections).max(1) as f64;
+    assert!(
+        per_conn_kib <= 128.0,
+        "marginal RSS {per_conn_kib:.1} KiB per idle subscriber exceeds the 128 KiB \
+         buffer-sized budget ({} KiB at {} conns -> {} KiB at {} conns)",
+        first.vm_rss_kib,
+        first.connections,
+        last.vm_rss_kib,
+        last.connections
+    );
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, format!("{json}\n")).expect("write BENCH_concurrency.json");

@@ -14,18 +14,17 @@ use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
 /// Receives per-stage wall-clock timings from an audit as it executes.
 ///
 /// The agent stays free of any metrics dependency: callers that want
-/// stage latencies (the `indaas-service` daemon's flight recorder and
-/// registry histograms) implement this trait and pass it to
+/// stage latencies (the `indaas-service` daemon's registry histograms
+/// and span store) implement this trait and pass it to
 /// [`AuditingAgent::audit_sia_observed`]; everyone else gets the no-op
 /// `()` implementation for free. Stage names are stable identifiers:
 /// `"graph_build"`, `"rg_minimal"`, `"rg_sampling"`, `"rg_bdd"`,
 /// `"ranking"`. A stage is reported once per candidate deployment.
 ///
-/// The daemon's implementation doubles as the distributed-tracing hook:
-/// when the audit runs under a trace context, each reported stage also
-/// becomes a child span of the audit's execution span, so `indaas
-/// trace` shows per-stage timing inside the request tree without this
-/// crate knowing anything about tracing.
+/// The daemon's implementation records each reported stage as a child
+/// span of the audit's own span, so `indaas trace`, `indaas metrics` and
+/// `indaas top` show per-stage timing inside the request tree without
+/// this crate knowing anything about tracing.
 pub trait StageObserver: Sync {
     /// Called when a stage finishes, with its elapsed microseconds.
     fn stage(&self, stage: &'static str, elapsed_us: u64);
@@ -165,7 +164,7 @@ impl AuditingAgent {
 
     /// [`AuditingAgent::audit_sia_cancellable`] reporting per-stage
     /// timings (fault-graph build, risk-group engine, ranking) to a
-    /// [`StageObserver`] — the entry point the daemon's flight recorder
+    /// [`StageObserver`] — the entry point the daemon's stage recorder
     /// rides.
     ///
     /// # Errors

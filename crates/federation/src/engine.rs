@@ -231,7 +231,7 @@ impl FederationEngine for Federation {
             token.clone(),
             round_timeout,
         )
-        .with_trace(trace)
+        .with_trace(Some(trace))
         .with_redial(&successor, &self.node, self.offer_version);
         let config = PsopConfig { seed, multiset };
         let run = run_psop_party(

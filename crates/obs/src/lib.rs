@@ -1,8 +1,8 @@
 //! Lock-cheap observability core for the INDaaS daemon.
 //!
-//! Everything in this crate is built from `std` atomics and one short
-//! mutex (metric *registration* and flight-recorder appends); the hot
-//! paths — bumping a [`Counter`], recording into a [`Histo`], dropping a
+//! Everything in this crate is built from `std` atomics and two short
+//! mutexes (metric *registration*, span-ring appends); the hot paths —
+//! bumping a [`Counter`], recording into a [`Histo`], dropping a
 //! [`Span`] — are a handful of relaxed atomic operations and never
 //! block. The crate has zero dependencies on purpose: it is pulled into
 //! the scheduler, the server, and the benchmarks alike, and none of
@@ -22,13 +22,12 @@
 //!   its histogram on drop.
 //! * [`Registry`] — get-or-create by name; snapshotting walks the
 //!   `BTreeMap`s so output is deterministically name-sorted.
-//! * [`FlightRecorder`] — a bounded ring of recent [`Trace`]s (request
-//!   and audit executions with per-stage timings, cache disposition,
-//!   shard pins, outcome), flagging entries slower than a configured
-//!   threshold so "what was slow lately" survives the moment.
-//! * [`trace`] — distributed tracing: the propagated [`TraceContext`],
-//!   the bounded [`SpanStore`] of finished spans addressable by trace
-//!   id, and the order-independent [`build_span_tree`] assembly.
+//! * [`trace`] — the one record of what a request did: the propagated
+//!   [`TraceContext`], the bounded [`SpanStore`] of finished spans
+//!   (name, detail, timing and a free-form attribute list such as an
+//!   audit's cache disposition, outcome and shard pins), queryable by
+//!   trace id or as "the newest spans of a given name plus their
+//!   children", and the order-independent [`build_span_tree`] assembly.
 //! * [`log`] — the leveled structured logger (text or JSON lines to
 //!   stderr), stamping every line with the thread's active trace
 //!   context.
@@ -38,11 +37,11 @@ pub mod trace;
 
 pub use crate::log::{LogLevel, TraceScope};
 pub use crate::trace::{
-    build_span_tree, format_trace_id, parse_trace_id, SpanNode, SpanRecord, SpanStore,
+    build_span_tree, format_trace_id, parse_trace_id, Attr, SpanNode, SpanRecord, SpanStore,
     TraceContext, TRACE_CONTEXT_BYTES,
 };
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -383,110 +382,6 @@ impl RegistrySnapshot {
     }
 }
 
-/// One recorded request/audit execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Trace {
-    /// Monotonic sequence number, assigned by the recorder.
-    pub seq: u64,
-    /// What ran: `"sia"`, `"pia"`, `"push"`, …
-    pub kind: String,
-    /// Free-form context (candidate names, subscription id, …).
-    pub detail: String,
-    /// Served from the audit cache (stages will be empty).
-    pub cached: bool,
-    /// `"ok"`, `"cancelled"`, or an error rendering.
-    pub outcome: String,
-    /// End-to-end microseconds.
-    pub total_us: u64,
-    /// Set by the recorder when `total_us` meets the slow threshold.
-    pub slow: bool,
-    /// Per-stage `(name, µs)` timings in execution order.
-    pub stages: Vec<(String, u64)>,
-    /// `(shard, epoch)` pins the execution read against.
-    pub pins: Vec<(u32, u64)>,
-}
-
-impl Trace {
-    pub fn new(kind: impl Into<String>, detail: impl Into<String>) -> Self {
-        Self {
-            seq: 0,
-            kind: kind.into(),
-            detail: detail.into(),
-            cached: false,
-            outcome: "ok".to_string(),
-            total_us: 0,
-            slow: false,
-            stages: Vec::new(),
-            pins: Vec::new(),
-        }
-    }
-}
-
-/// Bounded ring buffer of recent [`Trace`]s. Appends evict the oldest
-/// entry once the ring is full; entries at or above the slow threshold
-/// are flagged on the way in.
-pub struct FlightRecorder {
-    ring: Mutex<VecDeque<Trace>>,
-    capacity: usize,
-    seq: AtomicU64,
-    slow_us: AtomicU64,
-}
-
-impl FlightRecorder {
-    pub fn new(capacity: usize, slow_threshold_us: u64) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            ring: Mutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-            seq: AtomicU64::new(0),
-            slow_us: AtomicU64::new(slow_threshold_us),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Trace>> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Record a trace; assigns its sequence number and slow flag, and
-    /// returns the sequence number.
-    pub fn record(&self, mut trace: Trace) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        trace.seq = seq;
-        trace.slow = trace.total_us >= self.slow_us.load(Ordering::Relaxed);
-        let mut ring = self.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(trace);
-        seq
-    }
-
-    /// The most recent `n` traces, newest first.
-    pub fn recent(&self, n: usize) -> Vec<Trace> {
-        self.lock().iter().rev().take(n).cloned().collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_us.load(Ordering::Relaxed)
-    }
-
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        self.slow_us.store(us, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,32 +452,5 @@ mod tests {
         reg.remove_counter("conn_1_shed");
         kept.inc(); // handle survives removal
         assert_eq!(reg.snapshot().counter("conn_1_shed"), None);
-    }
-
-    #[test]
-    fn recorder_evicts_oldest_and_flags_slow() {
-        let rec = FlightRecorder::new(3, 50);
-        for us in [10u64, 60, 20, 70] {
-            let mut t = Trace::new("sia", "d");
-            t.total_us = us;
-            rec.record(t);
-        }
-        let recent = rec.recent(10);
-        assert_eq!(recent.len(), 3); // capacity 3, oldest evicted
-        assert_eq!(
-            recent.iter().map(|t| t.seq).collect::<Vec<_>>(),
-            vec![4, 3, 2]
-        );
-        assert_eq!(
-            recent.iter().map(|t| t.slow).collect::<Vec<_>>(),
-            vec![true, false, true]
-        );
-    }
-
-    #[test]
-    fn zero_threshold_flags_everything() {
-        let rec = FlightRecorder::new(4, 0);
-        rec.record(Trace::new("sia", ""));
-        assert!(rec.recent(1)[0].slow);
     }
 }

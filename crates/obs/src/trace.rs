@@ -1,25 +1,31 @@
-//! Distributed-trace primitives: a propagated [`TraceContext`], the
-//! per-daemon [`SpanStore`] of finished spans, and the pure
-//! [`build_span_tree`] assembly the CLI uses to stitch spans fetched
-//! from several daemons into one tree.
+//! The span model: a propagated [`TraceContext`], the per-daemon
+//! [`SpanStore`] of finished spans, and the pure [`build_span_tree`]
+//! assembly the CLI uses to stitch spans — fetched from one daemon or
+//! several — into trees.
 //!
 //! # Model
 //!
 //! A *trace* is one logical operation — a client request, a federated
 //! audit — identified by a 128-bit id. Every unit of work done on its
 //! behalf is a *span*: `(trace_id, span_id, parent_span_id)` plus a
-//! name, a detail string, and timings. The context that crosses process
-//! boundaries names the span the *receiver* should record: the caller
-//! mints the span id for the callee's work ([`TraceContext::child`]),
-//! so parent links line up across daemons without any coordination
-//! beyond carrying 32 bytes (or one hex header) on the wire.
+//! name, a detail string, timings and a list of `(key, value)`
+//! attributes. The context that crosses process boundaries names the
+//! span the *receiver* should record: the caller mints the span id for
+//! the callee's work ([`TraceContext::child`]), so parent links line up
+//! across daemons without any coordination beyond carrying 32 bytes (or
+//! one hex header) on the wire. A request that arrives without a
+//! context gets a freshly minted root, so everything a daemon does is
+//! under some trace.
 //!
 //! Ids come from the process-seeded SipHash [`RandomState`] mixed with
 //! a monotonic counter and the clock — no external RNG dependency, and
 //! collisions across daemons are as unlikely as hash collisions.
 //!
-//! Span storage is a bounded ring like the flight recorder: a busy
-//! daemon forgets the oldest spans first and never grows without bound.
+//! Span storage is one bounded ring: a busy daemon forgets the oldest
+//! spans first and never grows without bound. It answers two questions
+//! — "every span of this trace" ([`SpanStore::spans_for`]) and "the
+//! newest spans of this name, with their children"
+//! ([`SpanStore::recent_named`], the recent-audits view).
 //! Assembly is deliberately *insertion-order independent*: spans are
 //! sorted and de-duplicated by id before linking, so the same set of
 //! spans — fetched from any number of daemons, in any order — always
@@ -27,11 +33,12 @@
 //! parent lives on a daemon that was not queried, or was evicted)
 //! surface as roots instead of disappearing.
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Size of the fixed binary encoding of a [`TraceContext`]:
@@ -165,9 +172,14 @@ pub fn parse_trace_id(s: &str) -> Option<u128> {
     }
 }
 
+/// One span attribute, `(key, value)`. Both sides are `Cow` so the
+/// daemon's fixed keys and common values cost no allocation in a ring
+/// that is always full; spans decoded off the wire own theirs.
+pub type Attr = (Cow<'static, str>, Cow<'static, str>);
+
 /// One finished span. `node` is empty at record time; the daemon stamps
-/// its own address when answering a `Trace` request, so stitched trees
-/// show where each span ran.
+/// its own address when answering over the wire, so stitched trees show
+/// where each span ran.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     pub trace_id: u128,
@@ -175,7 +187,7 @@ pub struct SpanRecord {
     pub parent_span_id: u64,
     /// What kind of work: `request:AuditSia`, `queue_wait`, `rg_bdd`, …
     pub name: String,
-    /// Free-form qualifier (spec digest, session id, …); may be empty.
+    /// Free-form qualifier (candidate names, session id, …); may be empty.
     pub detail: String,
     /// Which daemon recorded it; empty until stamped for the wire.
     pub node: String,
@@ -183,6 +195,9 @@ pub struct SpanRecord {
     /// only to order siblings deterministically).
     pub start_us: u64,
     pub elapsed_us: u64,
+    /// What the work found out about itself (an audit's cache
+    /// disposition, outcome, shard pins); empty for most spans.
+    pub attrs: Vec<Attr>,
 }
 
 impl SpanRecord {
@@ -202,14 +217,28 @@ impl SpanRecord {
             node: String::new(),
             start_us: unix_us().saturating_sub(elapsed_us),
             elapsed_us,
+            attrs: Vec::new(),
         }
+    }
+
+    /// The span carrying `attrs`.
+    pub fn with_attrs(mut self, attrs: Vec<Attr>) -> Self {
+        self.attrs = attrs;
+        self
+    }
+
+    /// The value of attribute `key`, if the span carries it.
+    pub fn attr(&self, key: &str) -> Option<&str> {
+        self.attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_ref())
     }
 }
 
-/// Bounded ring of finished spans, addressable by trace id. Like the
-/// flight recorder: the oldest spans fall off first, the lock is held
-/// only for a push or a filtered copy, and a poisoned lock (a panicking
-/// audit thread) never takes observability down with it.
+/// Bounded ring of finished spans. The oldest spans fall off first, the
+/// lock is held only for a push or a filtered copy, and a poisoned lock
+/// (a panicking audit thread) never takes observability down with it.
 pub struct SpanStore {
     ring: Mutex<VecDeque<SpanRecord>>,
     capacity: usize,
@@ -224,9 +253,13 @@ impl SpanStore {
         }
     }
 
+    fn ring(&self) -> MutexGuard<'_, VecDeque<SpanRecord>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records a finished span, evicting the oldest at capacity.
     pub fn push(&self, span: SpanRecord) {
-        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ring = self.ring();
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -240,21 +273,41 @@ impl SpanStore {
 
     /// Every stored span of `trace_id`, oldest first.
     pub fn spans_for(&self, trace_id: u128) -> Vec<SpanRecord> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.ring()
             .iter()
             .filter(|s| s.trace_id == trace_id)
             .cloned()
             .collect()
     }
 
+    /// The `n` newest stored spans named `name`, together with every
+    /// stored span parented on one of them, newest first. A child whose
+    /// parent was evicted (or fell outside the `n`) is not returned.
+    pub fn recent_named(&self, name: &str, n: usize) -> Vec<SpanRecord> {
+        let ring = self.ring();
+        let picked: HashSet<(u128, u64)> = ring
+            .iter()
+            .rev()
+            .filter(|s| s.name == name)
+            .take(n)
+            .map(|s| (s.trace_id, s.span_id))
+            .collect();
+        if picked.is_empty() {
+            return Vec::new();
+        }
+        ring.iter()
+            .rev()
+            .filter(|s| {
+                picked.contains(&(s.trace_id, s.span_id))
+                    || picked.contains(&(s.trace_id, s.parent_span_id))
+            })
+            .cloned()
+            .collect()
+    }
+
     /// Stored spans, all traces.
     pub fn len(&self) -> usize {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.ring().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -398,6 +451,38 @@ mod tests {
     }
 
     #[test]
+    fn recent_named_returns_newest_parents_with_their_children() {
+        let store = SpanStore::new(16);
+        for i in 0..3u64 {
+            let request = TraceContext::root();
+            let audit = request.child();
+            store.record(audit.child(), "stage", String::new(), i);
+            store.push(
+                SpanRecord::finished(audit, "audit", format!("a{i}"), 10)
+                    .with_attrs(vec![("cached".into(), "false".into())]),
+            );
+            store.record(request, "request", String::new(), 20);
+        }
+        let recent = store.recent_named("audit", 2);
+        let details: Vec<&str> = recent
+            .iter()
+            .filter(|s| s.name == "audit")
+            .map(|s| s.detail.as_str())
+            .collect();
+        assert_eq!(details, ["a2", "a1"], "newest first, capped at n");
+        assert_eq!(
+            recent.len(),
+            4,
+            "each audit brings its one stage, no request spans"
+        );
+        assert!(recent.iter().all(|s| s.name != "request"));
+        assert_eq!(recent[0].attr("cached"), Some("false"));
+        assert_eq!(recent[0].attr("missing"), None);
+        assert!(store.recent_named("audit", 0).is_empty());
+        assert!(store.recent_named("nothing", 5).is_empty());
+    }
+
+    #[test]
     fn tree_assembly_is_order_independent_and_orphan_safe() {
         let root = TraceContext::root();
         let child = root.child();
@@ -439,6 +524,7 @@ mod tests {
             node: String::new(),
             start_us: 0,
             elapsed_us: 0,
+            attrs: Vec::new(),
         };
         let mut b = a.clone();
         b.span_id = 11;

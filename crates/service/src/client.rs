@@ -31,8 +31,8 @@ use indaas_sia::AuditReport;
 
 use crate::proto::{
     decode_line, encode_line, read_bounded_line, read_frame, write_frame, Envelope, FrameRead,
-    LineRead, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry, TraceEntry,
-    EVENT_ENVELOPE_ID, PROTOCOL_VERSION,
+    LineRead, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry, EVENT_ENVELOPE_ID,
+    PROTOCOL_VERSION,
 };
 
 /// Largest accepted response line/frame (reports scale with candidates
@@ -165,7 +165,8 @@ pub struct StatusAnswer {
     pub dropped_events: u64,
 }
 
-/// A typed `Metrics` answer: the registry snapshot plus recent traces.
+/// A typed `Metrics` answer: the registry snapshot plus the recent
+/// audits' spans.
 #[derive(Clone, Debug)]
 pub struct MetricsAnswer {
     /// Seconds since the daemon started.
@@ -176,9 +177,11 @@ pub struct MetricsAnswer {
     pub gauges: Vec<(String, u64)>,
     /// Latency histograms, name-sorted.
     pub histos: Vec<MetricHisto>,
-    /// Recent flight-recorder traces, newest first.
-    pub traces: Vec<TraceEntry>,
-    /// Threshold at/above which a trace was flagged `slow`, in µs.
+    /// The most recent audits, newest first: each audit-level span and
+    /// the engine-stage spans under it
+    /// ([`indaas_obs::build_span_tree`] makes one tree per audit).
+    pub recent: Vec<SpanEntry>,
+    /// An audit whose `elapsed_us` reaches this is slow, in µs.
     pub slow_threshold_us: u64,
 }
 
@@ -214,10 +217,9 @@ pub struct AuditEvent {
     /// Server-side production time in microseconds.
     pub elapsed_us: u64,
     /// Hex trace id of the request that triggered this push (the
-    /// mutating ingest, or the Subscribe for the initial audit), when
-    /// that request carried a trace context — join it against
-    /// `indaas trace <id>`.
-    pub trace_id: Option<String>,
+    /// mutating ingest, or the Subscribe for the initial audit) — join
+    /// it against `indaas trace <id>`.
+    pub trace_id: String,
     /// The fresh report.
     pub report: AuditReport,
 }
@@ -374,9 +376,9 @@ impl Client {
     /// finishes them.
     ///
     /// Every request mints a fresh root [`TraceContext`] — the client
-    /// is where traces begin — so the daemon records a span tree for
-    /// it. Use [`Client::begin_traced`] to join an existing trace (or
-    /// to opt out with `None`).
+    /// is where traces begin — so the caller knows the id of the span
+    /// tree the daemon records for it. Use [`Client::begin_traced`] to
+    /// join an existing trace.
     ///
     /// # Errors
     ///
@@ -386,10 +388,10 @@ impl Client {
     }
 
     /// [`Client::begin`] under an explicit trace context: the envelope
-    /// carries `trace` verbatim (`None` sends no context at all), so a
-    /// caller holding a live trace — a federation coordinator fanning
-    /// one audit out to many daemons — can parent the remote work under
-    /// its own span.
+    /// carries `trace` verbatim, so a caller holding a live trace — a
+    /// federation coordinator fanning one audit out to many daemons —
+    /// can parent the remote work under its own span. `None` sends no
+    /// context and leaves the daemon to mint the root.
     ///
     /// # Errors
     ///
@@ -669,8 +671,8 @@ impl Client {
         }
     }
 
-    /// Fetches the metrics snapshot (registry + recent traces) as a
-    /// typed [`MetricsAnswer`]. `recent` bounds how many traces return
+    /// Fetches the metrics snapshot (registry + recent audits) as a
+    /// typed [`MetricsAnswer`]. `recent` bounds how many audits return
     /// (`None` = server default).
     ///
     /// # Errors
@@ -683,14 +685,14 @@ impl Client {
                 counters,
                 gauges,
                 histos,
-                traces,
+                recent,
                 slow_threshold_us,
             } => Ok(MetricsAnswer {
                 uptime_secs,
                 counters,
                 gauges,
                 histos,
-                traces,
+                recent,
                 slow_threshold_us,
             }),
             other => Err(unexpected("Metrics", &other)),

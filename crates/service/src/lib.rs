@@ -41,12 +41,13 @@
 //!   every affected subscriber over its bounded per-connection outbox
 //!   (slow consumers shed their oldest events, never block ingest) —
 //!   `indaas watch` is the CLI surface;
-//! * **flight-recorder observability** ([`telemetry`]) — every stage of
-//!   the pipeline records into a lock-cheap metrics registry (counters,
-//!   gauges, log₂ latency histograms) and a bounded ring of recent
-//!   request/audit traces; the v2 `Metrics` request returns the full
-//!   snapshot, and `indaas metrics [--prom]` / `indaas top` are the CLI
-//!   surfaces.
+//! * **observability on one span model** ([`telemetry`]) — every stage
+//!   of the pipeline records into a lock-cheap metrics registry
+//!   (counters, gauges, log₂ latency histograms), and every request
+//!   runs under a trace whose spans land in one bounded ring; `Metrics`
+//!   returns the registry snapshot plus the most recent audits' spans,
+//!   `Trace` returns one trace's, and `indaas metrics [--prom]` /
+//!   `indaas top` / `indaas trace` are the CLI surfaces.
 //!
 //! # Example
 //!
@@ -102,9 +103,7 @@ pub use client::{
     AuditEvent, Client, ClientError, IngestAnswer, MetricsAnswer, PendingResponse, PiaAnswer,
     SiaAnswer, StatusAnswer, Subscription, SubscriptionEnd, V1Client,
 };
-pub use proto::{
-    Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry, TraceEntry,
-};
+pub use proto::{Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry};
 pub use scheduler::{SchedMetrics, Scheduler, SubmitError};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use subs::{Outbox, SubscriptionRegistry};

@@ -1,13 +1,15 @@
 //! The telemetry-name registry: every counter, gauge and histogram the
-//! daemon exposes, declared exactly once.
+//! daemon exposes, and every span name and attribute key it selects
+//! on, declared exactly once.
 //!
 //! `indaas-lint`'s registry-consistency rule enforces that no other
 //! non-test code spells these strings out: registration
 //! ([`crate::telemetry::Telemetry::new`]), refresh sites, the `--prom`
-//! exposition and the `indaas top` dashboard all reference the consts,
-//! so a renamed metric is a one-line change the compiler propagates
-//! instead of silent scrape drift. The metric *meanings* are documented
-//! in the catalog tables in [`crate::telemetry`].
+//! exposition, the `Metrics{recent}` query and the `indaas top`
+//! dashboard all reference the consts, so a renamed metric or span is a
+//! one-line change the compiler propagates instead of silent scrape
+//! drift. The metric *meanings* are documented in the catalog tables in
+//! [`crate::telemetry`].
 
 // Counters (monotonic since startup).
 pub const REQUESTS_TOTAL: &str = "requests_total";
@@ -54,6 +56,24 @@ pub const AUDIT_PIA_US: &str = "audit_pia_us";
 pub const PUSH_LATENCY_US: &str = "push_latency_us";
 pub const INGEST_US: &str = "ingest_us";
 pub const FED_PARTY_US: &str = "fed_party_us";
+
+// Spans. `SPAN_AUDIT` is the one audit-level span every audit records
+// (what `Metrics{recent}` selects); engine stages nest under it.
+pub const SPAN_AUDIT: &str = "audit_exec";
+pub const SPAN_QUEUE_WAIT: &str = "queue_wait";
+/// A subscription re-audit: the span parenting its queue wait and
+/// audit, and the `kind` that audit reports.
+pub const SPAN_PUSH: &str = "push";
+pub const SPAN_FED_PARTY: &str = "fed_party";
+pub const SPAN_FED_FRAME: &str = "fed_frame";
+
+// Attribute keys of the audit-level span, and the outcome of an audit
+// that did not fail.
+pub const ATTR_KIND: &str = "kind";
+pub const ATTR_CACHED: &str = "cached";
+pub const ATTR_OUTCOME: &str = "outcome";
+pub const ATTR_PINS: &str = "pins";
+pub const OUTCOME_OK: &str = "ok";
 
 // Dynamic families: a fixed prefix plus a runtime component. The
 // helpers below are the only way non-test code builds these names.

@@ -123,7 +123,7 @@ pub(crate) struct PendingPush {
     pub(crate) spec: AuditSpec,
     pub(crate) outbox: Arc<Outbox>,
     pub(crate) origin: Instant,
-    pub(crate) ctx: Option<TraceContext>,
+    pub(crate) ctx: TraceContext,
 }
 
 /// How a [`ResponseSlot`] frames its response for the wire.
@@ -147,7 +147,7 @@ pub(crate) struct ResponseSlot {
     /// The v2 per-connection in-flight gauge; `None` for v1 (lock-step
     /// sessions have at most one outstanding request by construction).
     in_flight: Option<Arc<AtomicUsize>>,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
     kind: &'static str,
     started: Instant,
     telemetry: Arc<Telemetry>,
@@ -162,14 +162,12 @@ impl ResponseSlot {
         }
         let elapsed_us = self.started.elapsed().as_micros() as u64;
         self.telemetry.dispatch_us.record(elapsed_us);
-        if let Some(c) = self.ctx {
-            // The request span uses the wire context's span id directly:
-            // the client minted it, so client and server agree on the id
-            // without a reply header.
-            self.telemetry
-                .spans
-                .record(c, self.kind, String::new(), elapsed_us);
-        }
+        // The request span uses the wire context's span id directly:
+        // the client minted it, so client and server agree on the id
+        // without a reply header.
+        self.telemetry
+            .spans
+            .record(self.ctx, self.kind, String::new(), elapsed_us);
         let frame = match self.encoding {
             SlotEncoding::V1 => codec::line_bytes(&encode_line(&response)),
             SlotEncoding::V2 { id } => envelope_frame(id, response),
@@ -281,6 +279,16 @@ enum Dispatched {
     Inline { shutdown: bool },
     /// A pool job or dedicated thread owns the response slot.
     Async,
+}
+
+/// The context a request runs under — the single place one is chosen:
+/// the caller's when the envelope carried a parseable header, a freshly
+/// minted root otherwise (v1 lines, header-less clients, garbage —
+/// trace context is advisory metadata and can never poison a request).
+fn request_context(header: Option<&str>) -> TraceContext {
+    header
+        .and_then(TraceContext::parse_header)
+        .unwrap_or_else(TraceContext::root)
 }
 
 /// Runs the readiness loop until shutdown completes. This is
@@ -582,9 +590,7 @@ impl EventLoop<'_> {
             return Verdict::CloseAfterFlush;
         }
         state.telemetry.requests_total.inc();
-        // An unparseable header is treated as absent, not fatal: trace
-        // context is advisory metadata and can never poison a request.
-        let ctx = trace.as_deref().and_then(TraceContext::parse_header);
+        let ctx = request_context(trace.as_deref());
         match body {
             Request::Hello { .. } => {
                 conn.outbox.push_response(envelope_frame(
@@ -617,14 +623,12 @@ impl EventLoop<'_> {
                             .push_response(envelope_frame(id, Response::error(message)));
                     }
                 }
-                if let Some(c) = ctx {
-                    state.telemetry.spans.record(
-                        c,
-                        "request:Subscribe",
-                        String::new(),
-                        started.elapsed().as_micros() as u64,
-                    );
-                }
+                state.telemetry.spans.record(
+                    ctx,
+                    "request:Subscribe",
+                    String::new(),
+                    started.elapsed().as_micros() as u64,
+                );
             }
             Request::Unsubscribe { subscription } => {
                 let response = match state.subs.unregister(subscription, conn.conn_id) {
@@ -665,7 +669,7 @@ impl EventLoop<'_> {
                 });
                 // v2 multiplexes: the shutdown flag from a request body
                 // is impossible here (Shutdown was intercepted above).
-                let _ = self.dispatch(request, ctx, slot);
+                let _ = self.dispatch(request, slot);
             }
         }
         Verdict::Keep
@@ -784,18 +788,18 @@ impl EventLoop<'_> {
                 busy: false,
             };
             self.state.telemetry.requests_total.inc();
-            // v1 lines carry no envelope, hence no trace context.
             let slot = Arc::new(ResponseSlot {
                 claimed: AtomicBool::new(false),
                 outbox: Arc::clone(&conn.outbox),
                 encoding: SlotEncoding::V1,
                 in_flight: None,
-                ctx: None,
+                // v1 lines carry no envelope, hence no caller context.
+                ctx: request_context(None),
                 kind: request_kind(&request),
                 started: Instant::now(),
                 telemetry: Arc::clone(&self.state.telemetry),
             });
-            match self.dispatch(request, None, slot) {
+            match self.dispatch(request, slot) {
                 Dispatched::Inline { shutdown: true } => {
                     self.state.shutting_down.store(true, Ordering::SeqCst);
                     return Verdict::CloseAfterFlush;
@@ -811,13 +815,8 @@ impl EventLoop<'_> {
         }
     }
 
-    fn dispatch(
-        &mut self,
-        request: Request,
-        ctx: Option<TraceContext>,
-        slot: Arc<ResponseSlot>,
-    ) -> Dispatched {
-        match admit_request(self.state, request, ctx, Arc::clone(&slot)) {
+    fn dispatch(&mut self, request: Request, slot: Arc<ResponseSlot>) -> Dispatched {
+        match admit_request(self.state, request, slot.ctx, Arc::clone(&slot)) {
             AdmitOutcome::Done(response, shutdown) => {
                 slot.fulfill(response);
                 Dispatched::Inline { shutdown }

@@ -49,29 +49,33 @@
 //! (either protocol version) answers [`Response::Metrics`] — every
 //! registered counter and gauge as name-sorted `(name, value)` pairs,
 //! every latency histogram as log₂ buckets with precomputed p50/p90/p99
-//! upper bounds ([`MetricHisto`]), and the flight recorder's most
-//! recent traces ([`TraceEntry`]: per-stage timings, cache disposition,
-//! shard pins, outcome, and a `slow` flag judged against the daemon's
-//! `--slow-audit-ms` threshold). Metric *names* are not protocol:
-//! consumers must ignore unknown names, and the catalog grows without a
-//! version bump. `indaas metrics --prom` renders the snapshot in
+//! upper bounds ([`MetricHisto`]), and the most recent audits as
+//! [`SpanEntry`]s: one audit-level span each (attributes `kind`,
+//! `cached`, `outcome`, `pins`) plus its engine-stage children, read
+//! from the same span store [`Request::Trace`] reads. An audit is slow
+//! when its `elapsed_us` reaches the `slow_threshold_us` the answer
+//! carries (the daemon's `--slow-audit-ms`). Metric *names* are not
+//! protocol: consumers must ignore unknown names, and the catalog grows
+//! without a version bump. `indaas metrics --prom` renders the snapshot in
 //! Prometheus text exposition format — `indaas_<name>` gauge lines for
 //! counters/gauges, classic `_bucket{le="..."}`/`_sum`/`_count`
 //! families for histograms (bucket `i` becomes `le="2^i - 1"` in
 //! seconds), and `indaas_shard_writes{shard="N"}`-style labeled series
 //! for the per-shard store counters taken from `Status`.
 //!
-//! **Distributed tracing** is an optional extension at both protocol
-//! layers, designed so an untraced peer never notices it:
+//! **Tracing.** Every request the daemon dispatches runs under a trace
+//! context, and the spans recorded under it are the daemon's only
+//! record of what the request did. A caller may supply the context at
+//! either protocol layer; a peer that does not never notices:
 //!
 //! * *Client envelopes* — a v2 [`Envelope`] may carry a `trace` field:
 //!   the string `"<trace:032x>-<span:016x>-<parent:016x>"` naming the
 //!   span the server should record for this request (the caller mints
 //!   span ids, so trees stitch across processes without translation).
-//!   The field is optional JSON: older clients omit it, older servers
-//!   ignore it, and a malformed or all-zero value is treated as absent
-//!   — never a protocol error. [`ResponseEnvelope`]s carry no context;
-//!   v1 lines cannot carry one at all.
+//!   The field is optional JSON; when it is absent, malformed or
+//!   all-zero — never a protocol error — and on v1 lines, which cannot
+//!   carry one, the daemon mints a fresh root instead.
+//!   [`ResponseEnvelope`]s carry no context.
 //! * *Federation rounds* — `FederateHello`/`FederateWelcome` carry an
 //!   optional `trace: true` offer/acknowledgement; tracing is on only
 //!   when both sides say so **and** the negotiated version is ≥ 2 (the
@@ -85,15 +89,15 @@
 //!
 //! The spans a daemon records are served back by [`Request::Trace`] as
 //! [`SpanEntry`] lists (`indaas trace <id>` stitches them across
-//! daemons into one tree), and pushed [`Response::AuditEvent`]s name
-//! the originating request's trace in `trace_id`.
+//! daemons into one tree), and every pushed [`Response::AuditEvent`]
+//! names the originating request's trace in `trace_id`.
 //!
 //! Responses to failed requests are `{"Error": {"message": "..."}}`; the
 //! connection stays open (v1) or the error rides the offending
 //! envelope's id (v2).
 
 use indaas_core::AuditSpec;
-use indaas_obs::{TraceContext, TRACE_CONTEXT_BYTES};
+use indaas_obs::{format_trace_id, parse_trace_id, SpanRecord, TraceContext, TRACE_CONTEXT_BYTES};
 use indaas_pia::PiaRanking;
 use indaas_sia::AuditReport;
 use serde::{Deserialize, Serialize};
@@ -199,12 +203,12 @@ pub enum Request {
     Status,
     /// Full observability snapshot: every registered counter/gauge,
     /// every latency histogram (log₂ buckets plus precomputed
-    /// quantile bounds), and the flight recorder's most recent traces.
+    /// quantile bounds), and the most recent audits' spans.
     /// Answered with [`Response::Metrics`]. Works on v1 and v2
     /// sessions; `indaas metrics` and `indaas top` ride it.
     Metrics {
-        /// How many recent traces to return (`null` = server default of
-        /// 32; capped at the recorder's capacity).
+        /// How many recent audits to return (`null` = server default of
+        /// 32; the span store is bounded, so old audits age out).
         recent: Option<usize>,
     },
     /// Stop accepting connections and exit the serve loop.
@@ -384,8 +388,8 @@ pub enum Response {
     /// Answer to [`Request::Metrics`]: the full observability snapshot.
     ///
     /// Counters and gauges are name-sorted `(name, value)` pairs;
-    /// histograms and traces are structured (see [`MetricHisto`] and
-    /// [`TraceEntry`]). Consumers must ignore names they do not know —
+    /// histograms and spans are structured (see [`MetricHisto`] and
+    /// [`SpanEntry`]). Consumers must ignore names they do not know —
     /// the metric catalog grows without a protocol bump.
     ///
     /// The chaos-hardening counters ride that rule: `faults_injected_total`
@@ -407,10 +411,14 @@ pub enum Response {
         gauges: Vec<(String, u64)>,
         /// Latency histograms, name-sorted.
         histos: Vec<MetricHisto>,
-        /// Most recent flight-recorder traces, newest first.
-        traces: Vec<TraceEntry>,
-        /// The active `--slow-audit-ms` threshold in microseconds —
-        /// what `slow` on a trace was judged against.
+        /// The most recent audits, newest first: each audit-level span
+        /// (`audit_exec`, whose attributes carry `kind`, `cached`,
+        /// `outcome` and `pins`) and the engine-stage spans parented
+        /// on it. Feed it to `indaas_obs::build_span_tree` for one
+        /// tree per audit.
+        recent: Vec<SpanEntry>,
+        /// The active `--slow-audit-ms` threshold in microseconds: an
+        /// audit whose `elapsed_us` reaches it is slow.
         slow_threshold_us: u64,
     },
     /// Answer to [`Request::Subscribe`]: the subscription is live and
@@ -441,11 +449,11 @@ pub enum Response {
         elapsed_us: u64,
         /// The fresh audit report.
         report: AuditReport,
-        /// Hex id of the distributed trace this push belongs to — the
-        /// originating ingest's trace (or the `Subscribe` request's for
-        /// the initial event), joinable via `indaas trace <id>`. Absent
-        /// when the trigger carried no trace context.
-        trace_id: Option<String>,
+        /// Hex id of the trace this push belongs to — the originating
+        /// ingest's (or collector tick's) trace, or the `Subscribe`
+        /// request's for the initial event — joinable via
+        /// `indaas trace <id>`.
+        trace_id: String,
     },
     /// Answer to [`Request::Shutdown`] — and, on v2 sessions, also the
     /// server's *farewell push* (envelope id 0) broadcast to every
@@ -560,34 +568,9 @@ pub struct MetricHisto {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// One flight-recorder trace in a [`Response::Metrics`] snapshot: a
-/// recent audit/request execution with its per-stage timings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TraceEntry {
-    /// Monotonic sequence number (gaps mean the ring evicted entries).
-    pub seq: u64,
-    /// What ran: `"sia"`, `"pia"`, or `"push"` (subscription re-audit).
-    pub kind: String,
-    /// Free-form context — candidate deployment names, subscription id.
-    pub detail: String,
-    /// Served from the audit cache (then `stages` is empty).
-    pub cached: bool,
-    /// `"ok"`, `"cancelled"`, or an error rendering.
-    pub outcome: String,
-    /// End-to-end microseconds.
-    pub total_us: u64,
-    /// At or above the `--slow-audit-ms` threshold when recorded.
-    pub slow: bool,
-    /// Per-stage `(name, µs)` pairs in execution order — one entry per
-    /// candidate deployment per engine stage.
-    pub stages: Vec<(String, u64)>,
-    /// `(shard, epoch)` pins the execution read against.
-    pub pins: Vec<(u32, u64)>,
-}
-
-/// One span of a distributed trace in a [`Response::Trace`] answer —
-/// the wire twin of `indaas_obs::SpanRecord`, with the trace id in hex
-/// (JSON has no 128-bit integers) and the recording daemon stamped on.
+/// One span in a [`Response::Trace`] or [`Response::Metrics`] answer —
+/// the wire twin of [`SpanRecord`], with the trace id in hex (JSON has
+/// no 128-bit integers) and the recording daemon stamped on.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SpanEntry {
     /// Trace id, 32 hex digits.
@@ -605,6 +588,51 @@ pub struct SpanEntry {
     /// Wall-clock start, µs since the UNIX epoch (sibling ordering).
     pub start_us: u64,
     pub elapsed_us: u64,
+    /// `(key, value)` attributes; empty for most spans. An audit-level
+    /// span carries `kind`, `cached`, `outcome` and (when it read any
+    /// shard) `pins` as `shard:epoch,…`.
+    pub attrs: Vec<(String, String)>,
+}
+
+impl SpanEntry {
+    /// The wire form of `span`, stamped as recorded by `node`.
+    pub fn from_record(span: SpanRecord, node: &str) -> Self {
+        SpanEntry {
+            trace: format_trace_id(span.trace_id),
+            span_id: span.span_id,
+            parent_span_id: span.parent_span_id,
+            name: span.name,
+            detail: span.detail,
+            node: node.to_string(),
+            start_us: span.start_us,
+            elapsed_us: span.elapsed_us,
+            attrs: span
+                .attrs
+                .into_iter()
+                .map(|(k, v)| (k.into_owned(), v.into_owned()))
+                .collect(),
+        }
+    }
+
+    /// Back to a [`SpanRecord`] for `indaas_obs::build_span_tree`;
+    /// `None` if the trace id is not valid hex.
+    pub fn into_record(self) -> Option<SpanRecord> {
+        Some(SpanRecord {
+            trace_id: parse_trace_id(&self.trace)?,
+            span_id: self.span_id,
+            parent_span_id: self.parent_span_id,
+            name: self.name,
+            detail: self.detail,
+            node: self.node,
+            start_us: self.start_us,
+            elapsed_us: self.elapsed_us,
+            attrs: self
+                .attrs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        })
+    }
 }
 
 /// A correlated protocol-v2 request: the client picks `id` (≥ 1) and
@@ -620,8 +648,8 @@ pub struct Envelope {
     /// Optional trace-context header
     /// (`TraceContext::encode_header`: `<32 hex>-<16 hex>-<16 hex>`,
     /// naming the span the server should record for this dispatch).
-    /// Envelopes from pre-tracing clients parse as `None`; garbage is
-    /// treated as absent, never an error.
+    /// When it is absent or garbage — never an error — the daemon
+    /// mints a root context for the request itself.
     pub trace: Option<String>,
 }
 

@@ -57,9 +57,8 @@ use std::time::{Duration, Instant};
 use indaas_core::{AuditSpec, AuditingAgent, CancelToken};
 use indaas_deps::{
     DbSnapshot, DepView, DependencyAcquisitionModule, DependencyRecord, ShardedDepDb,
-    VersionedDepDb,
 };
-use indaas_obs::{format_trace_id, log as slog, Span, Trace, TraceContext, TraceScope};
+use indaas_obs::{format_trace_id, log as slog, Span, SpanRecord, TraceContext, TraceScope};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::AuditReport;
 
@@ -75,7 +74,7 @@ use crate::proto::{
 };
 use crate::scheduler::Scheduler;
 use crate::subs::{Outbox, SubscriptionRegistry};
-use crate::telemetry::{wire_histos, wire_traces, StageRecorder, Telemetry, DEFAULT_RECENT_TRACES};
+use crate::telemetry::{audit_attrs, wire_histos, StageRecorder, Telemetry, DEFAULT_RECENT_AUDITS};
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -120,9 +119,10 @@ pub struct ServeConfig {
     /// slot — unbounded fan-in degrades into fast, explicit rejection
     /// instead of thread exhaustion.
     pub max_conns: usize,
-    /// Flight-recorder slow threshold: an audit/request trace whose
-    /// total time reaches this many milliseconds is flagged `slow` in
-    /// `Metrics` responses. `0` flags everything (useful in tests).
+    /// Slow threshold: an audit whose span reaches this many
+    /// milliseconds renders as slow in `indaas metrics`/`indaas top`
+    /// (the `Metrics` answer carries the threshold). `0` marks
+    /// everything (useful in tests).
     pub slow_audit_ms: u64,
     /// Minimum severity the structured logger emits (process-global;
     /// applied at bind).
@@ -210,12 +210,11 @@ pub struct PartyInstruction {
     pub multiset: bool,
     /// Requested per-round deadline (clamped to the server default).
     pub round_timeout_ms: Option<u64>,
-    /// The party's span context when the `FederateStart` envelope
-    /// carried a trace. The engine stamps outgoing round frames with
-    /// children of this span (on sessions that negotiated tracing), so
-    /// the *receiving* daemon's frame spans parent-link back to this
-    /// party across the process boundary.
-    pub trace: Option<TraceContext>,
+    /// The party's span context. The engine stamps outgoing round
+    /// frames with children of this span (on sessions that negotiated
+    /// tracing), so the *receiving* daemon's frame spans parent-link
+    /// back to this party across the process boundary.
+    pub trace: TraceContext,
 }
 
 /// What a completed party hands back for the `FederateDone` response.
@@ -324,7 +323,7 @@ pub(crate) struct ServiceState {
     /// Connection-id source: ties subscriptions to the connection that
     /// made them so teardown and `Unsubscribe` ownership checks work.
     pub(crate) next_conn_id: AtomicU64,
-    /// Metrics registry + flight recorder + hot-path handles.
+    /// Metrics registry + span store + hot-path handles.
     pub(crate) telemetry: Arc<Telemetry>,
     /// The running readiness loop's cross-thread face — `Some` while
     /// [`Server::run`] is inside the loop. Shutdown and the debounce
@@ -357,17 +356,6 @@ impl Server {
             None => ShardedDepDb::new(config.shards),
         };
         Self::bind_with_store(config, store)
-    }
-
-    /// [`Server::bind`] with a pre-loaded monolithic database, routed
-    /// into [`ServeConfig::shards`] shards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind failures.
-    pub fn bind_with_db(config: ServeConfig, db: VersionedDepDb) -> std::io::Result<Self> {
-        let shards = config.shards;
-        Self::bind_with_store(config, ShardedDepDb::from_db(db.into_db(), shards))
     }
 
     /// [`Server::bind`] with an already-assembled sharded store (the
@@ -604,8 +592,7 @@ pub(crate) fn envelope_frame(id: u64, body: Response) -> Vec<u8> {
     crate::codec::frame_bytes(encode_line(&ResponseEnvelope { id, body }).as_bytes())
 }
 
-/// The span name a dispatched request is recorded under — static, so a
-/// traced request costs no allocation beyond the span record itself.
+/// The span name a dispatched request is recorded under.
 pub(crate) fn request_kind(request: &Request) -> &'static str {
     match request {
         Request::Ping => "request:Ping",
@@ -676,7 +663,7 @@ pub(crate) fn schedule_push_audit(
     spec: AuditSpec,
     outbox: Arc<Outbox>,
     origin: Instant,
-    parent: Option<TraceContext>,
+    parent: TraceContext,
 ) {
     let st = Arc::clone(state);
     let deadline = state.config.default_deadline;
@@ -684,20 +671,19 @@ pub(crate) fn schedule_push_audit(
     // span (the triggering ingest, or the Subscribe for its initial
     // audit) — one mutation fanning out to N subscriptions yields N
     // sibling push spans under the same trace.
-    let push = parent.map(|p| p.child());
+    let push = parent.child();
     let submit_at = Instant::now();
     let submitted = state.scheduler.submit(Some(deadline), move |token| {
-        let _scope = push.map(TraceScope::enter);
+        let _scope = TraceScope::enter(push);
+        let telemetry = &st.telemetry;
         let started = Instant::now();
-        if let Some(p) = push {
-            st.telemetry.spans.record(
-                p.child(),
-                "queue_wait",
-                String::new(),
-                started.duration_since(submit_at).as_micros() as u64,
-            );
-        }
-        let exec = push.map(|p| p.child());
+        telemetry.spans.record(
+            push.child(),
+            names::SPAN_QUEUE_WAIT,
+            String::new(),
+            started.duration_since(submit_at).as_micros() as u64,
+        );
+        let exec = push.child();
         let epoch = st.db.epoch();
         let snapshot = st.db.snapshot();
         let pins = snapshot.pins_for_hosts(spec_hosts(&spec));
@@ -707,33 +693,28 @@ pub(crate) fn schedule_push_audit(
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key);
-        let mut trace = Trace::new("push", format!("subscription {subscription}"));
-        trace.pins = pins.clone();
-        let (cached, result, stages) = match hit {
-            Some(report) => (true, Ok(report), Vec::new()),
+        let (cached, result) = match hit {
+            Some(report) => (true, Ok(report)),
             None => {
-                let recorder = StageRecorder::with_trace(&st.telemetry, exec);
+                let recorder = StageRecorder::new(telemetry, exec);
                 let agent = AuditingAgent::from_snapshot(snapshot);
                 let result = agent.audit_sia_observed(&spec, token, &recorder);
-                st.telemetry.push_audits_total.inc();
-                st.telemetry.audits_sia_total.inc();
-                (false, result, recorder.into_stages())
+                telemetry.push_audits_total.inc();
+                telemetry.audits_sia_total.inc();
+                (false, result)
             }
         };
-        if let Some(e) = exec {
-            st.telemetry.spans.record(
-                e,
-                "audit_exec",
-                format!("subscription {subscription}"),
-                started.elapsed().as_micros() as u64,
-            );
-        }
-        trace.cached = cached;
-        trace.stages = stages;
+        let detail = format!("subscription {subscription}");
+        let error = result.as_ref().err().map(ToString::to_string);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        telemetry.spans.push(
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail.clone(), elapsed_us)
+                .with_attrs(audit_attrs(names::SPAN_PUSH, cached, error, &pins)),
+        );
         match result {
             Ok(report) => {
                 if !cached {
-                    st.telemetry
+                    telemetry
                         .audit_sia_us
                         .record(started.elapsed().as_micros() as u64);
                     st.sia_cache
@@ -748,7 +729,7 @@ pub(crate) fn schedule_push_audit(
                         epoch,
                         cached,
                         elapsed_us: started.elapsed().as_micros() as u64,
-                        trace_id: parent.map(|p| format_trace_id(p.trace_id)),
+                        trace_id: format_trace_id(parent.trace_id),
                         report,
                     },
                 );
@@ -757,28 +738,21 @@ pub(crate) fn schedule_push_audit(
                 st.pushed_events.fetch_add(1, Ordering::Relaxed);
                 outbox.push_event(frame);
                 // Invalidate → re-audit → event enqueued, end to end.
-                st.telemetry
+                telemetry
                     .push_latency_us
                     .record(origin.elapsed().as_micros() as u64);
             }
-            Err(e) => {
-                trace.outcome = e.to_string();
-                slog::error(
-                    "server",
-                    &format!("pushed audit for subscription {subscription} failed: {e}"),
-                );
-            }
+            Err(e) => slog::error(
+                "server",
+                &format!("pushed audit for subscription {subscription} failed: {e}"),
+            ),
         }
-        if let Some(p) = push {
-            st.telemetry.spans.record(
-                p,
-                "push",
-                format!("subscription {subscription}"),
-                submit_at.elapsed().as_micros() as u64,
-            );
-        }
-        trace.total_us = started.elapsed().as_micros() as u64;
-        st.telemetry.recorder.record(trace);
+        telemetry.spans.record(
+            push,
+            names::SPAN_PUSH,
+            detail,
+            submit_at.elapsed().as_micros() as u64,
+        );
     });
     if let Err(e) = submitted {
         slog::error(
@@ -967,13 +941,14 @@ fn binary_peer_session_loop<R: BufRead>(
             let _ = write_response(writer, &Response::error(format!("frame rejected: {e}")));
             return;
         }
+        // Absent only on a ring that negotiated the extension away.
         if let Some(c) = frame_ctx {
             // The sender minted this context as a child of its own
             // fed_party span, so recording it verbatim is what stitches
             // the cross-daemon parent link `indaas trace` renders.
             state.telemetry.spans.record(
                 c,
-                "fed_frame",
+                names::SPAN_FED_FRAME,
                 format!("session {session} round {round} from {from}"),
                 deliver_started.elapsed().as_micros() as u64,
             );
@@ -1026,7 +1001,7 @@ pub(crate) enum AdmitOutcome {
 pub(crate) fn admit_request(
     state: &Arc<ServiceState>,
     request: Request,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
     slot: Arc<ResponseSlot>,
 ) -> AdmitOutcome {
     match request {
@@ -1054,7 +1029,11 @@ pub(crate) fn admit_request(
                 seed,
                 multiset,
                 round_timeout_ms,
-                trace: None,
+                // The party span parents everything this daemon does
+                // for the session: outgoing round frames are stamped
+                // with its children, so the successor's `fed_frame`
+                // spans link back here across the process boundary.
+                trace: ctx.child(),
             };
             let st = Arc::clone(state);
             // A party blocks on ring rounds for up to round_timeout ×
@@ -1063,9 +1042,9 @@ pub(crate) fn admit_request(
             let spawned = std::thread::Builder::new()
                 .name("indaas-fed-party".to_string())
                 .spawn(move || {
-                    let _scope = ctx.map(TraceScope::enter);
+                    let _scope = TraceScope::enter(ctx);
                     let crash = CrashGuard(slot);
-                    let response = federate_start(&st, instruction, ctx);
+                    let response = federate_start(&st, instruction);
                     crash.0.fulfill(response);
                 });
             match spawned {
@@ -1086,7 +1065,7 @@ pub(crate) fn admit_request(
 pub(crate) fn handle_request(
     request: Request,
     state: &Arc<ServiceState>,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
 ) -> (Response, bool) {
     match request {
         Request::Ping => (Response::Pong, false),
@@ -1130,11 +1109,7 @@ pub(crate) fn handle_request(
     }
 }
 
-fn federate_start(
-    state: &ServiceState,
-    mut instruction: PartyInstruction,
-    ctx: Option<TraceContext>,
-) -> Response {
+fn federate_start(state: &ServiceState, instruction: PartyInstruction) -> Response {
     let Some(engine) = federation_engine(state) else {
         return Response::error("federation not enabled on this daemon");
     };
@@ -1145,24 +1120,17 @@ fn federate_start(
         round_timeout: state.config.round_timeout,
     };
     let session = instruction.session;
-    // The party span parents everything this daemon does for the
-    // session: outgoing round frames are stamped with its children, so
-    // the successor's `fed_frame` spans link back here across the
-    // process boundary.
-    let party = ctx.map(|c| c.child());
-    instruction.trace = party;
+    let party = instruction.trace;
     let started = Instant::now();
     let party_span = Span::start(Arc::clone(&state.telemetry.fed_party_us));
     let result = engine.run_party(instruction, fed_ctx);
     drop(party_span);
-    if let Some(p) = party {
-        state.telemetry.spans.record(
-            p,
-            "fed_party",
-            format!("session {session}"),
-            started.elapsed().as_micros() as u64,
-        );
-    }
+    state.telemetry.spans.record(
+        party,
+        names::SPAN_FED_PARTY,
+        format!("session {session}"),
+        started.elapsed().as_micros() as u64,
+    );
     match result {
         Ok(done) => {
             state
@@ -1203,23 +1171,16 @@ fn trace_get(state: &ServiceState, id: &str) -> Response {
         ));
     };
     let node = state.local_addr.to_string();
-    let spans = state
-        .telemetry
-        .spans
-        .spans_for(trace_id)
-        .into_iter()
-        .map(|s| SpanEntry {
-            trace: format_trace_id(s.trace_id),
-            span_id: s.span_id,
-            parent_span_id: s.parent_span_id,
-            name: s.name,
-            detail: s.detail,
-            node: node.clone(),
-            start_us: s.start_us,
-            elapsed_us: s.elapsed_us,
-        })
-        .collect();
+    let spans = wire_spans(state.telemetry.spans.spans_for(trace_id), &node);
     Response::Trace { node, spans }
+}
+
+/// Spans in their wire form, each stamped as recorded by `node`.
+fn wire_spans(spans: Vec<SpanRecord>, node: &str) -> Vec<SpanEntry> {
+    spans
+        .into_iter()
+        .map(|s| SpanEntry::from_record(s, node))
+        .collect()
 }
 
 enum Mutation {
@@ -1231,7 +1192,7 @@ fn ingest(
     state: &Arc<ServiceState>,
     records: &str,
     mutation: Mutation,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
 ) -> Response {
     let parsed = match indaas_deps::parse_records(records) {
         Ok(p) => p,
@@ -1270,7 +1231,7 @@ fn apply_mutation(
     state: &Arc<ServiceState>,
     records: Vec<DependencyRecord>,
     mutation: &Mutation,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
 ) -> Option<indaas_deps::ShardedIngestReport> {
     // Shutdown gate (Dekker-style, all SeqCst): either this thread sees
     // the shutdown flag and bails before touching the store, or the
@@ -1369,9 +1330,10 @@ pub(crate) fn run_collectors(state: &Arc<ServiceState>) -> usize {
     // A batch rejected by the shutdown gate is simply dropped — the
     // daemon is exiting and the collectors re-measure on next boot.
     let total = collected.len();
-    // Collector ticks are daemon-initiated — there is no client trace
-    // to parent their fan-out on.
-    if !collected.is_empty() && apply_mutation(state, collected, &Mutation::Ingest, None).is_none()
+    // Collector ticks are daemon-initiated: each is the root of its own
+    // trace, which the pushes it triggers hang under.
+    if !collected.is_empty()
+        && apply_mutation(state, collected, &Mutation::Ingest, TraceContext::root()).is_none()
     {
         return 0;
     }
@@ -1422,7 +1384,7 @@ fn admit_sia(
     state: &Arc<ServiceState>,
     spec: AuditSpec,
     timeout_ms: Option<u64>,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
     slot: Arc<ResponseSlot>,
 ) -> AdmitOutcome {
     if let Err(e) = validate_spec(&spec) {
@@ -1444,22 +1406,29 @@ fn admit_sia(
         .map(|c| c.name.as_str())
         .collect::<Vec<_>>()
         .join(", ");
+    // The audit-level span, a child of the request span whichever way
+    // the audit is answered; engine stages nest under it.
+    let exec = ctx.child();
+    // Built before the lookup clones the cached report (~180 KB in many
+    // small pieces): what the span ring keeps for thousands of requests
+    // must not be allocated among what this request frees when it ends.
+    // Built after, `sia_hot` spends 6 % more daemon CPU in the allocator.
+    let hit_attrs = audit_attrs("sia", true, None, &pins);
     if let Some(report) = state
         .sia_cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .get(&key)
     {
-        let mut trace = Trace::new("sia", detail);
-        trace.cached = true;
-        trace.pins = pins;
-        trace.total_us = started.elapsed().as_micros() as u64;
-        state.telemetry.recorder.record(trace);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        state.telemetry.spans.push(
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us).with_attrs(hit_attrs),
+        );
         return AdmitOutcome::Done(
             Response::Sia {
                 epoch,
                 cached: true,
-                elapsed_us: started.elapsed().as_micros() as u64,
+                elapsed_us,
                 report,
             },
             false,
@@ -1468,46 +1437,32 @@ fn admit_sia(
 
     let deadline = job_deadline(&state.config, timeout_ms);
     let st = Arc::clone(state);
-    let telemetry = Arc::clone(&state.telemetry);
-    let trace_pins = pins.clone();
-    // Sibling children of the request span: how long the job sat in the
-    // scheduler queue, then the audit execution (whose engine stages
-    // nest under it via the recorder).
-    let exec = ctx.map(|c| c.child());
     let submit_at = Instant::now();
     let submitted = state.scheduler.submit(Some(deadline), move |token| {
         // Answers the slot with "audit job crashed" if this closure
         // unwinds before `fulfill` below claims it.
         let crash = CrashGuard(Arc::clone(&slot));
-        let _scope = exec.map(TraceScope::enter);
+        let _scope = TraceScope::enter(exec);
+        let telemetry = &st.telemetry;
         let run_started = Instant::now();
-        if let Some(c) = ctx {
-            telemetry.spans.record(
-                c.child(),
-                "queue_wait",
-                String::new(),
-                run_started.duration_since(submit_at).as_micros() as u64,
-            );
-        }
-        let recorder = StageRecorder::with_trace(&telemetry, exec);
+        // Sibling of the audit span: how long the job sat queued.
+        telemetry.spans.record(
+            ctx.child(),
+            names::SPAN_QUEUE_WAIT,
+            String::new(),
+            run_started.duration_since(submit_at).as_micros() as u64,
+        );
+        let recorder = StageRecorder::new(telemetry, exec);
         let agent = AuditingAgent::from_snapshot(snapshot);
         let result = agent.audit_sia_observed(&spec, token, &recorder);
         let total_us = run_started.elapsed().as_micros() as u64;
         telemetry.audits_sia_total.inc();
         telemetry.audit_sia_us.record(total_us);
-        if let Some(e) = exec {
-            telemetry
-                .spans
-                .record(e, "audit_exec", detail.clone(), total_us);
-        }
-        let mut trace = Trace::new("sia", detail);
-        trace.pins = trace_pins;
-        trace.stages = recorder.into_stages();
-        trace.total_us = total_us;
-        if let Err(e) = &result {
-            trace.outcome = e.to_string();
-        }
-        telemetry.recorder.record(trace);
+        let error = result.as_ref().err().map(ToString::to_string);
+        telemetry.spans.push(
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, total_us)
+                .with_attrs(audit_attrs("sia", false, error, &pins)),
+        );
         let response = match result {
             Ok(report) => {
                 st.sia_cache
@@ -1539,7 +1494,7 @@ fn admit_pia(
     way: usize,
     minhash: Option<usize>,
     timeout_ms: Option<u64>,
-    ctx: Option<TraceContext>,
+    ctx: TraceContext,
     slot: Arc<ResponseSlot>,
 ) -> AdmitOutcome {
     if way < 2 || providers.len() < way {
@@ -1561,21 +1516,23 @@ fn admit_pia(
     // and entries survive ingests (the response still stamps the epoch).
     let key = job_key(&(), "pia", &(&providers, way, minhash));
     let detail = format!("{} providers, {way}-way", providers.len());
+    let exec = ctx.child();
     if let Some(rankings) = state
         .pia_cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .get(&key)
     {
-        let mut trace = Trace::new("pia", detail);
-        trace.cached = true;
-        trace.total_us = started.elapsed().as_micros() as u64;
-        state.telemetry.recorder.record(trace);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        state.telemetry.spans.push(
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us)
+                .with_attrs(audit_attrs("pia", true, None, &[])),
+        );
         return AdmitOutcome::Done(
             Response::Pia {
                 epoch,
                 cached: true,
-                elapsed_us: started.elapsed().as_micros() as u64,
+                elapsed_us,
                 rankings,
             },
             false,
@@ -1584,37 +1541,28 @@ fn admit_pia(
 
     let deadline = job_deadline(&state.config, timeout_ms);
     let st = Arc::clone(state);
-    let telemetry = Arc::clone(&state.telemetry);
-    let exec = ctx.map(|c| c.child());
     let submit_at = Instant::now();
     let submitted = state.scheduler.submit(Some(deadline), move |token| {
         let crash = CrashGuard(Arc::clone(&slot));
-        let _scope = exec.map(TraceScope::enter);
+        let _scope = TraceScope::enter(exec);
+        let telemetry = &st.telemetry;
         let run_started = Instant::now();
-        if let Some(c) = ctx {
-            telemetry.spans.record(
-                c.child(),
-                "queue_wait",
-                String::new(),
-                run_started.duration_since(submit_at).as_micros() as u64,
-            );
-        }
+        telemetry.spans.record(
+            ctx.child(),
+            names::SPAN_QUEUE_WAIT,
+            String::new(),
+            run_started.duration_since(submit_at).as_micros() as u64,
+        );
         let result =
             rank_deployments_cancellable(&providers, way, minhash, &PsopConfig::default(), token);
         let total_us = run_started.elapsed().as_micros() as u64;
         telemetry.audits_pia_total.inc();
         telemetry.audit_pia_us.record(total_us);
-        if let Some(e) = exec {
-            telemetry
-                .spans
-                .record(e, "audit_exec", detail.clone(), total_us);
-        }
-        let mut trace = Trace::new("pia", detail);
-        trace.total_us = total_us;
-        if let Err(e) = &result {
-            trace.outcome = e.to_string();
-        }
-        telemetry.recorder.record(trace);
+        let error = result.as_ref().err().map(ToString::to_string);
+        telemetry.spans.push(
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, total_us)
+                .with_attrs(audit_attrs("pia", false, error, &[])),
+        );
         let response = match result {
             Ok(rankings) => {
                 st.pia_cache
@@ -1715,7 +1663,7 @@ fn status(state: &ServiceState) -> Response {
 /// Assembles a `Metrics` response: refreshes the derived gauges from
 /// their authoritative sources (per-shard atomics, cache stats,
 /// scheduler — the same lock-free reads `Status` does), snapshots the
-/// registry, and attaches the most recent flight-recorder traces.
+/// registry, and attaches the most recent audits' spans.
 fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let telemetry = &state.telemetry;
     let registry = &telemetry.registry;
@@ -1765,15 +1713,15 @@ fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
         .gauge(names::PUSHED_EVENTS)
         .set(state.pushed_events.load(Ordering::Relaxed));
     let snap = registry.snapshot();
-    let recent = recent
-        .unwrap_or(DEFAULT_RECENT_TRACES)
-        .min(telemetry.recorder.capacity());
+    let recent = telemetry
+        .spans
+        .recent_named(names::SPAN_AUDIT, recent.unwrap_or(DEFAULT_RECENT_AUDITS));
     Response::Metrics {
         uptime_secs: state.started.elapsed().as_secs(),
         counters: snap.counters,
         gauges: snap.gauges,
         histos: wire_histos(&snap.histos),
-        traces: wire_traces(telemetry.recorder.recent(recent)),
-        slow_threshold_us: telemetry.recorder.slow_threshold_us(),
+        recent: wire_spans(recent, &state.local_addr.to_string()),
+        slow_threshold_us: telemetry.slow_threshold_us,
     }
 }

@@ -1,7 +1,18 @@
-//! The daemon's observability hub: one [`Registry`], one
-//! [`FlightRecorder`], and pre-resolved handles for every hot-path
-//! metric, so instrumented code bumps atomics without ever touching the
-//! registry lock.
+//! The daemon's observability hub: one [`Registry`], one [`SpanStore`],
+//! and pre-resolved handles for every hot-path metric, so instrumented
+//! code bumps atomics without ever touching the registry lock.
+//!
+//! The span store is the only record of what a request did. Every
+//! dispatched request runs under a [`TraceContext`] (the client's, or a
+//! root minted at the loop's entry point), and every audit — cache hit
+//! or miss, request or subscription push, success or failure — records
+//! exactly one audit-level span ([`names::SPAN_AUDIT`]) whose
+//! attributes ([`audit_attrs`]) say what kind it was, whether the cache
+//! served it, how it ended and which `(shard, epoch)` pins it read;
+//! engine stages are its children. `Trace{id}` reads the ring by trace
+//! id, `Metrics{recent}` reads the newest audit-level spans with their
+//! children, and "slow" is `elapsed_us >= slow_threshold_us`, judged by
+//! whoever renders the span.
 //!
 //! # Metric catalog
 //!
@@ -65,38 +76,45 @@
 //! | `ingest_us` | one ingest/retract batch through the write path |
 //! | `fed_party_us` | one federation party run, all ring rounds |
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use indaas_core::StageObserver;
-use indaas_obs::{Counter, FlightRecorder, Histo, Registry, SpanStore, Trace, TraceContext};
+use indaas_obs::{Attr, Counter, Histo, Registry, SpanStore, TraceContext};
 
 use crate::names;
-use crate::proto::{MetricHisto, TraceEntry};
+use crate::proto::MetricHisto;
 use crate::scheduler::SchedMetrics;
 
-/// Flight-recorder capacity: enough to hold the recent past of a busy
-/// daemon without unbounded memory (traces are small — stage name/µs
-/// pairs and pins).
-pub const TRACE_CAPACITY: usize = 256;
-
-/// Span-store capacity. Spans are finer-grained than flight-recorder
-/// traces (one request fans out to queue-wait, execution and per-stage
-/// spans), so the ring is deeper — still bounded, oldest evicted first.
+/// Span-store capacity. One request fans out to a request span, queue
+/// wait, the audit-level span and per-stage spans, so the ring is deep
+/// — still bounded, oldest evicted first.
 pub const SPAN_CAPACITY: usize = 4096;
 
-/// Default number of traces a [`crate::proto::Request::Metrics`] with
+/// Default number of audits a [`crate::proto::Request::Metrics`] with
 /// `recent: null` returns.
-pub const DEFAULT_RECENT_TRACES: usize = 32;
+pub const DEFAULT_RECENT_AUDITS: usize = 32;
 
-/// Registry + flight recorder + pre-resolved hot-path handles.
+/// The engine stages [`indaas_core::StageObserver`] reports, in the
+/// order their histograms sit in [`Telemetry`].
+const STAGES: [&str; 5] = [
+    "graph_build",
+    "rg_minimal",
+    "rg_sampling",
+    "rg_bdd",
+    "ranking",
+];
+
+/// Registry + span store + pre-resolved hot-path handles.
 pub struct Telemetry {
     /// All named metrics; snapshot for exposition.
     pub registry: Registry,
-    /// Recent audit/request traces.
-    pub recorder: FlightRecorder,
-    /// Recent distributed-tracing spans, addressable by trace id
-    /// (served to `Request::Trace`).
+    /// Finished spans of every request, served to `Request::Trace` by
+    /// trace id and to `Request::Metrics` as the recent audits.
     pub spans: SpanStore,
+    /// An audit at or above this many microseconds renders as slow.
+    pub slow_threshold_us: u64,
+    /// `audit_stage_<stage>_us`, indexed like [`STAGES`].
+    stage_us: [Arc<Histo>; STAGES.len()],
     pub requests_total: Arc<Counter>,
     pub envelope_decode_us: Arc<Histo>,
     pub dispatch_us: Arc<Histo>,
@@ -128,22 +146,11 @@ pub struct Telemetry {
 impl Telemetry {
     /// Builds the registry with every static metric pre-registered (so
     /// expositions show the full catalog from the first scrape, zeros
-    /// included) and a flight recorder flagging traces at or above
-    /// `slow_audit_ms`.
+    /// included — a daemon that has not yet audited still advertises
+    /// the per-stage families).
     pub fn new(slow_audit_ms: u64) -> Self {
         let registry = Registry::new();
-        let recorder = FlightRecorder::new(TRACE_CAPACITY, slow_audit_ms.saturating_mul(1_000));
-        // Pre-register the per-engine stage histograms too: a daemon
-        // that has not yet audited still advertises the families.
-        for stage in [
-            "graph_build",
-            "rg_minimal",
-            "rg_sampling",
-            "rg_bdd",
-            "ranking",
-        ] {
-            registry.histo(&names::audit_stage_us(stage));
-        }
+        let stage_us = STAGES.map(|stage| registry.histo(&names::audit_stage_us(stage)));
         for gauge in [
             names::SCHED_QUEUE_DEPTH,
             names::SCHED_JOBS_RUNNING,
@@ -190,8 +197,9 @@ impl Telemetry {
             conn_registered: registry.gauge(names::CONN_REGISTERED),
             write_queue_depth: registry.gauge(names::WRITE_QUEUE_DEPTH),
             registry,
-            recorder,
             spans: SpanStore::new(SPAN_CAPACITY),
+            slow_threshold_us: slow_audit_ms.saturating_mul(1_000),
+            stage_us,
         }
     }
 
@@ -203,59 +211,61 @@ impl Telemetry {
             jobs_total: self.registry.counter(names::SCHED_JOBS_TOTAL),
         }
     }
-
-    /// The histogram an engine stage records into.
-    pub fn stage_histo(&self, stage: &str) -> Arc<Histo> {
-        self.registry.histo(&names::audit_stage_us(stage))
-    }
 }
 
-/// A per-audit [`StageObserver`]: feeds each stage timing into the
-/// registry's per-stage histogram *and* accumulates the `(stage, µs)`
-/// list the audit's flight-recorder trace carries.
+/// The attributes of an audit-level span: what ran (`"sia"`, `"pia"`,
+/// or [`names::SPAN_PUSH`]), whether the result cache served it, how it
+/// ended ([`names::OUTCOME_OK`] or the error's rendering), and the
+/// `(shard, epoch)` pins it read as `shard:epoch,…` (omitted when the
+/// audit reads no shard, as PIA does).
+pub fn audit_attrs(
+    kind: &'static str,
+    cached: bool,
+    error: Option<String>,
+    pins: &[(u32, u64)],
+) -> Vec<Attr> {
+    let mut attrs: Vec<Attr> = vec![
+        (names::ATTR_KIND.into(), kind.into()),
+        (
+            names::ATTR_CACHED.into(),
+            if cached { "true" } else { "false" }.into(),
+        ),
+        (
+            names::ATTR_OUTCOME.into(),
+            error.map_or(names::OUTCOME_OK.into(), Into::into),
+        ),
+    ];
+    if !pins.is_empty() {
+        let pins: Vec<String> = pins.iter().map(|(s, e)| format!("{s}:{e}")).collect();
+        attrs.push((names::ATTR_PINS.into(), pins.join(",").into()));
+    }
+    attrs
+}
+
+/// A per-audit [`StageObserver`]: feeds each stage timing into its
+/// per-stage histogram and records it as a child span of the audit's
+/// own span.
 pub struct StageRecorder<'a> {
     telemetry: &'a Telemetry,
-    stages: Mutex<Vec<(String, u64)>>,
-    /// When the audit runs under a trace, each engine stage is also
-    /// recorded as a span — a fresh child of this context per stage.
-    trace: Option<TraceContext>,
+    audit: TraceContext,
 }
 
 impl<'a> StageRecorder<'a> {
-    pub fn new(telemetry: &'a Telemetry) -> Self {
-        StageRecorder::with_trace(telemetry, None)
-    }
-
-    /// A recorder that additionally emits one child span of `trace` per
-    /// engine stage (no-op when `trace` is `None`).
-    pub fn with_trace(telemetry: &'a Telemetry, trace: Option<TraceContext>) -> Self {
-        StageRecorder {
-            telemetry,
-            stages: Mutex::new(Vec::new()),
-            trace,
-        }
-    }
-
-    /// The accumulated `(stage, µs)` pairs, in execution order.
-    pub fn into_stages(self) -> Vec<(String, u64)> {
-        self.stages
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// A recorder for the audit running as span `audit`.
+    pub fn new(telemetry: &'a Telemetry, audit: TraceContext) -> Self {
+        StageRecorder { telemetry, audit }
     }
 }
 
 impl StageObserver for StageRecorder<'_> {
     fn stage(&self, stage: &'static str, elapsed_us: u64) {
-        self.telemetry.stage_histo(stage).record(elapsed_us);
-        if let Some(ctx) = self.trace {
-            self.telemetry
-                .spans
-                .record(ctx.child(), stage, String::new(), elapsed_us);
+        let histos = STAGES.iter().zip(&self.telemetry.stage_us);
+        if let Some((_, histo)) = histos.into_iter().find(|(s, _)| **s == stage) {
+            histo.record(elapsed_us);
         }
-        self.stages
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((stage.to_string(), elapsed_us));
+        self.telemetry
+            .spans
+            .record(self.audit.child(), stage, String::new(), elapsed_us);
     }
 }
 
@@ -277,69 +287,57 @@ pub fn wire_histos(histos: &[(String, indaas_obs::HistoSnapshot)]) -> Vec<Metric
         .collect()
 }
 
-/// Renders flight-recorder traces into their wire form.
-pub fn wire_traces(traces: Vec<Trace>) -> Vec<TraceEntry> {
-    traces
-        .into_iter()
-        .map(|t| TraceEntry {
-            seq: t.seq,
-            kind: t.kind,
-            detail: t.detail,
-            cached: t.cached,
-            outcome: t.outcome,
-            total_us: t.total_us,
-            slow: t.slow,
-            stages: t.stages,
-            pins: t.pins,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn stage_recorder_feeds_histos_and_trace() {
+    fn stage_recorder_feeds_histos_and_child_spans() {
         let t = Telemetry::new(0);
-        let rec = StageRecorder::new(&t);
+        let audit = TraceContext::root().child();
+        let rec = StageRecorder::new(&t, audit);
         rec.stage("graph_build", 120);
         rec.stage("rg_minimal", 4_000);
-        assert_eq!(t.stage_histo("graph_build").snapshot().count, 1);
-        assert_eq!(t.stage_histo("rg_minimal").snapshot().count, 1);
-        let stages = rec.into_stages();
+        let snap = t.registry.snapshot();
+        for stage in ["graph_build", "rg_minimal"] {
+            assert_eq!(snap.histo(&names::audit_stage_us(stage)).unwrap().count, 1);
+        }
+        let spans = t.spans.spans_for(audit.trace_id);
         assert_eq!(
-            stages,
-            vec![
-                ("graph_build".to_string(), 120),
-                ("rg_minimal".to_string(), 4_000)
-            ]
+            spans
+                .iter()
+                .map(|s| (s.name.as_str(), s.elapsed_us))
+                .collect::<Vec<_>>(),
+            [("graph_build", 120), ("rg_minimal", 4_000)]
         );
+        assert!(spans.iter().all(|s| s.parent_span_id == audit.span_id));
     }
 
     #[test]
-    fn stage_recorder_emits_spans_under_a_trace() {
-        let t = Telemetry::new(0);
-        let exec = TraceContext::root().child();
-        let rec = StageRecorder::with_trace(&t, Some(exec));
-        rec.stage("graph_build", 7);
-        rec.stage("ranking", 9);
-        let spans = t.spans.spans_for(exec.trace_id);
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|s| s.parent_span_id == exec.span_id));
-        assert!(spans.iter().any(|s| s.name == "graph_build"));
-        // Untraced recorders stay span-free.
-        let silent = StageRecorder::new(&t);
-        silent.stage("graph_build", 7);
-        assert_eq!(t.spans.len(), 2);
+    fn every_stage_family_is_preregistered() {
+        let snap = Telemetry::new(0).registry.snapshot();
+        for stage in STAGES {
+            assert!(snap.histo(&names::audit_stage_us(stage)).is_some());
+        }
+    }
+
+    #[test]
+    fn audit_attrs_spell_out_disposition_and_pins() {
+        let attrs = audit_attrs("sia", true, None, &[(0, 3), (5, 7)]);
+        let get = |k: &str| attrs.iter().find(|(key, _)| key == k).map(|(_, v)| &**v);
+        assert_eq!(get(names::ATTR_KIND), Some("sia"));
+        assert_eq!(get(names::ATTR_CACHED), Some("true"));
+        assert_eq!(get(names::ATTR_OUTCOME), Some(names::OUTCOME_OK));
+        assert_eq!(get(names::ATTR_PINS), Some("0:3,5:7"));
+        let failed = audit_attrs("pia", false, Some("cancelled".into()), &[]);
+        assert_eq!(failed.len(), 3, "no pins attribute without pins");
+        assert_eq!(&*failed[2].1, "cancelled");
     }
 
     #[test]
     fn slow_threshold_is_milliseconds_in() {
-        let t = Telemetry::new(2);
-        assert_eq!(t.recorder.slow_threshold_us(), 2_000);
-        let t0 = Telemetry::new(0);
-        assert_eq!(t0.recorder.slow_threshold_us(), 0);
+        assert_eq!(Telemetry::new(2).slow_threshold_us, 2_000);
+        assert_eq!(Telemetry::new(0).slow_threshold_us, 0);
     }
 
     #[test]

@@ -18,14 +18,12 @@ use indaas::deps::{parse_records, DepDb, FailureProbModel, ShardedDepDb, SimColl
 use indaas::faultinj::points;
 use indaas::federation::{Federation, FederationCoordinator, PeerRegistry};
 use indaas::graph::to_dot;
-use indaas::obs::{
-    build_span_tree, format_trace_id, log as slog, parse_trace_id, SpanNode, SpanRecord,
-};
+use indaas::obs::{build_span_tree, format_trace_id, log as slog, parse_trace_id, SpanNode};
 use indaas::pia::normalize::normalize_set;
 use indaas::pia::report::render_ranking;
 use indaas::pia::{rank_deployments, PsopConfig};
 use indaas::service::{
-    names, Client, MetricsAnswer, Request, ServeConfig, Server, SpanEntry, StatusAnswer, TraceEntry,
+    names, Client, MetricsAnswer, Request, ServeConfig, Server, SpanEntry, StatusAnswer,
 };
 use indaas::sia::{build_fault_graph, BuildSpec};
 
@@ -126,9 +124,9 @@ OPTIONS:
   --collect-interval MS  re-run registered collectors this often
   --collect-truth FILE   Table-1 ground truth for a simulated collector
   --collect-miss-rate R  simulated collector miss rate in [0, 1) (default 0)
-  --slow-audit-ms MS     flight-recorder slow threshold: traces at or
-                         above MS total are flagged slow in `indaas
-                         metrics` (default 1000; 0 flags everything)
+  --slow-audit-ms MS     slow threshold: audits taking MS or longer are
+                         marked SLOW in `indaas metrics` and `indaas
+                         top` (default 1000; 0 marks everything)
   --push-debounce-ms MS  coalesce subscription pushes: an ingest burst
                          invalidating the same subscription schedules
                          one pushed audit per MS window instead of one
@@ -236,15 +234,17 @@ const METRICS_USAGE: &str = "\
 indaas metrics — dump a running daemon's observability snapshot
 
 Every registered counter, gauge and log₂ latency histogram, plus the
-flight recorder's most recent request/audit traces (per-stage timings,
-cache disposition, shard pins, slow flag).
+most recent audits, one line each: kind, detail, total time, whether the
+cache served it, SLOW at or above the daemon's --slow-audit-ms, any
+non-ok outcome, per-stage timings, and the trace id to hand to `indaas
+trace`. The lines are rendered from the same spans `indaas trace` shows.
 
 USAGE:
   indaas metrics [--addr ADDR] [--recent N] [--prom] [--json]
 
 OPTIONS:
   --addr ADDR    daemon address (default 127.0.0.1:4914)
-  --recent N     how many recent traces to fetch (default: server's 32)
+  --recent N     how many recent audits to fetch (default: server's 32)
   --prom         Prometheus text exposition format (for scraping)
   --json         the raw Metrics response as JSON
 ";
@@ -252,9 +252,11 @@ OPTIONS:
 const TRACE_USAGE: &str = "\
 indaas trace — fetch one distributed trace and render its span tree
 
-Every v2 request carries a trace context; the daemons record spans for
-dispatch, queue wait, each engine stage, pushed audits and federation
-rounds under it. This command asks each --addr daemon for the spans it
+Every request runs under a trace (the client's, or one the daemon
+mints); the daemons record spans for dispatch, queue wait, the audit
+itself (cache hit or miss, outcome, shard pins), each engine stage,
+pushed audits and federation rounds under it. This command asks each
+--addr daemon for the spans it
 holds for TRACE_ID and stitches them into one parent/child tree — for a
 federated audit that tree spans every ring daemon.
 
@@ -263,7 +265,8 @@ USAGE:
 
 OPTIONS:
   TRACE_ID       hex trace id, from `indaas federate` output, a watch
-                 event, or the trace= stamp on any log line
+                 event, an `indaas metrics`/`indaas top` audit line, or
+                 the trace= stamp on any log line
   --addr ADDR    daemon to query (repeatable; default 127.0.0.1:4914)
   --json         machine-readable span list
 ";
@@ -273,7 +276,7 @@ indaas top — live terminal view of a running daemon
 
 Refreshes a snapshot diff: request/audit rates since the previous tick,
 per-stage latency quantiles, cache hit ratio, queue depth, outbox sheds,
-and the most recent flight-recorder traces.
+and the most recent audits (the lines `indaas metrics` prints).
 
 USAGE:
   indaas top [--addr ADDR] [--interval-ms MS] [--count N] [--plain]
@@ -713,7 +716,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                     epoch: u64,
                     cached: bool,
                     elapsed_us: u64,
-                    trace_id: Option<String>,
+                    trace_id: String,
                     report: indaas::sia::AuditReport,
                 }
                 println!(
@@ -734,14 +737,9 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                     .best()
                     .map(|d| d.name.clone())
                     .unwrap_or_else(|| "<none>".to_string());
-                let trace = event
-                    .trace_id
-                    .as_deref()
-                    .map(|t| format!(" trace={t}"))
-                    .unwrap_or_default();
                 println!(
-                    "[epoch {}] best={best} cached={} elapsed={}us{trace}",
-                    event.epoch, event.cached, event.elapsed_us
+                    "[epoch {}] best={best} cached={} elapsed={}us trace={}",
+                    event.epoch, event.cached, event.elapsed_us, event.trace_id
                 );
                 for d in &event.report.deployments {
                     println!(
@@ -992,20 +990,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         entries.len(),
         nodes.len()
     );
-    let spans: Vec<SpanRecord> = entries
+    let spans = entries
         .into_iter()
-        .filter_map(|e| {
-            Some(SpanRecord {
-                trace_id: parse_trace_id(&e.trace)?,
-                span_id: e.span_id,
-                parent_span_id: e.parent_span_id,
-                name: e.name,
-                detail: e.detail,
-                node: e.node,
-                start_us: e.start_us,
-                elapsed_us: e.elapsed_us,
-            })
-        })
+        .filter_map(SpanEntry::into_record)
         .collect();
     let mut out = String::new();
     render_span_nodes(&mut out, &build_span_tree(spans), "");
@@ -1018,11 +1005,14 @@ fn render_span_nodes(out: &mut String, nodes: &[SpanNode], prefix: &str) {
     for (i, node) in nodes.iter().enumerate() {
         let last = i + 1 == nodes.len();
         let span = &node.span;
-        let detail = if span.detail.is_empty() {
+        let mut detail = if span.detail.is_empty() {
             String::new()
         } else {
             format!("  [{}]", span.detail)
         };
+        for (key, value) in &span.attrs {
+            detail.push_str(&format!(" {key}={value}"));
+        }
         out.push_str(&format!(
             "{prefix}{}{} ({}) {}us{detail}\n",
             if last { "└─ " } else { "├─ " },
@@ -1115,29 +1105,52 @@ fn render_prometheus(metrics: &MetricsAnswer, status: &StatusAnswer) -> String {
     out
 }
 
-/// One flight-recorder trace as a human-readable line.
-fn render_trace(trace: &TraceEntry) -> String {
-    let mut line = format!(
-        "  #{} {} [{}] {}us{}{}",
-        trace.seq,
-        trace.kind,
-        trace.detail,
-        trace.total_us,
-        if trace.cached { " cached" } else { "" },
-        if trace.slow { " SLOW" } else { "" },
-    );
-    if trace.outcome != "ok" {
-        line.push_str(&format!(" outcome={}", trace.outcome));
+/// The recent audits of a `Metrics` answer, one line each, newest
+/// first. Stitching the spans makes every audit-level span a root (its
+/// request span is not part of the answer) with its engine stages as
+/// children.
+fn render_recent_audits(metrics: &MetricsAnswer) -> String {
+    let spans = metrics
+        .recent
+        .iter()
+        .cloned()
+        .filter_map(SpanEntry::into_record)
+        .collect();
+    let mut out = String::new();
+    // The forest is ordered by start time, oldest first.
+    for audit in build_span_tree(spans).iter().rev() {
+        let span = &audit.span;
+        let attr = |key| span.attr(key).unwrap_or("?");
+        out.push_str(&format!(
+            "  {} [{}] {}us{}{}",
+            attr(names::ATTR_KIND),
+            span.detail,
+            span.elapsed_us,
+            if attr(names::ATTR_CACHED) == "true" {
+                " cached"
+            } else {
+                ""
+            },
+            if span.elapsed_us >= metrics.slow_threshold_us {
+                " SLOW"
+            } else {
+                ""
+            },
+        ));
+        if attr(names::ATTR_OUTCOME) != names::OUTCOME_OK {
+            out.push_str(&format!(" outcome={}", attr(names::ATTR_OUTCOME)));
+        }
+        if !audit.children.is_empty() {
+            let stages: Vec<String> = audit
+                .children
+                .iter()
+                .map(|stage| format!("{}={}us", stage.span.name, stage.span.elapsed_us))
+                .collect();
+            out.push_str(&format!(" ({})", stages.join(" ")));
+        }
+        out.push_str(&format!(" trace={}\n", format_trace_id(span.trace_id)));
     }
-    if !trace.stages.is_empty() {
-        let stages: Vec<String> = trace
-            .stages
-            .iter()
-            .map(|(stage, us)| format!("{stage}={us}us"))
-            .collect();
-        line.push_str(&format!(" ({})", stages.join(" ")));
-    }
-    line
+    out
 }
 
 /// The default human-readable `indaas metrics` rendering.
@@ -1161,13 +1174,10 @@ fn render_metrics(metrics: &MetricsAnswer) -> String {
         ));
     }
     out.push_str(&format!(
-        "\nrecent traces (slow >= {}us):\n",
+        "\nrecent audits (slow >= {}us):\n",
         metrics.slow_threshold_us
     ));
-    for trace in &metrics.traces {
-        out.push_str(&render_trace(trace));
-        out.push('\n');
-    }
+    out.push_str(&render_recent_audits(metrics));
     out
 }
 
@@ -1283,11 +1293,8 @@ fn render_top(
             histo.name, histo.count, histo.p50_us, histo.p99_us
         ));
     }
-    out.push_str("\nrecent traces:\n");
-    for trace in &metrics.traces {
-        out.push_str(&render_trace(trace));
-        out.push('\n');
-    }
+    out.push_str("\nrecent audits:\n");
+    out.push_str(&render_recent_audits(metrics));
     out
 }
 

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use indaas::core::{AuditSpec, CandidateDeployment};
-use indaas::deps::VersionedDepDb;
+use indaas::deps::{ShardedDepDb, VersionedDepDb};
 use indaas::faultinj;
 use indaas::federation::{Federation, FederationCoordinator, PeerRegistry};
 use indaas::service::{Client, ServeConfig, Server, SubscriptionEnd};
@@ -70,15 +70,13 @@ struct TestDaemon {
 fn boot_daemon_at(addr: &str, records: &str) -> TestDaemon {
     let mut db = VersionedDepDb::new();
     db.ingest_text(records).expect("test records parse");
-    let server = Server::bind_with_db(
-        ServeConfig {
-            addr: addr.into(),
-            workers: 2,
-            ..ServeConfig::default()
-        },
-        db,
-    )
-    .expect("bind daemon");
+    let config = ServeConfig {
+        addr: addr.into(),
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let store = ShardedDepDb::from_db(db.into_db(), config.shards);
+    let server = Server::bind_with_store(config, store).expect("bind daemon");
     let addr = server.local_addr().to_string();
     let registry = PeerRegistry::with_peers(std::iter::empty::<String>());
     server.set_federation(Arc::new(Federation::with_registry(addr.clone(), registry)));

@@ -404,6 +404,118 @@ fn watch_receives_the_initial_pushed_event() {
     std::fs::remove_file(&records).ok();
 }
 
+/// `indaas metrics` and `indaas top` render one line per recent audit
+/// from the daemon's spans: kind, detail, total µs, `cached`, `SLOW`
+/// (threshold 0 marks everything), a non-ok outcome, and `stage=µs`
+/// pairs for the audit that actually ran its engines.
+#[test]
+fn metrics_and_top_render_recent_audits() {
+    use indaas::core::{AuditSpec, CandidateDeployment};
+    use indaas::service::Client;
+    use std::io::{BufRead, BufReader};
+
+    let records = write_temp("metrics-records.txt", RECORDS);
+    let mut daemon = bin()
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--slow-audit-ms",
+            "0",
+            "--records",
+            records.to_str().unwrap(),
+        ])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let stderr = daemon.stderr.take().expect("stderr piped");
+    let mut banner = String::new();
+    BufReader::new(stderr)
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address in banner")
+        .to_string();
+
+    // One miss, one hit, one engine failure (servers nobody recorded).
+    let mut client = Client::connect(&addr).expect("connect");
+    let pair = |name: &str, servers: [&str; 2]| {
+        AuditSpec::sia_size_based(vec![CandidateDeployment::replicated(name, servers)])
+    };
+    assert!(
+        !client
+            .audit_sia(&pair("pair", ["S1", "S3"]), None)
+            .unwrap()
+            .cached
+    );
+    assert!(
+        client
+            .audit_sia(&pair("pair", ["S1", "S3"]), None)
+            .unwrap()
+            .cached
+    );
+    client
+        .audit_sia(&pair("ghosts", ["S8", "S9"]), None)
+        .expect_err("unknown servers fail the audit");
+
+    let check = |text: &str| {
+        let line_with = |needle: &str, cached: bool| {
+            text.lines()
+                .find(|l| l.contains(needle) && l.contains(" cached") == cached)
+                .unwrap_or_else(|| panic!("no {needle:?} line (cached={cached}) in: {text}"))
+                .to_string()
+        };
+        let miss = line_with("sia [pair] ", false);
+        for part in [
+            "us SLOW",
+            "(graph_build=",
+            " rg_minimal=",
+            " ranking=",
+            "us)",
+            " trace=",
+        ] {
+            assert!(miss.contains(part), "miss line lacks {part:?}: {miss}");
+        }
+        assert!(
+            !miss.contains("outcome="),
+            "ok outcomes stay silent: {miss}"
+        );
+        let hit = line_with("sia [pair] ", true);
+        assert!(hit.contains("us cached SLOW"), "got: {hit}");
+        assert!(!hit.contains('('), "a hit ran no stage: {hit}");
+        let failed = line_with("sia [ghosts] ", false);
+        assert!(failed.contains(" SLOW outcome="), "got: {failed}");
+        // Newest first: the failure, then the hit, then the miss.
+        let pos = |line: &str| text.find(line).expect("line is in the text");
+        assert!(pos(&failed) < pos(&hit) && pos(&hit) < pos(&miss));
+    };
+
+    let out = bin()
+        .args(["metrics", "--addr", &addr])
+        .output()
+        .expect("metrics runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("recent audits (slow >= 0us):"), "got: {text}");
+    check(&text);
+
+    let out = bin()
+        .args(["top", "--addr", &addr, "--plain", "--count", "1"])
+        .output()
+        .expect("top runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("recent audits:"), "got: {text}");
+    check(&text);
+
+    client.shutdown().expect("shutdown");
+    assert!(daemon.wait().expect("daemon exits").success());
+    std::fs::remove_file(&records).ok();
+}
+
 /// The "Federated PIA" quickstart, end to end: three daemons (one per
 /// provider, each pre-loaded with its own records), then `indaas
 /// federate` as the auditing agent.

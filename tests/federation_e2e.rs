@@ -6,13 +6,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use indaas::deps::VersionedDepDb;
+use indaas::deps::{ShardedDepDb, VersionedDepDb};
 use indaas::federation::{
     provider_component_set, Federation, FederationCoordinator, PeerConn, PeerRegistry,
 };
 use indaas::pia::{run_psop, PsopConfig};
 use indaas::service::proto::{Request, Response, FEDERATION_PROTOCOL_VERSION};
-use indaas::service::{Client, ServeConfig, Server, V1Client};
+use indaas::service::{names, Client, ServeConfig, Server, V1Client};
 use indaas::simnet::SimNetwork;
 
 /// Table-1 record sets for three providers with a shared core (libc6,
@@ -52,15 +52,13 @@ fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
 fn boot_daemon_with_version(records: &str, allow: &[String], version: u32) -> TestDaemon {
     let mut db = VersionedDepDb::new();
     db.ingest_text(records).expect("test records parse");
-    let server = Server::bind_with_db(
-        ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            ..ServeConfig::default()
-        },
-        db,
-    )
-    .expect("bind ephemeral");
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let store = ShardedDepDb::from_db(db.into_db(), config.shards);
+    let server = Server::bind_with_store(config, store).expect("bind ephemeral");
     let addr = server.local_addr().to_string();
     let registry = PeerRegistry::with_peers(allow.iter().cloned());
     server.set_federation(Arc::new(
@@ -376,7 +374,7 @@ fn federation_disabled_daemon_answers_with_a_clear_error() {
 /// the daemon that *sent* them.
 #[test]
 fn federated_audit_yields_one_stitched_trace_across_daemons() {
-    use indaas::obs::{build_span_tree, format_trace_id, parse_trace_id, SpanRecord};
+    use indaas::obs::{build_span_tree, format_trace_id, SpanRecord};
 
     let daemons: Vec<TestDaemon> = PROVIDER_RECORDS[..2]
         .iter()
@@ -397,16 +395,7 @@ fn federated_audit_yields_one_stitched_trace_across_daemons() {
         for e in entries {
             assert_eq!(e.trace, trace_hex, "daemon only returns the asked trace");
             assert_eq!(e.node, node, "every span is stamped with its recorder");
-            spans.push(SpanRecord {
-                trace_id: parse_trace_id(&e.trace).expect("hex trace id parses"),
-                span_id: e.span_id,
-                parent_span_id: e.parent_span_id,
-                name: e.name,
-                detail: e.detail,
-                node: e.node,
-                start_us: e.start_us,
-                elapsed_us: e.elapsed_us,
-            });
+            spans.push(e.into_record().expect("hex trace id parses"));
         }
     }
 
@@ -419,7 +408,7 @@ fn federated_audit_yields_one_stitched_trace_across_daemons() {
     }
     // Each daemon dispatched the coordinator's FederateStart and ran its
     // party under it.
-    for name in ["request:FederateStart", "fed_party"] {
+    for name in ["request:FederateStart", names::SPAN_FED_PARTY] {
         for peer in &peers {
             assert!(
                 spans.iter().any(|s| s.name == name && &s.node == peer),
@@ -442,13 +431,16 @@ fn federated_audit_yields_one_stitched_trace_across_daemons() {
 
     // The cross-daemon links: every received ring frame is recorded as a
     // child of the *sending* daemon's fed_party span.
-    let fed_frames: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "fed_frame").collect();
+    let fed_frames: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.name == names::SPAN_FED_FRAME)
+        .collect();
     assert!(!fed_frames.is_empty(), "ring frames recorded spans");
     let mut cross_linked = 0usize;
     for frame in &fed_frames {
         let sender = spans
             .iter()
-            .find(|s| s.name == "fed_party" && s.span_id == frame.parent_span_id)
+            .find(|s| s.name == names::SPAN_FED_PARTY && s.span_id == frame.parent_span_id)
             .unwrap_or_else(|| {
                 panic!(
                     "fed_frame {:#x} has no fed_party parent {:#x}",
@@ -508,11 +500,11 @@ fn v1_ring_negotiates_tracing_off_without_wire_errors() {
         // envelope, not the ring framing) — but no frame ever carried a
         // context, so no fed_frame spans were recorded anywhere.
         assert!(
-            entries.iter().any(|e| e.name == "fed_party"),
+            entries.iter().any(|e| e.name == names::SPAN_FED_PARTY),
             "{peer} still records its party span"
         );
         assert!(
-            !entries.iter().any(|e| e.name == "fed_frame"),
+            !entries.iter().any(|e| e.name == names::SPAN_FED_FRAME),
             "{peer} must not record frame spans on a v1 ring"
         );
     }

@@ -1,10 +1,9 @@
 //! Property-based tests on the observability core: log₂ histogram
-//! invariants (bucket placement, merge, quantile bounds) and
-//! flight-recorder ring eviction.
+//! invariants (bucket placement, merge, quantile bounds), trace-context
+//! wire forms, span-tree assembly, and the span ring's recent-audits
+//! query.
 
-use indaas::obs::{
-    bucket_index, bucket_upper_bound, FlightRecorder, Histo, HistoSnapshot, Trace, HISTO_BUCKETS,
-};
+use indaas::obs::{bucket_index, bucket_upper_bound, Histo, HistoSnapshot, HISTO_BUCKETS};
 use proptest::prelude::*;
 
 /// Strategy: values spread across the full log₂ range, not just the low
@@ -202,6 +201,7 @@ mod trace_props {
                     node: String::new(),
                     start_us: (i as u64) * 10,
                     elapsed_us: 5,
+                    attrs: Vec::new(),
                 });
             }
             let baseline = build_span_tree(spans.clone());
@@ -231,43 +231,117 @@ mod trace_props {
 }
 
 mod ring_props {
-    use super::*;
+    use indaas::obs::{SpanRecord, SpanStore, TraceContext};
+    use proptest::prelude::*;
+
+    /// Pushes one span; `elapsed_us` carries the push sequence number
+    /// so the test can check ring order on what comes back.
+    fn push(store: &SpanStore, seq: &mut u64, trace_id: u128, parent: u64, name: &str) -> u64 {
+        *seq += 1;
+        let ctx = TraceContext {
+            trace_id,
+            span_id: *seq,
+            parent_span_id: parent,
+        };
+        store.push(SpanRecord::finished(ctx, name, String::new(), *seq));
+        *seq
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The ring keeps exactly the newest `capacity` traces, assigns
-        /// strictly increasing sequence numbers, and `recent(n)` returns
-        /// them newest first.
+        /// `recent_named` over a ring of audits — each an `audit` span
+        /// with stage children before it, a late child after it, its
+        /// request span, and foreign-trace noise that reuses the
+        /// audit's span id as parent: newest first, never more audits
+        /// than asked, than stored or than capacity, every returned
+        /// child beside its returned parent, every stored child of a
+        /// returned audit present, and nothing else — not the noise,
+        /// not request spans, not orphans whose audit was evicted.
         #[test]
-        fn ring_evicts_oldest_keeps_newest(
-            capacity in 1usize..20,
-            total in 0usize..60,
-            slow_us in 0u64..2000,
+        fn recent_audits_query_is_bounded_ordered_and_closed(
+            capacity in 1usize..24,
+            n in 0usize..12,
+            // Per audit: stage children, foreign-trace noise spans and
+            // whether a child lands after the audit span, drawn from
+            // separate bytes of one raw value.
+            shapes in proptest::collection::vec(any::<u64>(), 0..12),
         ) {
-            let recorder = FlightRecorder::new(capacity, slow_us);
-            for i in 0..total {
-                let mut trace = Trace::new("sia", format!("t{i}"));
-                trace.total_us = i as u64 * 100;
-                recorder.record(trace);
+            let store = SpanStore::new(capacity);
+            let mut seq = 0u64;
+            // (trace id, audit span id, audit push seq, its children's span ids).
+            let mut audits: Vec<(u128, u64, u64, Vec<u64>)> = Vec::new();
+            for (i, raw) in shapes.iter().enumerate() {
+                let (stages, noise, late_child) =
+                    ((raw % 4) as usize, ((raw >> 8) % 3) as usize, (raw >> 16) & 1 == 1);
+                let trace_id = i as u128 + 1;
+                let request_id = 1_000_000 + i as u64;
+                let audit_id = 2_000_000 + i as u64;
+                let mut children = Vec::new();
+                for k in 0..stages.max(noise) {
+                    if k < stages {
+                        children.push(push(&store, &mut seq, trace_id, audit_id, "stage"));
+                    }
+                    if k < noise {
+                        push(&store, &mut seq, trace_id + 1_000, audit_id, "noise");
+                    }
+                }
+                seq += 1;
+                store.push(SpanRecord::finished(
+                    TraceContext { trace_id, span_id: audit_id, parent_span_id: request_id },
+                    "audit",
+                    String::new(),
+                    seq,
+                ));
+                let audit_seq = seq;
+                if late_child {
+                    children.push(push(&store, &mut seq, trace_id, audit_id, "stage"));
+                }
+                seq += 1;
+                store.push(SpanRecord::finished(
+                    TraceContext { trace_id, span_id: request_id, parent_span_id: 0 },
+                    "request",
+                    String::new(),
+                    seq,
+                ));
+                audits.push((trace_id, audit_id, audit_seq, children));
             }
-            prop_assert_eq!(recorder.len(), total.min(capacity));
-            let recent = recorder.recent(total + 1);
-            prop_assert_eq!(recent.len(), total.min(capacity));
-            // Newest first, contiguous, and ending at the newest seq.
-            for (offset, trace) in recent.iter().enumerate() {
-                prop_assert_eq!(trace.seq, (total - offset) as u64);
-                prop_assert_eq!(
-                    trace.detail.clone(),
-                    format!("t{}", total - offset - 1)
+            // The ring holds exactly the newest `capacity` pushes.
+            let oldest_kept = seq.saturating_sub(capacity as u64) + 1;
+            let stored_audits = audits.iter().filter(|a| a.2 >= oldest_kept).count();
+
+            let recent = store.recent_named("audit", n);
+            prop_assert!(recent.len() <= capacity);
+            prop_assert!(
+                recent.windows(2).all(|w| w[0].elapsed_us > w[1].elapsed_us),
+                "newest first"
+            );
+            let returned: Vec<&SpanRecord> = recent.iter().filter(|s| s.name == "audit").collect();
+            prop_assert_eq!(returned.len(), n.min(stored_audits));
+            for span in &recent {
+                prop_assert!(span.elapsed_us >= oldest_kept, "evicted span returned");
+                if span.name == "audit" {
+                    continue;
+                }
+                prop_assert_eq!(span.name.as_str(), "stage");
+                prop_assert!(
+                    returned.iter().any(|a| {
+                        a.span_id == span.parent_span_id && a.trace_id == span.trace_id
+                    }),
+                    "child without its parent"
                 );
-                prop_assert_eq!(trace.slow, trace.total_us >= slow_us);
             }
-            // A partial read returns only the newest n.
-            let two = recorder.recent(2);
-            prop_assert_eq!(two.len(), total.min(capacity).min(2));
-            if let Some(first) = two.first() {
-                prop_assert_eq!(first.seq, total as u64);
+            for audit in &returned {
+                let (_, _, _, children) = audits
+                    .iter()
+                    .find(|(trace_id, id, ..)| *trace_id == audit.trace_id && *id == audit.span_id)
+                    .expect("returned audit was pushed");
+                for child in children.iter().filter(|id| **id >= oldest_kept) {
+                    prop_assert!(
+                        recent.iter().any(|s| s.span_id == *child),
+                        "stored child of a returned audit is missing"
+                    );
+                }
             }
         }
     }

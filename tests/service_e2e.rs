@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use indaas::core::{AuditSpec, CandidateDeployment, RgAlgorithm};
-use indaas::service::{Client, Request, Response, ServeConfig, Server};
+use indaas::service::{names, Client, Request, Response, ServeConfig, Server, SpanEntry};
 
 const RECORDS: &str = r#"
     <src="S1" dst="Internet" route="tor1,core1"/>
@@ -45,6 +45,14 @@ fn audit_spec() -> AuditSpec {
         CandidateDeployment::replicated("S1+S2", ["S1", "S2"]),
         CandidateDeployment::replicated("S1+S3", ["S1", "S3"]),
     ])
+}
+
+/// The value of attribute `key` on a wire span.
+fn attr<'a>(span: &'a SpanEntry, key: &str) -> Option<&'a str> {
+    span.attrs
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
 }
 
 #[test]
@@ -1042,8 +1050,7 @@ fn raw_protocol_shutdown_round_trip() {
 
 #[test]
 fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
-    // --slow-audit-ms 0: every trace's total is >= 0, so the flight
-    // recorder must flag them all slow.
+    // --slow-audit-ms 0: every audit's total is >= 0, so all are slow.
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -1105,34 +1112,90 @@ fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
     assert!(audit.p99_us >= audit.p50_us);
     assert!(audit.max_us >= audit.p99_us);
 
-    // Flight recorder: the computed audit (stages + pins, outcome ok)
-    // and the cache hit are both present, newest first, both slow.
-    let miss_pos = metrics
-        .traces
+    // Recent audits: the cache hit and the computed audit, newest
+    // first, one audit-level span each; only the computed one has
+    // engine stages under it, and threshold 0 makes both slow.
+    let audits: Vec<&SpanEntry> = metrics
+        .recent
         .iter()
-        .position(|t| t.kind == "sia" && !t.cached)
-        .expect("computed-audit trace");
-    let hit_pos = metrics
-        .traces
-        .iter()
-        .position(|t| t.kind == "sia" && t.cached)
-        .expect("cache-hit trace");
-    assert!(hit_pos < miss_pos, "traces must be newest first");
-    let miss = &metrics.traces[miss_pos];
-    assert!(
-        !miss.stages.is_empty(),
-        "computed audit carries stage timings"
+        .filter(|s| s.name == names::SPAN_AUDIT)
+        .collect();
+    assert_eq!(audits.len(), 2, "one audit-level span per audit");
+    let (hit, miss) = (audits[0], audits[1]);
+    let stages_of = |audit: &SpanEntry| {
+        metrics
+            .recent
+            .iter()
+            .filter(|s| s.parent_span_id == audit.span_id)
+            .count()
+    };
+    assert_eq!(metrics.recent.len(), 2 + stages_of(miss));
+    for audit in [hit, miss] {
+        assert_eq!(attr(audit, names::ATTR_KIND), Some("sia"));
+        assert_eq!(attr(audit, names::ATTR_OUTCOME), Some(names::OUTCOME_OK));
+        assert!(
+            attr(audit, names::ATTR_PINS).is_some_and(|p| p.contains(':')),
+            "SIA audit carries its (shard, epoch) pins"
+        );
+        assert_eq!(audit.detail, "S1+S2, S1+S3");
+        assert!(audit.elapsed_us >= metrics.slow_threshold_us);
+    }
+    assert_eq!(attr(miss, names::ATTR_CACHED), Some("false"));
+    assert_eq!(attr(hit, names::ATTR_CACHED), Some("true"));
+    assert_eq!(
+        stages_of(miss),
+        6,
+        "three stages for each of two candidates"
     );
-    assert!(!miss.pins.is_empty(), "SIA trace carries shard pins");
-    assert_eq!(miss.outcome, "ok");
-    assert!(miss.slow, "threshold 0 flags everything");
-    assert!(metrics.traces[hit_pos].slow);
-    assert!(metrics.traces[hit_pos].stages.is_empty());
+    assert_eq!(stages_of(hit), 0, "a cache hit runs no engine stage");
+
+    // A v1 line carries no envelope, so no client context: the daemon
+    // mints the trace itself, and the audit shows up all the same —
+    // newest, with its stages — under an id `Trace{id}` resolves.
+    let stream = TcpStream::connect(addr).expect("connect v1");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let line = indaas::service::proto::encode_line(&Request::AuditSia {
+        spec: AuditSpec::sia_size_based(vec![CandidateDeployment::replicated(
+            "S2+S3",
+            ["S2", "S3"],
+        )]),
+        timeout_ms: None,
+    });
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
+    let mut answer = String::new();
+    reader.read_line(&mut answer).expect("read");
+    assert!(answer.contains("\"Sia\""), "got: {answer}");
+    let after = client.metrics(Some(1)).expect("metrics");
+    let v1 = &after.recent[0];
+    assert_eq!(v1.name, names::SPAN_AUDIT);
+    assert_eq!(v1.detail, "S2+S3");
+    assert_eq!(attr(v1, names::ATTR_CACHED), Some("false"));
+    assert_eq!(
+        after.recent.len(),
+        1 + 3,
+        "recent: 1 brings one audit and its stages"
+    );
+    assert!(after.recent[1..]
+        .iter()
+        .all(|s| s.parent_span_id == v1.span_id));
+    let (_node, minted) = client
+        .fetch_trace(&v1.trace)
+        .expect("minted trace resolves");
+    let request = minted
+        .iter()
+        .find(|s| s.name == "request:AuditSia")
+        .expect("v1 request span");
+    assert_eq!(request.parent_span_id, 0, "a minted context is a root");
+    assert_eq!(v1.parent_span_id, request.span_id);
 
     // The Status satellites: uptime_secs and per-engine audit counts
-    // ride the same counters; nothing was shed.
+    // (the two computed audits, not the hit) ride the same counters;
+    // nothing was shed.
     let status = client.status().expect("status");
-    assert_eq!(status.sia_audits, 1);
+    assert_eq!(status.sia_audits, 2);
     assert_eq!(status.pia_audits, 0);
     assert_eq!(status.dropped_events, 0);
     assert!(status.uptime_secs <= status.uptime_ms / 1000 + 1);
@@ -1187,9 +1250,9 @@ fn v1_session_serves_metrics_and_extended_status() {
     daemon.join().unwrap().expect("serve loop");
 }
 
-/// A traced request leaves a span tree behind: the request span recorded
-/// under the caller's context, with queue wait, audit execution and the
-/// engine stages as descendants — and both the explicit `Trace{id}`
+/// A request leaves a span tree behind: the request span recorded
+/// under the caller's context, with queue wait, the audit-level span and
+/// the engine stages as descendants — and both the explicit `Trace{id}`
 /// fetch and the pushed `AuditEvent.trace_id` expose the trace.
 #[test]
 fn traced_audit_records_spans_and_push_events_carry_trace_ids() {
@@ -1199,17 +1262,15 @@ fn traced_audit_records_spans_and_push_events_carry_trace_ids() {
     let mut client = Client::connect(addr).expect("connect");
     client.ingest(RECORDS).expect("ingest");
 
+    let audit = Request::AuditSia {
+        spec: audit_spec(),
+        timeout_ms: None,
+    };
     let root = TraceContext::root();
     let response = client
-        .request_traced(
-            &Request::AuditSia {
-                spec: audit_spec(),
-                timeout_ms: None,
-            },
-            Some(root),
-        )
+        .request_traced(&audit, Some(root))
         .expect("traced audit");
-    assert!(matches!(response, Response::Sia { .. }));
+    assert!(matches!(response, Response::Sia { cached: false, .. }));
 
     let trace_hex = format_trace_id(root.trace_id);
     let (node, spans) = client.fetch_trace(&trace_hex).expect("Trace answered");
@@ -1217,8 +1278,8 @@ fn traced_audit_records_spans_and_push_events_carry_trace_ids() {
     let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
     for name in [
         "request:AuditSia",
-        "queue_wait",
-        "audit_exec",
+        names::SPAN_QUEUE_WAIT,
+        names::SPAN_AUDIT,
         "graph_build",
     ] {
         assert!(names.contains(&name), "missing {name} span in {names:?}");
@@ -1230,13 +1291,44 @@ fn traced_audit_records_spans_and_push_events_carry_trace_ids() {
         .find(|s| s.name == "request:AuditSia")
         .expect("request span");
     assert_eq!(request.span_id, root.span_id);
-    // Engine stages hang under the audit execution span.
-    let exec = spans.iter().find(|s| s.name == "audit_exec").expect("exec");
+    // Engine stages hang under the audit-level span.
+    let exec = spans
+        .iter()
+        .find(|s| s.name == names::SPAN_AUDIT)
+        .expect("exec");
     let stage = spans
         .iter()
         .find(|s| s.name == "graph_build")
         .expect("stage span");
     assert_eq!(stage.parent_span_id, exec.span_id);
+
+    // The same audit again, under a second root, is a cache hit — and
+    // its trace says so: the request span plus one audit-level span
+    // marked cached, with the pins it was served against.
+    let second = TraceContext::root();
+    let response = client
+        .request_traced(&audit, Some(second))
+        .expect("cached audit");
+    assert!(matches!(response, Response::Sia { cached: true, .. }));
+    let (_n, hit_spans) = client
+        .fetch_trace(&format_trace_id(second.trace_id))
+        .expect("hit trace");
+    assert_eq!(
+        hit_spans.len(),
+        2,
+        "request + audit, no queue wait, no stages"
+    );
+    let hit = hit_spans
+        .iter()
+        .find(|s| s.name == names::SPAN_AUDIT)
+        .expect("a cache hit records its audit-level span");
+    assert_eq!(hit.parent_span_id, second.span_id);
+    assert_eq!(attr(hit, names::ATTR_CACHED), Some("true"));
+    assert_eq!(
+        attr(hit, names::ATTR_PINS),
+        attr(exec, names::ATTR_PINS),
+        "the hit was served against the pins the miss computed under"
+    );
 
     // An unknown (but well-formed) trace id answers with zero spans; a
     // malformed one is a clear error, not a wedge.
@@ -1248,12 +1340,105 @@ fn traced_audit_records_spans_and_push_events_carry_trace_ids() {
     // them (here: the Subscribe's own trace, for the initial event).
     let mut subscription = client.subscribe(&audit_spec()).expect("subscribe");
     let event = subscription.recv().expect("initial pushed event");
-    let event_trace = event.trace_id.expect("push events are traced");
-    let (_n, push_spans) = client.fetch_trace(&event_trace).expect("push trace");
+    let (_n, push_spans) = client.fetch_trace(&event.trace_id).expect("push trace");
     assert!(
-        push_spans.iter().any(|s| s.name == "push"),
+        push_spans.iter().any(|s| s.name == names::SPAN_PUSH),
         "push span recorded under the subscriber's trace"
     );
+
+    client.shutdown().expect("shutdown");
+    daemon.join().unwrap().expect("serve loop");
+}
+
+/// Whichever path an audit takes — SIA or PIA, computed or cached,
+/// pushed to a subscriber, failed in the engine or cancelled at its
+/// deadline — its trace holds exactly one audit-level span saying so.
+#[test]
+fn every_audit_path_records_exactly_one_audit_span() {
+    use indaas::obs::{format_trace_id, TraceContext};
+
+    let (addr, daemon) = start_daemon();
+    let mut client = Client::connect(addr).expect("connect");
+    client.ingest(RECORDS).expect("ingest");
+
+    // The one audit-level span of `trace`, checked against what the
+    // path should have recorded.
+    fn check(client: &mut Client, trace: &str, kind: &str, cached: bool, ok: bool) -> SpanEntry {
+        let (_node, spans) = client.fetch_trace(trace).expect("trace");
+        let mut audits: Vec<SpanEntry> = spans
+            .into_iter()
+            .filter(|s| s.name == names::SPAN_AUDIT)
+            .collect();
+        assert_eq!(
+            audits.len(),
+            1,
+            "{kind} cached={cached} ok={ok}: {audits:?}"
+        );
+        let audit = audits.remove(0);
+        assert_eq!(attr(&audit, names::ATTR_KIND), Some(kind));
+        assert_eq!(
+            attr(&audit, names::ATTR_CACHED),
+            Some(if cached { "true" } else { "false" })
+        );
+        let outcome = attr(&audit, names::ATTR_OUTCOME).expect("outcome attr");
+        assert_eq!(outcome == names::OUTCOME_OK, ok, "outcome {outcome:?}");
+        audit
+    }
+    let run = |client: &mut Client, request: &Request| -> String {
+        let root = TraceContext::root();
+        let _ = client
+            .request_traced(request, Some(root))
+            .expect("transport ok");
+        format_trace_id(root.trace_id)
+    };
+
+    let sia = |spec: AuditSpec, timeout_ms| Request::AuditSia { spec, timeout_ms };
+    let miss = run(&mut client, &sia(audit_spec(), None));
+    assert!(attr(
+        &check(&mut client, &miss, "sia", false, true),
+        names::ATTR_PINS
+    )
+    .is_some());
+    let hit = run(&mut client, &sia(audit_spec(), None));
+    check(&mut client, &hit, "sia", true, true);
+
+    let pia = Request::AuditPia {
+        providers: vec![
+            ("P1".into(), vec!["libc6".into(), "tor1".into()]),
+            ("P2".into(), vec!["libc6".into(), "tor2".into()]),
+        ],
+        way: 2,
+        minhash: None,
+        timeout_ms: None,
+    };
+    let miss = run(&mut client, &pia);
+    let audit = check(&mut client, &miss, "pia", false, true);
+    assert_eq!(attr(&audit, names::ATTR_PINS), None, "PIA reads no shard");
+    let hit = run(&mut client, &pia);
+    check(&mut client, &hit, "pia", true, true);
+
+    // Engine error: a candidate naming a server the DepDB never saw.
+    let unknown = AuditSpec::sia_size_based(vec![CandidateDeployment::replicated(
+        "ghosts",
+        ["S8", "S9"],
+    )]);
+    let failed = run(&mut client, &sia(unknown, None));
+    check(&mut client, &failed, "sia", false, false);
+    // Cancellation: a zero deadline expires while the job is queued.
+    let fresh =
+        AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("S2+S3", ["S2", "S3"])]);
+    let cancelled = run(&mut client, &sia(fresh.clone(), Some(0)));
+    check(&mut client, &cancelled, "sia", false, false);
+
+    // Pushes: the first subscription computes its initial audit, the
+    // second one over the same spec is served from the cache.
+    for cached in [false, true] {
+        let mut subscription = client.subscribe(&fresh).expect("subscribe");
+        let event = subscription.recv().expect("initial pushed event");
+        assert_eq!(event.cached, cached);
+        let audit = check(&mut client, &event.trace_id, names::SPAN_PUSH, cached, true);
+        assert!(attr(&audit, names::ATTR_PINS).is_some());
+    }
 
     client.shutdown().expect("shutdown");
     daemon.join().unwrap().expect("serve loop");
