@@ -108,6 +108,18 @@ mod tests {
         }
     }
 
+    /// The benchmark's fault graph: topology A, one server in each of the
+    /// 16 pods, failing once fewer than `needed_alive` are up.
+    fn topology_a_16_way(needed_alive: usize) -> indaas_graph::FaultGraph {
+        use indaas_sia::{build_fault_graph, BuildSpec};
+        let (db, cand) = fig7_workload(FatTreeConfig::topology_a(), 16, None);
+        let spec = BuildSpec {
+            needed_alive,
+            ..BuildSpec::all(cand.name, cand.servers)
+        };
+        build_fault_graph(&db, &spec).unwrap()
+    }
+
     /// The benchmark's sampling audit (topology A, 16-way, 2,000 rounds,
     /// seed 7) reports this many groups. The count is a function of the
     /// random draw stream, so a change that reorders or adds draws moves
@@ -115,19 +127,37 @@ mod tests {
     /// change that means to move the stream and says so.
     #[test]
     fn fig7_sampling_draw_stream_is_pinned() {
-        use indaas_sia::{build_fault_graph, failure_sampling, BuildSpec, SamplingConfig};
-        let (db, cand) = fig7_workload(FatTreeConfig::topology_a(), 16, None);
-        let spec = BuildSpec {
-            needed_alive: 15,
-            ..BuildSpec::all(cand.name, cand.servers)
-        };
-        let graph = build_fault_graph(&db, &spec).unwrap();
+        use indaas_sia::{failure_sampling, SamplingConfig};
         let config = SamplingConfig {
             rounds: 2_000,
             seed: 7,
             ..SamplingConfig::default()
         };
-        assert_eq!(failure_sampling(&graph, &config).len(), 701);
+        assert_eq!(failure_sampling(&topology_a_16_way(15), &config).len(), 701);
+    }
+
+    /// The benchmark's exact audit (order ≤ 4) and its two neighbours, so
+    /// that OR-like (`k = 2`), AND (`k = n`) and a deeper threshold
+    /// (`k = 3`) top gates all run on a real graph. Every server's family
+    /// is 3 fleet-wide events and 4 of its own: the answer is the 3 plus,
+    /// per k-subset of the 16 servers, one own event from each (4ᵏ), while
+    /// that still fits the order.
+    #[test]
+    fn fig7_minimal_family_is_pinned() {
+        use indaas_sia::{minimal_risk_groups, MinimalConfig};
+        for (needed_alive, by_order) in [
+            (15, [0, 3, 1_920, 0, 0]),  // k = 2: C(16,2) · 4²
+            (14, [0, 3, 0, 35_840, 0]), // k = 3: C(16,3) · 4³
+            (1, [0, 3, 0, 0, 0]),       // k = 16: one event per server exceeds order 4
+        ] {
+            let graph = topology_a_16_way(needed_alive);
+            let family = minimal_risk_groups(&graph, &MinimalConfig::with_max_order(4));
+            let mut histogram = [0usize; 5];
+            for group in family.groups() {
+                histogram[group.len()] += 1;
+            }
+            assert_eq!(histogram, by_order, "needed_alive = {needed_alive}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use indaas_graph::{CancelToken, Cancelled};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::{
     build_fault_graph, failure_sampling_cancellable, minimal_risk_groups_cancellable, AuditReport,
-    Bdd, BuildError, BuildSpec, DeploymentAudit, MinimalConfig, SamplingConfig,
+    Bdd, BuildError, BuildSpec, DeploymentAudit, MinimalConfig, MinimalError, SamplingConfig,
 };
 
 use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
@@ -54,6 +54,8 @@ pub enum AuditError {
     Acquisition(DamError),
     /// The job was cancelled or overran its deadline.
     Cancelled(Cancelled),
+    /// A deployment's minimal risk groups outgrew the engine's family cap.
+    TooLarge(String, MinimalError),
 }
 
 impl std::fmt::Display for AuditError {
@@ -63,6 +65,7 @@ impl std::fmt::Display for AuditError {
             AuditError::Build(name, e) => write!(f, "building {name:?} failed: {e}"),
             AuditError::Acquisition(e) => write!(f, "dependency acquisition failed: {e}"),
             AuditError::Cancelled(c) => write!(f, "{c}"),
+            AuditError::TooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
         }
     }
 }
@@ -206,7 +209,10 @@ impl AuditingAgent {
                     observed(obs, "rg_minimal", || {
                         minimal_risk_groups_cancellable(&graph, &config, token)
                     })
-                    .map_err(AuditError::Cancelled)?
+                    .map_err(|e| match e {
+                        MinimalError::Cancelled(c) => AuditError::Cancelled(c),
+                        too_large => AuditError::TooLarge(cand.name.clone(), too_large),
+                    })?
                 }
                 RgAlgorithm::Sampling {
                     rounds,

@@ -308,7 +308,7 @@ impl Bdd {
             with.push(basic);
             fam.insert(RiskGroup::new(with));
         }
-        let out: Vec<Vec<NodeId>> = fam.groups().iter().map(|g| g.ids().to_vec()).collect();
+        let out: Vec<Vec<NodeId>> = fam.groups().map(|g| g.ids().to_vec()).collect();
         memo.insert(f, out.clone());
         out
     }

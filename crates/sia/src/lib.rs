@@ -45,7 +45,9 @@ pub mod sampling;
 pub use bdd::Bdd;
 pub use builder::{build_fault_graph, BuildError, BuildSpec};
 pub use importance::{component_importance, ComponentImportance};
-pub use minimal::{minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig};
+pub use minimal::{
+    minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig, MinimalError,
+};
 pub use ranking::{rank_by_probability, rank_by_size, top_event_probability};
 pub use report::{AuditDiff, AuditReport, DeploymentAudit, RankedRg, ScoreKind};
 pub use riskgroup::{RgFamily, RiskGroup};

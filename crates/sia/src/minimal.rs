@@ -1,11 +1,25 @@
 //! The exact minimal risk group algorithm (§4.1.2).
 //!
-//! Classic bottom-up cut-set computation (MOCUS-style, adapted from fault
-//! tree analysis [52, 60]): traversing the DAG from basic events to the top
-//! event, each basic event contributes the family `{{e}}`, OR gates union
-//! their children's families, and AND gates form cartesian products (unions
-//! of one cut set per child). Families are subsumption-minimized after
-//! every step, which keeps them exactly the *minimal* cut sets.
+//! Bottom-up cut-set computation (MOCUS-style, adapted from fault tree
+//! analysis [52, 60]): in topological order every node gets the family of
+//! minimal sets of basic events that fail it. A basic event contributes
+//! `{{e}}`; every gate — OR, AND and k-of-n alike — is a threshold over its
+//! children and is folded by one recurrence. With `T[j]` the minimal sets
+//! that fail *at least j of the children seen so far* and `T[0] = {∅}`,
+//! child `i` with family `F` updates `T[j] ∪= T[j-1] × F` for `j`
+//! descending, and the gate's family is `T[k]` (OR is `T[1]`, AND is
+//! `T[n]`). Only the slots the remaining children can still lift to `k`
+//! are updated, so an AND is its one chain of products and a k-of-n gate
+//! costs `k·n` products instead of one per k-subset of its children.
+//!
+//! A product `A × B` (the minimal unions of one set from each operand)
+//! absorbs before it multiplies: a row of one operand that the *other*
+//! operand already subsumes is its own union with the subsuming row and
+//! absorbs every other union it takes part in, so it is emitted once and
+//! left out; only the remaining rows are cross-multiplied. Shared
+//! dependencies — the sets this service exists to find — are exactly the
+//! rows that absorb. Families are subsumption-minimal after every insert
+//! ([`RgFamily`]), which keeps them exactly the *minimal* cut sets.
 //!
 //! The problem is NP-hard in general (Valiant [59]); the paper measures
 //! 1046 minutes for topology B. Two standard mitigations are provided:
@@ -15,11 +29,11 @@
 //!   size ≤ `k`, and small cut sets are precisely the "unexpected risk
 //!   groups" the audit is hunting.
 //! * `max_family` — a hard cap on intermediate family sizes; exceeding it
-//!   aborts with the partial family flagged as truncated.
+//!   is a [`MinimalError::FamilyTooLarge`].
 
-use indaas_graph::{CancelToken, Cancelled, FaultGraph, Gate, NodeId};
+use indaas_graph::{CancelToken, Cancelled, FaultGraph};
 
-use crate::riskgroup::{RgFamily, RiskGroup};
+use crate::riskgroup::{union_into, RgFamily, Row};
 
 /// Configuration for the minimal RG computation.
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +63,41 @@ impl MinimalConfig {
     }
 }
 
+/// Why a minimal RG computation stopped without a family.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MinimalError {
+    /// The token tripped mid-computation.
+    Cancelled(Cancelled),
+    /// The family of `gate` outgrew [`MinimalConfig::max_family`].
+    FamilyTooLarge {
+        /// Name of the gate whose family was being built.
+        gate: String,
+        /// The cap that was exceeded.
+        cap: usize,
+    },
+}
+
+impl std::fmt::Display for MinimalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MinimalError::Cancelled(c) => write!(f, "{c}"),
+            MinimalError::FamilyTooLarge { gate, cap } => write!(
+                f,
+                "minimal RG family at {gate:?} exceeded {cap} cut sets; \
+                 set a max_order or raise max_family"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MinimalError {}
+
+impl From<Cancelled> for MinimalError {
+    fn from(c: Cancelled) -> Self {
+        MinimalError::Cancelled(c)
+    }
+}
+
 /// Computes the minimal risk groups of `graph`'s top event.
 ///
 /// With `config.max_order = Some(k)` the result is exactly the minimal risk
@@ -57,10 +106,11 @@ impl MinimalConfig {
 /// # Panics
 ///
 /// Panics if an intermediate family exceeds `config.max_family` — raise the
-/// cap or set a `max_order` for graphs that large.
+/// cap or set a `max_order` for graphs that large, or call
+/// [`minimal_risk_groups_cancellable`], which returns it as an error.
 pub fn minimal_risk_groups(graph: &FaultGraph, config: &MinimalConfig) -> RgFamily {
     minimal_risk_groups_cancellable(graph, config, &CancelToken::default())
-        .expect("default token never cancels")
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`minimal_risk_groups`] with cooperative cancellation: the token is
@@ -69,17 +119,28 @@ pub fn minimal_risk_groups(graph: &FaultGraph, config: &MinimalConfig) -> RgFami
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] if the token trips mid-computation.
-///
-/// # Panics
-///
-/// Panics if an intermediate family exceeds `config.max_family`.
+/// [`MinimalError::Cancelled`] if the token trips mid-computation,
+/// [`MinimalError::FamilyTooLarge`] if an intermediate family exceeds
+/// `config.max_family`.
 pub fn minimal_risk_groups_cancellable(
     graph: &FaultGraph,
     config: &MinimalConfig,
     token: &CancelToken,
-) -> Result<RgFamily, Cancelled> {
+) -> Result<RgFamily, MinimalError> {
     let order = graph.topo_order().expect("validated graphs are acyclic");
+    let empty = RgFamily::for_graph(graph);
+    let mut unit = empty.clone();
+    unit.insert_ids(&[]);
+    let mut scratch = Scratch {
+        union: vec![0; empty.stride()],
+        rest: Vec::new(),
+    };
+    let kernel = Kernel {
+        config,
+        token,
+        empty,
+        unit,
+    };
     let mut families: Vec<Option<RgFamily>> = (0..graph.len()).map(|_| None).collect();
     // Count remaining uses so child families can be dropped early (keeps
     // peak memory proportional to the frontier, not the whole graph).
@@ -95,40 +156,33 @@ pub fn minimal_risk_groups_cancellable(
         token.check()?;
         let node = graph.node(id);
         let fam = match node.gate {
-            None => RgFamily::from_groups([RiskGroup::new(vec![id])]),
-            Some(Gate::Or) => {
-                let mut fam = RgFamily::new();
-                for &c in &node.children {
-                    let child = take_child(&mut families, &mut remaining_uses, c);
-                    fam.merge(child);
-                    check_budget(&fam, config, &node.name);
+            None => {
+                let mut fam = kernel.empty.clone();
+                if kernel.fits(1) {
+                    fam.insert_ids(&[id]);
                 }
                 fam
             }
-            Some(Gate::And) => {
-                let children: Vec<RgFamily> = node
+            Some(gate) => {
+                let children: Vec<&RgFamily> = node
                     .children
                     .iter()
-                    .map(|&c| take_child(&mut families, &mut remaining_uses, c))
+                    .map(|&c| {
+                        families[c as usize]
+                            .as_ref()
+                            .expect("child computed before parent")
+                    })
                     .collect();
-                product_all(children, config, &node.name, token)?
-            }
-            Some(Gate::KofN(k)) => {
-                let children: Vec<RgFamily> = node
-                    .children
-                    .iter()
-                    .map(|&c| take_child(&mut families, &mut remaining_uses, c))
-                    .collect();
-                let mut fam = RgFamily::new();
-                for combo in combinations(children.len(), k as usize) {
-                    let subset: Vec<RgFamily> =
-                        combo.iter().map(|&i| children[i].clone()).collect();
-                    fam.merge(product_all(subset, config, &node.name, token)?);
-                    check_budget(&fam, config, &node.name);
-                }
-                fam
+                let k = gate.threshold(children.len());
+                kernel.at_least(k, children, &node.name, &mut scratch)?
             }
         };
+        for &c in &node.children {
+            remaining_uses[c as usize] -= 1;
+            if remaining_uses[c as usize] == 0 {
+                families[c as usize] = None;
+            }
+        }
         families[id as usize] = Some(fam);
     }
     Ok(families[graph.top() as usize]
@@ -136,98 +190,111 @@ pub fn minimal_risk_groups_cancellable(
         .expect("top family computed"))
 }
 
-/// Fetches a child family, cloning only if it is still needed later.
-fn take_child(
-    families: &mut [Option<RgFamily>],
-    remaining_uses: &mut [usize],
-    c: NodeId,
-) -> RgFamily {
-    let idx = c as usize;
-    remaining_uses[idx] -= 1;
-    if remaining_uses[idx] == 0 {
-        families[idx].take().expect("child computed before parent")
-    } else {
-        families[idx].clone().expect("child computed before parent")
-    }
+/// What every gate of one computation shares.
+struct Kernel<'a> {
+    config: &'a MinimalConfig,
+    token: &'a CancelToken,
+    /// The family of no sets, over the graph's event index.
+    empty: RgFamily,
+    /// `T[0]`: the family of the empty set, which fails at least none.
+    unit: RgFamily,
 }
 
-/// Cartesian product of families (AND semantics), pairwise with
-/// minimization and truncation after every merge. Smallest families first
-/// keeps intermediate results small.
-fn product_all(
-    mut children: Vec<RgFamily>,
-    config: &MinimalConfig,
-    at: &str,
-    token: &CancelToken,
-) -> Result<RgFamily, Cancelled> {
-    children.sort_by_key(RgFamily::len);
-    let mut iter = children.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    if let Some(k) = config.max_order {
-        acc.truncate_order(k);
+/// Buffers every product reuses.
+struct Scratch {
+    /// One row: the union under test.
+    union: Vec<u64>,
+    /// Rows of a product's right operand that are cross-multiplied.
+    rest: Vec<usize>,
+}
+
+impl Kernel<'_> {
+    fn fits(&self, len: u32) -> bool {
+        self.config.max_order.is_none_or(|k| len as usize <= k)
     }
-    for next in iter {
-        let mut out = RgFamily::new();
-        for a in acc.groups() {
-            token.check()?;
-            for b in next.groups() {
-                let u = a.union(b);
-                if config.max_order.is_some_and(|k| u.len() > k) {
-                    continue;
+
+    /// The minimal sets that fail at least `k` of `children`.
+    fn at_least(
+        &self,
+        k: usize,
+        mut children: Vec<&RgFamily>,
+        gate: &str,
+        scratch: &mut Scratch,
+    ) -> Result<RgFamily, MinimalError> {
+        // Smallest families first keeps the intermediate products small.
+        children.sort_by_key(|f| f.len());
+        let n = children.len();
+        // t[j - 1] is T[j]; T[0] is `self.unit`.
+        let mut t = vec![self.empty.clone(); k];
+        for (i, child) in children.into_iter().enumerate() {
+            let seen = i + 1;
+            // T[j] with j + (n - seen) < k can no longer reach k.
+            let lowest = k.saturating_sub(n - seen).max(1);
+            for j in (lowest..=seen.min(k)).rev() {
+                let (below, from) = t.split_at_mut(j - 1);
+                let lower = below.last().unwrap_or(&self.unit);
+                self.add_product(&mut from[0], lower, child, gate, scratch)?;
+            }
+            if lowest > 1 {
+                t[lowest - 2] = self.empty.clone();
+            }
+        }
+        Ok(t.pop().expect("k >= 1 slots"))
+    }
+
+    /// `out ∪= a × b`, kept to the configured order.
+    fn add_product(
+        &self,
+        out: &mut RgFamily,
+        a: &RgFamily,
+        b: &RgFamily,
+        gate: &str,
+        scratch: &mut Scratch,
+    ) -> Result<(), MinimalError> {
+        // A row the other operand subsumes is a product as it stands and
+        // absorbs every product it would take part in.
+        scratch.rest.clear();
+        for rb in 0..b.len() {
+            let row = b.row(rb);
+            if !a.subsumes(row) {
+                scratch.rest.push(rb);
+            } else if self.fits(row.len) {
+                out.insert_row(row);
+            }
+        }
+        for ra in 0..a.len() {
+            self.token.check()?;
+            let row = a.row(ra);
+            if !b.subsumes(row) {
+                for &rb in &scratch.rest {
+                    let len = union_into(row, b.row(rb), &mut scratch.union);
+                    if self.fits(len) {
+                        out.insert_row(Row {
+                            words: &scratch.union,
+                            len,
+                        });
+                    }
                 }
-                out.insert(u);
+            } else if self.fits(row.len) {
+                out.insert_row(row);
             }
-            check_budget(&out, config, at);
-        }
-        acc = out;
-    }
-    Ok(acc)
-}
-
-fn check_budget(fam: &RgFamily, config: &MinimalConfig, at: &str) {
-    assert!(
-        fam.len() <= config.max_family,
-        "minimal RG family at {at:?} exceeded {} cut sets; \
-         set MinimalConfig::max_order or raise max_family",
-        config.max_family
-    );
-}
-
-/// All `k`-subsets of `0..n`, lexicographic.
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if k == 0 || k > n {
-        return out;
-    }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.clone());
-        // Advance.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
+            if out.len() > self.config.max_family {
+                return Err(MinimalError::FamilyTooLarge {
+                    gate: gate.to_string(),
+                    cap: self.config.max_family,
+                });
             }
         }
-        if idx[i] == i + n - k {
-            return out;
-        }
-        idx[i] += 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::riskgroup::RiskGroup;
     use indaas_graph::detail::{component_sets_to_graph, ComponentSet};
-    use indaas_graph::{FaultGraphBuilder, Gate};
+    use indaas_graph::{FaultGraphBuilder, Gate, NodeId};
 
     #[test]
     fn fig4a_minimal_rgs() {
@@ -307,7 +374,7 @@ mod tests {
         let graph = b.build(top).unwrap();
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
         assert_eq!(rgs.len(), 3);
-        assert!(rgs.groups().iter().all(|g| g.len() == 2));
+        assert!(rgs.groups().all(|g| g.len() == 2));
     }
 
     #[test]
@@ -372,15 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn combinations_enumeration() {
-        assert_eq!(combinations(4, 2).len(), 6);
-        assert_eq!(combinations(3, 3), vec![vec![0, 1, 2]]);
-        assert!(combinations(3, 4).is_empty());
-        assert!(combinations(3, 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeded")]
     fn family_budget_enforced() {
         // 2 sources × 12 disjoint components each → 144 cross products.
         let e1: Vec<String> = (0..12).map(|i| format!("x{i}")).collect();
@@ -392,6 +450,12 @@ mod tests {
             max_order: None,
             max_family: 100,
         };
-        let _ = minimal_risk_groups(&graph, &config);
+        let err = minimal_risk_groups_cancellable(&graph, &config, &CancelToken::default());
+        match err {
+            Err(MinimalError::FamilyTooLarge { gate, cap: 100 }) => {
+                assert_eq!(gate, graph.node(graph.top()).name);
+            }
+            other => panic!("expected FamilyTooLarge, got {other:?}"),
+        }
     }
 }

@@ -13,7 +13,7 @@ pub const INCLUSION_EXCLUSION_LIMIT: usize = 20;
 /// by member names so reports are deterministic; the paper notes SIA
 /// "randomly orders RGs with the same size").
 pub fn rank_by_size(family: &RgFamily, graph: &FaultGraph) -> Vec<RiskGroup> {
-    let mut groups: Vec<RiskGroup> = family.groups().to_vec();
+    let mut groups: Vec<RiskGroup> = family.groups().collect();
     groups.sort_by_cached_key(|g| (g.len(), g.names(graph)));
     groups
 }
@@ -48,7 +48,7 @@ pub fn top_event_probability(family: &RgFamily, graph: &FaultGraph, default_prob
 /// (-1)^{|S|+1} · Pr(∩ S), where the intersection event is "all events in
 /// the union of the subset's RGs fail".
 fn inclusion_exclusion(family: &RgFamily, graph: &FaultGraph, default_prob: f64) -> f64 {
-    let groups = family.groups();
+    let groups: Vec<RiskGroup> = family.groups().collect();
     let m = groups.len();
     debug_assert!(m <= INCLUSION_EXCLUSION_LIMIT);
     let mut total = 0.0f64;
@@ -120,11 +120,10 @@ pub fn rank_by_probability(
     let pr_top = top_event_probability(family, graph, default_prob);
     let mut ranked: Vec<RankedByProbability> = family
         .groups()
-        .iter()
-        .map(|g| {
-            let p = group_probability(g, graph, default_prob);
+        .map(|group| {
+            let p = group_probability(&group, graph, default_prob);
             RankedByProbability {
-                group: g.clone(),
+                group,
                 probability: p,
                 importance: if pr_top > 0.0 { p / pr_top } else { 0.0 },
             }

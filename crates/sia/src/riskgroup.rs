@@ -1,10 +1,25 @@
-//! Risk groups and minimized families of risk groups.
+//! Risk groups and subsumption-minimized families of risk groups.
 //!
 //! A risk group (RG) is a set of basic failure events whose simultaneous
 //! occurrence fails the top event (§4.1.2). A *minimal* RG stays an RG
-//! under no proper subset. [`RgFamily`] maintains a subsumption-minimized
-//! collection: inserting a superset of an existing RG is a no-op, and
-//! inserting a subset evicts the supersets.
+//! under no proper subset. [`RiskGroup`] is the value at the boundary: the
+//! sorted ids handed in and out. [`RgFamily`] is the antichain the engines
+//! build: inserting a superset of a held group is a no-op, inserting a
+//! subset evicts the supersets.
+//!
+//! A family stores each group as one fixed-stride row of `u64` words in a
+//! single flat buffer. Bit `d` of a row stands for the `d`-th basic event
+//! of the family's event index — a dense numbering of the basic events,
+//! not of the graph's nodes, so the benchmark's 259 basics of 1,364 nodes
+//! take 5 words a row. Subset, union and equality are word AND/OR/compare.
+//! Once a family outgrows a linear scan it keeps one posting list per
+//! event (the rows that contain it): a subset of a candidate is on the
+//! list of one of the candidate's members and is not larger than it, a
+//! superset is on the list of every member — so the shortest one is
+//! searched — and is larger. Row order is a function of the insert
+//! sequence alone.
+
+use std::sync::Arc;
 
 use indaas_graph::{FaultGraph, NodeId};
 
@@ -39,7 +54,9 @@ impl RiskGroup {
         self.ids.is_empty()
     }
 
-    /// True if `self ⊆ other` (sorted-merge subset test).
+    /// True if `self ⊆ other` (sorted-merge subset test). No family code
+    /// calls this: it is the reference the differential tests hold the
+    /// rows' word arithmetic to.
     pub fn is_subset_of(&self, other: &RiskGroup) -> bool {
         if self.ids.len() > other.ids.len() {
             return false;
@@ -61,7 +78,7 @@ impl RiskGroup {
         true
     }
 
-    /// Union of two risk groups (used by AND-gate cartesian products).
+    /// Union of two risk groups (sorted merge).
     pub fn union(&self, other: &RiskGroup) -> RiskGroup {
         let mut out = Vec::with_capacity(self.ids.len() + other.ids.len());
         let (mut i, mut j) = (0, 0);
@@ -89,13 +106,6 @@ impl RiskGroup {
         }
     }
 
-    /// A 64-bit Bloom-style signature: bit `id % 64` set for every member.
-    /// If `sig(a) & !sig(b) != 0` then `a ⊄ b`, a cheap pre-filter for
-    /// subsumption checks.
-    pub fn signature(&self) -> u64 {
-        self.ids.iter().fold(0u64, |acc, &id| acc | 1 << (id % 64))
-    }
-
     /// Resolves member ids to component names.
     pub fn names(&self, graph: &FaultGraph) -> Vec<String> {
         self.ids
@@ -105,24 +115,146 @@ impl RiskGroup {
     }
 }
 
-/// A subsumption-minimized family of risk groups.
-///
-/// Maintains an inverted index from member element to group positions: a
-/// subset (or superset) of an incoming group must share every (or some)
-/// member with it, so subsumption candidates are found by bucket lookup
-/// rather than scanning the whole family — the difference between hours
-/// and seconds on the paper's topology-scale cut-set computations.
+/// A family builds its posting lists when it first holds more rows than
+/// this; below it, scanning every row costs less than maintaining them.
+const INDEX_ABOVE_ROWS: usize = 16;
+
+/// The dense numbering of basic events that a family's rows range over.
+/// Ids are table indices, so the tables are as long as the largest id seen.
+#[derive(Clone, Debug, Default)]
+struct EventIndex {
+    /// Node id → bit position, `UNSEEN` for ids no row has named.
+    bit_of: Vec<u32>,
+    /// Bit position → node id.
+    node_of: Vec<NodeId>,
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+impl EventIndex {
+    fn bit(&self, id: NodeId) -> Option<usize> {
+        match self.bit_of.get(id as usize) {
+            Some(&bit) if bit != UNSEEN => Some(bit as usize),
+            _ => None,
+        }
+    }
+
+    fn add(&mut self, id: NodeId) {
+        if self.bit_of.len() <= id as usize {
+            self.bit_of.resize(id as usize + 1, UNSEEN);
+        }
+        self.bit_of[id as usize] = self.node_of.len() as u32;
+        self.node_of.push(id);
+    }
+}
+
+/// One group of a family: its row of words and its member count.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Row<'a> {
+    pub(crate) words: &'a [u64],
+    pub(crate) len: u32,
+}
+
+/// Writes `a ∪ b` into `out` and returns its member count.
+pub(crate) fn union_into(a: Row<'_>, b: Row<'_>, out: &mut [u64]) -> u32 {
+    let mut len = 0;
+    for ((o, &x), &y) in out.iter_mut().zip(a.words).zip(b.words) {
+        *o = x | y;
+        len += o.count_ones();
+    }
+    len
+}
+
+fn is_subset(small: &[u64], big: &[u64]) -> bool {
+    small.iter().zip(big).all(|(&s, &b)| s & !b == 0)
+}
+
+/// The bit positions set in a row, ascending.
+fn members(words: &[u64]) -> Members<'_> {
+    Members {
+        words,
+        at: 0,
+        rest: words.first().copied().unwrap_or(0),
+    }
+}
+
+struct Members<'a> {
+    words: &'a [u64],
+    /// The word being read, and its bits not yet reported.
+    at: usize,
+    rest: u64,
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.rest == 0 {
+            self.at += 1;
+            self.rest = *self.words.get(self.at)?;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(self.at * 64 + bit)
+    }
+}
+
+/// The rows that have one bit set.
+#[derive(Clone, Debug)]
+struct Posting {
+    rows: Vec<u32>,
+    /// No listed row has fewer members. A bound, not the minimum: an
+    /// eviction leaves it where it is.
+    min_len: u32,
+}
+
+impl Default for Posting {
+    fn default() -> Self {
+        Posting {
+            rows: Vec::new(),
+            min_len: u32::MAX,
+        }
+    }
+}
+
+/// A subsumption-minimized family of risk groups (see the module header
+/// for the row layout).
 #[derive(Clone, Debug, Default)]
 pub struct RgFamily {
-    groups: Vec<RiskGroup>,
-    sigs: Vec<u64>,
-    by_element: std::collections::HashMap<NodeId, Vec<usize>>,
+    events: Arc<EventIndex>,
+    /// Words per row.
+    stride: usize,
+    /// Row `r` is `words[r * stride..][..stride]`.
+    words: Vec<u64>,
+    /// Member count of each row.
+    lens: Vec<u32>,
+    /// One list per bit position; empty (no lists at all) until the
+    /// family outgrows `INDEX_ABOVE_ROWS`.
+    postings: Vec<Posting>,
+    /// Reused by `insert_ids` (the encoded candidate) and by eviction.
+    scratch_row: Vec<u64>,
+    scratch_evicted: Vec<usize>,
 }
 
 impl RgFamily {
-    /// An empty family.
+    /// An empty family that numbers events as it first sees them.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty family over `graph`'s basic events. Clones of it share one
+    /// event index, which is what lets the engines combine their rows word
+    /// by word.
+    pub fn for_graph(graph: &FaultGraph) -> Self {
+        let mut events = EventIndex::default();
+        for id in graph.basic_ids() {
+            events.add(id);
+        }
+        RgFamily {
+            stride: events.node_of.len().div_ceil(64),
+            events: Arc::new(events),
+            ..Self::default()
+        }
     }
 
     /// Builds a family from raw groups, minimizing as it goes.
@@ -134,131 +266,248 @@ impl RgFamily {
         fam
     }
 
-    /// The minimized groups (unspecified order).
-    pub fn groups(&self) -> &[RiskGroup] {
-        &self.groups
+    /// The minimized groups, in row order.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = RiskGroup> + '_ {
+        (0..self.len()).map(|r| {
+            let row = self.row(r);
+            let mut ids = Vec::with_capacity(row.len as usize);
+            ids.extend(members(row.words).map(|bit| self.events.node_of[bit]));
+            RiskGroup::new(ids)
+        })
     }
 
     /// Number of groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.lens.len()
     }
 
     /// True if no groups are present.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.lens.is_empty()
     }
 
     /// Inserts `g`, keeping the family minimal. Returns true if `g` was
     /// retained (i.e., no existing group subsumes it).
     pub fn insert(&mut self, g: RiskGroup) -> bool {
-        if g.is_empty() {
-            // The empty group subsumes everything; keep only it.
-            self.groups.clear();
-            self.sigs.clear();
-            self.by_element.clear();
-            self.sigs.push(0);
-            self.groups.push(g);
-            return true;
-        }
-        let gsig = g.signature();
-        // Any subset or superset of g shares at least one member with g, so
-        // it lives in some bucket of g's elements. Collect candidates once.
-        let mut candidates: Vec<usize> = g
-            .ids()
-            .iter()
-            .flat_map(|id| self.by_element.get(id).into_iter().flatten().copied())
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
+        self.insert_ids(g.ids())
+    }
 
-        // Reject if an existing candidate is a subset of g (pre-filtered by
-        // signature: existing ⊆ g requires sig(existing) ⊆ sig(g)).
-        for &i in &candidates {
-            if self.groups[i].len() <= g.len()
-                && self.sigs[i] & !gsig == 0
-                && self.groups[i].is_subset_of(&g)
-            {
-                return false;
+    /// [`RgFamily::insert`] of the group with these members, in any order.
+    pub fn insert_ids(&mut self, ids: &[NodeId]) -> bool {
+        for &id in ids {
+            if self.events.bit(id).is_none() {
+                Arc::make_mut(&mut self.events).add(id);
             }
         }
-        // Evict candidates that g subsumes (largest index first, so
-        // swap_remove never disturbs a pending index).
-        for &i in candidates.iter().rev() {
-            if self.groups[i].len() >= g.len()
-                && gsig & !self.sigs[i] == 0
-                && g.is_subset_of(&self.groups[i])
-            {
-                self.remove_at(i);
+        self.widen(self.events.node_of.len().div_ceil(64));
+        let mut words = std::mem::take(&mut self.scratch_row);
+        let len = self.encode(ids, &mut words).expect("numbered above");
+        let kept = self.insert_row(Row { words: &words, len });
+        self.scratch_row = words;
+        kept
+    }
+
+    /// Writes the row of the group with these members into `words` and
+    /// returns its member count; `None` if one of them has no bit yet.
+    fn encode(&self, ids: &[NodeId], words: &mut Vec<u64>) -> Option<u32> {
+        words.clear();
+        words.resize(self.stride, 0);
+        for &id in ids {
+            let bit = self.events.bit(id)?;
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+        Some(words.iter().map(|w| w.count_ones()).sum())
+    }
+
+    /// Re-lays the rows out `stride` words wide, if that is wider.
+    fn widen(&mut self, stride: usize) {
+        if stride <= self.stride {
+            return;
+        }
+        let mut words = Vec::with_capacity(self.len() * stride);
+        for r in 0..self.len() {
+            words.extend_from_slice(self.row(r).words);
+            words.resize((r + 1) * stride, 0);
+        }
+        self.words = words;
+        self.stride = stride;
+        if !self.postings.is_empty() {
+            self.postings.resize(stride * 64, Posting::default());
+        }
+    }
+
+    /// Row `r`. Rows of families cloned from one [`RgFamily::for_graph`]
+    /// are interchangeable; rows of any other two families are not.
+    pub(crate) fn row(&self, r: usize) -> Row<'_> {
+        Row {
+            words: &self.words[r * self.stride..][..self.stride],
+            len: self.lens[r],
+        }
+    }
+
+    /// Words per row.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The rows that have every bit of `cand`, read off the list of its
+    /// rarest bit — or off every row, for a family that keeps no lists or
+    /// a `cand` that has no bits.
+    fn supersets<'a>(&'a self, cand: Row<'a>) -> impl Iterator<Item = usize> + 'a {
+        let rarest = members(cand.words)
+            .filter(|_| !self.postings.is_empty())
+            .min_by_key(|&bit| self.postings[bit].rows.len());
+        let (listed, unlisted) = match rarest {
+            Some(bit) => (&self.postings[bit].rows[..], 0),
+            None => (&[][..], self.len()),
+        };
+        // Most listed rows lack some other bit of `cand`: one probe tells,
+        // where comparing whole rows would run to that bit's word.
+        let other = members(cand.words).find(|&bit| Some(bit) != rarest);
+        let rows = listed.iter().map(|&r| r as usize).chain(0..unlisted);
+        rows.filter(move |&r| {
+            let row = self.row(r);
+            row.len >= cand.len
+                && other.is_none_or(|bit| row.words[bit / 64] >> (bit % 64) & 1 == 1)
+                && is_subset(cand.words, row.words)
+        })
+    }
+
+    /// True if some held group is a subset of (or equal to) `cand`.
+    pub(crate) fn subsumes(&self, cand: Row<'_>) -> bool {
+        if self.postings.is_empty() {
+            // One pass where the two searches below would each be one.
+            return (0..self.len())
+                .any(|r| self.lens[r] <= cand.len && is_subset(self.row(r).words, cand.words));
+        }
+        self.holds_smaller(cand) || self.supersets(cand).any(|r| self.lens[r] == cand.len)
+    }
+
+    /// True if some held group is a subset of `cand` with fewer members.
+    fn holds_smaller(&self, cand: Row<'_>) -> bool {
+        let smaller =
+            |r: usize| self.lens[r] < cand.len && is_subset(self.row(r).words, cand.words);
+        if self.postings.is_empty() {
+            return (0..self.len()).any(smaller);
+        }
+        // A subset is listed under each of its own bits, all of them bits
+        // of `cand`; the empty group is listed nowhere and is then the
+        // only row.
+        (self.lens.first() == Some(&0) && cand.len > 0)
+            || members(cand.words).any(|bit| {
+                let listed = &self.postings[bit];
+                listed.min_len < cand.len && listed.rows.iter().any(|&r| smaller(r as usize))
+            })
+    }
+
+    /// [`RgFamily::insert`] of a row of this family's event index.
+    pub(crate) fn insert_row(&mut self, cand: Row<'_>) -> bool {
+        debug_assert_eq!(cand.words.len(), self.stride);
+        if self.holds_smaller(cand) {
+            return false;
+        }
+        let mut evicted = std::mem::take(&mut self.scratch_evicted);
+        evicted.extend(self.supersets(cand));
+        // A held group equal to `cand` is, in an antichain, its only
+        // superset; any other superset goes.
+        let held = evicted.first().is_some_and(|&r| self.lens[r] == cand.len);
+        if !held {
+            // Largest first: a removal moves only the last row.
+            evicted.sort_unstable_by(|a, b| b.cmp(a));
+            for &r in &evicted {
+                self.remove_row(r);
             }
         }
-        let idx = self.groups.len();
-        for &id in g.ids() {
-            self.by_element.entry(id).or_default().push(idx);
+        evicted.clear();
+        self.scratch_evicted = evicted;
+        if held {
+            return false;
         }
-        self.sigs.push(gsig);
-        self.groups.push(g);
+
+        self.words.extend_from_slice(cand.words);
+        self.lens.push(cand.len);
+        if !self.postings.is_empty() {
+            self.list_row(self.len() - 1);
+        } else if self.len() > INDEX_ABOVE_ROWS {
+            self.postings.resize(self.stride * 64, Posting::default());
+            for r in 0..self.len() {
+                self.list_row(r);
+            }
+        }
         true
     }
 
-    /// Removes the group at `i` via swap_remove, fixing the inverted index
-    /// of the group that moved into its slot.
-    fn remove_at(&mut self, i: usize) {
-        let removed = self.groups.swap_remove(i);
-        self.sigs.swap_remove(i);
-        for &id in removed.ids() {
-            if let Some(bucket) = self.by_element.get_mut(&id) {
-                bucket.retain(|&x| x != i);
-            }
+    /// Enters row `r` on the list of each of its bits.
+    fn list_row(&mut self, r: usize) {
+        let len = self.lens[r];
+        for bit in members(&self.words[r * self.stride..][..self.stride]) {
+            let listed = &mut self.postings[bit];
+            listed.rows.push(r as u32);
+            listed.min_len = listed.min_len.min(len);
         }
-        // The group formerly at the end (if any) now lives at index i.
-        let old_last = self.groups.len();
-        if i < old_last {
-            for &id in self.groups[i].ids() {
-                if let Some(bucket) = self.by_element.get_mut(&id) {
-                    for x in bucket.iter_mut() {
-                        if *x == old_last {
-                            *x = i;
+    }
+
+    /// Removes row `r` by moving the last row into its place.
+    fn remove_row(&mut self, r: usize) {
+        let last = self.len() - 1;
+        let stride = self.stride;
+        if !self.postings.is_empty() {
+            for bit in members(&self.words[r * stride..][..stride]) {
+                self.postings[bit].rows.retain(|&x| x as usize != r);
+            }
+            if r != last {
+                for bit in members(&self.words[last * stride..][..stride]) {
+                    for x in &mut self.postings[bit].rows {
+                        if *x as usize == last {
+                            *x = r as u32;
                         }
                     }
                 }
             }
         }
+        self.words
+            .copy_within(last * stride..(last + 1) * stride, r * stride);
+        self.words.truncate(last * stride);
+        self.lens.swap_remove(r);
     }
 
     /// Merges another family in.
     pub fn merge(&mut self, other: RgFamily) {
-        for g in other.groups {
+        for g in other.groups() {
             self.insert(g);
         }
     }
 
     /// Whether the family contains exactly this group.
     pub fn contains(&self, g: &RiskGroup) -> bool {
-        self.groups.iter().any(|x| x == g)
+        let mut words = Vec::new();
+        let Some(len) = self.encode(g.ids(), &mut words) else {
+            return false;
+        };
+        let cand = Row { words: &words, len };
+        let found = self.supersets(cand).any(|r| self.lens[r] == len);
+        found
     }
 
     /// Groups resolved to sorted component-name lists (sorted family order:
     /// by size then names), convenient for assertions and reports.
     pub fn to_named(&self, graph: &FaultGraph) -> Vec<Vec<String>> {
-        let mut named: Vec<Vec<String>> = self.groups.iter().map(|g| g.names(graph)).collect();
+        let mut named: Vec<Vec<String>> = self.groups().map(|g| g.names(graph)).collect();
         named.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         named
     }
 
     /// Smallest group size, if any groups exist.
     pub fn min_size(&self) -> Option<usize> {
-        self.groups.iter().map(RiskGroup::len).min()
+        self.lens.iter().min().map(|&len| len as usize)
     }
 
     /// Drops groups larger than `max_order`.
     pub fn truncate_order(&mut self, max_order: usize) {
-        let mut i = 0;
-        while i < self.groups.len() {
-            if self.groups[i].len() > max_order {
-                self.remove_at(i);
-            } else {
-                i += 1;
+        // Descending, so the row a removal moves has been looked at.
+        for r in (0..self.len()).rev() {
+            if self.lens[r] as usize > max_order {
+                self.remove_row(r);
             }
         }
     }
@@ -342,15 +591,5 @@ mod tests {
         fam.truncate_order(2);
         assert_eq!(fam.len(), 2);
         assert_eq!(fam.min_size(), Some(1));
-    }
-
-    #[test]
-    fn signature_prefilter_is_sound() {
-        // If is_subset_of holds, the signature relation must hold too.
-        let a = rg(&[5, 70]); // 70 % 64 == 6
-        let b = rg(&[5, 64 + 6, 9]);
-        assert!(
-            a.is_subset_of(&b) == ((a.signature() & !b.signature()) == 0 && a.is_subset_of(&b))
-        );
     }
 }

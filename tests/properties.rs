@@ -7,9 +7,10 @@ use indaas::deps::{
 use indaas::graph::detail::{component_sets_to_graph, ComponentSet};
 use indaas::graph::{FaultGraph, FaultGraphBuilder, Gate, IncrementalEval, NodeId};
 use indaas::sia::{
-    failure_sampling, minimal_risk_groups, MinimalConfig, RgFamily, RiskGroup, SamplingConfig,
+    failure_sampling, minimal_risk_groups, Bdd, MinimalConfig, RgFamily, RiskGroup, SamplingConfig,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: 2–4 component sets over a small shared universe, every set
 /// non-empty.
@@ -32,12 +33,11 @@ fn dag_genes() -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(0u32..1000, 2..6), 2..9usize)
 }
 
-/// Decodes [`dag_genes`] over `basics` basic events. A gate draws its
-/// children from *every* earlier node, so gates end up shared by several
-/// parents (or by none: nodes outside the top's cone exist too); the last
-/// gate is the top event.
-fn monotone_dag(basics: usize, genes: &[Vec<u32>]) -> FaultGraph {
-    let mut b = FaultGraphBuilder::new();
+/// Decodes [`dag_genes`] over `basics` basic events into `b` and returns
+/// every node, basics first. A gate draws its children from *every*
+/// earlier node, so gates end up shared by several parents (or by none:
+/// nodes outside the top's cone exist too).
+fn monotone_dag_nodes(b: &mut FaultGraphBuilder, basics: usize, genes: &[Vec<u32>]) -> Vec<NodeId> {
     let mut nodes: Vec<NodeId> = (0..basics)
         .map(|i| b.basic(format!("b{i}"), None))
         .collect();
@@ -53,7 +53,43 @@ fn monotone_dag(basics: usize, genes: &[Vec<u32>]) -> FaultGraph {
         };
         nodes.push(b.gate(format!("g{g}"), gate, children.into_iter().collect()));
     }
+    nodes
+}
+
+/// [`monotone_dag_nodes`] with the last gate as the top event.
+fn monotone_dag(basics: usize, genes: &[Vec<u32>]) -> FaultGraph {
+    let mut b = FaultGraphBuilder::new();
+    let nodes = monotone_dag_nodes(&mut b, basics, genes);
     b.build(*nodes.last().unwrap()).unwrap()
+}
+
+/// A family as a set of groups, for comparisons that ignore row order.
+fn group_set(family: &RgFamily) -> BTreeSet<RiskGroup> {
+    family.groups().collect()
+}
+
+/// The minimal cut sets of a graph with few basic events, by trying every
+/// assignment: a failing assignment is minimal iff repairing any one of
+/// its members repairs the top (the graph is monotone).
+fn brute_force_minimal(graph: &FaultGraph) -> BTreeSet<RiskGroup> {
+    let basic = graph.basic_ids();
+    let fails = |mask: u32| {
+        let mut assignment = vec![false; graph.len()];
+        for (bit, &id) in basic.iter().enumerate() {
+            assignment[id as usize] = mask >> bit & 1 == 1;
+        }
+        graph.evaluate(&assignment)
+    };
+    (0u32..1 << basic.len())
+        .filter(|&mask| {
+            fails(mask)
+                && (0..basic.len()).all(|bit| mask >> bit & 1 == 0 || !fails(mask & !(1 << bit)))
+        })
+        .map(|mask| {
+            let members = (0..basic.len()).filter(|bit| mask >> bit & 1 == 1);
+            RiskGroup::new(members.map(|bit| basic[bit]).collect())
+        })
+        .collect()
 }
 
 /// Decodes a small integer into one of a few dozen distinct dependency
@@ -536,19 +572,80 @@ proptest! {
                 prop_assert!(!graph.evaluate(&assignment), "{g:?} fails without {id}");
                 assignment[id as usize] = true;
             }
-            prop_assert!(exact.contains(g), "{g:?} not in the exact family");
+            prop_assert!(exact.contains(&g), "{g:?} not in the exact family");
         }
     }
 
-    /// Subsumption minimization: no family member is a subset of another.
+    /// The exact engine and the BDD engine compute the same minimal cut
+    /// sets on random DAGs with shared gates.
+    #[test]
+    fn minimal_rgs_equal_bdd_cut_sets(basics in 3usize..8, genes in dag_genes()) {
+        let graph = monotone_dag(basics, &genes);
+        let mocus = minimal_risk_groups(&graph, &MinimalConfig::default());
+        let bdd = Bdd::compile(&graph, 1 << 16).minimal_cut_sets();
+        prop_assert_eq!(group_set(&mocus), group_set(&bdd));
+        prop_assert_eq!(group_set(&mocus), brute_force_minimal(&graph));
+    }
+
+    /// `max_order = Some(k)` yields exactly the groups of the untruncated
+    /// family that have at most `k` members.
+    #[test]
+    fn max_order_is_a_filter(basics in 3usize..8, genes in dag_genes(), order in 0usize..5) {
+        let graph = monotone_dag(basics, &genes);
+        let full = minimal_risk_groups(&graph, &MinimalConfig::default());
+        let truncated = minimal_risk_groups(&graph, &MinimalConfig::with_max_order(order));
+        let small: BTreeSet<RiskGroup> = full.groups().filter(|g| g.len() <= order).collect();
+        prop_assert_eq!(group_set(&truncated), small);
+    }
+
+    /// A k-of-n gate over children that share sub-gates and basic events
+    /// has the cut sets brute force finds, for every 1 ≤ k ≤ n ≤ 6.
+    #[test]
+    fn kofn_over_shared_children_matches_bruteforce(basics in 4usize..7, genes in dag_genes()) {
+        for n in 1..=6 {
+            for k in 1..=n {
+                let mut b = FaultGraphBuilder::new();
+                let nodes = monotone_dag_nodes(&mut b, basics, &genes);
+                let children = nodes[nodes.len() - n..].to_vec();
+                let top = b.gate("top", Gate::KofN(k as u32), children);
+                let graph = b.build(top).unwrap();
+                let mocus = minimal_risk_groups(&graph, &MinimalConfig::default());
+                prop_assert!(group_set(&mocus) == brute_force_minimal(&graph), "{k}-of-{n}");
+            }
+        }
+    }
+
+    /// Subsumption minimization: the family is the antichain a reference
+    /// built on `RiskGroup::is_subset_of` reaches over the same insert
+    /// sequence — same verdict per insert, same groups in the same order
+    /// whenever built — and no member is a subset of another. Ids are
+    /// spread over four words of a row, and enough groups arrive for the
+    /// family to start keeping its posting lists. The empty group, last,
+    /// evicts everything and then rejects everything.
     #[test]
     fn family_is_antichain(groups in proptest::collection::vec(
-        proptest::collection::btree_set(0u32..16, 1..5), 1..30)) {
-        let fam: RgFamily = groups
+        proptest::collection::btree_set(0u32..24, 1..5), 1..120)) {
+        let groups: Vec<RiskGroup> = groups
             .into_iter()
-            .map(|g| RiskGroup::new(g.into_iter().collect()))
+            .map(|g| RiskGroup::new(g.into_iter().map(|id| id * 11).collect()))
             .collect();
-        let items = fam.groups();
+        let mut fam = RgFamily::new();
+        let mut reference: Vec<RiskGroup> = Vec::new();
+        for g in &groups {
+            let kept = !reference.iter().any(|held| held.is_subset_of(g));
+            if kept {
+                reference.retain(|held| !g.is_subset_of(held));
+                reference.push(g.clone());
+            }
+            prop_assert!(fam.insert(g.clone()) == kept, "inserting {g:?}");
+            prop_assert_eq!(group_set(&fam), reference.iter().cloned().collect::<BTreeSet<_>>());
+        }
+        for g in &groups {
+            prop_assert!(fam.contains(g) == reference.contains(g), "{g:?}");
+        }
+        let again: RgFamily = groups.iter().cloned().collect();
+        prop_assert!(fam.groups().eq(again.groups()), "row order depends on more than the inserts");
+        let items: Vec<RiskGroup> = fam.groups().collect();
         for (i, a) in items.iter().enumerate() {
             for (j, b) in items.iter().enumerate() {
                 if i != j {
@@ -556,6 +653,10 @@ proptest! {
                 }
             }
         }
+        let nothing = RiskGroup::new(Vec::new());
+        prop_assert!(fam.insert(nothing.clone()));
+        prop_assert!(!fam.insert(groups[0].clone()));
+        prop_assert!(fam.groups().eq([nothing]));
     }
 
     /// k-of-n gates: the top event fails exactly when at least k replica

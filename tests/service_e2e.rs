@@ -314,6 +314,65 @@ fn hostile_specs_are_rejected_or_survived() {
     daemon.join().unwrap().expect("serve loop");
 }
 
+/// The default spec is the untruncated exact engine, so a request can
+/// name a deployment whose family outgrows the engine's cap: two servers
+/// that must both fail, 1,001 components each, is 1,002,001 minimal RGs.
+/// That is an audit error naming the gate and the cap — answered by the
+/// job itself, not by the crash guard of a panicked one.
+#[test]
+fn oversized_minimal_family_is_an_audit_error() {
+    use indaas::obs::{format_trace_id, TraceContext};
+
+    let (addr, daemon) = start_daemon();
+    let mut client = Client::connect(addr).expect("connect");
+    let records: String = (0..2_002)
+        .map(|i| format!("<hw=\"W{}\" type=\"Disk\" dep=\"disk{i}\"/>\n", i % 2))
+        .collect();
+    client.ingest(&records).expect("ingest");
+
+    let spec =
+        AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("wide", ["W0", "W1"])]);
+    assert!(matches!(
+        spec.algorithm,
+        RgAlgorithm::Minimal { max_order: None }
+    ));
+    let root = TraceContext::root();
+    let request = Request::AuditSia {
+        spec,
+        timeout_ms: None,
+    };
+    let message = match client
+        .request_traced(&request, Some(root))
+        .expect("answered")
+    {
+        Response::Error { message } => message,
+        other => panic!("expected an error, got {other:?}"),
+    };
+    assert!(message.starts_with("audit failed:"), "got: {message}");
+    assert!(
+        message.contains("\"wide fails\""),
+        "names the gate: {message}"
+    );
+    assert!(
+        message.contains("exceeded 1000000"),
+        "names the cap: {message}"
+    );
+
+    let (_node, spans) = client
+        .fetch_trace(&format_trace_id(root.trace_id))
+        .expect("trace");
+    let audit = spans
+        .iter()
+        .find(|s| s.name == names::SPAN_AUDIT)
+        .expect("audit span");
+    let outcome = attr(audit, names::ATTR_OUTCOME).expect("outcome attr");
+    assert!(outcome.contains("exceeded 1000000"), "outcome {outcome:?}");
+
+    client.ping().expect("pool and connection still usable");
+    client.shutdown().expect("shutdown");
+    daemon.join().unwrap().expect("serve loop");
+}
+
 #[test]
 fn pia_cache_survives_ingest_epochs() {
     let (addr, daemon) = start_daemon();
