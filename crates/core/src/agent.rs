@@ -6,7 +6,8 @@ use indaas_graph::{CancelToken, Cancelled};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::{
     build_fault_graph, failure_sampling_cancellable, minimal_risk_groups_cancellable, AuditReport,
-    Bdd, BuildError, BuildSpec, DeploymentAudit, MinimalConfig, MinimalError, SamplingConfig,
+    Bdd, BddError, BuildError, BuildSpec, DeploymentAudit, MinimalConfig, MinimalError,
+    SamplingConfig,
 };
 
 use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
@@ -56,6 +57,8 @@ pub enum AuditError {
     Cancelled(Cancelled),
     /// A deployment's minimal risk groups outgrew the engine's family cap.
     TooLarge(String, MinimalError),
+    /// A deployment's BDD outgrew the spec's `max_nodes` budget.
+    BddTooLarge(String, BddError),
 }
 
 impl std::fmt::Display for AuditError {
@@ -66,6 +69,7 @@ impl std::fmt::Display for AuditError {
             AuditError::Acquisition(e) => write!(f, "dependency acquisition failed: {e}"),
             AuditError::Cancelled(c) => write!(f, "{c}"),
             AuditError::TooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
+            AuditError::BddTooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
         }
     }
 }
@@ -239,7 +243,10 @@ impl AuditingAgent {
                             (bdd, family)
                         })
                     })
-                    .map_err(AuditError::Cancelled)?;
+                    .map_err(|e| match e {
+                        BddError::Cancelled(c) => AuditError::Cancelled(c),
+                        too_large => AuditError::BddTooLarge(cand.name.clone(), too_large),
+                    })?;
                     exact_pr = Some(bdd);
                     family
                 }
@@ -453,6 +460,21 @@ mod tests {
             .unwrap();
         assert_eq!(prob.best().unwrap().name, "S1+S3");
         assert!(prob.best().unwrap().failure_probability.unwrap() > 0.0);
+        // A budget the graph outgrows is an audit error, not a panic.
+        let err = agent
+            .audit_sia(&AuditSpec {
+                algorithm: RgAlgorithm::Bdd { max_nodes: 2 },
+                ..AuditSpec::sia_size_based(candidates())
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                AuditError::BddTooLarge(_, BddError::TooLarge { cap: 2 })
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("BDD exceeded 2 nodes"), "{err}");
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl DepDb {
     /// Walks every stored record without copying it (order: network,
     /// hardware, software, each sorted by host) — the borrowing
     /// counterpart of [`DepDb::all_records`] for full-database passes
-    /// like [`DepDb::save`] and shard re-routing, which previously
+    /// like segment saves and shard re-routing, which previously
     /// materialized a full `Vec` of clones on every pass.
     pub fn records_iter(&self) -> impl Iterator<Item = DepRecordRef<'_>> {
         fn sorted_keys<T>(map: &HashMap<String, Vec<T>>) -> Vec<&String> {
@@ -249,26 +249,6 @@ impl DepDb {
     /// order — used by tests and callers that need owned records.
     pub fn all_records(&self) -> Vec<DependencyRecord> {
         self.records_iter().map(DepRecordRef::to_owned).collect()
-    }
-
-    /// Saves the database to a Table-1-format text file — the portable,
-    /// human-inspectable interchange every acquisition module already
-    /// speaks. A header comment records provenance.
-    ///
-    /// The write is crash-safe: contents land in a temp file that is
-    /// renamed into place ([`crate::persist::write_atomic`]), so a
-    /// killed daemon never leaves a torn Table-1 file behind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let mut text = String::from("# INDaaS DepDB export (Table-1 record format)\n");
-        for rec in self.records_iter() {
-            text.push_str(&crate::format::serialize_record_ref(rec));
-            text.push('\n');
-        }
-        crate::persist::write_atomic(path, &text)
     }
 
     /// Loads a database from a Table-1-format text file.
@@ -428,7 +408,7 @@ mod tests {
     fn file_roundtrip() {
         let db = sample_db();
         let path = std::env::temp_dir().join(format!("depdb-test-{}", std::process::id()));
-        db.save(&path).unwrap();
+        std::fs::write(&path, crate::format::serialize_records(&db.all_records())).unwrap();
         let back = DepDb::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back.len(), db.len());

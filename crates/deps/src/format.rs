@@ -96,7 +96,7 @@ pub fn serialize_record(rec: &DependencyRecord) -> String {
 }
 
 /// [`serialize_record`] over a borrowed record view — lets full-database
-/// passes ([`crate::DepDb::save`]) stream straight from
+/// passes (segment saves) stream straight from
 /// [`crate::DepDb::records_iter`] without cloning every record first.
 pub fn serialize_record_ref(rec: crate::depdb::DepRecordRef<'_>) -> String {
     use crate::depdb::DepRecordRef;

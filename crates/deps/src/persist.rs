@@ -12,10 +12,10 @@
 //!   ...
 //! ```
 //!
-//! * **Segments** are plain Table-1 text — the same portable format as
-//!   [`DepDb::save`] — holding exactly the records that route to their
-//!   shard index, so a loader can rebuild per-shard databases without a
-//!   routing pass.
+//! * **Segments** are plain Table-1 text — the same portable format
+//!   [`DepDb::load`] reads — holding exactly the records that route to
+//!   their shard index, so a loader can rebuild per-shard databases
+//!   without a routing pass.
 //! * **Every file is written atomically** ([`write_atomic`]): contents
 //!   go to a temp file in the same directory which is then `rename`d
 //!   into place, so readers (and the next boot) see either the old or
@@ -39,12 +39,10 @@
 //!   that is a deliberate downgrade guard, not corruption.
 //!   [`ShardedDepDb::open_reporting`] surfaces what was set aside in a
 //!   [`LoadReport`] so the daemon can count it.
-//! * **The legacy monolithic format loads transparently**:
-//!   [`ShardedDepDb::open`] accepts a single Table-1 *file* path too,
-//!   routing its records into shards and migrating in place — the file
-//!   is preserved as `<path>.legacy.bak` and replaced by a segmented
-//!   directory, so the daemon's later saves into the same path just
-//!   work.
+//! * **A db dir is always a directory**: [`ShardedDepDb::open`] refuses
+//!   a plain file. A Table-1 file becomes segments by loading it as
+//!   records into a store and saving that (`serve --records FILE
+//!   --db-dir DIR` does exactly this).
 //!
 //! Records land in segment files in [`DepDb::records_iter`] order
 //! (sorted by kind then host), so re-saving an unchanged shard is
@@ -342,31 +340,27 @@ impl ShardedDepDb {
         Ok((store, report))
     }
 
-    /// Opens a dependency store from `path`, whatever its format:
+    /// Opens the segmented store at `path`:
     ///
     /// * a directory with a manifest — segmented load
     ///   ([`Self::load_segments`]);
-    /// * a plain file — the legacy monolithic Table-1 format, **migrated
-    ///   in place**: the file is preserved as `<path>.legacy.bak` and
-    ///   replaced by a segmented directory at the same path, so every
-    ///   subsequent save (the daemon saves into this same path) just
-    ///   works;
-    /// * a missing path — an empty store (the directory is created by
-    ///   the first save).
+    /// * a missing path or an empty directory — an empty store (the
+    ///   directory is created by the first save).
     ///
     /// # Errors
     ///
-    /// `InvalidData` for malformed content; `NotFound` only for a
-    /// directory that exists but has no manifest *and* is non-empty
-    /// (refusing to silently shadow unknown data); other I/O errors
-    /// pass through. A failed migration never loses data: the original
-    /// file survives (at its own path or as the `.legacy.bak`).
+    /// `InvalidInput` for a plain file (the message names `--records
+    /// FILE --db-dir DIR`, the way to turn a Table-1 file into
+    /// segments); `NotFound` for a directory that exists but has no
+    /// manifest *and* is non-empty (refusing to silently shadow unknown
+    /// data); `InvalidData` for malformed content; other I/O errors pass
+    /// through.
     pub fn open(path: impl AsRef<Path>, shards: usize) -> io::Result<ShardedDepDb> {
         Self::open_reporting(path, shards).map(|(store, _)| store)
     }
 
     /// [`Self::open`] plus the [`LoadReport`] of files a segmented load
-    /// quarantined (always empty for the legacy/missing-path shapes).
+    /// quarantined (always empty for an empty store).
     ///
     /// # Errors
     ///
@@ -376,69 +370,33 @@ impl ShardedDepDb {
         shards: usize,
     ) -> io::Result<(ShardedDepDb, LoadReport)> {
         let path = path.as_ref();
-        let backup = legacy_backup_path(path);
         if !path.exists() {
-            if backup.is_file() {
-                // A crash between a migration's rename and its first
-                // segment write left the records only in the backup:
-                // resume instead of silently booting an empty store.
-                return Ok((
-                    Self::migrate_legacy(path, &backup, shards)?,
-                    LoadReport::default(),
-                ));
-            }
             return Ok((ShardedDepDb::new(shards), LoadReport::default()));
         }
-        if path.is_dir() {
-            if path.join(MANIFEST_FILE).exists() {
-                return Self::load_segments_reporting(path, shards);
-            }
-            if backup.is_file() {
-                // Partially-written migration target (crash before the
-                // manifest landed): the backup is authoritative; redo.
-                return Ok((
-                    Self::migrate_legacy(path, &backup, shards)?,
-                    LoadReport::default(),
-                ));
-            }
-            if std::fs::read_dir(path)?.next().is_none() {
-                return Ok((ShardedDepDb::new(shards), LoadReport::default()));
-            }
+        if !path.is_dir() {
             return Err(io::Error::new(
-                io::ErrorKind::NotFound,
+                io::ErrorKind::InvalidInput,
                 format!(
-                    "{} has no {MANIFEST_FILE} but is not empty; refusing to treat it as a db dir",
+                    "{} is a file, not a db dir; to turn a Table-1 file into segments, \
+                     boot with --records FILE --db-dir DIR",
                     path.display()
                 ),
             ));
         }
-        // Legacy monolithic Table-1 file: set it aside as the backup
-        // (atomic rename — the records always exist in full somewhere),
-        // then write the segmented layout where it stood. A crash at
-        // any point is recovered by the resume branches above on the
-        // next open.
-        std::fs::rename(path, &backup)?;
-        Ok((
-            Self::migrate_legacy(path, &backup, shards)?,
-            LoadReport::default(),
+        if path.join(MANIFEST_FILE).exists() {
+            return Self::load_segments_reporting(path, shards);
+        }
+        if std::fs::read_dir(path)?.next().is_none() {
+            return Ok((ShardedDepDb::new(shards), LoadReport::default()));
+        }
+        Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!(
+                "{} has no {MANIFEST_FILE} but is not empty; refusing to treat it as a db dir",
+                path.display()
+            ),
         ))
     }
-
-    /// Loads the legacy monolithic `backup` and writes it as a
-    /// segmented directory at `dir` — both the fresh-migration tail and
-    /// the crash-resume path.
-    fn migrate_legacy(dir: &Path, backup: &Path, shards: usize) -> io::Result<ShardedDepDb> {
-        let store = ShardedDepDb::from_db(DepDb::load(backup)?, shards);
-        store.save_segments(dir)?;
-        Ok(store)
-    }
-}
-
-/// `<path>.legacy.bak` — where a migrated monolithic file is preserved.
-fn legacy_backup_path(path: &Path) -> PathBuf {
-    let mut backup = path.as_os_str().to_owned();
-    backup.push(".legacy.bak");
-    PathBuf::from(backup)
 }
 
 fn read_manifest(dir: &Path) -> io::Result<Manifest> {
@@ -668,30 +626,27 @@ mod tests {
     }
 
     #[test]
-    fn open_handles_all_three_shapes() {
-        // Missing path: empty store.
+    fn open_handles_every_shape() {
+        // Missing path and empty directory: empty store.
         let missing = temp_dir("open-missing");
-        let empty = ShardedDepDb::open(&missing, 4).unwrap();
-        assert!(empty.is_empty());
-        // Legacy monolithic file: routed into shards and migrated in
-        // place — the file becomes a segmented directory, the original
-        // bytes survive as `<path>.legacy.bak`.
-        let dir = temp_dir("open-legacy");
+        assert!(ShardedDepDb::open(&missing, 4).unwrap().is_empty());
+        let dir = temp_dir("open-shapes");
         std::fs::create_dir_all(&dir).unwrap();
-        let mono_path = dir.join("deps.tbl");
-        let mono = DepDb::from_records(sample_records(7));
-        mono.save(&mono_path).unwrap();
-        let migrated = ShardedDepDb::open(&mono_path, 4).unwrap();
-        assert_eq!(migrated.len(), mono.len());
-        assert!(mono_path.is_dir(), "file migrates to a segmented dir");
-        assert!(mono_path.join(MANIFEST_FILE).exists());
-        let backup = dir.join("deps.tbl.legacy.bak");
-        assert_eq!(DepDb::load(&backup).unwrap().len(), mono.len());
-        // The migrated path now opens as a segmented directory, and
-        // saves into it succeed (the whole point of migrating).
-        let reopened = ShardedDepDb::open(&mono_path, 4).unwrap();
-        assert_eq!(reopened.len(), mono.len());
-        assert_eq!(reopened.save_dirty_segments(&mono_path).unwrap(), 0);
+        assert!(ShardedDepDb::open(&dir, 4).unwrap().is_empty());
+        // A segmented directory loads.
+        let store = ShardedDepDb::new(4);
+        store.ingest(sample_records(7));
+        let seg_dir = dir.join("db");
+        store.save_segments(&seg_dir).unwrap();
+        assert_eq!(ShardedDepDb::open(&seg_dir, 4).unwrap().len(), store.len());
+        // A plain Table-1 file is refused, naming the flags that turn
+        // one into segments.
+        let file = dir.join("deps.tbl");
+        std::fs::write(&file, "<hw=\"srv-0\" type=\"CPU\" dep=\"cpu-0\"/>\n").unwrap();
+        let err = ShardedDepDb::open(&file, 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("--records FILE --db-dir DIR"));
+        assert!(file.is_file(), "the refused file is left alone");
         // Non-empty directory without a manifest is refused.
         let err = ShardedDepDb::open(&dir, 4).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
@@ -712,27 +667,6 @@ mod tests {
         assert_eq!(written, 4, "corrupt manifest forces a full rewrite");
         let back = ShardedDepDb::load_segments(&dir, 4).unwrap();
         assert_eq!(back.len(), store.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interrupted_legacy_migration_resumes_from_backup() {
-        let dir = temp_dir("resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mono = DepDb::from_records(sample_records(9));
-        let db_path = dir.join("deps.tbl");
-        // Crash shape 1: the rename landed but no segment was written —
-        // only the backup exists.
-        mono.save(dir.join("deps.tbl.legacy.bak")).unwrap();
-        let resumed = ShardedDepDb::open(&db_path, 4).unwrap();
-        assert_eq!(resumed.len(), mono.len(), "resume must reload the backup");
-        assert!(db_path.join(MANIFEST_FILE).exists());
-        // Crash shape 2: a partial segment dir without a manifest plus
-        // the backup — the backup stays authoritative.
-        std::fs::remove_file(db_path.join(MANIFEST_FILE)).unwrap();
-        let resumed = ShardedDepDb::open(&db_path, 4).unwrap();
-        assert_eq!(resumed.len(), mono.len());
-        assert!(db_path.join(MANIFEST_FILE).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

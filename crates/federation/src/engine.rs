@@ -9,9 +9,7 @@ use indaas_deps::DepView;
 use indaas_graph::CancelToken;
 use indaas_pia::normalize::normalize_set;
 use indaas_pia::{run_psop_party, PsopConfig};
-use indaas_service::proto::{
-    FEDERATION_PROTOCOL_VERSION, MAX_FEDERATE_PAYLOAD_BYTES, MIN_FEDERATION_PROTOCOL_VERSION,
-};
+use indaas_service::proto::{FEDERATION_PROTOCOL_VERSION, MAX_FEDERATE_PAYLOAD_BYTES};
 use indaas_service::server::{FederationCtx, FederationEngine, PartyCompletion, PartyInstruction};
 
 use crate::peer::{PeerConn, TcpRoundTransport};
@@ -29,10 +27,6 @@ pub struct Federation {
     node: String,
     peers: PeerRegistry,
     sessions: SessionRegistry,
-    /// Protocol version offered when dialing ring successors. Defaults
-    /// to the newest this build speaks; pinning it to 1 forces the
-    /// legacy hex framing (how the wire-efficiency e2e measures both).
-    offer_version: u32,
 }
 
 impl Federation {
@@ -48,18 +42,7 @@ impl Federation {
             node: node.into(),
             peers,
             sessions: SessionRegistry::new(),
-            offer_version: FEDERATION_PROTOCOL_VERSION,
         }
-    }
-
-    /// Pins the protocol version this engine offers when dialing peers
-    /// (clamped into the supported range). Listener-side negotiation is
-    /// unaffected: incoming peers still get `min(offered, supported)`.
-    #[must_use]
-    pub fn with_protocol_version(mut self, version: u32) -> Self {
-        self.offer_version =
-            version.clamp(MIN_FEDERATION_PROTOCOL_VERSION, FEDERATION_PROTOCOL_VERSION);
-        self
     }
 
     /// The node name announced in handshakes.
@@ -102,15 +85,10 @@ pub fn provider_component_set<D: DepView + ?Sized>(db: &D) -> Vec<String> {
 }
 
 impl FederationEngine for Federation {
-    fn handshake(
-        &self,
-        offered: u32,
-        peer_node: &str,
-        trace: bool,
-    ) -> Result<(u32, String, bool), String> {
-        if offered < MIN_FEDERATION_PROTOCOL_VERSION {
+    fn handshake(&self, offered: u32, peer_node: &str) -> Result<(u32, String), String> {
+        if offered < FEDERATION_PROTOCOL_VERSION {
             return Err(format!(
-                "protocol version {offered} below supported minimum {MIN_FEDERATION_PROTOCOL_VERSION}"
+                "protocol version {offered} below supported minimum {FEDERATION_PROTOCOL_VERSION}"
             ));
         }
         if peer_node == self.node {
@@ -123,12 +101,7 @@ impl FederationEngine for Federation {
                 "node {peer_node:?} is not in this daemon's peer allow-list"
             ));
         }
-        let negotiated = offered.min(FEDERATION_PROTOCOL_VERSION);
-        // The trace-context frame extension exists only in the binary
-        // framing, so a session negotiated down to v1 drops it even if
-        // the peer offered it.
-        let traced = trace && negotiated >= 2;
-        Ok((negotiated, self.node.clone(), traced))
+        Ok((offered.min(FEDERATION_PROTOCOL_VERSION), self.node.clone()))
     }
 
     fn deliver(&self, session: u64, round: u32, from: u32, payload: Vec<u8>) -> Result<(), String> {
@@ -218,9 +191,8 @@ impl FederationEngine for Federation {
             .unwrap_or(Duration::MAX);
         let token = CancelToken::with_deadline(budget);
 
-        let conn =
-            PeerConn::dial_with_version(&successor, &self.node, round_timeout, self.offer_version)
-                .map_err(|e| format!("dialing successor {successor}: {e}"))?;
+        let conn = PeerConn::dial(&successor, &self.node, round_timeout)
+            .map_err(|e| format!("dialing successor {successor}: {e}"))?;
         let mailbox = self.sessions.mailbox(session)?;
         let mut transport = TcpRoundTransport::new(
             index as usize,
@@ -231,8 +203,8 @@ impl FederationEngine for Federation {
             token.clone(),
             round_timeout,
         )
-        .with_trace(Some(trace))
-        .with_redial(&successor, &self.node, self.offer_version);
+        .with_trace(trace)
+        .with_redial(&successor, &self.node);
         let config = PsopConfig { seed, multiset };
         let run = run_psop_party(
             &dataset,
@@ -274,41 +246,27 @@ mod tests {
     #[test]
     fn handshake_negotiates_and_rejects() {
         let f = Federation::new("127.0.0.1:1000");
-        let (v, node, traced) = f
-            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:2000", true)
+        let (v, node) = f
+            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:2000")
             .unwrap();
         assert_eq!(v, FEDERATION_PROTOCOL_VERSION);
         assert_eq!(node, "127.0.0.1:1000");
-        assert!(traced, "v2 peers offering tracing get it");
         // A newer peer negotiates down to ours.
-        let (v, _, _) = f
-            .handshake(FEDERATION_PROTOCOL_VERSION + 5, "127.0.0.1:2000", false)
+        let (v, _) = f
+            .handshake(FEDERATION_PROTOCOL_VERSION + 5, "127.0.0.1:2000")
             .unwrap();
         assert_eq!(v, FEDERATION_PROTOCOL_VERSION);
-        // Too-old versions and self-connections are refused.
+        // Older versions (v1 included) and self-connections are refused.
+        for old in [0, FEDERATION_PROTOCOL_VERSION - 1] {
+            assert!(f
+                .handshake(old, "127.0.0.1:2000")
+                .unwrap_err()
+                .contains(&format!("version {old}")));
+        }
         assert!(f
-            .handshake(0, "127.0.0.1:2000", false)
-            .unwrap_err()
-            .contains("version"));
-        assert!(f
-            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:1000", false)
+            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:1000")
             .unwrap_err()
             .contains("self"));
-    }
-
-    #[test]
-    fn handshake_negotiates_tracing_off_at_v1() {
-        let f = Federation::new("127.0.0.1:1000");
-        // Tracing needs the binary framing: a v1 offer drops it even if
-        // the peer (nonsensically) asked for it.
-        let (v, _, traced) = f.handshake(1, "127.0.0.1:2000", true).unwrap();
-        assert_eq!(v, 1);
-        assert!(!traced);
-        // And a v2 peer not offering it does not get it.
-        let (_, _, traced) = f
-            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:2000", false)
-            .unwrap();
-        assert!(!traced);
     }
 
     #[test]
@@ -317,9 +275,11 @@ mod tests {
             "127.0.0.1:1000",
             PeerRegistry::with_peers(["127.0.0.1:2000".to_string()]),
         );
-        assert!(f.handshake(1, "127.0.0.1:2000", false).is_ok());
         assert!(f
-            .handshake(1, "127.0.0.1:3000", false)
+            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:2000")
+            .is_ok());
+        assert!(f
+            .handshake(FEDERATION_PROTOCOL_VERSION, "127.0.0.1:3000")
             .unwrap_err()
             .contains("allow-list"));
     }

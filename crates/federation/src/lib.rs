@@ -9,9 +9,10 @@
 //!
 //! * [`session`] — per-session frame mailboxes and the registry routing
 //!   incoming peer frames to the party blocked on them;
-//! * [`peer`] — outbound peer sessions (`FederateHello` handshake with
-//!   protocol-version negotiation) and [`peer::TcpRoundTransport`], the
-//!   one-party transport view `run_psop_party` executes against;
+//! * [`peer`] — outbound peer sessions (`FederateHello` version
+//!   handshake, then traced binary round frames) and
+//!   [`peer::TcpRoundTransport`], the one-party transport view
+//!   `run_psop_party` executes against;
 //! * [`registry`] — the peer allow-list behind `serve --peer`;
 //! * [`engine`] — the daemon-side [`indaas_service::server::FederationEngine`]:
 //!   handshake policy, frame routing, self-connection rejection, and the

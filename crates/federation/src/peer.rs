@@ -1,10 +1,11 @@
 //! Outbound peer sessions and the one-party TCP transport view.
 //!
 //! [`PeerConn`] dials a fellow daemon's listener, performs the
-//! `FederateHello`/`FederateWelcome` version negotiation, and then writes
-//! `FederateData` frames. [`TcpRoundTransport`] wraps one such connection
-//! plus the local session mailbox into a [`Transport`] hosting exactly
-//! one party — the view `indaas_pia::run_psop_party` executes against.
+//! `FederateHello`/`FederateWelcome` version handshake, and then writes
+//! binary round frames, each stamped with a trace context.
+//! [`TcpRoundTransport`] wraps one such connection plus the local
+//! session mailbox into a [`Transport`] hosting exactly one party — the
+//! view `indaas_pia::run_psop_party` executes against.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -15,9 +16,8 @@ use indaas_faultinj::{points, FaultAction};
 use indaas_graph::CancelToken;
 use indaas_obs::TraceContext;
 use indaas_service::proto::{
-    decode_line, encode_line, encode_payload, encode_traced_round_frame, read_bounded_line,
-    write_frame, LineRead, Request, Response, FEDERATION_PROTOCOL_VERSION,
-    MAX_FEDERATE_PAYLOAD_BYTES, MIN_FEDERATION_PROTOCOL_VERSION,
+    decode_line, encode_line, encode_traced_round_frame, read_bounded_line, write_frame, LineRead,
+    Request, Response, FEDERATION_PROTOCOL_VERSION, MAX_FEDERATE_PAYLOAD_BYTES,
 };
 use indaas_simnet::{Message, PartyId, TrafficStats, Transport, TransportError};
 
@@ -31,48 +31,24 @@ const MAX_WELCOME_LINE: u64 = 4 * 1024;
 /// An established (handshaken) outbound peer session.
 pub struct PeerConn {
     writer: TcpStream,
-    /// Negotiated protocol version: ≥ 2 ships raw binary round frames,
-    /// 1 falls back to hex-in-JSON lines.
-    pub version: u32,
     /// The peer's self-reported node name.
     pub peer_node: String,
-    /// Whether the handshake negotiated the trace-context frame
-    /// extension (offered at version ≥ 2, on only when the welcome
-    /// echoed it back). A v1 peer always negotiates it away.
-    pub trace_enabled: bool,
-    /// Every byte this connection has put on the wire — handshake and
-    /// framing included — for the wire-efficiency accounting binary
-    /// framing is measured by.
+    /// Every byte this connection has put on the wire — the handshake
+    /// line and every frame's length prefix, header, payload and trace
+    /// context.
     wire_sent: u64,
 }
 
 impl PeerConn {
-    /// Dials `addr`, announces `own_node`, and negotiates the protocol
-    /// version, offering the newest this build speaks.
+    /// Dials `addr`, announces `own_node`, and performs the version
+    /// handshake at [`FEDERATION_PROTOCOL_VERSION`].
     ///
     /// # Errors
     ///
     /// I/O failures, a handshake rejection (the peer's `Error` answer —
-    /// e.g. a detected self-connection), an unsupported version, or a
-    /// peer that answers out of protocol.
+    /// e.g. a detected self-connection), a welcome at any other version,
+    /// or a peer that answers out of protocol.
     pub fn dial(addr: &str, own_node: &str, timeout: Duration) -> Result<Self, FederationError> {
-        Self::dial_with_version(addr, own_node, timeout, FEDERATION_PROTOCOL_VERSION)
-    }
-
-    /// [`PeerConn::dial`] offering an explicit protocol version — how a
-    /// dialer deliberately downgrades to v1 hex framing (the
-    /// wire-efficiency e2e suite measures both encodings this way).
-    ///
-    /// # Errors
-    ///
-    /// See [`PeerConn::dial`]; additionally rejects a peer negotiating
-    /// *above* the offered version (a broken negotiation).
-    pub fn dial_with_version(
-        addr: &str,
-        own_node: &str,
-        timeout: Duration,
-        offer: u32,
-    ) -> Result<Self, FederationError> {
         // Chaos hook: an armed `fed.dial` point fails the dial before a
         // single byte leaves this daemon (any non-pass action refuses).
         if indaas_faultinj::point(points::FED_DIAL) != FaultAction::Pass {
@@ -89,22 +65,15 @@ impl PeerConn {
         // its socket mid-round fails this party instead of wedging it.
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
+        let mut writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
-        let mut conn = PeerConn {
-            writer,
-            version: offer,
-            peer_node: String::new(),
-            trace_enabled: false,
-            wire_sent: 0,
-        };
-        conn.write_line(&encode_line(&Request::FederateHello {
-            version: offer,
+        let mut hello = encode_line(&Request::FederateHello {
+            version: FEDERATION_PROTOCOL_VERSION,
             node: own_node.to_string(),
-            // Offer the trace extension whenever the binary frame
-            // encoding is on the table; a v1 offer never carries it.
-            trace: (offer >= 2).then_some(true),
-        }))?;
+        });
+        hello.push('\n');
+        writer.write_all(hello.as_bytes())?;
+        writer.flush()?;
         let mut line = String::new();
         match read_bounded_line(&mut reader, &mut line, MAX_WELCOME_LINE)? {
             LineRead::Line => {}
@@ -120,14 +89,8 @@ impl PeerConn {
             }
         }
         match decode_line::<Response>(line.trim()) {
-            Ok(Response::FederateWelcome {
-                version,
-                node,
-                trace,
-            }) => {
-                if !(MIN_FEDERATION_PROTOCOL_VERSION..=offer.min(FEDERATION_PROTOCOL_VERSION))
-                    .contains(&version)
-                {
+            Ok(Response::FederateWelcome { version, node }) => {
+                if version != FEDERATION_PROTOCOL_VERSION {
                     return Err(FederationError::Protocol(format!(
                         "peer {addr} negotiated unsupported protocol version {version}"
                     )));
@@ -137,12 +100,11 @@ impl PeerConn {
                         "peer {addr} is this daemon itself (node {node:?}); refusing self-peering"
                     )));
                 }
-                conn.version = version;
-                conn.peer_node = node;
-                // Both the offer and the echo must agree, and the
-                // extension only exists in the binary framing.
-                conn.trace_enabled = version >= 2 && trace == Some(true);
-                Ok(conn)
+                Ok(PeerConn {
+                    writer,
+                    peer_node: node,
+                    wire_sent: hello.len() as u64,
+                })
             }
             Ok(Response::Error { message }) => Err(FederationError::Remote(message)),
             Ok(other) => Err(FederationError::Protocol(format!(
@@ -154,13 +116,9 @@ impl PeerConn {
         }
     }
 
-    /// Ships one round frame: raw binary at the negotiated version ≥ 2
-    /// (header + ciphertext bytes verbatim — about half the wire bytes),
-    /// hex-in-JSON lines for v1 peers. When `trace` is set *and* the
-    /// handshake negotiated the extension, the binary frame carries the
-    /// context so the receiving daemon records the hop under the same
-    /// trace; otherwise the frame is byte-identical to the untraced
-    /// encoding (v1 lines never carry a context).
+    /// Ships one round frame: the binary header, the ciphertext bytes
+    /// verbatim, and `trace`, which the receiving daemon records the hop
+    /// under.
     ///
     /// # Errors
     ///
@@ -172,7 +130,7 @@ impl PeerConn {
         round: u32,
         from: u32,
         payload: &[u8],
-        trace: Option<&TraceContext>,
+        trace: &TraceContext,
     ) -> Result<(), FederationError> {
         if payload.len() > MAX_FEDERATE_PAYLOAD_BYTES {
             return Err(FederationError::Protocol(format!(
@@ -201,33 +159,17 @@ impl PeerConn {
                 )));
             }
         }
-        if self.version >= 2 {
-            let trace = if self.trace_enabled { trace } else { None };
-            let frame = encode_traced_round_frame(session, round, from, payload, trace);
-            write_frame(&mut self.writer, &frame).map_err(FederationError::Io)?;
-            self.writer.flush()?;
-            self.wire_sent += 4 + frame.len() as u64;
-            return Ok(());
-        }
-        self.write_line(&encode_line(&Request::FederateData {
-            session,
-            round,
-            from,
-            payload: encode_payload(payload),
-        }))
+        let frame = encode_traced_round_frame(session, round, from, payload, trace);
+        write_frame(&mut self.writer, &frame).map_err(FederationError::Io)?;
+        self.writer.flush()?;
+        self.wire_sent += 4 + frame.len() as u64;
+        Ok(())
     }
 
-    /// Bytes this connection has written, framing included.
+    /// Bytes this connection has written, handshake and framing
+    /// included.
     pub fn wire_sent_bytes(&self) -> u64 {
         self.wire_sent
-    }
-
-    fn write_line(&mut self, line: &str) -> Result<(), FederationError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.wire_sent += line.len() as u64 + 1;
-        Ok(())
     }
 }
 
@@ -261,7 +203,6 @@ const INITIAL_SEND_BACKOFF: Duration = Duration::from_millis(20);
 struct RedialInfo {
     addr: String,
     node: String,
-    offer: u32,
 }
 
 /// One party's [`Transport`] view of a federated session: sends to the
@@ -279,8 +220,9 @@ pub struct TcpRoundTransport {
     round_timeout: Duration,
     /// This party's `fed_party` span context; every outgoing ring frame
     /// is stamped with a fresh child of it, which the successor daemon
-    /// records verbatim — the cross-daemon parent link.
-    trace: Option<TraceContext>,
+    /// records verbatim — the cross-daemon parent link. All-zero (the
+    /// wire's "absent") until [`TcpRoundTransport::with_trace`].
+    trace: TraceContext,
     stats: TrafficStats,
     /// Ring-send ordinal stamped on outgoing frames.
     send_round: u32,
@@ -338,7 +280,11 @@ impl TcpRoundTransport {
             mailbox,
             token,
             round_timeout,
-            trace: None,
+            trace: TraceContext {
+                trace_id: 0,
+                span_id: 0,
+                parent_span_id: 0,
+            },
             stats: TrafficStats::new(providers + 1),
             send_round: 0,
             recv_round: 0,
@@ -354,29 +300,21 @@ impl TcpRoundTransport {
 
     /// Arms the one-shot ring re-dial: after send retries on the
     /// current successor connection are exhausted, the transport dials
-    /// `addr` once more (announcing `node`, offering protocol version
-    /// `offer`) and retries the frame on the fresh connection before
-    /// giving up.
+    /// `addr` once more (announcing `node`) and retries the frame on the
+    /// fresh connection before giving up.
     #[must_use]
-    pub fn with_redial(
-        mut self,
-        addr: impl Into<String>,
-        node: impl Into<String>,
-        offer: u32,
-    ) -> Self {
+    pub fn with_redial(mut self, addr: impl Into<String>, node: impl Into<String>) -> Self {
         self.redial = Some(RedialInfo {
             addr: addr.into(),
             node: node.into(),
-            offer,
         });
         self
     }
 
     /// Sets the `fed_party` span context outgoing frames are stamped
-    /// under; only sessions whose handshake negotiated tracing on
-    /// should pass `Some`.
+    /// under.
     #[must_use]
-    pub fn with_trace(mut self, trace: Option<TraceContext>) -> Self {
+    pub fn with_trace(mut self, trace: TraceContext) -> Self {
         self.trace = trace;
         self
     }
@@ -417,7 +355,7 @@ impl TcpRoundTransport {
         round: u32,
         from: u32,
         payload: &[u8],
-        trace: Option<&TraceContext>,
+        trace: &TraceContext,
     ) -> Result<(), FederationError> {
         let mut backoff = INITIAL_SEND_BACKOFF;
         let mut attempts = 0u32;
@@ -445,12 +383,7 @@ impl TcpRoundTransport {
                 _ => return Err(err),
             };
             self.redialed = true;
-            match PeerConn::dial_with_version(
-                &info.addr,
-                &info.node,
-                self.round_timeout,
-                info.offer,
-            ) {
+            match PeerConn::dial(&info.addr, &info.node, self.round_timeout) {
                 Ok(conn) => {
                     self.redials += 1;
                     self.wire_sent_base += self.successor.wire_sent_bytes();
@@ -495,8 +428,8 @@ impl Transport for TcpRoundTransport {
         }
         // A fresh child per frame: each ring hop is its own span on the
         // receiving daemon, all parented on this party's span.
-        let frame_ctx = self.trace.map(|c| c.child());
-        self.send_frame_with_retry(self.send_round, from as u32, &payload, frame_ctx.as_ref())
+        let frame_ctx = self.trace.child();
+        self.send_frame_with_retry(self.send_round, from as u32, &payload, &frame_ctx)
             .map_err(|e| TransportError::Closed(e.to_string()))?;
         self.send_round += 1;
         self.stats.record(from, to, bytes);

@@ -4,7 +4,7 @@
 //!
 //! A daemon's single listener accepts both client connections and peer
 //! sessions; the peer-session read loop (in `indaas-service`) hands every
-//! validated `FederateData` frame to [`SessionRegistry::deliver`]-style
+//! validated round frame to [`SessionRegistry::deliver`]-style
 //! routing here. Frames may arrive *before* the coordinator's
 //! `FederateStart` reaches this daemon (the ring has no global barrier),
 //! so mailboxes are created on first touch and buffer until the party

@@ -1,5 +1,4 @@
-//! The pipelining protocol-v2 client session (plus the legacy
-//! lock-step [`V1Client`]).
+//! The pipelining protocol-v2 client session.
 //!
 //! [`Client::connect`] performs the `Hello`/`Welcome` negotiation and
 //! then speaks length-prefixed binary frames carrying correlated
@@ -12,11 +11,9 @@
 //! (`ping`/`ingest`/`audit_sia`/`status`/...) keep their familiar
 //! blocking shape on top.
 //!
-//! [`V1Client`] is the old protocol: plain line-delimited JSON, one
-//! request/response pair at a time, no hello. The daemon serves both
-//! forever — v1 is the downgrade path old tooling rides — and the
-//! protocol-compat e2e suite drives a `V1Client` against the v2 daemon
-//! to prove it.
+//! There is no v1 client: v1 line mode exists so a daemon can be
+//! driven by hand (`nc`, a few lines of any language), and the e2e
+//! suite drives it over a raw socket.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -289,8 +286,7 @@ impl Client {
     ///
     /// Propagates connection failures; a server that rejects the hello
     /// or negotiates below v2 surfaces as
-    /// [`std::io::ErrorKind::InvalidData`] (point old daemons at
-    /// [`V1Client`] instead).
+    /// [`std::io::ErrorKind::InvalidData`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -321,7 +317,7 @@ impl Client {
             Ok(Response::Welcome { version }) if version >= 2 => {}
             Ok(Response::Welcome { version }) => {
                 return Err(invalid(format!(
-                    "server negotiated protocol v{version}; use V1Client for line-mode daemons"
+                    "server negotiated protocol v{version}; this client needs v2"
                 )));
             }
             Ok(Response::Error { message }) => {
@@ -1025,146 +1021,5 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
     match got {
         Response::Error { message } => ClientError::Remote(message.clone()),
         other => ClientError::Protocol(format!("expected {wanted}, got {other:?}")),
-    }
-}
-
-/// The legacy protocol-v1 client: line-delimited JSON, strictly one
-/// request/response pair at a time, no hello. Kept as the compat
-/// surface old tooling uses and the protocol-compat e2e suite drives
-/// against the v2 daemon.
-pub struct V1Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl V1Client {
-    /// Connects to a running daemon without any handshake — the first
-    /// plain request line is what pins the connection to v1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        let writer = stream.try_clone()?;
-        Ok(V1Client {
-            reader: BufReader::new(stream),
-            writer,
-        })
-    }
-
-    /// Caps how long any single response read may block (`None` blocks
-    /// forever, the default).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket-option failure.
-    pub fn set_read_timeout(
-        &mut self,
-        timeout: Option<std::time::Duration>,
-    ) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Sends one request line and reads one response line.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, unparseable responses, or a closed connection.
-    pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let mut line = encode_line(request);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
-        let mut answer = String::new();
-        match read_bounded_line(&mut self.reader, &mut answer, MAX_RESPONSE_LINE)? {
-            LineRead::Line => {}
-            LineRead::Eof => {
-                return Err(ClientError::Protocol("server closed connection".into()));
-            }
-            LineRead::Oversized => {
-                return Err(ClientError::Protocol("oversized response line".into()));
-            }
-        }
-        decode_line(answer.trim()).map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
-    /// Round-trips a ping.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the server answers `Pong`.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(unexpected("Pong", &other)),
-        }
-    }
-
-    /// Streams Table-1 record text into the daemon.
-    ///
-    /// # Errors
-    ///
-    /// Remote parse failures surface as [`ClientError::Remote`].
-    pub fn ingest(&mut self, records: &str) -> Result<IngestAnswer, ClientError> {
-        let response = self.request(&Request::Ingest {
-            records: records.to_string(),
-        })?;
-        ingest_answer(response)
-    }
-
-    /// Runs (or fetches from cache) a structural independence audit.
-    ///
-    /// # Errors
-    ///
-    /// Audit failures, deadline overruns and shed load surface as
-    /// [`ClientError::Remote`].
-    pub fn audit_sia(
-        &mut self,
-        spec: &AuditSpec,
-        timeout_ms: Option<u64>,
-    ) -> Result<SiaAnswer, ClientError> {
-        let response = self.request(&Request::AuditSia {
-            spec: spec.clone(),
-            timeout_ms,
-        })?;
-        match response {
-            Response::Sia {
-                epoch,
-                cached,
-                elapsed_us,
-                report,
-            } => Ok(SiaAnswer {
-                epoch,
-                cached,
-                elapsed_us,
-                report,
-            }),
-            other => Err(unexpected("Sia", &other)),
-        }
-    }
-
-    /// Fetches service counters as the raw `Status` response.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the server answers `Status`.
-    pub fn status(&mut self) -> Result<Response, ClientError> {
-        match self.request(&Request::Status)? {
-            s @ Response::Status { .. } => Ok(s),
-            other => Err(unexpected("Status", &other)),
-        }
-    }
-
-    /// Asks the daemon to exit its serve loop.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless the server acknowledges with `ShuttingDown`.
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("ShuttingDown", &other)),
-        }
     }
 }

@@ -15,9 +15,8 @@
 //!   duplicates are absorbed silently;
 //! * **segmented persistence** — with [`ServeConfig::db_dir`] set, the
 //!   store loads one Table-1 segment file per shard in parallel at
-//!   boot (a legacy monolithic file migrates transparently) and saves
-//!   dirty shards crash-safely (temp file + rename) on collector ticks
-//!   and at shutdown;
+//!   boot and saves dirty shards crash-safely (temp file + rename) on
+//!   collector ticks and at shutdown;
 //! * **concurrent scheduling** — SIA and PIA audit jobs run on a fixed
 //!   worker pool behind a bounded queue with per-job deadlines
 //!   ([`scheduler`]), enforced through the cancellable audit entry
@@ -101,7 +100,7 @@ pub mod telemetry;
 pub use cache::{job_key, AuditCache, EpochPins};
 pub use client::{
     AuditEvent, Client, ClientError, IngestAnswer, MetricsAnswer, PendingResponse, PiaAnswer,
-    SiaAnswer, StatusAnswer, Subscription, SubscriptionEnd, V1Client,
+    SiaAnswer, StatusAnswer, Subscription, SubscriptionEnd,
 };
 pub use proto::{Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry};
 pub use scheduler::{SchedMetrics, Scheduler, SubmitError};

@@ -265,12 +265,10 @@ enum Verdict {
     Close,
     /// Mode switched mid-buffer (v2 negotiation); reparse the buffer.
     Rescan,
-    /// `FederateHello` accepted: hand the socket to a peer thread.
-    /// Boxed: the welcome dwarfs the other (payload-free) variants.
-    HandOff {
-        response: Box<Response>,
-        version: u32,
-    },
+    /// `FederateHello` accepted: hand the socket to a peer thread along
+    /// with the welcome. Boxed: the welcome dwarfs the other
+    /// (payload-free) variants.
+    HandOff(Box<Response>),
 }
 
 /// What dispatching one request produced.
@@ -717,27 +715,13 @@ impl EventLoop<'_> {
             // (and any bytes already buffered behind the hello) to the
             // blocking peer loop — audits and federation share one
             // listener, exactly as before.
-            if let Request::FederateHello {
-                version,
-                node,
-                trace,
-            } = request
-            {
-                let response = federate_hello(self.state, version, &node, trace == Some(true));
-                let negotiated = match &response {
-                    Response::FederateWelcome { version, .. } => Some(*version),
-                    _ => None,
-                };
-                return match negotiated {
-                    Some(version) => Verdict::HandOff {
-                        response: Box::new(response),
-                        version,
-                    },
-                    None => {
-                        push_line(conn, &response);
-                        Verdict::CloseAfterFlush
-                    }
-                };
+            if let Request::FederateHello { version, node } = request {
+                let response = federate_hello(self.state, version, &node);
+                if matches!(response, Response::FederateWelcome { .. }) {
+                    return Verdict::HandOff(Box::new(response));
+                }
+                push_line(conn, &response);
+                return Verdict::CloseAfterFlush;
             }
             // A protocol hello, valid only as the first line, negotiates
             // the session version: ≥ 2 switches to multiplexed binary
@@ -922,7 +906,7 @@ impl EventLoop<'_> {
                 conn.outbox.close();
                 self.destroy(conn);
             }
-            Verdict::HandOff { response, version } => self.hand_off(conn, *response, version),
+            Verdict::HandOff(response) => self.hand_off(conn, *response),
             Verdict::Rescan => unreachable!("Rescan never escapes process_inbuf"), // lint:allow(panic_path) -- pump re-runs process_inbuf on Rescan; it never reaches finish
         }
     }
@@ -961,7 +945,7 @@ impl EventLoop<'_> {
     /// from the loop, flip back to blocking I/O, and run the peer loop
     /// on a dedicated thread, seeded with whatever bytes the loop had
     /// already buffered past the hello.
-    fn hand_off(&mut self, conn: Conn, response: Response, version: u32) {
+    fn hand_off(&mut self, conn: Conn, response: Response) {
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         self.state
             .telemetry
@@ -996,7 +980,7 @@ impl EventLoop<'_> {
                     return;
                 }
                 let mut reader = BufReader::new(std::io::Cursor::new(inbuf).chain(stream));
-                peer_session_loop(&mut reader, &mut writer, &state, version);
+                peer_session_loop(&mut reader, &mut writer, &state);
             });
         if spawned.is_err() {
             self.state.active_conns.fetch_sub(1, Ordering::SeqCst);

@@ -76,16 +76,12 @@
 //!   all-zero — never a protocol error — and on v1 lines, which cannot
 //!   carry one, the daemon mints a fresh root instead.
 //!   [`ResponseEnvelope`]s carry no context.
-//! * *Federation rounds* — `FederateHello`/`FederateWelcome` carry an
-//!   optional `trace: true` offer/acknowledgement; tracing is on only
-//!   when both sides say so **and** the negotiated version is ≥ 2 (the
-//!   v1 hex framing has no room for a context, so a v1 session always
-//!   negotiates it off — without wire errors). On a traced session a
-//!   binary round frame sets [`ROUND_FROM_TRACE_FLAG`] in its `from`
-//!   word and appends a fixed 32-byte big-endian context
-//!   (`trace:16 ‖ span:8 ‖ parent:8`, [`TRACE_CONTEXT_BYTES`]) *after*
-//!   the payload; an all-zero extension decodes as absent. Untraced
-//!   sessions emit byte-identical frames to pre-tracing builds.
+//! * *Federation rounds* — every binary round frame sets
+//!   [`ROUND_FROM_TRACE_FLAG`] in its `from` word and appends a fixed
+//!   32-byte big-endian context (`trace:16 ‖ span:8 ‖ parent:8`,
+//!   [`TRACE_CONTEXT_BYTES`]) *after* the payload. There is no untraced
+//!   frame: one without the flag is refused as a bad peer frame, while
+//!   an all-zero context decodes as absent.
 //!
 //! The spans a daemon records are served back by [`Request::Trace`] as
 //! [`SpanEntry`] lists (`indaas trace <id>` stitches them across
@@ -117,23 +113,19 @@ pub const MIN_PROTOCOL_VERSION: u32 = 1;
 /// ([`Response::AuditEvent`]). Client-chosen request ids must be ≥ 1.
 pub const EVENT_ENVELOPE_ID: u64 = 0;
 
-/// Federation wire-protocol version this daemon speaks.
+/// Federation wire-protocol version this daemon speaks — and the oldest
+/// it accepts.
 ///
 /// A peer handshake ([`Request::FederateHello`]) offers the dialer's
-/// version; the listener answers with `min(offered, own)` in
-/// [`Response::FederateWelcome`] and rejects anything below
-/// [`MIN_FEDERATION_PROTOCOL_VERSION`]. At version ≥ 2 the peer session
-/// switches to raw binary round frames ([`encode_round_frame`]) after
-/// the handshake; version-1 peers keep hex-in-JSON lines.
+/// version; the listener refuses anything below this one and answers
+/// `min(offered, own)` in [`Response::FederateWelcome`]. After the
+/// handshake the peer session carries only binary round frames
+/// ([`encode_traced_round_frame`]).
 pub const FEDERATION_PROTOCOL_VERSION: u32 = 2;
 
-/// Oldest federation protocol version still accepted.
-pub const MIN_FEDERATION_PROTOCOL_VERSION: u32 = 1;
-
-/// Hard ceiling on one decoded federation round payload. Hex encoding
-/// doubles it on the wire, which must still fit a bounded request line
-/// with JSON framing to spare (P-SOP ciphertexts are 128 bytes each, so
-/// this admits 32k components per provider list).
+/// Hard ceiling on one federation round payload, and on the decoded
+/// hex payload of a `FederateDone` (P-SOP ciphertexts are 128 bytes
+/// each, so this admits 32k components per provider list).
 pub const MAX_FEDERATE_PAYLOAD_BYTES: usize = 4 * 1024 * 1024;
 
 /// Longest accepted peer node name in a federation handshake — peer
@@ -225,34 +217,14 @@ pub enum Request {
     },
     /// First line of a daemon-to-daemon peer session: protocol-version
     /// negotiation plus the dialer's node identity. After the
-    /// [`Response::FederateWelcome`] answer the connection switches to
-    /// *frame mode* and carries only [`Request::FederateData`] lines.
+    /// [`Response::FederateWelcome`] answer the connection carries only
+    /// binary round frames ([`encode_traced_round_frame`]).
     FederateHello {
         /// Federation protocol version the dialer speaks.
         version: u32,
         /// The dialer's node name (its listen address by default) —
         /// used to reject self-connections.
         node: String,
-        /// `Some(true)` when the dialer can stamp binary round frames
-        /// with a trace-context extension. Tracing is active on the
-        /// session only when [`Response::FederateWelcome`] echoes
-        /// `Some(true)` *and* the negotiated version is ≥ 2 — v1 peers
-        /// (hex lines, or software predating this field, which parses
-        /// as `None`) negotiate it away.
-        trace: Option<bool>,
-    },
-    /// One federation round frame, valid only inside a peer session.
-    FederateData {
-        /// Federation session id (shared by all parties of one audit).
-        session: u64,
-        /// The sender's ring-send ordinal within the session (0-based);
-        /// the receiver's r-th receive must carry round `r`.
-        round: u32,
-        /// Ring index of the sending party.
-        from: u32,
-        /// Hex-encoded ciphertext-list payload (bounded by
-        /// [`MAX_FEDERATE_PAYLOAD_BYTES`] once decoded).
-        payload: String,
     },
     /// Coordinator instruction: run this daemon's party of a federated
     /// P-SOP audit. The daemon derives its private component set from its
@@ -469,11 +441,6 @@ pub enum Response {
         version: u32,
         /// The listener's node name.
         node: String,
-        /// `Some(true)` iff the dialer offered tracing, the listener
-        /// supports it, and the negotiated version is ≥ 2; any other
-        /// answer (including the field being absent — pre-tracing
-        /// software) means round frames carry no trace extension.
-        trace: Option<bool>,
     },
     /// Answer to [`Request::FederateStart`], sent once this daemon's
     /// party finished all its ring rounds.
@@ -491,9 +458,9 @@ pub enum Response {
         /// Protocol messages this party received.
         recv_msgs: u64,
         /// Bytes this party actually put on the wire dialing its ring
-        /// successor — framing included — as opposed to `sent_bytes`,
-        /// which counts protocol payload only. Binary framing (peer
-        /// protocol ≥ 2) roughly halves this versus hex-in-JSON lines.
+        /// successor — the handshake line plus every round frame's
+        /// length prefix, header, payload and trace context — as
+        /// opposed to `sent_bytes`, which counts protocol payload only.
         ///
         /// Under transient successor faults a party retries each frame
         /// (bounded, exponential backoff) and may re-dial its successor
@@ -747,89 +714,48 @@ pub fn read_frame(
 }
 
 /// Bytes of the binary round-frame header: session (8) ‖ round (4) ‖
-/// from (4), all big-endian, followed by the raw ciphertext payload.
+/// from (4), all big-endian. The raw ciphertext payload follows, then
+/// the [`TRACE_CONTEXT_BYTES`]-byte trace context.
 pub const ROUND_FRAME_HEADER_BYTES: usize = 16;
 
-/// Encodes one federation round frame for a peer session at protocol
-/// version ≥ 2: the fixed binary header followed by the payload bytes
-/// verbatim — no hex, no JSON. Ship it with [`write_frame`].
-pub fn encode_round_frame(session: u64, round: u32, from: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ROUND_FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&session.to_be_bytes());
-    out.extend_from_slice(&round.to_be_bytes());
-    out.extend_from_slice(&from.to_be_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Decodes one binary round frame, borrowing the payload.
-///
-/// # Errors
-///
-/// A human-readable message for frames shorter than the header or with
-/// a payload beyond [`MAX_FEDERATE_PAYLOAD_BYTES`].
-pub fn decode_round_frame(frame: &[u8]) -> Result<(u64, u32, u32, &[u8]), String> {
-    if frame.len() < ROUND_FRAME_HEADER_BYTES {
-        return Err(format!(
-            "round frame of {} bytes is shorter than the {ROUND_FRAME_HEADER_BYTES}-byte header",
-            frame.len()
-        ));
-    }
-    let (header, payload) = frame.split_at(ROUND_FRAME_HEADER_BYTES);
-    if payload.len() > MAX_FEDERATE_PAYLOAD_BYTES {
-        return Err(format!(
-            "round-frame payload exceeds {MAX_FEDERATE_PAYLOAD_BYTES} bytes"
-        ));
-    }
-    let session = u64::from_be_bytes(header[0..8].try_into().expect("8-byte slice")); // lint:allow(panic_path) -- header[0..8] is a fixed 8-byte range
-    let round = u32::from_be_bytes(header[8..12].try_into().expect("4-byte slice")); // lint:allow(panic_path) -- header[8..12] is a fixed 4-byte range
-    let from = u32::from_be_bytes(header[12..16].try_into().expect("4-byte slice")); // lint:allow(panic_path) -- header[12..16] is a fixed 4-byte range
-    Ok((session, round, from, payload))
-}
-
-/// Flag bit in the round-frame `from` field marking a trace-context
-/// extension appended after the payload. Ring indices are bounded by
-/// `MAX_PARTIES` (64), so the top bit is always free.
+/// Flag bit in the round-frame `from` field announcing the trace
+/// context after the payload. Every frame sets it; ring indices are
+/// bounded by `MAX_PARTIES` (64), so the top bit is always free.
 pub const ROUND_FROM_TRACE_FLAG: u32 = 1 << 31;
 
-/// [`encode_round_frame`] with an optional trace-context extension:
-/// when `trace` is set, the context's 32-byte binary form is appended
-/// after the payload and [`ROUND_FROM_TRACE_FLAG`] is set in `from`.
-/// Senders only stamp the extension on sessions where the
-/// `FederateHello`/`FederateWelcome` handshake negotiated tracing on.
+/// Encodes one federation round frame — the only frame a peer session
+/// carries: the header with [`ROUND_FROM_TRACE_FLAG`] set in `from`,
+/// the payload verbatim (no hex, no JSON), then `trace`'s 32-byte
+/// binary form. Ship it with [`write_frame`].
 pub fn encode_traced_round_frame(
     session: u64,
     round: u32,
     from: u32,
     payload: &[u8],
-    trace: Option<&TraceContext>,
+    trace: &TraceContext,
 ) -> Vec<u8> {
-    match trace {
-        None => encode_round_frame(session, round, from, payload),
-        Some(ctx) => {
-            let mut out = encode_round_frame(session, round, from | ROUND_FROM_TRACE_FLAG, payload);
-            out.extend_from_slice(&ctx.to_bytes());
-            out
-        }
-    }
+    let mut out =
+        Vec::with_capacity(ROUND_FRAME_HEADER_BYTES + payload.len() + TRACE_CONTEXT_BYTES);
+    out.extend_from_slice(&session.to_be_bytes());
+    out.extend_from_slice(&round.to_be_bytes());
+    out.extend_from_slice(&(from | ROUND_FROM_TRACE_FLAG).to_be_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&trace.to_bytes());
+    out
 }
 
-/// A decoded traced round frame: `(session, round, from, payload,
-/// trace)`, with the [`ROUND_FROM_TRACE_FLAG`] bit already stripped
-/// from `from`.
+/// A decoded round frame: `(session, round, from, payload, trace)`,
+/// with the [`ROUND_FROM_TRACE_FLAG`] bit already stripped from `from`.
 pub type TracedRoundFrame<'a> = (u64, u32, u32, &'a [u8], Option<TraceContext>);
 
-/// Decodes a binary round frame that may carry the trace extension.
-///
-/// The flag bit in `from` says whether the last 32 bytes are a trace
-/// context; an all-zero (or otherwise invalid) extension decodes as
-/// "no context". Absent or garbage context never panics — the worst a
-/// hostile peer gets is an error string.
+/// Decodes one round frame, borrowing the payload. An all-zero (or
+/// otherwise invalid) context decodes as `None`; garbage never panics —
+/// the worst a hostile peer gets is an error string.
 ///
 /// # Errors
 ///
-/// A human-readable message for frames shorter than their announced
-/// layout or with an oversized payload.
+/// A human-readable message for a frame shorter than its layout, one
+/// without [`ROUND_FROM_TRACE_FLAG`], or one with an oversized payload.
 pub fn decode_traced_round_frame(frame: &[u8]) -> Result<TracedRoundFrame<'_>, String> {
     if frame.len() < ROUND_FRAME_HEADER_BYTES {
         return Err(format!(
@@ -841,18 +767,16 @@ pub fn decode_traced_round_frame(frame: &[u8]) -> Result<TracedRoundFrame<'_>, S
     let session = u64::from_be_bytes(header[0..8].try_into().expect("8-byte slice")); // lint:allow(panic_path) -- header[0..8] is a fixed 8-byte range
     let round = u32::from_be_bytes(header[8..12].try_into().expect("4-byte slice")); // lint:allow(panic_path) -- header[8..12] is a fixed 4-byte range
     let raw_from = u32::from_be_bytes(header[12..16].try_into().expect("4-byte slice")); // lint:allow(panic_path) -- header[12..16] is a fixed 4-byte range
-    let (payload, trace) = if raw_from & ROUND_FROM_TRACE_FLAG == 0 {
-        (rest, None)
-    } else {
-        if rest.len() < TRACE_CONTEXT_BYTES {
-            return Err(format!(
-                "round frame flags a trace extension but carries only {} payload bytes",
-                rest.len()
-            ));
-        }
-        let (payload, ext) = rest.split_at(rest.len() - TRACE_CONTEXT_BYTES);
-        (payload, TraceContext::from_bytes(ext))
-    };
+    if raw_from & ROUND_FROM_TRACE_FLAG == 0 {
+        return Err("round frame lacks the trace-context flag".to_string());
+    }
+    if rest.len() < TRACE_CONTEXT_BYTES {
+        return Err(format!(
+            "round frame flags a trace extension but carries only {} payload bytes",
+            rest.len()
+        ));
+    }
+    let (payload, ext) = rest.split_at(rest.len() - TRACE_CONTEXT_BYTES);
     if payload.len() > MAX_FEDERATE_PAYLOAD_BYTES {
         return Err(format!(
             "round-frame payload exceeds {MAX_FEDERATE_PAYLOAD_BYTES} bytes"
@@ -863,7 +787,7 @@ pub fn decode_traced_round_frame(frame: &[u8]) -> Result<TracedRoundFrame<'_>, S
         round,
         raw_from & !ROUND_FROM_TRACE_FLAG,
         payload,
-        trace,
+        TraceContext::from_bytes(ext),
     ))
 }
 
@@ -881,7 +805,8 @@ pub fn decode_line<T: serde::Deserialize>(line: &str) -> Result<T, serde_json::E
     serde_json::from_str(line)
 }
 
-/// Hex-encodes a federation payload for the wire (lowercase, no prefix).
+/// Hex-encodes a `FederateDone` payload for the wire (lowercase, no
+/// prefix).
 pub fn encode_payload(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = Vec::with_capacity(bytes.len() * 2);
@@ -892,7 +817,7 @@ pub fn encode_payload(bytes: &[u8]) -> String {
     String::from_utf8(out).expect("hex digits are ASCII") // lint:allow(panic_path) -- out holds only DIGITS bytes, which are ASCII
 }
 
-/// Decodes a hex federation payload, enforcing
+/// Decodes a hex `FederateDone` payload, enforcing
 /// [`MAX_FEDERATE_PAYLOAD_BYTES`].
 ///
 /// # Errors
@@ -1033,40 +958,13 @@ mod tests {
         let hello = Request::FederateHello {
             version: FEDERATION_PROTOCOL_VERSION,
             node: "127.0.0.1:4914".into(),
-            trace: Some(true),
         };
         let back: Request = decode_line(&encode_line(&hello)).unwrap();
         assert!(matches!(
             back,
-            Request::FederateHello { version, node, trace: Some(true) }
+            Request::FederateHello { version, node }
                 if version == FEDERATION_PROTOCOL_VERSION && node == "127.0.0.1:4914"
         ));
-        // A pre-tracing hello (no `trace` field) parses as None.
-        let legacy: Request =
-            decode_line(r#"{"FederateHello":{"version":1,"node":"127.0.0.1:1"}}"#).unwrap();
-        assert!(matches!(legacy, Request::FederateHello { trace: None, .. }));
-
-        let frame = Request::FederateData {
-            session: 42,
-            round: 1,
-            from: 2,
-            payload: encode_payload(&[0xde, 0xad, 0xbe, 0xef]),
-        };
-        match decode_line::<Request>(&encode_line(&frame)).unwrap() {
-            Request::FederateData {
-                session,
-                round,
-                from,
-                payload,
-            } => {
-                assert_eq!((session, round, from), (42, 1, 2));
-                assert_eq!(
-                    decode_payload(&payload).unwrap(),
-                    vec![0xde, 0xad, 0xbe, 0xef]
-                );
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
 
         let done = Response::FederateDone {
             session: 42,
@@ -1217,56 +1115,51 @@ mod tests {
     }
 
     #[test]
-    fn round_frames_roundtrip_and_validate() {
-        let payload: Vec<u8> = (0..=255).collect();
-        let frame = encode_round_frame(0xdead_beef_0042, 3, 1, &payload);
-        let (session, round, from, body) = decode_round_frame(&frame).unwrap();
-        assert_eq!(session, 0xdead_beef_0042);
-        assert_eq!((round, from), (3, 1));
-        assert_eq!(body, payload.as_slice());
-
-        // An empty payload is legal; a short header is not.
-        let empty = encode_round_frame(1, 0, 0, &[]);
-        assert_eq!(decode_round_frame(&empty).unwrap().3.len(), 0);
-        assert!(decode_round_frame(&empty[..15])
-            .unwrap_err()
-            .contains("header"));
-    }
-
-    #[test]
-    fn traced_round_frames_roundtrip_and_reject_garbage() {
+    fn round_frames_roundtrip_and_reject_garbage() {
         let ctx = TraceContext::root().child();
         let payload: Vec<u8> = (0..=63).collect();
 
-        // With a context: flag set, extension appended, roundtrips.
-        let framed = encode_traced_round_frame(7, 2, 1, &payload, Some(&ctx));
+        // Header, payload verbatim, context; the flag is set on the wire
+        // and stripped on decode.
+        let framed = encode_traced_round_frame(0xdead_beef_0042, 2, 1, &payload, &ctx);
         assert_eq!(
             framed.len(),
             ROUND_FRAME_HEADER_BYTES + payload.len() + TRACE_CONTEXT_BYTES
         );
+        assert_eq!(framed[12] & 0x80, 0x80, "flag bit is on the wire");
         let (session, round, from, body, trace) = decode_traced_round_frame(&framed).unwrap();
-        assert_eq!((session, round, from), (7, 2, 1));
+        assert_eq!((session, round, from), (0xdead_beef_0042, 2, 1));
         assert_eq!(body, payload.as_slice());
         assert_eq!(trace, Some(ctx));
 
-        // Without: byte-identical to the untraced encoding.
-        let plain = encode_traced_round_frame(7, 2, 1, &payload, None);
-        assert_eq!(plain, encode_round_frame(7, 2, 1, &payload));
-        let (.., body, trace) = decode_traced_round_frame(&plain).unwrap();
-        assert_eq!(body, payload.as_slice());
+        // An empty payload is legal; an all-zero context means "no
+        // context", not an error.
+        let zero = TraceContext {
+            trace_id: 0,
+            span_id: 0,
+            parent_span_id: 0,
+        };
+        let empty = encode_traced_round_frame(7, 0, 0, &[], &zero);
+        let (.., body, trace) = decode_traced_round_frame(&empty).unwrap();
+        assert!(body.is_empty());
         assert_eq!(trace, None);
 
-        // An all-zero extension means "no context", not an error.
-        let mut zeroed = encode_round_frame(7, 2, 1 | ROUND_FROM_TRACE_FLAG, &payload);
-        zeroed.extend_from_slice(&[0u8; TRACE_CONTEXT_BYTES]);
-        let (.., body, trace) = decode_traced_round_frame(&zeroed).unwrap();
-        assert_eq!(body, payload.as_slice());
-        assert_eq!(trace, None);
-
-        // Flagged but too short to hold the extension: error, no panic.
-        let truncated = encode_round_frame(7, 2, 1 | ROUND_FROM_TRACE_FLAG, &payload[..8]);
-        assert!(decode_traced_round_frame(&truncated)
+        // A frame without the flag is refused, whatever follows it.
+        let mut unflagged = framed.clone();
+        unflagged[12] &= 0x7f;
+        assert!(decode_traced_round_frame(&unflagged)
             .unwrap_err()
-            .contains("trace extension"));
+            .contains("flag"));
+
+        // Too short for the header, or flagged but too short to hold the
+        // context: errors, no panic.
+        assert!(decode_traced_round_frame(&framed[..15])
+            .unwrap_err()
+            .contains("header"));
+        assert!(
+            decode_traced_round_frame(&framed[..ROUND_FRAME_HEADER_BYTES + 8])
+                .unwrap_err()
+                .contains("trace extension")
+        );
     }
 }

@@ -47,7 +47,7 @@
 //! file per shard plus a manifest: dirty shards are saved on collector
 //! ticks and at shutdown, every file crash-safely (temp + rename).
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,9 +68,8 @@ use crate::cache::{job_key, AuditCache, EpochPins};
 use crate::names;
 use crate::netloop::{CrashGuard, LoopShared, PendingPush, ResponseSlot};
 use crate::proto::{
-    decode_line, decode_payload, decode_traced_round_frame, encode_line, encode_payload,
-    read_bounded_line, read_frame, FrameRead, LineRead, Request, Response, ResponseEnvelope,
-    SpanEntry, EVENT_ENVELOPE_ID, MAX_NODE_NAME_BYTES,
+    decode_traced_round_frame, encode_line, encode_payload, read_frame, FrameRead, Request,
+    Response, ResponseEnvelope, SpanEntry, EVENT_ENVELOPE_ID, MAX_NODE_NAME_BYTES,
 };
 use crate::scheduler::Scheduler;
 use crate::subs::{Outbox, SubscriptionRegistry};
@@ -107,8 +106,7 @@ pub struct ServeConfig {
     /// `Arc` loads per snapshot.
     pub shards: usize,
     /// Segmented persistence directory. When set, [`Server::bind`]
-    /// loads the store from it (segments in parallel; a legacy
-    /// monolithic file migrates transparently via
+    /// loads the store from it (segments in parallel, via
     /// [`ShardedDepDb::open`]) and the daemon saves dirty shards after
     /// every collector tick and at shutdown — each file written
     /// crash-safely. `None` keeps the store memory-only.
@@ -210,10 +208,10 @@ pub struct PartyInstruction {
     pub multiset: bool,
     /// Requested per-round deadline (clamped to the server default).
     pub round_timeout_ms: Option<u64>,
-    /// The party's span context. The engine stamps outgoing round
-    /// frames with children of this span (on sessions that negotiated
-    /// tracing), so the *receiving* daemon's frame spans parent-link
-    /// back to this party across the process boundary.
+    /// The party's span context. The engine stamps every outgoing round
+    /// frame with a child of this span, so the *receiving* daemon's
+    /// frame spans parent-link back to this party across the process
+    /// boundary.
     pub trace: TraceContext,
 }
 
@@ -250,23 +248,15 @@ pub struct PartyCompletion {
 /// a daemon without an engine rejects every `Federate*` request with a
 /// clear error.
 pub trait FederationEngine: Send + Sync {
-    /// Negotiates a peer handshake. `trace` is whether the dialer
-    /// offered the round-frame trace extension; the returned bool is
-    /// whether it is on for this session (never when the negotiated
-    /// version is < 2 — v1 peers negotiate tracing away). Returns
-    /// `(negotiated version, own node name, tracing on)` or a rejection
-    /// message (version too old, self-connection, unknown peer).
+    /// Negotiates a peer handshake. Returns `(negotiated version, own
+    /// node name)` or a rejection message (version too old,
+    /// self-connection, unknown peer).
     ///
     /// # Errors
     ///
     /// A human-readable rejection; the server answers with it and drops
     /// the connection.
-    fn handshake(
-        &self,
-        offered: u32,
-        peer_node: &str,
-        trace: bool,
-    ) -> Result<(u32, String, bool), String>;
+    fn handshake(&self, offered: u32, peer_node: &str) -> Result<(u32, String), String>;
 
     /// Routes one peer round frame to its session.
     ///
@@ -608,7 +598,6 @@ pub(crate) fn request_kind(request: &Request) -> &'static str {
         Request::Unsubscribe { .. } => "request:Unsubscribe",
         Request::Shutdown => "request:Shutdown",
         Request::FederateHello { .. } => "request:FederateHello",
-        Request::FederateData { .. } => "request:FederateData",
         Request::FederateStart { .. } => "request:FederateStart",
     }
 }
@@ -777,12 +766,7 @@ fn federation_engine(state: &ServiceState) -> Option<Arc<dyn FederationEngine>> 
         .clone()
 }
 
-pub(crate) fn federate_hello(
-    state: &ServiceState,
-    version: u32,
-    node: &str,
-    trace: bool,
-) -> Response {
+pub(crate) fn federate_hello(state: &ServiceState, version: u32, node: &str) -> Response {
     if node.len() > MAX_NODE_NAME_BYTES {
         return Response::error(format!(
             "peer node name exceeds {MAX_NODE_NAME_BYTES} bytes"
@@ -791,108 +775,24 @@ pub(crate) fn federate_hello(
     let Some(engine) = federation_engine(state) else {
         return Response::error("federation not enabled on this daemon");
     };
-    match engine.handshake(version, node, trace) {
-        // `trace` is echoed only when accepted (and omitted otherwise),
-        // so a v1 dialer that never offered it sees the exact legacy
-        // welcome shape.
-        Ok((version, node, traced)) => {
-            slog::debug(
-                "server",
-                &format!("peer handshake: protocol v{version}, tracing {}", traced),
-            );
-            Response::FederateWelcome {
-                version,
-                node,
-                trace: traced.then_some(true),
-            }
+    match engine.handshake(version, node) {
+        Ok((version, node)) => {
+            slog::debug("server", &format!("peer handshake: protocol v{version}"));
+            Response::FederateWelcome { version, node }
         }
         Err(e) => Response::error(format!("handshake rejected: {e}")),
     }
 }
 
 /// Frame mode: after a successful handshake the connection carries only
-/// round frames, bounded exactly like request lines. Frames get no
-/// per-frame acknowledgement; any protocol violation is answered with
-/// one `Error` line and the connection is dropped.
-///
-/// The negotiated `version` picks the frame encoding: ≥ 2 reads raw
-/// length-prefixed binary round frames ([`decode_traced_round_frame`] —
-/// no hex, about half the wire bytes, optionally carrying a trace
-/// context extension); 1 keeps the legacy hex-in-JSON `FederateData`
-/// lines.
-pub(crate) fn peer_session_loop<R: BufRead>(
-    reader: &mut R,
-    writer: &mut TcpStream,
-    state: &ServiceState,
-    version: u32,
-) {
-    if version >= 2 {
-        return binary_peer_session_loop(reader, writer, state);
-    }
-    let mut line = String::new();
-    loop {
-        match read_bounded_line(reader, &mut line, MAX_REQUEST_LINE) {
-            Ok(LineRead::Line) => {}
-            Ok(LineRead::Eof) | Err(_) => return,
-            Ok(LineRead::Oversized) => {
-                let _ = write_response(
-                    writer,
-                    &Response::error(format!("peer frame exceeds {MAX_REQUEST_LINE} bytes")),
-                );
-                return;
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fail = |writer: &mut TcpStream, message: String| {
-            let _ = write_response(writer, &Response::error(message));
-        };
-        let frame = match decode_line::<Request>(line.trim()) {
-            Ok(Request::FederateData {
-                session,
-                round,
-                from,
-                payload,
-            }) => (session, round, from, payload),
-            Ok(other) => {
-                fail(
-                    writer,
-                    format!("peer sessions carry only FederateData frames, got {other:?}"),
-                );
-                return;
-            }
-            Err(e) => {
-                fail(writer, format!("malformed peer frame: {e}"));
-                return;
-            }
-        };
-        let (session, round, from, payload_hex) = frame;
-        let payload = match decode_payload(&payload_hex) {
-            Ok(p) => p,
-            Err(e) => {
-                fail(writer, format!("bad frame payload: {e}"));
-                return;
-            }
-        };
-        let Some(engine) = federation_engine(state) else {
-            fail(writer, "federation not enabled on this daemon".to_string());
-            return;
-        };
-        if let Err(e) = engine.deliver(session, round, from, payload) {
-            fail(writer, format!("frame rejected: {e}"));
-            return;
-        }
-    }
-}
-
-/// The version ≥ 2 peer frame loop: length-prefixed binary round frames
-/// with the fixed 16-byte header and the raw ciphertext payload — no
-/// hex doubling, no JSON. Violations are answered with one `Error` line
-/// (the dialer may not be reading, which is fine) and the connection is
-/// dropped.
-fn binary_peer_session_loop<R: BufRead>(
-    reader: &mut R,
+/// length-prefixed binary round frames ([`decode_traced_round_frame`]:
+/// 16-byte header, raw ciphertext payload, 32-byte trace context),
+/// bounded exactly like request lines. Frames get no per-frame
+/// acknowledgement; any protocol violation is answered with one `Error`
+/// line (the dialer may not be reading, which is fine) and the
+/// connection is dropped.
+pub(crate) fn peer_session_loop(
+    reader: &mut impl std::io::Read,
     writer: &mut TcpStream,
     state: &ServiceState,
 ) {
@@ -941,7 +841,7 @@ fn binary_peer_session_loop<R: BufRead>(
             let _ = write_response(writer, &Response::error(format!("frame rejected: {e}")));
             return;
         }
-        // Absent only on a ring that negotiated the extension away.
+        // Absent only when the sender wrote an all-zero context.
         if let Some(c) = frame_ctx {
             // The sender minted this context as a child of its own
             // fed_party span, so recording it verbatim is what stitches
@@ -1092,12 +992,6 @@ pub(crate) fn handle_request(
         // arm only keeps the match exhaustive.
         Request::FederateHello { .. } => (
             Response::error("FederateHello must be the first line of a peer session"),
-            false,
-        ),
-        Request::FederateData { .. } => (
-            Response::error(
-                "FederateData is only valid inside a peer session (send FederateHello first)",
-            ),
             false,
         ),
         // Defensive: the asynchronous requests are admitted by

@@ -21,6 +21,38 @@ use indaas_graph::{CancelToken, Cancelled, FaultGraph, Gate, NodeId};
 
 use crate::riskgroup::{RgFamily, RiskGroup};
 
+/// Why a BDD compilation stopped without a diagram.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BddError {
+    /// The token tripped mid-compilation.
+    Cancelled(Cancelled),
+    /// The diagram needed more than `cap` nodes.
+    TooLarge {
+        /// The node budget that was exceeded.
+        cap: usize,
+    },
+}
+
+impl std::fmt::Display for BddError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BddError::Cancelled(c) => write!(f, "{c}"),
+            BddError::TooLarge { cap } => write!(
+                f,
+                "BDD exceeded {cap} nodes; use the MOCUS or sampling engine"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BddError {}
+
+impl From<Cancelled> for BddError {
+    fn from(c: Cancelled) -> Self {
+        BddError::Cancelled(c)
+    }
+}
+
 /// Id of a BDD node; 0 and 1 are the terminal FALSE/TRUE nodes.
 type BddId = u32;
 
@@ -40,6 +72,8 @@ pub struct Bdd {
     root: BddId,
     /// Maps BDD variable index → fault-graph basic event id.
     var_to_basic: Vec<NodeId>,
+    /// Node budget: [`Bdd::mk`] refuses to grow `nodes` past it.
+    max_nodes: usize,
 }
 
 impl Bdd {
@@ -48,10 +82,11 @@ impl Bdd {
     /// # Panics
     ///
     /// Panics if the BDD grows beyond `max_nodes` — pick a different
-    /// engine for graphs with adversarial structure.
+    /// engine for graphs with adversarial structure, or call
+    /// [`Bdd::compile_cancellable`], which returns it as an error.
     pub fn compile(graph: &FaultGraph, max_nodes: usize) -> Self {
         Self::compile_cancellable(graph, max_nodes, &CancelToken::default())
-            .expect("default token never cancels")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Bdd::compile`] with cooperative cancellation, polled once per
@@ -60,16 +95,13 @@ impl Bdd {
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] if the token trips mid-compilation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the BDD grows beyond `max_nodes`.
+    /// [`BddError::Cancelled`] if the token trips mid-compilation,
+    /// [`BddError::TooLarge`] if the BDD would grow beyond `max_nodes`.
     pub fn compile_cancellable(
         graph: &FaultGraph,
         max_nodes: usize,
         token: &CancelToken,
-    ) -> Result<Self, Cancelled> {
+    ) -> Result<Self, BddError> {
         let var_to_basic = graph.basic_ids();
         let basic_to_var: HashMap<NodeId, u32> = var_to_basic
             .iter()
@@ -83,6 +115,7 @@ impl Bdd {
             or_cache: HashMap::new(),
             root: FALSE,
             var_to_basic,
+            max_nodes,
         };
         // Bottom-up over the graph: each node's failure function as a BDD.
         let order = graph.topo_order().expect("validated graphs are acyclic");
@@ -93,26 +126,26 @@ impl Bdd {
             let f = match node.gate {
                 None => {
                     let var = basic_to_var[&id];
-                    bdd.mk(var, FALSE, TRUE)
+                    bdd.mk(var, FALSE, TRUE)?
                 }
                 Some(Gate::Or) => {
                     let mut acc = FALSE;
                     for &c in &node.children {
-                        acc = bdd.or(acc, funcs[c as usize], max_nodes);
+                        acc = bdd.or(acc, funcs[c as usize])?;
                     }
                     acc
                 }
                 Some(Gate::And) => {
                     let mut acc = TRUE;
                     for &c in &node.children {
-                        acc = bdd.and(acc, funcs[c as usize], max_nodes);
+                        acc = bdd.and(acc, funcs[c as usize])?;
                     }
                     acc
                 }
                 Some(Gate::KofN(k)) => {
                     let children: Vec<BddId> =
                         node.children.iter().map(|&c| funcs[c as usize]).collect();
-                    bdd.at_least(&children, k as usize, max_nodes)
+                    bdd.at_least(&children, k as usize)?
                 }
             };
             funcs[id as usize] = f;
@@ -126,74 +159,72 @@ impl Bdd {
         self.nodes.len()
     }
 
-    /// Hash-consed node constructor with the reduction rule.
-    fn mk(&mut self, var: u32, lo: BddId, hi: BddId) -> BddId {
+    /// Hash-consed node constructor with the reduction rule — the one
+    /// place the diagram grows, so the one place the budget is checked.
+    fn mk(&mut self, var: u32, lo: BddId, hi: BddId) -> Result<BddId, BddError> {
         if lo == hi {
-            return lo;
+            return Ok(lo);
         }
         if let Some(&id) = self.unique.get(&(var, lo, hi)) {
-            return id;
+            return Ok(id);
+        }
+        if self.nodes.len() >= self.max_nodes {
+            return Err(BddError::TooLarge {
+                cap: self.max_nodes,
+            });
         }
         let id = self.nodes.len() as BddId;
         self.nodes.push((var, lo, hi));
         self.unique.insert((var, lo, hi), id);
-        id
+        Ok(id)
     }
 
     fn var(&self, id: BddId) -> u32 {
         self.nodes[id as usize].0
     }
 
-    fn and(&mut self, a: BddId, b: BddId, max_nodes: usize) -> BddId {
-        assert!(
-            self.nodes.len() <= max_nodes,
-            "BDD exceeded {max_nodes} nodes; use the MOCUS or sampling engine"
-        );
+    fn and(&mut self, a: BddId, b: BddId) -> Result<BddId, BddError> {
         match (a, b) {
-            (FALSE, _) | (_, FALSE) => return FALSE,
-            (TRUE, x) | (x, TRUE) => return x,
-            _ if a == b => return a,
+            (FALSE, _) | (_, FALSE) => return Ok(FALSE),
+            (TRUE, x) | (x, TRUE) => return Ok(x),
+            _ if a == b => return Ok(a),
             _ => {}
         }
         let key = if a < b { (a, b) } else { (b, a) };
         if let Some(&r) = self.and_cache.get(&key) {
-            return r;
+            return Ok(r);
         }
         let (va, vb) = (self.var(a), self.var(b));
         let top = va.min(vb);
         let (a_lo, a_hi) = self.cofactors(a, top);
         let (b_lo, b_hi) = self.cofactors(b, top);
-        let lo = self.and(a_lo, b_lo, max_nodes);
-        let hi = self.and(a_hi, b_hi, max_nodes);
-        let r = self.mk(top, lo, hi);
+        let lo = self.and(a_lo, b_lo)?;
+        let hi = self.and(a_hi, b_hi)?;
+        let r = self.mk(top, lo, hi)?;
         self.and_cache.insert(key, r);
-        r
+        Ok(r)
     }
 
-    fn or(&mut self, a: BddId, b: BddId, max_nodes: usize) -> BddId {
-        assert!(
-            self.nodes.len() <= max_nodes,
-            "BDD exceeded {max_nodes} nodes; use the MOCUS or sampling engine"
-        );
+    fn or(&mut self, a: BddId, b: BddId) -> Result<BddId, BddError> {
         match (a, b) {
-            (TRUE, _) | (_, TRUE) => return TRUE,
-            (FALSE, x) | (x, FALSE) => return x,
-            _ if a == b => return a,
+            (TRUE, _) | (_, TRUE) => return Ok(TRUE),
+            (FALSE, x) | (x, FALSE) => return Ok(x),
+            _ if a == b => return Ok(a),
             _ => {}
         }
         let key = if a < b { (a, b) } else { (b, a) };
         if let Some(&r) = self.or_cache.get(&key) {
-            return r;
+            return Ok(r);
         }
         let (va, vb) = (self.var(a), self.var(b));
         let top = va.min(vb);
         let (a_lo, a_hi) = self.cofactors(a, top);
         let (b_lo, b_hi) = self.cofactors(b, top);
-        let lo = self.or(a_lo, b_lo, max_nodes);
-        let hi = self.or(a_hi, b_hi, max_nodes);
-        let r = self.mk(top, lo, hi);
+        let lo = self.or(a_lo, b_lo)?;
+        let hi = self.or(a_hi, b_hi)?;
+        let r = self.mk(top, lo, hi)?;
         self.or_cache.insert(key, r);
-        r
+        Ok(r)
     }
 
     /// Shannon cofactors with respect to variable `v`.
@@ -208,32 +239,31 @@ impl Bdd {
 
     /// "At least k of the given functions are true", by dynamic programming
     /// over `(index, still_needed)`.
-    fn at_least(&mut self, funcs: &[BddId], k: usize, max_nodes: usize) -> BddId {
+    fn at_least(&mut self, funcs: &[BddId], k: usize) -> Result<BddId, BddError> {
         fn rec(
             bdd: &mut Bdd,
             funcs: &[BddId],
             i: usize,
             need: usize,
             memo: &mut HashMap<(usize, usize), BddId>,
-            max_nodes: usize,
-        ) -> BddId {
+        ) -> Result<BddId, BddError> {
             if need == 0 {
-                return TRUE;
+                return Ok(TRUE);
             }
             if funcs.len() - i < need {
-                return FALSE;
+                return Ok(FALSE);
             }
             if let Some(&r) = memo.get(&(i, need)) {
-                return r;
+                return Ok(r);
             }
-            let with = rec(bdd, funcs, i + 1, need - 1, memo, max_nodes);
-            let with = bdd.and(funcs[i], with, max_nodes);
-            let without = rec(bdd, funcs, i + 1, need, memo, max_nodes);
-            let r = bdd.or(with, without, max_nodes);
+            let with = rec(bdd, funcs, i + 1, need - 1, memo)?;
+            let with = bdd.and(funcs[i], with)?;
+            let without = rec(bdd, funcs, i + 1, need, memo)?;
+            let r = bdd.or(with, without)?;
             memo.insert((i, need), r);
-            r
+            Ok(r)
         }
-        rec(self, funcs, 0, k, &mut HashMap::new(), max_nodes)
+        rec(self, funcs, 0, k, &mut HashMap::new())
     }
 
     /// Exact top-event probability by Shannon expansion: basic event
@@ -458,7 +488,14 @@ mod tests {
             })
             .collect();
         let graph = component_sets_to_graph(&sets).unwrap();
-        let result = std::panic::catch_unwind(|| Bdd::compile(&graph, 8));
-        assert!(result.is_err(), "a 8-node cap must be exceeded");
+        match Bdd::compile_cancellable(&graph, 8, &CancelToken::default()) {
+            Err(e) => {
+                assert_eq!(e, BddError::TooLarge { cap: 8 });
+                assert!(e.to_string().contains("exceeded 8 nodes"), "{e}");
+            }
+            Ok(bdd) => panic!("an 8-node cap must be exceeded, got {}", bdd.node_count()),
+        }
+        // The generous cap compiles the same graph.
+        assert!(Bdd::compile_cancellable(&graph, CAP, &CancelToken::default()).is_ok());
     }
 }

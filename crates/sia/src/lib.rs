@@ -42,7 +42,7 @@ pub mod report;
 pub mod riskgroup;
 pub mod sampling;
 
-pub use bdd::Bdd;
+pub use bdd::{Bdd, BddError};
 pub use builder::{build_fault_graph, BuildError, BuildSpec};
 pub use importance::{component_importance, ComponentImportance};
 pub use minimal::{

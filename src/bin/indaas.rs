@@ -107,10 +107,10 @@ OPTIONS:
                          narrower cache invalidation
   --deadline-ms MS       default per-job deadline (default 30000)
   --db-dir DIR           segmented persistence directory: segments load
-                         in parallel at boot (a legacy monolithic
-                         Table-1 file path migrates in place, keeping a
-                         .legacy.bak) and dirty shards are saved
-                         crash-safely on collector ticks and at shutdown
+                         in parallel at boot and dirty shards are saved
+                         crash-safely on collector ticks and at shutdown;
+                         a Table-1 file is not a db dir (seed one with
+                         --records FILE --db-dir DIR)
   --records FILE         pre-load Table-1 records before serving
                          (layered on top of --db-dir contents, if any)
   --max-conns N          most concurrently served client connections
@@ -530,9 +530,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     for spec in &config.faults {
         indaas::faultinj::arm(spec).map_err(|e| format!("--fault: {e}"))?;
     }
-    // The store opens from --db-dir (segments in parallel; a legacy
-    // monolithic file migrates transparently; a missing path starts
-    // empty; corrupt segments are quarantined and counted), then any
+    // The store opens from --db-dir (segments in parallel; a missing
+    // path starts empty; corrupt segments are quarantined and counted;
+    // a plain file is refused), then any
     // --records file is layered on top through the normal ingest path.
     let store = match &config.db_dir {
         Some(dir) => {

@@ -189,6 +189,22 @@ fn serve_rejects_bad_flags_and_missing_records() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("MANIFEST"));
     std::fs::remove_dir_all(&junk_dir).ok();
+
+    // A Table-1 file is not a db dir: refused, naming the flag pair that
+    // turns one into segments, and left untouched.
+    let table = write_temp("not-a-db-dir.tbl", RECORDS);
+    let out = bin()
+        .args(["serve", "--db-dir", table.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--records FILE --db-dir DIR"),
+        "got: {stderr}"
+    );
+    assert_eq!(std::fs::read_to_string(&table).unwrap(), RECORDS);
+    std::fs::remove_file(&table).ok();
 }
 
 /// `serve --db-dir` across two daemon processes: the first persists its

@@ -10,10 +10,16 @@ use indaas::deps::{ShardedDepDb, VersionedDepDb};
 use indaas::federation::{
     provider_component_set, Federation, FederationCoordinator, PeerConn, PeerRegistry,
 };
-use indaas::pia::{run_psop, PsopConfig};
-use indaas::service::proto::{Request, Response, FEDERATION_PROTOCOL_VERSION};
-use indaas::service::{names, Client, ServeConfig, Server, V1Client};
+use indaas::obs::{TraceContext, TRACE_CONTEXT_BYTES};
+use indaas::pia::{run_psop, PsopConfig, CIPHERTEXT_BYTES};
+use indaas::service::proto::{
+    encode_line, Request, Response, FEDERATION_PROTOCOL_VERSION, ROUND_FRAME_HEADER_BYTES,
+};
+use indaas::service::{names, Client, ServeConfig, Server};
 use indaas::simnet::SimNetwork;
+
+mod common;
+use common::LineSession;
 
 /// Table-1 record sets for three providers with a shared core (libc6,
 /// openssl, tor-shared) and distinct tails.
@@ -44,12 +50,6 @@ struct TestDaemon {
 /// pre-loaded and federation enabled (`allow` = peer allow-list, empty =
 /// open).
 fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
-    boot_daemon_with_version(records, allow, FEDERATION_PROTOCOL_VERSION)
-}
-
-/// [`boot_daemon`] with the federation engine pinned to offer `version`
-/// when dialing its ring successor — `1` forces the legacy hex framing.
-fn boot_daemon_with_version(records: &str, allow: &[String], version: u32) -> TestDaemon {
     let mut db = VersionedDepDb::new();
     db.ingest_text(records).expect("test records parse");
     let config = ServeConfig {
@@ -61,9 +61,7 @@ fn boot_daemon_with_version(records: &str, allow: &[String], version: u32) -> Te
     let server = Server::bind_with_store(config, store).expect("bind ephemeral");
     let addr = server.local_addr().to_string();
     let registry = PeerRegistry::with_peers(allow.iter().cloned());
-    server.set_federation(Arc::new(
-        Federation::with_registry(addr.clone(), registry).with_protocol_version(version),
-    ));
+    server.set_federation(Arc::new(Federation::with_registry(addr.clone(), registry)));
     let handle = std::thread::spawn(move || server.run());
     TestDaemon { addr, handle }
 }
@@ -130,74 +128,34 @@ fn three_daemon_audit_matches_simnetwork_run() {
         expected.traffic.max_sent_bytes()
     );
 
+    // The wire carries exactly one frame format. Each party's bytes to
+    // its successor are its handshake line plus, per ring frame, a
+    // 4-byte length prefix, the 16-byte header, the payload and the
+    // 32-byte trace context. A party sends k ring frames; its last send
+    // (its own fully-encrypted list, to the agent) never touches the ring.
+    let k = datasets.len() as u64;
+    let framing = 4 + (ROUND_FRAME_HEADER_BYTES + TRACE_CONTEXT_BYTES) as u64;
+    assert_eq!(outcome.party_wire_bytes.len(), datasets.len());
+    for (party, peer) in peers.iter().enumerate() {
+        let hello = encode_line(&Request::FederateHello {
+            version: FEDERATION_PROTOCOL_VERSION,
+            node: peer.clone(),
+        });
+        let ring_payload =
+            got.traffic.sent_bytes(party) - (datasets[party].len() * CIPHERTEXT_BYTES) as u64;
+        assert_eq!(
+            outcome.party_wire_bytes[party],
+            hello.len() as u64 + 1 + k * framing + ring_payload,
+            "party {party} wire bytes"
+        );
+    }
+
     // Sanity: the shared core (libc6, openssl is only in two sets —
     // the 3-way intersection is the components in *all* sets).
     assert!(got.intersection >= 1, "libc6 is everywhere");
     assert!(got.union > got.intersection);
 
     shutdown(daemons);
-}
-
-/// The binary-framing acceptance: the identical audit over the
-/// identical topology, once at peer protocol v2 (raw binary round
-/// frames) and once forced down to v1 (hex-in-JSON lines). Results must
-/// be byte-identical — same intersection/union, same per-party
-/// *protocol payload* traffic — while the measured per-party *wire*
-/// bytes drop by at least the promised 1.8×.
-#[test]
-fn binary_framing_cuts_wire_bytes_without_changing_results() {
-    let run_at = |version: u32| {
-        let daemons: Vec<TestDaemon> = PROVIDER_RECORDS
-            .iter()
-            .map(|r| boot_daemon_with_version(r, &[], version))
-            .collect();
-        let peers: Vec<String> = daemons.iter().map(|d| d.addr.clone()).collect();
-        let outcome = FederationCoordinator::new(peers)
-            .run()
-            .expect("federated audit succeeds");
-        shutdown(daemons);
-        outcome
-    };
-    let hex_outcome = run_at(1);
-    let binary_outcome = run_at(FEDERATION_PROTOCOL_VERSION);
-    let hex = hex_outcome.psop.as_ref().expect("hex run carries a result");
-    let binary = binary_outcome
-        .psop
-        .as_ref()
-        .expect("binary run carries a result");
-
-    // Byte-identical audit results and payload accounting.
-    assert_eq!(binary.intersection, hex.intersection);
-    assert_eq!(binary.union, hex.union);
-    assert!((binary.jaccard - hex.jaccard).abs() < 1e-12);
-    for party in 0..=PROVIDER_RECORDS.len() {
-        assert_eq!(
-            binary.traffic.sent_bytes(party),
-            hex.traffic.sent_bytes(party),
-            "protocol payload bytes are framing-independent (party {party})"
-        );
-    }
-
-    // The wire itself is what shrinks: every provider's measured bytes
-    // to its ring successor drop ≥ 1.8×.
-    assert_eq!(
-        binary_outcome.party_wire_bytes.len(),
-        PROVIDER_RECORDS.len()
-    );
-    for (party, (&hex_wire, &bin_wire)) in hex_outcome
-        .party_wire_bytes
-        .iter()
-        .zip(&binary_outcome.party_wire_bytes)
-        .enumerate()
-    {
-        assert!(bin_wire > 0, "party {party} sent ring frames");
-        let ratio = hex_wire as f64 / bin_wire as f64;
-        assert!(
-            ratio >= 1.8,
-            "party {party}: hex framing used {hex_wire} wire bytes vs binary {bin_wire} \
-             ({ratio:.2}x, needed >= 1.8x)"
-        );
-    }
 }
 
 #[test]
@@ -259,39 +217,27 @@ fn self_peering_is_rejected_with_a_clear_error() {
 fn handshake_negotiates_version_and_rejects_ancient_peers() {
     let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
     // A peer handshake is by definition the first line of a raw
-    // connection, so these probes ride the line-mode V1Client.
+    // connection, so these probes ride a raw line session.
     // A well-behaved (even newer) peer is welcomed at our version.
-    let mut modern = V1Client::connect(&daemon.addr).unwrap();
-    match modern
-        .request(&Request::FederateHello {
-            version: FEDERATION_PROTOCOL_VERSION + 3,
-            node: "test-harness".into(),
-            trace: Some(true),
-        })
-        .unwrap()
-    {
-        Response::FederateWelcome {
-            version,
-            node,
-            trace,
-        } => {
+    match LineSession::connect(&daemon.addr).request(&Request::FederateHello {
+        version: FEDERATION_PROTOCOL_VERSION + 3,
+        node: "test-harness".into(),
+    }) {
+        Response::FederateWelcome { version, node } => {
             assert_eq!(version, FEDERATION_PROTOCOL_VERSION);
             assert_eq!(node, daemon.addr);
-            assert_eq!(trace, Some(true), "a v2 peer offering tracing gets it");
         }
         other => panic!("expected a welcome, got {other:?}"),
     }
-    // A peer speaking version 0 is turned away.
-    let mut ancient = V1Client::connect(&daemon.addr).unwrap();
-    match ancient
-        .request(&Request::FederateHello {
-            version: 0,
-            node: "museum-piece".into(),
-            trace: None,
-        })
-        .unwrap()
-    {
-        Response::Error { message } => assert!(message.contains("version")),
+    // A version-1 peer (hex framing, no trace context) is turned away,
+    // and the refusal names the version.
+    match LineSession::connect(&daemon.addr).request(&Request::FederateHello {
+        version: 1,
+        node: "museum-piece".into(),
+    }) {
+        Response::Error { message } => {
+            assert!(message.contains("protocol version 1"), "got: {message}");
+        }
         other => panic!("expected an error, got {other:?}"),
     }
     shutdown(vec![daemon]);
@@ -299,19 +245,37 @@ fn handshake_negotiates_version_and_rejects_ancient_peers() {
 
 #[test]
 fn frames_outside_a_peer_session_are_rejected() {
+    use indaas::service::proto::{
+        decode_line, encode_traced_round_frame, read_frame, write_frame, FrameRead,
+        ResponseEnvelope, PROTOCOL_VERSION,
+    };
+    use std::io::{BufRead, BufReader, Write};
+
     let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
-    let mut client = Client::connect(&daemon.addr).unwrap();
-    match client
-        .request(&Request::FederateData {
-            session: 1,
-            round: 0,
-            from: 0,
-            payload: "00ff".into(),
-        })
-        .unwrap()
-    {
+    // Round frames travel only after a FederateHello. On a client
+    // session a round frame is not an envelope: the daemon answers once
+    // and drops the connection.
+    let stream = std::net::TcpStream::connect(&daemon.addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let hello = encode_line(&Request::Hello {
+        version: PROTOCOL_VERSION,
+    });
+    writer.write_all(format!("{hello}\n").as_bytes()).unwrap();
+    let mut welcome = String::new();
+    reader.read_line(&mut welcome).unwrap();
+    assert!(welcome.contains("Welcome"), "got: {welcome}");
+    let frame = encode_traced_round_frame(1, 0, 0, &[7; 128], &TraceContext::root());
+    write_frame(&mut writer, &frame).unwrap();
+    let mut buf = Vec::new();
+    assert!(matches!(
+        read_frame(&mut reader, &mut buf, 1 << 20).unwrap(),
+        FrameRead::Frame
+    ));
+    let answer: ResponseEnvelope = decode_line(std::str::from_utf8(&buf).unwrap()).unwrap();
+    match answer.body {
         Response::Error { message } => {
-            assert!(message.contains("peer session"), "got: {message}");
+            assert!(message.contains("malformed envelope"), "got: {message}");
         }
         other => panic!("expected an error, got {other:?}"),
     }
@@ -331,17 +295,12 @@ fn federation_disabled_daemon_answers_with_a_clear_error() {
     let handle = std::thread::spawn(move || server.run());
     // A rejected handshake drops the connection, so probe each request
     // on a fresh one. FederateHello must be a connection's first line,
-    // so it goes through the line-mode V1Client; FederateStart is an
+    // so it goes through a raw line session; FederateStart is an
     // ordinary request and rides the v2 session.
-    let mut peer = V1Client::connect(&addr).unwrap();
-    match peer
-        .request(&Request::FederateHello {
-            version: FEDERATION_PROTOCOL_VERSION,
-            node: "n".into(),
-            trace: None,
-        })
-        .unwrap()
-    {
+    match LineSession::connect(&addr).request(&Request::FederateHello {
+        version: FEDERATION_PROTOCOL_VERSION,
+        node: "n".into(),
+    }) {
         Response::Error { message } => assert!(message.contains("not enabled")),
         other => panic!("expected an error, got {other:?}"),
     }
@@ -475,43 +434,6 @@ fn federated_audit_yields_one_stitched_trace_across_daemons() {
     shutdown(daemons);
 }
 
-/// A ring forced down to federation protocol v1 negotiates tracing away
-/// (the hex framing has no room for a context) and still completes the
-/// audit without wire errors; the daemons simply record no frame spans.
-#[test]
-fn v1_ring_negotiates_tracing_off_without_wire_errors() {
-    use indaas::obs::format_trace_id;
-
-    let daemons: Vec<TestDaemon> = PROVIDER_RECORDS[..2]
-        .iter()
-        .map(|r| boot_daemon_with_version(r, &[], 1))
-        .collect();
-    let peers: Vec<String> = daemons.iter().map(|d| d.addr.clone()).collect();
-    let outcome = FederationCoordinator::new(peers.clone())
-        .run()
-        .expect("v1 ring still audits cleanly");
-    assert!(outcome.psop.expect("listed ring carries a result").union > 0);
-
-    let trace_hex = format_trace_id(outcome.trace.trace_id);
-    for peer in &peers {
-        let mut client = Client::connect(peer).expect("connect for trace fetch");
-        let (_node, entries) = client.fetch_trace(&trace_hex).expect("Trace answered");
-        // The request/party spans still exist (they ride the v2 client
-        // envelope, not the ring framing) — but no frame ever carried a
-        // context, so no fed_frame spans were recorded anywhere.
-        assert!(
-            entries.iter().any(|e| e.name == names::SPAN_FED_PARTY),
-            "{peer} still records its party span"
-        );
-        assert!(
-            !entries.iter().any(|e| e.name == names::SPAN_FED_FRAME),
-            "{peer} must not record frame spans on a v1 ring"
-        );
-    }
-
-    shutdown(daemons);
-}
-
 #[test]
 fn empty_database_cannot_federate() {
     let empty = {
@@ -551,7 +473,9 @@ fn ragged_ring_payload_fails_the_party_naming_its_sender() {
     // (the session mailbox buffers it) — one whole element, 17 stray bytes.
     let mut hostile = PeerConn::dial(&a.addr, "hostile-harness", Duration::from_secs(5)).unwrap();
     let ragged = [vec![0u8; 127], vec![7u8], vec![0xab; 17]].concat();
-    hostile.send_frame(session, 0, 2, &ragged, None).unwrap();
+    hostile
+        .send_frame(session, 0, 2, &ragged, &TraceContext::root())
+        .unwrap();
     // A plays party 0; its successor B only has to buffer A's own list.
     let mut coordinator = Client::connect(&a.addr).unwrap();
     let answer = coordinator.request(&Request::FederateStart {

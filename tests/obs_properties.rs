@@ -152,8 +152,8 @@ mod trace_props {
         }
 
         /// Arbitrary bytes never panic the binary round-frame reader,
-        /// and a traced frame roundtrips payload and context — with or
-        /// without the 32-byte extension.
+        /// and a frame roundtrips payload and context — an all-zero
+        /// context decoding as absent.
         #[test]
         fn frame_reader_survives_garbage_and_roundtrips(
             garbage in proptest::collection::vec(any::<u8>(), 0..96),
@@ -168,14 +168,18 @@ mod trace_props {
             // Garbage: any outcome but a panic is acceptable.
             let _ = decode_traced_round_frame(&garbage);
 
-            let ctx = traced.then(|| ctx_from(hi, lo, hi ^ lo, lo));
-            let frame = encode_traced_round_frame(session, round, from, &payload, ctx.as_ref());
+            let ctx = if traced {
+                ctx_from(hi, lo, hi ^ lo, lo)
+            } else {
+                TraceContext { trace_id: 0, span_id: 0, parent_span_id: 0 }
+            };
+            let frame = encode_traced_round_frame(session, round, from, &payload, &ctx);
             let (s, r, f, p, c) = decode_traced_round_frame(&frame).expect("own encoding decodes");
             prop_assert_eq!(s, session);
             prop_assert_eq!(r, round);
             prop_assert_eq!(f, from);
             prop_assert_eq!(p, payload.as_slice());
-            prop_assert_eq!(c, ctx);
+            prop_assert_eq!(c, traced.then_some(ctx));
         }
 
         /// Span-tree assembly is insertion-order independent: any

@@ -1,12 +1,13 @@
-//! Persistence round-trip tests: segmented save → load, legacy
-//! monolithic file → segmented migration, and crash-safe file
-//! replacement — the daemon's restart story at the library surface.
+//! Persistence round-trip tests: segmented save → load, shard-count
+//! re-routing, crash-safe file replacement and corruption quarantine —
+//! the daemon's restart story at the library surface.
 
 use std::path::PathBuf;
 
+use indaas::deps::format::serialize_records;
 use indaas::deps::{
-    shard_index, DepDb, DepView, DependencyRecord, HardwareDep, NetworkDep, ShardedDepDb,
-    SoftwareDep, MANIFEST_FILE,
+    shard_index, write_atomic, DepDb, DepView, DependencyRecord, HardwareDep, NetworkDep,
+    ShardedDepDb, SoftwareDep, MANIFEST_FILE,
 };
 use proptest::prelude::*;
 
@@ -117,76 +118,20 @@ proptest! {
     }
 }
 
-/// The full migration story: a legacy monolithic Table-1 file opens
-/// transparently and is migrated in place (the original preserved as a
-/// `.legacy.bak`), and the resulting segmented directory round-trips
-/// from then on.
-#[test]
-fn legacy_monolithic_file_migrates_to_segments() {
-    let dir = scratch("migration");
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // A legacy deployment: one monolithic Table-1 export.
-    let records: Vec<DependencyRecord> = (0..90).map(decode_record).collect();
-    let mono = DepDb::from_records(records);
-    let mono_path = dir.join("depdb.tbl");
-    mono.save(&mono_path).unwrap();
-
-    // `open` on the file loads it, routes into shards, and converts the
-    // path into a segmented directory so later saves land somewhere.
-    let store = ShardedDepDb::open(&mono_path, 6).unwrap();
-    assert_eq!(store.len(), mono.len());
-    let snap = store.snapshot();
-    for host in mono.hosts() {
-        assert_eq!(snap.component_set_of(&host), mono.component_set_of(&host));
-    }
-    assert!(mono_path.is_dir(), "migration replaces the file in place");
-    assert!(mono_path.join(MANIFEST_FILE).exists());
-    let backup = dir.join("depdb.tbl.legacy.bak");
-    assert_eq!(
-        DepDb::load(&backup).unwrap().len(),
-        mono.len(),
-        "the original export survives as a backup"
-    );
-
-    // The migrated path reopens as a segmented directory; a copy saved
-    // elsewhere round-trips identically.
-    let seg_dir = dir.join("db");
-    store.save_segments(&seg_dir).unwrap();
-    assert!(seg_dir.join(MANIFEST_FILE).exists());
-    let reopened = ShardedDepDb::open(&seg_dir, 6).unwrap();
-    assert_same_view(&store, &reopened);
-    let reopened_in_place = ShardedDepDb::open(&mono_path, 6).unwrap();
-    assert_same_view(&store, &reopened_in_place);
-
-    // Mutate + dirty-save + reload: still lossless.
-    let report = reopened.ingest([DependencyRecord::Hardware(HardwareDep {
-        hw: "srv-0".to_string(),
-        hw_type: "GPU".to_string(),
-        dep: "fresh-after-migration".to_string(),
-    })]);
-    assert_eq!(report.changed, 1);
-    let written = reopened.save_dirty_segments(&seg_dir).unwrap();
-    assert!(written >= 1, "an effective ingest must dirty its shard");
-    let reloaded = ShardedDepDb::open(&seg_dir, 6).unwrap();
-    assert_same_view(&reopened, &reloaded);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Crash-safe saves: overwriting an existing export goes through a temp
-/// file + rename, so the destination is never observed torn and no temp
+/// Crash-safe saves: overwriting an existing file — every segment and
+/// manifest write goes through `write_atomic` — uses a temp file +
+/// rename, so the destination is never observed torn and no temp
 /// debris survives.
 #[test]
 fn saves_replace_files_atomically() {
     let dir = scratch("atomic");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("export.tbl");
+    let path = dir.join("shard-0000.tbl");
 
+    let table = |n: u32| serialize_records(&(0..n).map(decode_record).collect::<Vec<_>>());
     let small = DepDb::from_records((0..6).map(decode_record));
-    let large = DepDb::from_records((0..100).map(decode_record));
-    large.save(&path).unwrap();
-    small.save(&path).unwrap();
+    write_atomic(&path, &table(100)).unwrap();
+    write_atomic(&path, &table(6)).unwrap();
     // The second (smaller) save fully replaced the first: a torn write
     // would have left trailing large-export records behind.
     let back = DepDb::load(&path).unwrap();

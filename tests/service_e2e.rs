@@ -9,6 +9,9 @@ use std::time::Instant;
 use indaas::core::{AuditSpec, CandidateDeployment, RgAlgorithm};
 use indaas::service::{names, Client, Request, Response, ServeConfig, Server, SpanEntry};
 
+mod common;
+use common::LineSession;
+
 const RECORDS: &str = r#"
     <src="S1" dst="Internet" route="tor1,core1"/>
     <src="S1" dst="Internet" route="tor1,core2"/>
@@ -202,32 +205,19 @@ fn malformed_and_failing_requests_keep_connection_alive() {
     let (addr, daemon) = start_daemon();
 
     // Raw socket: send garbage, then a valid ping on the same connection.
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    writer.write_all(b"this is not json\n").expect("write");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read");
+    let mut v1 = LineSession::connect(addr);
+    let line = v1.raw("this is not json");
     assert!(
         line.contains("Error") && line.contains("malformed request"),
         "got: {line}"
     );
-    line.clear();
-    writer.write_all(b"\"Ping\"\n").expect("write");
-    reader.read_line(&mut line).expect("read");
-    assert_eq!(line.trim(), "\"Pong\"");
+    assert_eq!(v1.raw("\"Ping\"").trim(), "\"Pong\"");
 
     // Unknown variants and structurally wrong payloads error politely.
-    line.clear();
-    writer.write_all(b"\"Detonate\"\n").expect("write");
-    reader.read_line(&mut line).expect("read");
-    assert!(line.contains("Error"), "got: {line}");
-    line.clear();
-    writer
-        .write_all(b"{\"AuditSia\": {\"spec\": 42}}\n")
-        .expect("write");
-    reader.read_line(&mut line).expect("read");
-    assert!(line.contains("Error"), "got: {line}");
+    for garbage in ["\"Detonate\"", "{\"AuditSia\": {\"spec\": 42}}"] {
+        let line = v1.raw(garbage);
+        assert!(line.contains("Error"), "got: {line}");
+    }
 
     // Typed client: an audit against an empty DepDB is a remote error
     // (unknown servers), not a hang or disconnect.
@@ -297,14 +287,18 @@ fn hostile_specs_are_rejected_or_survived() {
     let err = client.audit_sia(&huge_bdd, None).unwrap_err();
     assert!(err.to_string().contains("max_nodes"), "got: {err}");
 
-    // A BDD budget small enough to trip the engine's internal assert
-    // panics the job — the worker must survive and report it.
+    // A BDD budget too small for the graph is an audit error the job
+    // answers itself — not a panic the crash guard has to report.
     let tiny_bdd = AuditSpec {
         algorithm: RgAlgorithm::Bdd { max_nodes: 2 },
         ..audit_spec()
     };
-    let err = client.audit_sia(&tiny_bdd, None).unwrap_err();
-    assert!(err.to_string().contains("crashed"), "got: {err}");
+    let err = client.audit_sia(&tiny_bdd, None).unwrap_err().to_string();
+    assert!(
+        err.contains("audit failed") && err.contains("BDD exceeded 2 nodes"),
+        "got: {err}"
+    );
+    assert!(!err.contains("crashed"), "got: {err}");
 
     // The pool is still alive: a normal audit completes afterwards.
     let ok = client.audit_sia(&audit_spec(), None).expect("pool alive");
@@ -987,27 +981,37 @@ fn subscriptions_are_independent_per_spec() {
     daemon.join().unwrap().expect("serve loop");
 }
 
-/// Protocol compatibility: a v1-only client (plain NDJSON lines, no
-/// hello) runs a full session against the v2 daemon — the negotiated
-/// downgrade path old tooling rides.
+/// Protocol compatibility: a v1 session — plain NDJSON lines over a raw
+/// socket, no hello — runs a full session against the v2 daemon. This
+/// is the line mode `nc` and hand-written tooling ride.
 #[test]
 fn protocol_compat_v1_client_against_v2_daemon() {
-    use indaas::service::V1Client;
-
     let (addr, daemon) = start_daemon();
-    let mut v1 = V1Client::connect(addr).expect("connect");
-    v1.ping().expect("ping");
-    let ack = v1.ingest(RECORDS).expect("ingest");
-    assert_eq!(ack.changed, 9);
+    let mut v1 = LineSession::connect(addr);
+    assert!(matches!(v1.request(&Request::Ping), Response::Pong));
+    let ingest = Request::Ingest {
+        records: RECORDS.to_string(),
+    };
+    assert!(
+        matches!(v1.request(&ingest), Response::Ingested { changed: 9, .. }),
+        "ingest acknowledged"
+    );
 
-    let spec = audit_spec();
-    let first = v1.audit_sia(&spec, None).expect("first audit");
-    assert!(!first.cached);
-    assert_eq!(first.report.best().unwrap().name, "S1+S3");
-    let second = v1.audit_sia(&spec, None).expect("second audit");
-    assert!(second.cached, "cache works for v1 sessions too");
+    let audit = Request::AuditSia {
+        spec: audit_spec(),
+        timeout_ms: None,
+    };
+    let Response::Sia { cached, report, .. } = v1.request(&audit) else {
+        panic!("expected a Sia answer");
+    };
+    assert!(!cached);
+    assert_eq!(report.best().unwrap().name, "S1+S3");
+    assert!(
+        matches!(v1.request(&audit), Response::Sia { cached: true, .. }),
+        "cache works for v1 sessions too"
+    );
 
-    match v1.status().expect("status") {
+    match v1.request(&Request::Status) {
         Response::Status { records, epoch, .. } => {
             assert_eq!(records, 9);
             assert_eq!(epoch, 1);
@@ -1016,30 +1020,28 @@ fn protocol_compat_v1_client_against_v2_daemon() {
     }
 
     // v2-only features degrade with a clear error, not a hang or drop.
-    let err = v1
-        .request(&indaas::service::Request::Subscribe {
-            spec: audit_spec(),
-            engine: "sia".into(),
-        })
-        .expect("answered");
-    match err {
-        Response::Error { message } => {
-            assert!(message.contains("v2"), "got: {message}");
-        }
+    match v1.request(&Request::Subscribe {
+        spec: audit_spec(),
+        engine: "sia".into(),
+    }) {
+        Response::Error { message } => assert!(message.contains("v2"), "got: {message}"),
         other => panic!("expected an error, got {other:?}"),
     }
     // An explicit v1 hello is also honoured: the session stays line-mode.
-    let mut explicit = V1Client::connect(addr).expect("connect");
-    match explicit
-        .request(&indaas::service::Request::Hello { version: 1 })
-        .expect("answered")
-    {
+    let mut explicit = LineSession::connect(addr);
+    match explicit.request(&Request::Hello { version: 1 }) {
         Response::Welcome { version } => assert_eq!(version, 1),
         other => panic!("expected Welcome, got {other:?}"),
     }
-    explicit.ping().expect("line mode continues after v1 hello");
+    assert!(
+        matches!(explicit.request(&Request::Ping), Response::Pong),
+        "line mode continues after v1 hello"
+    );
 
-    v1.shutdown().expect("shutdown");
+    assert!(matches!(
+        v1.request(&Request::Shutdown),
+        Response::ShuttingDown
+    ));
     daemon.join().unwrap().expect("serve loop");
 }
 
@@ -1093,16 +1095,7 @@ fn connection_limit_rejects_excess_cleanly() {
 #[test]
 fn raw_protocol_shutdown_round_trip() {
     let (addr, daemon) = start_daemon();
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let request = indaas::service::proto::encode_line(&Request::Shutdown);
-    writer
-        .write_all(format!("{request}\n").as_bytes())
-        .expect("write");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read");
-    let response: Response = indaas::service::proto::decode_line(line.trim()).expect("decode");
+    let response = LineSession::connect(addr).request(&Request::Shutdown);
     assert!(matches!(response, Response::ShuttingDown));
     daemon.join().unwrap().expect("serve loop");
 }
@@ -1211,22 +1204,14 @@ fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
     // A v1 line carries no envelope, so no client context: the daemon
     // mints the trace itself, and the audit shows up all the same —
     // newest, with its stages — under an id `Trace{id}` resolves.
-    let stream = TcpStream::connect(addr).expect("connect v1");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let line = indaas::service::proto::encode_line(&Request::AuditSia {
+    let answer = LineSession::connect(addr).request(&Request::AuditSia {
         spec: AuditSpec::sia_size_based(vec![CandidateDeployment::replicated(
             "S2+S3",
             ["S2", "S3"],
         )]),
         timeout_ms: None,
     });
-    writer
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("write");
-    let mut answer = String::new();
-    reader.read_line(&mut answer).expect("read");
-    assert!(answer.contains("\"Sia\""), "got: {answer}");
+    assert!(matches!(answer, Response::Sia { .. }), "got: {answer:?}");
     let after = client.metrics(Some(1)).expect("metrics");
     let v1 = &after.recent[0];
     assert_eq!(v1.name, names::SPAN_AUDIT);
@@ -1269,21 +1254,10 @@ fn v1_session_serves_metrics_and_extended_status() {
     // (no Hello) gets the same snapshot, and the appended Status fields
     // arrive without disturbing the original ones.
     let (addr, daemon) = start_daemon();
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let mut roundtrip = |request: &Request| -> Response {
-        let line = indaas::service::proto::encode_line(request);
-        writer
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write");
-        let mut answer = String::new();
-        reader.read_line(&mut answer).expect("read");
-        indaas::service::proto::decode_line(answer.trim()).expect("decode")
-    };
+    let mut v1 = LineSession::connect(addr);
     let Response::Metrics {
         counters, histos, ..
-    } = roundtrip(&Request::Metrics { recent: Some(4) })
+    } = v1.request(&Request::Metrics { recent: Some(4) })
     else {
         panic!("expected a Metrics response");
     };
@@ -1295,7 +1269,7 @@ fn v1_session_serves_metrics_and_extended_status() {
         sia_audits,
         dropped_events,
         ..
-    } = roundtrip(&Request::Status)
+    } = v1.request(&Request::Status)
     else {
         panic!("expected a Status response");
     };
@@ -1303,7 +1277,7 @@ fn v1_session_serves_metrics_and_extended_status() {
     assert_eq!(sia_audits, 0);
     assert_eq!(dropped_events, 0);
     assert!(matches!(
-        roundtrip(&Request::Shutdown),
+        v1.request(&Request::Shutdown),
         Response::ShuttingDown
     ));
     daemon.join().unwrap().expect("serve loop");
