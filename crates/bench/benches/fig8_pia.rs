@@ -69,7 +69,7 @@ fn bench_psop_party_steps(c: &mut Criterion) {
             |b, d| {
                 b.iter(|| {
                     let token = CancelToken::default();
-                    let mut party = PsopParty::new(0, 2, &PsopConfig::default(), &token);
+                    let mut party = PsopParty::new(0, 2, &PsopConfig::default(), &token).unwrap();
                     let payload = party.initial_payload(&d[0], true).unwrap();
                     party.relay(&Message {
                         from: 1,

@@ -25,9 +25,10 @@
 //!
 //! **Zero cost when off**: with nothing armed, [`point`] is a single
 //! relaxed atomic load — no lock, no string hash. The registry is
-//! process-global on purpose: the deepest call sites (`persist.rs`,
-//! `PeerConn`) have no configuration plumbing, and a chaos run arms the
-//! whole process anyway.
+//! process-global on purpose: the deepest call sites (`persist.rs`, the
+//! scheduler's admission, a federation party's successor link) have no
+//! configuration plumbing, and a chaos run arms the whole process
+//! anyway.
 
 pub mod points;
 

@@ -1,7 +1,5 @@
 //! Federation failure taxonomy.
 
-use indaas_simnet::TransportError;
-
 /// Why a federated operation failed.
 #[derive(Debug)]
 pub enum FederationError {
@@ -12,8 +10,6 @@ pub enum FederationError {
     Protocol(String),
     /// A daemon answered with an `Error { message }`.
     Remote(String),
-    /// A protocol round failed in transit (peer loss, round deadline).
-    Transport(TransportError),
     /// The request itself is invalid (too few peers, self-peering).
     Config(String),
 }
@@ -24,7 +20,6 @@ impl std::fmt::Display for FederationError {
             FederationError::Io(e) => write!(f, "connection error: {e}"),
             FederationError::Protocol(m) => write!(f, "protocol error: {m}"),
             FederationError::Remote(m) => write!(f, "remote error: {m}"),
-            FederationError::Transport(e) => write!(f, "{e}"),
             FederationError::Config(m) => write!(f, "configuration error: {m}"),
         }
     }
@@ -35,11 +30,5 @@ impl std::error::Error for FederationError {}
 impl From<std::io::Error> for FederationError {
     fn from(e: std::io::Error) -> Self {
         FederationError::Io(e)
-    }
-}
-
-impl From<TransportError> for FederationError {
-    fn from(e: TransportError) -> Self {
-        FederationError::Transport(e)
     }
 }

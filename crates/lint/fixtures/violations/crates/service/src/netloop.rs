@@ -1,5 +1,8 @@
-//! Seeded blocking_in_loop violations: a sleep and a denied-class lock
-//! acquisition, both reachable from a readiness-loop root fn.
+//! Seeded blocking_in_loop violations: a sleep, a denied-class lock
+//! acquisition and a resolver lookup, all reachable from a readiness-loop
+//! root fn.
+
+use std::net::ToSocketAddrs;
 
 pub struct Loop {
     queue: std::sync::Mutex<Vec<u32>>,
@@ -17,5 +20,10 @@ impl Loop {
         if let Ok(mut q) = self.queue.lock() {
             q.clear();
         }
+        self.admit_peer("peer.example:4914");
+    }
+
+    fn admit_peer(&self, node: &str) -> bool {
+        node.to_socket_addrs().is_ok()
     }
 }

@@ -26,6 +26,9 @@ const BLOCKING_NAMES: &[&str] = &[
     "read_to_end",
     "read_to_string",
     "read_line",
+    // A resolver lookup (getaddrinfo) can stall for the resolver's full
+    // timeout on one unresolvable name.
+    "to_socket_addrs",
 ];
 
 pub fn check(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {

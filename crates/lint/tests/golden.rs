@@ -37,6 +37,10 @@ fn blocking_in_loop_fires_on_seeded_violation() {
         hits.iter().any(|f| f.message.contains("service::queue")),
         "denied lock class on the loop thread must be flagged: {findings:?}"
     );
+    assert!(
+        hits.iter().any(|f| f.message.contains("to_socket_addrs")),
+        "a resolver lookup reachable from the loop must be flagged: {findings:?}"
+    );
 }
 
 #[test]

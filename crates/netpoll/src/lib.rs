@@ -12,11 +12,17 @@
 //!
 //! Level-triggered only. The loop re-reads until `WouldBlock`, so
 //! level semantics cost a spurious wakeup at worst, never a lost event.
+//!
+//! Outbound sockets start with [`connect_nonblocking`]: the loop
+//! registers the connecting socket for writability and reads the
+//! handshake's outcome back with [`TcpStream::take_error`] — a dial never
+//! parks the loop thread.
 
 #![cfg(target_os = "linux")]
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{FromRawFd, RawFd};
 use std::time::Duration;
 
 mod timer;
@@ -35,6 +41,11 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    // Bound under another name so a call site reads as what it is here:
+    // a connect on a `SOCK_NONBLOCK` socket, which returns at once.
+    #[link_name = "connect"]
+    fn connect_raw(fd: c_int, addr: *const u8, len: u32) -> c_int;
 }
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -50,6 +61,13 @@ const EPOLLRDHUP: u32 = 0x2000;
 
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
+
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const EINPROGRESS: i32 = 115;
 
 /// The kernel ABI struct. x86 packs it so the 64-bit data field sits
 /// directly after the 32-bit mask; other architectures keep natural
@@ -292,6 +310,47 @@ impl Drop for Waker {
 unsafe impl Send for Waker {}
 unsafe impl Sync for Waker {}
 
+/// Starts a TCP connect to `addr` without blocking: a fresh
+/// `SOCK_NONBLOCK` socket whose `connect(2)` answers `EINPROGRESS`.
+/// Register it for writability; once it fires, [`TcpStream::take_error`]
+/// says whether the handshake succeeded.
+///
+/// # Errors
+///
+/// `socket(2)` failure, or a `connect(2)` refused outright.
+pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+    // `struct sockaddr_in` / `sockaddr_in6`: family in host order, port
+    // and flow info in network order, scope id in host order.
+    let (family, tail) = match addr {
+        SocketAddr::V4(a) => (AF_INET, [&a.ip().octets()[..], &[0; 8]].concat()),
+        SocketAddr::V6(a) => (
+            AF_INET6,
+            [
+                &a.flowinfo().to_be_bytes()[..],
+                &a.ip().octets(),
+                &a.scope_id().to_ne_bytes(),
+            ]
+            .concat(),
+        ),
+    };
+    let raw = [&family.to_ne_bytes()[..], &addr.port().to_be_bytes(), &tail].concat();
+    let ty = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
+    // SAFETY: plain syscall wrapper.
+    let fd = cvt(unsafe { socket(c_int::from(family), ty, 0) })?;
+    // SAFETY: `fd` is a fresh socket owned by nothing else; the stream
+    // closes it on drop.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    // SAFETY: `raw` is a complete sockaddr of `raw.len()` bytes that
+    // outlives the call; the kernel copies it.
+    if unsafe { connect_raw(fd, raw.as_ptr(), raw.len() as u32) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +431,42 @@ mod tests {
         assert_eq!(s.read(&mut sink).unwrap(), 4);
 
         poller.delete(server.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn nonblocking_connect_settles_through_the_poller() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let stream = connect_nonblocking(&listener.local_addr().unwrap()).unwrap();
+        poller
+            .add(stream.as_raw_fd(), 3, Interest::WRITABLE)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.writable));
+        assert!(stream.take_error().unwrap().is_none(), "connected");
+        let (mut server, _) = listener.accept().unwrap();
+        (&stream).write_all(b"hi").unwrap();
+        let mut got = [0u8; 2];
+        server.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"hi");
+        poller.delete(stream.as_raw_fd()).unwrap();
+
+        // A port nobody listens on: refused, immediately or via take_error.
+        let closed = listener.local_addr().unwrap();
+        drop((listener, server));
+        if let Ok(stream) = connect_nonblocking(&closed) {
+            poller
+                .add(stream.as_raw_fd(), 4, Interest::WRITABLE)
+                .unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(10)))
+                .unwrap();
+            assert!(events.iter().any(|e| e.token == 4));
+            assert!(stream.take_error().unwrap().is_some(), "refused");
+        }
     }
 
     #[test]

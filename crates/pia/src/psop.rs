@@ -13,15 +13,15 @@
 //!    (commutativity), so the agent learns `|∩ᵢ Sᵢ|` and `|∪ᵢ Sᵢ|` and
 //!    *nothing about the elements themselves*.
 //!
-//! The protocol is factored into a per-party state machine ([`PsopParty`])
-//! driven over any [`Transport`]: [`run_psop`] plays every party on the
-//! in-process [`SimNetwork`] (Figure 8's bandwidth numbers come straight
-//! from its byte counters), while [`run_psop_party`] executes exactly one
-//! party's rounds — the entry point a federated daemon calls with its
-//! one-party TCP transport view (`indaas-federation`). Both paths share
-//! the same cryptographic steps and per-party RNG streams, so a federated
-//! run and a simulated run of the same topology produce identical results
-//! *and* identical per-party traffic.
+//! The protocol is factored into a per-party state machine ([`PsopParty`]):
+//! [`run_psop`] plays every party over the in-process [`SimNetwork`]
+//! (Figure 8's bandwidth numbers come straight from its byte counters),
+//! while a federated daemon (`indaas-service`) steps exactly one party —
+//! [`PsopParty::initial_payload`], then one [`PsopParty::relay`] per ring
+//! frame — from its readiness loop. Both share the same cryptographic
+//! steps and per-party RNG streams, so a federated run and a simulated run
+//! of the same topology produce identical results *and* identical
+//! per-party traffic.
 
 use std::collections::HashMap;
 
@@ -77,6 +77,32 @@ pub enum PsopError {
         /// Position of the element in the payload.
         index: usize,
     },
+    /// A ring needs at least two providers; this one has `parties`.
+    TooFewParties {
+        /// The provider count asked for.
+        parties: usize,
+    },
+    /// `index` is not a ring position among `parties` providers.
+    IndexOutOfRange {
+        /// The party index asked for.
+        index: usize,
+        /// The provider count.
+        parties: usize,
+    },
+    /// Provider `party` has nothing to encrypt — an empty list on the wire
+    /// is indistinguishable from a truncated one.
+    EmptyDataset {
+        /// The provider with the empty dataset.
+        party: PartyId,
+    },
+    /// The transport hosts `parties` parties where `expected` (the
+    /// providers plus the agent) are needed.
+    TransportSize {
+        /// Parties the transport hosts.
+        parties: usize,
+        /// Parties the run needs.
+        expected: usize,
+    },
 }
 
 impl std::fmt::Display for PsopError {
@@ -93,6 +119,21 @@ impl std::fmt::Display for PsopError {
                 f,
                 "party {from} sent a malformed P-SOP payload: element {index} is \
                  outside the group"
+            ),
+            PsopError::TooFewParties { parties } => {
+                write!(f, "P-SOP needs at least two providers (got {parties})")
+            }
+            PsopError::IndexOutOfRange { index, parties } => write!(
+                f,
+                "party index {index} out of range for {parties} providers"
+            ),
+            PsopError::EmptyDataset { party } => {
+                write!(f, "P-SOP dataset of party {party} is empty")
+            }
+            PsopError::TransportSize { parties, expected } => write!(
+                f,
+                "transport hosts {parties} parties; the ring needs {expected} \
+                 (providers + agent)"
             ),
         }
     }
@@ -145,12 +186,22 @@ impl PsopParty {
     /// Initializes party `index` of `parties` providers; `token` is polled
     /// before every element this party encrypts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `parties < 2` or `index` is out of range.
-    pub fn new(index: usize, parties: usize, config: &PsopConfig, token: &CancelToken) -> Self {
-        assert!(parties >= 2, "P-SOP needs at least two providers");
-        assert!(index < parties, "party index out of range");
+    /// [`PsopError::TooFewParties`] if `parties < 2`,
+    /// [`PsopError::IndexOutOfRange`] if `index` is not below it.
+    pub fn new(
+        index: usize,
+        parties: usize,
+        config: &PsopConfig,
+        token: &CancelToken,
+    ) -> Result<Self, PsopError> {
+        if parties < 2 {
+            return Err(PsopError::TooFewParties { parties });
+        }
+        if index >= parties {
+            return Err(PsopError::IndexOutOfRange { index, parties });
+        }
         // Weyl-sequence derivation keeps per-party streams disjoint for
         // any base seed.
         let mut rng = rand::rngs::StdRng::seed_from_u64(
@@ -159,13 +210,13 @@ impl PsopParty {
                 .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1)),
         );
         let cipher = CommutativeCipher::generate(&mut rng);
-        PsopParty {
+        Ok(PsopParty {
             index,
             parties,
             cipher,
             rng,
             token: token.clone(),
-        }
+        })
     }
 
     /// This party's ring position.
@@ -308,15 +359,16 @@ pub fn outcome_from_counts(
 ///
 /// # Panics
 ///
-/// Panics if fewer than two datasets are supplied, any dataset is empty
-/// or the network is not sized `k + 1`.
+/// Panics with the [`PsopError`] if fewer than two datasets are supplied,
+/// any dataset is empty or the network is not sized `k + 1` — the only
+/// ways an in-process run under a token that never trips can fail.
 pub fn run_psop(
     datasets: &[Vec<String>],
     config: &PsopConfig,
     net: &mut SimNetwork,
 ) -> PsopOutcome {
     run_psop_transport(datasets, config, net, &CancelToken::default())
-        .expect("in-process run with a token that never trips cannot fail")
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_psop`] over any [`Transport`] hosting all `k + 1` parties: the
@@ -325,17 +377,12 @@ pub fn run_psop(
 ///
 /// # Errors
 ///
-/// Propagates transport failures (impossible on [`SimNetwork`] with a
-/// correctly-sized network), refuses malformed payloads naming their
-/// sender, and returns [`PsopError::Cancelled`] within one element of
-/// encryption work of `token` tripping.
-///
-/// # Panics
-///
-/// Panics if fewer than two datasets are supplied, any dataset is empty
-/// (an empty list on the wire is a truncated one; every entry point
-/// refuses empty component sets first) or the transport is not sized
-/// `k + 1`.
+/// Refuses fewer than two datasets, an empty dataset (naming its party)
+/// and a transport not sized `k + 1` before any work; propagates
+/// transport failures (impossible on a correctly-sized [`SimNetwork`]),
+/// refuses malformed payloads naming their sender, and returns
+/// [`PsopError::Cancelled`] within one element of encryption work of
+/// `token` tripping.
 pub fn run_psop_transport<T: Transport>(
     datasets: &[Vec<String>],
     config: &PsopConfig,
@@ -343,21 +390,23 @@ pub fn run_psop_transport<T: Transport>(
     token: &CancelToken,
 ) -> Result<PsopOutcome, PsopError> {
     let k = datasets.len();
-    assert!(k >= 2, "P-SOP needs at least two providers");
-    assert!(
-        datasets.iter().all(|d| !d.is_empty()),
-        "P-SOP datasets must be non-empty"
-    );
-    assert_eq!(
-        net.parties(),
-        k + 1,
-        "network must host k providers + agent"
-    );
+    if k < 2 {
+        return Err(PsopError::TooFewParties { parties: k });
+    }
+    if let Some(party) = datasets.iter().position(Vec::is_empty) {
+        return Err(PsopError::EmptyDataset { party });
+    }
+    if net.parties() != k + 1 {
+        return Err(PsopError::TransportSize {
+            parties: net.parties(),
+            expected: k + 1,
+        });
+    }
     let agent = k;
 
     let mut parties: Vec<PsopParty> = (0..k)
         .map(|i| PsopParty::new(i, k, config, token))
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     // Round 0: every party encrypts + permutes its own list and sends it
     // to its successor.
@@ -393,49 +442,6 @@ pub fn run_psop_transport<T: Transport>(
         union,
         net.stats().clone(),
     ))
-}
-
-/// Executes exactly one party's rounds of P-SOP on a transport that hosts
-/// (at least locally) parties `0..k+1` — the federated entry point.
-///
-/// `net` is typically a one-party view: `send` is only valid from `index`
-/// and `recv` only for it. The sequence is the projection of
-/// [`run_psop_transport`] onto party `index`:
-///
-/// 1. send the encrypted own list to the ring successor,
-/// 2. for each of the k−1 relay rounds: receive, add a layer, forward,
-/// 3. receive the own fully-encrypted list back and hand it to the agent
-///    (party `k`).
-///
-/// # Errors
-///
-/// Propagates transport failures (peer loss, round deadline expiry),
-/// refuses a malformed payload naming the party that sent it, and returns
-/// [`PsopError::Cancelled`] within one element of `token` tripping.
-///
-/// # Panics
-///
-/// Panics if `index` is out of range or `parties < 2`.
-pub fn run_psop_party<T: Transport>(
-    data: &[String],
-    config: &PsopConfig,
-    index: usize,
-    parties: usize,
-    net: &mut T,
-    token: &CancelToken,
-) -> Result<(), PsopError> {
-    let mut party = PsopParty::new(index, parties, config, token);
-    let agent = parties;
-    let payload = party.initial_payload(data, config.multiset)?;
-    net.send(index, party.successor(), payload)?;
-    for _round in 1..parties {
-        let msg = net.recv(index)?;
-        let payload = party.relay(&msg)?;
-        net.send(index, party.successor(), payload)?;
-    }
-    let msg = net.recv(index)?;
-    net.send(index, agent, msg.payload)?;
-    Ok(())
 }
 
 /// Duplicate disambiguation: element `e` occurring `t` times becomes
@@ -555,10 +561,48 @@ mod tests {
         let _ = run_psop(&[strings(&["a"])], &PsopConfig::default(), &mut net);
     }
 
-    /// Each party's rounds, executed independently through
-    /// [`run_psop_party`] over a shared SimNetwork, must reproduce the
-    /// all-parties driver exactly — the invariant the federated daemons
-    /// rely on.
+    /// Bad inputs are typed errors, not panics, on every fallible entry
+    /// point; nothing is encrypted before they are refused.
+    #[test]
+    fn bad_inputs_are_typed_errors() {
+        let (config, token) = (PsopConfig::default(), CancelToken::default());
+        assert_eq!(
+            PsopParty::new(0, 1, &config, &token).err(),
+            Some(PsopError::TooFewParties { parties: 1 })
+        );
+        assert_eq!(
+            PsopParty::new(3, 3, &config, &token).err(),
+            Some(PsopError::IndexOutOfRange {
+                index: 3,
+                parties: 3
+            })
+        );
+        let run = |datasets: &[Vec<String>], parties: usize| {
+            run_psop_transport(datasets, &config, &mut SimNetwork::new(parties), &token).err()
+        };
+        assert_eq!(
+            run(&[strings(&["a"])], 2),
+            Some(PsopError::TooFewParties { parties: 1 })
+        );
+        assert_eq!(
+            run(&[strings(&["a"]), Vec::new(), strings(&["b"])], 4),
+            Some(PsopError::EmptyDataset { party: 1 })
+        );
+        assert_eq!(
+            run(&[strings(&["a"]), strings(&["b"])], 2),
+            Some(PsopError::TransportSize {
+                parties: 2,
+                expected: 3
+            })
+        );
+        assert!(PsopError::EmptyDataset { party: 1 }
+            .to_string()
+            .contains("party 1"));
+    }
+
+    /// Each party's rounds, stepped independently over a shared
+    /// SimNetwork, must reproduce the all-parties driver exactly — the
+    /// invariant the federated daemons rely on.
     #[test]
     fn per_party_driver_matches_global_driver() {
         let datasets = [
@@ -579,7 +623,7 @@ mod tests {
         let mut net = SimNetwork::new(k + 1);
         let token = CancelToken::default();
         let mut parties: Vec<PsopParty> = (0..k)
-            .map(|i| PsopParty::new(i, k, &config, &token))
+            .map(|i| PsopParty::new(i, k, &config, &token).unwrap())
             .collect();
         for (i, p) in parties.iter_mut().enumerate() {
             let payload = p.initial_payload(&datasets[i], config.multiset).unwrap();
@@ -716,7 +760,8 @@ mod tests {
 
     #[test]
     fn relay_refuses_malformed_payloads_naming_the_sender() {
-        let mut party = PsopParty::new(0, 3, &PsopConfig::default(), &CancelToken::default());
+        let mut party =
+            PsopParty::new(0, 3, &PsopConfig::default(), &CancelToken::default()).unwrap();
         let good = [vec![0u8; 127], vec![7u8]].concat();
         for len in [0, 1, 127, 129, 2 * 128 - 5] {
             let payload: Vec<u8> = good.iter().cycle().take(len).copied().collect();
@@ -738,7 +783,8 @@ mod tests {
         // the party's permutation stream.
         let mut largest = modulus;
         largest[127] -= 1;
-        let mut fresh = PsopParty::new(0, 3, &PsopConfig::default(), &CancelToken::default());
+        let mut fresh =
+            PsopParty::new(0, 3, &PsopConfig::default(), &CancelToken::default()).unwrap();
         let msg = message(1, [good, largest].concat());
         assert_eq!(party.relay(&msg), fresh.relay(&msg));
         assert_eq!(party.relay(&msg).unwrap().len(), 2 * 128);
@@ -790,7 +836,7 @@ mod tests {
 
         let tripped = CancelToken::new();
         tripped.cancel();
-        let mut party = PsopParty::new(0, 2, &config, &tripped);
+        let mut party = PsopParty::new(0, 2, &config, &tripped).unwrap();
         assert_eq!(
             party.relay(&msg),
             Err(PsopError::Cancelled(Cancelled::ByRequest))
@@ -801,7 +847,8 @@ mod tests {
         );
 
         let deadline = Duration::from_millis(40);
-        let mut party = PsopParty::new(0, 2, &config, &CancelToken::with_deadline(deadline));
+        let mut party =
+            PsopParty::new(0, 2, &config, &CancelToken::with_deadline(deadline)).unwrap();
         let started = Instant::now();
         assert_eq!(
             party.relay(&msg),

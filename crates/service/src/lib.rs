@@ -40,6 +40,13 @@
 //!   every affected subscriber over its bounded per-connection outbox
 //!   (slow consumers shed their oldest events, never block ingest) —
 //!   `indaas watch` is the CLI surface;
+//! * **federated PIA on the loop** ([`federation`]) — the daemon side of
+//!   the multi-provider P-SOP ring: `FederateHello` peer sessions and the
+//!   session table their round frames route through, each
+//!   `FederateStart` party's state machine with its crypto on the worker
+//!   pool, and the non-blocking successor dial with retry, backoff and
+//!   one re-dial — no federation thread anywhere (the coordinator side
+//!   lives in `indaas-federation`);
 //! * **observability on one span model** ([`telemetry`]) — every stage
 //!   of the pipeline records into a lock-cheap metrics registry
 //!   (counters, gauges, log₂ latency histograms), and every request
@@ -89,6 +96,7 @@
 pub mod cache;
 pub mod client;
 pub mod codec;
+pub mod federation;
 pub mod names;
 pub mod netloop;
 pub mod proto;

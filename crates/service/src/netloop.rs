@@ -21,15 +21,15 @@
 //!   waits for the result. A guard timer answers for a wedged worker;
 //!   a [`CrashGuard`] answers for a panicked one.
 //! - **Timers** absorb the old detached collector thread, per-request
-//!   deadline guards, and subscription push debouncing.
-//!
-//! Federation peer sessions still get a dedicated thread (their ring
-//! protocol is synchronous by design), but they multiplex on the same
-//! listener: the loop parses the `FederateHello`, then hands the socket
-//! plus any already-buffered bytes to the blocking peer loop.
+//!   deadline guards, subscription push debouncing, and every federation
+//!   deadline and retry backoff.
+//! - **Federation** is loop state too ([`crate::federation`]): a
+//!   `FederateHello` switches its connection to peer mode, whose round
+//!   frames route through the loop-owned session table; a
+//!   `FederateStart` becomes a party whose crypto runs as pool jobs and
+//!   whose successor link is one more non-blocking socket on the poller.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,14 +41,14 @@ use indaas_netpoll::{Event, Interest, Poller, TimerWheel, Waker};
 use indaas_obs::{log as slog, Span, TraceContext};
 
 use crate::codec::{self, WriteQueue};
+use crate::federation::{self, FedTimer, LoopIo, PartyPost, Ring};
 use crate::proto::{
     decode_line, encode_line, Envelope, Request, Response, EVENT_ENVELOPE_ID, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
 use crate::server::{
-    admit_request, envelope_frame, federate_hello, peer_session_loop, register_subscription,
-    request_kind, run_collectors, save_dirty, schedule_push_audit, write_response, AdmitOutcome,
-    ConnGuard, ServiceState, MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
+    admit_request, envelope_frame, register_subscription, request_kind, run_collectors, save_dirty,
+    schedule_push_audit, AdmitOutcome, ServiceState, MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
 };
 use crate::subs::Outbox;
 use crate::telemetry::Telemetry;
@@ -77,9 +77,18 @@ pub(crate) struct LoopShared {
     /// Connections whose outbox gained a frame (or closed) since the
     /// loop last drained this list.
     ready: Mutex<Vec<u64>>,
+    inbox: Mutex<Inbox>,
+}
+
+/// Work other threads hand the loop, taken under one lock per
+/// iteration.
+#[derive(Default)]
+struct Inbox {
     /// Subscription triggers awaiting debounce (only populated when
     /// [`crate::ServeConfig::push_debounce_ms`] is nonzero).
-    pushes: Mutex<Vec<PendingPush>>,
+    pushes: Vec<PendingPush>,
+    /// Federation pool jobs' results.
+    parties: Vec<PartyPost>,
 }
 
 impl LoopShared {
@@ -102,15 +111,26 @@ impl LoopShared {
 
     /// Queues a subscription trigger for debounced delivery.
     pub(crate) fn queue_push(&self, push: PendingPush) {
-        self.pushes
+        self.inbox
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .pushes
             .push(push);
         self.waker.wake();
     }
 
-    fn take_pushes(&self) -> Vec<PendingPush> {
-        std::mem::take(&mut *self.pushes.lock().unwrap_or_else(PoisonError::into_inner))
+    /// Hands a federation pool job's result to the loop.
+    pub(crate) fn post_party(&self, post: PartyPost) {
+        self.inbox
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .parties
+            .push(post);
+        self.waker.wake();
+    }
+
+    fn take_inbox(&self) -> Inbox {
+        std::mem::take(&mut *self.inbox.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -147,7 +167,7 @@ pub(crate) struct ResponseSlot {
     /// The v2 per-connection in-flight gauge; `None` for v1 (lock-step
     /// sessions have at most one outstanding request by construction).
     in_flight: Option<Arc<AtomicUsize>>,
-    ctx: TraceContext,
+    pub(crate) ctx: TraceContext,
     kind: &'static str,
     started: Instant,
     telemetry: Arc<Telemetry>,
@@ -194,7 +214,7 @@ impl Drop for CrashGuard {
 }
 
 /// What the loop's timer wheel carries.
-enum TimerEvent {
+pub(crate) enum TimerEvent {
     /// Re-run the registered collectors (the old detached collector
     /// thread, absorbed).
     Collect,
@@ -208,6 +228,8 @@ enum TimerEvent {
     Debounce { subscription: u64 },
     /// The shutdown drain's patience ran out; force-close stragglers.
     ShutdownLinger,
+    /// A federation party's deadline, budget, backoff or dial timer.
+    Fed(FedTimer),
 }
 
 /// Transport framing state of one connection.
@@ -227,6 +249,9 @@ enum Mode {
     /// Negotiated protocol ≥ 2: length-prefixed envelope frames, many
     /// ids in flight.
     Frames,
+    /// An accepted `FederateHello`: length-prefixed round frames, no
+    /// answers but one error line before a protocol violation closes it.
+    Peer,
 }
 
 /// One client connection's entire state — what used to live across a
@@ -263,19 +288,16 @@ enum Verdict {
     CloseAfterFlush,
     /// Tear down now (write error, injected cut, or fully flushed).
     Close,
-    /// Mode switched mid-buffer (v2 negotiation); reparse the buffer.
+    /// Mode switched mid-buffer (v2 negotiation, peer welcome); reparse
+    /// the buffer.
     Rescan,
-    /// `FederateHello` accepted: hand the socket to a peer thread along
-    /// with the welcome. Boxed: the welcome dwarfs the other
-    /// (payload-free) variants.
-    HandOff(Box<Response>),
 }
 
 /// What dispatching one request produced.
 enum Dispatched {
     /// Answered synchronously (response already in the outbox).
     Inline { shutdown: bool },
-    /// A pool job or dedicated thread owns the response slot.
+    /// A pool job or federation party owns the response slot.
     Async,
 }
 
@@ -299,7 +321,7 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
     let shared = Arc::new(LoopShared {
         waker,
         ready: Mutex::new(Vec::new()),
-        pushes: Mutex::new(Vec::new()),
+        inbox: Mutex::new(Inbox::default()),
     });
     *state
         .loop_shared
@@ -319,6 +341,7 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
         next_token: FIRST_CONN_TOKEN,
         timers,
         debounce: HashMap::new(),
+        ring: Ring::default(),
         draining: false,
     };
     let result = el.serve();
@@ -340,10 +363,22 @@ struct EventLoop<'a> {
     /// Debounced triggers keyed by subscription: at most one armed
     /// timer per subscription, earliest trigger wins.
     debounce: HashMap<u64, PendingPush>,
+    ring: Ring,
     draining: bool,
 }
 
 impl EventLoop<'_> {
+    /// The federation ring plus the loop resources it drives parties with.
+    fn ring_io(&mut self) -> (&mut Ring, LoopIo<'_>) {
+        let io = LoopIo {
+            state: self.state,
+            poller: &self.poller,
+            timers: &mut self.timers,
+            shared: &self.shared,
+        };
+        (&mut self.ring, io)
+    }
+
     fn serve(&mut self) -> std::io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         loop {
@@ -368,6 +403,10 @@ impl EventLoop<'_> {
                         }
                     }
                     WAKER_TOKEN => self.shared.waker.drain(),
+                    token if token & federation::LINK_TOKEN_BIT != 0 => {
+                        let (ring, mut io) = self.ring_io();
+                        ring.link_event(&mut io, token, &ev);
+                    }
                     token => {
                         if ev.readable || ev.closed {
                             self.service_read(token);
@@ -380,7 +419,12 @@ impl EventLoop<'_> {
             for token in self.shared.take_ready() {
                 self.service_writable(token);
             }
-            self.absorb_pushes();
+            let inbox = self.shared.take_inbox();
+            self.absorb_pushes(inbox.pushes);
+            let (ring, mut io) = self.ring_io();
+            for post in inbox.parties {
+                ring.on_post(&mut io, post);
+            }
             let now = Instant::now();
             while let Some((_, ev)) = self.timers.pop_expired(now) {
                 self.fire_timer(ev);
@@ -516,6 +560,7 @@ impl EventLoop<'_> {
             let verdict = match conn.mode {
                 Mode::Frames => self.process_frames(conn),
                 Mode::Line { .. } => self.process_lines(conn),
+                Mode::Peer => self.process_peer_frames(conn),
             };
             match verdict {
                 Verdict::Rescan => continue,
@@ -553,6 +598,38 @@ impl EventLoop<'_> {
             match self.handle_envelope(conn, &frame) {
                 Verdict::Keep => {}
                 v => return v,
+            }
+        }
+    }
+
+    /// A federation peer session's round frames, each routed to its
+    /// session. Every protocol violation is answered with one error line,
+    /// then the connection closes after the flush.
+    fn process_peer_frames(&mut self, conn: &mut Conn) -> Verdict {
+        loop {
+            let frame = match codec::try_extract_frame(&mut conn.inbuf, MAX_REQUEST_LINE) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Verdict::Keep,
+                Err(codec::DecodeError::Oversized { .. }) => {
+                    push_line(
+                        conn,
+                        &Response::error(format!("peer frame exceeds {MAX_REQUEST_LINE} bytes")),
+                    );
+                    return Verdict::CloseAfterFlush;
+                }
+            };
+            // Chaos hook: `svc.frame.read` ends the peer session
+            // (error/disconnect) or loses one round frame (drop) — the
+            // sender's retry/re-dial path is what recovers.
+            match indaas_faultinj::point(indaas_faultinj::points::SVC_FRAME_READ) {
+                indaas_faultinj::FaultAction::Pass => {}
+                indaas_faultinj::FaultAction::Drop => continue,
+                _ => return Verdict::CloseAfterFlush,
+            }
+            let (ring, mut io) = self.ring_io();
+            if let Err(message) = ring.receive(&mut io, &frame) {
+                push_line(conn, &Response::error(message));
+                return Verdict::CloseAfterFlush;
             }
         }
     }
@@ -711,17 +788,18 @@ impl EventLoop<'_> {
                     continue;
                 }
             };
-            // A peer handshake re-tags this connection: hand the socket
-            // (and any bytes already buffered behind the hello) to the
-            // blocking peer loop — audits and federation share one
-            // listener, exactly as before.
+            // A peer handshake re-tags this connection as a peer session
+            // — audits and federation share one listener; round frames
+            // may already be buffered behind the hello.
             if let Request::FederateHello { version, node } = request {
-                let response = federate_hello(self.state, version, &node);
-                if matches!(response, Response::FederateWelcome { .. }) {
-                    return Verdict::HandOff(Box::new(response));
-                }
+                let response = federation::handshake(self.state, version, &node);
+                let welcomed = matches!(response, Response::FederateWelcome { .. });
                 push_line(conn, &response);
-                return Verdict::CloseAfterFlush;
+                if !welcomed {
+                    return Verdict::CloseAfterFlush;
+                }
+                conn.mode = Mode::Peer;
+                return Verdict::Rescan;
             }
             // A protocol hello, valid only as the first line, negotiates
             // the session version: ≥ 2 switches to multiplexed binary
@@ -800,6 +878,11 @@ impl EventLoop<'_> {
     }
 
     fn dispatch(&mut self, request: Request, slot: Arc<ResponseSlot>) -> Dispatched {
+        if let Request::FederateStart { .. } = request {
+            let (ring, mut io) = self.ring_io();
+            ring.start(&mut io, request, slot);
+            return Dispatched::Async;
+        }
         match admit_request(self.state, request, slot.ctx, Arc::clone(&slot)) {
             AdmitOutcome::Done(response, shutdown) => {
                 slot.fulfill(response);
@@ -814,7 +897,6 @@ impl EventLoop<'_> {
                 );
                 Dispatched::Async
             }
-            AdmitOutcome::Threaded => Dispatched::Async,
         }
     }
 
@@ -906,7 +988,6 @@ impl EventLoop<'_> {
                 conn.outbox.close();
                 self.destroy(conn);
             }
-            Verdict::HandOff(response) => self.hand_off(conn, *response),
             Verdict::Rescan => unreachable!("Rescan never escapes process_inbuf"), // lint:allow(panic_path) -- pump re-runs process_inbuf on Rescan; it never reaches finish
         }
     }
@@ -941,54 +1022,7 @@ impl EventLoop<'_> {
         self.state.active_conns.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Re-tags the connection as a federation peer session: deregister
-    /// from the loop, flip back to blocking I/O, and run the peer loop
-    /// on a dedicated thread, seeded with whatever bytes the loop had
-    /// already buffered past the hello.
-    fn hand_off(&mut self, conn: Conn, response: Response) {
-        let _ = self.poller.delete(conn.stream.as_raw_fd());
-        self.state
-            .telemetry
-            .registry
-            .remove_counter(&conn.shed_name);
-        conn.outbox.close();
-        let state = Arc::clone(self.state);
-        let Conn {
-            stream,
-            inbuf,
-            mut wq,
-            ..
-        } = conn;
-        let spawned = std::thread::Builder::new()
-            .name("indaas-peer".to_string())
-            .spawn(move || {
-                // The session still counts against max_conns until the
-                // peer loop exits, however it exits.
-                let _conn_guard = ConnGuard(&state.active_conns);
-                if stream.set_nonblocking(false).is_err() {
-                    return;
-                }
-                let Ok(mut writer) = stream.try_clone() else {
-                    return;
-                };
-                // Flush anything the loop still had queued, then the
-                // welcome — blocking writes from here on.
-                if wq.write_to(&mut writer).is_err() {
-                    return;
-                }
-                if write_response(&mut writer, &response).is_err() {
-                    return;
-                }
-                let mut reader = BufReader::new(std::io::Cursor::new(inbuf).chain(stream));
-                peer_session_loop(&mut reader, &mut writer, &state);
-            });
-        if spawned.is_err() {
-            self.state.active_conns.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn absorb_pushes(&mut self) {
-        let pending = self.shared.take_pushes();
+    fn absorb_pushes(&mut self, pending: Vec<PendingPush>) {
         if pending.is_empty() {
             return;
         }
@@ -1053,6 +1087,10 @@ impl EventLoop<'_> {
                     );
                 }
             }
+            TimerEvent::Fed(timer) => {
+                let (ring, mut io) = self.ring_io();
+                ring.on_timer(&mut io, timer);
+            }
             TimerEvent::ShutdownLinger => {
                 let stragglers: Vec<u64> = self.conns.keys().copied().collect();
                 for token in stragglers {
@@ -1064,13 +1102,16 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Enters the shutdown drain: stop accepting, broadcast the
-    /// farewell push to every subscribed connection (so a watcher can
-    /// tell a clean drain from a dropped connection), close every
-    /// outbox, and flush. Sockets that will not take their final bytes
-    /// get [`SHUTDOWN_LINGER`], then force-close.
+    /// Enters the shutdown drain: stop accepting, fail every live
+    /// federation party (its answer must reach an outbox still open),
+    /// broadcast the farewell push to every subscribed connection (so a
+    /// watcher can tell a clean drain from a dropped connection), close
+    /// every outbox, and flush. Sockets that will not take their final
+    /// bytes get [`SHUTDOWN_LINGER`], then force-close.
     fn begin_drain(&mut self) {
         self.draining = true;
+        let (ring, mut io) = self.ring_io();
+        ring.shutdown(&mut io);
         let _ = self.poller.delete(self.listener.as_raw_fd());
         let farewell = envelope_frame(EVENT_ENVELOPE_ID, Response::ShuttingDown);
         for outbox in self.state.subs.subscriber_outboxes() {

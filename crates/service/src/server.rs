@@ -14,9 +14,8 @@
 //!
 //! This module owns everything that is not the loop itself: the config,
 //! the shared [`ServiceState`], request admission/dispatch
-//! ([`admit_request`]), subscriptions, federation, persistence, and the
-//! blocking federation *peer* sessions (handed off the shared listener
-//! by the loop after their `FederateHello`).
+//! ([`admit_request`]), subscriptions and persistence. Federation peer
+//! sessions and parties are loop state in [`crate::federation`].
 //!
 //! Subscriptions ride the single write path: every mutation asks the
 //! [`SubscriptionRegistry`] which live subscriptions it invalidated
@@ -47,7 +46,6 @@
 //! file per shard plus a manifest: dirty shards are saved on collector
 //! ticks and at shutdown, every file crash-safely (temp + rename).
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,21 +53,17 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use indaas_core::{AuditSpec, AuditingAgent, CancelToken};
-use indaas_deps::{
-    DbSnapshot, DepView, DependencyAcquisitionModule, DependencyRecord, ShardedDepDb,
-};
+use indaas_deps::{DepView, DependencyAcquisitionModule, DependencyRecord, ShardedDepDb};
 use indaas_obs::{format_trace_id, log as slog, Span, SpanRecord, TraceContext, TraceScope};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::AuditReport;
 
-use indaas_faultinj::points;
-
 use crate::cache::{job_key, AuditCache, EpochPins};
+use crate::federation::PeerAllowList;
 use crate::names;
 use crate::netloop::{CrashGuard, LoopShared, PendingPush, ResponseSlot};
 use crate::proto::{
-    decode_traced_round_frame, encode_line, encode_payload, read_frame, FrameRead, Request,
-    Response, ResponseEnvelope, SpanEntry, EVENT_ENVELOPE_ID, MAX_NODE_NAME_BYTES,
+    encode_line, Request, Response, ResponseEnvelope, SpanEntry, EVENT_ENVELOPE_ID,
 };
 use crate::scheduler::Scheduler;
 use crate::subs::{Outbox, SubscriptionRegistry};
@@ -95,6 +89,13 @@ pub struct ServeConfig {
     /// Default per-round deadline for federated protocol rounds (a
     /// `FederateStart` may shorten it, clamped here at the top).
     pub round_timeout: Duration,
+    /// The node name this daemon announces in federation handshakes
+    /// (`serve --node`); `None` announces the bound listen address.
+    pub node: Option<String>,
+    /// Federation peer allow-list (`serve --peer`), resolved once at
+    /// bind: handshakes and successors must match it. Empty accepts any
+    /// peer.
+    pub peers: Vec<String>,
     /// Re-run the registered dependency collectors this often, ingesting
     /// whatever they report (`None` disables the timer).
     pub collect_interval: Option<Duration>,
@@ -164,6 +165,8 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(30),
             max_deadline: Duration::from_secs(300),
             round_timeout: Duration::from_secs(10),
+            node: None,
+            peers: Vec::new(),
             collect_interval: None,
             shards: 8,
             db_dir: None,
@@ -176,107 +179,6 @@ impl Default for ServeConfig {
             boot_quarantined: 0,
         }
     }
-}
-
-/// Context a [`FederationEngine`] receives when asked to run a party:
-/// the epoch-pinned database snapshot its component set derives from,
-/// plus enough daemon identity to refuse self-peering.
-pub struct FederationCtx {
-    /// Immutable, epoch-pinned snapshot of the sharded dependency
-    /// database (read through [`indaas_deps::DepView`]).
-    pub snapshot: DbSnapshot,
-    /// The daemon's bound listen address.
-    pub local_addr: SocketAddr,
-    /// Default per-round deadline from [`ServeConfig::round_timeout`].
-    pub round_timeout: Duration,
-}
-
-/// A parsed `FederateStart` instruction.
-#[derive(Clone, Debug)]
-pub struct PartyInstruction {
-    /// Federation session id.
-    pub session: u64,
-    /// This daemon's ring index.
-    pub index: u32,
-    /// Number of provider parties.
-    pub parties: u32,
-    /// Ring successor address.
-    pub successor: String,
-    /// P-SOP seed.
-    pub seed: u64,
-    /// Multiset disambiguation flag.
-    pub multiset: bool,
-    /// Requested per-round deadline (clamped to the server default).
-    pub round_timeout_ms: Option<u64>,
-    /// The party's span context. The engine stamps every outgoing round
-    /// frame with a child of this span, so the *receiving* daemon's
-    /// frame spans parent-link back to this party across the process
-    /// boundary.
-    pub trace: TraceContext,
-}
-
-/// What a completed party hands back for the `FederateDone` response.
-#[derive(Clone, Debug)]
-pub struct PartyCompletion {
-    /// Fully-encrypted list for the auditing agent.
-    pub payload: Vec<u8>,
-    /// Protocol payload bytes sent (ring + agent hop).
-    pub sent_bytes: u64,
-    /// Protocol payload bytes received.
-    pub recv_bytes: u64,
-    /// Protocol messages sent.
-    pub sent_msgs: u64,
-    /// Protocol messages received.
-    pub recv_msgs: u64,
-    /// Bytes actually written to the successor socket, framing
-    /// included (what the wire-efficiency comparison measures).
-    pub wire_sent_bytes: u64,
-    /// Ring frame sends retried after a transient failure (surfaced as
-    /// `fed_frame_retries_total`).
-    pub frame_retries: u64,
-    /// Ring successor re-dials performed, 0 or 1 (surfaced as
-    /// `fed_redials_total`).
-    pub redials: u64,
-}
-
-/// The extension point federated auditing plugs into the daemon.
-///
-/// The server owns the listener, connection threads and the wire
-/// protocol; the engine owns everything federation-specific — handshake
-/// policy, session mailboxes, peer dialing, and the per-party protocol
-/// rounds. `indaas-federation` provides the production implementation;
-/// a daemon without an engine rejects every `Federate*` request with a
-/// clear error.
-pub trait FederationEngine: Send + Sync {
-    /// Negotiates a peer handshake. Returns `(negotiated version, own
-    /// node name)` or a rejection message (version too old,
-    /// self-connection, unknown peer).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable rejection; the server answers with it and drops
-    /// the connection.
-    fn handshake(&self, offered: u32, peer_node: &str) -> Result<(u32, String), String>;
-
-    /// Routes one peer round frame to its session.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable rejection (bad indices, dead session); the
-    /// server reports it and drops the peer connection.
-    fn deliver(&self, session: u64, round: u32, from: u32, payload: Vec<u8>) -> Result<(), String>;
-
-    /// Runs this daemon's party of a federated audit, blocking until the
-    /// rounds complete or a deadline expires.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable failure sent back to the coordinator.
-    fn run_party(
-        &self,
-        instruction: PartyInstruction,
-        ctx: FederationCtx,
-    ) -> Result<PartyCompletion, String>;
 }
 
 pub(crate) struct ServiceState {
@@ -300,15 +202,19 @@ pub(crate) struct ServiceState {
     /// flag are rejected instead of acknowledged).
     pub(crate) in_flight_mutations: AtomicU64,
     pub(crate) local_addr: SocketAddr,
-    pub(crate) federation: Mutex<Option<Arc<dyn FederationEngine>>>,
+    /// The federation node name: [`ServeConfig::node`] or the bound
+    /// address.
+    pub(crate) node: String,
+    /// [`ServeConfig::peers`], resolved at bind.
+    pub(crate) peers: PeerAllowList,
     pub(crate) collectors: Mutex<Vec<Box<dyn DependencyAcquisitionModule + Send>>>,
     /// Live audit subscriptions across every v2 connection; the single
     /// write path asks it which ones each batch invalidated.
     pub(crate) subs: SubscriptionRegistry,
     /// `AuditEvent` frames enqueued to subscriber outboxes since start.
     pub(crate) pushed_events: AtomicU64,
-    /// Client connections currently being served (v1, v2 and peer
-    /// sessions alike) — compared against [`ServeConfig::max_conns`].
+    /// Client connections currently being served (v1, v2 and federation
+    /// peer sessions alike) — compared against [`ServeConfig::max_conns`].
     pub(crate) active_conns: AtomicUsize,
     /// Connection-id source: ties subscriptions to the connection that
     /// made them so teardown and `Unsubscribe` ownership checks work.
@@ -360,6 +266,13 @@ impl Server {
         slog::set_json(config.log_json);
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        let node = config
+            .node
+            .clone()
+            .unwrap_or_else(|| local_addr.to_string());
+        // The only resolver calls federation makes outside a party's own
+        // pool job: handshakes on the loop match against these.
+        let peers = PeerAllowList::resolve_at_bind(&config.peers);
         let telemetry = Arc::new(Telemetry::new(config.slow_audit_ms));
         // Chaos arming happens before the listener serves anything (the
         // CLI additionally arms before opening the store, so boot-time
@@ -405,8 +318,9 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             in_flight_mutations: AtomicU64::new(0),
             local_addr,
+            node,
+            peers,
             config,
-            federation: Mutex::new(None),
             collectors: Mutex::new(Vec::new()),
             subs: SubscriptionRegistry::new(),
             pushed_events: AtomicU64::new(0),
@@ -421,16 +335,6 @@ impl Server {
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.state.local_addr
-    }
-
-    /// Installs the federation engine answering `Federate*` requests.
-    /// Without one, every federation request gets a clear protocol error.
-    pub fn set_federation(&self, engine: Arc<dyn FederationEngine>) {
-        *self
-            .state
-            .federation
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(engine);
     }
 
     /// Registers a dependency collector the daemon re-runs on the
@@ -564,16 +468,6 @@ pub const MAX_REQUEST_LINE: u64 = 16 * 1024 * 1024;
 /// miss) a queue ticket on the worker pool, so the cap bounds what a
 /// single pipelining client can pin.
 pub const MAX_IN_FLIGHT_REQUESTS: usize = 64;
-
-/// Decrements the live-connection gauge when a peer-session thread
-/// exits, however it exits.
-pub(crate) struct ConnGuard<'a>(pub(crate) &'a AtomicUsize);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
 
 /// Serializes a response envelope into one **transport-ready** outbox
 /// frame: length prefix included, so the readiness loop's write path
@@ -751,111 +645,6 @@ pub(crate) fn schedule_push_audit(
     }
 }
 
-pub(crate) fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut out = encode_line(response);
-    out.push('\n');
-    writer.write_all(out.as_bytes())?;
-    writer.flush()
-}
-
-fn federation_engine(state: &ServiceState) -> Option<Arc<dyn FederationEngine>> {
-    state
-        .federation
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
-
-pub(crate) fn federate_hello(state: &ServiceState, version: u32, node: &str) -> Response {
-    if node.len() > MAX_NODE_NAME_BYTES {
-        return Response::error(format!(
-            "peer node name exceeds {MAX_NODE_NAME_BYTES} bytes"
-        ));
-    }
-    let Some(engine) = federation_engine(state) else {
-        return Response::error("federation not enabled on this daemon");
-    };
-    match engine.handshake(version, node) {
-        Ok((version, node)) => {
-            slog::debug("server", &format!("peer handshake: protocol v{version}"));
-            Response::FederateWelcome { version, node }
-        }
-        Err(e) => Response::error(format!("handshake rejected: {e}")),
-    }
-}
-
-/// Frame mode: after a successful handshake the connection carries only
-/// length-prefixed binary round frames ([`decode_traced_round_frame`]:
-/// 16-byte header, raw ciphertext payload, 32-byte trace context),
-/// bounded exactly like request lines. Frames get no per-frame
-/// acknowledgement; any protocol violation is answered with one `Error`
-/// line (the dialer may not be reading, which is fine) and the
-/// connection is dropped.
-pub(crate) fn peer_session_loop(
-    reader: &mut impl std::io::Read,
-    writer: &mut TcpStream,
-    state: &ServiceState,
-) {
-    let mut buf = Vec::new();
-    loop {
-        // Chaos hook: `svc.frame.read` drops the peer session
-        // (error/disconnect) or loses one round frame after reading it
-        // (drop) — the sender's retry/re-dial path is what recovers.
-        let read_fault = indaas_faultinj::point(points::SVC_FRAME_READ);
-        if matches!(
-            read_fault,
-            indaas_faultinj::FaultAction::Error | indaas_faultinj::FaultAction::Disconnect
-        ) {
-            return;
-        }
-        match read_frame(reader, &mut buf, MAX_REQUEST_LINE) {
-            Ok(FrameRead::Frame) => {}
-            Ok(FrameRead::Eof) | Err(_) => return,
-            Ok(FrameRead::Oversized) => {
-                let _ = write_response(
-                    writer,
-                    &Response::error(format!("peer frame exceeds {MAX_REQUEST_LINE} bytes")),
-                );
-                return;
-            }
-        }
-        if read_fault == indaas_faultinj::FaultAction::Drop {
-            continue;
-        }
-        let (session, round, from, payload, frame_ctx) = match decode_traced_round_frame(&buf) {
-            Ok(frame) => frame,
-            Err(e) => {
-                let _ = write_response(writer, &Response::error(format!("bad peer frame: {e}")));
-                return;
-            }
-        };
-        let Some(engine) = federation_engine(state) else {
-            let _ = write_response(
-                writer,
-                &Response::error("federation not enabled on this daemon"),
-            );
-            return;
-        };
-        let deliver_started = Instant::now();
-        if let Err(e) = engine.deliver(session, round, from, payload.to_vec()) {
-            let _ = write_response(writer, &Response::error(format!("frame rejected: {e}")));
-            return;
-        }
-        // Absent only when the sender wrote an all-zero context.
-        if let Some(c) = frame_ctx {
-            // The sender minted this context as a child of its own
-            // fed_party span, so recording it verbatim is what stitches
-            // the cross-daemon parent link `indaas trace` renders.
-            state.telemetry.spans.record(
-                c,
-                names::SPAN_FED_FRAME,
-                format!("session {session} round {round} from {from}"),
-                deliver_started.elapsed().as_micros() as u64,
-            );
-        }
-    }
-}
-
 /// Flags shutdown and wakes the readiness loop so it begins the drain
 /// (farewell pushes to subscribers, flush, close — all inside the
 /// loop). The connect poke remains as a fallback for the window where
@@ -878,9 +667,8 @@ fn initiate_shutdown(state: &ServiceState) {
     }
 }
 
-/// What admitting a request produced: a synchronous answer, a pooled
-/// job (token + deadline, for the loop's guard timer), or a dedicated
-/// thread that owns the response slot.
+/// What admitting a request produced: a synchronous answer, or a pooled
+/// job (token + deadline, for the loop's guard timer).
 pub(crate) enum AdmitOutcome {
     /// Answered right here; the bool is the v1 shutdown signal.
     Done(Response, bool),
@@ -891,13 +679,12 @@ pub(crate) enum AdmitOutcome {
         token: CancelToken,
         deadline: Duration,
     },
-    /// A dedicated thread (federation party) owns the slot.
-    Threaded,
 }
 
-/// Request admission: decides synchronous vs pooled vs threaded and, on
-/// the asynchronous paths, wires `slot` to whoever will produce the
-/// answer. Called from the readiness loop — nothing here may block.
+/// Request admission: decides synchronous vs pooled and, on the pooled
+/// path, wires `slot` to the job that will produce the answer. Called
+/// from the readiness loop — nothing here may block. (`FederateStart`
+/// never gets here: the loop hands it to its federation ring.)
 pub(crate) fn admit_request(
     state: &Arc<ServiceState>,
     request: Request,
@@ -912,49 +699,6 @@ pub(crate) fn admit_request(
             minhash,
             timeout_ms,
         } => admit_pia(state, providers, way, minhash, timeout_ms, ctx, slot),
-        Request::FederateStart {
-            session,
-            index,
-            parties,
-            successor,
-            seed,
-            multiset,
-            round_timeout_ms,
-        } => {
-            let instruction = PartyInstruction {
-                session,
-                index,
-                parties,
-                successor,
-                seed,
-                multiset,
-                round_timeout_ms,
-                // The party span parents everything this daemon does
-                // for the session: outgoing round frames are stamped
-                // with its children, so the successor's `fed_frame`
-                // spans link back here across the process boundary.
-                trace: ctx.child(),
-            };
-            let st = Arc::clone(state);
-            // A party blocks on ring rounds for up to round_timeout ×
-            // rounds — far too long for a pool worker; it gets its own
-            // thread, as coordinator-driven parties always did.
-            let spawned = std::thread::Builder::new()
-                .name("indaas-fed-party".to_string())
-                .spawn(move || {
-                    let _scope = TraceScope::enter(ctx);
-                    let crash = CrashGuard(slot);
-                    let response = federate_start(&st, instruction);
-                    crash.0.fulfill(response);
-                });
-            match spawned {
-                Ok(_) => AdmitOutcome::Threaded,
-                Err(e) => AdmitOutcome::Done(
-                    Response::error(format!("could not start federation party: {e}")),
-                    false,
-                ),
-            }
-        }
         request => {
             let (response, shutdown) = handle_request(request, state, ctx);
             AdmitOutcome::Done(response, shutdown)
@@ -987,70 +731,17 @@ pub(crate) fn handle_request(
         Request::Metrics { recent } => (metrics(state, recent), false),
         Request::Trace { id } => (trace_get(state, &id), false),
         Request::Shutdown => (Response::ShuttingDown, true),
-        // Unreachable in practice: the readiness loop intercepts every
-        // hello before dispatching here (it re-tags the connection). The
-        // arm only keeps the match exhaustive.
-        Request::FederateHello { .. } => (
-            Response::error("FederateHello must be the first line of a peer session"),
-            false,
-        ),
-        // Defensive: the asynchronous requests are admitted by
-        // `admit_request` and never reach the synchronous dispatcher.
-        Request::AuditSia { .. } | Request::AuditPia { .. } | Request::FederateStart { .. } => (
+        // Defensive: the loop intercepts every `FederateHello` (it
+        // re-tags the connection) and hands `FederateStart` to its
+        // federation ring; the audits are admitted by `admit_request`.
+        // None reaches the synchronous dispatcher.
+        Request::FederateHello { .. }
+        | Request::AuditSia { .. }
+        | Request::AuditPia { .. }
+        | Request::FederateStart { .. } => (
             Response::error("internal: asynchronous request routed to the synchronous dispatcher"),
             false,
         ),
-    }
-}
-
-fn federate_start(state: &ServiceState, instruction: PartyInstruction) -> Response {
-    let Some(engine) = federation_engine(state) else {
-        return Response::error("federation not enabled on this daemon");
-    };
-    let snapshot = state.db.snapshot();
-    let fed_ctx = FederationCtx {
-        snapshot,
-        local_addr: state.local_addr,
-        round_timeout: state.config.round_timeout,
-    };
-    let session = instruction.session;
-    let party = instruction.trace;
-    let started = Instant::now();
-    let party_span = Span::start(Arc::clone(&state.telemetry.fed_party_us));
-    let result = engine.run_party(instruction, fed_ctx);
-    drop(party_span);
-    state.telemetry.spans.record(
-        party,
-        names::SPAN_FED_PARTY,
-        format!("session {session}"),
-        started.elapsed().as_micros() as u64,
-    );
-    match result {
-        Ok(done) => {
-            state
-                .telemetry
-                .fed_wire_bytes_total
-                .add(done.wire_sent_bytes);
-            state.telemetry.fed_rounds_total.add(done.sent_msgs);
-            state
-                .telemetry
-                .fed_frame_retries_total
-                .add(done.frame_retries);
-            state.telemetry.fed_redials_total.add(done.redials);
-            Response::FederateDone {
-                session,
-                payload: encode_payload(&done.payload),
-                sent_bytes: done.sent_bytes,
-                recv_bytes: done.recv_bytes,
-                sent_msgs: done.sent_msgs,
-                recv_msgs: done.recv_msgs,
-                wire_sent_bytes: done.wire_sent_bytes,
-            }
-        }
-        Err(e) => {
-            state.telemetry.fed_party_failures_total.inc();
-            Response::error(format!("federated audit failed: {e}"))
-        }
     }
 }
 

@@ -3,9 +3,9 @@
 //! pushes.
 //!
 //! Every protocol-v2 connection owns one [`Outbox`] — a bounded frame
-//! queue drained by the connection's dedicated writer thread. Request
-//! handlers and push jobs enqueue pre-serialized frames and never touch
-//! the socket, so a slow or stalled consumer can never block an ingest,
+//! queue the readiness loop drains into the socket. Request handlers
+//! and push jobs enqueue pre-serialized frames and never touch the
+//! socket, so a slow or stalled consumer can never block an ingest,
 //! an audit worker, or another connection. Responses are always
 //! delivered (their count is bounded by the per-connection in-flight
 //! cap); pushed *events* are best-effort: past [`MAX_OUTBOX_EVENTS`]
@@ -24,8 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use indaas_core::AuditSpec;
 use indaas_deps::EpochVector;
@@ -55,14 +54,11 @@ struct OutboxInner {
     closed: bool,
 }
 
-/// A bounded, closeable frame queue. Historically each connection's
-/// dedicated writer thread blocked in [`Outbox::pop`]; under the
-/// readiness loop the loop drains it non-blockingly with
-/// [`Outbox::try_pop`] after the [notifier](Outbox::set_notifier)
-/// wakes it.
+/// A bounded, closeable frame queue. The readiness loop drains it with
+/// [`Outbox::try_pop`] after the [notifier](Outbox::set_notifier) wakes
+/// it; nothing ever blocks on it.
 pub struct Outbox {
     inner: Mutex<OutboxInner>,
-    ready: Condvar,
     /// External counters bumped once per shed event, on top of the
     /// outbox's own total — the daemon passes its registry-wide
     /// `outbox_shed_total` plus a per-connection counter, so a slow
@@ -99,7 +95,6 @@ impl Outbox {
                 shed: 0,
                 closed: false,
             }),
-            ready: Condvar::new(),
             shed_counters,
             notifier: Mutex::new(None),
         }
@@ -138,7 +133,6 @@ impl Outbox {
                 event: false,
                 frame,
             });
-            self.ready.notify_all();
         }
         self.notify();
         true
@@ -167,36 +161,13 @@ impl Outbox {
             }
             inner.queue.push_back(OutMsg { event: true, frame });
             inner.events += 1;
-            self.ready.notify_all();
         }
         self.notify();
         true
     }
 
-    /// Blocks until a frame is available or the outbox is closed *and*
-    /// drained; `None` means the writer should exit.
-    pub fn pop(&self) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(msg) = inner.queue.pop_front() {
-                if msg.event {
-                    inner.events -= 1;
-                }
-                return Some(msg.frame);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// Pops the next queued frame without blocking; `None` means the
-    /// queue is (currently) empty. The readiness loop's drain path —
-    /// it never parks a thread on the condvar.
+    /// queue is (currently) empty.
     pub fn try_pop(&self) -> Option<Vec<u8>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let msg = inner.queue.pop_front()?;
@@ -206,14 +177,6 @@ impl Outbox {
         Some(msg.frame)
     }
 
-    /// True once [`Outbox::close`] ran. Queued frames may still remain.
-    pub fn is_closed(&self) -> bool {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed
-    }
-
     /// Closes the outbox: producers start dropping frames, and the
     /// drainer exits once the already-queued frames are written.
     pub fn close(&self) {
@@ -221,34 +184,7 @@ impl Outbox {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .closed = true;
-        self.ready.notify_all();
         self.notify();
-    }
-
-    /// Waits until the queue is empty (everything handed to the writer),
-    /// the outbox closes, or `timeout` elapses. Used by the shutdown
-    /// path so the final `ShuttingDown` response reaches the wire
-    /// before the process exits. Returns true if the queue drained.
-    pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if inner.queue.is_empty() {
-                return true;
-            }
-            if inner.closed {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (i, _) = self
-                .ready
-                .wait_timeout(inner, (deadline - now).min(Duration::from_millis(20)))
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = i;
-        }
     }
 
     /// Events shed so far (slow-consumer back-pressure made visible).
@@ -428,11 +364,12 @@ mod tests {
         let ob = Outbox::new();
         assert!(ob.push_response(b"a".to_vec()));
         assert!(ob.push_event(b"b".to_vec()));
-        assert_eq!(ob.pop().unwrap(), b"a");
-        assert_eq!(ob.pop().unwrap(), b"b");
+        assert_eq!(ob.try_pop().unwrap(), b"a");
         ob.close();
-        assert!(ob.pop().is_none());
         assert!(!ob.push_response(b"late".to_vec()));
+        // Frames queued before the close still drain.
+        assert_eq!(ob.try_pop().unwrap(), b"b");
+        assert!(ob.try_pop().is_none());
     }
 
     #[test]
@@ -445,11 +382,11 @@ mod tests {
         assert_eq!(ob.shed(), 10);
         // The response survives at the front; the oldest 10 events are
         // gone and the newest is still last.
-        assert_eq!(ob.pop().unwrap(), b"resp");
-        assert_eq!(ob.pop().unwrap(), b"ev10");
+        assert_eq!(ob.try_pop().unwrap(), b"resp");
+        assert_eq!(ob.try_pop().unwrap(), b"ev10");
         let mut last = Vec::new();
         for _ in 1..MAX_OUTBOX_EVENTS {
-            last = ob.pop().unwrap();
+            last = ob.try_pop().unwrap();
         }
         assert_eq!(last, format!("ev{}", MAX_OUTBOX_EVENTS + 9).into_bytes());
     }
@@ -468,7 +405,6 @@ mod tests {
         assert_eq!(ob.try_pop().unwrap(), b"b");
         assert!(ob.try_pop().is_none());
         ob.close();
-        assert!(ob.is_closed());
         assert_eq!(hits.get(), 3, "close wakes the drainer too");
         assert!(!ob.push_response(b"late".to_vec()));
         assert_eq!(hits.get(), 3, "rejected frames do not wake");
@@ -485,20 +421,6 @@ mod tests {
         assert_eq!(ob.shed(), 3);
         assert_eq!(global.get(), 3);
         assert_eq!(per_conn.get(), 3);
-    }
-
-    #[test]
-    fn drain_waits_for_the_writer() {
-        let ob = Arc::new(Outbox::new());
-        ob.push_response(b"x".to_vec());
-        assert!(!ob.drain(Duration::from_millis(30)), "nobody popping");
-        let popper = Arc::clone(&ob);
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            popper.pop()
-        });
-        assert!(ob.drain(Duration::from_secs(5)));
-        assert_eq!(handle.join().unwrap().unwrap(), b"x");
     }
 
     #[test]

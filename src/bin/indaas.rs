@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use indaas::core::{AuditSpec, AuditingAgent, CandidateDeployment, RankingMetric, RgAlgorithm};
 use indaas::deps::{parse_records, DepDb, FailureProbModel, ShardedDepDb, SimCollector};
 use indaas::faultinj::points;
-use indaas::federation::{Federation, FederationCoordinator, PeerRegistry};
+use indaas::federation::FederationCoordinator;
 use indaas::graph::to_dot;
 use indaas::obs::{build_span_tree, format_trace_id, log as slog, parse_trace_id, SpanNode};
 use indaas::pia::normalize::normalize_set;
@@ -547,18 +547,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let db = DepDb::load(path).map_err(|e| format!("loading {path}: {e}"))?;
         store.ingest(db.all_records());
     }
+    // Federation is always on: handshakes announce --node (default: the
+    // bound address) and enforce the --peer allow-list, if any.
+    config.node = flags.value("--node").map(String::from);
+    config.peers = flags
+        .values("--peer")
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let server = Server::bind_with_store(config, store).map_err(|e| format!("bind: {e}"))?;
-
-    // Federation is always on: the engine announces the bound address
-    // (or --node) and enforces the --peer allow-list, if any.
-    let node = flags
-        .value("--node")
-        .map(String::from)
-        .unwrap_or_else(|| server.local_addr().to_string());
-    let registry = PeerRegistry::with_peers(flags.values("--peer").iter().map(|s| s.to_string()));
-    server.set_federation(std::sync::Arc::new(Federation::with_registry(
-        node, registry,
-    )));
 
     // A --collect-truth file arms a simulated collector; the timer in
     // the daemon re-runs it every --collect-interval.

@@ -8,13 +8,13 @@
 //! The fault registry is process-global, so every test serializes on
 //! [`chaos`] and disarms on drop (even when the test panics).
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use indaas::core::{AuditSpec, CandidateDeployment};
 use indaas::deps::{ShardedDepDb, VersionedDepDb};
 use indaas::faultinj;
-use indaas::federation::{Federation, FederationCoordinator, PeerRegistry};
+use indaas::federation::FederationCoordinator;
 use indaas::service::{Client, ServeConfig, Server, SubscriptionEnd};
 use proptest::prelude::*;
 
@@ -66,20 +66,21 @@ struct TestDaemon {
 }
 
 /// Boots a provider daemon at `addr` ("127.0.0.1:0" = ephemeral) with
-/// `records` pre-loaded and open federation.
+/// `records` pre-loaded, an open peer allow-list, and its bound address
+/// as node name.
 fn boot_daemon_at(addr: &str, records: &str) -> TestDaemon {
     let mut db = VersionedDepDb::new();
     db.ingest_text(records).expect("test records parse");
     let config = ServeConfig {
         addr: addr.into(),
         workers: 2,
+        peers: Vec::new(),
+        node: None,
         ..ServeConfig::default()
     };
     let store = ShardedDepDb::from_db(db.into_db(), config.shards);
     let server = Server::bind_with_store(config, store).expect("bind daemon");
     let addr = server.local_addr().to_string();
-    let registry = PeerRegistry::with_peers(std::iter::empty::<String>());
-    server.set_federation(Arc::new(Federation::with_registry(addr.clone(), registry)));
     let handle = std::thread::spawn(move || server.run());
     TestDaemon { addr, handle }
 }

@@ -3,6 +3,8 @@
 use std::io::Write;
 use std::process::Command;
 
+mod common;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_indaas"))
 }
@@ -610,4 +612,115 @@ fn federate_audits_three_serve_processes() {
         reader.read_line(&mut line).expect("read");
         assert!(child.wait().expect("daemon exits").success());
     }
+}
+
+/// The thread gate: during a live P-SOP round the daemon runs its
+/// readiness loop and its worker pool, nothing else. The harness plays
+/// party 1 of 2 — it answers the daemon's successor dial with a welcome,
+/// opens its own peer session to the daemon and withholds its round-0
+/// frame — then counts the daemon's OS threads mid-round, and the party
+/// ends on its round deadline.
+#[test]
+fn live_federation_round_threads_are_loop_plus_pool() {
+    use indaas::service::proto::FEDERATION_PROTOCOL_VERSION;
+    use indaas::service::{Client, Request, Response};
+    use std::io::{BufRead, BufReader};
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon should an assertion fail before its shutdown.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let records = write_temp("thread-gate-records.txt", RECORDS);
+    let mut daemon = Daemon(
+        bin()
+            .args([
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--workers",
+                "1",
+                "--round-timeout-ms",
+                "3000",
+                "--records",
+                records.to_str().unwrap(),
+            ])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let stderr = daemon.0.stderr.take().expect("stderr piped");
+    let mut banner = String::new();
+    BufReader::new(stderr)
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address in banner")
+        .to_string();
+
+    let (successor, frame_arrived) = common::silent_successor("harness-party-1");
+    // Party 1's own peer session to the daemon: welcomed, then silent.
+    let mut peer = common::LineSession::connect(&addr);
+    match peer.request(&Request::FederateHello {
+        version: FEDERATION_PROTOCOL_VERSION,
+        node: "harness-party-1".into(),
+    }) {
+        Response::FederateWelcome { .. } => {}
+        other => panic!("expected a welcome, got {other:?}"),
+    }
+    let mut coordinator = Client::connect(&addr).expect("connect");
+    let started = Instant::now();
+    let pending = coordinator
+        .begin(&Request::FederateStart {
+            session: 0x7e57,
+            index: 0,
+            parties: 2,
+            successor,
+            seed: 1,
+            multiset: true,
+            round_timeout_ms: Some(3_000),
+        })
+        .expect("FederateStart sent");
+    let _held = frame_arrived
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the daemon's round-0 frame arrives");
+
+    // Mid-round: the party waits on the withheld frame.
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.0.id()))
+        .expect("read /proc status");
+    let threads = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .map(str::trim)
+        .expect("Threads: line");
+    assert_eq!(
+        threads, "2",
+        "mid-round the daemon runs its loop + 1 worker"
+    );
+
+    match pending.wait().expect("FederateStart answered") {
+        Response::Error { message } => assert!(
+            message.contains("round deadline exceeded: no frame within the 3000ms round deadline"),
+            "got: {message}"
+        ),
+        other => panic!("a withheld frame must fail the party, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "the round deadline answered after {:?}",
+        started.elapsed()
+    );
+
+    drop(peer);
+    coordinator.shutdown().expect("shutdown");
+    assert!(daemon.0.wait().expect("daemon exits").success());
+    std::fs::remove_file(&records).ok();
 }

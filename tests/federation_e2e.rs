@@ -3,19 +3,17 @@
 //! — intersection, union, Jaccard, *and per-party traffic* — must match
 //! the in-process `SimNetwork` run of the identical topology bit for bit.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use indaas::deps::{ShardedDepDb, VersionedDepDb};
-use indaas::federation::{
-    provider_component_set, Federation, FederationCoordinator, PeerConn, PeerRegistry,
-};
+use indaas::federation::FederationCoordinator;
 use indaas::obs::{TraceContext, TRACE_CONTEXT_BYTES};
 use indaas::pia::{run_psop, PsopConfig, CIPHERTEXT_BYTES};
+use indaas::service::federation::provider_component_set;
 use indaas::service::proto::{
     encode_line, Request, Response, FEDERATION_PROTOCOL_VERSION, ROUND_FRAME_HEADER_BYTES,
 };
-use indaas::service::{names, Client, ServeConfig, Server};
+use indaas::service::{names, Client, ClientError, ServeConfig, Server};
 use indaas::simnet::SimNetwork;
 
 mod common;
@@ -46,22 +44,26 @@ struct TestDaemon {
     handle: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-/// Boots one provider daemon on an ephemeral port with `records`
-/// pre-loaded and federation enabled (`allow` = peer allow-list, empty =
-/// open).
-fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
+/// Binds one provider daemon on an ephemeral port with `records`
+/// pre-loaded (`allow` = peer allow-list, empty = open; the node name is
+/// the bound address).
+fn bind_daemon(records: &str, allow: &[String]) -> Server {
     let mut db = VersionedDepDb::new();
     db.ingest_text(records).expect("test records parse");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
+        peers: allow.to_vec(),
+        node: None,
         ..ServeConfig::default()
     };
     let store = ShardedDepDb::from_db(db.into_db(), config.shards);
-    let server = Server::bind_with_store(config, store).expect("bind ephemeral");
+    Server::bind_with_store(config, store).expect("bind ephemeral")
+}
+
+fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
+    let server = bind_daemon(records, allow);
     let addr = server.local_addr().to_string();
-    let registry = PeerRegistry::with_peers(allow.iter().cloned());
-    server.set_federation(Arc::new(Federation::with_registry(addr.clone(), registry)));
     let handle = std::thread::spawn(move || server.run());
     TestDaemon { addr, handle }
 }
@@ -240,7 +242,38 @@ fn handshake_negotiates_version_and_rejects_ancient_peers() {
         }
         other => panic!("expected an error, got {other:?}"),
     }
-    shutdown(vec![daemon]);
+    // A peer announcing the daemon's own node name is itself.
+    match LineSession::connect(&daemon.addr).request(&Request::FederateHello {
+        version: FEDERATION_PROTOCOL_VERSION,
+        node: daemon.addr.clone(),
+    }) {
+        Response::Error { message } => {
+            assert!(message.contains("refusing self-peering"), "got: {message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    // With an allow-list, only listed nodes are welcomed.
+    let guarded = boot_daemon(PROVIDER_RECORDS[1], &["127.0.0.1:1".to_string()]);
+    let hello = |node: &str| {
+        LineSession::connect(&guarded.addr).request(&Request::FederateHello {
+            version: FEDERATION_PROTOCOL_VERSION,
+            node: node.into(),
+        })
+    };
+    assert!(matches!(
+        hello("127.0.0.1:1"),
+        Response::FederateWelcome { .. }
+    ));
+    match hello("127.0.0.1:2") {
+        Response::Error { message } => {
+            assert!(
+                message.contains("not in this daemon's peer allow-list"),
+                "got: {message}"
+            );
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    shutdown(vec![daemon, guarded]);
 }
 
 #[test]
@@ -280,49 +313,6 @@ fn frames_outside_a_peer_session_are_rejected() {
         other => panic!("expected an error, got {other:?}"),
     }
     shutdown(vec![daemon]);
-}
-
-#[test]
-fn federation_disabled_daemon_answers_with_a_clear_error() {
-    // No engine installed at all.
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    // A rejected handshake drops the connection, so probe each request
-    // on a fresh one. FederateHello must be a connection's first line,
-    // so it goes through a raw line session; FederateStart is an
-    // ordinary request and rides the v2 session.
-    match LineSession::connect(&addr).request(&Request::FederateHello {
-        version: FEDERATION_PROTOCOL_VERSION,
-        node: "n".into(),
-    }) {
-        Response::Error { message } => assert!(message.contains("not enabled")),
-        other => panic!("expected an error, got {other:?}"),
-    }
-    let mut client = Client::connect(&addr).unwrap();
-    match client
-        .request(&Request::FederateStart {
-            session: 1,
-            index: 0,
-            parties: 2,
-            successor: "127.0.0.1:1".into(),
-            seed: 1,
-            multiset: true,
-            round_timeout_ms: None,
-        })
-        .unwrap()
-    {
-        Response::Error { message } => assert!(message.contains("not enabled")),
-        other => panic!("expected an error, got {other:?}"),
-    }
-    let mut client = Client::connect(&addr).unwrap();
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
 }
 
 /// The tentpole acceptance: a federated audit leaves ONE stitched trace
@@ -444,7 +434,6 @@ fn empty_database_cannot_federate() {
         })
         .unwrap();
         let addr = server.local_addr().to_string();
-        server.set_federation(Arc::new(Federation::new(addr.clone())));
         let handle = std::thread::spawn(move || server.run());
         TestDaemon { addr, handle }
     };
@@ -469,13 +458,12 @@ fn ragged_ring_payload_fails_the_party_naming_its_sender() {
     let b = boot_daemon(PROVIDER_RECORDS[1], &[]);
     let session = 0x0bad_5eed;
     // The harness is hostile party 2, A's predecessor on a 3-party ring:
-    // it dials A as any peer would and delivers its round-0 list early
-    // (the session mailbox buffers it) — one whole element, 17 stray bytes.
-    let mut hostile = PeerConn::dial(&a.addr, "hostile-harness", Duration::from_secs(5)).unwrap();
+    // it opens a peer session to A as any peer would and delivers its
+    // round-0 list early (A's session table buffers it) — one whole
+    // element, 17 stray bytes.
+    let mut hostile = LineSession::connect(&a.addr);
     let ragged = [vec![0u8; 127], vec![7u8], vec![0xab; 17]].concat();
-    hostile
-        .send_frame(session, 0, 2, &ragged, &TraceContext::root())
-        .unwrap();
+    hostile.send_round_frame("hostile-harness", session, 0, 2, &ragged);
     // A plays party 0; its successor B only has to buffer A's own list.
     let mut coordinator = Client::connect(&a.addr).unwrap();
     let answer = coordinator.request(&Request::FederateStart {
@@ -498,4 +486,52 @@ fn ragged_ring_payload_fails_the_party_naming_its_sender() {
     );
     drop(hostile);
     shutdown(vec![a, b]);
+}
+
+/// Shutdown mid-round never hangs: a party waiting on a withheld frame
+/// is failed by the drain — its coordinator hears "daemon is shutting
+/// down" or sees the connection close — and `ServerHandle::shutdown`
+/// returns within the drain's linger.
+#[test]
+fn shutdown_mid_round_never_hangs() {
+    let (successor, frame_arrived) = common::silent_successor("silent-harness");
+    let handle = bind_daemon(PROVIDER_RECORDS[0], &[])
+        .spawn()
+        .expect("spawn daemon");
+    let mut coordinator = Client::connect(handle.addr()).unwrap();
+    let pending = coordinator
+        .begin(&Request::FederateStart {
+            session: 0x5107,
+            index: 0,
+            parties: 2,
+            successor,
+            seed: 1,
+            multiset: true,
+            round_timeout_ms: None,
+        })
+        .unwrap();
+    // Party 0's list reached its successor: the party now waits for
+    // party 1's frame, which the harness withholds.
+    let _held = frame_arrived
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the daemon's round-0 frame arrives");
+
+    let started = Instant::now();
+    handle.shutdown().expect("clean shutdown");
+    // The drain's 2 s linger plus one second.
+    assert!(
+        started.elapsed() < Duration::from_secs(3),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    match pending.wait() {
+        Ok(Response::Error { message }) => {
+            assert!(
+                message.contains("daemon is shutting down"),
+                "got: {message}"
+            );
+        }
+        Ok(other) => panic!("a cut party must not answer {other:?}"),
+        Err(e) => assert!(matches!(e, ClientError::Protocol(_)), "got: {e}"),
+    }
 }
