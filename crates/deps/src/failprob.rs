@@ -43,6 +43,30 @@ impl FailureProbModel {
         self
     }
 
+    /// Checks every probability the model carries is in `[0, 1]` — what
+    /// the constructors assert, for a model that arrived through
+    /// `Deserialize` (a request's `prob_model`), which bypasses them.
+    ///
+    /// # Errors
+    ///
+    /// Names the default or the first rule outside `[0, 1]` (NaN
+    /// included).
+    pub fn validate(&self) -> Result<(), String> {
+        let in_range = |p: f64| (0.0..=1.0).contains(&p);
+        if !in_range(self.default) {
+            return Err(format!(
+                "prob_model default must be in [0, 1] (got {})",
+                self.default
+            ));
+        }
+        match self.rules.iter().find(|(_, p)| !in_range(*p)) {
+            Some((prefix, p)) => Err(format!(
+                "prob_model rule {prefix:?} must be in [0, 1] (got {p})"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The annual failure probability for a component name.
     pub fn prob_for(&self, name: &str) -> f64 {
         self.rules

@@ -17,6 +17,13 @@
 //! deployment comparison, many tenants auditing a popular rack pair —
 //! hit the cache instead of recomputing BDDs or sampling rounds.
 //!
+//! The daemon's SIA cache holds each report as its **encoded wire
+//! text** (`Arc<str>`, exactly what `encode_line(&report)` produced,
+//! written once by the worker that computed it): a hit is an `Arc` clone
+//! that the answer splices in verbatim (`proto::sia_body`), so
+//! no hit ever clones or re-encodes a report. The PIA cache keeps its
+//! typed rankings; the cache itself is generic over the value.
+//!
 //! The same [`EpochPins`] mechanism drives the protocol-v2 push path:
 //! a subscription ([`crate::subs::SubscriptionRegistry`]) is pinned to
 //! exactly the pins its spec's cache key embeds, so "which ingests

@@ -176,10 +176,19 @@ pub fn fill_buf(reader: &mut impl Read, inbuf: &mut Vec<u8>) -> io::Result<Fill>
 /// Encodes one binary frame — the `u32` big-endian length prefix plus
 /// the payload — as the byte string [`WriteQueue::push`] takes.
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32 length"); // lint:allow(panic_path) -- payloads are in-process responses far below the 4 GiB frame ceiling
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame_parts(&[payload])
+}
+
+/// [`frame_bytes`] of the concatenation of `parts`, each copied once
+/// straight into the frame.
+pub fn frame_parts(parts: &[&[u8]]) -> Vec<u8> {
+    let payload_len: usize = parts.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(payload_len).expect("frame payload exceeds u32 length"); // lint:allow(panic_path) -- payloads are in-process responses far below the 4 GiB frame ceiling
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload_len);
     out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     out
 }
 

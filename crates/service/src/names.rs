@@ -56,6 +56,9 @@ pub const AUDIT_PIA_US: &str = "audit_pia_us";
 pub const PUSH_LATENCY_US: &str = "push_latency_us";
 pub const INGEST_US: &str = "ingest_us";
 pub const FED_PARTY_US: &str = "fed_party_us";
+pub const REPORT_ENCODE_US: &str = "report_encode_us";
+/// Bytes, not µs: the size of every answer frame the daemon sends.
+pub const RESPONSE_BYTES: &str = "response_bytes";
 
 // Spans. `SPAN_AUDIT` is the one audit-level span every audit records
 // (what `Metrics{recent}` selects); engine stages nest under it.

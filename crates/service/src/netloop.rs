@@ -43,11 +43,11 @@ use indaas_obs::{log as slog, Span, TraceContext};
 use crate::codec::{self, WriteQueue};
 use crate::federation::{self, FedTimer, LoopIo, PartyPost, Ring};
 use crate::proto::{
-    decode_line, encode_line, Envelope, Request, Response, EVENT_ENVELOPE_ID, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    decode_line, encode_line, frame_answer, Envelope, Request, Response, SlotEncoding,
+    EVENT_ENVELOPE_ID, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::server::{
-    admit_request, envelope_frame, register_subscription, request_kind, run_collectors, save_dirty,
+    admit_request, register_subscription, request_kind, run_collectors, save_dirty,
     schedule_push_audit, AdmitOutcome, ServiceState, MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
 };
 use crate::subs::Outbox;
@@ -146,20 +146,12 @@ pub(crate) struct PendingPush {
     pub(crate) ctx: TraceContext,
 }
 
-/// How a [`ResponseSlot`] frames its response for the wire.
-pub(crate) enum SlotEncoding {
-    /// A bare v1 response line.
-    V1,
-    /// A v2 response envelope echoing the request id.
-    V2 { id: u64 },
-}
-
-/// One outstanding request's answer-exactly-once cell. Whoever calls
-/// [`ResponseSlot::fulfill`] first — the job, the deadline guard timer,
-/// or the crash guard — wins; later calls are no-ops. Fulfilling
-/// records the dispatch latency and the request span, frames the
-/// response for the session's protocol, and enqueues it on the
-/// connection's outbox (whose notifier wakes the loop).
+/// One outstanding request's answer-exactly-once cell. Whoever fulfills
+/// it first — the job, the deadline guard timer, or the crash guard —
+/// wins; later calls are no-ops. Fulfilling records the dispatch
+/// latency and the request span, frames the response for the session's
+/// protocol, and enqueues it on the connection's outbox (whose notifier
+/// wakes the loop).
 pub(crate) struct ResponseSlot {
     claimed: AtomicBool,
     outbox: Arc<Outbox>,
@@ -177,6 +169,14 @@ impl ResponseSlot {
     /// Delivers `response` if nothing else has yet; returns whether
     /// this call was the one that claimed the slot.
     pub(crate) fn fulfill(&self, response: Response) -> bool {
+        // An already-claimed slot skips the encode: every finished job's
+        // crash guard lands here.
+        !self.claimed.load(Ordering::SeqCst) && self.fulfill_body(&encode_line(&response))
+    }
+
+    /// [`ResponseSlot::fulfill`] with the response already encoded (a
+    /// typed response's `encode_line`, or a spliced SIA answer).
+    pub(crate) fn fulfill_body(&self, body: &str) -> bool {
         if self.claimed.swap(true, Ordering::SeqCst) {
             return false;
         }
@@ -188,10 +188,7 @@ impl ResponseSlot {
         self.telemetry
             .spans
             .record(self.ctx, self.kind, String::new(), elapsed_us);
-        let frame = match self.encoding {
-            SlotEncoding::V1 => codec::line_bytes(&encode_line(&response)),
-            SlotEncoding::V2 { id } => envelope_frame(id, response),
-        };
+        let frame = frame_answer(self.encoding, body, &self.telemetry.response_bytes);
         self.outbox.push_response(frame);
         if let Some(gauge) = &self.in_flight {
             gauge.fetch_sub(1, Ordering::AcqRel);
@@ -491,7 +488,7 @@ impl EventLoop<'_> {
         if occupied > max {
             // Admission control: one clear error, then the connection is
             // flushed and dropped before it can claim loop state.
-            push_line(
+            self.push_line(
                 &mut conn,
                 &Response::error(format!(
                     "connection limit reached ({max} concurrent connections); retry later"
@@ -575,7 +572,7 @@ impl EventLoop<'_> {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return Verdict::Keep,
                 Err(codec::DecodeError::Oversized { .. }) => {
-                    conn.outbox.push_response(envelope_frame(
+                    conn.outbox.push_response(self.envelope_frame(
                         EVENT_ENVELOPE_ID,
                         Response::error(format!("request frame exceeds {MAX_REQUEST_LINE} bytes")),
                     ));
@@ -611,7 +608,7 @@ impl EventLoop<'_> {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return Verdict::Keep,
                 Err(codec::DecodeError::Oversized { .. }) => {
-                    push_line(
+                    self.push_line(
                         conn,
                         &Response::error(format!("peer frame exceeds {MAX_REQUEST_LINE} bytes")),
                     );
@@ -628,7 +625,7 @@ impl EventLoop<'_> {
             }
             let (ring, mut io) = self.ring_io();
             if let Err(message) = ring.receive(&mut io, &frame) {
-                push_line(conn, &Response::error(message));
+                self.push_line(conn, &Response::error(message));
                 return Verdict::CloseAfterFlush;
             }
         }
@@ -650,7 +647,7 @@ impl EventLoop<'_> {
                 // v2 frames come only from machine encoders; an
                 // unparseable envelope is a broken peer, not a typo —
                 // answer once and drop.
-                conn.outbox.push_response(envelope_frame(
+                conn.outbox.push_response(self.envelope_frame(
                     EVENT_ENVELOPE_ID,
                     Response::error(format!("malformed envelope: {e}")),
                 ));
@@ -658,7 +655,7 @@ impl EventLoop<'_> {
             }
         };
         if id == EVENT_ENVELOPE_ID {
-            conn.outbox.push_response(envelope_frame(
+            conn.outbox.push_response(self.envelope_frame(
                 EVENT_ENVELOPE_ID,
                 Response::error("envelope id 0 is reserved for server pushes"),
             ));
@@ -668,10 +665,12 @@ impl EventLoop<'_> {
         let ctx = request_context(trace.as_deref());
         match body {
             Request::Hello { .. } => {
-                conn.outbox.push_response(envelope_frame(
-                    id,
-                    Response::error("session version is already negotiated"),
-                ));
+                conn.outbox.push_response(
+                    self.envelope_frame(
+                        id,
+                        Response::error("session version is already negotiated"),
+                    ),
+                );
             }
             Request::Subscribe { spec, engine } => {
                 let started = Instant::now();
@@ -680,10 +679,9 @@ impl EventLoop<'_> {
                         // Response first, then the initial audit: the
                         // outbox is FIFO, so `Subscribed` reaches the
                         // wire before the first `AuditEvent` can.
-                        conn.outbox.push_response(envelope_frame(
-                            id,
-                            Response::Subscribed { subscription },
-                        ));
+                        conn.outbox.push_response(
+                            self.envelope_frame(id, Response::Subscribed { subscription }),
+                        );
                         schedule_push_audit(
                             state,
                             subscription,
@@ -695,7 +693,7 @@ impl EventLoop<'_> {
                     }
                     Err(message) => {
                         conn.outbox
-                            .push_response(envelope_frame(id, Response::error(message)));
+                            .push_response(self.envelope_frame(id, Response::error(message)));
                     }
                 }
                 state.telemetry.spans.record(
@@ -710,11 +708,11 @@ impl EventLoop<'_> {
                     Ok(()) => Response::Unsubscribed { subscription },
                     Err(e) => Response::error(e),
                 };
-                conn.outbox.push_response(envelope_frame(id, response));
+                conn.outbox.push_response(self.envelope_frame(id, response));
             }
             Request::Shutdown => {
                 conn.outbox
-                    .push_response(envelope_frame(id, Response::ShuttingDown));
+                    .push_response(self.envelope_frame(id, Response::ShuttingDown));
                 // SeqCst pairs with the mutation gate in
                 // `apply_mutation`; the drain begins at the top of the
                 // next loop iteration, after this ack is queued.
@@ -723,7 +721,7 @@ impl EventLoop<'_> {
             }
             request => {
                 if conn.in_flight.load(Ordering::Acquire) >= MAX_IN_FLIGHT_REQUESTS {
-                    conn.outbox.push_response(envelope_frame(
+                    conn.outbox.push_response(self.envelope_frame(
                         id,
                         Response::error(format!(
                             "too many in-flight requests (max {MAX_IN_FLIGHT_REQUESTS})"
@@ -767,7 +765,7 @@ impl EventLoop<'_> {
                 Ok(Some(Err(_))) => return Verdict::CloseAfterFlush,
                 Ok(None) => return Verdict::Keep,
                 Err(codec::DecodeError::Oversized { .. }) => {
-                    push_line(
+                    self.push_line(
                         conn,
                         &Response::error(format!("request line exceeds {MAX_REQUEST_LINE} bytes")),
                     );
@@ -784,7 +782,7 @@ impl EventLoop<'_> {
                         greeted: true,
                         busy: false,
                     };
-                    push_line(conn, &Response::error(format!("malformed request: {e}")));
+                    self.push_line(conn, &Response::error(format!("malformed request: {e}")));
                     continue;
                 }
             };
@@ -794,7 +792,7 @@ impl EventLoop<'_> {
             if let Request::FederateHello { version, node } = request {
                 let response = federation::handshake(self.state, version, &node);
                 let welcomed = matches!(response, Response::FederateWelcome { .. });
-                push_line(conn, &response);
+                self.push_line(conn, &response);
                 if !welcomed {
                     return Verdict::CloseAfterFlush;
                 }
@@ -806,7 +804,7 @@ impl EventLoop<'_> {
             // frames, 1 stays right here in the lock-step line mode.
             if let Request::Hello { version } = request {
                 if greeted {
-                    push_line(
+                    self.push_line(
                         conn,
                         &Response::error("Hello must be the first line of a connection"),
                     );
@@ -817,7 +815,7 @@ impl EventLoop<'_> {
                     busy: false,
                 };
                 if version < MIN_PROTOCOL_VERSION {
-                    push_line(
+                    self.push_line(
                         conn,
                         &Response::error(format!(
                             "protocol version {version} below supported minimum \
@@ -827,7 +825,7 @@ impl EventLoop<'_> {
                     return Verdict::CloseAfterFlush;
                 }
                 let negotiated = version.min(PROTOCOL_VERSION);
-                push_line(
+                self.push_line(
                     conn,
                     &Response::Welcome {
                         version: negotiated,
@@ -884,8 +882,8 @@ impl EventLoop<'_> {
             return Dispatched::Async;
         }
         match admit_request(self.state, request, slot.ctx, Arc::clone(&slot)) {
-            AdmitOutcome::Done(response, shutdown) => {
-                slot.fulfill(response);
+            AdmitOutcome::Done(body, shutdown) => {
+                slot.fulfill_body(&body);
                 Dispatched::Inline { shutdown }
             }
             AdmitOutcome::Pooled { token, deadline } => {
@@ -1113,7 +1111,7 @@ impl EventLoop<'_> {
         let (ring, mut io) = self.ring_io();
         ring.shutdown(&mut io);
         let _ = self.poller.delete(self.listener.as_raw_fd());
-        let farewell = envelope_frame(EVENT_ENVELOPE_ID, Response::ShuttingDown);
+        let farewell = self.envelope_frame(EVENT_ENVELOPE_ID, Response::ShuttingDown);
         for outbox in self.state.subs.subscriber_outboxes() {
             outbox.push_response(farewell.clone());
         }
@@ -1136,15 +1134,27 @@ impl EventLoop<'_> {
         self.timers
             .arm(Instant::now() + SHUTDOWN_LINGER, TimerEvent::ShutdownLinger);
     }
-}
 
-/// Enqueues one v1/greeting response line on the connection's outbox,
-/// counting it so the pump exempts it from the v2 write fault point.
-fn push_line(conn: &mut Conn, response: &Response) {
-    if conn
-        .outbox
-        .push_response(codec::line_bytes(&encode_line(response)))
-    {
-        conn.line_frames_queued += 1;
+    /// A typed response as one transport-ready v2 envelope frame (length
+    /// prefix included), for answers the loop sends without a slot.
+    fn envelope_frame(&self, id: u64, body: Response) -> Vec<u8> {
+        frame_answer(
+            SlotEncoding::V2 { id },
+            &encode_line(&body),
+            &self.state.telemetry.response_bytes,
+        )
+    }
+
+    /// Enqueues one v1/greeting response line on the connection's outbox,
+    /// counting it so the pump exempts it from the v2 write fault point.
+    fn push_line(&self, conn: &mut Conn, response: &Response) {
+        let line = frame_answer(
+            SlotEncoding::V1,
+            &encode_line(response),
+            &self.state.telemetry.response_bytes,
+        );
+        if conn.outbox.push_response(line) {
+            conn.line_frames_queued += 1;
+        }
     }
 }

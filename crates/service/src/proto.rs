@@ -88,12 +88,23 @@
 //! daemons into one tree), and every pushed [`Response::AuditEvent`]
 //! names the originating request's trace in `trace_id`.
 //!
+//! **Encoded once.** A SIA report is encoded to JSON once, by the worker
+//! that computed it, and the result cache keeps that text. Every
+//! [`Response::Sia`] and [`Response::AuditEvent`] the daemon sends —
+//! fresh, cached or pushed — is that text spliced between its scalar
+//! fields (`sia_body`, `audit_event_body`), so a cached answer is
+//! byte-identical to a fresh one but for `cached` and `elapsed_us`. The
+//! splice writes the keys in the order the derive emits them; unit tests
+//! pin it to `encode_line` of the typed variant.
+//!
 //! Responses to failed requests are `{"Error": {"message": "..."}}`; the
 //! connection stays open (v1) or the error rides the offending
 //! envelope's id (v2).
 
 use indaas_core::AuditSpec;
-use indaas_obs::{format_trace_id, parse_trace_id, SpanRecord, TraceContext, TRACE_CONTEXT_BYTES};
+use indaas_obs::{
+    format_trace_id, parse_trace_id, Histo, SpanRecord, TraceContext, TRACE_CONTEXT_BYTES,
+};
 use indaas_pia::PiaRanking;
 use indaas_sia::AuditReport;
 use serde::{Deserialize, Serialize};
@@ -630,6 +641,80 @@ pub struct ResponseEnvelope {
     pub body: Response,
 }
 
+/// The [`Response::Sia`] body around an already-encoded report: exactly
+/// `encode_line(&Response::Sia { .. })`, with `report` — the
+/// `encode_line` text of the [`AuditReport`] — copied in verbatim
+/// instead of re-encoded.
+pub(crate) fn sia_body(epoch: u64, cached: bool, elapsed_us: u64, report: &str) -> String {
+    splice("Sia", cached, elapsed_us, epoch, report, "}}")
+}
+
+/// The [`Response::AuditEvent`] body around an already-encoded report —
+/// [`sia_body`]'s twin for pushes.
+pub(crate) fn audit_event_body(
+    subscription: u64,
+    epoch: u64,
+    cached: bool,
+    elapsed_us: u64,
+    report: &str,
+    trace_id: &str,
+) -> String {
+    let tail = format!(
+        r#","subscription":{subscription},"trace_id":{}}}}}"#,
+        encode_line(&trace_id)
+    );
+    splice("AuditEvent", cached, elapsed_us, epoch, report, &tail)
+}
+
+/// `{"<variant>":{` and the fields both answers share, in the derive's
+/// (sorted) key order, then the report text and `tail` — the keys after
+/// `report` and the closing braces.
+fn splice(
+    variant: &str,
+    cached: bool,
+    elapsed_us: u64,
+    epoch: u64,
+    report: &str,
+    tail: &str,
+) -> String {
+    let head = format!(
+        r#"{{"{variant}":{{"cached":{cached},"elapsed_us":{elapsed_us},"epoch":{epoch},"report":"#
+    );
+    let mut body = String::with_capacity(head.len() + report.len() + tail.len());
+    body.push_str(&head);
+    body.push_str(report);
+    body.push_str(tail);
+    body
+}
+
+/// How one answer is framed for its session.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SlotEncoding {
+    /// A bare v1 response line.
+    V1,
+    /// A length-prefixed v2 [`ResponseEnvelope`] with this id.
+    V2 { id: u64 },
+}
+
+/// Frames one encoded response body — typed answers through
+/// `encode_line`, spliced ones from [`sia_body`]/[`audit_event_body`] —
+/// into its transport-ready bytes: the v1 line (newline appended) or the
+/// v2 envelope `{"body":…,"id":N}` behind its length prefix. Every answer
+/// the daemon sends is framed here, and its size recorded in
+/// `response_bytes`.
+pub(crate) fn frame_answer(encoding: SlotEncoding, body: &str, response_bytes: &Histo) -> Vec<u8> {
+    let frame = match encoding {
+        SlotEncoding::V1 => crate::codec::line_bytes(body),
+        SlotEncoding::V2 { id } => crate::codec::frame_parts(&[
+            br#"{"body":"#,
+            body.as_bytes(),
+            format!(r#","id":{id}}}"#).as_bytes(),
+        ]),
+    };
+    response_bytes.record(frame.len() as u64);
+    frame
+}
+
 /// Outcome of [`read_frame`].
 #[derive(Debug)]
 pub enum FrameRead {
@@ -1161,5 +1246,143 @@ mod tests {
                 .unwrap_err()
                 .contains("trace extension")
         );
+    }
+
+    /// Reports that stress the encoder: escapes of every kind, non-ASCII,
+    /// non-finite and integral floats, absent options — and no report at
+    /// all.
+    fn splice_reports() -> Vec<AuditReport> {
+        use indaas_sia::{DeploymentAudit, RankedRg, ScoreKind};
+        let hostile = DeploymentAudit {
+            name: "q\"uote \\back\\slash\n\t\r\u{1}\u{8}\u{c}\u{1f} é 😀".to_string(),
+            ranked_rgs: vec![
+                RankedRg {
+                    events: vec!["tor\"1".to_string(), "ко́ре\\2".to_string()],
+                    size: 2,
+                    probability: Some(f64::NAN),
+                    importance: Some(f64::INFINITY),
+                },
+                RankedRg {
+                    events: Vec::new(),
+                    size: 0,
+                    probability: Some(1.0),
+                    importance: Some(0.1 + 0.2),
+                },
+            ],
+            independence_score: f64::NEG_INFINITY,
+            score_kind: ScoreKind::ProbabilityBased,
+            unexpected_rgs: usize::MAX,
+            failure_probability: None,
+        };
+        let plain = DeploymentAudit {
+            name: "S1+S3".to_string(),
+            ranked_rgs: vec![RankedRg {
+                events: vec!["S1-disk".to_string()],
+                size: 1,
+                probability: None,
+                importance: None,
+            }],
+            independence_score: 4.0,
+            score_kind: ScoreKind::SizeBased,
+            unexpected_rgs: 0,
+            failure_probability: Some(1e-300),
+        };
+        vec![
+            AuditReport {
+                deployments: Vec::new(),
+            },
+            AuditReport {
+                deployments: vec![hostile, plain],
+            },
+        ]
+    }
+
+    #[test]
+    fn splice_sia_body_equals_encode_line() {
+        for report in splice_reports() {
+            let encoded = encode_line(&report);
+            for (epoch, cached, elapsed_us) in [(0, false, 0), (u64::MAX, true, u64::MAX)] {
+                let typed = Response::Sia {
+                    epoch,
+                    cached,
+                    elapsed_us,
+                    report: report.clone(),
+                };
+                assert_eq!(
+                    sia_body(epoch, cached, elapsed_us, &encoded),
+                    encode_line(&typed)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn splice_audit_event_body_equals_encode_line() {
+        let trace_ids = [
+            format_trace_id(TraceContext::root().trace_id),
+            String::new(),
+            "odd \"id\" \\ \n é".to_string(),
+        ];
+        for report in splice_reports() {
+            let encoded = encode_line(&report);
+            for trace_id in &trace_ids {
+                for (subscription, epoch, cached, elapsed_us) in
+                    [(1, 0, false, 7), (u64::MAX, u64::MAX, true, u64::MAX)]
+                {
+                    let typed = Response::AuditEvent {
+                        subscription,
+                        epoch,
+                        cached,
+                        elapsed_us,
+                        report: report.clone(),
+                        trace_id: trace_id.clone(),
+                    };
+                    assert_eq!(
+                        audit_event_body(
+                            subscription,
+                            epoch,
+                            cached,
+                            elapsed_us,
+                            &encoded,
+                            trace_id
+                        ),
+                        encode_line(&typed)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn splice_frames_equal_typed_frames() {
+        let sizes = Histo::new();
+        let mut expected_sizes = 0;
+        for report in splice_reports() {
+            let typed = Response::Sia {
+                epoch: 3,
+                cached: true,
+                elapsed_us: 12,
+                report: report.clone(),
+            };
+            let body = sia_body(3, true, 12, &encode_line(&report));
+            let line = frame_answer(SlotEncoding::V1, &body, &sizes);
+            assert_eq!(line, crate::codec::line_bytes(&encode_line(&typed)));
+            expected_sizes += line.len() as u64;
+            for id in [EVENT_ENVELOPE_ID, 1, u64::MAX] {
+                let frame = frame_answer(SlotEncoding::V2 { id }, &body, &sizes);
+                let envelope = ResponseEnvelope {
+                    id,
+                    body: typed.clone(),
+                };
+                assert_eq!(
+                    frame,
+                    crate::codec::frame_bytes(encode_line(&envelope).as_bytes())
+                );
+                expected_sizes += frame.len() as u64;
+            }
+        }
+        let recorded = sizes.snapshot();
+        assert_eq!(recorded.count, 8, "every frame recorded once");
+        assert_eq!(recorded.sum, expected_sizes);
     }
 }

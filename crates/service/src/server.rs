@@ -27,14 +27,16 @@
 //! 1. pin a copy-on-write [`DbSnapshot`] — one **wait-free** `Arc` load
 //!    per shard, no lock at all, never delayed by concurrent ingests;
 //! 2. content-hash `(epoch pins of the shards the spec reads, spec)` →
-//!    cache hit ⇒ answer immediately with `cached: true`;
+//!    cache hit ⇒ answer immediately with `cached: true`, the cached
+//!    report text spliced into the answer;
 //! 3. miss ⇒ submit a job carrying the snapshot and a deadline-armed
 //!    [`CancelToken`]; the worker runs the cancellable audit entry point
-//!    and sends the result back over a channel;
-//! 4. insert the report into the cache keyed by the *pinned* shard
-//!    epochs (a concurrent ingest bumps a read shard's epoch, so the
-//!    entry is already stale and unreachable — and purged on the next
-//!    ingest; ingests to *other* shards leave it hot).
+//!    and fulfills the request's response slot itself;
+//! 4. the worker encodes the report once and inserts that text into the
+//!    cache keyed by the *pinned* shard epochs (a concurrent ingest
+//!    bumps a read shard's epoch, so the entry is already stale and
+//!    unreachable — and purged on the next ingest; ingests to *other*
+//!    shards leave it hot).
 //!
 //! Writes take no global lock either: the [`ShardedDepDb`] routes each
 //! batch by host shard before locking, then locks only the touched
@@ -56,14 +58,14 @@ use indaas_core::{AuditSpec, AuditingAgent, CancelToken};
 use indaas_deps::{DepView, DependencyAcquisitionModule, DependencyRecord, ShardedDepDb};
 use indaas_obs::{format_trace_id, log as slog, Span, SpanRecord, TraceContext, TraceScope};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
-use indaas_sia::AuditReport;
 
 use crate::cache::{job_key, AuditCache, EpochPins};
 use crate::federation::PeerAllowList;
 use crate::names;
 use crate::netloop::{CrashGuard, LoopShared, PendingPush, ResponseSlot};
 use crate::proto::{
-    encode_line, Request, Response, ResponseEnvelope, SpanEntry, EVENT_ENVELOPE_ID,
+    audit_event_body, encode_line, frame_answer, sia_body, Request, Response, SlotEncoding,
+    SpanEntry, EVENT_ENVELOPE_ID,
 };
 use crate::scheduler::Scheduler;
 use crate::subs::{Outbox, SubscriptionRegistry};
@@ -190,7 +192,11 @@ pub(crate) struct ServiceState {
     /// snapshotting for an audit is N wait-free `Arc` loads regardless
     /// of database size or writer traffic.
     pub(crate) db: ShardedDepDb,
-    pub(crate) sia_cache: Mutex<AuditCache<AuditReport>>,
+    /// SIA results as their wire text: each entry is exactly what
+    /// `encode_line(&report)` produced, written once by the worker that
+    /// computed the report; every answer splices it in
+    /// ([`crate::proto::sia_body`], [`crate::proto::audit_event_body`]).
+    pub(crate) sia_cache: Mutex<AuditCache<Arc<str>>>,
     pub(crate) pia_cache: Mutex<AuditCache<Vec<PiaRanking>>>,
     pub(crate) scheduler: Scheduler,
     pub(crate) started: Instant,
@@ -469,13 +475,6 @@ pub const MAX_REQUEST_LINE: u64 = 16 * 1024 * 1024;
 /// single pipelining client can pin.
 pub const MAX_IN_FLIGHT_REQUESTS: usize = 64;
 
-/// Serializes a response envelope into one **transport-ready** outbox
-/// frame: length prefix included, so the readiness loop's write path
-/// moves bytes without knowing the session's framing.
-pub(crate) fn envelope_frame(id: u64, body: Response) -> Vec<u8> {
-    crate::codec::frame_bytes(encode_line(&ResponseEnvelope { id, body }).as_bytes())
-}
-
 /// The span name a dispatched request is recorded under.
 pub(crate) fn request_kind(request: &Request) -> &'static str {
     match request {
@@ -535,6 +534,15 @@ fn spec_hosts(spec: &AuditSpec) -> impl Iterator<Item = &str> {
         .flat_map(|c| c.servers.iter().map(String::as_str))
 }
 
+/// Encodes a freshly computed report, once, into the text the SIA cache
+/// keeps and every answer splices; the cost lands in `report_encode_us`.
+fn encode_report(telemetry: &Telemetry, report: &impl serde::Serialize) -> Arc<str> {
+    let span = Span::start(Arc::clone(&telemetry.report_encode_us));
+    let encoded = Arc::from(encode_line(report));
+    drop(span);
+    encoded
+}
+
 /// Submits one pushed-audit job to the shared worker pool: re-runs (or
 /// serves from cache) the subscription's audit against a fresh snapshot
 /// and enqueues the `AuditEvent` frame. Runs entirely off the ingest
@@ -584,7 +592,15 @@ pub(crate) fn schedule_push_audit(
                 let result = agent.audit_sia_observed(&spec, token, &recorder);
                 telemetry.push_audits_total.inc();
                 telemetry.audits_sia_total.inc();
-                (false, result)
+                if result.is_ok() {
+                    telemetry
+                        .audit_sia_us
+                        .record(started.elapsed().as_micros() as u64);
+                }
+                (
+                    false,
+                    result.map(|report| encode_report(telemetry, &report)),
+                )
             }
         };
         let detail = format!("subscription {subscription}");
@@ -597,24 +613,25 @@ pub(crate) fn schedule_push_audit(
         match result {
             Ok(report) => {
                 if !cached {
-                    telemetry
-                        .audit_sia_us
-                        .record(started.elapsed().as_micros() as u64);
                     st.sia_cache
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .insert(key, pins, report.clone());
+                        .insert(key, pins, Arc::clone(&report));
                 }
-                let frame = envelope_frame(
-                    EVENT_ENVELOPE_ID,
-                    Response::AuditEvent {
-                        subscription,
-                        epoch,
-                        cached,
-                        elapsed_us: started.elapsed().as_micros() as u64,
-                        trace_id: format_trace_id(parent.trace_id),
-                        report,
+                let body = audit_event_body(
+                    subscription,
+                    epoch,
+                    cached,
+                    started.elapsed().as_micros() as u64,
+                    &report,
+                    &format_trace_id(parent.trace_id),
+                );
+                let frame = frame_answer(
+                    SlotEncoding::V2 {
+                        id: EVENT_ENVELOPE_ID,
                     },
+                    &body,
+                    &telemetry.response_bytes,
                 );
                 // Counted before the enqueue so a subscriber can never
                 // observe an event the gauge does not yet include.
@@ -670,8 +687,9 @@ fn initiate_shutdown(state: &ServiceState) {
 /// What admitting a request produced: a synchronous answer, or a pooled
 /// job (token + deadline, for the loop's guard timer).
 pub(crate) enum AdmitOutcome {
-    /// Answered right here; the bool is the v1 shutdown signal.
-    Done(Response, bool),
+    /// Answered right here with this encoded response body; the bool is
+    /// the v1 shutdown signal.
+    Done(String, bool),
     /// A worker-pool job owns the slot; the loop arms a guard timer at
     /// `deadline` plus grace that cancels `token` and answers
     /// "audit timed out" should the worker wedge.
@@ -679,6 +697,13 @@ pub(crate) enum AdmitOutcome {
         token: CancelToken,
         deadline: Duration,
     },
+}
+
+impl AdmitOutcome {
+    /// Answered right here with a typed response (never a shutdown).
+    fn answer(response: &Response) -> Self {
+        AdmitOutcome::Done(encode_line(response), false)
+    }
 }
 
 /// Request admission: decides synchronous vs pooled and, on the pooled
@@ -701,7 +726,7 @@ pub(crate) fn admit_request(
         } => admit_pia(state, providers, way, minhash, timeout_ms, ctx, slot),
         request => {
             let (response, shutdown) = handle_request(request, state, ctx);
-            AdmitOutcome::Done(response, shutdown)
+            AdmitOutcome::Done(encode_line(&response), shutdown)
         }
     }
 }
@@ -925,9 +950,10 @@ pub(crate) fn run_collectors(state: &Arc<ServiceState>) -> usize {
     total
 }
 
-/// Rejects request-controlled algorithm parameters that would panic an
-/// engine or defeat the scheduler's admission control (e.g. a spec
-/// asking one pooled job to spawn thousands of sampling threads).
+/// Rejects request-controlled algorithm parameters and probabilities
+/// that would panic an engine or defeat the scheduler's admission
+/// control (e.g. a spec asking one pooled job to spawn thousands of
+/// sampling threads).
 fn validate_spec(spec: &AuditSpec) -> Result<(), String> {
     const MAX_SAMPLING_THREADS: usize = 8;
     match spec.algorithm {
@@ -956,6 +982,18 @@ fn validate_spec(spec: &AuditSpec) -> Result<(), String> {
         }
         indaas_core::RgAlgorithm::Minimal { .. } => {}
     }
+    // Out-of-range probabilities turn inclusion–exclusion into
+    // `inf - inf`; every probability a request carries must be one.
+    if let indaas_core::RankingMetric::Probability { default_prob } = spec.metric {
+        if !(0.0..=1.0).contains(&default_prob) {
+            return Err(format!(
+                "default_prob must be in [0, 1] (got {default_prob})"
+            ));
+        }
+    }
+    if let Some(model) = &spec.prob_model {
+        model.validate()?;
+    }
     Ok(())
 }
 
@@ -973,7 +1011,7 @@ fn admit_sia(
     slot: Arc<ResponseSlot>,
 ) -> AdmitOutcome {
     if let Err(e) = validate_spec(&spec) {
-        return AdmitOutcome::Done(Response::error(format!("invalid spec: {e}")), false);
+        return AdmitOutcome::answer(&Response::error(format!("invalid spec: {e}")));
     }
     let started = Instant::now();
     // Wait-free: no lock is taken for either the epoch stamp or the
@@ -994,11 +1032,6 @@ fn admit_sia(
     // The audit-level span, a child of the request span whichever way
     // the audit is answered; engine stages nest under it.
     let exec = ctx.child();
-    // Built before the lookup clones the cached report (~180 KB in many
-    // small pieces): what the span ring keeps for thousands of requests
-    // must not be allocated among what this request frees when it ends.
-    // Built after, `sia_hot` spends 6 % more daemon CPU in the allocator.
-    let hit_attrs = audit_attrs("sia", true, None, &pins);
     if let Some(report) = state
         .sia_cache
         .lock()
@@ -1007,17 +1040,10 @@ fn admit_sia(
     {
         let elapsed_us = started.elapsed().as_micros() as u64;
         state.telemetry.spans.push(
-            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us).with_attrs(hit_attrs),
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us)
+                .with_attrs(audit_attrs("sia", true, None, &pins)),
         );
-        return AdmitOutcome::Done(
-            Response::Sia {
-                epoch,
-                cached: true,
-                elapsed_us,
-                report,
-            },
-            false,
-        );
+        return AdmitOutcome::Done(sia_body(epoch, true, elapsed_us, &report), false);
     }
 
     let deadline = job_deadline(&state.config, timeout_ms);
@@ -1048,26 +1074,22 @@ fn admit_sia(
             SpanRecord::finished(exec, names::SPAN_AUDIT, detail, total_us)
                 .with_attrs(audit_attrs("sia", false, error, &pins)),
         );
-        let response = match result {
+        let body = match result {
             Ok(report) => {
+                let report = encode_report(telemetry, &report);
                 st.sia_cache
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key, pins, report.clone());
-                Response::Sia {
-                    epoch,
-                    cached: false,
-                    elapsed_us: started.elapsed().as_micros() as u64,
-                    report,
-                }
+                    .insert(key, pins, Arc::clone(&report));
+                sia_body(epoch, false, started.elapsed().as_micros() as u64, &report)
             }
-            Err(e) => Response::error(format!("audit failed: {e}")),
+            Err(e) => encode_line(&Response::error(format!("audit failed: {e}"))),
         };
-        crash.0.fulfill(response);
+        crash.0.fulfill_body(&body);
     });
     match submitted {
         Ok(token) => AdmitOutcome::Pooled { token, deadline },
-        Err(e) => AdmitOutcome::Done(Response::error(e.to_string()), false),
+        Err(e) => AdmitOutcome::answer(&Response::error(e.to_string())),
     }
 }
 
@@ -1083,16 +1105,14 @@ fn admit_pia(
     slot: Arc<ResponseSlot>,
 ) -> AdmitOutcome {
     if way < 2 || providers.len() < way {
-        return AdmitOutcome::Done(
-            Response::error("need way >= 2 and at least `way` providers"),
-            false,
-        );
+        return AdmitOutcome::answer(&Response::error(
+            "need way >= 2 and at least `way` providers",
+        ));
     }
     if providers.iter().any(|(_, set)| set.is_empty()) {
-        return AdmitOutcome::Done(
-            Response::error("provider component sets must be non-empty"),
-            false,
-        );
+        return AdmitOutcome::answer(&Response::error(
+            "provider component sets must be non-empty",
+        ));
     }
     let started = Instant::now();
     let epoch = state.db.epoch();
@@ -1113,15 +1133,12 @@ fn admit_pia(
             SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us)
                 .with_attrs(audit_attrs("pia", true, None, &[])),
         );
-        return AdmitOutcome::Done(
-            Response::Pia {
-                epoch,
-                cached: true,
-                elapsed_us,
-                rankings,
-            },
-            false,
-        );
+        return AdmitOutcome::answer(&Response::Pia {
+            epoch,
+            cached: true,
+            elapsed_us,
+            rankings,
+        });
     }
 
     let deadline = job_deadline(&state.config, timeout_ms);
@@ -1171,7 +1188,7 @@ fn admit_pia(
     });
     match submitted {
         Ok(token) => AdmitOutcome::Pooled { token, deadline },
-        Err(e) => AdmitOutcome::Done(Response::error(e.to_string()), false),
+        Err(e) => AdmitOutcome::answer(&Response::error(e.to_string())),
     }
 }
 

@@ -75,6 +75,8 @@
 //! | `push_latency_us` | ingest invalidation → event frame enqueued |
 //! | `ingest_us` | one ingest/retract batch through the write path |
 //! | `fed_party_us` | one federation party run, all ring rounds |
+//! | `report_encode_us` | encoding one computed SIA report to the text the cache keeps (misses and push misses; a hit encodes nothing) |
+//! | `response_bytes` | bytes of every answer frame, length prefix or newline included (a size distribution, not µs) |
 
 use std::sync::Arc;
 
@@ -141,6 +143,8 @@ pub struct Telemetry {
     pub loop_ready_events: Arc<Histo>,
     pub conn_registered: Arc<indaas_obs::Gauge>,
     pub write_queue_depth: Arc<indaas_obs::Gauge>,
+    pub report_encode_us: Arc<Histo>,
+    pub response_bytes: Arc<Histo>,
 }
 
 impl Telemetry {
@@ -196,6 +200,8 @@ impl Telemetry {
             loop_ready_events: registry.histo(names::LOOP_READY_EVENTS),
             conn_registered: registry.gauge(names::CONN_REGISTERED),
             write_queue_depth: registry.gauge(names::WRITE_QUEUE_DEPTH),
+            report_encode_us: registry.histo(names::REPORT_ENCODE_US),
+            response_bytes: registry.histo(names::RESPONSE_BYTES),
             registry,
             spans: SpanStore::new(SPAN_CAPACITY),
             slow_threshold_us: slow_audit_ms.saturating_mul(1_000),

@@ -131,8 +131,7 @@ pub fn rank_by_probability(
         .collect();
     ranked.sort_by(|a, b| {
         b.importance
-            .partial_cmp(&a.importance)
-            .expect("importances are finite")
+            .total_cmp(&a.importance)
             .then_with(|| a.group.names(graph).cmp(&b.group.names(graph)))
     });
     (ranked, pr_top)

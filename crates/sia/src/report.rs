@@ -163,14 +163,14 @@ impl AuditReport {
             );
             deployments.sort_by(|a, b| {
                 let primary = match kind {
-                    ScoreKind::SizeBased => b
-                        .independence_score
-                        .partial_cmp(&a.independence_score)
-                        .expect("finite scores"),
+                    // `total_cmp`: a NaN score (say, `inf - inf` from
+                    // out-of-range probabilities) sorts last instead of
+                    // panicking.
+                    ScoreKind::SizeBased => b.independence_score.total_cmp(&a.independence_score),
                     ScoreKind::ProbabilityBased => {
                         let pa = a.failure_probability.unwrap_or(f64::INFINITY);
                         let pb = b.failure_probability.unwrap_or(f64::INFINITY);
-                        pa.partial_cmp(&pb).expect("finite probabilities")
+                        pa.total_cmp(&pb)
                     }
                 };
                 primary.then_with(|| a.name.cmp(&b.name))

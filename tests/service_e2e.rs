@@ -6,8 +6,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use indaas::core::{AuditSpec, CandidateDeployment, RgAlgorithm};
-use indaas::service::{names, Client, Request, Response, ServeConfig, Server, SpanEntry};
+use indaas::core::{AuditSpec, CandidateDeployment, RankingMetric, RgAlgorithm};
+use indaas::service::{
+    names, Client, MetricsAnswer, Request, Response, ServeConfig, Server, SpanEntry,
+};
 
 mod common;
 use common::LineSession;
@@ -299,6 +301,45 @@ fn hostile_specs_are_rejected_or_survived() {
         "got: {err}"
     );
     assert!(!err.contains("crashed"), "got: {err}");
+
+    // Request-supplied probabilities outside [0, 1] make inclusion–
+    // exclusion compute `inf - inf`: rejected up front, never a crashed
+    // job. The model's rules arrive through `Deserialize`, which skips
+    // the constructors' range asserts.
+    let huge_prob = AuditSpec {
+        metric: RankingMetric::Probability {
+            default_prob: 1e300,
+        },
+        ..audit_spec()
+    };
+    let bad_rule: indaas::deps::FailureProbModel =
+        serde_json::from_str(r#"{"rules": [["tor", 5.0]], "default": 0.1}"#).expect("model");
+    let bad_default: indaas::deps::FailureProbModel =
+        serde_json::from_str(r#"{"rules": [], "default": -0.5}"#).expect("model");
+    for (spec, needle) in [
+        (huge_prob, "default_prob"),
+        (
+            AuditSpec {
+                prob_model: Some(bad_rule),
+                ..audit_spec()
+            },
+            "\"tor\"",
+        ),
+        (
+            AuditSpec {
+                prob_model: Some(bad_default),
+                ..audit_spec()
+            },
+            "prob_model default",
+        ),
+    ] {
+        let err = client.audit_sia(&spec, None).unwrap_err().to_string();
+        assert!(
+            err.contains("invalid spec") && err.contains(needle),
+            "got: {err}"
+        );
+        assert!(!err.contains("crashed"), "got: {err}");
+    }
 
     // The pool is still alive: a normal audit completes afterwards.
     let ok = client.audit_sia(&audit_spec(), None).expect("pool alive");
@@ -981,6 +1022,99 @@ fn subscriptions_are_independent_per_spec() {
     daemon.join().unwrap().expect("serve loop");
 }
 
+/// Encode once, at the bytes: the same `AuditSia` sent twice over a raw
+/// v1 line answers fresh, then cached, with lines identical but for
+/// `cached` and `elapsed_us` — and a subscriber's pushed `AuditEvent`
+/// for that spec carries the very same report text.
+#[test]
+fn cached_and_pushed_answers_splice_identical_report_bytes() {
+    use indaas::service::proto::{encode_line, read_frame, write_frame, Envelope, FrameRead};
+
+    /// The answer with the two per-answer fields reduced to their keys.
+    fn normalized(answer: &str) -> String {
+        let (head, report) = answer.split_once(r#","report":"#).expect("report field");
+        let head: Vec<&str> = head
+            .split(',')
+            .map(|field| match field.rsplit_once(':') {
+                Some((key, _)) if key.ends_with(r#""cached""#) || key == r#""elapsed_us""# => key,
+                _ => field,
+            })
+            .collect();
+        format!("{},report:{report}", head.join(","))
+    }
+
+    let (addr, daemon) = start_daemon();
+    let mut v1 = LineSession::connect(addr);
+    let ingest = Request::Ingest {
+        records: RECORDS.to_string(),
+    };
+    assert!(matches!(v1.request(&ingest), Response::Ingested { .. }));
+    let audit = encode_line(&Request::AuditSia {
+        spec: audit_spec(),
+        timeout_ms: None,
+    });
+    let fresh = v1.raw(&audit);
+    let cached = v1.raw(&audit);
+    assert!(
+        fresh.starts_with(r#"{"Sia":{"cached":false,"#),
+        "got: {fresh}"
+    );
+    assert!(
+        cached.starts_with(r#"{"Sia":{"cached":true,"#),
+        "got: {cached}"
+    );
+    assert_eq!(normalized(&fresh), normalized(&cached));
+    let report = fresh
+        .trim_end()
+        .split_once(r#","report":"#)
+        .and_then(|(_, rest)| rest.strip_suffix("}}"))
+        .expect("report text");
+    assert!(report.contains("S1+S3"));
+
+    // A raw v2 subscriber to the same spec: its initial push is served
+    // from the same cache entry.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone socket");
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "{}", encode_line(&Request::Hello { version: 2 })).expect("hello");
+    let mut welcome = String::new();
+    reader.read_line(&mut welcome).expect("welcome");
+    assert!(welcome.contains("Welcome"), "got: {welcome}");
+    let subscribe = encode_line(&Envelope {
+        id: 1,
+        body: Request::Subscribe {
+            spec: audit_spec(),
+            engine: "sia".into(),
+        },
+        trace: None,
+    });
+    write_frame(&mut writer, subscribe.as_bytes()).expect("subscribe");
+    let mut frame = Vec::new();
+    let event = loop {
+        assert!(matches!(
+            read_frame(&mut reader, &mut frame, 1 << 24).expect("frame"),
+            FrameRead::Frame
+        ));
+        let text = String::from_utf8(frame.clone()).expect("UTF-8 frame");
+        if text.contains(r#"{"AuditEvent":"#) {
+            break text;
+        }
+    };
+    assert!(event.contains(r#""cached":true,"#), "got: {event}");
+    let pushed = event
+        .split_once(r#","report":"#)
+        .and_then(|(_, rest)| rest.rsplit_once(r#","subscription":"#))
+        .map(|(report, _)| report)
+        .expect("pushed report text");
+    assert_eq!(pushed, report, "the push splices the cached report bytes");
+
+    assert!(matches!(
+        v1.request(&Request::Shutdown),
+        Response::ShuttingDown
+    ));
+    daemon.join().unwrap().expect("serve loop");
+}
+
 /// Protocol compatibility: a v1 session — plain NDJSON lines over a raw
 /// socket, no hello — runs a full session against the v2 daemon. This
 /// is the line mode `nc` and hand-written tooling ride.
@@ -1120,11 +1254,27 @@ fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
     let spec = audit_spec();
     let first = client.audit_sia(&spec, None).expect("first audit");
     assert!(!first.cached);
+    let after_miss = client.metrics(Some(0)).expect("metrics");
     let second = client.audit_sia(&spec, None).expect("second audit");
     assert!(second.cached);
 
     let metrics = client.metrics(None).expect("metrics");
     assert_eq!(metrics.slow_threshold_us, 0);
+
+    // Encode once: the miss encoded its report, the hit spliced the
+    // cached text and encoded nothing — while every answer frame, the
+    // hit's included, was sized on its way out.
+    let encodes = |m: &MetricsAnswer| m.histo(names::REPORT_ENCODE_US).expect("encode").count;
+    assert_eq!(encodes(&after_miss), 1);
+    assert_eq!(encodes(&metrics), 1, "a cache hit encodes no report");
+    let framed = |m: &MetricsAnswer| {
+        let h = m.histo(names::RESPONSE_BYTES).expect("response bytes");
+        (h.count, h.sum_us)
+    };
+    let (frames_before, bytes_before) = framed(&after_miss);
+    let (frames_after, bytes_after) = framed(&metrics);
+    assert!(frames_before >= 3, "hello, ingest and audit answers sized");
+    assert!(frames_after > frames_before && bytes_after > bytes_before);
 
     // Counters: exactly one SIA audit *executed* (the hit is not a
     // re-execution), one mutation, and every envelope counted.
