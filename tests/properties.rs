@@ -951,3 +951,263 @@ mod codec_props {
         }
     }
 }
+
+/// The JSON codec on the wire's own types, with hostile strings and
+/// arbitrary floats: the typed writer must print exactly what the `Value`
+/// printer prints for the same text (the tree is the reference), compact
+/// and pretty, and a typed decode must re-encode byte for byte.
+mod wire_props {
+    use indaas::core::{AuditSpec, CandidateDeployment, RankingMetric, RgAlgorithm};
+    use indaas::deps::FailureProbModel;
+    use indaas::pia::PiaRanking;
+    use indaas::service::{Request, Response};
+    use indaas::sia::{AuditReport, DeploymentAudit, RankedRg, ScoreKind};
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
+    use serde::{Deserialize, Serialize};
+
+    /// Characters JSON must escape, and ones that look like structure.
+    const HOSTILE: [char; 20] = [
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', '/', '}', ']',
+        '{', '[', ',', ':', 'é', '😀', '\u{2028}',
+    ];
+
+    /// Builds wire values from one seed (splitmix64).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn bool(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> Option<T> {
+            if self.bool() {
+                Some(f(self))
+            } else {
+                None
+            }
+        }
+
+        fn name(&mut self) -> String {
+            (0..self.below(12))
+                .map(|_| {
+                    if self.bool() {
+                        HOSTILE[self.below(HOSTILE.len() as u64) as usize]
+                    } else {
+                        char::from(b'a' + self.below(26) as u8)
+                    }
+                })
+                .collect()
+        }
+
+        fn names(&mut self, max: u64) -> Vec<String> {
+            (0..self.below(max + 1)).map(|_| self.name()).collect()
+        }
+
+        /// In `[0, 1)`, all 53 mantissa bits in play.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Any finite float: raw bit patterns (subnormals, ±0, 1e300),
+        /// small integers, fractions.
+        fn float(&mut self) -> f64 {
+            loop {
+                let v = match self.below(4) {
+                    0 => f64::from_bits(self.next()),
+                    1 => self.below(2000) as f64 - 1000.0,
+                    2 => self.unit(),
+                    _ => self.unit() * 1e18,
+                };
+                if v.is_finite() {
+                    return v;
+                }
+            }
+        }
+
+        /// An optional float that may also be NaN or infinite: written as
+        /// `null`, so it reads back as `None` and re-encodes the same.
+        fn opt_float(&mut self) -> Option<f64> {
+            match self.below(8) {
+                0 => Some(f64::NAN),
+                1 => Some(f64::NEG_INFINITY),
+                2 | 3 => None,
+                _ => Some(self.float()),
+            }
+        }
+
+        fn report(&mut self) -> AuditReport {
+            let deployments = (0..self.below(4))
+                .map(|_| DeploymentAudit {
+                    name: self.name(),
+                    ranked_rgs: (0..self.below(6))
+                        .map(|_| RankedRg {
+                            events: self.names(4),
+                            size: self.below(9) as usize,
+                            probability: self.opt_float(),
+                            importance: self.opt_float(),
+                        })
+                        .collect(),
+                    independence_score: self.float(),
+                    score_kind: if self.bool() {
+                        ScoreKind::SizeBased
+                    } else {
+                        ScoreKind::ProbabilityBased
+                    },
+                    unexpected_rgs: self.next() as usize,
+                    failure_probability: self.opt_float(),
+                })
+                .collect();
+            AuditReport { deployments }
+        }
+
+        fn spec(&mut self) -> AuditSpec {
+            AuditSpec {
+                candidates: (0..self.below(3))
+                    .map(|_| CandidateDeployment {
+                        name: self.name(),
+                        servers: self.names(4),
+                        needed_alive: self.below(5) as usize,
+                    })
+                    .collect(),
+                network: self.bool(),
+                hardware: self.bool(),
+                software: self.bool(),
+                algorithm: match self.below(3) {
+                    0 => RgAlgorithm::Minimal {
+                        max_order: self.opt(|g| g.below(6) as usize),
+                    },
+                    1 => RgAlgorithm::Sampling {
+                        rounds: self.next(),
+                        fail_prob: self.float(),
+                        seed: self.next(),
+                        threads: self.below(8) as usize,
+                    },
+                    _ => RgAlgorithm::Bdd {
+                        max_nodes: self.next() as usize,
+                    },
+                },
+                metric: if self.bool() {
+                    RankingMetric::Size
+                } else {
+                    RankingMetric::Probability {
+                        default_prob: self.float(),
+                    }
+                },
+                top_n: self.opt(|g| g.next() as usize),
+                prob_model: self.opt(|g| {
+                    let mut model = FailureProbModel::new(g.unit());
+                    for _ in 0..g.below(3) {
+                        model = model.with_rule(g.name(), g.unit());
+                    }
+                    model
+                }),
+            }
+        }
+
+        fn request(&mut self) -> Request {
+            match self.below(5) {
+                0 => Request::AuditSia {
+                    spec: self.spec(),
+                    timeout_ms: self.opt(Self::next),
+                },
+                1 => Request::Ingest {
+                    records: self.name(),
+                },
+                2 => Request::AuditPia {
+                    providers: (0..self.below(3))
+                        .map(|_| (self.name(), self.names(3)))
+                        .collect(),
+                    way: self.below(4) as usize,
+                    minhash: self.opt(|g| g.below(100) as usize),
+                    timeout_ms: None,
+                },
+                3 => Request::Subscribe {
+                    spec: self.spec(),
+                    engine: self.name(),
+                },
+                _ => Request::Trace { id: self.name() },
+            }
+        }
+
+        fn response(&mut self) -> Response {
+            match self.below(5) {
+                0 => Response::Sia {
+                    epoch: self.next(),
+                    cached: self.bool(),
+                    elapsed_us: self.next(),
+                    report: self.report(),
+                },
+                1 => Response::AuditEvent {
+                    subscription: self.next(),
+                    epoch: self.next(),
+                    cached: self.bool(),
+                    elapsed_us: self.next(),
+                    report: self.report(),
+                    trace_id: self.name(),
+                },
+                2 => Response::Pia {
+                    epoch: self.next(),
+                    cached: self.bool(),
+                    elapsed_us: self.next(),
+                    rankings: (0..self.below(3))
+                        .map(|_| PiaRanking {
+                            providers: self.names(3),
+                            jaccard: self.float(),
+                        })
+                        .collect(),
+                },
+                3 => Response::error(self.name()),
+                _ => Response::FederateWelcome {
+                    version: self.below(5) as u32,
+                    node: self.name(),
+                },
+            }
+        }
+    }
+
+    fn encode<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+        if pretty {
+            serde_json::to_string_pretty(value).unwrap()
+        } else {
+            serde_json::to_string(value).unwrap()
+        }
+    }
+
+    fn codec_is_canonical<T: Serialize + Deserialize>(value: &T) -> Result<(), TestCaseError> {
+        let text = encode(value, false);
+        let tree: serde_json::Value =
+            serde_json::from_str(&text).map_err(|e| TestCaseError::Fail(format!("{e}: {text}")))?;
+        prop_assert_eq!(&encode(&tree, false), &text);
+        prop_assert_eq!(encode(&tree, true), encode(value, true));
+        let back: T =
+            serde_json::from_str(&text).map_err(|e| TestCaseError::Fail(format!("{e}: {text}")))?;
+        prop_assert_eq!(encode(&back, false), text);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn typed_codec_matches_value_printer_and_roundtrips(seed in any::<u64>()) {
+            let mut g = Gen(seed);
+            codec_is_canonical(&g.report())?;
+            codec_is_canonical(&g.spec())?;
+            codec_is_canonical(&g.request())?;
+            codec_is_canonical(&g.response())?;
+        }
+    }
+}

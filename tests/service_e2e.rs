@@ -458,6 +458,73 @@ fn oversized_request_line_is_rejected() {
     daemon.join().unwrap().expect("serve loop");
 }
 
+/// One line of brackets, far below the line cap: the parser stops at 128
+/// levels of nesting, so 100,000 of them are a malformed request answered
+/// like any other — on a raw v1 session and inside a v2 envelope frame —
+/// never a stack overflow that takes the daemon down.
+#[test]
+fn hostile_nesting_is_answered_not_a_crash() {
+    use indaas::service::proto::{
+        decode_line, encode_line, read_frame, write_frame, FrameRead, ResponseEnvelope,
+    };
+
+    let (addr, daemon) = start_daemon();
+    let deep = "[".repeat(100_000);
+    // Under a key the decoder skips, every bracket is read until the cap.
+    let skipped = format!(r#"{{"AuditSia":{{"junk":{deep}}}}}"#);
+
+    // v1: the bare brackets, then the skipped form. The connection stays
+    // open after each.
+    let mut v1 = LineSession::connect(addr);
+    let answer = v1.raw(&deep);
+    assert!(
+        answer.starts_with(r#"{"Error":"#) && answer.contains("malformed request"),
+        "got: {answer}"
+    );
+    let answer = v1.raw(&skipped);
+    assert!(
+        answer.starts_with(r#"{"Error":"#)
+            && answer.contains("malformed request: recursion limit exceeded"),
+        "got: {answer}"
+    );
+    assert_eq!(v1.raw("\"Ping\"").trim(), "\"Pong\"");
+
+    // v2: the skipped form as an envelope body. A broken envelope is
+    // answered once and the session dropped.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone socket");
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "{}", encode_line(&Request::Hello { version: 2 })).expect("hello");
+    let mut welcome = String::new();
+    reader.read_line(&mut welcome).expect("welcome");
+    assert!(welcome.contains("Welcome"), "got: {welcome}");
+    let envelope = format!(r#"{{"id":1,"body":{skipped}}}"#);
+    write_frame(&mut writer, envelope.as_bytes()).expect("envelope frame");
+    let mut frame = Vec::new();
+    assert!(matches!(
+        read_frame(&mut reader, &mut frame, 1 << 24).expect("answer frame"),
+        FrameRead::Frame
+    ));
+    let answer: ResponseEnvelope =
+        decode_line(std::str::from_utf8(&frame).expect("UTF-8 frame")).expect("envelope");
+    match answer.body {
+        Response::Error { message } => assert!(
+            message.contains("malformed envelope") && message.contains("recursion limit exceeded"),
+            "got: {message}"
+        ),
+        other => panic!("expected an error, got {other:?}"),
+    }
+
+    // The daemon is alive for a fresh connection.
+    let mut fresh = LineSession::connect(addr);
+    assert!(matches!(fresh.request(&Request::Ping), Response::Pong));
+    assert!(matches!(
+        fresh.request(&Request::Shutdown),
+        Response::ShuttingDown
+    ));
+    daemon.join().unwrap().expect("serve loop");
+}
+
 #[test]
 fn huge_timeout_is_clamped_not_wedging() {
     let (addr, daemon) = start_daemon();
