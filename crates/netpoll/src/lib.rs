@@ -7,7 +7,7 @@
 //! The daemon's readiness loop drives every client connection through
 //! one [`Poller`]; worker threads that finish an audit wake the loop
 //! through a [`Waker`] (an `eventfd` registered like any other fd), and
-//! deadlines/debounce windows come due through the [`TimerWheel`] whose
+//! deadlines and backoffs come due through the [`TimerWheel`] whose
 //! next deadline bounds the `epoll_wait` timeout.
 //!
 //! Level-triggered only. The loop re-reads until `WouldBlock`, so

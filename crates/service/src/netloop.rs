@@ -15,14 +15,16 @@
 //!   audits enqueue fully-framed bytes from worker threads, exactly as
 //!   before) into a [`WriteQueue`] the loop drains on `EPOLLOUT`,
 //!   resuming mid-frame across `WouldBlock`.
-//! - **Requests** that need real work (cache-miss audits) are admitted
-//!   onto the bounded [`Scheduler`](crate::scheduler::Scheduler) pool
-//!   with a [`ResponseSlot`] the job fulfills when done — no thread
-//!   waits for the result. A guard timer answers for a wedged worker;
-//!   a [`CrashGuard`] answers for a panicked one.
+//! - **Requests** on either protocol get a [`ResponseSlot`] and go
+//!   through one `match` (`EventLoop::dispatch`): cheap ones are
+//!   answered inline, cache-miss audits are admitted onto the bounded
+//!   [`Scheduler`](crate::scheduler::Scheduler) pool with the slot the
+//!   job fulfills when done — no thread waits for the result. A guard
+//!   timer answers for a wedged worker; a [`CrashGuard`] answers for a
+//!   panicked one. Only line mode's greeting (`Hello`, `FederateHello`)
+//!   is handled before dispatch: it switches the connection's mode.
 //! - **Timers** absorb the old detached collector thread, per-request
-//!   deadline guards, subscription push debouncing, and every federation
-//!   deadline and retry backoff.
+//!   deadline guards, and every federation deadline and retry backoff.
 //! - **Federation** is loop state too ([`crate::federation`]): a
 //!   `FederateHello` switches its connection to peer mode, whose round
 //!   frames route through the loop-owned session table; a
@@ -36,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use indaas_core::{AuditSpec, CancelToken};
+use indaas_core::CancelToken;
 use indaas_netpoll::{Event, Interest, Poller, TimerWheel, Waker};
 use indaas_obs::{log as slog, Span, TraceContext};
 
@@ -47,8 +49,9 @@ use crate::proto::{
     EVENT_ENVELOPE_ID, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::server::{
-    admit_request, register_subscription, request_kind, run_collectors, save_dirty,
-    schedule_push_audit, AdmitOutcome, ServiceState, MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
+    admit_pia, admit_sia, ingest, metrics, register_subscription, request_kind, run_collectors,
+    save_dirty, schedule_push_audit, status, trace_get, Mutation, ServiceState,
+    MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
 };
 use crate::subs::Outbox;
 use crate::telemetry::Telemetry;
@@ -77,18 +80,9 @@ pub(crate) struct LoopShared {
     /// Connections whose outbox gained a frame (or closed) since the
     /// loop last drained this list.
     ready: Mutex<Vec<u64>>,
-    inbox: Mutex<Inbox>,
-}
-
-/// Work other threads hand the loop, taken under one lock per
-/// iteration.
-#[derive(Default)]
-struct Inbox {
-    /// Subscription triggers awaiting debounce (only populated when
-    /// [`crate::ServeConfig::push_debounce_ms`] is nonzero).
-    pushes: Vec<PendingPush>,
-    /// Federation pool jobs' results.
-    parties: Vec<PartyPost>,
+    /// Federation pool jobs' results, taken under one lock per
+    /// iteration.
+    parties: Mutex<Vec<PartyPost>>,
 }
 
 impl LoopShared {
@@ -109,41 +103,18 @@ impl LoopShared {
         std::mem::take(&mut *self.ready.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Queues a subscription trigger for debounced delivery.
-    pub(crate) fn queue_push(&self, push: PendingPush) {
-        self.inbox
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pushes
-            .push(push);
-        self.waker.wake();
-    }
-
     /// Hands a federation pool job's result to the loop.
     pub(crate) fn post_party(&self, post: PartyPost) {
-        self.inbox
+        self.parties
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .parties
             .push(post);
         self.waker.wake();
     }
 
-    fn take_inbox(&self) -> Inbox {
-        std::mem::take(&mut *self.inbox.lock().unwrap_or_else(PoisonError::into_inner))
+    fn take_parties(&self) -> Vec<PartyPost> {
+        std::mem::take(&mut *self.parties.lock().unwrap_or_else(PoisonError::into_inner))
     }
-}
-
-/// A subscription an ingest invalidated, parked until its debounce
-/// timer fires. Coalescing keeps the *earliest* trigger per
-/// subscription: its `origin` is what the push-latency histogram must
-/// measure from.
-pub(crate) struct PendingPush {
-    pub(crate) subscription: u64,
-    pub(crate) spec: AuditSpec,
-    pub(crate) outbox: Arc<Outbox>,
-    pub(crate) origin: Instant,
-    pub(crate) ctx: TraceContext,
 }
 
 /// One outstanding request's answer-exactly-once cell. Whoever fulfills
@@ -221,8 +192,6 @@ pub(crate) enum TimerEvent {
         slot: Arc<ResponseSlot>,
         token: CancelToken,
     },
-    /// A debounced subscription trigger came due.
-    Debounce { subscription: u64 },
     /// The shutdown drain's patience ran out; force-close stragglers.
     ShutdownLinger,
     /// A federation party's deadline, budget, backoff or dial timer.
@@ -290,14 +259,6 @@ enum Verdict {
     Rescan,
 }
 
-/// What dispatching one request produced.
-enum Dispatched {
-    /// Answered synchronously (response already in the outbox).
-    Inline { shutdown: bool },
-    /// A pool job or federation party owns the response slot.
-    Async,
-}
-
 /// The context a request runs under — the single place one is chosen:
 /// the caller's when the envelope carried a parseable header, a freshly
 /// minted root otherwise (v1 lines, header-less clients, garbage —
@@ -306,6 +267,17 @@ fn request_context(header: Option<&str>) -> TraceContext {
     header
         .and_then(TraceContext::parse_header)
         .unwrap_or_else(TraceContext::root)
+}
+
+/// A pool job or federation party owes the answer: a lock-step line
+/// session stops parsing until it lands (the pump resumes it).
+fn await_answer(conn: &mut Conn) {
+    if let Mode::Line { greeted, .. } = conn.mode {
+        conn.mode = Mode::Line {
+            greeted,
+            busy: true,
+        };
+    }
 }
 
 /// Runs the readiness loop until shutdown completes. This is
@@ -318,7 +290,7 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
     let shared = Arc::new(LoopShared {
         waker,
         ready: Mutex::new(Vec::new()),
-        inbox: Mutex::new(Inbox::default()),
+        parties: Mutex::new(Vec::new()),
     });
     *state
         .loop_shared
@@ -337,7 +309,6 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
         timers,
-        debounce: HashMap::new(),
         ring: Ring::default(),
         draining: false,
     };
@@ -357,9 +328,6 @@ struct EventLoop<'a> {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     timers: TimerWheel<TimerEvent>,
-    /// Debounced triggers keyed by subscription: at most one armed
-    /// timer per subscription, earliest trigger wins.
-    debounce: HashMap<u64, PendingPush>,
     ring: Ring,
     draining: bool,
 }
@@ -416,10 +384,9 @@ impl EventLoop<'_> {
             for token in self.shared.take_ready() {
                 self.service_writable(token);
             }
-            let inbox = self.shared.take_inbox();
-            self.absorb_pushes(inbox.pushes);
+            let posts = self.shared.take_parties();
             let (ring, mut io) = self.ring_io();
-            for post in inbox.parties {
+            for post in posts {
                 ring.on_post(&mut io, post);
             }
             let now = Instant::now();
@@ -662,90 +629,22 @@ impl EventLoop<'_> {
             return Verdict::CloseAfterFlush;
         }
         state.telemetry.requests_total.inc();
-        let ctx = request_context(trace.as_deref());
-        match body {
-            Request::Hello { .. } => {
-                conn.outbox.push_response(
-                    self.envelope_frame(
-                        id,
-                        Response::error("session version is already negotiated"),
-                    ),
-                );
-            }
-            Request::Subscribe { spec, engine } => {
-                let started = Instant::now();
-                match register_subscription(state, spec, &engine, &conn.outbox, conn.conn_id) {
-                    Ok((subscription, spec)) => {
-                        // Response first, then the initial audit: the
-                        // outbox is FIFO, so `Subscribed` reaches the
-                        // wire before the first `AuditEvent` can.
-                        conn.outbox.push_response(
-                            self.envelope_frame(id, Response::Subscribed { subscription }),
-                        );
-                        schedule_push_audit(
-                            state,
-                            subscription,
-                            spec,
-                            Arc::clone(&conn.outbox),
-                            Instant::now(),
-                            ctx,
-                        );
-                    }
-                    Err(message) => {
-                        conn.outbox
-                            .push_response(self.envelope_frame(id, Response::error(message)));
-                    }
-                }
-                state.telemetry.spans.record(
-                    ctx,
-                    "request:Subscribe",
-                    String::new(),
-                    started.elapsed().as_micros() as u64,
-                );
-            }
-            Request::Unsubscribe { subscription } => {
-                let response = match state.subs.unregister(subscription, conn.conn_id) {
-                    Ok(()) => Response::Unsubscribed { subscription },
-                    Err(e) => Response::error(e),
-                };
-                conn.outbox.push_response(self.envelope_frame(id, response));
-            }
-            Request::Shutdown => {
-                conn.outbox
-                    .push_response(self.envelope_frame(id, Response::ShuttingDown));
-                // SeqCst pairs with the mutation gate in
-                // `apply_mutation`; the drain begins at the top of the
-                // next loop iteration, after this ack is queued.
-                state.shutting_down.store(true, Ordering::SeqCst);
-                return Verdict::CloseAfterFlush;
-            }
-            request => {
-                if conn.in_flight.load(Ordering::Acquire) >= MAX_IN_FLIGHT_REQUESTS {
-                    conn.outbox.push_response(self.envelope_frame(
-                        id,
-                        Response::error(format!(
-                            "too many in-flight requests (max {MAX_IN_FLIGHT_REQUESTS})"
-                        )),
-                    ));
-                    return Verdict::Keep;
-                }
-                conn.in_flight.fetch_add(1, Ordering::AcqRel);
-                let slot = Arc::new(ResponseSlot {
-                    claimed: AtomicBool::new(false),
-                    outbox: Arc::clone(&conn.outbox),
-                    encoding: SlotEncoding::V2 { id },
-                    in_flight: Some(Arc::clone(&conn.in_flight)),
-                    ctx,
-                    kind: request_kind(&request),
-                    started: Instant::now(),
-                    telemetry: Arc::clone(&state.telemetry),
-                });
-                // v2 multiplexes: the shutdown flag from a request body
-                // is impossible here (Shutdown was intercepted above).
-                let _ = self.dispatch(request, slot);
-            }
+        if conn.in_flight.load(Ordering::Acquire) >= MAX_IN_FLIGHT_REQUESTS {
+            conn.outbox.push_response(self.envelope_frame(
+                id,
+                Response::error(format!(
+                    "too many in-flight requests (max {MAX_IN_FLIGHT_REQUESTS})"
+                )),
+            ));
+            return Verdict::Keep;
         }
-        Verdict::Keep
+        let slot = self.slot(
+            conn,
+            SlotEncoding::V2 { id },
+            request_context(trace.as_deref()),
+            &body,
+        );
+        self.dispatch(conn, body, slot)
     }
 
     fn process_lines(&mut self, conn: &mut Conn) -> Verdict {
@@ -799,102 +698,189 @@ impl EventLoop<'_> {
                 conn.mode = Mode::Peer;
                 return Verdict::Rescan;
             }
-            // A protocol hello, valid only as the first line, negotiates
-            // the session version: ≥ 2 switches to multiplexed binary
-            // frames, 1 stays right here in the lock-step line mode.
             if let Request::Hello { version } = request {
-                if greeted {
-                    self.push_line(
-                        conn,
-                        &Response::error("Hello must be the first line of a connection"),
-                    );
-                    continue;
+                if !greeted {
+                    match self.greet(conn, version) {
+                        Verdict::Keep => continue,
+                        v => return v,
+                    }
                 }
-                conn.mode = Mode::Line {
-                    greeted: true,
-                    busy: false,
-                };
-                if version < MIN_PROTOCOL_VERSION {
-                    self.push_line(
-                        conn,
-                        &Response::error(format!(
-                            "protocol version {version} below supported minimum \
-                             {MIN_PROTOCOL_VERSION}"
-                        )),
-                    );
-                    return Verdict::CloseAfterFlush;
-                }
-                let negotiated = version.min(PROTOCOL_VERSION);
-                self.push_line(
-                    conn,
-                    &Response::Welcome {
-                        version: negotiated,
-                    },
-                );
-                slog::debug(
-                    "server",
-                    &format!(
-                        "session negotiated protocol v{negotiated} (client offered v{version})"
-                    ),
-                );
-                if negotiated >= 2 {
-                    conn.mode = Mode::Frames;
-                    return Verdict::Rescan; // pipelined frames may follow
-                }
-                continue;
             }
             conn.mode = Mode::Line {
                 greeted: true,
                 busy: false,
             };
             self.state.telemetry.requests_total.inc();
-            let slot = Arc::new(ResponseSlot {
-                claimed: AtomicBool::new(false),
-                outbox: Arc::clone(&conn.outbox),
-                encoding: SlotEncoding::V1,
-                in_flight: None,
-                // v1 lines carry no envelope, hence no caller context.
-                ctx: request_context(None),
-                kind: request_kind(&request),
-                started: Instant::now(),
-                telemetry: Arc::clone(&self.state.telemetry),
-            });
-            match self.dispatch(request, slot) {
-                Dispatched::Inline { shutdown: true } => {
-                    self.state.shutting_down.store(true, Ordering::SeqCst);
-                    return Verdict::CloseAfterFlush;
-                }
-                Dispatched::Inline { shutdown: false } => {}
-                Dispatched::Async => {
-                    conn.mode = Mode::Line {
-                        greeted: true,
-                        busy: true,
-                    };
-                }
+            // v1 lines carry no envelope, hence no caller context.
+            let slot = self.slot(conn, SlotEncoding::V1, request_context(None), &request);
+            match self.dispatch(conn, request, slot) {
+                Verdict::Keep => {}
+                v => return v,
             }
         }
     }
 
-    fn dispatch(&mut self, request: Request, slot: Arc<ResponseSlot>) -> Dispatched {
-        if let Request::FederateStart { .. } = request {
-            let (ring, mut io) = self.ring_io();
-            ring.start(&mut io, request, slot);
-            return Dispatched::Async;
+    /// A protocol hello on a connection's first line negotiates the
+    /// session version: ≥ 2 switches to multiplexed binary frames, 1
+    /// stays in the lock-step line mode. A later hello is no greeting:
+    /// it is dispatched like any other request.
+    fn greet(&mut self, conn: &mut Conn, version: u32) -> Verdict {
+        conn.mode = Mode::Line {
+            greeted: true,
+            busy: false,
+        };
+        if version < MIN_PROTOCOL_VERSION {
+            self.push_line(
+                conn,
+                &Response::error(format!(
+                    "protocol version {version} below supported minimum {MIN_PROTOCOL_VERSION}"
+                )),
+            );
+            return Verdict::CloseAfterFlush;
         }
-        match admit_request(self.state, request, slot.ctx, Arc::clone(&slot)) {
-            AdmitOutcome::Done(body, shutdown) => {
-                slot.fulfill_body(&body);
-                Dispatched::Inline { shutdown }
+        let negotiated = version.min(PROTOCOL_VERSION);
+        self.push_line(
+            conn,
+            &Response::Welcome {
+                version: negotiated,
+            },
+        );
+        slog::debug(
+            "server",
+            &format!("session negotiated protocol v{negotiated} (client offered v{version})"),
+        );
+        if negotiated >= 2 {
+            conn.mode = Mode::Frames;
+            return Verdict::Rescan; // pipelined frames may follow
+        }
+        Verdict::Keep
+    }
+
+    /// The answer slot of one request read from `conn`, framed for the
+    /// session's protocol. A v2 slot counts against the connection's
+    /// in-flight cap until it is fulfilled; a lock-step v1 session has at
+    /// most one outstanding request by construction.
+    fn slot(
+        &self,
+        conn: &Conn,
+        encoding: SlotEncoding,
+        ctx: TraceContext,
+        request: &Request,
+    ) -> Arc<ResponseSlot> {
+        let in_flight = match encoding {
+            SlotEncoding::V1 => None,
+            SlotEncoding::V2 { .. } => {
+                conn.in_flight.fetch_add(1, Ordering::AcqRel);
+                Some(Arc::clone(&conn.in_flight))
             }
-            AdmitOutcome::Pooled { token, deadline } => {
-                // The job polls its token and reports cancellation
-                // itself; this guard only answers for a wedged worker.
-                self.timers.arm(
-                    Instant::now() + deadline + Duration::from_secs(2),
-                    TimerEvent::Guard { slot, token },
-                );
-                Dispatched::Async
+        };
+        Arc::new(ResponseSlot {
+            claimed: AtomicBool::new(false),
+            outbox: Arc::clone(&conn.outbox),
+            encoding,
+            in_flight,
+            ctx,
+            kind: request_kind(request),
+            started: Instant::now(),
+            telemetry: Arc::clone(&self.state.telemetry),
+        })
+    }
+
+    /// Answers one request: every request on either protocol comes
+    /// through this one `match` with the slot its answer goes into.
+    /// Cheap requests are answered right here; an audit miss or a
+    /// federation party takes the slot along and answers later.
+    fn dispatch(&mut self, conn: &mut Conn, request: Request, slot: Arc<ResponseSlot>) -> Verdict {
+        let state = self.state;
+        let v2 = matches!(conn.mode, Mode::Frames);
+        let response = match request {
+            Request::Ping => Response::Pong,
+            Request::Ingest { records } => ingest(state, &records, Mutation::Ingest, slot.ctx),
+            Request::Retract { records } => ingest(state, &records, Mutation::Retract, slot.ctx),
+            Request::Status => status(state),
+            Request::Metrics { recent } => metrics(state, recent),
+            Request::Trace { id } => trace_get(state, &id),
+            Request::Hello { .. } if v2 => Response::error("session version is already negotiated"),
+            Request::Hello { .. } => {
+                Response::error("Hello must be the first line of a connection")
             }
+            // Line mode takes a peer hello before dispatch, whatever its
+            // position; only a v2 envelope can carry one here.
+            Request::FederateHello { .. } => {
+                Response::error("FederateHello must be the first line of a connection")
+            }
+            Request::Subscribe { .. } | Request::Unsubscribe { .. } if !v2 => Response::error(
+                "subscriptions require a protocol v2 session (open the connection with Hello)",
+            ),
+            Request::Subscribe { spec, engine } => {
+                match register_subscription(state, spec, &engine, &conn.outbox, conn.conn_id) {
+                    Ok((subscription, spec)) => {
+                        // Answer first, then the initial audit: the
+                        // outbox is FIFO, so `Subscribed` reaches the
+                        // wire before the first `AuditEvent` can.
+                        slot.fulfill(Response::Subscribed { subscription });
+                        let outbox = Arc::clone(&conn.outbox);
+                        schedule_push_audit(
+                            state,
+                            subscription,
+                            spec,
+                            outbox,
+                            Instant::now(),
+                            slot.ctx,
+                        );
+                        return Verdict::Keep;
+                    }
+                    Err(message) => Response::error(message),
+                }
+            }
+            Request::Unsubscribe { subscription } => {
+                match state.subs.unregister(subscription, conn.conn_id) {
+                    Ok(()) => Response::Unsubscribed { subscription },
+                    Err(e) => Response::error(e),
+                }
+            }
+            Request::Shutdown => {
+                slot.fulfill(Response::ShuttingDown);
+                // SeqCst pairs with the mutation gate in
+                // `apply_mutation`; the drain begins at the top of the
+                // next loop iteration, after this ack is queued.
+                state.shutting_down.store(true, Ordering::SeqCst);
+                return Verdict::CloseAfterFlush;
+            }
+            Request::AuditSia { spec, timeout_ms } => {
+                let guard = admit_sia(state, spec, timeout_ms, slot);
+                self.await_job(conn, guard);
+                return Verdict::Keep;
+            }
+            Request::AuditPia {
+                providers,
+                way,
+                minhash,
+                timeout_ms,
+            } => {
+                let guard = admit_pia(state, providers, way, minhash, timeout_ms, slot);
+                self.await_job(conn, guard);
+                return Verdict::Keep;
+            }
+            request @ Request::FederateStart { .. } => {
+                let (ring, mut io) = self.ring_io();
+                ring.start(&mut io, request, slot);
+                await_answer(conn);
+                return Verdict::Keep;
+            }
+        };
+        slot.fulfill(response);
+        Verdict::Keep
+    }
+
+    /// After an audit's admission: when a pool job took the slot, arm
+    /// its guard timer — which answers only for a wedged worker; the job
+    /// polls its token and reports cancellation itself — and wait for
+    /// the answer.
+    fn await_job(&mut self, conn: &mut Conn, guard: Option<(Instant, TimerEvent)>) {
+        if let Some((at, guard)) = guard {
+            self.timers.arm(at, guard);
+            await_answer(conn);
         }
     }
 
@@ -1020,30 +1006,6 @@ impl EventLoop<'_> {
         self.state.active_conns.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn absorb_pushes(&mut self, pending: Vec<PendingPush>) {
-        if pending.is_empty() {
-            return;
-        }
-        let delay = Duration::from_millis(self.state.config.push_debounce_ms);
-        for push in pending {
-            match self.debounce.entry(push.subscription) {
-                // Coalesce: an armed subscription keeps its earliest
-                // trigger (whose origin the push-latency clock runs
-                // from); the burst collapses into one audit.
-                std::collections::hash_map::Entry::Occupied(_) => {}
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    self.timers.arm(
-                        Instant::now() + delay,
-                        TimerEvent::Debounce {
-                            subscription: push.subscription,
-                        },
-                    );
-                    slot.insert(push);
-                }
-            }
-        }
-    }
-
     fn fire_timer(&mut self, ev: TimerEvent) {
         match ev {
             TimerEvent::Collect => {
@@ -1071,18 +1033,6 @@ impl EventLoop<'_> {
             TimerEvent::Guard { slot, token } => {
                 if slot.fulfill(Response::error("audit timed out")) {
                     token.cancel();
-                }
-            }
-            TimerEvent::Debounce { subscription } => {
-                if let Some(push) = self.debounce.remove(&subscription) {
-                    schedule_push_audit(
-                        self.state,
-                        push.subscription,
-                        push.spec,
-                        push.outbox,
-                        push.origin,
-                        push.ctx,
-                    );
                 }
             }
             TimerEvent::Fed(timer) => {

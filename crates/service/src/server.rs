@@ -13,16 +13,25 @@
 //! idle connection costs a poll registration, not two thread stacks.
 //!
 //! This module owns everything that is not the loop itself: the config,
-//! the shared [`ServiceState`], request admission/dispatch
-//! ([`admit_request`]), subscriptions and persistence. Federation peer
-//! sessions and parties are loop state in [`crate::federation`].
+//! the shared [`ServiceState`], the request handlers the loop's one
+//! dispatch `match` calls (`ingest`, `status`, `metrics`, `trace_get`,
+//! `admit_sia`, `admit_pia`, `register_subscription`), subscriptions
+//! and persistence. Federation peer sessions and parties are loop state
+//! in [`crate::federation`].
+//!
+//! Every audit that runs on the worker pool — an `AuditSia` or
+//! `AuditPia` miss, or a subscription push — is one `submit_audit` job:
+//! it owns the crash guard, the trace scope, the queue-wait and
+//! audit-level spans and the per-engine audit metrics; the caller says
+//! only what to run and how to deliver the result.
 //!
 //! Subscriptions ride the single write path: every mutation asks the
 //! [`SubscriptionRegistry`] which live subscriptions it invalidated
 //! (their `(shard, epoch)` pins moved) and schedules one pushed audit
-//! per hit on the worker pool — the ingest itself never waits.
+//! per hit on the worker pool at once — the ingest itself never waits.
 //!
-//! Data flow for an `AuditSia` request:
+//! Data flow for an `AuditSia` request (a push runs steps 1–2 and 4 in
+//! its pool job):
 //!
 //! 1. pin a copy-on-write [`DbSnapshot`] — one **wait-free** `Arc` load
 //!    per shard, no lock at all, never delayed by concurrent ingests;
@@ -55,14 +64,16 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use indaas_core::{AuditSpec, AuditingAgent, CancelToken};
-use indaas_deps::{DepView, DependencyAcquisitionModule, DependencyRecord, ShardedDepDb};
+use indaas_deps::{
+    DbSnapshot, DepView, DependencyAcquisitionModule, DependencyRecord, Epoch, ShardedDepDb,
+};
 use indaas_obs::{format_trace_id, log as slog, Span, SpanRecord, TraceContext, TraceScope};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 
-use crate::cache::{job_key, AuditCache, EpochPins};
+use crate::cache::{job_key, AuditCache, EpochPins, JobKey};
 use crate::federation::PeerAllowList;
 use crate::names;
-use crate::netloop::{CrashGuard, LoopShared, PendingPush, ResponseSlot};
+use crate::netloop::{CrashGuard, LoopShared, ResponseSlot, TimerEvent};
 use crate::proto::{
     audit_event_body, encode_line, frame_answer, sia_body, Request, Response, SlotEncoding,
     SpanEntry, EVENT_ENVELOPE_ID,
@@ -138,14 +149,6 @@ pub struct ServeConfig {
     /// default) leaves injection entirely off — a single relaxed atomic
     /// load per point.
     pub faults: Vec<String>,
-    /// Debounce window for subscription pushes, in milliseconds. With a
-    /// nonzero window, an ingest burst invalidating the same
-    /// subscription repeatedly schedules **one** pushed audit per
-    /// window (armed on the readiness loop's timer wheel) instead of
-    /// one per batch; push latency is measured from the *earliest*
-    /// coalesced trigger. `0` (the default) keeps the immediate
-    /// schedule-per-batch behavior.
-    pub push_debounce_ms: u64,
     /// Segment/manifest files the boot-time store load quarantined
     /// (`*.quarantine`), counted into `db_segments_quarantined_total`
     /// at bind. [`Server::bind`] fills this in from its own
@@ -177,7 +180,6 @@ impl Default for ServeConfig {
             log_level: indaas_obs::LogLevel::Info,
             log_json: false,
             faults: Vec::new(),
-            push_debounce_ms: 0,
             boot_quarantined: 0,
         }
     }
@@ -228,8 +230,8 @@ pub(crate) struct ServiceState {
     /// Metrics registry + span store + hot-path handles.
     pub(crate) telemetry: Arc<Telemetry>,
     /// The running readiness loop's cross-thread face — `Some` while
-    /// [`Server::run`] is inside the loop. Shutdown and the debounce
-    /// path reach the loop through it.
+    /// [`Server::run`] is inside the loop. Shutdown reaches the loop
+    /// through it.
     pub(crate) loop_shared: Mutex<Option<Arc<LoopShared>>>,
 }
 
@@ -543,11 +545,201 @@ fn encode_report(telemetry: &Telemetry, report: &impl serde::Serialize) -> Arc<s
     encoded
 }
 
-/// Submits one pushed-audit job to the shared worker pool: re-runs (or
-/// serves from cache) the subscription's audit against a fresh snapshot
-/// and enqueues the `AuditEvent` frame. Runs entirely off the ingest
-/// path — a full queue costs the subscriber one event, never a writer
-/// any latency; the subscription stays armed for the next batch.
+/// How long past its deadline a pooled job may run before the loop's
+/// guard timer answers for it.
+const GUARD_GRACE: Duration = Duration::from_secs(2);
+
+/// One audit bound for the worker pool, as its spans see it.
+struct PooledAudit {
+    /// The span the queue-wait and audit-level spans hang under: the
+    /// request's own, or a push's.
+    parent: TraceContext,
+    /// The audit-level span's `kind` attribute (see [`audit_attrs`]).
+    kind: &'static str,
+    /// The audit-level span's detail.
+    detail: String,
+    deadline: Duration,
+    /// The request the job answers; a push answers none.
+    slot: Option<Arc<ResponseSlot>>,
+}
+
+/// What an audit job produced: whether the cache served it, the
+/// `(shard, epoch)` pins it read (none for PIA), and its result.
+struct Audited<T> {
+    cached: bool,
+    pins: EpochPins,
+    result: Result<T, String>,
+}
+
+/// Submits one audit to the worker pool — the one job every pooled
+/// audit runs as. The job owns what they all share: the [`CrashGuard`]
+/// that answers the slot should the job unwind, the [`TraceScope`], the
+/// queue-wait span, the audit-level span with its [`audit_attrs`], and
+/// the per-engine audit counter and histogram, which count every audit
+/// `run` executes, failed or not (a cache hit executes none). `run`
+/// produces the result under the audit span's context; `deliver` frames
+/// it for whoever waits.
+///
+/// Returns the guard timer for the loop to arm when a request's slot
+/// went to the pool. A full queue answers that slot instead (a push's
+/// is logged).
+fn submit_audit<T>(
+    state: &Arc<ServiceState>,
+    audit: PooledAudit,
+    run: impl FnOnce(&ServiceState, &CancelToken, TraceContext) -> Audited<T> + Send + 'static,
+    deliver: impl FnOnce(&ServiceState, bool, Result<T, String>) + Send + 'static,
+) -> Option<(Instant, TimerEvent)> {
+    let PooledAudit {
+        parent,
+        kind,
+        detail,
+        deadline,
+        slot,
+    } = audit;
+    let (guard_slot, what) = (slot.clone(), detail.clone());
+    let st = Arc::clone(state);
+    let submit_at = Instant::now();
+    let submitted = state.scheduler.submit(Some(deadline), move |token| {
+        // Answers the slot with "audit job crashed" if this closure
+        // unwinds before `deliver` claims it.
+        let _crash = slot.map(CrashGuard);
+        let exec = parent.child();
+        let _scope = TraceScope::enter(exec);
+        let telemetry = &st.telemetry;
+        let started = Instant::now();
+        // Sibling of the audit span: how long the job sat queued.
+        telemetry.spans.record(
+            parent.child(),
+            names::SPAN_QUEUE_WAIT,
+            String::new(),
+            started.duration_since(submit_at).as_micros() as u64,
+        );
+        let Audited {
+            cached,
+            pins,
+            result,
+        } = run(&st, token, exec);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        if !cached {
+            let (audits, audit_us) = if kind == "pia" {
+                (&telemetry.audits_pia_total, &telemetry.audit_pia_us)
+            } else {
+                (&telemetry.audits_sia_total, &telemetry.audit_sia_us)
+            };
+            audits.inc();
+            audit_us.record(elapsed_us);
+        }
+        let error = result.as_ref().err().cloned();
+        telemetry.spans.push(
+            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us)
+                .with_attrs(audit_attrs(kind, cached, error, &pins)),
+        );
+        deliver(&st, cached, result);
+    });
+    match (submitted, guard_slot) {
+        (Ok(token), Some(slot)) => Some((
+            Instant::now() + deadline + GUARD_GRACE,
+            TimerEvent::Guard { slot, token },
+        )),
+        (Ok(_), None) => None,
+        (Err(e), Some(slot)) => {
+            slot.fulfill(Response::error(e.to_string()));
+            None
+        }
+        (Err(e), None) => {
+            slog::error(
+                "server",
+                &format!("could not schedule pushed audit for {what}: {e}"),
+            );
+            None
+        }
+    }
+}
+
+/// A SIA spec pinned to the data it reads: the epoch its answer is
+/// stamped with, the snapshot, the `(shard, epoch)` pins of exactly the
+/// shards its hosts route to, the cache key those pins make (an ingest
+/// touching any *other* shard changes neither, so a cached report stays
+/// hot), and what the cache holds under that key.
+struct SiaLookup {
+    epoch: Epoch,
+    snapshot: DbSnapshot,
+    pins: EpochPins,
+    key: JobKey,
+    hit: Option<Arc<str>>,
+}
+
+/// Pins the snapshot, keys the spec and consults the cache. Wait-free
+/// but for the cache lock — no writer ever delays it — which is why the
+/// loop runs it inline for every `AuditSia`.
+fn sia_lookup(state: &ServiceState, spec: &AuditSpec) -> SiaLookup {
+    let epoch = state.db.epoch();
+    let snapshot = state.db.snapshot();
+    let pins = snapshot.pins_for_hosts(spec_hosts(spec));
+    let key = job_key(&pins, "sia", spec);
+    let hit = state
+        .sia_cache
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key);
+    SiaLookup {
+        epoch,
+        snapshot,
+        pins,
+        key,
+        hit,
+    }
+}
+
+/// The report text for a looked-up spec — the one lookup-or-compute
+/// step of the request miss and the push alike: the cache's text on a
+/// hit; on a miss the audit runs against the pinned snapshot, and its
+/// report is encoded once and cached under the pinned key.
+fn sia_report(
+    st: &ServiceState,
+    spec: &AuditSpec,
+    lookup: SiaLookup,
+    token: &CancelToken,
+    exec: TraceContext,
+) -> Audited<(Epoch, Arc<str>)> {
+    let SiaLookup {
+        epoch,
+        snapshot,
+        pins,
+        key,
+        hit,
+    } = lookup;
+    if let Some(report) = hit {
+        return Audited {
+            cached: true,
+            pins,
+            result: Ok((epoch, report)),
+        };
+    }
+    let recorder = StageRecorder::new(&st.telemetry, exec);
+    let result = AuditingAgent::from_snapshot(snapshot)
+        .audit_sia_observed(spec, token, &recorder)
+        .map(|report| {
+            let report = encode_report(&st.telemetry, &report);
+            st.sia_cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(key, pins.clone(), Arc::clone(&report));
+            (epoch, report)
+        })
+        .map_err(|e| e.to_string());
+    Audited {
+        cached: false,
+        pins,
+        result,
+    }
+}
+
+/// Schedules one pushed audit on the worker pool: re-runs (or serves
+/// from cache) the subscription's audit against a fresh snapshot and
+/// enqueues the `AuditEvent` frame. Runs entirely off the ingest path —
+/// a full queue costs the subscriber one event, never a writer any
+/// latency; the subscription stays armed for the next batch.
 pub(crate) fn schedule_push_audit(
     state: &Arc<ServiceState>,
     subscription: u64,
@@ -556,110 +748,68 @@ pub(crate) fn schedule_push_audit(
     origin: Instant,
     parent: TraceContext,
 ) {
-    let st = Arc::clone(state);
-    let deadline = state.config.default_deadline;
     // The push runs under a fresh child of the originating request's
     // span (the triggering ingest, or the Subscribe for its initial
     // audit) — one mutation fanning out to N subscriptions yields N
     // sibling push spans under the same trace.
     let push = parent.child();
+    let detail = format!("subscription {subscription}");
+    let audit = PooledAudit {
+        parent: push,
+        kind: names::SPAN_PUSH,
+        detail: detail.clone(),
+        deadline: state.config.default_deadline,
+        slot: None,
+    };
     let submit_at = Instant::now();
-    let submitted = state.scheduler.submit(Some(deadline), move |token| {
-        let _scope = TraceScope::enter(push);
-        let telemetry = &st.telemetry;
-        let started = Instant::now();
-        telemetry.spans.record(
-            push.child(),
-            names::SPAN_QUEUE_WAIT,
-            String::new(),
-            started.duration_since(submit_at).as_micros() as u64,
-        );
-        let exec = push.child();
-        let epoch = st.db.epoch();
-        let snapshot = st.db.snapshot();
-        let pins = snapshot.pins_for_hosts(spec_hosts(&spec));
-        let key = job_key(&pins, "sia", &spec);
-        let hit = st
-            .sia_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key);
-        let (cached, result) = match hit {
-            Some(report) => (true, Ok(report)),
-            None => {
-                let recorder = StageRecorder::new(telemetry, exec);
-                let agent = AuditingAgent::from_snapshot(snapshot);
-                let result = agent.audit_sia_observed(&spec, token, &recorder);
+    submit_audit(
+        state,
+        audit,
+        move |st, token, exec| sia_report(st, &spec, sia_lookup(st, &spec), token, exec),
+        move |st, cached, result| {
+            let telemetry = &st.telemetry;
+            if !cached {
                 telemetry.push_audits_total.inc();
-                telemetry.audits_sia_total.inc();
-                if result.is_ok() {
+            }
+            match result {
+                Ok((epoch, report)) => {
+                    let body = audit_event_body(
+                        subscription,
+                        epoch,
+                        cached,
+                        submit_at.elapsed().as_micros() as u64,
+                        &report,
+                        &format_trace_id(parent.trace_id),
+                    );
+                    let frame = frame_answer(
+                        SlotEncoding::V2 {
+                            id: EVENT_ENVELOPE_ID,
+                        },
+                        &body,
+                        &telemetry.response_bytes,
+                    );
+                    // Counted before the enqueue so a subscriber can never
+                    // observe an event the gauge does not yet include.
+                    st.pushed_events.fetch_add(1, Ordering::Relaxed);
+                    outbox.push_event(frame);
+                    // Invalidate → re-audit → event enqueued, end to end.
                     telemetry
-                        .audit_sia_us
-                        .record(started.elapsed().as_micros() as u64);
+                        .push_latency_us
+                        .record(origin.elapsed().as_micros() as u64);
                 }
-                (
-                    false,
-                    result.map(|report| encode_report(telemetry, &report)),
-                )
+                Err(e) => slog::error(
+                    "server",
+                    &format!("pushed audit for subscription {subscription} failed: {e}"),
+                ),
             }
-        };
-        let detail = format!("subscription {subscription}");
-        let error = result.as_ref().err().map(ToString::to_string);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        telemetry.spans.push(
-            SpanRecord::finished(exec, names::SPAN_AUDIT, detail.clone(), elapsed_us)
-                .with_attrs(audit_attrs(names::SPAN_PUSH, cached, error, &pins)),
-        );
-        match result {
-            Ok(report) => {
-                if !cached {
-                    st.sia_cache
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(key, pins, Arc::clone(&report));
-                }
-                let body = audit_event_body(
-                    subscription,
-                    epoch,
-                    cached,
-                    started.elapsed().as_micros() as u64,
-                    &report,
-                    &format_trace_id(parent.trace_id),
-                );
-                let frame = frame_answer(
-                    SlotEncoding::V2 {
-                        id: EVENT_ENVELOPE_ID,
-                    },
-                    &body,
-                    &telemetry.response_bytes,
-                );
-                // Counted before the enqueue so a subscriber can never
-                // observe an event the gauge does not yet include.
-                st.pushed_events.fetch_add(1, Ordering::Relaxed);
-                outbox.push_event(frame);
-                // Invalidate → re-audit → event enqueued, end to end.
-                telemetry
-                    .push_latency_us
-                    .record(origin.elapsed().as_micros() as u64);
-            }
-            Err(e) => slog::error(
-                "server",
-                &format!("pushed audit for subscription {subscription} failed: {e}"),
-            ),
-        }
-        telemetry.spans.record(
-            push,
-            names::SPAN_PUSH,
-            detail,
-            submit_at.elapsed().as_micros() as u64,
-        );
-    });
-    if let Err(e) = submitted {
-        slog::error(
-            "server",
-            &format!("could not schedule pushed audit for subscription {subscription}: {e}"),
-        );
-    }
+            telemetry.spans.record(
+                push,
+                names::SPAN_PUSH,
+                detail,
+                submit_at.elapsed().as_micros() as u64,
+            );
+        },
+    );
 }
 
 /// Flags shutdown and wakes the readiness loop so it begins the drain
@@ -684,97 +834,11 @@ fn initiate_shutdown(state: &ServiceState) {
     }
 }
 
-/// What admitting a request produced: a synchronous answer, or a pooled
-/// job (token + deadline, for the loop's guard timer).
-pub(crate) enum AdmitOutcome {
-    /// Answered right here with this encoded response body; the bool is
-    /// the v1 shutdown signal.
-    Done(String, bool),
-    /// A worker-pool job owns the slot; the loop arms a guard timer at
-    /// `deadline` plus grace that cancels `token` and answers
-    /// "audit timed out" should the worker wedge.
-    Pooled {
-        token: CancelToken,
-        deadline: Duration,
-    },
-}
-
-impl AdmitOutcome {
-    /// Answered right here with a typed response (never a shutdown).
-    fn answer(response: &Response) -> Self {
-        AdmitOutcome::Done(encode_line(response), false)
-    }
-}
-
-/// Request admission: decides synchronous vs pooled and, on the pooled
-/// path, wires `slot` to the job that will produce the answer. Called
-/// from the readiness loop — nothing here may block. (`FederateStart`
-/// never gets here: the loop hands it to its federation ring.)
-pub(crate) fn admit_request(
-    state: &Arc<ServiceState>,
-    request: Request,
-    ctx: TraceContext,
-    slot: Arc<ResponseSlot>,
-) -> AdmitOutcome {
-    match request {
-        Request::AuditSia { spec, timeout_ms } => admit_sia(state, spec, timeout_ms, ctx, slot),
-        Request::AuditPia {
-            providers,
-            way,
-            minhash,
-            timeout_ms,
-        } => admit_pia(state, providers, way, minhash, timeout_ms, ctx, slot),
-        request => {
-            let (response, shutdown) = handle_request(request, state, ctx);
-            AdmitOutcome::Done(encode_line(&response), shutdown)
-        }
-    }
-}
-
-pub(crate) fn handle_request(
-    request: Request,
-    state: &Arc<ServiceState>,
-    ctx: TraceContext,
-) -> (Response, bool) {
-    match request {
-        Request::Ping => (Response::Pong, false),
-        Request::Ingest { records } => (ingest(state, &records, Mutation::Ingest, ctx), false),
-        Request::Retract { records } => (ingest(state, &records, Mutation::Retract, ctx), false),
-        // Reachable only from a v1 line session — the v2 loop handles
-        // these inline, before dispatching here.
-        Request::Hello { .. } => (
-            Response::error("Hello must be the first line of a connection"),
-            false,
-        ),
-        Request::Subscribe { .. } | Request::Unsubscribe { .. } => (
-            Response::error(
-                "subscriptions require a protocol v2 session (open the connection with Hello)",
-            ),
-            false,
-        ),
-        Request::Status => (status(state), false),
-        Request::Metrics { recent } => (metrics(state, recent), false),
-        Request::Trace { id } => (trace_get(state, &id), false),
-        Request::Shutdown => (Response::ShuttingDown, true),
-        // Defensive: the loop intercepts every `FederateHello` (it
-        // re-tags the connection) and hands `FederateStart` to its
-        // federation ring; the audits are admitted by `admit_request`.
-        // None reaches the synchronous dispatcher.
-        Request::FederateHello { .. }
-        | Request::AuditSia { .. }
-        | Request::AuditPia { .. }
-        | Request::FederateStart { .. } => (
-            Response::error("internal: asynchronous request routed to the synchronous dispatcher"),
-            false,
-        ),
-    }
-}
-
 /// Answers `Trace{id}`: every span this daemon recorded under the
 /// trace, each stamped with the local listen address so a client
 /// stitching a tree across federated daemons can attribute every span
 /// to its node.
-fn trace_get(state: &ServiceState, id: &str) -> Response {
+pub(crate) fn trace_get(state: &ServiceState, id: &str) -> Response {
     let Some(trace_id) = indaas_obs::parse_trace_id(id) else {
         return Response::error(format!(
             "bad trace id {id:?} (expected up to 32 hex digits, nonzero)"
@@ -793,12 +857,12 @@ fn wire_spans(spans: Vec<SpanRecord>, node: &str) -> Vec<SpanEntry> {
         .collect()
 }
 
-enum Mutation {
+pub(crate) enum Mutation {
     Ingest,
     Retract,
 }
 
-fn ingest(
+pub(crate) fn ingest(
     state: &Arc<ServiceState>,
     records: &str,
     mutation: Mutation,
@@ -880,32 +944,9 @@ fn apply_mutation(
     // bumped gets a fresh audit scheduled on the worker pool. The
     // registry advances the pins synchronously (so overlapping batches
     // trigger once per wave) but the audits themselves run later, off
-    // this write path — an ingest never waits on a subscriber. With a
-    // debounce window configured, the trigger parks on the loop's
-    // timer wheel instead, so an ingest burst coalesces into one
-    // pushed audit per subscription per window.
-    let debounce_via = if state.config.push_debounce_ms > 0 {
-        state
-            .loop_shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    } else {
-        None
-    };
+    // this write path — an ingest never waits on a subscriber.
     for hit in state.subs.affected(&epochs) {
-        match &debounce_via {
-            Some(shared) => shared.queue_push(PendingPush {
-                subscription: hit.subscription,
-                spec: hit.spec,
-                outbox: hit.outbox,
-                origin,
-                ctx,
-            }),
-            None => {
-                schedule_push_audit(state, hit.subscription, hit.spec, hit.outbox, origin, ctx);
-            }
-        }
+        schedule_push_audit(state, hit.subscription, hit.spec, hit.outbox, origin, ctx);
     }
     Some(report)
 }
@@ -997,122 +1038,83 @@ fn validate_spec(spec: &AuditSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Admits an `AuditSia`: cache hits answer inline; a miss submits a
-/// pooled job that fulfills `slot` itself — no thread waits on the
+/// Admits an `AuditSia`: a cache hit is answered inline; a miss becomes
+/// a pooled job that fulfills `slot` itself — no thread waits on the
 /// result. The job polls its deadline-armed token and reports
-/// `Cancelled` as "audit failed: …"; the loop's guard timer answers
-/// "audit timed out" only for a worker wedged past deadline + grace,
-/// and the [`CrashGuard`] answers for a panicked one.
-fn admit_sia(
+/// `Cancelled` as "audit failed: …"; the guard timer returned for the
+/// loop to arm answers "audit timed out" only for a worker wedged past
+/// deadline + grace, and the [`CrashGuard`] answers for a panicked one.
+pub(crate) fn admit_sia(
     state: &Arc<ServiceState>,
     spec: AuditSpec,
     timeout_ms: Option<u64>,
-    ctx: TraceContext,
     slot: Arc<ResponseSlot>,
-) -> AdmitOutcome {
+) -> Option<(Instant, TimerEvent)> {
     if let Err(e) = validate_spec(&spec) {
-        return AdmitOutcome::answer(&Response::error(format!("invalid spec: {e}")));
+        slot.fulfill(Response::error(format!("invalid spec: {e}")));
+        return None;
     }
     let started = Instant::now();
-    // Wait-free: no lock is taken for either the epoch stamp or the
-    // snapshot, so audit admission is never delayed by writers.
-    let epoch = state.db.epoch();
-    let snapshot = state.db.snapshot();
-    // The cache key pins exactly the shards this spec's hosts route to:
-    // an ingest touching any *other* shard changes neither the key nor
-    // the entry's validity, so the cached report stays hot.
-    let pins: EpochPins = snapshot.pins_for_hosts(spec_hosts(&spec));
-    let key = job_key(&pins, "sia", &spec);
+    let lookup = sia_lookup(state, &spec);
     let detail = spec
         .candidates
         .iter()
         .map(|c| c.name.as_str())
         .collect::<Vec<_>>()
         .join(", ");
-    // The audit-level span, a child of the request span whichever way
-    // the audit is answered; engine stages nest under it.
-    let exec = ctx.child();
-    if let Some(report) = state
-        .sia_cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
+    if let Some(report) = &lookup.hit {
+        // The audit-level span, a child of the request span whichever
+        // way the audit is answered.
         let elapsed_us = started.elapsed().as_micros() as u64;
         state.telemetry.spans.push(
-            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us)
-                .with_attrs(audit_attrs("sia", true, None, &pins)),
+            SpanRecord::finished(slot.ctx.child(), names::SPAN_AUDIT, detail, elapsed_us)
+                .with_attrs(audit_attrs("sia", true, None, &lookup.pins)),
         );
-        return AdmitOutcome::Done(sia_body(epoch, true, elapsed_us, &report), false);
+        slot.fulfill_body(&sia_body(lookup.epoch, true, elapsed_us, report));
+        return None;
     }
-
-    let deadline = job_deadline(&state.config, timeout_ms);
-    let st = Arc::clone(state);
-    let submit_at = Instant::now();
-    let submitted = state.scheduler.submit(Some(deadline), move |token| {
-        // Answers the slot with "audit job crashed" if this closure
-        // unwinds before `fulfill` below claims it.
-        let crash = CrashGuard(Arc::clone(&slot));
-        let _scope = TraceScope::enter(exec);
-        let telemetry = &st.telemetry;
-        let run_started = Instant::now();
-        // Sibling of the audit span: how long the job sat queued.
-        telemetry.spans.record(
-            ctx.child(),
-            names::SPAN_QUEUE_WAIT,
-            String::new(),
-            run_started.duration_since(submit_at).as_micros() as u64,
-        );
-        let recorder = StageRecorder::new(telemetry, exec);
-        let agent = AuditingAgent::from_snapshot(snapshot);
-        let result = agent.audit_sia_observed(&spec, token, &recorder);
-        let total_us = run_started.elapsed().as_micros() as u64;
-        telemetry.audits_sia_total.inc();
-        telemetry.audit_sia_us.record(total_us);
-        let error = result.as_ref().err().map(ToString::to_string);
-        telemetry.spans.push(
-            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, total_us)
-                .with_attrs(audit_attrs("sia", false, error, &pins)),
-        );
-        let body = match result {
-            Ok(report) => {
-                let report = encode_report(telemetry, &report);
-                st.sia_cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key, pins, Arc::clone(&report));
-                sia_body(epoch, false, started.elapsed().as_micros() as u64, &report)
-            }
-            Err(e) => encode_line(&Response::error(format!("audit failed: {e}"))),
-        };
-        crash.0.fulfill_body(&body);
-    });
-    match submitted {
-        Ok(token) => AdmitOutcome::Pooled { token, deadline },
-        Err(e) => AdmitOutcome::answer(&Response::error(e.to_string())),
-    }
+    let audit = PooledAudit {
+        parent: slot.ctx,
+        kind: "sia",
+        detail,
+        deadline: job_deadline(&state.config, timeout_ms),
+        slot: Some(Arc::clone(&slot)),
+    };
+    submit_audit(
+        state,
+        audit,
+        move |st, token, exec| sia_report(st, &spec, lookup, token, exec),
+        move |_, _, result| {
+            let body = match result {
+                Ok((epoch, report)) => {
+                    sia_body(epoch, false, started.elapsed().as_micros() as u64, &report)
+                }
+                Err(e) => encode_line(&Response::error(format!("audit failed: {e}"))),
+            };
+            slot.fulfill_body(&body);
+        },
+    )
 }
 
 /// Admits an `AuditPia` — same shape as [`admit_sia`], epoch-free cache
 /// key (PIA reads nothing from the DepDB).
-fn admit_pia(
+pub(crate) fn admit_pia(
     state: &Arc<ServiceState>,
     providers: Vec<(String, Vec<String>)>,
     way: usize,
     minhash: Option<usize>,
     timeout_ms: Option<u64>,
-    ctx: TraceContext,
     slot: Arc<ResponseSlot>,
-) -> AdmitOutcome {
+) -> Option<(Instant, TimerEvent)> {
     if way < 2 || providers.len() < way {
-        return AdmitOutcome::answer(&Response::error(
+        slot.fulfill(Response::error(
             "need way >= 2 and at least `way` providers",
         ));
+        return None;
     }
     if providers.iter().any(|(_, set)| set.is_empty()) {
-        return AdmitOutcome::answer(&Response::error(
-            "provider component sets must be non-empty",
-        ));
+        slot.fulfill(Response::error("provider component sets must be non-empty"));
+        return None;
     }
     let started = Instant::now();
     let epoch = state.db.epoch();
@@ -1121,75 +1123,67 @@ fn admit_pia(
     // and entries survive ingests (the response still stamps the epoch).
     let key = job_key(&(), "pia", &(&providers, way, minhash));
     let detail = format!("{} providers, {way}-way", providers.len());
-    let exec = ctx.child();
-    if let Some(rankings) = state
+    let hit = state
         .pia_cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
+        .get(&key);
+    if let Some(rankings) = hit {
         let elapsed_us = started.elapsed().as_micros() as u64;
         state.telemetry.spans.push(
-            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, elapsed_us)
+            SpanRecord::finished(slot.ctx.child(), names::SPAN_AUDIT, detail, elapsed_us)
                 .with_attrs(audit_attrs("pia", true, None, &[])),
         );
-        return AdmitOutcome::answer(&Response::Pia {
+        slot.fulfill(Response::Pia {
             epoch,
             cached: true,
             elapsed_us,
             rankings,
         });
+        return None;
     }
-
-    let deadline = job_deadline(&state.config, timeout_ms);
-    let st = Arc::clone(state);
-    let submit_at = Instant::now();
-    let submitted = state.scheduler.submit(Some(deadline), move |token| {
-        let crash = CrashGuard(Arc::clone(&slot));
-        let _scope = TraceScope::enter(exec);
-        let telemetry = &st.telemetry;
-        let run_started = Instant::now();
-        telemetry.spans.record(
-            ctx.child(),
-            names::SPAN_QUEUE_WAIT,
-            String::new(),
-            run_started.duration_since(submit_at).as_micros() as u64,
-        );
-        let result =
-            rank_deployments_cancellable(&providers, way, minhash, &PsopConfig::default(), token);
-        let total_us = run_started.elapsed().as_micros() as u64;
-        telemetry.audits_pia_total.inc();
-        telemetry.audit_pia_us.record(total_us);
-        let error = result.as_ref().err().map(ToString::to_string);
-        telemetry.spans.push(
-            SpanRecord::finished(exec, names::SPAN_AUDIT, detail, total_us)
-                .with_attrs(audit_attrs("pia", false, error, &[])),
-        );
-        let response = match result {
-            Ok(rankings) => {
-                st.pia_cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(
-                        key,
-                        EpochPins::new(), // no pins: epoch-independent, never stale
-                        rankings.clone(),
-                    );
-                Response::Pia {
+    let audit = PooledAudit {
+        parent: slot.ctx,
+        kind: "pia",
+        detail,
+        deadline: job_deadline(&state.config, timeout_ms),
+        slot: Some(Arc::clone(&slot)),
+    };
+    submit_audit(
+        state,
+        audit,
+        move |st, token, _| {
+            let config = PsopConfig::default();
+            let result = rank_deployments_cancellable(&providers, way, minhash, &config, token)
+                .inspect(|rankings| {
+                    st.pia_cache
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(
+                            key,
+                            EpochPins::new(), // no pins: epoch-independent, never stale
+                            rankings.clone(),
+                        );
+                })
+                .map_err(|e| e.to_string());
+            Audited {
+                cached: false,
+                pins: EpochPins::new(),
+                result,
+            }
+        },
+        move |_, _, result| {
+            slot.fulfill(match result {
+                Ok(rankings) => Response::Pia {
                     epoch,
                     cached: false,
                     elapsed_us: started.elapsed().as_micros() as u64,
                     rankings,
-                }
-            }
-            Err(e) => Response::error(format!("audit failed: {e}")),
-        };
-        crash.0.fulfill(response);
-    });
-    match submitted {
-        Ok(token) => AdmitOutcome::Pooled { token, deadline },
-        Err(e) => AdmitOutcome::answer(&Response::error(e.to_string())),
-    }
+                },
+                Err(e) => Response::error(format!("audit failed: {e}")),
+            });
+        },
+    )
 }
 
 /// Resolves the effective job deadline: the client's request, clamped
@@ -1201,7 +1195,14 @@ fn job_deadline(config: &ServeConfig, timeout_ms: Option<u64>) -> Duration {
         .min(config.max_deadline)
 }
 
-fn status(state: &ServiceState) -> Response {
+/// `(hits, misses, entries)` of one result cache.
+fn cache_stats<V: Clone>(cache: &Mutex<AuditCache<V>>) -> (u64, u64, usize) {
+    let cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+    let (hits, misses) = cache.stats();
+    (hits, misses, cache.len())
+}
+
+pub(crate) fn status(state: &ServiceState) -> Response {
     // Status reads the same wait-free snapshot path audits use; the
     // counters come from per-shard atomics. No lock, so a dashboard
     // polling Status never slows writers down.
@@ -1214,22 +1215,8 @@ fn status(state: &ServiceState) -> Response {
     let hosts = DepView::hosts(&snapshot).len();
     let shard_epochs = snapshot.epochs().as_slice().to_vec();
     let counters = state.db.counters();
-    let (sia_hits, sia_misses, sia_len) = {
-        let cache = state
-            .sia_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (h, m) = cache.stats();
-        (h, m, cache.len())
-    };
-    let (pia_hits, pia_misses, pia_len) = {
-        let cache = state
-            .pia_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (h, m) = cache.stats();
-        (h, m, cache.len())
-    };
+    let (sia_hits, sia_misses, sia_len) = cache_stats(&state.sia_cache);
+    let (pia_hits, pia_misses, pia_len) = cache_stats(&state.pia_cache);
     let cache_entries = sia_len + pia_len;
     let cache_hits = sia_hits + pia_hits;
     let cache_misses = sia_misses + pia_misses;
@@ -1266,7 +1253,7 @@ fn status(state: &ServiceState) -> Response {
 /// their authoritative sources (per-shard atomics, cache stats,
 /// scheduler — the same lock-free reads `Status` does), snapshots the
 /// registry, and attaches the most recent audits' spans.
-fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
+pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let telemetry = &state.telemetry;
     let registry = &telemetry.registry;
     let counters = state.db.counters();
@@ -1276,22 +1263,8 @@ fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     registry
         .gauge(names::DB_LOCK_WAITS)
         .set(counters.lock_waits);
-    let (sia_hits, sia_misses, sia_len) = {
-        let cache = state
-            .sia_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (h, m) = cache.stats();
-        (h, m, cache.len())
-    };
-    let (pia_hits, pia_misses, pia_len) = {
-        let cache = state
-            .pia_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (h, m) = cache.stats();
-        (h, m, cache.len())
-    };
+    let (sia_hits, sia_misses, sia_len) = cache_stats(&state.sia_cache);
+    let (pia_hits, pia_misses, pia_len) = cache_stats(&state.pia_cache);
     registry.gauge(names::CACHE_SIA_HITS).set(sia_hits);
     registry.gauge(names::CACHE_SIA_MISSES).set(sia_misses);
     registry.gauge(names::CACHE_PIA_HITS).set(pia_hits);

@@ -19,8 +19,10 @@
 //! (`server::apply_mutation`) asks it which subscriptions an ingest's
 //! epoch vector invalidates; each affected entry has its pins advanced
 //! immediately (so concurrent ingests trigger at most one re-audit per
-//! batch wave) and the re-audit itself runs later, on the shared worker
-//! pool.
+//! batch wave) and its re-audit is scheduled at once onto the shared
+//! worker pool — the same pooled SIA audit a request's cache miss runs,
+//! framed as an `AuditEvent` into the subscriber's outbox instead of an
+//! answer.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

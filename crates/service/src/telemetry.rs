@@ -71,7 +71,7 @@
 //! | `audit_stage_rg_sampling_us` | failure-sampling engine |
 //! | `audit_stage_rg_bdd_us` | BDD compile + cut-set extraction |
 //! | `audit_stage_ranking_us` | risk-group ranking |
-//! | `audit_sia_us` / `audit_pia_us` | whole audit execution (misses) |
+//! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report encode included (every executed audit — request miss or push, failed or not; a cache hit executes none) |
 //! | `push_latency_us` | ingest invalidation → event frame enqueued |
 //! | `ingest_us` | one ingest/retract batch through the write path |
 //! | `fed_party_us` | one federation party run, all ring rounds |

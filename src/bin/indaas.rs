@@ -93,8 +93,7 @@ USAGE:
                [--node NAME] [--round-timeout-ms MS]
                [--collect-interval MS] [--collect-truth FILE]
                [--collect-miss-rate R] [--slow-audit-ms MS]
-               [--push-debounce-ms MS] [--log-level LVL] [--log-json]
-               [--fault SPEC ...]
+               [--log-level LVL] [--log-json] [--fault SPEC ...]
 
 OPTIONS:
   --listen ADDR          listen address (default 127.0.0.1:4914; port 0 = ephemeral)
@@ -127,10 +126,6 @@ OPTIONS:
   --slow-audit-ms MS     slow threshold: audits taking MS or longer are
                          marked SLOW in `indaas metrics` and `indaas
                          top` (default 1000; 0 marks everything)
-  --push-debounce-ms MS  coalesce subscription pushes: an ingest burst
-                         invalidating the same subscription schedules
-                         one pushed audit per MS window instead of one
-                         per batch (default 0 = push immediately)
   --log-level LVL        minimum severity the structured logger emits:
                          error|warn|info|debug (default info)
   --log-json             log one JSON object per line instead of text
@@ -149,6 +144,8 @@ PROTOCOL v2 (hello line, then multiplexed envelopes in binary frames):
   -> frame {\"id\": 2, \"body\": {\"Subscribe\": {\"spec\": {...}, \"engine\": \"sia\"}}}
   <- frame {\"id\": 2, \"body\": {\"Subscribed\": {\"subscription\": 9}}}
   <- frame {\"id\": 0, \"body\": {\"AuditEvent\": {...}}}   (server push)
+  A Hello or FederateHello envelope is answered with an error on its id;
+  the session stays open. Envelope id 0 is reserved: sending it closes.
 PROTOCOL v1 (no Hello: line-delimited JSON, lock-step; still served):
   -> \"Ping\"                                    <- \"Pong\"
   -> {\"Ingest\": {\"records\": \"<src=...>\"}}  <- {\"Ingested\": {\"changed\": 1, \"ignored\": 0, \"epoch\": 1}}
@@ -506,9 +503,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(v) = flags.value("--slow-audit-ms") {
         config.slow_audit_ms = v.parse().map_err(|e| format!("--slow-audit-ms: {e}"))?;
-    }
-    if let Some(v) = flags.value("--push-debounce-ms") {
-        config.push_debounce_ms = v.parse().map_err(|e| format!("--push-debounce-ms: {e}"))?;
     }
     if let Some(v) = flags.value("--log-level") {
         config.log_level = v.parse().map_err(|e| format!("--log-level: {e}"))?;

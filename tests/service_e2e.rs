@@ -1301,6 +1301,243 @@ fn raw_protocol_shutdown_round_trip() {
     daemon.join().unwrap().expect("serve loop");
 }
 
+/// Requests that arrive where they do not belong — a second greeting,
+/// a subscription on a line session, a peer hello inside an envelope,
+/// an unknown unsubscribe, the reserved envelope id — each get one
+/// pinned answer, and every session but the reserved id's keeps
+/// serving: a `Ping` afterwards still gets its `Pong`.
+#[test]
+fn out_of_place_requests_are_answered_on_either_protocol() {
+    use indaas::service::proto::{
+        decode_line, encode_line, read_frame, write_frame, Envelope, FrameRead, ResponseEnvelope,
+    };
+
+    /// A raw protocol-v2 session: the hello line, then envelope frames.
+    struct FrameSession {
+        writer: TcpStream,
+        reader: BufReader<TcpStream>,
+        frame: Vec<u8>,
+    }
+
+    impl FrameSession {
+        fn connect(addr: std::net::SocketAddr) -> Self {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut writer = stream.try_clone().expect("clone socket");
+            let mut reader = BufReader::new(stream);
+            writeln!(writer, "{}", encode_line(&Request::Hello { version: 2 })).expect("hello");
+            let mut welcome = String::new();
+            reader.read_line(&mut welcome).expect("welcome");
+            assert!(welcome.contains("Welcome"), "got: {welcome}");
+            FrameSession {
+                writer,
+                reader,
+                frame: Vec::new(),
+            }
+        }
+
+        /// Sends `body` as envelope `id` and returns the next answer frame,
+        /// or `None` once the daemon has closed the session.
+        fn request(&mut self, id: u64, body: Request) -> Option<ResponseEnvelope> {
+            let envelope = encode_line(&Envelope {
+                id,
+                body,
+                trace: None,
+            });
+            write_frame(&mut self.writer, envelope.as_bytes()).ok()?;
+            match read_frame(&mut self.reader, &mut self.frame, 1 << 24) {
+                Ok(FrameRead::Frame) => {
+                    let text = std::str::from_utf8(&self.frame).expect("UTF-8 frame");
+                    Some(decode_line(text).expect("answer envelope"))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    enum Via {
+        Line(Request),
+        Envelope(u64, Request),
+    }
+    const V2_ONLY: &str =
+        "subscriptions require a protocol v2 session (open the connection with Hello)";
+    let subscribe = || Request::Subscribe {
+        spec: audit_spec(),
+        engine: "sia".into(),
+    };
+    let cases = [
+        (
+            "v1 second Hello",
+            Via::Line(Request::Hello { version: 1 }),
+            "Hello must be the first line of a connection",
+            true,
+        ),
+        ("v1 Subscribe", Via::Line(subscribe()), V2_ONLY, true),
+        (
+            "v1 Unsubscribe",
+            Via::Line(Request::Unsubscribe { subscription: 1 }),
+            V2_ONLY,
+            true,
+        ),
+        (
+            "v2 Hello",
+            Via::Envelope(5, Request::Hello { version: 2 }),
+            "session version is already negotiated",
+            true,
+        ),
+        (
+            "v2 FederateHello",
+            Via::Envelope(
+                6,
+                Request::FederateHello {
+                    version: 2,
+                    node: "probe".into(),
+                },
+            ),
+            "FederateHello must be the first line of a connection",
+            true,
+        ),
+        (
+            "v2 Unsubscribe of an unknown id",
+            Via::Envelope(7, Request::Unsubscribe { subscription: 999 }),
+            "no such subscription: 999",
+            true,
+        ),
+        (
+            "v2 envelope id 0",
+            Via::Envelope(0, Request::Ping),
+            "envelope id 0 is reserved for server pushes",
+            false,
+        ),
+    ];
+
+    let (addr, daemon) = start_daemon();
+    let message = |response: Option<Response>| match response {
+        Some(Response::Error { message }) => message,
+        other => format!("{other:?}"),
+    };
+    let mut failures = Vec::new();
+    for (name, via, want, survives) in cases {
+        let (answer, alive) = match via {
+            Via::Line(request) => {
+                let mut v1 = LineSession::connect(addr);
+                // The first line greets the session; the case comes after.
+                assert!(matches!(v1.request(&Request::Ping), Response::Pong));
+                let line = v1.raw(&encode_line(&request));
+                let answer = message(decode_line(line.trim()).ok());
+                (answer, v1.raw("\"Ping\"").trim() == "\"Pong\"")
+            }
+            Via::Envelope(id, request) => {
+                let mut v2 = FrameSession::connect(addr);
+                // Answered on the envelope's own id (the reserved one too).
+                let answer = v2
+                    .request(id, request)
+                    .filter(|envelope| envelope.id == id)
+                    .map(|envelope| envelope.body);
+                let pong = v2.request(id + 100, Request::Ping);
+                (
+                    message(answer),
+                    pong.is_some_and(|envelope| matches!(envelope.body, Response::Pong)),
+                )
+            }
+        };
+        if answer != want || alive != survives {
+            failures.push(format!(
+                "{name}: answered {answer:?}, session alive {alive} \
+                 (want {want:?}, alive {survives})"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+
+    assert!(matches!(
+        LineSession::connect(addr).request(&Request::Shutdown),
+        Response::ShuttingDown
+    ));
+    daemon.join().unwrap().expect("serve loop");
+}
+
+/// Every dispatched request, on either protocol and wherever it lands
+/// in the dispatch, records exactly one `request:<Kind>` span under its
+/// own context and one `dispatch_us` sample.
+#[test]
+fn every_dispatched_request_records_one_span_and_one_dispatch_sample() {
+    use indaas::obs::{format_trace_id, TraceContext};
+
+    let (addr, daemon) = start_daemon();
+    let mut client = Client::connect(addr).expect("connect");
+    client.ingest(RECORDS).expect("ingest");
+
+    let subscribed = TraceContext::root();
+    let Response::Subscribed { subscription } = client
+        .request_traced(
+            &Request::Subscribe {
+                spec: audit_spec(),
+                engine: "sia".into(),
+            },
+            Some(subscribed),
+        )
+        .expect("subscribe")
+    else {
+        panic!("expected Subscribed");
+    };
+    let unsubscribed = TraceContext::root();
+    let answer = client
+        .request_traced(&Request::Unsubscribe { subscription }, Some(unsubscribed))
+        .expect("unsubscribe");
+    assert!(
+        matches!(answer, Response::Unsubscribed { .. }),
+        "got: {answer:?}"
+    );
+    for (root, kind) in [
+        (subscribed, "request:Subscribe"),
+        (unsubscribed, "request:Unsubscribe"),
+    ] {
+        let (_node, spans) = client
+            .fetch_trace(&format_trace_id(root.trace_id))
+            .expect("trace");
+        let requests: Vec<&SpanEntry> = spans
+            .iter()
+            .filter(|s| s.name.starts_with("request:"))
+            .collect();
+        assert_eq!(requests.len(), 1, "{kind}: {requests:?}");
+        assert_eq!(requests[0].name, kind);
+        assert_eq!(requests[0].span_id, root.span_id);
+    }
+
+    // One sample per dispatched request: the greeting is no request,
+    // an out-of-place hello is one.
+    let dispatched = |client: &mut Client| {
+        let metrics = client.metrics(Some(0)).expect("metrics");
+        metrics
+            .histo(names::DISPATCH_US)
+            .expect("dispatch_us")
+            .count
+    };
+    let before = dispatched(&mut client);
+    let answer = client.request(&Request::Hello { version: 2 });
+    assert!(
+        matches!(answer, Ok(Response::Error { .. })),
+        "got: {answer:?}"
+    );
+    client.ping().expect("ping");
+    let mut v1 = LineSession::connect(addr);
+    assert!(matches!(v1.request(&Request::Ping), Response::Pong));
+    for request in [
+        Request::Hello { version: 1 },
+        Request::Unsubscribe { subscription },
+    ] {
+        assert!(matches!(v1.request(&request), Response::Error { .. }));
+    }
+    // The first `Metrics` answer is sampled after its own snapshot.
+    assert_eq!(dispatched(&mut client) - before, 1 + 2 + 3);
+
+    client.shutdown().expect("shutdown");
+    daemon.join().unwrap().expect("serve loop");
+}
+
 #[test]
 fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
     // --slow-audit-ms 0: every audit's total is >= 0, so all are slow.
