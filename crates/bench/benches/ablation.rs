@@ -5,6 +5,8 @@
 //!   compilation vs failure sampling) on the same deployment graph,
 //! * weighted (importance) sampling vs uniform coin flips.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use indaas_bench::fig7_workload;
 use indaas_deps::FailureProbModel;

@@ -2,6 +2,8 @@
 //! drive Figures 8 and 9 (the paper: "the cryptographic operations tend to
 //! be the major computational bottleneck").
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use indaas_bigint::{BigUint, Montgomery};
 use indaas_crypto::{sha256, CommutativeCipher, PaillierKeypair};

@@ -2,6 +2,8 @@
 //! and failure sampling on fat-tree deployment fault graphs (topology A
 //! scale; the full sweep lives in the `repro_fig7` binary).
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use indaas_bench::fig7_workload;
 use indaas_sia::{

@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks behind Figure 8: P-SOP vs the KS baseline
 //! (full sweeps live in the `repro_fig8` binary).
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use indaas_bench::synthetic_datasets;
 use indaas_graph::CancelToken;

@@ -19,6 +19,8 @@
 //! binary in the cargo target dir); pass `--addr` and `--daemon-pid` to
 //! point it at an externally managed daemon instead.
 
+#![forbid(unsafe_code)]
+
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 

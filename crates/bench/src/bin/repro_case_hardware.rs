@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_case_hardware`
 
+#![forbid(unsafe_code)]
+
 use indaas_core::{AuditSpec, AuditingAgent, CandidateDeployment};
 use indaas_deps::DepDb;
 use indaas_topology::IaasLab;

@@ -11,6 +11,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_case_network`
 
+#![forbid(unsafe_code)]
+
 use indaas_bench::timed;
 use indaas_core::{AuditSpec, AuditingAgent, CandidateDeployment, RankingMetric, RgAlgorithm};
 use indaas_deps::{DepDb, FailureProbModel};

@@ -20,6 +20,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_fig7`
 
+#![forbid(unsafe_code)]
+
 use indaas_bench::{fig7_workload, timed};
 use indaas_graph::FaultGraph;
 use indaas_sia::{

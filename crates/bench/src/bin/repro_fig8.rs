@@ -15,6 +15,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_fig8`
 
+#![forbid(unsafe_code)]
+
 use indaas_bench::{synthetic_datasets, timed};
 use indaas_pia::{run_ks, run_psop, KsConfig, PsopConfig};
 use indaas_simnet::SimNetwork;

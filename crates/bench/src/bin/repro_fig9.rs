@@ -22,6 +22,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_fig9`
 
+#![forbid(unsafe_code)]
+
 use indaas_bench::{synthetic_datasets, timed};
 use indaas_graph::detail::{component_sets_to_graph, ComponentSet};
 use indaas_pia::{run_ks, run_psop, KsConfig, PsopConfig};

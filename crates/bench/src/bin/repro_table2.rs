@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_table2`
 
+#![forbid(unsafe_code)]
+
 use indaas_pia::normalize::normalize_set;
 use indaas_pia::report::render_ranking;
 use indaas_pia::{rank_deployments, PsopConfig};

@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_table3`
 
+#![forbid(unsafe_code)]
+
 use indaas_topology::{FatTree, FatTreeConfig};
 
 fn main() {

@@ -6,6 +6,8 @@
 //! sound micro-timings of the same code paths. EXPERIMENTS.md records
 //! paper-vs-measured for each.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use indaas_core::CandidateDeployment;

@@ -23,6 +23,8 @@
 //! assert_eq!(r, BigUint::from_u64(1024));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod div;
 mod modular;
 mod prime;

@@ -34,6 +34,8 @@
 //! assert_eq!(report.best().unwrap().name, "S1+S3");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod spec;
 

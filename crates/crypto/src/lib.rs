@@ -19,6 +19,8 @@
 //! artifacts*: no constant-time guarantees, no side-channel hardening. They
 //! exist to reproduce the INDaaS evaluation, not to protect production data.
 
+#![forbid(unsafe_code)]
+
 pub mod commutative;
 pub mod hash;
 pub mod paillier;

@@ -12,6 +12,12 @@
 //! by `indaas-topology`) with a configurable detection miss rate, matching
 //! the ~90% dependency coverage the paper reports.
 //!
+//! The auditing daemon keeps its records in a [`ShardedDepDb`]: sharded
+//! by host, one write lock per shard, and snapshots that read each
+//! shard's data together with the epoch naming it, so an audit's cache
+//! pins are exact. [`persist`] saves that store as one Table-1 segment
+//! file per shard and loads it back, quarantining corrupt files.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,6 +34,8 @@
 //! assert_eq!(db.software_deps("S1")[0].pgm, "Riak1");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adapters;
 pub mod dam;
 pub mod depdb;
@@ -36,8 +44,6 @@ pub mod format;
 pub mod persist;
 pub mod record;
 pub mod sharded;
-pub mod swap;
-pub mod versioned;
 
 pub use dam::{collect_all, DamError, DependencyAcquisitionModule, SimCollector};
 pub use depdb::{DepDb, DepRecordRef, DepView};
@@ -46,7 +52,5 @@ pub use format::{parse_record, parse_records, FormatError};
 pub use persist::{write_atomic, Manifest, MANIFEST_FILE, SEGMENT_FORMAT_VERSION};
 pub use record::{DependencyRecord, HardwareDep, NetworkDep, SoftwareDep};
 pub use sharded::{
-    shard_index, DbSnapshot, EpochVector, ShardCounters, ShardedDepDb, ShardedIngestReport,
+    shard_index, DbSnapshot, Epoch, EpochVector, ShardCounters, ShardedDepDb, ShardedIngestReport,
 };
-pub use swap::ArcSwapCell;
-pub use versioned::{Epoch, IngestReport, VersionedDepDb};

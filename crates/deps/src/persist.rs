@@ -22,7 +22,8 @@
 //!   the new version of each file, never a prefix.
 //! * **Saves are incremental**: [`ShardedDepDb::save_dirty_segments`]
 //!   writes only the shards mutated since the last save (each shard
-//!   cell carries a dirty flag), which is what the daemon runs on
+//!   publishes a dirty flag beside its snapshot and epoch, and a save
+//!   claims flag and snapshot together), which is what the daemon runs on
 //!   collector ticks; a full [`ShardedDepDb::save_segments`] happens on
 //!   the first save into an empty directory or a shard-count change.
 //! * **Loads are parallel**: [`ShardedDepDb::load_segments`] parses
@@ -36,9 +37,9 @@
 //!   shards are served; a garbled `MANIFEST.json` is quarantined the
 //!   same way and the directory's segment files are rescanned. Only a
 //!   manifest from a *newer* format version still refuses to load —
-//!   that is a deliberate downgrade guard, not corruption.
-//!   [`ShardedDepDb::open_reporting`] surfaces what was set aside in a
-//!   [`LoadReport`] so the daemon can count it.
+//!   that is a deliberate downgrade guard, not corruption. The loaded
+//!   store remembers what was set aside ([`ShardedDepDb::quarantined`])
+//!   so the daemon can count it.
 //! * **A db dir is always a directory**: [`ShardedDepDb::open`] refuses
 //!   a plain file. A Table-1 file becomes segments by loading it as
 //!   records into a store and saving that (`serve --records FILE
@@ -51,7 +52,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +60,6 @@ use crate::depdb::DepDb;
 use crate::format::parse_records;
 use crate::record::DependencyRecord;
 use crate::sharded::{shard_index, ShardedDepDb};
-use crate::versioned::Epoch;
 
 /// On-disk format version written into every manifest.
 pub const SEGMENT_FORMAT_VERSION: u32 = 1;
@@ -84,17 +84,6 @@ pub struct Manifest {
 /// Segment file name for shard `shard`.
 pub fn segment_file(shard: usize) -> String {
     format!("shard-{shard:04}.tbl")
-}
-
-/// What a segmented load set aside instead of serving.
-///
-/// Each entry is the **quarantine destination** (`<original>.quarantine`)
-/// a corrupt segment or manifest was renamed to. An empty report means
-/// the directory loaded cleanly.
-#[derive(Clone, Debug, Default)]
-pub struct LoadReport {
-    /// Files renamed to `*.quarantine` during this load.
-    pub quarantined: Vec<PathBuf>,
 }
 
 /// `<path>.quarantine` — where a corrupt segment or manifest is set
@@ -221,17 +210,22 @@ impl ShardedDepDb {
         let mut records = Vec::with_capacity(shards);
         for (s, cell) in self.shards.iter().enumerate() {
             let path = dir.join(segment_file(s));
-            // Claim the dirty flag *before* loading the snapshot: a
-            // mutation landing in between re-sets it and the next save
-            // picks the shard up again — never a lost update.
-            let was_dirty = cell.dirty.swap(false, Ordering::AcqRel);
-            let snap = cell.snap.load();
+            // The flag is claimed with the snapshot it describes; a
+            // mutation publishing after this sets it again, and the next
+            // save picks the shard up.
+            let (was_dirty, snap) = {
+                let mut published = cell.published();
+                (
+                    std::mem::take(&mut published.dirty),
+                    Arc::clone(&published.db),
+                )
+            };
             records.push(snap.len());
             if only_dirty && !was_dirty && path.exists() {
                 continue;
             }
             if let Err(e) = write_atomic(&path, &segment_text(s, shards, &snap)) {
-                cell.dirty.store(true, Ordering::Release);
+                cell.published().dirty = true;
                 return Err(e);
             }
             written += 1;
@@ -258,8 +252,8 @@ impl ShardedDepDb {
     /// Corrupt files do not abort the load: a torn or bit-flipped
     /// segment is renamed to `<name>.quarantine` and its shard served
     /// empty; an unparseable manifest is quarantined too and the
-    /// directory's `shard-NNNN.tbl` files are rescanned directly. Use
-    /// [`Self::load_segments_reporting`] to observe what was set aside.
+    /// directory's `shard-NNNN.tbl` files are rescanned directly. The
+    /// store's [`Self::quarantined`] lists what was set aside.
     ///
     /// # Errors
     ///
@@ -267,20 +261,8 @@ impl ShardedDepDb {
     /// for a manifest from a *newer* format version (downgrade guard);
     /// other I/O errors pass through.
     pub fn load_segments(dir: impl AsRef<Path>, shards: usize) -> io::Result<ShardedDepDb> {
-        Self::load_segments_reporting(dir, shards).map(|(store, _)| store)
-    }
-
-    /// [`Self::load_segments`] plus the [`LoadReport`] of quarantined
-    /// files, so a daemon boot can count (and log) what it set aside.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::load_segments`].
-    pub fn load_segments_reporting(
-        dir: impl AsRef<Path>,
-        shards: usize,
-    ) -> io::Result<(ShardedDepDb, LoadReport)> {
         let dir = dir.as_ref();
+        let shards = shards.max(1);
         // Chaos hook: `db.load` makes boot-time recovery fail outright —
         // every fault class surfaces as a load error (a disk has no
         // connection to drop).
@@ -289,7 +271,7 @@ impl ShardedDepDb {
         {
             return Err(io::Error::other("injected fault at db.load"));
         }
-        let mut report = LoadReport::default();
+        let mut quarantined = Vec::new();
         let manifest = match read_manifest(dir) {
             Ok(m) => Some(m),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -302,7 +284,7 @@ impl ShardedDepDb {
                     "persist",
                     &format!("quarantined corrupt manifest {}: {e}", mpath.display()),
                 );
-                report.quarantined.push(q);
+                quarantined.push(q);
                 None
             }
             Err(e) => return Err(e),
@@ -319,25 +301,34 @@ impl ShardedDepDb {
             }
             None => scan_segment_count(dir)?,
         };
-        let segments = load_segment_files(dir, segments_on_disk, &mut report)?;
+        let segments = load_segment_files(dir, segments_on_disk, &mut quarantined)?;
         let routed_ok = manifest.is_some()
             && shards == segments_on_disk
             && segments
                 .iter()
                 .enumerate()
                 .all(|(s, records)| records.iter().all(|r| shard_index(r.host(), shards) == s));
-        let non_empty = segments.iter().any(|records| !records.is_empty());
-        let store = if routed_ok {
-            let routed: Vec<DepDb> = segments.into_iter().map(DepDb::from_records).collect();
-            ShardedDepDb::from_routed(routed, Epoch::from(non_empty))
+        let routed: Vec<DepDb> = if routed_ok {
+            segments.into_iter().map(DepDb::from_records).collect()
         } else {
             // Shard-count migration (or a repaired hand edit, or a lost
-            // manifest): one merge + re-route pass, exactly like seeding
-            // from a monolith.
-            let merged = DepDb::from_records(segments.into_iter().flatten());
-            ShardedDepDb::from_db(merged, shards)
+            // manifest): one re-route pass over every record.
+            let mut routed = vec![DepDb::new(); shards];
+            for record in segments.into_iter().flatten() {
+                routed[shard_index(record.host(), shards)].insert(record);
+            }
+            routed
         };
-        Ok((store, report))
+        let mut store = ShardedDepDb::from_routed(routed);
+        store.quarantined = quarantined;
+        Ok(store)
+    }
+
+    /// The files the load that built this store renamed to
+    /// `*.quarantine` (corrupt segments or manifest) — empty for a clean
+    /// load or a store built in memory. The daemon counts them at bind.
+    pub fn quarantined(&self) -> &[PathBuf] {
+        &self.quarantined
     }
 
     /// Opens the segmented store at `path`:
@@ -356,22 +347,9 @@ impl ShardedDepDb {
     /// data); `InvalidData` for malformed content; other I/O errors pass
     /// through.
     pub fn open(path: impl AsRef<Path>, shards: usize) -> io::Result<ShardedDepDb> {
-        Self::open_reporting(path, shards).map(|(store, _)| store)
-    }
-
-    /// [`Self::open`] plus the [`LoadReport`] of files a segmented load
-    /// quarantined (always empty for an empty store).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::open`].
-    pub fn open_reporting(
-        path: impl AsRef<Path>,
-        shards: usize,
-    ) -> io::Result<(ShardedDepDb, LoadReport)> {
         let path = path.as_ref();
         if !path.exists() {
-            return Ok((ShardedDepDb::new(shards), LoadReport::default()));
+            return Ok(ShardedDepDb::new(shards));
         }
         if !path.is_dir() {
             return Err(io::Error::new(
@@ -384,10 +362,10 @@ impl ShardedDepDb {
             ));
         }
         if path.join(MANIFEST_FILE).exists() {
-            return Self::load_segments_reporting(path, shards);
+            return Self::load_segments(path, shards);
         }
         if std::fs::read_dir(path)?.next().is_none() {
-            return Ok((ShardedDepDb::new(shards), LoadReport::default()));
+            return Ok(ShardedDepDb::new(shards));
         }
         Err(io::Error::new(
             io::ErrorKind::NotFound,
@@ -436,13 +414,13 @@ fn scan_segment_count(dir: &Path) -> io::Result<usize> {
 ///
 /// Corruption is contained per segment: a file that fails to read as
 /// UTF-8 or parse as Table-1 records is renamed to `<name>.quarantine`
-/// (recorded in `report`) and its slot served empty; a *missing* segment
+/// (recorded in `quarantined`) and its slot served empty; a *missing* segment
 /// is served empty with a warning (nothing to set aside). Environmental
 /// I/O errors — permissions, dying disk — still abort the load.
 fn load_segment_files(
     dir: &Path,
     shards: usize,
-    report: &mut LoadReport,
+    quarantined: &mut Vec<PathBuf>,
 ) -> io::Result<Vec<Vec<DependencyRecord>>> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -451,7 +429,7 @@ fn load_segment_files(
         .min(shards.max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Mutex<Vec<Option<Vec<DependencyRecord>>>> = Mutex::new(vec![None; shards]);
-    let quarantined: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+    let set_aside: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
     let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -478,7 +456,7 @@ fn load_segment_files(
                             "persist",
                             &format!("quarantined corrupt segment {}: {e}", path.display()),
                         );
-                        quarantined
+                        set_aside
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
                             .push(q);
@@ -509,8 +487,8 @@ fn load_segment_files(
     {
         return Err(e);
     }
-    report.quarantined.append(
-        &mut quarantined
+    quarantined.append(
+        &mut set_aside
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner),
     );
@@ -693,9 +671,9 @@ mod tests {
         store.ingest(sample_records(13));
         store.save_segments(&dir).unwrap();
         std::fs::write(dir.join(MANIFEST_FILE), "not json").unwrap();
-        let (back, report) = ShardedDepDb::load_segments_reporting(&dir, 4).unwrap();
+        let back = ShardedDepDb::load_segments(&dir, 4).unwrap();
         assert_eq!(back.len(), store.len(), "records survive a torn manifest");
-        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(back.quarantined().len(), 1);
         assert!(dir.join(format!("{MANIFEST_FILE}.quarantine")).exists());
         // The next save rewrites a clean manifest.
         back.save_segments(&dir).unwrap();
@@ -716,8 +694,8 @@ mod tests {
         let victim_len = std::fs::read(&victim).unwrap().len();
         std::fs::write(&victim, [0xFFu8, 0xFE, 0x00, 0x80]).unwrap();
         assert!(victim_len > 0);
-        let (back, report) = ShardedDepDb::load_segments_reporting(&dir, 4).unwrap();
-        assert_eq!(report.quarantined.len(), 1);
+        let back = ShardedDepDb::load_segments(&dir, 4).unwrap();
+        assert_eq!(back.quarantined(), &[quarantine_path(&victim)]);
         assert!(!victim.exists(), "bad segment renamed away");
         assert!(quarantine_path(&victim).exists());
         assert_eq!(back.shard_len(1), 0, "bad shard served empty");
@@ -726,8 +704,8 @@ mod tests {
         // Truncated-but-valid-UTF-8 garbage quarantines the same way.
         let victim = dir.join(segment_file(2));
         std::fs::write(&victim, "<hw=\"srv-").unwrap();
-        let (_, report) = ShardedDepDb::load_segments_reporting(&dir, 4).unwrap();
-        assert_eq!(report.quarantined.len(), 1);
+        let back = ShardedDepDb::load_segments(&dir, 4).unwrap();
+        assert_eq!(back.quarantined().len(), 1);
         assert!(quarantine_path(&victim).exists());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,30 +1,29 @@
 //! Host-sharded dependency store with per-shard locks, per-shard
-//! epochs, and wait-free snapshot publication.
+//! epochs, and snapshots that read each shard's data and epoch as one
+//! pair.
 //!
-//! The auditing daemon's write path has evolved in two steps. First the
-//! store was sharded by host key so an ingest re-clones only the shards
-//! it changed (copy-on-write snapshots, cost proportional to what
-//! changed). But every shard still lived under one `RwLock`: ingests to
-//! *different* shards serialized, and every audit's `snapshot()` call
-//! contended with writers. Cloud dependency data arrives as high-rate,
-//! mostly-local updates from many collectors at once (AID,
-//! arXiv:2109.04893), so the store is now **concurrent**:
+//! Cloud dependency data arrives as high-rate, mostly-local updates from
+//! many collectors at once (AID, arXiv:2109.04893), so the store is
+//! sharded by host and every shard is locked on its own:
 //!
 //! * every record routes to `shard_index(record.host(), N)` — all three
 //!   record kinds key by host, so a host's records always land together;
-//! * each shard is an independent cell: a [`VersionedDepDb`] behind its
-//!   **own write mutex**, whose current `Arc<DepDb>` snapshot is
-//!   published through an [`ArcSwapCell`] (atomic pointer swap);
-//! * mutations pre-route the batch by shard *before* taking any lock,
-//!   then lock **only the touched shards**, in ascending index order so
+//! * each shard cell holds two std mutexes. The **write** lock guards
+//!   the writer's private [`DepDb`], mutated in place. The **publish**
+//!   lock guards what readers see: the shard's current `Arc<DepDb>`, the
+//!   epoch naming it and its dirty flag, which only ever change
+//!   together;
+//! * a mutation routes its batch by shard *before* taking any lock, then
+//!   locks **only the touched shards**, in ascending index order so
 //!   multi-shard batches can never deadlock against each other —
-//!   writers contend only when they touch the same shard;
-//! * [`ShardedDepDb::snapshot`] takes **no lock at all**: one wait-free
-//!   `Arc` load per shard, with the [`EpochVector`] assembled from
-//!   per-shard atomics — readers never block, and never observe a shard
-//!   snapshot *newer* than its claimed epoch (each cell publishes data
-//!   before epoch, and snapshots read epoch before data), so a cached
-//!   audit is never pinned to an epoch whose data it did not see;
+//!   writers contend only when they touch the same shard. A shard the
+//!   batch changed clones its database into a fresh `Arc` outside the
+//!   publish lock, swaps it in with the next epoch under that lock, and
+//!   frees the old one after releasing it;
+//! * [`ShardedDepDb::snapshot`] takes each shard's publish lock only to
+//!   clone the `Arc` and read the epoch — one short, uncontended lock
+//!   per shard that never waits on a clone or a free — so every pinned
+//!   `(shard, epoch)` names exactly the data beside it;
 //! * [`DbSnapshot`] composes the per-shard `Arc`s into one read-only
 //!   [`DepView`] the audit engines consume, and can name exactly which
 //!   `(shard, epoch)` pairs a given host set reads — the audit cache
@@ -35,15 +34,17 @@
 //! ([`ShardedDepDb::counters`]) make the parallelism observable through
 //! the daemon's `Status` response.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::depdb::{DepDb, DepView};
-use crate::format::{parse_records, FormatError};
 use crate::record::{DependencyRecord, HardwareDep, NetworkDep, SoftwareDep};
-use crate::swap::ArcSwapCell;
-use crate::versioned::{Epoch, VersionedDepDb};
+
+/// Monotonic database version. Epoch 0 is the empty database.
+pub type Epoch = u64;
 
 /// Deterministic host → shard routing (FNV-1a over the host key).
 ///
@@ -101,7 +102,7 @@ impl From<Vec<Epoch>> for EpochVector {
     }
 }
 
-/// What one sharded ingest/retract/update batch did.
+/// What one sharded ingest or retract batch did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardedIngestReport {
     /// Records newly inserted (or removed, for retractions).
@@ -109,10 +110,9 @@ pub struct ShardedIngestReport {
     /// Records ignored: duplicate inserts or absent removals.
     pub ignored: usize,
     /// The store's *global* epoch after the batch — bumps by one per
-    /// effective batch, exactly like the monolithic [`VersionedDepDb`],
-    /// so wire-protocol epoch semantics are unchanged. Under concurrent
-    /// writers this is the value observed right after this batch's own
-    /// bump (other batches may bump it further at any time).
+    /// effective batch, whatever number of shards it touched. Under
+    /// concurrent writers this is the value observed right after this
+    /// batch's own bump (other batches may bump it further at any time).
     pub epoch: Epoch,
     /// Indices of the shards the batch actually changed (sorted). Empty
     /// for a pure-duplicate batch.
@@ -131,109 +131,118 @@ pub struct ShardCounters {
     pub lock_waits: u64,
 }
 
-/// One shard of the store: an independently-locked [`VersionedDepDb`]
-/// plus its atomically-published snapshot and observability counters.
+/// What readers see of one shard. The fields are only ever read or
+/// replaced together, under the shard's publish lock.
 #[derive(Debug)]
-pub(crate) struct ShardCell {
-    /// Guards mutations to this shard only.
-    pub(crate) write: Mutex<VersionedDepDb>,
-    /// The shard's current immutable snapshot; swapped (never edited in
-    /// place) after each effective mutation, so readers holding an old
-    /// `Arc` keep a consistent view.
-    pub(crate) snap: ArcSwapCell<DepDb>,
-    /// Mirror of the shard's epoch, readable without the write lock.
-    /// Published *after* the snapshot swap; snapshot readers load it
-    /// *before* the snapshot, so a claimed epoch never exceeds the data
-    /// it pins.
-    pub(crate) epoch: AtomicU64,
-    /// Effective write batches applied to this shard.
-    pub(crate) writes: AtomicU64,
-    /// Contended lock acquisitions on this shard.
-    pub(crate) lock_waits: AtomicU64,
+pub(crate) struct Published {
+    /// The shard's current immutable snapshot. Replaced, never edited,
+    /// so a reader holding an older `Arc` keeps a consistent view.
+    pub(crate) db: Arc<DepDb>,
+    /// The epoch naming `db`: bumps once per effective mutation.
+    pub(crate) epoch: Epoch,
     /// Set on every effective mutation, cleared by segment saves — lets
     /// the daemon persist only the shards that changed since the last
     /// save.
-    pub(crate) dirty: AtomicBool,
+    pub(crate) dirty: bool,
+}
+
+/// One shard of the store: its writer's database, what it has
+/// published, and observability counters.
+#[derive(Debug)]
+pub(crate) struct ShardCell {
+    /// The writer's private database, mutated in place. Held across a
+    /// batch's apply and publish; readers never take it.
+    write: Mutex<DepDb>,
+    /// Held only to clone or swap the snapshot `Arc` and read or bump
+    /// the epoch — nothing is cloned or freed under it.
+    published: Mutex<Published>,
+    /// Effective write batches applied to this shard.
+    writes: AtomicU64,
+    /// Contended write-lock acquisitions on this shard.
+    lock_waits: AtomicU64,
 }
 
 impl ShardCell {
+    /// A cell seeded with `db`: shard epoch 1 if it holds any record.
     fn new(db: DepDb) -> Self {
-        let versioned = VersionedDepDb::from_db(db);
-        let epoch = versioned.epoch();
-        let snapshot = Arc::new(versioned.db().clone());
+        let published = Published {
+            db: Arc::new(db.clone()),
+            epoch: Epoch::from(!db.is_empty()),
+            dirty: false,
+        };
         ShardCell {
-            write: Mutex::new(versioned),
-            snap: ArcSwapCell::new(snapshot),
-            epoch: AtomicU64::new(epoch),
+            write: Mutex::new(db),
+            published: Mutex::new(published),
             writes: AtomicU64::new(0),
             lock_waits: AtomicU64::new(0),
-            dirty: AtomicBool::new(false),
         }
     }
 
-    /// Publishes the shard's post-mutation state: snapshot first, epoch
-    /// second (the ordering half of the "data never older than its
-    /// epoch" invariant). Called with the shard write lock held.
-    fn publish(&self, db: &VersionedDepDb) {
-        self.snap.store(Arc::new(db.db().clone()));
-        self.epoch.store(db.epoch(), Ordering::Release);
+    /// Locks the published state. Every holder only copies or assigns
+    /// fields, so a poisoned lock still guards a consistent state.
+    pub(crate) fn published(&self) -> MutexGuard<'_, Published> {
+        self.published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes the writer's post-mutation database under the next
+    /// epoch. Called with this shard's write lock held.
+    fn publish(&self, db: &DepDb) {
+        let fresh = Arc::new(db.clone());
+        let old = {
+            let mut published = self.published();
+            published.epoch += 1;
+            published.dirty = true;
+            std::mem::replace(&mut published.db, fresh)
+        };
+        // The last reference to an old snapshot is freed here, after the
+        // publish lock is released.
+        drop(old);
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.dirty.store(true, Ordering::Release);
     }
 }
 
 /// A dependency store sharded by host key: per-shard write locks,
-/// wait-free copy-on-write snapshots.
+/// copy-on-write snapshots.
 ///
-/// All mutation entry points ([`ShardedDepDb::ingest`],
-/// [`ShardedDepDb::retract`], [`ShardedDepDb::update`]) take `&self`:
-/// the store is safe to share across threads directly (no external lock
-/// needed), and writers to disjoint shards proceed in parallel.
+/// Both mutation entry points ([`ShardedDepDb::ingest`],
+/// [`ShardedDepDb::retract`]) take `&self`: the store is safe to share
+/// across threads directly (no external lock needed), and writers to
+/// disjoint shards proceed in parallel.
 #[derive(Debug)]
 pub struct ShardedDepDb {
     pub(crate) shards: Vec<ShardCell>,
-    /// Global batch counter matching [`VersionedDepDb`] semantics.
-    pub(crate) epoch: AtomicU64,
+    /// Global batch counter: bumps once per effective batch.
+    epoch: AtomicU64,
     /// Serializes whole-store segment saves (`crate::persist`): two
     /// concurrent savers — the daemon's collector tick racing its
     /// shutdown save — would otherwise claim dirty flags and rename
     /// segment files in an interleaved order that can publish an older
     /// snapshot over a newer one.
     pub(crate) persist: Mutex<()>,
+    /// Files the load that built this store renamed to `*.quarantine`
+    /// ([`ShardedDepDb::quarantined`]).
+    pub(crate) quarantined: Vec<PathBuf>,
 }
 
 impl ShardedDepDb {
     /// An empty store with `shards` shards (clamped to at least 1), all
     /// at epoch 0.
     pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedDepDb {
-            shards: (0..shards).map(|_| ShardCell::new(DepDb::new())).collect(),
-            epoch: AtomicU64::new(0),
-            persist: Mutex::new(()),
-        }
-    }
-
-    /// Routes an existing database's records into `shards` shards. A
-    /// non-empty seed starts at global epoch 1 (and every non-empty
-    /// shard at shard epoch 1), matching [`VersionedDepDb::from_db`].
-    pub fn from_db(db: DepDb, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut routed: Vec<DepDb> = (0..shards).map(|_| DepDb::new()).collect();
-        for rec in db.records_iter() {
-            routed[shard_index(rec.host(), shards)].insert(rec.to_owned());
-        }
-        Self::from_routed(routed, Epoch::from(!db.is_empty()))
+        Self::from_routed((0..shards.max(1)).map(|_| DepDb::new()).collect())
     }
 
     /// Assembles a store from already-routed per-shard databases (the
-    /// segment loader's entry point — it has per-shard record sets in
-    /// hand and must not pay a second routing pass).
-    pub(crate) fn from_routed(routed: Vec<DepDb>, epoch: Epoch) -> Self {
+    /// segment loader's entry point). Every non-empty shard starts at
+    /// shard epoch 1, and a non-empty store at global epoch 1.
+    pub(crate) fn from_routed(routed: Vec<DepDb>) -> Self {
+        let epoch = Epoch::from(routed.iter().any(|db| !db.is_empty()));
         ShardedDepDb {
             shards: routed.into_iter().map(ShardCell::new).collect(),
             epoch: AtomicU64::new(epoch),
             persist: Mutex::new(()),
+            quarantined: Vec::new(),
         }
     }
 
@@ -252,14 +261,9 @@ impl ShardedDepDb {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// The per-shard epochs, read from the published atomics — no lock.
+    /// The per-shard epochs, each read under its shard's publish lock.
     pub fn epochs(&self) -> EpochVector {
-        EpochVector(
-            self.shards
-                .iter()
-                .map(|c| c.epoch.load(Ordering::Acquire))
-                .collect(),
-        )
+        EpochVector(self.shards.iter().map(|c| c.published().epoch).collect())
     }
 
     /// Per-shard write counters and the lock-contention gauge.
@@ -280,36 +284,32 @@ impl ShardedDepDb {
 
     /// Distinct records in shard `shard` (via its published snapshot).
     pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].snap.load().len()
+        self.shards[shard].published().db.len()
     }
 
     /// Total distinct records across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|c| c.snap.load().len()).sum()
+        self.shards.iter().map(|c| c.published().db.len()).sum()
     }
 
     /// True if no shard holds any record.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|c| c.snap.load().is_empty())
+        self.shards.iter().all(|c| c.published().db.is_empty())
     }
 
-    /// A copy-on-write snapshot of the whole store: one wait-free `Arc`
-    /// load per shard, no lock, no record copied. Cheap enough to take
-    /// per request, and never delayed by concurrent writers.
-    ///
-    /// Each shard's epoch is read *before* its data, and writers publish
-    /// data *before* epoch — so a pinned `(shard, epoch)` pair never
-    /// claims an epoch newer than the data backing it (the safe
-    /// direction for the audit cache: at worst a result computed on
-    /// fresher data is pinned to an already-stale epoch and simply never
-    /// served).
+    /// A copy-on-write snapshot of the whole store: per shard, one short
+    /// lock to clone the `Arc` and read the epoch beside it — no record
+    /// copied, and never delayed by a writer's clone. Cheap enough to
+    /// take per request.
     pub fn snapshot(&self) -> DbSnapshot {
-        let mut epochs = Vec::with_capacity(self.shards.len());
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for cell in &self.shards {
-            epochs.push(cell.epoch.load(Ordering::Acquire));
-            shards.push(cell.snap.load());
-        }
+        let (shards, epochs) = self
+            .shards
+            .iter()
+            .map(|cell| {
+                let published = cell.published();
+                (Arc::clone(&published.db), published.epoch)
+            })
+            .unzip();
         DbSnapshot {
             shards,
             epochs: EpochVector(epochs),
@@ -317,7 +317,7 @@ impl ShardedDepDb {
     }
 
     /// Locks one shard for writing, counting contended acquisitions.
-    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, VersionedDepDb> {
+    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, DepDb> {
         let cell = &self.shards[shard];
         match cell.write.try_lock() {
             Ok(guard) => guard,
@@ -329,54 +329,40 @@ impl ShardedDepDb {
         }
     }
 
-    /// Groups an owned record batch by destination shard, preserving
-    /// order. Runs *before* any lock is taken.
-    fn route(
+    /// The one mutation path behind [`Self::ingest`] and [`Self::retract`].
+    /// Routes the batch by shard before taking any lock, then locks the
+    /// hit shards in ascending index order (the deadlock-freedom
+    /// discipline — two multi-shard batches always acquire their common
+    /// shards in the same order). `op` applies one record, and its
+    /// `true`/`false` counts as changed/ignored. Each shard that changed
+    /// is published, and the global epoch bumps once if any did.
+    fn apply<R: Borrow<DependencyRecord>>(
         &self,
-        records: impl IntoIterator<Item = DependencyRecord>,
-    ) -> Vec<Vec<DependencyRecord>> {
-        let mut routed: Vec<Vec<DependencyRecord>> = vec![Vec::new(); self.shards.len()];
+        records: impl IntoIterator<Item = R>,
+        mut op: impl FnMut(&mut DepDb, R) -> bool,
+    ) -> ShardedIngestReport {
+        let n = self.shards.len();
+        let mut routed: Vec<Vec<R>> = (0..n).map(|_| Vec::new()).collect();
         for r in records {
-            routed[shard_index(r.host(), self.shards.len())].push(r);
+            routed[shard_index(r.borrow().host(), n)].push(r);
         }
-        routed
-    }
-
-    /// Groups a borrowed record batch by destination shard — retract and
-    /// update only need references, so routing must not clone a large
-    /// batch on the daemon's write path.
-    fn route_refs<'a>(
-        &self,
-        records: impl IntoIterator<Item = &'a DependencyRecord>,
-    ) -> Vec<Vec<&'a DependencyRecord>> {
-        let mut routed: Vec<Vec<&'a DependencyRecord>> = vec![Vec::new(); self.shards.len()];
-        for r in records {
-            routed[shard_index(r.host(), self.shards.len())].push(r);
-        }
-        routed
-    }
-
-    /// The shared mutation driver: locks the hit shards in ascending
-    /// index order (the deadlock-freedom discipline — two multi-shard
-    /// batches always acquire their common shards in the same order),
-    /// applies each shard's slice, publishes changed shards (snapshot
-    /// swap + epoch), and bumps the global epoch once if anything
-    /// changed. Locks are held only across apply + publish; routing
-    /// happened before any lock.
-    fn apply_routed<F>(&self, hit: Vec<usize>, mut apply: F) -> ShardedIngestReport
-    where
-        F: FnMut(usize, &mut VersionedDepDb) -> crate::versioned::IngestReport,
-    {
+        let hit: Vec<usize> = (0..n).filter(|&s| !routed[s].is_empty()).collect();
         debug_assert!(hit.windows(2).all(|w| w[0] < w[1]), "ascending lock order");
-        let mut report = ShardedIngestReport::default();
-        let mut guards: Vec<(usize, MutexGuard<'_, VersionedDepDb>)> =
+        let mut guards: Vec<(usize, MutexGuard<'_, DepDb>)> =
             hit.into_iter().map(|s| (s, self.lock_shard(s))).collect();
-        for (s, guard) in &mut guards {
-            let shard_report = apply(*s, guard);
-            report.changed += shard_report.changed;
-            report.ignored += shard_report.ignored;
-            if shard_report.changed > 0 {
-                self.shards[*s].publish(guard);
+        let mut report = ShardedIngestReport::default();
+        for (s, db) in &mut guards {
+            let mut changed = 0;
+            for r in std::mem::take(&mut routed[*s]) {
+                if op(db, r) {
+                    changed += 1;
+                } else {
+                    report.ignored += 1;
+                }
+            }
+            if changed > 0 {
+                self.shards[*s].publish(db);
+                report.changed += changed;
                 report.touched.push(*s);
             }
         }
@@ -395,57 +381,13 @@ impl ShardedDepDb {
         &self,
         records: impl IntoIterator<Item = DependencyRecord>,
     ) -> ShardedIngestReport {
-        let mut routed = self.route(records);
-        let hit: Vec<usize> = (0..routed.len())
-            .filter(|&s| !routed[s].is_empty())
-            .collect();
-        self.apply_routed(hit, |s, db| db.ingest(std::mem::take(&mut routed[s])))
-    }
-
-    /// Parses Table-1 text and ingests it as one batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error without touching any shard or epoch — a
-    /// malformed batch is rejected atomically.
-    pub fn ingest_text(&self, text: &str) -> Result<ShardedIngestReport, FormatError> {
-        let records = parse_records(text)?;
-        Ok(self.ingest(records))
+        self.apply(records, DepDb::insert)
     }
 
     /// Retracts records (exact match), locking only their hosts' shards.
+    /// Only shards that lost a record bump their epoch.
     pub fn retract(&self, records: &[DependencyRecord]) -> ShardedIngestReport {
-        let mut routed = self.route_refs(records);
-        let hit: Vec<usize> = (0..routed.len())
-            .filter(|&s| !routed[s].is_empty())
-            .collect();
-        self.apply_routed(hit, |s, db| db.retract_refs(std::mem::take(&mut routed[s])))
-    }
-
-    /// Atomic update: retract `stale` and ingest `fresh` with one global
-    /// epoch bump if the batch changed anything net. Each shard applies
-    /// its slice of the update with [`VersionedDepDb::update`] no-op
-    /// semantics, so a collector re-measuring an unchanged world bumps
-    /// nothing anywhere. All shards the update spans are held for the
-    /// whole batch (acquired in ascending order), so no concurrent
-    /// writer observes the retract without the matching ingest on any
-    /// single shard.
-    pub fn update(
-        &self,
-        stale: &[DependencyRecord],
-        fresh: impl IntoIterator<Item = DependencyRecord>,
-    ) -> ShardedIngestReport {
-        let mut stale_routed = self.route_refs(stale);
-        let mut fresh_routed = self.route(fresh);
-        let hit: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !stale_routed[s].is_empty() || !fresh_routed[s].is_empty())
-            .collect();
-        self.apply_routed(hit, |s, db| {
-            db.update_refs(
-                std::mem::take(&mut stale_routed[s]),
-                std::mem::take(&mut fresh_routed[s]),
-            )
-        })
+        self.apply(records, DepDb::remove)
     }
 }
 
@@ -455,7 +397,7 @@ impl ShardedDepDb {
 /// Cloning is N pointer bumps. A snapshot is per-shard consistent: each
 /// shard's `Arc` is an immutable database later ingests can never mutate
 /// (the store swaps in fresh snapshots instead of editing in place), and
-/// each pinned epoch is never newer than its shard's data.
+/// each pinned epoch is the one published with its shard's data.
 #[derive(Clone, Debug)]
 pub struct DbSnapshot {
     shards: Vec<Arc<DepDb>>,
@@ -679,39 +621,42 @@ mod tests {
     }
 
     #[test]
-    fn update_bumps_global_epoch_once() {
-        let db = ShardedDepDb::new(4);
-        let stale = host_record("S1", "cpu-old");
-        db.ingest([stale.clone(), host_record("S2", "disk-1")]);
-        assert_eq!(db.epoch(), 1);
-        let report = db.update(std::slice::from_ref(&stale), [host_record("S1", "cpu-new")]);
-        assert_eq!(report.changed, 2);
-        assert_eq!(db.epoch(), 2, "one batch = one global bump");
-        // Self-update is a net no-op: no bump anywhere.
-        let again = host_record("S1", "cpu-new");
-        let report = db.update(std::slice::from_ref(&again), [again.clone()]);
-        assert_eq!(report.changed, 0);
-        assert_eq!(db.epoch(), 2);
+    fn from_routed_seeds_epochs() {
+        let seeded = DepDb::from_records(vec![host_record("S1", "cpu-1")]);
+        let sharded = ShardedDepDb::from_routed(vec![DepDb::new(), seeded]);
+        assert_eq!(sharded.epoch(), 1, "non-empty seed starts at epoch 1");
+        assert_eq!(sharded.epochs().as_slice(), &[0, 1]);
+        assert_eq!(sharded.snapshot().shard(1).len(), 1);
+        assert_eq!(ShardedDepDb::new(4).epoch(), 0);
     }
 
+    /// A snapshot reads each shard's data and epoch as one pair. With one
+    /// fresh record per batch into a 1-shard store, a shard holding `n`
+    /// records is at epoch `n` — under any interleaving with the writer,
+    /// a pin is exact, not merely never newer than its data.
     #[test]
-    fn from_db_reroutes_and_seeds_epochs() {
-        let mono = DepDb::from_records(vec![
-            host_record("S1", "cpu-1"),
-            host_record("S2", "cpu-2"),
-            rec(r#"<src="S1" dst="Internet" route="tor1"/>"#),
-        ]);
-        let sharded = ShardedDepDb::from_db(mono.clone(), 8);
-        assert_eq!(sharded.epoch(), 1, "non-empty seed starts at epoch 1");
-        assert_eq!(sharded.len(), mono.len());
-        let snap = sharded.snapshot();
-        for host in mono.hosts() {
-            assert_eq!(
-                DepView::component_set_of(&snap, &host),
-                mono.component_set_of(&host)
-            );
-        }
-        assert_eq!(ShardedDepDb::from_db(DepDb::new(), 4).epoch(), 0);
+    fn snapshot_pins_are_exact_under_a_concurrent_writer() {
+        const BATCHES: u64 = 1000;
+        let db = ShardedDepDb::new(1);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::Relaxed) {
+                        let snap = db.snapshot();
+                        assert_eq!(snap.shard(0).len() as Epoch, snap.epochs().get(0));
+                    }
+                });
+            }
+            start.wait();
+            for i in 0..BATCHES {
+                db.ingest([host_record(&format!("H{i}"), "cpu")]);
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(db.epochs().get(0), BATCHES);
     }
 
     #[test]

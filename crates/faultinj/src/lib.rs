@@ -30,6 +30,8 @@
 //! configuration plumbing, and a chaos run arms the whole process
 //! anyway.
 
+#![forbid(unsafe_code)]
+
 pub mod points;
 
 use std::collections::HashMap;

@@ -21,6 +21,8 @@
 //! [`indaas_simnet::SimNetwork`] run of the same topology produce
 //! identical results and identical per-party byte counts.
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod error;
 

@@ -37,6 +37,8 @@
 //! assert!(!g.evaluate_named(&["A1"]).unwrap());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cancel;
 pub mod compose;
 pub mod detail;

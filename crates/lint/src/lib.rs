@@ -33,6 +33,8 @@
 //! `// lint:allow(<rule>) -- <reason>`; an allow without a reason is
 //! itself a finding.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod model;
 pub mod rules;

@@ -8,6 +8,8 @@
 //! report file, when asked) otherwise. CI runs this on every build and
 //! uploads the report.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -32,6 +32,8 @@
 //!   stderr), stamping every line with the thread's active trace
 //!   context.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod trace;
 

@@ -18,6 +18,8 @@
 //! * [`report`] — ranking candidate redundancy deployments by Jaccard
 //!   similarity, as in Table 2 (§4.2.5).
 
+#![forbid(unsafe_code)]
+
 pub mod audit_trail;
 pub mod jaccard;
 pub mod ks;

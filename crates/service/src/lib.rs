@@ -11,12 +11,14 @@
 //!   exactly the shards it changed, re-cloning only those shards'
 //!   copy-on-write snapshots (ingest cost is proportional to what
 //!   changed, not to database size); batches lock only the shards they
-//!   touch, snapshots are wait-free per-shard `Arc` loads, and
-//!   duplicates are absorbed silently;
-//! * **segmented persistence** — with [`ServeConfig::db_dir`] set, the
-//!   store loads one Table-1 segment file per shard in parallel at
-//!   boot and saves dirty shards crash-safely (temp file + rename) on
-//!   collector ticks and at shutdown;
+//!   touch, a snapshot takes one short uncontended lock per shard to
+//!   read its `Arc` and epoch together, and duplicates are absorbed
+//!   silently;
+//! * **segmented persistence** — a store opened from a db dir loads one
+//!   Table-1 segment file per shard in parallel, and with
+//!   [`ServeConfig::db_dir`] set the daemon saves dirty shards
+//!   crash-safely (temp file + rename) on collector ticks and at
+//!   shutdown;
 //! * **concurrent scheduling** — SIA and PIA audit jobs run on a fixed
 //!   worker pool behind a bounded queue with per-job deadlines
 //!   ([`scheduler`]), enforced through the cancellable audit entry
@@ -59,13 +61,14 @@
 //!
 //! ```
 //! use indaas_core::{AuditSpec, CandidateDeployment};
+//! use indaas_deps::ShardedDepDb;
 //! use indaas_service::{Client, ServeConfig, Server};
 //!
-//! let server = Server::bind(ServeConfig {
+//! let config = ServeConfig {
 //!     addr: "127.0.0.1:0".into(),
 //!     ..ServeConfig::default()
-//! })
-//! .unwrap();
+//! };
+//! let server = Server::bind(config, ShardedDepDb::new(8)).unwrap();
 //! let addr = server.local_addr();
 //! let daemon = std::thread::spawn(move || server.run());
 //!
@@ -92,6 +95,8 @@
 //! client.shutdown().unwrap();
 //! daemon.join().unwrap().unwrap();
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod client;

@@ -33,8 +33,9 @@
 //! Data flow for an `AuditSia` request (a push runs steps 1–2 and 4 in
 //! its pool job):
 //!
-//! 1. pin a copy-on-write [`DbSnapshot`] — one **wait-free** `Arc` load
-//!    per shard, no lock at all, never delayed by concurrent ingests;
+//! 1. pin a copy-on-write [`DbSnapshot`] — one short uncontended lock
+//!    per shard to clone its `Arc` and read its epoch, never held
+//!    across a writer's clone;
 //! 2. content-hash `(epoch pins of the shards the spec reads, spec)` →
 //!    cache hit ⇒ answer immediately with `cached: true`, the cached
 //!    report text spliced into the answer;
@@ -47,11 +48,11 @@
 //!    unreachable — and purged on the next ingest; ingests to *other*
 //!    shards leave it hot).
 //!
-//! Writes take no global lock either: the [`ShardedDepDb`] routes each
-//! batch by host shard before locking, then locks only the touched
-//! shards — concurrent ingests to different hosts' shards land in
-//! parallel. Per-shard write counters and a `lock_waits` contention
-//! gauge surface through `Status`.
+//! Writes take no global lock: the [`ShardedDepDb`] routes each batch
+//! by host shard before locking, then locks only the touched shards —
+//! concurrent ingests to different hosts' shards land in parallel.
+//! Per-shard write counters and a `lock_waits` contention gauge surface
+//! through `Status`.
 //!
 //! With [`ServeConfig::db_dir`] set, the store persists as one segment
 //! file per shard plus a manifest: dirty shards are saved on collector
@@ -117,13 +118,13 @@ pub struct ServeConfig {
     /// re-cloned), write concurrency wider (writers lock only the
     /// shards they touch) and cache invalidation narrower (audits
     /// pinned to untouched shards stay cached); the cost is `shards`
-    /// `Arc` loads per snapshot.
+    /// short locks per snapshot.
     pub shards: usize,
-    /// Segmented persistence directory. When set, [`Server::bind`]
-    /// loads the store from it (segments in parallel, via
-    /// [`ShardedDepDb::open`]) and the daemon saves dirty shards after
-    /// every collector tick and at shutdown — each file written
-    /// crash-safely. `None` keeps the store memory-only.
+    /// Segmented persistence directory. The daemon saves dirty shards
+    /// into it after every collector tick and at shutdown — each file
+    /// written crash-safely. [`Server::bind`] does not load it: the
+    /// caller opens the store from it ([`ShardedDepDb::open`]) and hands
+    /// that to `bind`. `None` keeps the store memory-only.
     pub db_dir: Option<PathBuf>,
     /// Most concurrently served client connections. A connection past
     /// the limit is answered with one clear protocol error and dropped
@@ -149,13 +150,6 @@ pub struct ServeConfig {
     /// default) leaves injection entirely off — a single relaxed atomic
     /// load per point.
     pub faults: Vec<String>,
-    /// Segment/manifest files the boot-time store load quarantined
-    /// (`*.quarantine`), counted into `db_segments_quarantined_total`
-    /// at bind. [`Server::bind`] fills this in from its own
-    /// [`ShardedDepDb::open_reporting`] call; a caller handing
-    /// [`Server::bind_with_store`] a store it opened itself sets the
-    /// count from its own [`indaas_deps::persist::LoadReport`].
-    pub boot_quarantined: u64,
 }
 
 impl Default for ServeConfig {
@@ -180,7 +174,6 @@ impl Default for ServeConfig {
             log_level: indaas_obs::LogLevel::Info,
             log_json: false,
             faults: Vec::new(),
-            boot_quarantined: 0,
         }
     }
 }
@@ -189,10 +182,10 @@ pub(crate) struct ServiceState {
     pub(crate) config: ServeConfig,
     /// The sharded dependency store — shared directly, **no global
     /// lock**. Each shard carries its own write mutex and publishes its
-    /// copy-on-write snapshot through an atomic pointer swap, so
+    /// copy-on-write snapshot and epoch together under a short lock, so
     /// concurrent ingests to different shards land in parallel and
-    /// snapshotting for an audit is N wait-free `Arc` loads regardless
-    /// of database size or writer traffic.
+    /// snapshotting for an audit is N uncontended locks regardless of
+    /// database size or writer traffic.
     pub(crate) db: ShardedDepDb,
     /// SIA results as their wire text: each entry is exactly what
     /// `encode_line(&report)` produced, written once by the worker that
@@ -242,34 +235,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns the worker pool. With
-    /// [`ServeConfig::db_dir`] set, the dependency store is loaded from
-    /// it first (segment files in parallel; an empty or missing
-    /// directory starts empty and is created by the first save).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind failures and db-dir load failures.
-    pub fn bind(mut config: ServeConfig) -> std::io::Result<Self> {
-        let store = match &config.db_dir {
-            Some(dir) => {
-                let (store, report) = ShardedDepDb::open_reporting(dir, config.shards)?;
-                config.boot_quarantined += report.quarantined.len() as u64;
-                store
-            }
-            None => ShardedDepDb::new(config.shards),
-        };
-        Self::bind_with_store(config, store)
-    }
-
-    /// [`Server::bind`] with an already-assembled sharded store (the
-    /// CLI's path: it opens `--db-dir`, layers `--records` on top, and
-    /// hands the result here).
+    /// Binds the listener and spawns the worker pool over `store` —
+    /// typically [`ShardedDepDb::new`], or [`ShardedDepDb::open`] on
+    /// [`ServeConfig::db_dir`]. Files that store's load quarantined are
+    /// counted into `db_segments_quarantined_total`.
     ///
     /// # Errors
     ///
     /// Propagates socket bind failures.
-    pub fn bind_with_store(config: ServeConfig, store: ShardedDepDb) -> std::io::Result<Self> {
+    pub fn bind(config: ServeConfig, store: ShardedDepDb) -> std::io::Result<Self> {
         slog::set_level(config.log_level);
         slog::set_json(config.log_json);
         let listener = TcpListener::bind(&config.addr)?;
@@ -301,15 +275,13 @@ impl Server {
                 &format!("fault injection ARMED: {}", config.faults.join(", ")),
             );
         }
-        if config.boot_quarantined > 0 {
-            telemetry
-                .db_segments_quarantined_total
-                .add(config.boot_quarantined);
+        let quarantined = store.quarantined().len() as u64;
+        if quarantined > 0 {
+            telemetry.db_segments_quarantined_total.add(quarantined);
             slog::warn(
                 "serve",
                 &format!(
-                    "boot-time load quarantined {} corrupt db file(s); serving survivors",
-                    config.boot_quarantined
+                    "boot-time load quarantined {quarantined} corrupt db file(s); serving survivors"
                 ),
             );
         }
@@ -882,13 +854,6 @@ pub(crate) fn ingest(
     }
 }
 
-/// The single write path into the sharded database: every mutation —
-/// protocol ingest/retract or a timer-driven collector batch — lands
-/// here, so epoch bumps, per-shard snapshot refreshes and cache
-/// invalidation can never diverge between entry points. There is no
-/// global lock left on this path: the store routes the batch by shard
-/// first and locks only the shards it touches, so concurrent mutations
-/// to disjoint hosts proceed in parallel.
 /// Decrements the in-flight mutation counter on drop, so a panic
 /// anywhere inside [`apply_mutation`] (a poisoned cache or shard lock)
 /// cannot leave the shutdown drain waiting forever on a count that
@@ -901,6 +866,15 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
+/// The single write path into the sharded database: every mutation —
+/// protocol ingest/retract or a timer-driven collector batch — lands
+/// here, so epoch bumps, per-shard snapshot refreshes and cache
+/// invalidation can never diverge between entry points. There is no
+/// global lock on this path: the store routes the batch by shard first
+/// and takes only the touched shards' write locks, so concurrent
+/// mutations to disjoint hosts proceed in parallel, and each shard's
+/// publish lock is held just long enough to swap in its new snapshot
+/// and epoch.
 fn apply_mutation(
     state: &Arc<ServiceState>,
     records: Vec<DependencyRecord>,
@@ -1203,9 +1177,9 @@ fn cache_stats<V: Clone>(cache: &Mutex<AuditCache<V>>) -> (u64, u64, usize) {
 }
 
 pub(crate) fn status(state: &ServiceState) -> Response {
-    // Status reads the same wait-free snapshot path audits use; the
-    // counters come from per-shard atomics. No lock, so a dashboard
-    // polling Status never slows writers down.
+    // Status reads the same snapshot path audits use (one short lock
+    // per shard, never a write lock); the counters come from per-shard
+    // atomics, so a dashboard polling Status never slows writers down.
     let snapshot = state.db.snapshot();
     let epoch = state.db.epoch();
     let shard_records: Vec<usize> = (0..snapshot.num_shards())
@@ -1251,7 +1225,7 @@ pub(crate) fn status(state: &ServiceState) -> Response {
 
 /// Assembles a `Metrics` response: refreshes the derived gauges from
 /// their authoritative sources (per-shard atomics, cache stats,
-/// scheduler — the same lock-free reads `Status` does), snapshots the
+/// scheduler — the same reads `Status` does), snapshots the
 /// registry, and attaches the most recent audits' spans.
 pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let telemetry = &state.telemetry;

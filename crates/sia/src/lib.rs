@@ -33,6 +33,8 @@
 //! assert!(named.contains(&vec!["A1".to_string(), "A3".to_string()]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bdd;
 pub mod builder;
 pub mod importance;

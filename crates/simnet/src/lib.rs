@@ -27,6 +27,8 @@
 //! assert_eq!(net.stats().recv_bytes(1), 100);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 
 /// Index of a party on the network.

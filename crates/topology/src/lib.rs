@@ -17,6 +17,8 @@
 //! in the Table-1 format, which simulated collectors then serve (optionally
 //! with misses) to the auditing pipeline.
 
+#![forbid(unsafe_code)]
+
 pub mod benson;
 pub mod clouds;
 pub mod fattree;

@@ -11,6 +11,8 @@
 //! line); `--set` files hold one component per line. `--json` switches any
 //! subcommand to machine-readable output.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use indaas::core::{AuditSpec, AuditingAgent, CandidateDeployment, RankingMetric, RgAlgorithm};
@@ -529,12 +531,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // a plain file is refused), then any
     // --records file is layered on top through the normal ingest path.
     let store = match &config.db_dir {
-        Some(dir) => {
-            let (store, report) = ShardedDepDb::open_reporting(dir, config.shards)
-                .map_err(|e| format!("opening {}: {e}", dir.display()))?;
-            config.boot_quarantined = report.quarantined.len() as u64;
-            store
-        }
+        Some(dir) => ShardedDepDb::open(dir, config.shards)
+            .map_err(|e| format!("opening {}: {e}", dir.display()))?,
         None => ShardedDepDb::new(config.shards),
     };
     if let Some(path) = flags.value("--records") {
@@ -549,7 +547,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let server = Server::bind_with_store(config, store).map_err(|e| format!("bind: {e}"))?;
+    let server = Server::bind(config, store).map_err(|e| format!("bind: {e}"))?;
 
     // A --collect-truth file arms a simulated collector; the timer in
     // the daemon re-runs it every --collect-interval.

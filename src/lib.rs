@@ -10,6 +10,8 @@
 //! * [`sia`] — structural independence auditing (fault graphs, risk groups),
 //! * [`pia`] — private independence auditing (Jaccard, MinHash, P-SOP).
 
+#![forbid(unsafe_code)]
+
 pub use indaas_bigint as bigint;
 pub use indaas_core as core;
 pub use indaas_crypto as crypto;

@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use indaas::core::{AuditSpec, CandidateDeployment};
-use indaas::deps::{ShardedDepDb, VersionedDepDb};
+use indaas::deps::{parse_records, ShardedDepDb};
 use indaas::faultinj;
 use indaas::federation::FederationCoordinator;
 use indaas::service::{Client, ServeConfig, Server, SubscriptionEnd};
@@ -69,8 +69,6 @@ struct TestDaemon {
 /// `records` pre-loaded, an open peer allow-list, and its bound address
 /// as node name.
 fn boot_daemon_at(addr: &str, records: &str) -> TestDaemon {
-    let mut db = VersionedDepDb::new();
-    db.ingest_text(records).expect("test records parse");
     let config = ServeConfig {
         addr: addr.into(),
         workers: 2,
@@ -78,8 +76,9 @@ fn boot_daemon_at(addr: &str, records: &str) -> TestDaemon {
         node: None,
         ..ServeConfig::default()
     };
-    let store = ShardedDepDb::from_db(db.into_db(), config.shards);
-    let server = Server::bind_with_store(config, store).expect("bind daemon");
+    let store = ShardedDepDb::new(config.shards);
+    store.ingest(parse_records(records).expect("test records parse"));
+    let server = Server::bind(config, store).expect("bind daemon");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run());
     TestDaemon { addr, handle }

@@ -1,8 +1,10 @@
-//! A raw protocol-v1 line session: one JSON request per line out, one
-//! response line back, over a plain `TcpStream`. Line mode exists to be
-//! driven by hand (`nc`, a few lines of any language), so the suites
-//! drive it the same way instead of through a client type — and a
-//! federation peer session opens from it the same way, with one hello.
+//! Shared daemon-suite helpers. [`bind`] boots a daemon over an empty
+//! store. [`LineSession`] is a raw protocol-v1 line session: one JSON
+//! request per line out, one response line back, over a plain
+//! `TcpStream`. Line mode exists to be driven by hand (`nc`, a few lines
+//! of any language), so the suites drive it the same way instead of
+//! through a client type — and a federation peer session opens from it
+//! the same way, with one hello.
 
 // Each suite compiles its own copy and uses a subset of it.
 #![allow(dead_code)]
@@ -11,12 +13,19 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 
+use indaas::deps::ShardedDepDb;
 use indaas::obs::TraceContext;
 use indaas::service::proto::{
     decode_line, encode_line, encode_traced_round_frame, read_frame, write_frame,
     FEDERATION_PROTOCOL_VERSION,
 };
-use indaas::service::{Request, Response};
+use indaas::service::{Request, Response, ServeConfig, Server};
+
+/// Binds a daemon over a fresh, empty `config.shards`-shard store.
+pub fn bind(config: ServeConfig) -> Server {
+    let store = ShardedDepDb::new(config.shards);
+    Server::bind(config, store).expect("bind daemon")
+}
 
 pub struct LineSession {
     writer: TcpStream,

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use indaas::deps::{ShardedDepDb, VersionedDepDb};
+use indaas::deps::{parse_records, DepDb, ShardedDepDb};
 use indaas::federation::FederationCoordinator;
 use indaas::obs::{TraceContext, TRACE_CONTEXT_BYTES};
 use indaas::pia::{run_psop, PsopConfig, CIPHERTEXT_BYTES};
@@ -48,8 +48,6 @@ struct TestDaemon {
 /// pre-loaded (`allow` = peer allow-list, empty = open; the node name is
 /// the bound address).
 fn bind_daemon(records: &str, allow: &[String]) -> Server {
-    let mut db = VersionedDepDb::new();
-    db.ingest_text(records).expect("test records parse");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -57,8 +55,9 @@ fn bind_daemon(records: &str, allow: &[String]) -> Server {
         node: None,
         ..ServeConfig::default()
     };
-    let store = ShardedDepDb::from_db(db.into_db(), config.shards);
-    Server::bind_with_store(config, store).expect("bind ephemeral")
+    let store = ShardedDepDb::new(config.shards);
+    store.ingest(parse_records(records).expect("test records parse"));
+    Server::bind(config, store).expect("bind ephemeral")
 }
 
 fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
@@ -87,11 +86,7 @@ fn three_daemon_audit_matches_simnetwork_run() {
     // The reference run: same component sets, same config, in-process.
     let datasets: Vec<Vec<String>> = PROVIDER_RECORDS
         .iter()
-        .map(|r| {
-            let mut db = VersionedDepDb::new();
-            db.ingest_text(r).unwrap();
-            provider_component_set(db.db())
-        })
+        .map(|r| provider_component_set(&DepDb::from_records(parse_records(r).unwrap())))
         .collect();
     let mut net = SimNetwork::new(datasets.len() + 1);
     let expected = run_psop(&datasets, &PsopConfig::default(), &mut net);
@@ -427,12 +422,11 @@ fn federated_audit_yields_one_stitched_trace_across_daemons() {
 #[test]
 fn empty_database_cannot_federate() {
     let empty = {
-        let server = Server::bind(ServeConfig {
+        let server = common::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             ..ServeConfig::default()
-        })
-        .unwrap();
+        });
         let addr = server.local_addr().to_string();
         let handle = std::thread::spawn(move || server.run());
         TestDaemon { addr, handle }

@@ -208,17 +208,17 @@ mod corruption_props {
             let victim_path = dir.join(format!("shard-{victim:04}.tbl"));
             std::fs::write(&victim_path, &garbage).unwrap();
 
-            let (back, report) = ShardedDepDb::load_segments_reporting(&dir, 4).unwrap();
+            let back = ShardedDepDb::load_segments(&dir, 4).unwrap();
             let survivors: usize = (0..4)
                 .filter(|&s| s != victim)
                 .map(|s| store.shard_len(s))
                 .sum();
-            if report.quarantined.is_empty() {
+            if back.quarantined().is_empty() {
                 // The garbage happened to parse (e.g. empty or comments):
                 // the victim shard holds whatever it parsed to.
                 prop_assert!(back.len() >= survivors);
             } else {
-                prop_assert_eq!(report.quarantined.len(), 1);
+                prop_assert_eq!(back.quarantined().len(), 1);
                 prop_assert!(!victim_path.exists(), "bad segment renamed away");
                 prop_assert_eq!(back.len(), survivors);
             }
@@ -241,8 +241,8 @@ mod corruption_props {
             store.save_segments(&dir).unwrap();
 
             std::fs::write(dir.join(MANIFEST_FILE), &garbage).unwrap();
-            match ShardedDepDb::load_segments_reporting(&dir, 4) {
-                Ok((back, _)) => assert_same_view(&store, &back),
+            match ShardedDepDb::load_segments(&dir, 4) {
+                Ok(back) => assert_same_view(&store, &back),
                 // Only a parseable manifest announcing a newer format may
                 // still refuse; random bytes essentially never form one.
                 Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),

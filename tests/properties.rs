@@ -2,7 +2,7 @@
 
 use indaas::deps::{
     shard_index, DepDb, DepView, DependencyRecord, HardwareDep, NetworkDep, ShardedDepDb,
-    SoftwareDep, VersionedDepDb,
+    SoftwareDep,
 };
 use indaas::graph::detail::{component_sets_to_graph, ComponentSet};
 use indaas::graph::{FaultGraph, FaultGraphBuilder, Gate, IncrementalEval, NodeId};
@@ -126,120 +126,86 @@ fn record_batch() -> impl Strategy<Value = Vec<DependencyRecord>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Retracting records that were never ingested is a complete no-op:
-    /// no epoch bump, no record count change, everything ignored.
+    /// Retracting records that were never ingested is a complete no-op
+    /// on 1 and N shards: no epoch bump anywhere, no record count change,
+    /// everything ignored.
     #[test]
     fn retract_of_absent_records_never_bumps_epoch(
         ingest in record_batch(),
         retract in record_batch(),
+        shards in 2usize..12,
     ) {
-        let mut v = VersionedDepDb::new();
-        v.ingest(ingest.clone());
         let absent: Vec<DependencyRecord> = retract
             .into_iter()
             .filter(|r| !ingest.contains(r))
             .collect();
-        let epoch_before = v.epoch();
-        let len_before = v.db().len();
-        let report = v.retract(&absent);
-        prop_assert_eq!(report.changed, 0);
-        prop_assert_eq!(report.ignored, absent.len());
-        prop_assert_eq!(v.epoch(), epoch_before);
-        prop_assert_eq!(v.db().len(), len_before);
+        for n in [1, shards] {
+            let db = ShardedDepDb::new(n);
+            db.ingest(ingest.clone());
+            let (epochs, epoch, len) = (db.epochs(), db.epoch(), db.len());
+            let report = db.retract(&absent);
+            prop_assert_eq!(report.changed, 0);
+            prop_assert_eq!(report.ignored, absent.len());
+            prop_assert_eq!(db.epochs(), epochs);
+            prop_assert_eq!(db.epoch(), epoch);
+            prop_assert_eq!(db.len(), len);
+        }
     }
 
-    /// An update that retracts and re-ingests the same batch is a net
-    /// no-op: the epoch must not move, whatever duplicates the batch
-    /// contains.
-    #[test]
-    fn self_update_is_epoch_neutral(batch in record_batch()) {
-        let mut v = VersionedDepDb::new();
-        v.ingest(batch.clone());
-        let epoch_before = v.epoch();
-        let len_before = v.db().len();
-        let report = v.update(&batch, batch.clone());
-        prop_assert_eq!(report.changed, 0);
-        prop_assert_eq!(v.epoch(), epoch_before);
-        prop_assert_eq!(v.db().len(), len_before);
-    }
-
-    /// The epoch advances exactly when a batch changes the record set,
-    /// and by exactly one per effective batch.
+    /// On 1 and N shards, a shard's epoch advances exactly when a batch
+    /// changes that shard's records, and the global epoch by exactly one
+    /// per effective batch.
     #[test]
     fn epoch_bumps_iff_batch_changes_something(
         first in record_batch(),
         second in record_batch(),
+        shards in 2usize..12,
     ) {
-        let mut v = VersionedDepDb::new();
-        let r1 = v.ingest(first.clone());
-        prop_assert!(r1.changed > 0, "fresh batch into an empty db always changes it");
-        prop_assert_eq!(v.epoch(), 1);
-        let before = v.epoch();
-        let len_before = v.db().len();
-        let r2 = v.ingest(second.clone());
-        let expect_bump = r2.changed > 0;
-        prop_assert_eq!(v.epoch(), before + u64::from(expect_bump));
-        prop_assert_eq!(v.db().len(), len_before + r2.changed);
-        // Re-ingesting everything again is pure duplicates: no bump.
-        let before = v.epoch();
-        let dup = v.ingest(first.into_iter().chain(second));
-        prop_assert_eq!(dup.changed, 0);
-        prop_assert_eq!(v.epoch(), before);
+        for n in [1, shards] {
+            let db = ShardedDepDb::new(n);
+            let r1 = db.ingest(first.clone());
+            prop_assert!(r1.changed > 0, "fresh batch into an empty db always changes it");
+            prop_assert_eq!(db.epoch(), 1);
+            let before = db.epochs();
+            let lens: Vec<usize> = (0..n).map(|s| db.shard_len(s)).collect();
+            let r2 = db.ingest(second.clone());
+            prop_assert_eq!(db.epoch(), 1 + u64::from(r2.changed > 0));
+            prop_assert_eq!(db.len(), lens.iter().sum::<usize>() + r2.changed);
+            for (s, &len) in lens.iter().enumerate() {
+                let moved = db.shard_len(s) != len;
+                prop_assert_eq!(db.epochs().get(s), before.get(s) + u64::from(moved));
+            }
+            // Re-ingesting everything again is pure duplicates: no bump.
+            let (epochs, epoch) = (db.epochs(), db.epoch());
+            let dup = db.ingest(first.iter().chain(&second).cloned());
+            prop_assert_eq!(dup.changed, 0);
+            prop_assert_eq!(db.epochs(), epochs);
+            prop_assert_eq!(db.epoch(), epoch);
+        }
     }
 
-    /// Ingest then full retract round-trips to an empty database with
-    /// exactly two epoch bumps, and a second retract of the same batch
+    /// On 1 and N shards, ingest then full retract round-trips to an
+    /// empty store with two global bumps and two on each shard the batch
+    /// routes to (none elsewhere), and a second retract of the same batch
     /// is entirely ignored.
     #[test]
-    fn full_retract_empties_with_one_bump(batch in record_batch()) {
-        let mut v = VersionedDepDb::new();
-        v.ingest(batch.clone());
-        prop_assert_eq!(v.epoch(), 1);
-        let r = v.retract(&batch);
-        prop_assert!(r.changed > 0);
-        prop_assert_eq!(v.epoch(), 2);
-        prop_assert!(v.db().is_empty());
-        let again = v.retract(&batch);
-        prop_assert_eq!(again.changed, 0);
-        prop_assert_eq!(again.ignored, batch.len());
-        prop_assert_eq!(v.epoch(), 2);
-    }
-
-    /// `update` replacing a batch with a disjoint one bumps exactly once
-    /// and lands on exactly the fresh records.
-    #[test]
-    fn disjoint_update_is_one_bump(batch in record_batch()) {
-        let mut v = VersionedDepDb::new();
-        v.ingest(batch.clone());
-        let fresh: Vec<DependencyRecord> = batch
-            .iter()
-            .map(|r| match r {
-                DependencyRecord::Network(n) => {
-                    let mut n = n.clone();
-                    n.route.push("re-measured".to_string());
-                    DependencyRecord::Network(n)
-                }
-                DependencyRecord::Hardware(h) => {
-                    let mut h = h.clone();
-                    h.dep.push_str("-v2");
-                    DependencyRecord::Hardware(h)
-                }
-                DependencyRecord::Software(s) => {
-                    let mut s = s.clone();
-                    s.deps.push("libnew".to_string());
-                    DependencyRecord::Software(s)
-                }
-            })
-            .collect();
-        let before = v.epoch();
-        let report = v.update(&batch, fresh.clone());
-        prop_assert!(report.changed > 0);
-        prop_assert_eq!(v.epoch(), before + 1);
-        for f in &fresh {
-            prop_assert!(!v.db().is_empty());
-            // Every fresh record must be present (retract removed the stale ones).
-            let mut probe = VersionedDepDb::from_db(v.db().clone());
-            prop_assert_eq!(probe.retract(std::slice::from_ref(f)).changed, 1);
+    fn full_retract_empties_with_one_bump(batch in record_batch(), shards in 2usize..12) {
+        for n in [1, shards] {
+            let db = ShardedDepDb::new(n);
+            db.ingest(batch.clone());
+            prop_assert_eq!(db.epoch(), 1);
+            let r = db.retract(&batch);
+            prop_assert!(r.changed > 0);
+            prop_assert_eq!(db.epoch(), 2);
+            prop_assert!(db.is_empty());
+            for s in 0..n {
+                let hit = batch.iter().any(|r| shard_index(r.host(), n) == s);
+                prop_assert_eq!(db.epochs().get(s), 2 * u64::from(hit));
+            }
+            let again = db.retract(&batch);
+            prop_assert_eq!(again.changed, 0);
+            prop_assert_eq!(again.ignored, batch.len());
+            prop_assert_eq!(db.epoch(), 2);
         }
     }
 

@@ -7,6 +7,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use indaas::core::{AuditSpec, CandidateDeployment, RankingMetric, RgAlgorithm};
+use indaas::deps::ShardedDepDb;
 use indaas::service::{
     names, Client, MetricsAnswer, Request, Response, ServeConfig, Server, SpanEntry,
 };
@@ -32,14 +33,13 @@ fn start_daemon() -> (
     std::net::SocketAddr,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_capacity: 16,
         cache_capacity: 64,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
     (addr, handle)
@@ -569,13 +569,12 @@ fn status_reports_counters() {
 fn scheduled_collector_bumps_epoch_by_itself() {
     use indaas::deps::{parse_records, SimCollector};
 
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         collect_interval: Some(std::time::Duration::from_millis(25)),
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let truth = parse_records(RECORDS).expect("records parse");
     server.add_collector(Box::new(SimCollector::perfect("nsdminer-sim", truth)));
     let addr = server.local_addr();
@@ -618,13 +617,12 @@ fn cached_audit_survives_other_shard_ingest() {
     use indaas::deps::shard_index;
 
     const SHARDS: usize = 8;
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: SHARDS,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -752,13 +750,17 @@ fn daemon_restart_reloads_segmented_db_dir() {
     let dir = std::env::temp_dir().join(format!("indaas-e2e-dbdir-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let config = || ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        db_dir: Some(dir.clone()),
-        ..ServeConfig::default()
+    let bind = || {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            db_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let store = ShardedDepDb::open(&dir, config.shards).expect("open db dir");
+        Server::bind(config, store).expect("bind daemon")
     };
-    let server = Server::bind(config()).expect("bind first daemon");
+    let server = bind();
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
     let mut client = Client::connect(addr).expect("connect");
@@ -774,7 +776,7 @@ fn daemon_restart_reloads_segmented_db_dir() {
 
     // Second daemon, same directory: the records are back without any
     // client re-ingesting them, and audits run against them.
-    let server = Server::bind(config()).expect("bind second daemon");
+    let server = bind();
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
     let mut client = Client::connect(addr).expect("reconnect");
@@ -809,14 +811,13 @@ fn collector_tick_saves_dirty_segments() {
     let dir = std::env::temp_dir().join(format!("indaas-e2e-ticksave-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         collect_interval: Some(std::time::Duration::from_millis(25)),
         db_dir: Some(dir.clone()),
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let truth = parse_records(RECORDS).expect("records parse");
     server.add_collector(Box::new(SimCollector::perfect("nsdminer-sim", truth)));
     let addr = server.local_addr();
@@ -827,7 +828,7 @@ fn collector_tick_saves_dirty_segments() {
     let deadline = Instant::now() + std::time::Duration::from_secs(10);
     loop {
         if dir.join("MANIFEST.json").exists() {
-            if let Ok(loaded) = indaas::deps::ShardedDepDb::open(&dir, 8) {
+            if let Ok(loaded) = ShardedDepDb::open(&dir, 8) {
                 if loaded.len() == 9 {
                     break;
                 }
@@ -910,13 +911,12 @@ fn subscription_pushes_on_relevant_ingests_only() {
     use indaas::deps::shard_index;
 
     const SHARDS: usize = 8;
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: SHARDS,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -1025,13 +1025,12 @@ fn subscriptions_are_independent_per_spec() {
     use indaas::deps::shard_index;
 
     const SHARDS: usize = 8;
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: SHARDS,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -1250,13 +1249,12 @@ fn protocol_compat_v1_client_against_v2_daemon() {
 /// dropped; closing a connection frees its slot.
 #[test]
 fn connection_limit_rejects_excess_cleanly() {
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         max_conns: 2,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -1541,15 +1539,14 @@ fn every_dispatched_request_records_one_span_and_one_dispatch_sample() {
 #[test]
 fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
     // --slow-audit-ms 0: every audit's total is >= 0, so all are slow.
-    let server = Server::bind(ServeConfig {
+    let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_capacity: 16,
         cache_capacity: 64,
         slow_audit_ms: 0,
         ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
+    });
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
     let mut client = Client::connect(addr).expect("connect");
@@ -1936,13 +1933,12 @@ fn server_handle_spawn_and_shutdown() {
     // `Server::spawn` replaces the hand-rolled thread + protocol-level
     // `Shutdown` request dance: the handle owns the serve thread and
     // `shutdown()` wakes the readiness loop directly.
-    let handle = Server::bind(ServeConfig {
+    let handle = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_capacity: 16,
         ..ServeConfig::default()
     })
-    .expect("bind ephemeral port")
     .spawn()
     .expect("spawn serve thread");
     let addr = handle.addr();
