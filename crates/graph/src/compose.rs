@@ -6,8 +6,6 @@
 //! fault graph. [`compose`] merges graphs under a new top gate, unifying
 //! basic events by component name so that shared infrastructure appears once.
 
-use std::collections::HashMap;
-
 use crate::graph::{FaultGraph, FaultGraphBuilder, Gate, GraphError, NodeId};
 
 /// Composes `parts` into one aggregate graph under a new top event with the
@@ -34,28 +32,26 @@ pub fn compose(
     let mut part_tops = Vec::with_capacity(parts.len());
     for part in parts {
         let mapping = copy_into(&mut b, part);
-        part_tops.push(mapping[&part.top()]);
+        part_tops.push(mapping[part.top() as usize]);
     }
     let top = b.gate(top_name, gate, part_tops);
     b.build(top)
 }
 
-/// Copies every node of `src` into the builder, returning old→new id map.
-/// Basic events are unified by name (builder semantics); gated events are
-/// always freshly created.
-fn copy_into(b: &mut FaultGraphBuilder, src: &FaultGraph) -> HashMap<NodeId, NodeId> {
-    let order = src.topo_order().expect("validated graphs are acyclic");
-    let mut map = HashMap::with_capacity(src.len());
-    for id in order {
-        let node = src.node(id);
+/// Copies every node of `src` into the builder in id order (children
+/// first), returning the new id of each old id. Basic events are unified
+/// by name (builder semantics); gated events are always freshly created.
+fn copy_into(b: &mut FaultGraphBuilder, src: &FaultGraph) -> Vec<NodeId> {
+    let mut map = Vec::with_capacity(src.len());
+    for node in src.nodes() {
         let new_id = match node.gate {
             None => b.basic(node.name.clone(), node.prob),
             Some(gate) => {
-                let children = node.children.iter().map(|c| map[c]).collect();
+                let children = node.children.iter().map(|&c| map[c as usize]).collect();
                 b.gate(node.name.clone(), gate, children)
             }
         };
-        map.insert(id, new_id);
+        map.push(new_id);
     }
     map
 }

@@ -1,8 +1,10 @@
 //! The [`FaultGraph`] DAG, its builder and bottom-up evaluation.
+//!
+//! Every child is created before its parent, so node ids are the
+//! evaluation order: one forward pass over `0..len()` sees each node's
+//! children before the node itself.
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within a [`FaultGraph`].
 pub type NodeId = u32;
@@ -11,7 +13,7 @@ pub type NodeId = u32;
 ///
 /// Failure semantics: a gated event fails when at least the gate's threshold
 /// of its children have failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gate {
     /// Fails if *any* child fails (threshold 1).
     Or,
@@ -36,7 +38,7 @@ impl Gate {
 }
 
 /// A single event node in the fault graph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// Human-readable event name ("ToR1 fails", "libc6", ...). Basic-event
     /// names identify *components* and must be unique within a graph.
@@ -71,8 +73,9 @@ pub enum GraphError {
     DuplicateBasic(String),
     /// A probability outside [0, 1].
     BadProbability(String),
-    /// The node set contains a cycle (only possible via composition).
-    Cycle,
+    /// A gate names a child whose id is not below its own: a child created
+    /// after its parent, or the gate itself.
+    ChildNotBeforeParent(String),
 }
 
 impl std::fmt::Display for GraphError {
@@ -84,7 +87,9 @@ impl std::fmt::Display for GraphError {
             GraphError::BadThreshold(n) => write!(f, "bad k-of-n threshold at {n:?}"),
             GraphError::DuplicateBasic(n) => write!(f, "duplicate basic event {n:?}"),
             GraphError::BadProbability(n) => write!(f, "probability out of range at {n:?}"),
-            GraphError::Cycle => write!(f, "fault graph contains a cycle"),
+            GraphError::ChildNotBeforeParent(n) => {
+                write!(f, "gate event {n:?} names a child not created before it")
+            }
         }
     }
 }
@@ -93,8 +98,11 @@ impl std::error::Error for GraphError {}
 
 /// Incremental builder for [`FaultGraph`].
 ///
-/// Children must be created before their parents, which makes the result a
-/// DAG by construction.
+/// Children must be created before their parents, so node ids are a
+/// topological order and the evaluation order of every engine; [`build`]
+/// refuses a gate naming a child whose id is not below its own.
+///
+/// [`build`]: FaultGraphBuilder::build
 #[derive(Default)]
 pub struct FaultGraphBuilder {
     nodes: Vec<Node>,
@@ -160,7 +168,8 @@ impl FaultGraphBuilder {
     /// # Errors
     ///
     /// Returns a [`GraphError`] if any gate is empty, a threshold is invalid,
-    /// a child id is out of range, or a probability is out of `[0, 1]`.
+    /// a child id is out of range or not below its parent's, or a
+    /// probability is out of `[0, 1]`.
     pub fn build(self, top: NodeId) -> Result<FaultGraph, GraphError> {
         let graph = FaultGraph {
             nodes: self.nodes,
@@ -174,9 +183,10 @@ impl FaultGraphBuilder {
 
 /// A validated fault graph: a DAG of events with a designated top event.
 ///
-/// Node ids are stable; basic events double as the *component universe* for
-/// the component-set and fault-set levels of detail.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Node ids are stable, and every child's id is below its parent's;
+/// basic events double as the *component universe* for the component-set
+/// and fault-set levels of detail.
+#[derive(Clone, Debug)]
 pub struct FaultGraph {
     nodes: Vec<Node>,
     top: NodeId,
@@ -230,15 +240,14 @@ impl FaultGraph {
         self.basic_names.get(name).copied()
     }
 
-    /// Validates structural invariants; called by the builder and after
-    /// composition.
-    pub(crate) fn validate(&self) -> Result<(), GraphError> {
+    /// Validates structural invariants; called by the builder.
+    fn validate(&self) -> Result<(), GraphError> {
         let n = self.nodes.len() as NodeId;
         if self.top >= n {
             return Err(GraphError::UnknownNode(self.top));
         }
         let mut seen_basic: HashMap<&str, ()> = HashMap::new();
-        for node in &self.nodes {
+        for (id, node) in (0..n).zip(&self.nodes) {
             match node.gate {
                 None => {
                     if seen_basic.insert(&node.name, ()).is_some() {
@@ -267,64 +276,39 @@ impl FaultGraph {
                 if c >= n {
                     return Err(GraphError::UnknownNode(c));
                 }
+                if c >= id {
+                    return Err(GraphError::ChildNotBeforeParent(node.name.clone()));
+                }
             }
-        }
-        // Acyclicity via Kahn's algorithm (composition can produce cycles).
-        if self.topo_order().is_none() {
-            return Err(GraphError::Cycle);
         }
         Ok(())
     }
 
-    /// Topological order (children before parents), or `None` on a cycle.
-    pub fn topo_order(&self) -> Option<Vec<NodeId>> {
-        let n = self.nodes.len();
-        let mut out_deg: Vec<u32> = self.nodes.iter().map(|x| x.children.len() as u32).collect();
-        let mut parents: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    /// Evaluates every node for a failure assignment over *all* nodes
+    /// indexed by id (only basic entries are read), writing per-node
+    /// failure states into `state` — one forward pass over ids, so hot
+    /// loops reuse both buffers and allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice is shorter than [`FaultGraph::len`].
+    pub fn evaluate_into(&self, basic_failed: &[bool], state: &mut [bool]) {
         for (id, node) in self.nodes.iter().enumerate() {
-            for &c in &node.children {
-                parents[c as usize].push(id as NodeId);
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut queue: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&i| out_deg[i as usize] == 0)
-            .collect();
-        while let Some(id) = queue.pop() {
-            order.push(id);
-            for &p in &parents[id as usize] {
-                out_deg[p as usize] -= 1;
-                if out_deg[p as usize] == 0 {
-                    queue.push(p);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
-
-    /// Evaluates the graph bottom-up for a failure assignment over *all*
-    /// nodes indexed by id (only basic entries are read). Returns per-node
-    /// failure states.
-    pub fn evaluate_all(&self, basic_failed: &[bool]) -> Vec<bool> {
-        debug_assert_eq!(basic_failed.len(), self.nodes.len());
-        let order = self.topo_order().expect("validated graphs are acyclic");
-        let mut state = vec![false; self.nodes.len()];
-        for id in order {
-            let node = &self.nodes[id as usize];
-            state[id as usize] = match node.gate {
-                None => basic_failed[id as usize],
+            state[id] = match node.gate {
+                None => basic_failed[id],
                 Some(gate) => {
                     let failed = node.children.iter().filter(|&&c| state[c as usize]).count();
                     failed >= gate.threshold(node.children.len())
                 }
             };
         }
-        state
     }
 
     /// Evaluates whether the top event fails under a failure assignment.
     pub fn evaluate(&self, basic_failed: &[bool]) -> bool {
-        self.evaluate_all(basic_failed)[self.top as usize]
+        let mut state = vec![false; self.nodes.len()];
+        self.evaluate_into(basic_failed, &mut state);
+        state[self.top as usize]
     }
 
     /// Evaluates with the named basic events failed and all others healthy.
@@ -342,41 +326,6 @@ impl FaultGraph {
             assignment[id as usize] = true;
         }
         Ok(self.evaluate(&assignment))
-    }
-
-    /// A precomputed evaluation plan for hot loops (Monte-Carlo probability
-    /// estimation runs millions of rounds; recomputing the topological order
-    /// each time would dominate). See [`EvalPlan`].
-    pub fn eval_plan(&self) -> EvalPlan {
-        EvalPlan {
-            order: self.topo_order().expect("validated graphs are acyclic"),
-        }
-    }
-}
-
-/// Reusable evaluation order for repeated [`FaultGraph::evaluate`]-style
-/// calls over the same graph.
-pub struct EvalPlan {
-    order: Vec<NodeId>,
-}
-
-impl EvalPlan {
-    /// Evaluates all node states into `state` (scratch buffer reused across
-    /// calls); `basic_failed` supplies the basic-event assignment.
-    pub fn evaluate_into(&self, graph: &FaultGraph, basic_failed: &[bool], state: &mut [bool]) {
-        for &id in &self.order {
-            let node = &graph.nodes[id as usize];
-            state[id as usize] = match node.gate {
-                None => basic_failed[id as usize],
-                Some(gate) => {
-                    let mut failed = 0usize;
-                    for &c in &node.children {
-                        failed += state[c as usize] as usize;
-                    }
-                    failed >= gate.threshold(node.children.len())
-                }
-            };
-        }
     }
 }
 
@@ -633,32 +582,29 @@ mod tests {
         assert_eq!(b.build(top).unwrap_err(), GraphError::UnknownNode(99));
     }
 
+    /// Ids are the evaluation order, so a gate may only name children
+    /// created before it: a forward reference is refused even though the
+    /// graph it describes has no cycle.
     #[test]
-    fn topo_order_children_first() {
-        let g = sample_graph();
-        let order = g.topo_order().unwrap();
-        let pos: HashMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        for (id, node) in g.nodes().iter().enumerate() {
-            for &c in &node.children {
-                assert!(pos[&c] < pos[&(id as NodeId)], "child must precede parent");
-            }
-        }
+    fn child_created_after_its_gate_rejected() {
+        let mut b = FaultGraphBuilder::new();
+        b.basic("a", None);
+        let top = b.gate("g", Gate::Or, vec![2]);
+        b.basic("late", None);
+        assert_eq!(
+            b.build(top).unwrap_err(),
+            GraphError::ChildNotBeforeParent("g".into())
+        );
     }
 
     #[test]
-    fn eval_plan_matches_evaluate() {
-        let g = sample_graph();
-        let plan = g.eval_plan();
-        let mut state = vec![false; g.len()];
-        for pattern in 0u32..(1 << 5) {
-            let mut basic = vec![false; g.len()];
-            for (bit, &id) in g.basic_ids().iter().enumerate() {
-                basic[id as usize] = pattern >> bit & 1 == 1;
-            }
-            plan.evaluate_into(&g, &basic, &mut state);
-            assert_eq!(state[g.top() as usize], g.evaluate(&basic));
-        }
+    fn self_reference_rejected() {
+        let mut b = FaultGraphBuilder::new();
+        let a = b.basic("a", None);
+        let top = b.gate("g", Gate::Or, vec![a, 1]);
+        let err = b.build(top).unwrap_err();
+        assert_eq!(err, GraphError::ChildNotBeforeParent("g".into()));
+        assert!(err.to_string().contains("\"g\""), "{err}");
     }
 
     #[test]
@@ -698,15 +644,5 @@ mod tests {
             inc.fail(tor);
             assert!(inc.top_failed(), "epoch {}", inc.epoch);
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = sample_graph();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: FaultGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g2.len(), g.len());
-        assert_eq!(g2.top(), g.top());
-        assert!(g2.evaluate_named(&["ToR1"]).unwrap());
     }
 }

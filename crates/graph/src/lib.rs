@@ -12,7 +12,9 @@
 //!
 //! A fault graph is evaluated bottom-up: basic events are assigned
 //! fail/not-fail, gates propagate failures, and the *top event* represents
-//! the failure of the whole redundancy deployment.
+//! the failure of the whole redundancy deployment. The builder creates
+//! every child before its parent, so node ids are the evaluation order:
+//! each engine walks `0..len()` once.
 //!
 //! # Examples
 //!

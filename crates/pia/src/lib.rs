@@ -35,8 +35,8 @@ pub use ks::{run_ks, KsConfig, KsOutcome};
 pub use minhash::{estimate_jaccard, minhash_signature};
 pub use normalize::normalize_component;
 pub use psop::{
-    check_payload, count_final_lists, outcome_from_counts, run_psop, run_psop_transport,
+    check_payload, count_final_lists, outcome_from_counts, run_psop, run_psop_cancellable,
     PsopConfig, PsopError, PsopOutcome, PsopParty, CIPHERTEXT_BYTES,
 };
 pub use report::{rank_deployments, rank_deployments_cancellable, PiaRanking};
-pub use smpc::{run_smpc, run_smpc_transport, SmpcConfig, SmpcOutcome};
+pub use smpc::{run_smpc, SmpcConfig, SmpcOutcome};

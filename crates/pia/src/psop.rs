@@ -14,21 +14,21 @@
 //!    *nothing about the elements themselves*.
 //!
 //! The protocol is factored into a per-party state machine ([`PsopParty`]):
-//! [`run_psop`] plays every party over the in-process [`SimNetwork`]
-//! (Figure 8's bandwidth numbers come straight from its byte counters),
-//! while a federated daemon (`indaas-service`) steps exactly one party —
-//! [`PsopParty::initial_payload`], then one [`PsopParty::relay`] per ring
-//! frame — from its readiness loop. Both share the same cryptographic
-//! steps and per-party RNG streams, so a federated run and a simulated run
-//! of the same topology produce identical results *and* identical
-//! per-party traffic.
+//! [`run_psop`] and [`run_psop_cancellable`] play every party over the
+//! in-process [`SimNetwork`] (Figure 8's bandwidth numbers come straight
+//! from its byte counters), while a federated daemon (`indaas-service`)
+//! steps exactly one party — [`PsopParty::initial_payload`], then one
+//! [`PsopParty::relay`] per ring frame — from its readiness loop. Both
+//! share the same cryptographic steps and per-party RNG streams, so a
+//! federated run and a simulated run of the same topology produce
+//! identical results *and* identical per-party traffic.
 
 use std::collections::HashMap;
 
 use indaas_bigint::BigUint;
 use indaas_crypto::{shuffle, CommutativeCipher, MODP_1024_HEX};
 use indaas_graph::{CancelToken, Cancelled};
-use indaas_simnet::{Message, PartyId, SimNetwork, TrafficStats, Transport, TransportError};
+use indaas_simnet::{Message, PartyId, SimNetwork, TrafficStats};
 use rand::SeedableRng;
 
 /// Configuration for a P-SOP run.
@@ -57,8 +57,6 @@ pub const CIPHERTEXT_BYTES: usize = CommutativeCipher::ELEMENT_BYTES;
 /// Why a P-SOP run stopped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PsopError {
-    /// The transport failed (peer loss, round deadline expiry).
-    Transport(TransportError),
     /// The run's [`CancelToken`] tripped; polled once per element encrypted.
     Cancelled(Cancelled),
     /// Party `from` sent `len` bytes: not a positive multiple of
@@ -95,10 +93,10 @@ pub enum PsopError {
         /// The provider with the empty dataset.
         party: PartyId,
     },
-    /// The transport hosts `parties` parties where `expected` (the
+    /// The network hosts `parties` parties where `expected` (the
     /// providers plus the agent) are needed.
     TransportSize {
-        /// Parties the transport hosts.
+        /// Parties the network hosts.
         parties: usize,
         /// Parties the run needs.
         expected: usize,
@@ -108,7 +106,6 @@ pub enum PsopError {
 impl std::fmt::Display for PsopError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PsopError::Transport(e) => write!(f, "{e}"),
             PsopError::Cancelled(e) => write!(f, "{e}"),
             PsopError::RaggedPayload { from, len } => write!(
                 f,
@@ -141,12 +138,6 @@ impl std::fmt::Display for PsopError {
 
 impl std::error::Error for PsopError {}
 
-impl From<TransportError> for PsopError {
-    fn from(e: TransportError) -> Self {
-        PsopError::Transport(e)
-    }
-}
-
 impl From<Cancelled> for PsopError {
     fn from(e: Cancelled) -> Self {
         PsopError::Cancelled(e)
@@ -162,7 +153,7 @@ pub struct PsopOutcome {
     pub union: usize,
     /// `intersection / union` (0 when the union is empty).
     pub jaccard: f64,
-    /// Per-party traffic as measured on the transport.
+    /// Per-party traffic as measured on the network.
     pub traffic: TrafficStats,
 }
 
@@ -367,26 +358,23 @@ pub fn run_psop(
     config: &PsopConfig,
     net: &mut SimNetwork,
 ) -> PsopOutcome {
-    run_psop_transport(datasets, config, net, &CancelToken::default())
+    run_psop_cancellable(datasets, config, net, &CancelToken::default())
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_psop`] over any [`Transport`] hosting all `k + 1` parties: the
-/// caller's loop plays every provider and the agent, which is exactly the
-/// shape of the simulated single-process run.
+/// [`run_psop`] with cooperative cancellation: one loop plays every
+/// provider and the agent over `net`.
 ///
 /// # Errors
 ///
 /// Refuses fewer than two datasets, an empty dataset (naming its party)
-/// and a transport not sized `k + 1` before any work; propagates
-/// transport failures (impossible on a correctly-sized [`SimNetwork`]),
-/// refuses malformed payloads naming their sender, and returns
+/// and a network not sized `k + 1` before any work, and returns
 /// [`PsopError::Cancelled`] within one element of encryption work of
 /// `token` tripping.
-pub fn run_psop_transport<T: Transport>(
+pub fn run_psop_cancellable(
     datasets: &[Vec<String>],
     config: &PsopConfig,
-    net: &mut T,
+    net: &mut SimNetwork,
     token: &CancelToken,
 ) -> Result<PsopOutcome, PsopError> {
     let k = datasets.len();
@@ -412,29 +400,29 @@ pub fn run_psop_transport<T: Transport>(
     // to its successor.
     for (i, data) in datasets.iter().enumerate() {
         let payload = parties[i].initial_payload(data, config.multiset)?;
-        net.send(i, parties[i].successor(), payload)?;
+        net.send(i, parties[i].successor(), payload);
     }
 
     // Rounds 1..k-1: each party re-encrypts what it receives and forwards.
     for _round in 1..k {
         for (i, party) in parties.iter_mut().enumerate() {
-            let msg = net.recv(i)?;
+            let msg = net.recv_expect(i);
             let payload = party.relay(&msg)?;
-            net.send(i, party.successor(), payload)?;
+            net.send(i, party.successor(), payload);
         }
     }
 
     // Final hop: each party receives its own fully-encrypted list back and
     // shares it with the auditing agent.
     for i in 0..k {
-        let msg = net.recv(i)?;
-        net.send(i, agent, msg.payload)?;
+        let msg = net.recv_expect(i);
+        net.send(i, agent, msg.payload);
     }
 
     // The agent counts common and distinct ciphertexts.
     let mut finals: Vec<Vec<u8>> = Vec::with_capacity(k);
     for _ in 0..k {
-        finals.push(net.recv(agent)?.payload);
+        finals.push(net.recv_expect(agent).payload);
     }
     let (intersection, union) = count_final_lists(finals.iter().map(Vec::as_slice), k)?;
     Ok(outcome_from_counts(
@@ -578,7 +566,7 @@ mod tests {
             })
         );
         let run = |datasets: &[Vec<String>], parties: usize| {
-            run_psop_transport(datasets, &config, &mut SimNetwork::new(parties), &token).err()
+            run_psop_cancellable(datasets, &config, &mut SimNetwork::new(parties), &token).err()
         };
         assert_eq!(
             run(&[strings(&["a"])], 2),
@@ -602,54 +590,58 @@ mod tests {
 
     /// Each party's rounds, stepped independently over a shared
     /// SimNetwork, must reproduce the all-parties driver exactly — the
-    /// invariant the federated daemons rely on.
+    /// invariant the federated daemons rely on. Every byte the stepped
+    /// parties send — 12 messages as `from ‖ to ‖ len ‖ payload` — hashes
+    /// to a pinned known answer, so neither the crypto nor the round
+    /// structure can drift unnoticed.
     #[test]
-    fn per_party_driver_matches_global_driver() {
+    fn per_party_driver_matches_global_driver_and_transcript() {
         let datasets = [
             strings(&["libc", "ssl", "riak"]),
             strings(&["libc", "boost"]),
             strings(&["libc", "ssl", "redis", "zlib"]),
         ];
         let config = PsopConfig::default();
-        let global = {
-            let mut net = SimNetwork::new(4);
-            run_psop(&datasets, &config, &mut net)
-        };
+        let global = run(&datasets);
 
         // Drive the same protocol party-by-party, interleaved by round so
         // every recv finds its message pending (the simulated network is
         // non-blocking). Interleaving: all round-0 sends, then relays, etc.
         let k = datasets.len();
         let mut net = SimNetwork::new(k + 1);
+        let mut log = Vec::new();
+        let mut send = |net: &mut SimNetwork, from: PartyId, to: PartyId, payload: Vec<u8>| {
+            for word in [from, to, payload.len()] {
+                log.extend_from_slice(&(word as u32).to_be_bytes());
+            }
+            log.extend_from_slice(&payload);
+            net.send(from, to, payload);
+        };
         let token = CancelToken::default();
         let mut parties: Vec<PsopParty> = (0..k)
             .map(|i| PsopParty::new(i, k, &config, &token).unwrap())
             .collect();
         for (i, p) in parties.iter_mut().enumerate() {
             let payload = p.initial_payload(&datasets[i], config.multiset).unwrap();
-            let to = p.successor();
-            Transport::send(&mut net, i, to, payload).unwrap();
+            send(&mut net, i, p.successor(), payload);
         }
         for _round in 1..k {
             for (i, p) in parties.iter_mut().enumerate() {
-                let msg = Transport::recv(&mut net, i).unwrap();
-                let to = p.successor();
+                let msg = net.recv_expect(i);
                 let payload = p.relay(&msg).unwrap();
-                Transport::send(&mut net, i, to, payload).unwrap();
+                send(&mut net, i, p.successor(), payload);
             }
         }
         for i in 0..k {
-            let msg = Transport::recv(&mut net, i).unwrap();
-            Transport::send(&mut net, i, k, msg.payload).unwrap();
+            let msg = net.recv_expect(i);
+            send(&mut net, i, k, msg.payload);
         }
-        let finals: Vec<Vec<u8>> = (0..k)
-            .map(|_| Transport::recv(&mut net, k).unwrap().payload)
-            .collect();
+        let finals: Vec<Vec<u8>> = (0..k).map(|_| net.recv_expect(k).payload).collect();
         let (intersection, union) = count_final_lists(finals.iter().map(Vec::as_slice), k).unwrap();
 
-        assert_eq!(intersection, global.intersection);
-        assert_eq!(union, global.union);
-        for i in 0..k {
+        assert_eq!((intersection, union), (1, 6));
+        assert_eq!((intersection, union), (global.intersection, global.union));
+        for i in 0..=k {
             assert_eq!(
                 net.stats().sent_bytes(i),
                 global.traffic.sent_bytes(i),
@@ -658,6 +650,15 @@ mod tests {
             assert_eq!(net.stats().recv_bytes(i), global.traffic.recv_bytes(i));
         }
         assert_eq!(net.stats().message_count(), global.traffic.message_count());
+        assert_eq!(log.len(), 4752);
+        let digest: String = indaas_crypto::sha256(&log)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "6d54eed9576860ebc2de409b55913b061d68bf018b714616c11dd6c14d0e41f3"
+        );
     }
 
     #[test]
@@ -667,87 +668,6 @@ mod tests {
         let b: Vec<u8> = [vec![1u8; 128], vec![3u8; 128]].concat();
         let counts = count_final_lists([a.as_slice(), b.as_slice()], 2);
         assert_eq!(counts, Ok((1, 3)));
-    }
-
-    /// A transport that records every send and can corrupt one of them.
-    struct Tap {
-        net: SimNetwork,
-        log: Vec<u8>,
-        /// `(from, len)`: cut the first payload `from` sends to `len` bytes.
-        truncate: Option<(PartyId, usize)>,
-    }
-
-    impl Tap {
-        fn new(parties: usize) -> Self {
-            Tap {
-                net: SimNetwork::new(parties),
-                log: Vec::new(),
-                truncate: None,
-            }
-        }
-    }
-
-    impl Transport for Tap {
-        fn parties(&self) -> usize {
-            Transport::parties(&self.net)
-        }
-
-        fn send(
-            &mut self,
-            from: PartyId,
-            to: PartyId,
-            mut payload: Vec<u8>,
-        ) -> Result<(), TransportError> {
-            if let Some((_, len)) = self.truncate.take_if(|(party, _)| *party == from) {
-                payload.truncate(len);
-            }
-            for word in [from, to, payload.len()] {
-                self.log.extend_from_slice(&(word as u32).to_be_bytes());
-            }
-            self.log.extend_from_slice(&payload);
-            Transport::send(&mut self.net, from, to, payload)
-        }
-
-        fn recv(&mut self, to: PartyId) -> Result<Message, TransportError> {
-            Transport::recv(&mut self.net, to)
-        }
-
-        fn stats(&self) -> &TrafficStats {
-            Transport::stats(&self.net)
-        }
-    }
-
-    fn ring_datasets() -> [Vec<String>; 3] {
-        [
-            strings(&["libc", "ssl", "riak"]),
-            strings(&["libc", "boost"]),
-            strings(&["libc", "ssl", "redis", "zlib"]),
-        ]
-    }
-
-    /// Every byte of a 3-party run — 12 messages as `from ‖ to ‖ len ‖
-    /// payload` — hashes to what the parent commit's bit-at-a-time modexp
-    /// and `BigUint`-per-element relay put on the wire.
-    #[test]
-    fn three_party_transcript_known_answer() {
-        let mut tap = Tap::new(4);
-        let out = run_psop_transport(
-            &ring_datasets(),
-            &PsopConfig::default(),
-            &mut tap,
-            &CancelToken::default(),
-        )
-        .unwrap();
-        assert_eq!((out.intersection, out.union), (1, 6));
-        assert_eq!(tap.log.len(), 4752);
-        let digest: String = indaas_crypto::sha256(&tap.log)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            digest,
-            "6d54eed9576860ebc2de409b55913b061d68bf018b714616c11dd6c14d0e41f3"
-        );
     }
 
     fn message(from: PartyId, payload: Vec<u8>) -> Message {
@@ -803,23 +723,6 @@ mod tests {
             count_final_lists([zero.as_slice(), whole.as_slice()], 2),
             Err(PsopError::ElementOutOfRange { from: 0, index: 0 })
         );
-    }
-
-    /// A list truncated in flight stops the run at the receiving party
-    /// with the sender named; no Jaccard is computed over the remainder.
-    #[test]
-    fn run_propagates_a_truncated_payload() {
-        let mut tap = Tap::new(4);
-        tap.truncate = Some((1, 128 + 17));
-        let err = run_psop_transport(
-            &ring_datasets(),
-            &PsopConfig::default(),
-            &mut tap,
-            &CancelToken::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, PsopError::RaggedPayload { from: 1, len: 145 });
-        assert!(err.to_string().contains("party 1 sent a malformed"));
     }
 
     /// The token is polled per element, not per run: a deadline that

@@ -6,7 +6,7 @@ use indaas_simnet::SimNetwork;
 use serde::{Deserialize, Serialize};
 
 use crate::minhash::{minhash_signature, signature_elements};
-use crate::psop::{run_psop, run_psop_transport, PsopConfig, PsopError};
+use crate::psop::{run_psop, run_psop_cancellable, PsopConfig, PsopError};
 
 /// One ranked candidate deployment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -72,7 +72,7 @@ pub fn rank_deployments_cancellable(
             })
             .collect();
         let mut net = SimNetwork::new(way + 1);
-        let outcome = match run_psop_transport(&datasets, config, &mut net, token) {
+        let outcome = match run_psop_cancellable(&datasets, config, &mut net, token) {
             Ok(outcome) => outcome,
             Err(PsopError::Cancelled(reason)) => return Err(reason),
             Err(e) => panic!("in-process P-SOP cannot fail: {e}"),

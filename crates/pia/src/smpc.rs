@@ -17,10 +17,12 @@
 //! set size — the structural reason SMPC loses to P-SOP's linear ring
 //! protocol. Evaluation is bitsliced: 64 comparison lanes per machine
 //! word, which makes the baseline as fast as a generic boolean SMPC
-//! reasonably gets, and it still falls behind.
+//! reasonably gets, and it still falls behind. One driver plays all three
+//! parties over a [`SimNetwork`], whose byte counters are the traffic
+//! Figure 8 compares.
 
 use indaas_crypto::sha256;
-use indaas_simnet::{TrafficStats, Transport, TransportError};
+use indaas_simnet::{SimNetwork, TrafficStats};
 use rand::{Rng, SeedableRng};
 
 /// Configuration for the SMPC baseline.
@@ -60,39 +62,18 @@ type Lanes = Vec<u64>;
 struct Share(Lanes);
 
 /// Runs the GMW baseline between two providers on `net` (3 parties:
-/// providers 0 and 1, triple dealer 2). The transport hosts all three
-/// parties, so this driver plays every role — use it on a
-/// [`indaas_simnet::SimNetwork`] or any other all-parties [`Transport`].
+/// providers 0 and 1, triple dealer 2); this driver plays every role.
 ///
 /// # Panics
 ///
-/// Panics if either set is empty, the network is not 3 parties, or the
-/// transport fails mid-protocol (impossible in-process).
+/// Panics if either set is empty, the network is not 3 parties, or
+/// `hash_bits` is outside `1..=64`.
 pub fn run_smpc(
     set_a: &[String],
     set_b: &[String],
     config: &SmpcConfig,
-    net: &mut impl Transport,
+    net: &mut SimNetwork,
 ) -> SmpcOutcome {
-    run_smpc_transport(set_a, set_b, config, net).expect("in-process transport cannot fail")
-}
-
-/// [`run_smpc`] surfacing transport failures instead of panicking.
-///
-/// # Errors
-///
-/// Propagates the first [`TransportError`] hit mid-protocol.
-///
-/// # Panics
-///
-/// Panics on invalid inputs (empty sets, wrong party count, bad
-/// `hash_bits`), like [`run_smpc`].
-pub fn run_smpc_transport(
-    set_a: &[String],
-    set_b: &[String],
-    config: &SmpcConfig,
-    net: &mut impl Transport,
-) -> Result<SmpcOutcome, TransportError> {
     assert!(
         !set_a.is_empty() && !set_b.is_empty(),
         "sets must be non-empty"
@@ -120,10 +101,10 @@ pub fn run_smpc_transport(
         let (a0, a1) = share_plane(&plane_a, &mut rng);
         let (b0, b1) = share_plane(&plane_b, &mut rng);
         // Input sharing traffic: one share each way.
-        net.send(0, 1, bytes_of(&a1.0))?;
-        net.send(1, 0, bytes_of(&b0.0))?;
-        let _ = net.recv(1)?;
-        let _ = net.recv(0)?;
+        net.send(0, 1, bytes_of(&a1.0));
+        net.send(1, 0, bytes_of(&b0.0));
+        net.recv_expect(1);
+        net.recv_expect(0);
         // XNOR = XOR ⊕ 1; XOR of shares is local, the NOT is applied by
         // party 0 only (constant folding).
         let mut s0: Lanes = (0..words).map(|w| a0.0[w] ^ b0.0[w] ^ !0u64).collect();
@@ -136,27 +117,27 @@ pub fn run_smpc_transport(
     let mut and_gates = 0u64;
     let mut acc = xnor_shares.pop().expect("at least one bit plane");
     while let Some(next) = xnor_shares.pop() {
-        acc = beaver_and(&acc, &next, words, lanes, net, &mut rng, &mut and_gates)?;
+        acc = beaver_and(&acc, &next, words, lanes, net, &mut rng, &mut and_gates);
     }
 
     // Reconstruct the equality lane vector (both parties reveal shares to
     // the agent, who learns only which shuffled lanes matched — i.e., the
     // cardinality; lane order carries no element information because the
     // providers hash and the dealer never sees inputs).
-    net.send(0, 2, bytes_of(&acc.0 .0))?;
-    net.send(1, 2, bytes_of(&acc.1 .0))?;
-    let m0 = net.recv(2)?;
-    let m1 = net.recv(2)?;
+    net.send(0, 2, bytes_of(&acc.0 .0));
+    net.send(1, 2, bytes_of(&acc.1 .0));
+    let m0 = net.recv_expect(2);
+    let m1 = net.recv_expect(2);
     let mut matches = 0usize;
     for (x, y) in words_of(&m0.payload).iter().zip(words_of(&m1.payload)) {
         matches += (x ^ y).count_ones() as usize;
     }
 
-    Ok(SmpcOutcome {
+    SmpcOutcome {
         intersection: matches,
         and_gates,
         traffic: net.stats().clone(),
-    })
+    }
 }
 
 /// One Beaver-triple AND layer over bitsliced shares.
@@ -165,10 +146,10 @@ fn beaver_and(
     y: &(Share, Share),
     words: usize,
     lanes: usize,
-    net: &mut impl Transport,
+    net: &mut SimNetwork,
     rng: &mut impl Rng,
     and_gates: &mut u64,
-) -> Result<(Share, Share), TransportError> {
+) -> (Share, Share) {
     *and_gates += lanes as u64;
     // Dealer generates triples: c = a & b, all XOR-shared.
     let a: Lanes = random_lanes(words, rng);
@@ -182,8 +163,8 @@ fn beaver_and(
         let mut payload = bytes_of(&aa.0);
         payload.extend_from_slice(&bytes_of(&bb.0));
         payload.extend_from_slice(&bytes_of(&cc.0));
-        net.send(2, to, payload)?;
-        let _ = net.recv(to)?;
+        net.send(2, to, payload);
+        net.recv_expect(to);
     }
 
     // Parties open d = x ⊕ a and e = y ⊕ b.
@@ -195,10 +176,10 @@ fn beaver_and(
     open0.extend_from_slice(&bytes_of(&e0));
     let mut open1 = bytes_of(&d1);
     open1.extend_from_slice(&bytes_of(&e1));
-    net.send(0, 1, open0)?;
-    net.send(1, 0, open1)?;
-    let _ = net.recv(1)?;
-    let _ = net.recv(0)?;
+    net.send(0, 1, open0);
+    net.send(1, 0, open1);
+    net.recv_expect(1);
+    net.recv_expect(0);
     let d: Lanes = (0..words).map(|w| d0[w] ^ d1[w]).collect();
     let e: Lanes = (0..words).map(|w| e0[w] ^ e1[w]).collect();
 
@@ -209,10 +190,10 @@ fn beaver_and(
     let z1: Lanes = (0..words)
         .map(|w| c1.0[w] ^ (d[w] & b1.0[w]) ^ (e[w] & a1.0[w]))
         .collect();
-    Ok((
+    (
         Share(mask_tail_owned(z0, lanes)),
         Share(mask_tail_owned(z1, lanes)),
-    ))
+    )
 }
 
 /// Hashes elements to `bits`-bit values.
@@ -279,7 +260,6 @@ fn words_of(bytes: &[u8]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indaas_simnet::SimNetwork;
 
     fn strings(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()

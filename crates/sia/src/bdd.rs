@@ -117,10 +117,10 @@ impl Bdd {
             var_to_basic,
             max_nodes,
         };
-        // Bottom-up over the graph: each node's failure function as a BDD.
-        let order = graph.topo_order().expect("validated graphs are acyclic");
+        // Bottom-up over the graph in id order (children first): each
+        // node's failure function as a BDD.
         let mut funcs: Vec<BddId> = vec![FALSE; graph.len()];
-        for id in order {
+        for id in 0..graph.len() as NodeId {
             token.check()?;
             let node = graph.node(id);
             let f = match node.gate {

@@ -1,14 +1,14 @@
 //! The exact minimal risk group algorithm (§4.1.2).
 //!
 //! Bottom-up cut-set computation (MOCUS-style, adapted from fault tree
-//! analysis [52, 60]): in topological order every node gets the family of
-//! minimal sets of basic events that fail it. A basic event contributes
-//! `{{e}}`; every gate — OR, AND and k-of-n alike — is a threshold over its
-//! children and is folded by one recurrence. With `T[j]` the minimal sets
-//! that fail *at least j of the children seen so far* and `T[0] = {∅}`,
-//! child `i` with family `F` updates `T[j] ∪= T[j-1] × F` for `j`
-//! descending, and the gate's family is `T[k]` (OR is `T[1]`, AND is
-//! `T[n]`). Only the slots the remaining children can still lift to `k`
+//! analysis [52, 60]): in id order, children first, every node gets the
+//! family of minimal sets of basic events that fail it. A basic event
+//! contributes `{{e}}`; every gate — OR, AND and k-of-n alike — is a
+//! threshold over its children and is folded by one recurrence. With
+//! `T[j]` the minimal sets that fail *at least j of the children seen so
+//! far* and `T[0] = {∅}`, child `i` with family `F` updates
+//! `T[j] ∪= T[j-1] × F` for `j` descending, and the gate's family is
+//! `T[k]` (OR is `T[1]`, AND is `T[n]`). Only the slots the remaining children can still lift to `k`
 //! are updated, so an AND is its one chain of products and a k-of-n gate
 //! costs `k·n` products instead of one per k-subset of its children.
 //!
@@ -31,7 +31,7 @@
 //! * `max_family` — a hard cap on intermediate family sizes; exceeding it
 //!   is a [`MinimalError::FamilyTooLarge`].
 
-use indaas_graph::{CancelToken, Cancelled, FaultGraph};
+use indaas_graph::{CancelToken, Cancelled, FaultGraph, NodeId};
 
 use crate::riskgroup::{union_into, RgFamily, Row};
 
@@ -127,7 +127,6 @@ pub fn minimal_risk_groups_cancellable(
     config: &MinimalConfig,
     token: &CancelToken,
 ) -> Result<RgFamily, MinimalError> {
-    let order = graph.topo_order().expect("validated graphs are acyclic");
     let empty = RgFamily::for_graph(graph);
     let mut unit = empty.clone();
     unit.insert_ids(&[]);
@@ -152,7 +151,7 @@ pub fn minimal_risk_groups_cancellable(
     }
     remaining_uses[graph.top() as usize] += 1;
 
-    for id in order {
+    for id in 0..graph.len() as NodeId {
         token.check()?;
         let node = graph.node(id);
         let fam = match node.gate {

@@ -82,7 +82,6 @@ pub fn monte_carlo_top_probability(
     seed: u64,
 ) -> f64 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let plan = graph.eval_plan();
     let basic = graph.basic_ids();
     let mut assignment = vec![false; graph.len()];
     let mut state = vec![false; graph.len()];
@@ -92,7 +91,7 @@ pub fn monte_carlo_top_probability(
             let p = graph.node(id).prob.unwrap_or(default_prob);
             assignment[id as usize] = (rng.next_u64() as f64 / u64::MAX as f64) < p;
         }
-        plan.evaluate_into(graph, &assignment, &mut state);
+        graph.evaluate_into(&assignment, &mut state);
         fails += u64::from(state[graph.top() as usize]);
     }
     fails as f64 / rounds as f64

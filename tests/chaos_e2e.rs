@@ -12,31 +12,13 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use indaas::core::{AuditSpec, CandidateDeployment};
-use indaas::deps::{parse_records, ShardedDepDb};
 use indaas::faultinj;
 use indaas::federation::FederationCoordinator;
-use indaas::service::{Client, ServeConfig, Server, SubscriptionEnd};
+use indaas::service::{Client, SubscriptionEnd};
 use proptest::prelude::*;
 
-/// Same three-provider topology as the federation e2e suite: a shared
-/// core (libc6) and distinct tails.
-const PROVIDER_RECORDS: [&str; 3] = [
-    r#"
-        <src="A1" dst="Internet" route="ToR-shared,CoreA"/>
-        <hw="A1" type="CPU" dep="xeon-a"/>
-        <pgm="Riak" hw="A1" dep="libc6,openssl,erlang"/>
-    "#,
-    r#"
-        <src="B1" dst="Internet" route="ToR-shared,CoreB"/>
-        <hw="B1" type="CPU" dep="xeon-b"/>
-        <pgm="Mongo" hw="B1" dep="libc6,openssl,boost"/>
-    "#,
-    r#"
-        <src="C1" dst="Internet" route="ToR-C,CoreC"/>
-        <hw="C1" type="CPU" dep="xeon-c"/>
-        <pgm="Redis" hw="C1" dep="libc6,jemalloc"/>
-    "#,
-];
+mod common;
+use common::{bind_daemon_at, boot, boot_daemon, shutdown, TestDaemon, PROVIDER_RECORDS};
 
 static CHAOS: Mutex<()> = Mutex::new(());
 
@@ -60,43 +42,11 @@ fn chaos() -> ChaosGuard {
     ChaosGuard(guard)
 }
 
-struct TestDaemon {
-    addr: String,
-    handle: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-/// Boots a provider daemon at `addr` ("127.0.0.1:0" = ephemeral) with
-/// `records` pre-loaded, an open peer allow-list, and its bound address
-/// as node name.
-fn boot_daemon_at(addr: &str, records: &str) -> TestDaemon {
-    let config = ServeConfig {
-        addr: addr.into(),
-        workers: 2,
-        peers: Vec::new(),
-        node: None,
-        ..ServeConfig::default()
-    };
-    let store = ShardedDepDb::new(config.shards);
-    store.ingest(parse_records(records).expect("test records parse"));
-    let server = Server::bind(config, store).expect("bind daemon");
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    TestDaemon { addr, handle }
-}
-
 fn boot_ring() -> Vec<TestDaemon> {
     PROVIDER_RECORDS
         .iter()
-        .map(|r| boot_daemon_at("127.0.0.1:0", r))
+        .map(|r| boot_daemon(r, &[]))
         .collect()
-}
-
-fn shutdown(daemons: Vec<TestDaemon>) {
-    for d in daemons {
-        let mut c = Client::connect(&d.addr).expect("connect for shutdown");
-        c.shutdown().expect("shutdown ack");
-        d.handle.join().expect("server thread").expect("serve ok");
-    }
 }
 
 /// Sums one counter across every daemon's `Metrics` answer.
@@ -238,8 +188,8 @@ fn dead_peer_degrades_with_party_named_then_restart_heals() {
     let dead_addr = reserved.local_addr().expect("reserved addr").to_string();
     drop(reserved);
 
-    let a = boot_daemon_at("127.0.0.1:0", PROVIDER_RECORDS[0]);
-    let b = boot_daemon_at("127.0.0.1:0", PROVIDER_RECORDS[1]);
+    let a = boot_daemon(PROVIDER_RECORDS[0], &[]);
+    let b = boot_daemon(PROVIDER_RECORDS[1], &[]);
     let peers = vec![a.addr.clone(), b.addr.clone(), dead_addr.clone()];
 
     let outcome = FederationCoordinator::new(peers.clone())
@@ -269,7 +219,7 @@ fn dead_peer_degrades_with_party_named_then_restart_heals() {
 
     // Restart the dead member at its old address: the ring heals and the
     // next audit completes cleanly.
-    let c = boot_daemon_at(&dead_addr, PROVIDER_RECORDS[2]);
+    let c = boot(bind_daemon_at(&dead_addr, PROVIDER_RECORDS[2], &[]));
     let healed = FederationCoordinator::new(peers)
         .run()
         .expect("healed ring completes");
@@ -286,7 +236,7 @@ fn dead_peer_degrades_with_party_named_then_restart_heals() {
 #[test]
 fn read_fault_drops_sessions_and_subscribers_see_connection_loss() {
     let _guard = chaos();
-    let daemon = boot_daemon_at("127.0.0.1:0", PROVIDER_RECORDS[0]);
+    let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
     let mut client = Client::connect(&daemon.addr).expect("connect");
     client
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -340,7 +290,7 @@ fn read_fault_drops_sessions_and_subscribers_see_connection_loss() {
 #[test]
 fn announced_shutdown_ends_subscriptions_cleanly() {
     let _guard = chaos();
-    let daemon = boot_daemon_at("127.0.0.1:0", PROVIDER_RECORDS[0]);
+    let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
     let mut watcher = Client::connect(&daemon.addr).expect("connect watcher");
     let spec = AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("d", ["A1"])]);
     let mut subscription = watcher.subscribe(&spec).expect("subscribe");
@@ -380,12 +330,12 @@ fn watch_cli_reconnects_and_misses_no_epochs() {
     let _guard = chaos();
     // Two servers sharing a ToR: the CLI requires at least two per
     // deployment.
-    let daemon = boot_daemon_at(
-        "127.0.0.1:0",
+    let daemon = boot_daemon(
         r#"
             <src="A1" dst="Internet" route="tor1,core1"/>
             <src="A2" dst="Internet" route="tor1,core2"/>
         "#,
+        &[],
     );
 
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_indaas"))

@@ -1,5 +1,7 @@
 //! Shared daemon-suite helpers. [`bind`] boots a daemon over an empty
-//! store. [`LineSession`] is a raw protocol-v1 line session: one JSON
+//! store, [`bind_daemon`] one over a [`PROVIDER_RECORDS`] entry, and
+//! [`boot`] runs it on a thread of its own until [`shutdown`].
+//! [`LineSession`] is a raw protocol-v1 line session: one JSON
 //! request per line out, one response line back, over a plain
 //! `TcpStream`. Line mode exists to be driven by hand (`nc`, a few lines
 //! of any language), so the suites drive it the same way instead of
@@ -12,19 +14,88 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 
-use indaas::deps::ShardedDepDb;
+use indaas::deps::{parse_records, ShardedDepDb};
 use indaas::obs::TraceContext;
 use indaas::service::proto::{
     decode_line, encode_line, encode_traced_round_frame, read_frame, write_frame,
     FEDERATION_PROTOCOL_VERSION,
 };
-use indaas::service::{Request, Response, ServeConfig, Server};
+use indaas::service::{Client, Request, Response, ServeConfig, Server};
+
+/// Table-1 record sets for three providers with a shared core (libc6,
+/// openssl, ToR-shared) and distinct tails.
+pub const PROVIDER_RECORDS: [&str; 3] = [
+    r#"
+        <src="A1" dst="Internet" route="ToR-shared,CoreA"/>
+        <hw="A1" type="CPU" dep="xeon-a"/>
+        <pgm="Riak" hw="A1" dep="libc6,openssl,erlang"/>
+    "#,
+    r#"
+        <src="B1" dst="Internet" route="ToR-shared,CoreB"/>
+        <hw="B1" type="CPU" dep="xeon-b"/>
+        <pgm="Mongo" hw="B1" dep="libc6,openssl,boost"/>
+    "#,
+    r#"
+        <src="C1" dst="Internet" route="ToR-C,CoreC"/>
+        <hw="C1" type="CPU" dep="xeon-c"/>
+        <pgm="Redis" hw="C1" dep="libc6,jemalloc"/>
+    "#,
+];
+
+/// A daemon serving on its own thread.
+pub struct TestDaemon {
+    pub addr: String,
+    pub handle: JoinHandle<std::io::Result<()>>,
+}
 
 /// Binds a daemon over a fresh, empty `config.shards`-shard store.
 pub fn bind(config: ServeConfig) -> Server {
     let store = ShardedDepDb::new(config.shards);
     Server::bind(config, store).expect("bind daemon")
+}
+
+/// Binds a provider daemon at `addr` ("127.0.0.1:0" = ephemeral) with
+/// `records` pre-loaded (`allow` = peer allow-list, empty = open; the node
+/// name is the bound address).
+pub fn bind_daemon_at(addr: &str, records: &str, allow: &[String]) -> Server {
+    let config = ServeConfig {
+        addr: addr.into(),
+        workers: 2,
+        peers: allow.to_vec(),
+        node: None,
+        ..ServeConfig::default()
+    };
+    let store = ShardedDepDb::new(config.shards);
+    store.ingest(parse_records(records).expect("test records parse"));
+    Server::bind(config, store).expect("bind daemon")
+}
+
+/// [`bind_daemon_at`] on an ephemeral port.
+pub fn bind_daemon(records: &str, allow: &[String]) -> Server {
+    bind_daemon_at("127.0.0.1:0", records, allow)
+}
+
+/// Runs `server` on a thread of its own.
+pub fn boot(server: Server) -> TestDaemon {
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    TestDaemon { addr, handle }
+}
+
+/// [`bind_daemon`], booted.
+pub fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
+    boot(bind_daemon(records, allow))
+}
+
+/// Shuts each daemon down over the wire and joins its thread.
+pub fn shutdown(daemons: Vec<TestDaemon>) {
+    for d in daemons {
+        let mut c = Client::connect(&d.addr).expect("connect for shutdown");
+        c.shutdown().expect("shutdown ack");
+        d.handle.join().expect("server thread").expect("serve ok");
+    }
 }
 
 pub struct LineSession {

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use indaas::deps::{parse_records, DepDb, ShardedDepDb};
+use indaas::deps::{parse_records, DepDb};
 use indaas::federation::FederationCoordinator;
 use indaas::obs::{TraceContext, TRACE_CONTEXT_BYTES};
 use indaas::pia::{run_psop, PsopConfig, CIPHERTEXT_BYTES};
@@ -13,67 +13,11 @@ use indaas::service::federation::provider_component_set;
 use indaas::service::proto::{
     encode_line, Request, Response, FEDERATION_PROTOCOL_VERSION, ROUND_FRAME_HEADER_BYTES,
 };
-use indaas::service::{names, Client, ClientError, ServeConfig, Server};
+use indaas::service::{names, Client, ClientError, ServeConfig};
 use indaas::simnet::SimNetwork;
 
 mod common;
-use common::LineSession;
-
-/// Table-1 record sets for three providers with a shared core (libc6,
-/// openssl, tor-shared) and distinct tails.
-const PROVIDER_RECORDS: [&str; 3] = [
-    r#"
-        <src="A1" dst="Internet" route="ToR-shared,CoreA"/>
-        <hw="A1" type="CPU" dep="xeon-a"/>
-        <pgm="Riak" hw="A1" dep="libc6,openssl,erlang"/>
-    "#,
-    r#"
-        <src="B1" dst="Internet" route="ToR-shared,CoreB"/>
-        <hw="B1" type="CPU" dep="xeon-b"/>
-        <pgm="Mongo" hw="B1" dep="libc6,openssl,boost"/>
-    "#,
-    r#"
-        <src="C1" dst="Internet" route="ToR-C,CoreC"/>
-        <hw="C1" type="CPU" dep="xeon-c"/>
-        <pgm="Redis" hw="C1" dep="libc6,jemalloc"/>
-    "#,
-];
-
-struct TestDaemon {
-    addr: String,
-    handle: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-/// Binds one provider daemon on an ephemeral port with `records`
-/// pre-loaded (`allow` = peer allow-list, empty = open; the node name is
-/// the bound address).
-fn bind_daemon(records: &str, allow: &[String]) -> Server {
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        peers: allow.to_vec(),
-        node: None,
-        ..ServeConfig::default()
-    };
-    let store = ShardedDepDb::new(config.shards);
-    store.ingest(parse_records(records).expect("test records parse"));
-    Server::bind(config, store).expect("bind ephemeral")
-}
-
-fn boot_daemon(records: &str, allow: &[String]) -> TestDaemon {
-    let server = bind_daemon(records, allow);
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    TestDaemon { addr, handle }
-}
-
-fn shutdown(daemons: Vec<TestDaemon>) {
-    for d in daemons {
-        let mut c = Client::connect(&d.addr).expect("connect for shutdown");
-        c.shutdown().expect("shutdown ack");
-        d.handle.join().expect("server thread").expect("serve ok");
-    }
-}
+use common::{bind_daemon, boot_daemon, shutdown, LineSession, TestDaemon, PROVIDER_RECORDS};
 
 #[test]
 fn three_daemon_audit_matches_simnetwork_run() {
@@ -421,16 +365,11 @@ fn federated_audit_yields_one_stitched_trace_across_daemons() {
 
 #[test]
 fn empty_database_cannot_federate() {
-    let empty = {
-        let server = common::bind(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        let addr = server.local_addr().to_string();
-        let handle = std::thread::spawn(move || server.run());
-        TestDaemon { addr, handle }
-    };
+    let empty = common::boot(common::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServeConfig::default()
+    }));
     let full = boot_daemon(PROVIDER_RECORDS[0], &[]);
     let err = FederationCoordinator::new([empty.addr.clone(), full.addr.clone()])
         .with_round_timeout(Duration::from_secs(2))

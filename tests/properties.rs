@@ -6,8 +6,10 @@ use indaas::deps::{
 };
 use indaas::graph::detail::{component_sets_to_graph, ComponentSet};
 use indaas::graph::{FaultGraph, FaultGraphBuilder, Gate, IncrementalEval, NodeId};
+use indaas::sia::ranking::{monte_carlo_top_probability, INCLUSION_EXCLUSION_LIMIT};
 use indaas::sia::{
-    failure_sampling, minimal_risk_groups, Bdd, MinimalConfig, RgFamily, RiskGroup, SamplingConfig,
+    failure_sampling, minimal_risk_groups, top_event_probability, Bdd, MinimalConfig, RgFamily,
+    RiskGroup, SamplingConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -551,6 +553,34 @@ proptest! {
         let bdd = Bdd::compile(&graph, 1 << 16).minimal_cut_sets();
         prop_assert_eq!(group_set(&mocus), group_set(&bdd));
         prop_assert_eq!(group_set(&mocus), brute_force_minimal(&graph));
+    }
+
+    /// Pr(top) three ways on random DAGs: the BDD's Shannon expansion and
+    /// inclusion–exclusion over the minimal family (Monte-Carlo beyond
+    /// its limit) equal a sum over all 2^b assignments through
+    /// `FaultGraph::evaluate`, and seeded Monte-Carlo lands near it.
+    #[test]
+    fn top_probability_matches_enumeration(
+        basics in 3usize..8, genes in dag_genes(), permille in 50u32..950, seed in any::<u64>(),
+    ) {
+        let (graph, p) = (monotone_dag(basics, &genes), f64::from(permille) / 1000.0);
+        let mut assignment = vec![false; graph.len()];
+        let mut exact = 0.0;
+        for mask in 0u32..1 << basics {
+            (0..basics).for_each(|bit| assignment[bit] = mask >> bit & 1 == 1);
+            let failed = mask.count_ones() as i32;
+            if graph.evaluate(&assignment) {
+                exact += p.powi(failed) * (1.0 - p).powi(basics as i32 - failed);
+            }
+        }
+        let bdd = Bdd::compile(&graph, 1 << 16).top_probability(&graph, p);
+        prop_assert!((bdd - exact).abs() < 1e-9, "BDD {bdd} vs {exact}");
+        let family = minimal_risk_groups(&graph, &MinimalConfig::default());
+        let bound = if family.len() <= INCLUSION_EXCLUSION_LIMIT { 1e-9 } else { 0.03 };
+        let ie = top_event_probability(&family, &graph, p);
+        prop_assert!((ie - exact).abs() < bound, "{} groups: {ie} vs {exact}", family.len());
+        let mc = monte_carlo_top_probability(&graph, p, 20_000, seed);
+        prop_assert!((mc - exact).abs() < 0.03, "Monte-Carlo {mc} vs {exact}");
     }
 
     /// `max_order = Some(k)` yields exactly the groups of the untruncated
