@@ -202,9 +202,11 @@ fn drive(args: &Args, addr: &str, pid: Option<u32>) -> Result<(), String> {
             .map_err(|e| format!("subscribe #{i}: {e}"))?;
         watchers.push(sub);
     }
-    for (i, sub) in watchers.iter_mut().enumerate() {
-        sub.recv()
-            .map_err(|e| format!("initial event for watcher #{i}: {e}"))?;
+    for (i, &sub) in watchers.iter().enumerate() {
+        clients[i % args.conns]
+            .next_event(sub, None)
+            .map_err(|e| format!("initial event for watcher #{i}: {e}"))?
+            .ok_or_else(|| format!("initial event for watcher #{i}: read timed out"))?;
     }
 
     // Gate 1: all those idle watchers bought the daemon zero threads.
@@ -233,13 +235,13 @@ fn drive(args: &Args, addr: &str, pid: Option<u32>) -> Result<(), String> {
     let ack = admin
         .ingest(WAVE)
         .map_err(|e| format!("wave ingest: {e}"))?;
-    for (i, sub) in watchers.iter_mut().enumerate() {
+    for (i, &sub) in watchers.iter().enumerate() {
         let remaining = args
             .deadline
             .checked_sub(wave_start.elapsed())
             .ok_or_else(|| deadline_miss(i, args))?;
-        let event = sub
-            .recv_timeout(remaining)
+        let event = clients[i % args.conns]
+            .next_event(sub, Some(remaining))
             .map_err(|e| format!("wave event for watcher #{i}: {e}"))?
             .ok_or_else(|| deadline_miss(i, args))?;
         if event.epoch < ack.epoch {

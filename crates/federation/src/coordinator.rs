@@ -124,9 +124,10 @@ impl FederationCoordinator {
         &self.peers
     }
 
-    /// Runs the audit: one `FederateStart` per daemon (concurrently —
-    /// the ring cannot make progress unless every party is live), then
-    /// the agent counting step over the returned lists.
+    /// Runs the audit: one `FederateStart` per daemon, all sent before
+    /// any answer is awaited (the ring cannot make progress unless every
+    /// party is live), then the agent counting step over the returned
+    /// lists.
     ///
     /// When parties fail *and* the pattern is "a strict minority of
     /// daemons unreachable" (died mid-round, connection dropped, never
@@ -166,21 +167,20 @@ impl FederationCoordinator {
 
         // Every daemon must be driving its rounds at once: party 0's
         // round-1 input only exists after party k-1 sent its round-0
-        // list. One thread per daemon keeps the blocking client simple.
-        let reports: Vec<Result<PartyReport, FederationError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..k)
-                .map(|i| {
-                    let peer = self.peers[i].clone(); // lint:allow(panic_path) -- i ranges over 0..k and peers.len() == k
-                    let successor = self.peers[(i + 1) % k].clone(); // lint:allow(panic_path) -- (i + 1) % k is always below peers.len() == k
-                    let party_trace = root.child();
-                    scope.spawn(move || self.run_party(session, i, &peer, &successor, party_trace))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("party thread panicked")) // lint:allow(panic_path) -- a panicked party thread is a coordinator bug, not a peer fault; propagate it
-                .collect()
-        });
+        // list. So every party's `FederateStart` goes out, in ring
+        // order, before any answer is awaited.
+        let ring = self.peers.iter().zip(self.peers.iter().cycle().skip(1));
+        let started: Vec<_> = ring
+            .enumerate()
+            .map(|(i, (peer, next))| (i, peer, self.start_party(session, i, peer, next, root)))
+            .collect();
+        let reports: Vec<_> = started
+            .into_iter()
+            .map(|(i, peer, started)| {
+                let answer = started.and_then(|(mut client, id)| client.wait(id));
+                party_report(session, i, peer, answer)
+            })
+            .collect();
         if reports.iter().any(|r| r.is_err()) {
             return self.degrade_or_fail(session, root, reports);
         }
@@ -257,14 +257,17 @@ impl FederationCoordinator {
         })
     }
 
-    fn run_party(
+    /// Dials party `index`'s daemon and sends its `FederateStart` under
+    /// a child of `root`; returns the session and the envelope id its
+    /// answer will carry.
+    fn start_party(
         &self,
         session: u64,
         index: usize,
         peer: &str,
         successor: &str,
-        trace: TraceContext,
-    ) -> Result<PartyReport, FederationError> {
+        root: TraceContext,
+    ) -> Result<(Client, u64), ClientError> {
         let mut client = Client::connect(peer)?;
         // A generous socket deadline so a wedged daemon fails the audit
         // instead of hanging the coordinator forever; the per-round
@@ -280,73 +283,17 @@ impl FederationCoordinator {
             .checked_mul(hops)
             .unwrap_or(Duration::MAX);
         client.set_read_timeout(Some(socket_deadline))?;
-        // The error class must survive to `run`: a `Remote` answer
-        // means the daemon is alive (it *said* no), anything else means
-        // it is unreachable — the distinction the degraded-outcome
-        // decision is built on.
-        let response = client
-            .request_traced(
-                &Request::FederateStart {
-                    session,
-                    index: index as u32,
-                    parties: self.peers.len() as u32,
-                    successor: successor.to_string(),
-                    seed: self.config.seed,
-                    multiset: self.config.multiset,
-                    round_timeout_ms: Some(self.round_timeout.as_millis() as u64),
-                },
-                Some(trace),
-            )
-            .map_err(|e| match e {
-                ClientError::Remote(m) => {
-                    FederationError::Remote(format!("party {index} ({peer}): {m}"))
-                }
-                ClientError::Io(err) => FederationError::Io(std::io::Error::new(
-                    err.kind(),
-                    format!("party {index} ({peer}): {err}"),
-                )),
-                ClientError::Protocol(m) => {
-                    FederationError::Protocol(format!("party {index} ({peer}): {m}"))
-                }
-            })?;
-        match response {
-            Response::FederateDone {
-                session: echoed,
-                payload,
-                sent_bytes,
-                recv_bytes,
-                sent_msgs,
-                recv_msgs: _,
-                wire_sent_bytes,
-            } => {
-                if echoed != session {
-                    return Err(FederationError::Protocol(format!(
-                        "party {index} answered for session {echoed}, expected {session}"
-                    )));
-                }
-                let payload = decode_payload(&payload)
-                    .map_err(|e| FederationError::Protocol(format!("party {index}: {e}")))?;
-                // A truncated list would count its tail as one more
-                // distinct ciphertext and silently inflate the union —
-                // a list that is not whole group elements fails this
-                // party, by name, before any counting.
-                check_payload(index, &payload)
-                    .map_err(|e| FederationError::Protocol(e.to_string()))?;
-                Ok(PartyReport {
-                    payload,
-                    sent_bytes,
-                    recv_bytes,
-                    sent_msgs,
-                    wire_sent_bytes,
-                })
-            }
-            Response::Error { message } => Err(FederationError::Remote(format!(
-                "party {index} ({peer}): {message}"
-            ))),
-            other => Err(FederationError::Protocol(format!(
-                "party {index} ({peer}) answered {other:?}"
-            ))),
-        }
+        let request = Request::FederateStart {
+            session,
+            index: index as u32,
+            parties: self.peers.len() as u32,
+            successor: successor.to_string(),
+            seed: self.config.seed,
+            multiset: self.config.multiset,
+            round_timeout_ms: Some(self.round_timeout.as_millis() as u64),
+        };
+        let id = client.begin_traced(&request, Some(root.child()))?;
+        Ok((client, id))
     }
 
     /// Derives a session id from the ring, the configuration and the
@@ -360,6 +307,62 @@ impl FederationCoordinator {
             elapsed.as_nanos().hash(&mut h);
         }
         h.finish()
+    }
+}
+
+/// What party `index` reported, from its `FederateStart` answer. The
+/// error class must survive to `run`: a `Remote` answer means the daemon
+/// is alive (it *said* no), anything else means it is unreachable — the
+/// distinction the degraded-outcome decision is built on.
+fn party_report(
+    session: u64,
+    index: usize,
+    peer: &str,
+    answer: Result<Response, ClientError>,
+) -> Result<PartyReport, FederationError> {
+    match answer {
+        Ok(Response::FederateDone {
+            session: echoed,
+            payload,
+            sent_bytes,
+            recv_bytes,
+            sent_msgs,
+            recv_msgs: _,
+            wire_sent_bytes,
+        }) => {
+            if echoed != session {
+                return Err(FederationError::Protocol(format!(
+                    "party {index} answered for session {echoed}, expected {session}"
+                )));
+            }
+            let payload = decode_payload(&payload)
+                .map_err(|e| FederationError::Protocol(format!("party {index}: {e}")))?;
+            // A truncated list would count its tail as one more distinct
+            // ciphertext and silently inflate the union — a list that is
+            // not whole group elements fails this party, by name, before
+            // any counting.
+            check_payload(index, &payload).map_err(|e| FederationError::Protocol(e.to_string()))?;
+            Ok(PartyReport {
+                payload,
+                sent_bytes,
+                recv_bytes,
+                sent_msgs,
+                wire_sent_bytes,
+            })
+        }
+        Ok(Response::Error { message }) | Err(ClientError::Remote(message)) => Err(
+            FederationError::Remote(format!("party {index} ({peer}): {message}")),
+        ),
+        Ok(other) => Err(FederationError::Protocol(format!(
+            "party {index} ({peer}) answered {other:?}"
+        ))),
+        Err(ClientError::Io(err)) => Err(FederationError::Io(std::io::Error::new(
+            err.kind(),
+            format!("party {index} ({peer}): {err}"),
+        ))),
+        Err(ClientError::Protocol(m)) => Err(FederationError::Protocol(format!(
+            "party {index} ({peer}): {m}"
+        ))),
     }
 }
 

@@ -1,54 +1,47 @@
-//! The pipelining protocol-v2 client session.
+//! The protocol-v2 client session, driven by its caller.
 //!
 //! [`Client::connect`] performs the `Hello`/`Welcome` negotiation and
 //! then speaks length-prefixed binary frames carrying correlated
-//! envelopes. A background reader thread matches every response frame
-//! to its request id, so a session can keep many requests in flight —
-//! [`Client::begin`] returns a [`PendingResponse`] immediately and
-//! [`PendingResponse::wait`] blocks only that caller — and routes
-//! server-push [`AuditEvent`] frames to the [`Subscription`] they
-//! belong to. The one-shot [`Client::request`] and the typed helpers
-//! (`ping`/`ingest`/`audit_sia`/`status`/...) keep their familiar
+//! envelopes. A session is one socket and the caller's own reads — no
+//! background thread. [`Client::begin`] writes a request and returns its
+//! envelope id at once, so a session can keep many requests in flight;
+//! [`Client::wait`] reads frames until that id's answer arrives. Frames
+//! read on the way are kept for whoever asks for them: answers to other
+//! in-flight ids by envelope id, pushed [`AuditEvent`]s by subscription
+//! id for [`Client::next_event`]. Frames are cut with the daemon's own
+//! incremental codec, so a read that times out in the middle of a frame
+//! loses no bytes. The one-shot [`Client::request`] and the typed
+//! helpers (`ping`/`ingest`/`audit_sia`/`status`/...) keep their
 //! blocking shape on top.
 //!
 //! There is no v1 client: v1 line mode exists so a daemon can be
 //! driven by hand (`nc`, a few lines of any language), and the e2e
 //! suite drives it over a raw socket.
 
-use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 use indaas_core::AuditSpec;
 use indaas_obs::TraceContext;
 use indaas_pia::PiaRanking;
 use indaas_sia::AuditReport;
 
+use crate::codec::{fill_buf, frame_bytes, try_extract_frame, try_extract_line, Fill};
 use crate::proto::{
-    decode_line, encode_line, read_bounded_line, read_frame, write_frame, Envelope, FrameRead,
-    LineRead, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry, EVENT_ENVELOPE_ID,
-    PROTOCOL_VERSION,
+    decode_line, encode_line, Envelope, MetricHisto, Request, Response, ResponseEnvelope,
+    SpanEntry, EVENT_ENVELOPE_ID, PROTOCOL_VERSION,
 };
+use crate::subs::MAX_OUTBOX_EVENTS;
 
-/// Largest accepted response line/frame (reports scale with candidates
-/// and `top_n`, but not unboundedly; this caps client memory against a
+/// Largest accepted response frame (reports scale with candidates and
+/// `top_n`, but not unboundedly; this caps client memory against a
 /// misbehaving server).
-const MAX_RESPONSE_LINE: u64 = 256 * 1024 * 1024;
+const MAX_RESPONSE_FRAME: u64 = 256 * 1024 * 1024;
 
 /// Largest accepted `Welcome` line — the handshake answer is tiny.
 const MAX_WELCOME_LINE: u64 = 64 * 1024;
-
-/// Most events buffered for a subscription the reader has heard about
-/// before `subscribe()` registered its local channel (the initial push
-/// can race the `Subscribed` response's handoff).
-const MAX_ORPHAN_EVENTS: usize = 64;
-
-/// Most distinct subscription ids the orphan stash will hold at once —
-/// only ids mid-`subscribe()` legitimately live here, so a handful is
-/// plenty and the cap keeps a misbehaving server from growing the map.
-const MAX_ORPHAN_SUBS: usize = 16;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -202,7 +195,7 @@ impl MetricsAnswer {
     }
 }
 
-/// A pushed audit result, as delivered to a [`Subscription`].
+/// A pushed audit result, as [`Client::next_event`] returns it.
 #[derive(Clone, Debug)]
 pub struct AuditEvent {
     /// The subscription this event belongs to.
@@ -221,62 +214,21 @@ pub struct AuditEvent {
     pub report: AuditReport,
 }
 
-/// What the reader thread shares with every handle of one session.
-struct SessionShared {
-    /// Buffered so each frame's length prefix and payload leave in one
-    /// write (two small writes through Nagle cost a delayed-ACK stall).
-    writer: Mutex<std::io::BufWriter<TcpStream>>,
-    pending: Mutex<HashMap<u64, mpsc::Sender<Response>>>,
-    subs: Mutex<SubRoutes>,
-    /// Why the reader exited, once it has — every later wait reports it.
-    dead: Mutex<Option<String>>,
-    /// Set when the server pushed `ShuttingDown` before the stream
-    /// ended: the session's death is an announced drain, not a loss.
-    clean_shutdown: std::sync::atomic::AtomicBool,
-}
-
-#[derive(Default)]
-struct SubRoutes {
-    channels: HashMap<u64, mpsc::Sender<AuditEvent>>,
-    /// Events for subscription ids with no local channel yet.
-    orphans: HashMap<u64, Vec<AuditEvent>>,
-}
-
-impl SessionShared {
-    fn dead_reason(&self) -> Option<String> {
-        self.dead
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn send_envelope(
-        &self,
-        id: u64,
-        request: &Request,
-        trace: Option<TraceContext>,
-    ) -> Result<(), ClientError> {
-        let frame = encode_line(&Envelope {
-            id,
-            body: request.clone(),
-            trace: trace.map(|c| c.encode_header()),
-        })
-        .into_bytes();
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        write_frame(&mut *writer, &frame)?;
-        writer.flush()?;
-        Ok(())
-    }
-}
-
 /// A pipelining protocol-v2 daemon session.
 pub struct Client {
-    shared: Arc<SessionShared>,
-    /// Kept for `Drop`: shutting the socket down unblocks the reader.
-    sock: TcpStream,
-    reader: Option<std::thread::JoinHandle<()>>,
+    stream: TcpStream,
+    /// Bytes read but not yet cut into frames.
+    inbuf: Vec<u8>,
     next_id: u64,
-    wait_timeout: Option<Duration>,
+    /// Every in-flight envelope id, with its answer once read.
+    answers: HashMap<u64, Option<Response>>,
+    /// The unread events of each live subscription, oldest first.
+    events: HashMap<u64, VecDeque<AuditEvent>>,
+    /// Why the session ended, once it has.
+    ended: Option<String>,
+    /// Set when the server pushed `ShuttingDown`: the session's end is
+    /// an announced drain, not a loss.
+    clean_shutdown: bool,
 }
 
 impl Client {
@@ -288,88 +240,70 @@ impl Client {
     /// or negotiates below v2 surfaces as
     /// [`std::io::ErrorKind::InvalidData`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+        let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream.try_clone()?);
 
         // Line-mode handshake, then binary frames.
         let mut hello = encode_line(&Request::Hello {
             version: PROTOCOL_VERSION,
         });
         hello.push('\n');
-        writer.write_all(hello.as_bytes())?;
-        writer.flush()?;
-        let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
-        let mut line = String::new();
-        match read_bounded_line(&mut reader, &mut line, MAX_WELCOME_LINE)? {
-            LineRead::Line => {}
-            LineRead::Eof => {
-                return Err(invalid(
-                    "server closed the connection during the hello".into(),
-                ));
+        stream.write_all(hello.as_bytes())?;
+        let invalid = |m: &str| std::io::Error::new(ErrorKind::InvalidData, m.to_string());
+        let mut inbuf = Vec::new();
+        let line = loop {
+            match try_extract_line(&mut inbuf, MAX_WELCOME_LINE) {
+                Ok(Some(line)) => break line?,
+                Ok(None) => {}
+                Err(_) => return Err(invalid("oversized hello answer")),
             }
-            LineRead::Oversized => {
-                return Err(invalid("oversized hello answer".into()));
+            match fill_buf(&mut stream, &mut inbuf)? {
+                Fill::Bytes(_) => {}
+                Fill::Eof => return Err(invalid("server closed the connection during the hello")),
+                Fill::WouldBlock => return Err(ErrorKind::TimedOut.into()),
             }
-        }
+        };
         match decode_line::<Response>(line.trim()) {
             Ok(Response::Welcome { version }) if version >= 2 => {}
             Ok(Response::Welcome { version }) => {
-                return Err(invalid(format!(
+                return Err(invalid(&format!(
                     "server negotiated protocol v{version}; this client needs v2"
                 )));
             }
             Ok(Response::Error { message }) => {
-                return Err(invalid(format!("server rejected the hello: {message}")));
+                return Err(invalid(&format!("server rejected the hello: {message}")));
             }
-            Ok(other) => {
-                return Err(invalid(format!("unexpected hello answer: {other:?}")));
-            }
-            Err(e) => {
-                return Err(invalid(format!("unparseable hello answer: {e}")));
-            }
+            Ok(other) => return Err(invalid(&format!("unexpected hello answer: {other:?}"))),
+            Err(e) => return Err(invalid(&format!("unparseable hello answer: {e}"))),
         }
-
-        let shared = Arc::new(SessionShared {
-            writer: Mutex::new(std::io::BufWriter::new(writer)),
-            pending: Mutex::new(HashMap::new()),
-            subs: Mutex::new(SubRoutes::default()),
-            dead: Mutex::new(None),
-            clean_shutdown: std::sync::atomic::AtomicBool::new(false),
-        });
-        let reader_shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || reader_loop(&reader_shared, reader));
         Ok(Client {
-            shared,
-            sock: stream,
-            reader: Some(handle),
+            stream,
+            inbuf,
             next_id: 0,
-            wait_timeout: None,
+            answers: HashMap::new(),
+            events: HashMap::new(),
+            ended: None,
+            clean_shutdown: false,
         })
     }
 
-    /// Caps how long any single [`PendingResponse::wait`] (and every
-    /// typed helper built on it) may block (`None` blocks forever, the
-    /// default). A federation coordinator sets this so one wedged
-    /// daemon fails the audit instead of hanging it.
+    /// Sets the socket's read timeout (`None` blocks forever, the
+    /// default): [`Client::wait`] and every typed helper built on it
+    /// fail once the daemon sends nothing for this long. A federation
+    /// coordinator sets this so one wedged daemon fails the audit
+    /// instead of hanging it.
     ///
     /// # Errors
     ///
-    /// Infallible; the signature matches the v1 socket-option shape so
-    /// callers need no changes.
-    pub fn set_read_timeout(
-        &mut self,
-        timeout: Option<std::time::Duration>,
-    ) -> std::io::Result<()> {
-        self.wait_timeout = timeout;
-        Ok(())
+    /// A zero duration, or the socket refusing the option.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_read_timeout(timeout)
     }
 
-    /// Sends one request without waiting: the returned handle resolves
-    /// to exactly this request's response, however many other requests
-    /// this session has in flight and in whatever order the daemon
-    /// finishes them.
+    /// Sends one request without waiting and returns its envelope id:
+    /// [`Client::wait`] on that id yields exactly this request's
+    /// response, however many other requests this session has in flight
+    /// and in whatever order the daemon finishes them.
     ///
     /// Every request mints a fresh root [`TraceContext`] — the client
     /// is where traces begin — so the caller knows the id of the span
@@ -378,8 +312,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failures and a dead session (reader exited) fail fast.
-    pub fn begin(&mut self, request: &Request) -> Result<PendingResponse, ClientError> {
+    /// I/O failures and an ended session fail fast.
+    pub fn begin(&mut self, request: &Request) -> Result<u64, ClientError> {
         self.begin_traced(request, Some(TraceContext::root()))
     }
 
@@ -391,48 +325,66 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failures and a dead session (reader exited) fail fast.
+    /// I/O failures and an ended session fail fast.
     pub fn begin_traced(
         &mut self,
         request: &Request,
         trace: Option<TraceContext>,
-    ) -> Result<PendingResponse, ClientError> {
-        if let Some(reason) = self.shared.dead_reason() {
-            return Err(ClientError::Protocol(reason));
+    ) -> Result<u64, ClientError> {
+        if let Some(reason) = &self.ended {
+            return Err(ClientError::Protocol(reason.clone()));
         }
         self.next_id += 1;
         let id = self.next_id;
         debug_assert_ne!(id, EVENT_ENVELOPE_ID);
-        let (tx, rx) = mpsc::channel();
-        self.shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, tx);
-        if let Err(e) = self.shared.send_envelope(id, request, trace) {
-            self.shared
-                .pending
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&id);
-            return Err(e);
-        }
-        Ok(PendingResponse {
+        let envelope = encode_line(&Envelope {
             id,
-            rx,
-            shared: Arc::clone(&self.shared),
-            timeout: self.wait_timeout,
+            body: request.clone(),
+            trace: trace.map(|c| c.encode_header()),
+        });
+        // Prefix and payload leave in one write: two small writes
+        // through Nagle cost a delayed-ACK stall.
+        self.stream.write_all(&frame_bytes(envelope.as_bytes()))?;
+        self.answers.insert(id, None);
+        Ok(id)
+    }
+
+    /// Reads frames until the answer to envelope `id` (from
+    /// [`Client::begin`]) arrives, keeping every other frame for its own
+    /// caller.
+    ///
+    /// # Errors
+    ///
+    /// An id not in flight on this session, a read timeout (the request
+    /// stays in flight, so it may be waited on again), or an ended
+    /// session, with why it ended.
+    pub fn wait(&mut self, id: u64) -> Result<Response, ClientError> {
+        if !self.answers.contains_key(&id) {
+            return Err(ClientError::Protocol(format!(
+                "request id {id} is not in flight on this session"
+            )));
+        }
+        let answer = self.read_until(None, |c| {
+            let answer = c.answers.get_mut(&id)?.take()?;
+            c.answers.remove(&id);
+            Some(answer)
+        })?;
+        answer.ok_or_else(|| {
+            ClientError::Protocol(format!(
+                "no response within the read timeout (request id {id})"
+            ))
         })
     }
 
     /// Sends one request and waits for its response — [`Client::begin`]
-    /// plus [`PendingResponse::wait`].
+    /// plus [`Client::wait`].
     ///
     /// # Errors
     ///
     /// I/O failures, unparseable responses, or a closed connection.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.begin(request)?.wait()
+        let id = self.begin(request)?;
+        self.wait(id)
     }
 
     /// [`Client::request`] under an explicit trace context — see
@@ -446,50 +398,40 @@ impl Client {
         request: &Request,
         trace: Option<TraceContext>,
     ) -> Result<Response, ClientError> {
-        self.begin_traced(request, trace)?.wait()
+        let id = self.begin_traced(request, trace)?;
+        self.wait(id)
     }
 
-    /// Registers a continuous SIA audit over `spec`: the daemon pushes
-    /// an initial [`AuditEvent`] immediately and a fresh one after
-    /// every ingest that changes a shard the spec's hosts route to.
-    /// Other requests keep flowing on this session while events arrive.
+    /// Registers a continuous SIA audit over `spec` and returns its
+    /// subscription id: the daemon pushes an initial [`AuditEvent`]
+    /// immediately and a fresh one after every ingest that changes a
+    /// shard the spec's hosts route to. Other requests keep flowing on
+    /// this session while events arrive; [`Client::next_event`] reads
+    /// them.
     ///
     /// # Errors
     ///
     /// Invalid specs and daemon-side subscription limits surface as
     /// [`ClientError::Remote`].
-    pub fn subscribe(&mut self, spec: &AuditSpec) -> Result<Subscription, ClientError> {
+    pub fn subscribe(&mut self, spec: &AuditSpec) -> Result<u64, ClientError> {
         let response = self.request(&Request::Subscribe {
             spec: spec.clone(),
             engine: "sia".to_string(),
         })?;
         match response {
             Response::Subscribed { subscription } => {
-                let (tx, rx) = mpsc::channel();
-                let mut subs = self
-                    .shared
-                    .subs
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                // The initial event may already have arrived: replay it.
-                if let Some(stash) = subs.orphans.remove(&subscription) {
-                    for event in stash {
-                        let _ = tx.send(event);
-                    }
-                }
-                subs.channels.insert(subscription, tx);
-                drop(subs);
-                Ok(Subscription {
-                    id: subscription,
-                    rx,
-                    shared: Arc::clone(&self.shared),
-                })
+                // The daemon queues `Subscribed` before it schedules the
+                // initial push, and frames are read in wire order: no
+                // event for this id can have been read yet.
+                self.events.insert(subscription, VecDeque::new());
+                Ok(subscription)
             }
             other => Err(unexpected("Subscribed", &other)),
         }
     }
 
-    /// Cancels a subscription made on this session.
+    /// Cancels a subscription made on this session; its unread events
+    /// are dropped.
     ///
     /// # Errors
     ///
@@ -498,16 +440,160 @@ impl Client {
         let response = self.request(&Request::Unsubscribe { subscription })?;
         match response {
             Response::Unsubscribed { .. } => {
-                let mut subs = self
-                    .shared
-                    .subs
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                subs.channels.remove(&subscription);
-                subs.orphans.remove(&subscription);
+                self.events.remove(&subscription);
                 Ok(())
             }
             other => Err(unexpected("Unsubscribed", &other)),
+        }
+    }
+
+    /// The next pushed event of `subscription`, reading frames for up to
+    /// `timeout` (`None`: as long as the socket's read timeout allows).
+    /// `Ok(None)` means no event arrived in time; the subscription is
+    /// still live. A subscription keeps at most as many unread events as
+    /// the daemon buffers per connection, shedding the oldest.
+    ///
+    /// # Errors
+    ///
+    /// A subscription this session does not hold, or an ended session
+    /// whose unread events are all taken — [`Client::end`] then says
+    /// how it ended.
+    pub fn next_event(
+        &mut self,
+        subscription: u64,
+        timeout: Option<Duration>,
+    ) -> Result<Option<AuditEvent>, ClientError> {
+        if !self.events.contains_key(&subscription) {
+            return Err(ClientError::Protocol(format!(
+                "no live subscription {subscription} on this session"
+            )));
+        }
+        let take = |c: &mut Client| c.events.get_mut(&subscription)?.pop_front();
+        let Some(deadline) = timeout.and_then(|t| Instant::now().checked_add(t)) else {
+            return self.read_until(None, take);
+        };
+        let caller_timeout = self.stream.read_timeout()?;
+        let event = self.read_until(Some(deadline), take);
+        self.stream.set_read_timeout(caller_timeout)?;
+        event
+    }
+
+    /// How the session ended: `None` while it is alive,
+    /// [`SubscriptionEnd::CleanShutdown`] when the server announced its
+    /// drain before the stream ended, [`SubscriptionEnd::ConnectionLost`]
+    /// otherwise.
+    pub fn end(&self) -> Option<SubscriptionEnd> {
+        let reason = self.ended.as_ref()?;
+        Some(if self.clean_shutdown {
+            SubscriptionEnd::CleanShutdown
+        } else {
+            SubscriptionEnd::ConnectionLost(reason.clone())
+        })
+    }
+
+    /// Reads and routes frames until `take` yields. `Ok(None)` when
+    /// `deadline` passes first or, without one, when a read times out
+    /// on the socket's own timeout.
+    fn read_until<T>(
+        &mut self,
+        deadline: Option<Instant>,
+        mut take: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Result<Option<T>, ClientError> {
+        loop {
+            if let Some(found) = take(self) {
+                return Ok(Some(found));
+            }
+            match try_extract_frame(&mut self.inbuf, MAX_RESPONSE_FRAME) {
+                Ok(Some(frame)) => {
+                    if let Err(reason) = self.route(&frame) {
+                        self.fail(reason);
+                    }
+                    continue;
+                }
+                Ok(None) => {}
+                Err(e) => self.fail(format!("oversized response frame: {e}")),
+            }
+            if let Some(reason) = &self.ended {
+                return Err(ClientError::Protocol(reason.clone()));
+            }
+            if let Some(deadline) = deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Ok(None);
+                }
+                self.stream.set_read_timeout(Some(left))?;
+            }
+            match fill_buf(&mut self.stream, &mut self.inbuf) {
+                // A read timeout: a deadline is re-checked above.
+                Ok(Fill::WouldBlock) if deadline.is_none() => return Ok(None),
+                Ok(Fill::Bytes(_) | Fill::WouldBlock) => {}
+                // Frames already buffered are still routed before the
+                // end is reported.
+                Ok(Fill::Eof) => {
+                    self.ended
+                        .get_or_insert_with(|| "server closed connection".to_string());
+                }
+                Err(e) => {
+                    self.ended
+                        .get_or_insert_with(|| format!("connection error: {e}"));
+                }
+            }
+        }
+    }
+
+    /// Ends the session on a protocol violation: nothing after it on
+    /// the stream can be trusted.
+    fn fail(&mut self, reason: String) {
+        self.inbuf.clear();
+        self.ended.get_or_insert(reason);
+    }
+
+    /// Files one frame: an answer under its envelope id, an event under
+    /// its subscription. Answers to ids not in flight and events of
+    /// subscriptions this session no longer holds are dropped.
+    fn route(&mut self, frame: &[u8]) -> Result<(), String> {
+        let envelope = std::str::from_utf8(frame)
+            .map_err(|e| e.to_string())
+            .and_then(|text| decode_line::<ResponseEnvelope>(text).map_err(|e| e.to_string()))
+            .map_err(|e| format!("unparseable response envelope: {e}"))?;
+        if envelope.id != EVENT_ENVELOPE_ID {
+            if let Some(slot) = self.answers.get_mut(&envelope.id) {
+                *slot = Some(envelope.body);
+            }
+            return Ok(());
+        }
+        match envelope.body {
+            Response::AuditEvent {
+                subscription,
+                epoch,
+                cached,
+                elapsed_us,
+                trace_id,
+                report,
+            } => {
+                if let Some(queue) = self.events.get_mut(&subscription) {
+                    if queue.len() >= MAX_OUTBOX_EVENTS {
+                        queue.pop_front();
+                    }
+                    queue.push_back(AuditEvent {
+                        subscription,
+                        epoch,
+                        cached,
+                        elapsed_us,
+                        trace_id,
+                        report,
+                    });
+                }
+                Ok(())
+            }
+            // The server announces a clean drain before closing; the
+            // drain may still deliver queued events and responses.
+            Response::ShuttingDown => {
+                self.clean_shutdown = true;
+                Ok(())
+            }
+            Response::Error { message } => Err(format!("server error: {message}")),
+            other => Err(format!("unexpected push: {other:?}")),
         }
     }
 
@@ -724,68 +810,6 @@ impl Client {
     }
 }
 
-impl Drop for Client {
-    fn drop(&mut self) {
-        // Unblocks the reader (its read returns 0/error), then reaps it.
-        let _ = self.sock.shutdown(Shutdown::Both);
-        if let Some(handle) = self.reader.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One in-flight request's response slot.
-pub struct PendingResponse {
-    id: u64,
-    rx: mpsc::Receiver<Response>,
-    shared: Arc<SessionShared>,
-    timeout: Option<Duration>,
-}
-
-impl PendingResponse {
-    /// The envelope id this handle is waiting on.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Blocks until this request's response arrives (honouring the
-    /// session's [`Client::set_read_timeout`], if any).
-    ///
-    /// # Errors
-    ///
-    /// A dead session reports why the reader exited; a timeout abandons
-    /// the slot (a late response for it is discarded by the reader).
-    pub fn wait(self) -> Result<Response, ClientError> {
-        let received = match self.timeout {
-            None => self.rx.recv().map_err(|_| None),
-            Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => Some(t),
-                mpsc::RecvTimeoutError::Disconnected => None,
-            }),
-        };
-        match received {
-            Ok(response) => Ok(response),
-            Err(Some(timeout)) => {
-                self.shared
-                    .pending
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&self.id);
-                Err(ClientError::Protocol(format!(
-                    "no response within {}ms (request id {})",
-                    timeout.as_millis(),
-                    self.id
-                )))
-            }
-            Err(None) => Err(ClientError::Protocol(
-                self.shared
-                    .dead_reason()
-                    .unwrap_or_else(|| "session closed".to_string()),
-            )),
-        }
-    }
-}
-
 /// How a subscription's event stream came to an end.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubscriptionEnd {
@@ -802,202 +826,6 @@ impl std::fmt::Display for SubscriptionEnd {
         match self {
             SubscriptionEnd::CleanShutdown => write!(f, "server shut down cleanly"),
             SubscriptionEnd::ConnectionLost(reason) => write!(f, "connection lost: {reason}"),
-        }
-    }
-}
-
-/// A live audit subscription: an iterator of pushed [`AuditEvent`]s.
-/// Dropping it stops local delivery; call [`Client::unsubscribe`] to
-/// also stop the daemon from computing events.
-///
-/// When the iterator returns `None` (or `recv` fails), [`Subscription::end`]
-/// tells an announced server shutdown apart from a lost connection — the
-/// difference between exiting zero and reconnecting.
-pub struct Subscription {
-    id: u64,
-    rx: mpsc::Receiver<AuditEvent>,
-    shared: Arc<SessionShared>,
-}
-
-impl Subscription {
-    /// The daemon-assigned subscription id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Blocks until the next pushed event.
-    ///
-    /// # Errors
-    ///
-    /// A dead or closed session reports why.
-    pub fn recv(&mut self) -> Result<AuditEvent, ClientError> {
-        self.rx.recv().map_err(|_| self.closed())
-    }
-
-    /// Waits up to `timeout` for the next pushed event; `Ok(None)`
-    /// means no event arrived in time (the subscription is still live).
-    ///
-    /// # Errors
-    ///
-    /// A dead or closed session reports why.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<AuditEvent>, ClientError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(event) => Ok(Some(event)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(self.closed()),
-        }
-    }
-
-    /// Terminal state of the session under this subscription: `None`
-    /// while the session is alive, [`SubscriptionEnd::CleanShutdown`]
-    /// when the server announced its drain before the stream ended,
-    /// [`SubscriptionEnd::ConnectionLost`] otherwise.
-    pub fn end(&self) -> Option<SubscriptionEnd> {
-        let reason = self.shared.dead_reason()?;
-        if self
-            .shared
-            .clean_shutdown
-            .load(std::sync::atomic::Ordering::Acquire)
-        {
-            Some(SubscriptionEnd::CleanShutdown)
-        } else {
-            Some(SubscriptionEnd::ConnectionLost(reason))
-        }
-    }
-
-    fn closed(&self) -> ClientError {
-        ClientError::Protocol(
-            self.shared
-                .dead_reason()
-                .unwrap_or_else(|| "subscription closed".to_string()),
-        )
-    }
-}
-
-impl Iterator for Subscription {
-    type Item = AuditEvent;
-
-    fn next(&mut self) -> Option<AuditEvent> {
-        self.rx.recv().ok()
-    }
-}
-
-impl Drop for Subscription {
-    fn drop(&mut self) {
-        let mut subs = self
-            .shared
-            .subs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        subs.channels.remove(&self.id);
-        // Without a channel, events for this id would pile up in the
-        // orphan stash for the life of the session — drop them too.
-        subs.orphans.remove(&self.id);
-    }
-}
-
-/// The session's demultiplexer: matches response frames to pending
-/// request ids and routes pushed events to their subscriptions. Exits
-/// (recording why) on EOF, transport errors, or protocol violations —
-/// which drops every pending sender, so all waiters fail fast with the
-/// recorded reason.
-fn reader_loop(shared: &SessionShared, mut reader: BufReader<TcpStream>) {
-    let mut buf = Vec::new();
-    let reason = loop {
-        match read_frame(&mut reader, &mut buf, MAX_RESPONSE_LINE) {
-            Ok(FrameRead::Frame) => {}
-            Ok(FrameRead::Eof) => break "server closed connection".to_string(),
-            Ok(FrameRead::Oversized) => break "oversized response frame".to_string(),
-            Err(e) => break format!("connection error: {e}"),
-        }
-        let envelope = std::str::from_utf8(&buf)
-            .map_err(|e| e.to_string())
-            .and_then(|text| decode_line::<ResponseEnvelope>(text).map_err(|e| e.to_string()));
-        let envelope = match envelope {
-            Ok(envelope) => envelope,
-            Err(e) => break format!("unparseable response envelope: {e}"),
-        };
-        if envelope.id == EVENT_ENVELOPE_ID {
-            match envelope.body {
-                Response::AuditEvent {
-                    subscription,
-                    epoch,
-                    cached,
-                    elapsed_us,
-                    trace_id,
-                    report,
-                } => route_event(
-                    shared,
-                    AuditEvent {
-                        subscription,
-                        epoch,
-                        cached,
-                        elapsed_us,
-                        trace_id,
-                        report,
-                    },
-                ),
-                Response::Error { message } => break format!("server error: {message}"),
-                // The server announces a clean drain before closing;
-                // remember it so terminal states can tell an orderly
-                // shutdown from a cut cable, then keep reading — the
-                // drain may still deliver queued events and responses.
-                Response::ShuttingDown => {
-                    shared
-                        .clean_shutdown
-                        .store(true, std::sync::atomic::Ordering::Release);
-                    continue;
-                }
-                other => break format!("unexpected push: {other:?}"),
-            }
-            continue;
-        }
-        let slot = shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&envelope.id);
-        if let Some(tx) = slot {
-            let _ = tx.send(envelope.body);
-        }
-        // No slot: the waiter timed out and abandoned it. Discard.
-    };
-    *shared.dead.lock().unwrap_or_else(PoisonError::into_inner) = Some(reason);
-    // Dropping the senders unblocks every waiter and ends every
-    // subscription iterator.
-    shared
-        .pending
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    let mut subs = shared.subs.lock().unwrap_or_else(PoisonError::into_inner);
-    subs.channels.clear();
-    subs.orphans.clear();
-}
-
-fn route_event(shared: &SessionShared, event: AuditEvent) {
-    let mut subs = shared.subs.lock().unwrap_or_else(PoisonError::into_inner);
-    let id = event.subscription;
-    match subs.channels.get(&id) {
-        Some(tx) => {
-            // A failed send hands the event back — no clone needed on
-            // the delivery path.
-            if tx.send(event).is_err() {
-                subs.channels.remove(&id);
-            }
-        }
-        None => {
-            // Stash for a subscribe() that has not registered yet —
-            // bounded per id *and* in distinct ids, so a server
-            // inventing subscription ids (or an app leaking dropped
-            // handles) cannot grow this map without bound.
-            if subs.orphans.len() >= MAX_ORPHAN_SUBS && !subs.orphans.contains_key(&id) {
-                return;
-            }
-            let stash = subs.orphans.entry(id).or_default();
-            if stash.len() < MAX_ORPHAN_EVENTS {
-                stash.push(event);
-            }
         }
     }
 }

@@ -1,18 +1,19 @@
-//! Incremental wire codecs for the readiness loop: buffer-backed
-//! decoders that accept bytes in whatever fragments the kernel
-//! delivers, and a per-connection write queue that resumes across
+//! Incremental wire codecs for the readiness loop and the client:
+//! buffer-backed decoders that accept bytes in whatever fragments the
+//! kernel delivers, and a per-connection write queue that resumes across
 //! `WouldBlock`.
 //!
-//! The blocking codecs in [`proto`](crate::proto) pull whole frames out
-//! of a stream and park the thread until they arrive — exactly what a
-//! thread-per-connection server wants and exactly what a readiness loop
-//! cannot afford. Here the loop owns the read: it appends whatever
+//! The blocking [`proto::read_frame`](crate::proto::read_frame) pulls a
+//! whole frame out of a stream and parks the thread until it arrives —
+//! what a readiness loop cannot afford, and what loses a half-read frame
+//! to a read timeout. Here the caller owns the read: it appends whatever
 //! `read(2)` returned to the connection's input buffer and asks
 //! [`try_extract_frame`]/[`try_extract_line`] whether a complete
 //! message has accumulated. Decoding is therefore a pure function of
 //! the buffer — byte-at-a-time delivery and one giant `read` decode
 //! identically (the property tests in `tests/properties.rs` hold the
-//! incremental decoders to the blocking readers' output bit for bit).
+//! incremental decoders to the blocking frame reader's output and to
+//! the sent lines, bit for bit).
 //!
 //! On the way out, [`WriteQueue`] holds fully-encoded messages and a
 //! cursor into the front one; [`WriteQueue::write_to`] pushes bytes
@@ -89,16 +90,15 @@ pub fn try_extract_frame(inbuf: &mut Vec<u8>, limit: u64) -> Result<Option<Vec<u
     Ok(Some(payload))
 }
 
-/// Pops one `\n`-terminated line (terminator included, matching
-/// [`proto::read_bounded_line`](crate::proto::read_bounded_line)) off
-/// the front of `inbuf`, or `None` while no newline has arrived yet.
+/// Pops one `\n`-terminated line (terminator included) off the front
+/// of `inbuf`, or `None` while no newline has arrived yet.
 ///
 /// # Errors
 ///
 /// [`DecodeError::Oversized`] once `limit` bytes sit in the buffer
 /// with no newline among them — the line can never complete within
 /// bounds. Invalid UTF-8 in a complete line surfaces as an
-/// [`io::Error`] exactly as the blocking reader's `read_line` does.
+/// [`io::Error`] of kind `InvalidData`.
 pub fn try_extract_line(
     inbuf: &mut Vec<u8>,
     limit: u64,
@@ -139,7 +139,9 @@ pub enum Fill {
 
 /// Appends whatever the non-blocking `reader` has ready to `inbuf`,
 /// reading at most one chunk (the loop services other connections
-/// between chunks; level-triggered epoll re-reports the rest).
+/// between chunks; level-triggered epoll re-reports the rest). On a
+/// blocking socket — the client's — it waits for the first byte, and
+/// a read timeout reports as `WouldBlock`.
 ///
 /// # Errors
 ///

@@ -33,8 +33,10 @@
 //!   session pipelines many in-flight requests as correlated envelopes
 //!   over length-prefixed binary frames, while v1 peers (plain
 //!   line-delimited JSON, lock-step) keep working through the hello
-//!   downgrade path — plus the pipelining [`Client`] session used by
-//!   the `indaas` CLI and the end-to-end tests;
+//!   downgrade path — plus the [`Client`] session used by the `indaas`
+//!   CLI and the end-to-end tests, which pipelines requests and
+//!   collects pushed events from its caller's own reads, with no
+//!   thread of its own;
 //! * **server-push audit subscriptions** ([`subs`]) — `Subscribe` pins
 //!   a spec to the `(shard, epoch)` pairs its hosts route to; when an
 //!   ingest bumps a pinned shard the daemon re-runs the audit through
@@ -112,8 +114,8 @@ pub mod telemetry;
 
 pub use cache::{job_key, AuditCache, EpochPins};
 pub use client::{
-    AuditEvent, Client, ClientError, IngestAnswer, MetricsAnswer, PendingResponse, PiaAnswer,
-    SiaAnswer, StatusAnswer, Subscription, SubscriptionEnd,
+    AuditEvent, Client, ClientError, IngestAnswer, MetricsAnswer, PiaAnswer, SiaAnswer,
+    StatusAnswer, SubscriptionEnd,
 };
 pub use proto::{Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry};
 pub use scheduler::{SchedMetrics, Scheduler, SubmitError};

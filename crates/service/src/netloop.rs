@@ -14,7 +14,9 @@
 //! - **Writes** go through the connection's [`Outbox`] (jobs and push
 //!   audits enqueue fully-framed bytes from worker threads, exactly as
 //!   before) into a [`WriteQueue`] the loop drains on `EPOLLOUT`,
-//!   resuming mid-frame across `WouldBlock`.
+//!   resuming mid-frame across `WouldBlock`. Frames move on only while
+//!   the write queue is under its high-watermark, so the outbox's
+//!   bounded event shedding is what a stalled reader meets.
 //! - **Requests** on either protocol get a [`ResponseSlot`] and go
 //!   through one `match` (`EventLoop::dispatch`): cheap ones are
 //!   answered inline, cache-miss audits are admitted onto the bounded
@@ -63,8 +65,10 @@ const WAKER_TOKEN: u64 = 1;
 /// First token handed to a client connection.
 const FIRST_CONN_TOKEN: u64 = 16;
 /// Bytes of pending output past which the loop stops *reading* a
-/// connection — a peer that writes requests faster than it drains
-/// responses gets TCP backpressure instead of unbounded server memory.
+/// connection and stops moving its outbox frames into the write queue —
+/// a peer that writes requests faster than it drains responses gets TCP
+/// backpressure, and a subscriber that stops reading sheds events in its
+/// bounded outbox, instead of either costing unbounded server memory.
 const WRITE_HIGH_WATERMARK: usize = 4 * 1024 * 1024;
 /// Socket-read chunks serviced per readiness event before yielding to
 /// other connections (level-triggered epoll re-reports the remainder).
@@ -887,11 +891,19 @@ impl EventLoop<'_> {
     /// Moves outbox frames into the write queue (one `svc.frame.write`
     /// fault check per frame, as the writer thread did), writes what
     /// the socket will take, and resumes a lock-step v1 parse freed by
-    /// a response.
+    /// a response. Past [`WRITE_HIGH_WATERMARK`] frames stay in the
+    /// outbox, so a subscriber that stops reading sheds its oldest
+    /// events there instead of growing the write queue.
     fn pump(&mut self, conn: &mut Conn) -> Verdict {
         loop {
             let mut resumed = false;
-            while let Some(frame) = conn.outbox.try_pop() {
+            let held = loop {
+                if conn.wq.queued_bytes() > WRITE_HIGH_WATERMARK {
+                    break true;
+                }
+                let Some(frame) = conn.outbox.try_pop() else {
+                    break false;
+                };
                 if let Mode::Line {
                     greeted,
                     busy: true,
@@ -920,7 +932,7 @@ impl EventLoop<'_> {
                     }
                 }
                 conn.wq.push(frame);
-            }
+            };
             if !conn.wq.is_empty() {
                 let write_span = Span::start(Arc::clone(&self.state.telemetry.write_us));
                 let progress = conn.wq.write_to(&mut conn.stream);
@@ -929,10 +941,14 @@ impl EventLoop<'_> {
                     return Verdict::Close;
                 }
             }
+            if held && conn.wq.queued_bytes() <= WRITE_HIGH_WATERMARK {
+                continue; // the write made room for held frames
+            }
             if conn.closing && conn.wq.is_empty() {
-                // Everything queued reached the wire (the outbox is
-                // closed on every path that sets `closing`, so nothing
-                // more can arrive).
+                // Everything queued reached the wire: an empty write
+                // queue here means nothing is held in the outbox either,
+                // and the outbox is closed on every path that sets
+                // `closing`, so nothing more can arrive.
                 return Verdict::Close;
             }
             if resumed && !conn.closing && !conn.inbuf.is_empty() {

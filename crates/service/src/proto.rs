@@ -928,46 +928,10 @@ pub fn decode_payload(hex: &str) -> Result<Vec<u8>, String> {
     };
     let raw = hex.as_bytes();
     let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks(2) {
+    for pair in raw.chunks_exact(2) {
         out.push(digit(pair[0])? << 4 | digit(pair[1])?); // lint:allow(panic_path) -- chunks_exact(2) yields exactly two bytes per pair
     }
     Ok(out)
-}
-
-/// Outcome of [`read_bounded_line`].
-pub enum LineRead {
-    /// A complete line (terminator stripped is up to the caller).
-    Line,
-    /// Clean end of stream before any byte of a new line.
-    Eof,
-    /// The peer sent `limit` bytes with no newline; the stream can no
-    /// longer be resynchronized and should be dropped.
-    Oversized,
-}
-
-/// Reads one `\n`-terminated line into `buf` without letting the
-/// buffer outgrow `limit` bytes — the shared guard both daemon and
-/// client use against unbounded peer input.
-///
-/// # Errors
-///
-/// Propagates transport errors (including invalid UTF-8) from the
-/// underlying reader.
-pub fn read_bounded_line(
-    reader: &mut impl std::io::BufRead,
-    buf: &mut String,
-    limit: u64,
-) -> std::io::Result<LineRead> {
-    use std::io::BufRead as _;
-    buf.clear();
-    let n = std::io::Read::take(reader, limit).read_line(buf)?;
-    if n == 0 {
-        return Ok(LineRead::Eof);
-    }
-    if buf.len() as u64 >= limit && !buf.ends_with('\n') {
-        return Ok(LineRead::Oversized);
-    }
-    Ok(LineRead::Line)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! pushes.
 //!
 //! Every protocol-v2 connection owns one [`Outbox`] — a bounded frame
-//! queue the readiness loop drains into the socket. Request handlers
+//! queue the readiness loop drains into the socket while the
+//! connection's write queue is under its high-watermark. Request handlers
 //! and push jobs enqueue pre-serialized frames and never touch the
 //! socket, so a slow or stalled consumer can never block an ingest,
 //! an audit worker, or another connection. Responses are always

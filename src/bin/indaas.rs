@@ -26,6 +26,7 @@ use indaas::pia::report::render_ranking;
 use indaas::pia::{rank_deployments, PsopConfig};
 use indaas::service::{
     names, Client, MetricsAnswer, Request, ServeConfig, Server, SpanEntry, StatusAnswer,
+    SubscriptionEnd,
 };
 use indaas::sia::{build_fault_graph, BuildSpec};
 
@@ -605,15 +606,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     let mut last_epoch: Option<u64> = None;
     let mut first_connect = true;
     'session: loop {
-        let session = (|| -> Result<(Client, indaas::service::Subscription), String> {
-            let mut client =
-                Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
-            let subscription = client
-                .subscribe(&spec)
-                .map_err(|e| format!("subscribing: {e}"))?;
-            Ok((client, subscription))
-        })();
-        let (mut client, mut subscription) = match session {
+        let (mut client, subscription) = match watch_session(addr, &spec) {
             Ok(s) => s,
             Err(e) if first_connect || no_reconnect => return Err(e),
             Err(e) => {
@@ -623,14 +616,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                         return Err(format!("{e} (gave up after {MAX_REDIALS} re-dials)"));
                     }
                     std::thread::sleep(reconnect_backoff(redials));
-                    match Client::connect(addr)
-                        .map_err(|err| format!("connecting {addr}: {err}"))
-                        .and_then(|mut c| {
-                            let s = c
-                                .subscribe(&spec)
-                                .map_err(|err| format!("subscribing: {err}"))?;
-                            Ok((c, s))
-                        }) {
+                    match watch_session(addr, &spec) {
                         Ok(s) => break s,
                         Err(_) => redials += 1,
                     }
@@ -643,7 +629,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                 &format!(
                     "watching {} deployment(s) on {addr} (subscription {})",
                     spec.candidates.len(),
-                    subscription.id()
+                    subscription
                 ),
             );
         }
@@ -671,22 +657,18 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             if count.is_some_and(|c| seen >= c) {
                 return Ok(());
             }
-            let received = match timeout {
-                Some(t) => subscription.recv_timeout(t).map(|e| {
-                    Some(e.ok_or_else(|| format!("no audit event within {}ms", t.as_millis())))
-                }),
-                None => subscription.recv().map(|e| Some(Ok(e))),
-            };
-            let event = match received {
-                Ok(Some(Ok(event))) => event,
-                Ok(Some(Err(timed_out))) => return Err(timed_out),
-                Ok(None) => unreachable!("recv never yields Ok(None)"),
-                Err(_) => match subscription.end() {
-                    Some(indaas::service::SubscriptionEnd::CleanShutdown) => {
+            let event = match client.next_event(subscription, timeout) {
+                Ok(Some(event)) => event,
+                Ok(None) => {
+                    let waited = timeout.unwrap_or_default().as_millis();
+                    return Err(format!("no audit event within {waited}ms"));
+                }
+                Err(e) => match client.end() {
+                    Some(SubscriptionEnd::CleanShutdown) => {
                         slog::info("watch", "server shut down cleanly; exiting");
                         return Ok(());
                     }
-                    Some(indaas::service::SubscriptionEnd::ConnectionLost(reason)) => {
+                    Some(SubscriptionEnd::ConnectionLost(reason)) => {
                         if no_reconnect {
                             return Err(format!("connection lost: {reason}"));
                         }
@@ -694,7 +676,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                         std::thread::sleep(reconnect_backoff(1));
                         continue 'session;
                     }
-                    None => return Err("subscription closed".to_string()),
+                    None => return Err(e.to_string()),
                 },
             };
             last_epoch = Some(event.epoch);
@@ -740,6 +722,15 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             seen += 1;
         }
     }
+}
+
+/// One watch session: dials `addr` and subscribes to `spec`.
+fn watch_session(addr: &str, spec: &AuditSpec) -> Result<(Client, u64), String> {
+    let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
+    let subscription = client
+        .subscribe(spec)
+        .map_err(|e| format!("subscribing: {e}"))?;
+    Ok((client, subscription))
 }
 
 /// Jittered exponential backoff for watch re-dials: 100ms doubling to a

@@ -242,9 +242,9 @@ fn read_fault_drops_sessions_and_subscribers_see_connection_loss() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("set read timeout");
     let spec = AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("d", ["A1"])]);
-    let mut subscription = client.subscribe(&spec).expect("subscribe");
-    subscription
-        .recv_timeout(Duration::from_secs(10))
+    let subscription = client.subscribe(&spec).expect("subscribe");
+    client
+        .next_event(subscription, Some(Duration::from_secs(10)))
         .expect("initial event")
         .expect("initial event arrives");
 
@@ -263,8 +263,8 @@ fn read_fault_drops_sessions_and_subscribers_see_connection_loss() {
     // The subscription drains to a ConnectionLost terminal state.
     let deadline = Instant::now() + Duration::from_secs(10);
     let end = loop {
-        match subscription.recv_timeout(Duration::from_millis(100)) {
-            Err(_) => break subscription.end(),
+        match client.next_event(subscription, Some(Duration::from_millis(100))) {
+            Err(_) => break client.end(),
             Ok(_) => assert!(Instant::now() < deadline, "subscription never ended"),
         }
     };
@@ -293,9 +293,9 @@ fn announced_shutdown_ends_subscriptions_cleanly() {
     let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
     let mut watcher = Client::connect(&daemon.addr).expect("connect watcher");
     let spec = AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("d", ["A1"])]);
-    let mut subscription = watcher.subscribe(&spec).expect("subscribe");
-    subscription
-        .recv_timeout(Duration::from_secs(10))
+    let subscription = watcher.subscribe(&spec).expect("subscribe");
+    watcher
+        .next_event(subscription, Some(Duration::from_secs(10)))
         .expect("initial event")
         .expect("initial event arrives");
 
@@ -309,8 +309,8 @@ fn announced_shutdown_ends_subscriptions_cleanly() {
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let end = loop {
-        match subscription.recv_timeout(Duration::from_millis(100)) {
-            Err(_) => break subscription.end(),
+        match watcher.next_event(subscription, Some(Duration::from_millis(100))) {
+            Err(_) => break watcher.end(),
             Ok(_) => assert!(Instant::now() < deadline, "subscription never ended"),
         }
     };

@@ -706,7 +706,7 @@ fn live_federation_round_threads_are_loop_plus_pool() {
         "mid-round the daemon runs its loop + 1 worker"
     );
 
-    match pending.wait().expect("FederateStart answered") {
+    match coordinator.wait(pending).expect("FederateStart answered") {
         Response::Error { message } => assert!(
             message.contains("round deadline exceeded: no frame within the 3000ms round deadline"),
             "got: {message}"

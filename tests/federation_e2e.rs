@@ -457,7 +457,7 @@ fn shutdown_mid_round_never_hangs() {
         "shutdown took {:?}",
         started.elapsed()
     );
-    match pending.wait() {
+    match coordinator.wait(pending) {
         Ok(Response::Error { message }) => {
             assert!(
                 message.contains("daemon is shutting down"),

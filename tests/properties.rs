@@ -793,17 +793,17 @@ mod frame_props {
     }
 }
 
-/// The readiness loop's incremental codecs against the blocking readers
-/// they replaced: however the kernel splits a byte stream across reads,
-/// the incremental extractors must produce exactly the frames/lines the
-/// blocking `read_frame`/`read_bounded_line` loops did — and a write
-/// queue facing a socket that takes arbitrarily few bytes per call must
-/// put exactly the pushed bytes on the wire, in order.
+/// The incremental codecs the readiness loop and the client read with:
+/// however the kernel splits a byte stream across reads, the extractors
+/// must produce exactly the frames the blocking `read_frame` loop does
+/// and exactly the lines that were sent — and a write queue facing a
+/// socket that takes arbitrarily few bytes per call must put exactly the
+/// pushed bytes on the wire, in order.
 mod codec_props {
     use indaas::service::codec::{
         frame_bytes, line_bytes, try_extract_frame, try_extract_line, WriteProgress, WriteQueue,
     };
-    use indaas::service::proto::{read_bounded_line, read_frame, FrameRead, LineRead};
+    use indaas::service::proto::{read_frame, FrameRead};
     use proptest::prelude::*;
 
     const LIMIT: u64 = 4096;
@@ -856,8 +856,8 @@ mod codec_props {
             prop_assert!(inbuf.is_empty(), "no bytes left behind");
         }
 
-        /// Lines delivered in arbitrary splits decode identically to the
-        /// blocking reader (both keep the trailing newline).
+        /// Lines delivered in arbitrary splits decode to exactly the sent
+        /// lines, each with its trailing newline.
         #[test]
         fn split_lines_decode_like_blocking(
             raw_lines in proptest::collection::vec(
@@ -869,16 +869,7 @@ mod codec_props {
                 .map(|b| String::from_utf8(b).unwrap())
                 .collect();
             let wire: Vec<u8> = lines.iter().flat_map(|l| line_bytes(l)).collect();
-
-            let mut blocking = Vec::new();
-            let mut cursor = std::io::Cursor::new(wire.clone());
-            let mut buf = String::new();
-            while matches!(
-                read_bounded_line(&mut cursor, &mut buf, LIMIT).unwrap(),
-                LineRead::Line
-            ) {
-                blocking.push(buf.clone());
-            }
+            let sent: Vec<String> = lines.iter().map(|l| format!("{l}\n")).collect();
 
             let mut incremental = Vec::new();
             let mut inbuf = Vec::new();
@@ -888,7 +879,7 @@ mod codec_props {
                     incremental.push(line.unwrap());
                 }
             }
-            prop_assert_eq!(&incremental, &blocking);
+            prop_assert_eq!(&incremental, &sent);
             prop_assert!(inbuf.is_empty(), "no bytes left behind");
         }
 

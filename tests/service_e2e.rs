@@ -874,19 +874,19 @@ fn pipelined_session_matches_every_response_to_its_id() {
                 CandidateDeployment::replicated(format!("other-{i}"), ["S1", "S2"]),
             ])
         };
-        let handle = client
+        let id = client
             .begin(&Request::AuditSia {
                 spec,
                 timeout_ms: Some(20_000),
             })
             .expect("begin");
-        pending.push((i, handle));
+        pending.push((i, id));
     }
-    let ids: std::collections::BTreeSet<u64> = pending.iter().map(|(_, h)| h.id()).collect();
+    let ids: std::collections::BTreeSet<u64> = pending.iter().map(|&(_, id)| id).collect();
     assert_eq!(ids.len(), 8, "every in-flight request has a distinct id");
 
-    for (i, handle) in pending.into_iter().rev() {
-        match handle.wait().expect("response") {
+    for (i, id) in pending.into_iter().rev() {
+        match client.wait(id).expect("response") {
             indaas::service::Response::Sia { report, .. } => {
                 assert_eq!(
                     report.best().expect("ranked").name,
@@ -947,14 +947,14 @@ fn subscription_pushes_on_relevant_ingests_only() {
         "pair",
         [a1.clone(), a2.clone()],
     )]);
-    let mut subscription = client.subscribe(&spec).expect("subscribe");
+    let subscription = client.subscribe(&spec).expect("subscribe");
 
     // The initial event arrives without any further ingest.
-    let initial = subscription
-        .recv_timeout(std::time::Duration::from_secs(10))
+    let initial = client
+        .next_event(subscription, Some(std::time::Duration::from_secs(10)))
         .expect("subscription alive")
         .expect("initial event");
-    assert_eq!(initial.subscription, subscription.id());
+    assert_eq!(initial.subscription, subscription);
     assert_eq!(initial.report.deployments[0].name, "pair");
 
     let status = client.status().expect("status");
@@ -966,8 +966,8 @@ fn subscription_pushes_on_relevant_ingests_only() {
         .ingest(&format!(r#"<hw="{b}" type="CPU" dep="{b}-cpu"/>"#))
         .expect("bystander ingest");
     assert!(
-        subscription
-            .recv_timeout(std::time::Duration::from_millis(400))
+        client
+            .next_event(subscription, Some(std::time::Duration::from_millis(400)))
             .expect("subscription alive")
             .is_none(),
         "other-shard ingests must not wake the subscriber"
@@ -979,11 +979,11 @@ fn subscription_pushes_on_relevant_ingests_only() {
             r#"<src="{a1}" dst="Internet" route="tor1,core9"/>"#
         ))
         .expect("audited-shard ingest");
-    let fresh = subscription
-        .recv_timeout(std::time::Duration::from_secs(10))
+    let fresh = client
+        .next_event(subscription, Some(std::time::Duration::from_secs(10)))
         .expect("subscription alive")
         .expect("pushed event after relevant ingest");
-    assert_eq!(fresh.subscription, subscription.id());
+    assert_eq!(fresh.subscription, subscription);
     assert!(
         fresh.epoch > initial.epoch,
         "the pushed audit ran against the post-ingest epoch"
@@ -991,9 +991,8 @@ fn subscription_pushes_on_relevant_ingests_only() {
 
     // After unsubscribing, even relevant ingests push nothing: the
     // daemon's gauge drops to zero and its pushed-event counter stops
-    // moving (the local channel closes too).
-    let sub_id = subscription.id();
-    client.unsubscribe(sub_id).expect("unsubscribe");
+    // moving (the session stops holding the subscription too).
+    client.unsubscribe(subscription).expect("unsubscribe");
     assert_eq!(client.status().expect("status").subscriptions, 0);
     let pushed_before = client.status().expect("status").pushed_events;
     client
@@ -1008,10 +1007,10 @@ fn subscription_pushes_on_relevant_ingests_only() {
         "no events are produced after unsubscribe"
     );
     assert!(
-        subscription
-            .recv_timeout(std::time::Duration::from_millis(50))
+        client
+            .next_event(subscription, Some(std::time::Duration::from_millis(50)))
             .is_err(),
-        "the local subscription channel is closed by unsubscribe"
+        "unsubscribe ends the subscription on the session too"
     );
 
     client.shutdown().expect("shutdown");
@@ -1058,11 +1057,12 @@ fn subscriptions_are_independent_per_spec() {
         "watch-b",
         [b.clone(), b.clone()],
     )]);
-    let mut sub_a = client.subscribe(&spec_a).expect("subscribe a");
-    let mut sub_b = client.subscribe(&spec_b).expect("subscribe b");
-    assert_ne!(sub_a.id(), sub_b.id());
-    for sub in [&mut sub_a, &mut sub_b] {
-        sub.recv_timeout(std::time::Duration::from_secs(10))
+    let sub_a = client.subscribe(&spec_a).expect("subscribe a");
+    let sub_b = client.subscribe(&spec_b).expect("subscribe b");
+    assert_ne!(sub_a, sub_b);
+    for sub in [sub_a, sub_b] {
+        client
+            .next_event(sub, Some(std::time::Duration::from_secs(10)))
             .expect("alive")
             .expect("initial event");
     }
@@ -1071,14 +1071,14 @@ fn subscriptions_are_independent_per_spec() {
     client
         .ingest(&format!(r#"<hw="{a}" type="CPU" dep="{a}-cpu"/>"#))
         .expect("ingest a");
-    let event = sub_a
-        .recv_timeout(std::time::Duration::from_secs(10))
+    let event = client
+        .next_event(sub_a, Some(std::time::Duration::from_secs(10)))
         .expect("alive")
         .expect("a's event");
-    assert_eq!(event.subscription, sub_a.id());
+    assert_eq!(event.subscription, sub_a);
     assert!(
-        sub_b
-            .recv_timeout(std::time::Duration::from_millis(400))
+        client
+            .next_event(sub_b, Some(std::time::Duration::from_millis(400)))
             .expect("alive")
             .is_none(),
         "b's shard never moved"
@@ -1086,6 +1086,137 @@ fn subscriptions_are_independent_per_spec() {
 
     client.shutdown().expect("shutdown");
     daemon.join().unwrap().expect("serve loop");
+}
+
+/// A subscriber that stops reading is shed, not buffered: once the
+/// kernel buffers and the daemon's write queue are full, further events
+/// wait in the connection's bounded outbox, which drops its oldest
+/// event for each new one.
+#[test]
+fn subscription_that_stops_reading_is_shed_not_buffered() {
+    // W1 and W2 each hang off 24 disks, so the pair's minimal risk
+    // groups are the 576 disk pairs and every event carries a report of
+    // tens of KB.
+    let disks = |host: &str| -> String {
+        (0..24)
+            .map(|i| format!("<hw=\"{host}\" type=\"Disk\" dep=\"{host}-disk-{i:02}\"/>\n"))
+            .collect()
+    };
+    let (addr, daemon) = start_daemon();
+    let mut admin = Client::connect(addr).expect("connect admin");
+    admin
+        .ingest(&(disks("W1") + &disks("W2")))
+        .expect("seed ingest");
+
+    // Subscribes, then never reads again.
+    let mut stalled = Client::connect(addr).expect("connect subscriber");
+    stalled
+        .subscribe(&AuditSpec::sia_size_based(vec![
+            CandidateDeployment::replicated("pair", ["W1", "W2"]),
+        ]))
+        .expect("subscribe");
+
+    // Each mutation toggles one record under W1 and owes the subscriber
+    // one event; wait for each push so the audit queue never overflows.
+    let toggle = r#"<hw="W1" type="Nic" dep="W1-nic"/>"#;
+    let deadline = Instant::now() + std::time::Duration::from_secs(60);
+    let mut status = admin.status().expect("status");
+    let mut mutations = 0;
+    while status.dropped_events == 0 {
+        assert!(
+            mutations < 2_000 && Instant::now() < deadline,
+            "no event shed after {mutations} mutations ({} pushed)",
+            status.pushed_events
+        );
+        let owed = status.pushed_events + 1;
+        if mutations % 2 == 0 {
+            admin.ingest(toggle).expect("ingest");
+        } else {
+            admin.retract(toggle).expect("retract");
+        }
+        mutations += 1;
+        while status.pushed_events < owed {
+            assert!(Instant::now() < deadline, "push {owed} never produced");
+            status = admin.status().expect("status");
+        }
+    }
+    assert!(
+        mutations > 64,
+        "shedding began after {mutations} mutations, before 64 outbox slots filled"
+    );
+
+    drop(stalled);
+    admin.shutdown().expect("shutdown");
+    daemon.join().unwrap().expect("serve loop");
+}
+
+/// A pushed frame split across a read timeout arrives whole: the fake
+/// daemon holds the second half back until the client's first call has
+/// timed out, the client keeps the half it read, and the next call
+/// returns the intact event.
+#[test]
+fn subscription_event_split_across_a_timeout_arrives_whole() {
+    use indaas::service::codec::frame_bytes;
+    use indaas::service::proto::{
+        decode_line, encode_line, read_frame, Envelope, ResponseEnvelope,
+    };
+    use std::time::Duration;
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address");
+    let (timed_out, second_half) = std::sync::mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone socket"));
+        let mut hello = String::new();
+        reader.read_line(&mut hello).expect("hello");
+        let welcome = encode_line(&Response::Welcome { version: 2 });
+        writeln!(stream, "{welcome}").expect("welcome");
+        let mut frame = Vec::new();
+        read_frame(&mut reader, &mut frame, 1 << 20).expect("subscribe frame");
+        let subscribe: Envelope = decode_line(std::str::from_utf8(&frame).unwrap()).unwrap();
+        let answer = |id, body| frame_bytes(encode_line(&ResponseEnvelope { id, body }).as_bytes());
+        let subscribed = Response::Subscribed { subscription: 7 };
+        stream
+            .write_all(&answer(subscribe.id, subscribed))
+            .expect("subscribed");
+        let event = answer(
+            0,
+            Response::AuditEvent {
+                subscription: 7,
+                epoch: 3,
+                cached: false,
+                elapsed_us: 11,
+                report: indaas::sia::AuditReport::new(Vec::new()),
+                trace_id: "ab".into(),
+            },
+        );
+        let (head, tail) = event.split_at(event.len() / 2);
+        stream.write_all(head).expect("first half");
+        second_half.recv().expect("the client timed out");
+        stream.write_all(tail).expect("second half");
+        // Hold the connection open until the client hangs up.
+        let _ = std::io::Read::read_to_end(&mut reader, &mut frame);
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    let subscription = client.subscribe(&audit_spec()).expect("subscribe");
+    assert_eq!(subscription, 7);
+    let timeout = Some(Duration::from_millis(100));
+    assert!(client
+        .next_event(subscription, timeout)
+        .expect("alive")
+        .is_none());
+    timed_out.send(()).expect("fake daemon alive");
+    let event = client
+        .next_event(subscription, Some(Duration::from_secs(10)))
+        .expect("alive")
+        .expect("the whole event");
+    assert_eq!((event.subscription, event.epoch), (7, 3));
+    assert_eq!((event.elapsed_us, event.trace_id.as_str()), (11, "ab"));
+    assert!(client.end().is_none(), "the session is still alive");
+    drop(client);
+    daemon.join().expect("fake daemon");
 }
 
 /// Encode once, at the bytes: the same `AuditSia` sent twice over a raw
@@ -1822,8 +1953,11 @@ fn traced_audit_records_spans_and_push_events_carry_trace_ids() {
 
     // Pushed audit events carry the trace id of the request that caused
     // them (here: the Subscribe's own trace, for the initial event).
-    let mut subscription = client.subscribe(&audit_spec()).expect("subscribe");
-    let event = subscription.recv().expect("initial pushed event");
+    let subscription = client.subscribe(&audit_spec()).expect("subscribe");
+    let event = client
+        .next_event(subscription, None)
+        .expect("session alive")
+        .expect("initial pushed event");
     let (_n, push_spans) = client.fetch_trace(&event.trace_id).expect("push trace");
     assert!(
         push_spans.iter().any(|s| s.name == names::SPAN_PUSH),
@@ -1917,8 +2051,11 @@ fn every_audit_path_records_exactly_one_audit_span() {
     // Pushes: the first subscription computes its initial audit, the
     // second one over the same spec is served from the cache.
     for cached in [false, true] {
-        let mut subscription = client.subscribe(&fresh).expect("subscribe");
-        let event = subscription.recv().expect("initial pushed event");
+        let subscription = client.subscribe(&fresh).expect("subscribe");
+        let event = client
+            .next_event(subscription, None)
+            .expect("session alive")
+            .expect("initial pushed event");
         assert_eq!(event.cached, cached);
         let audit = check(&mut client, &event.trace_id, names::SPAN_PUSH, cached, true);
         assert!(attr(&audit, names::ATTR_PINS).is_some());
@@ -1952,13 +2089,16 @@ fn server_handle_spawn_and_shutdown() {
 
     // An open subscription gets the farewell push when the handle shuts
     // the server down out-of-band (no protocol Shutdown request sent).
-    let mut subscription = client.subscribe(&audit_spec()).expect("subscribe");
-    let _initial = subscription.recv().expect("initial pushed event");
+    let subscription = client.subscribe(&audit_spec()).expect("subscribe");
+    client
+        .next_event(subscription, None)
+        .expect("session alive")
+        .expect("initial pushed event");
 
     handle.shutdown().expect("shutdown joins the serve loop");
 
     // The listener is gone and the subscriber saw a clean end-of-stream
     // (farewell or orderly close), not a hang.
     assert!(TcpStream::connect(addr).is_err(), "listener closed");
-    while subscription.recv().is_ok() {}
+    while let Ok(Some(_)) = client.next_event(subscription, None) {}
 }
