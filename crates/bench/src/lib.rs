@@ -2,9 +2,8 @@
 //! evaluation (§6).
 //!
 //! Each `repro_*` binary in `src/bin/` prints the rows/series of one paper
-//! artifact; the Criterion benches in `benches/` provide statistically
-//! sound micro-timings of the same code paths. EXPERIMENTS.md records
-//! paper-vs-measured for each.
+//! artifact next to the paper's own figures. Per-layer timings of the same
+//! code paths come from the `bench_pipeline` package.
 
 #![forbid(unsafe_code)]
 

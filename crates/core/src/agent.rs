@@ -202,7 +202,8 @@ impl AuditingAgent {
             })
             .map_err(|e| AuditError::Build(cand.name.clone(), e))?;
             // The BDD engine additionally yields an exact top-event
-            // probability; the other engines defer to the ranking module.
+            // probability, which normalises probability-based ranking;
+            // the other engines defer to the ranking module.
             let mut exact_pr: Option<Bdd> = None;
             let family = match spec.algorithm {
                 RgAlgorithm::Minimal { max_order } => {
@@ -260,21 +261,17 @@ impl AuditingAgent {
                     replication,
                     spec.top_n,
                 ),
-                RankingMetric::Probability { default_prob } => {
-                    let mut audit = DeploymentAudit::probability_based(
-                        cand.name.clone(),
-                        &family,
-                        &graph,
-                        replication,
-                        *default_prob,
-                        spec.top_n,
-                    );
-                    if let Some(bdd) = &exact_pr {
-                        audit.failure_probability =
-                            Some(bdd.top_probability(&graph, *default_prob));
-                    }
-                    audit
-                }
+                RankingMetric::Probability { default_prob } => DeploymentAudit::probability_based(
+                    cand.name.clone(),
+                    &family,
+                    &graph,
+                    replication,
+                    *default_prob,
+                    exact_pr
+                        .as_ref()
+                        .map(|bdd| bdd.top_probability(&graph, *default_prob)),
+                    spec.top_n,
+                ),
             });
             audits.push(audit);
         }
@@ -475,6 +472,40 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("BDD exceeded 2 nodes"), "{err}");
+    }
+
+    #[test]
+    fn bdd_probability_ranking_normalises_by_exact_top_probability() {
+        // Two servers with five disks each: 25 two-disk groups, past the
+        // inclusion–exclusion limit, so only the BDD gives Pr(T) exactly.
+        let records: String = ["S1", "S2"]
+            .iter()
+            .flat_map(|s| {
+                (0..5).map(move |d| format!("<hw=\"{s}\" type=\"Disk\" dep=\"{s}-d{d}\"/>\n"))
+            })
+            .collect();
+        let agent = AuditingAgent::new(DepDb::from_records(parse_records(&records).unwrap()));
+        let spec = AuditSpec {
+            algorithm: RgAlgorithm::Bdd { max_nodes: 1 << 20 },
+            ..AuditSpec::sia_probability_based(
+                vec![CandidateDeployment::replicated("pair", ["S1", "S2"])],
+                FailureProbModel::new(0.1),
+                0.1,
+            )
+        };
+        let audit = &agent.audit_sia(&spec).unwrap().deployments[0];
+        let pr_top = audit.failure_probability.unwrap();
+        assert!((pr_top - (1.0 - 0.9f64.powi(5)).powi(2)).abs() < 1e-12);
+        assert_eq!(audit.ranked_rgs.len(), 25);
+        for rg in &audit.ranked_rgs {
+            let expected = rg.probability.unwrap() / pr_top;
+            let got = rg.importance.unwrap();
+            assert!(
+                (got - expected).abs() <= 1e-9 * expected,
+                "{:?}: importance {got}, probability / Pr(T) = {expected}",
+                rg.events
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! From-scratch SHA-256 and SHA-1, plus a seeded 64-bit hash family.
+//! From-scratch SHA-256, plus a seeded 64-bit hash family.
 //!
 //! The paper's P-SOP prototype hashes elements with MD5 before commutative
 //! encryption; we use SHA-256 (the choice of hash is irrelevant to the
-//! protocol as long as all parties agree). SHA-1 is provided as well since
-//! the paper names it as the alternative (§4.2.2). MinHash needs a family of
-//! `m` independent hash functions, provided by [`Hash64`].
+//! protocol as long as all parties agree). MinHash needs a family of `m`
+//! independent hash functions, provided by [`Hash64`].
 
 /// Streaming SHA-256 (FIPS 180-4).
 #[derive(Clone)]
@@ -147,124 +146,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Streaming SHA-1 (FIPS 180-1). Provided for protocol-compatibility tests;
-/// prefer [`Sha256`] for anything new.
-#[derive(Clone)]
-pub struct Sha1 {
-    state: [u32; 5],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
-}
-
-impl Default for Sha1 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha1 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Sha1 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            buf: [0; 64],
-            buf_len: 0,
-            total_len: 0,
-        }
-    }
-
-    /// Absorbs `data`.
-    pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut data = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    /// Finishes and returns the 20-byte digest.
-    pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = self.total_len.wrapping_sub(8);
-        self.update(&bit_len.to_be_bytes());
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | (!b & d), 0x5a827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let t = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = t;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-    }
-}
-
-/// One-shot SHA-1.
-pub fn sha1(data: &[u8]) -> [u8; 20] {
-    let mut h = Sha1::new();
-    h.update(data);
-    h.finalize()
-}
-
 /// A seeded 64-bit hash function, one member of the MinHash family.
 ///
 /// Derived from SHA-256 of `seed || data` truncated to 64 bits: slower than a
@@ -348,21 +229,6 @@ mod tests {
         }
         h.update(&data[off..]);
         assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    #[test]
-    fn sha1_nist_vectors() {
-        assert_eq!(
-            hex(&sha1(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-        assert_eq!(
-            hex(&sha1(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
     }
 
     #[test]

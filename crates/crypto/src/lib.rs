@@ -3,8 +3,8 @@
 //! Everything here is implemented from scratch on top of
 //! [`indaas_bigint`]:
 //!
-//! * [`hash`] — SHA-256 and SHA-1 digests plus a seeded 64-bit hash family
-//!   used by MinHash,
+//! * [`hash`] — SHA-256 digests plus a seeded 64-bit hash family used by
+//!   MinHash,
 //! * [`commutative`] — the Pohlig–Hellman commutative cipher that powers the
 //!   P-SOP private set-intersection-cardinality protocol (§4.2.2 of the
 //!   paper),
@@ -28,7 +28,7 @@ pub mod perm;
 pub mod rsa;
 
 pub use commutative::{CommutativeCipher, CommutativeKey, MODP_1024_HEX};
-pub use hash::{sha1, sha256, Hash64, Sha1, Sha256};
+pub use hash::{sha256, Hash64, Sha256};
 pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPublicKey};
 pub use perm::shuffle;
 pub use rsa::{Signature, SigningKey, VerifyingKey};

@@ -119,6 +119,6 @@ pub use client::{
 };
 pub use proto::{Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry};
 pub use scheduler::{SchedMetrics, Scheduler, SubmitError};
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server};
 pub use subs::{Outbox, SubscriptionRegistry};
 pub use telemetry::Telemetry;

@@ -77,8 +77,8 @@ const MAX_FILLS_PER_EVENT: usize = 8;
 /// their final frames before force-closing them.
 const SHUTDOWN_LINGER: Duration = Duration::from_secs(2);
 
-/// The cross-thread face of the loop: worker threads and external
-/// shutdown callers reach the loop only through this.
+/// The cross-thread face of the loop: worker threads reach the loop
+/// only through this.
 pub(crate) struct LoopShared {
     waker: Waker,
     /// Connections whose outbox gained a frame (or closed) since the
@@ -90,11 +90,6 @@ pub(crate) struct LoopShared {
 }
 
 impl LoopShared {
-    /// Wakes the loop so it re-checks the shutdown flag and its lists.
-    pub(crate) fn wake(&self) {
-        self.waker.wake();
-    }
-
     fn notify_conn(&self, token: u64) {
         self.ready
             .lock()
@@ -296,10 +291,6 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
         ready: Mutex::new(Vec::new()),
         parties: Mutex::new(Vec::new()),
     });
-    *state
-        .loop_shared
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&shared));
     poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
     let mut timers = TimerWheel::new();
     if let Some(interval) = state.config.collect_interval {
@@ -316,12 +307,7 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
         ring: Ring::default(),
         draining: false,
     };
-    let result = el.serve();
-    *state
-        .loop_shared
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = None;
-    result
+    el.serve()
 }
 
 struct EventLoop<'a> {
@@ -1121,6 +1107,135 @@ impl EventLoop<'_> {
         );
         if conn.outbox.push_response(line) {
             conn.line_frames_queued += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use indaas_obs::Histo;
+
+    const ID: u64 = 7;
+    const KIND: &str = "request:AuditSia";
+
+    /// The three parties that may answer a pooled request: the job's
+    /// spliced body, the deadline guard's timeout, and the crash guard a
+    /// job drops. Each answers with a distinct response, so the frame
+    /// that reaches the outbox names the winner.
+    const JOB: usize = 0;
+    const GUARD: usize = 1;
+    const CRASH: usize = 2;
+
+    fn answer(who: usize) -> Response {
+        match who {
+            JOB => Response::Pong,
+            GUARD => Response::error("audit timed out"),
+            _ => Response::error("audit job crashed; see server log"),
+        }
+    }
+
+    /// A v2 slot over a fresh outbox and telemetry, its connection's
+    /// in-flight gauge at 1 as dispatch leaves it.
+    fn slot() -> (Arc<ResponseSlot>, Arc<AtomicUsize>) {
+        let gauge = Arc::new(AtomicUsize::new(1));
+        let slot = Arc::new(ResponseSlot {
+            claimed: AtomicBool::new(false),
+            outbox: Arc::new(Outbox::new()),
+            encoding: SlotEncoding::V2 { id: ID },
+            in_flight: Some(Arc::clone(&gauge)),
+            ctx: TraceContext::root(),
+            kind: KIND,
+            started: Instant::now(),
+            telemetry: Arc::new(Telemetry::new(0)),
+        });
+        (slot, gauge)
+    }
+
+    /// Runs one fulfiller; `None` for the crash guard, whose drop
+    /// reports nothing.
+    fn fire(slot: &Arc<ResponseSlot>, who: usize) -> Option<bool> {
+        match who {
+            JOB => Some(slot.fulfill_body(&encode_line(&answer(JOB)))),
+            GUARD => Some(slot.fulfill(answer(GUARD))),
+            _ => {
+                drop(CrashGuard(Arc::clone(slot)));
+                None
+            }
+        }
+    }
+
+    /// Exactly one answer, `winner`'s, with one latency sample, one
+    /// request span under the slot's context and the gauge released.
+    fn assert_answered_once(slot: &ResponseSlot, gauge: &AtomicUsize, winner: usize) {
+        let expected = frame_answer(
+            SlotEncoding::V2 { id: ID },
+            &encode_line(&answer(winner)),
+            &Histo::new(),
+        );
+        assert_eq!(slot.outbox.try_pop(), Some(expected), "the winner's frame");
+        assert_eq!(slot.outbox.try_pop(), None, "exactly one frame");
+        assert_eq!(slot.telemetry.dispatch_us.snapshot().count, 1);
+        let spans = slot.telemetry.spans.spans_for(slot.ctx.trace_id);
+        assert_eq!(spans.len(), 1, "one request span");
+        assert_eq!(
+            (spans[0].span_id, spans[0].name.as_str()),
+            (slot.ctx.span_id, KIND)
+        );
+        assert_eq!(gauge.load(Ordering::SeqCst), 0, "in-flight gauge released");
+    }
+
+    /// Every order of the three fulfillers: the first call claims the
+    /// slot and every later one is a no-op. This covers call orders, not
+    /// the memory model — interleavings inside `fulfill_body` under weak
+    /// ordering are not explored.
+    #[test]
+    fn response_slot_answers_once_in_every_order() {
+        let orders = [
+            [JOB, GUARD, CRASH],
+            [JOB, CRASH, GUARD],
+            [GUARD, JOB, CRASH],
+            [GUARD, CRASH, JOB],
+            [CRASH, JOB, GUARD],
+            [CRASH, GUARD, JOB],
+        ];
+        for order in orders {
+            let (slot, gauge) = slot();
+            for (i, &who) in order.iter().enumerate() {
+                if let Some(claimed) = fire(&slot, who) {
+                    assert_eq!(claimed, i == 0, "order {order:?}, call {i}");
+                }
+            }
+            assert_answered_once(&slot, &gauge, order[0]);
+        }
+    }
+
+    /// The three fulfillers racing on three threads, 1,000 times: the
+    /// same invariants hold whichever wins.
+    #[test]
+    fn response_slot_answers_once_under_a_three_thread_race() {
+        for _ in 0..1000 {
+            let (slot, gauge) = slot();
+            let barrier = std::sync::Barrier::new(3);
+            let claims = std::thread::scope(|s| {
+                [JOB, GUARD, CRASH]
+                    .map(|who| {
+                        let (slot, barrier) = (&slot, &barrier);
+                        s.spawn(move || {
+                            barrier.wait();
+                            fire(slot, who)
+                        })
+                    })
+                    .map(|h| h.join().unwrap())
+            });
+            // At most one call claimed the slot; when neither reporting
+            // call did, the silent crash guard must have.
+            assert!(claims.iter().filter(|&&c| c == Some(true)).count() <= 1);
+            let winner = [JOB, GUARD]
+                .into_iter()
+                .find(|&who| claims[who] == Some(true))
+                .unwrap_or(CRASH);
+            assert_answered_once(&slot, &gauge, winner);
         }
     }
 }

@@ -58,7 +58,7 @@
 //! file per shard plus a manifest: dirty shards are saved on collector
 //! ticks and at shutdown, every file crash-safely (temp + rename).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -74,7 +74,7 @@ use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use crate::cache::{job_key, AuditCache, EpochPins, JobKey};
 use crate::federation::PeerAllowList;
 use crate::names;
-use crate::netloop::{CrashGuard, LoopShared, ResponseSlot, TimerEvent};
+use crate::netloop::{CrashGuard, ResponseSlot, TimerEvent};
 use crate::proto::{
     audit_event_body, encode_line, frame_answer, sia_body, Request, Response, SlotEncoding,
     SpanEntry, EVENT_ENVELOPE_ID,
@@ -222,10 +222,6 @@ pub(crate) struct ServiceState {
     pub(crate) next_conn_id: AtomicU64,
     /// Metrics registry + span store + hot-path handles.
     pub(crate) telemetry: Arc<Telemetry>,
-    /// The running readiness loop's cross-thread face — `Some` while
-    /// [`Server::run`] is inside the loop. Shutdown reaches the loop
-    /// through it.
-    pub(crate) loop_shared: Mutex<Option<Arc<LoopShared>>>,
 }
 
 /// A bound (but not yet serving) daemon.
@@ -307,7 +303,6 @@ impl Server {
             active_conns: AtomicUsize::new(0),
             next_conn_id: AtomicU64::new(1),
             telemetry,
-            loop_shared: Mutex::new(None),
         });
         Ok(Server { listener, state })
     }
@@ -329,9 +324,8 @@ impl Server {
             .push(collector);
     }
 
-    /// Serves until a `Shutdown` request arrives (or
-    /// [`ServerHandle::shutdown`] is called): the readiness loop owns
-    /// every connection; audits run on the shared worker pool.
+    /// Serves until a `Shutdown` request arrives: the readiness loop
+    /// owns every connection; audits run on the shared worker pool.
     ///
     /// # Errors
     ///
@@ -361,57 +355,6 @@ impl Server {
             }
         }
         result
-    }
-
-    /// Spawns [`Server::run`] on a background thread and returns a
-    /// handle that can stop it cleanly — the supported way to embed a
-    /// daemon in tests and tools, replacing detached
-    /// `thread::spawn(|| server.run())` with a real join.
-    ///
-    /// # Errors
-    ///
-    /// Propagates thread-spawn failure.
-    pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let addr = self.local_addr();
-        let state = Arc::clone(&self.state);
-        let thread = std::thread::Builder::new()
-            .name("indaas-serve".to_string())
-            .spawn(move || self.run())?;
-        Ok(ServerHandle {
-            addr,
-            state,
-            thread,
-        })
-    }
-}
-
-/// A running daemon spawned with [`Server::spawn`]: carries its bound
-/// address and the means to stop it without a protocol round-trip.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    state: Arc<ServiceState>,
-    thread: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Initiates shutdown (same path as a protocol `Shutdown` request:
-    /// subscribers get the farewell push, queued frames flush, dirty
-    /// segments save) and joins the serve thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the serve loop's exit result; a panicked serve thread
-    /// surfaces as an error rather than propagating the panic.
-    pub fn shutdown(self) -> std::io::Result<()> {
-        initiate_shutdown(&self.state);
-        self.thread
-            .join()
-            .map_err(|_| std::io::Error::other("server thread panicked"))?
     }
 }
 
@@ -782,28 +725,6 @@ pub(crate) fn schedule_push_audit(
             );
         },
     );
-}
-
-/// Flags shutdown and wakes the readiness loop so it begins the drain
-/// (farewell pushes to subscribers, flush, close — all inside the
-/// loop). The connect poke remains as a fallback for the window where
-/// the loop has not yet published its waker.
-fn initiate_shutdown(state: &ServiceState) {
-    // SeqCst pairs with the mutation gate in `apply_mutation`: the
-    // flag store must be totally ordered against in-flight counter
-    // updates for the shutdown drain to be exhaustive.
-    state.shutting_down.store(true, Ordering::SeqCst);
-    let shared = state
-        .loop_shared
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    match shared {
-        Some(shared) => shared.wake(),
-        None => {
-            let _ = TcpStream::connect(state.local_addr);
-        }
-    }
 }
 
 /// Answers `Trace{id}`: every span this daemon recorded under the

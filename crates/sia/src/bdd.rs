@@ -269,21 +269,10 @@ impl Bdd {
     /// Exact top-event probability by Shannon expansion: basic event
     /// probabilities come from the graph (or `default_prob`).
     pub fn top_probability(&self, graph: &FaultGraph, default_prob: f64) -> f64 {
-        self.top_probability_with(graph, default_prob, &HashMap::new())
-    }
-
-    /// As [`Bdd::top_probability`], with per-component probability
-    /// overrides (importance measures condition on `p_i ∈ {0, 1}`).
-    pub fn top_probability_with(
-        &self,
-        graph: &FaultGraph,
-        default_prob: f64,
-        overrides: &HashMap<NodeId, f64>,
-    ) -> f64 {
         let mut memo: HashMap<BddId, f64> = HashMap::new();
         memo.insert(FALSE, 0.0);
         memo.insert(TRUE, 1.0);
-        self.prob_rec(self.root, graph, default_prob, overrides, &mut memo)
+        self.prob_rec(self.root, graph, default_prob, &mut memo)
     }
 
     fn prob_rec(
@@ -291,7 +280,6 @@ impl Bdd {
         f: BddId,
         graph: &FaultGraph,
         default_prob: f64,
-        overrides: &HashMap<NodeId, f64>,
         memo: &mut HashMap<BddId, f64>,
     ) -> f64 {
         if let Some(&p) = memo.get(&f) {
@@ -299,12 +287,9 @@ impl Bdd {
         }
         let (var, lo, hi) = self.nodes[f as usize];
         let basic = self.var_to_basic[var as usize];
-        let p = overrides
-            .get(&basic)
-            .copied()
-            .unwrap_or_else(|| graph.node(basic).prob.unwrap_or(default_prob));
-        let plo = self.prob_rec(lo, graph, default_prob, overrides, memo);
-        let phi = self.prob_rec(hi, graph, default_prob, overrides, memo);
+        let p = graph.node(basic).prob.unwrap_or(default_prob);
+        let plo = self.prob_rec(lo, graph, default_prob, memo);
+        let phi = self.prob_rec(hi, graph, default_prob, memo);
         let out = (1.0 - p) * plo + p * phi;
         memo.insert(f, out);
         out
@@ -348,7 +333,7 @@ impl Bdd {
 mod tests {
     use super::*;
     use crate::minimal::{minimal_risk_groups, MinimalConfig};
-    use crate::ranking::rank_by_probability;
+    use crate::ranking::top_event_probability;
     use indaas_graph::detail::{
         component_sets_to_graph, fault_sets_to_graph, ComponentSet, FaultSet,
     };
@@ -408,7 +393,7 @@ mod tests {
         // (15*15 + ... minimal RGs > the limit); the BDD is exact.
         let family = bdd.minimal_cut_sets();
         assert_eq!(family.len(), 225);
-        let (_, mc) = rank_by_probability(&family, &graph, p);
+        let mc = top_event_probability(&family, &graph, p);
         assert!((mc - expected).abs() < 0.01, "Monte-Carlo fallback sanity");
     }
 

@@ -37,7 +37,6 @@
 
 pub mod bdd;
 pub mod builder;
-pub mod importance;
 pub mod minimal;
 pub mod ranking;
 pub mod report;
@@ -46,7 +45,6 @@ pub mod sampling;
 
 pub use bdd::{Bdd, BddError};
 pub use builder::{build_fault_graph, BuildError, BuildSpec};
-pub use importance::{component_importance, ComponentImportance};
 pub use minimal::{
     minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig, MinimalError,
 };

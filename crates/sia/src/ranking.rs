@@ -109,14 +109,17 @@ pub struct RankedByProbability {
 }
 
 /// Ranks risk groups by relative importance, most important (highest
-/// `I_C`) first. Returns the ranking plus the top-event probability used
-/// as the normalizer.
+/// `I_C`) first. The normalizer is `pr_top` when the caller already has
+/// the exact top-event probability (the BDD engine does), and
+/// [`top_event_probability`] otherwise. Returns the ranking plus the
+/// normalizer.
 pub fn rank_by_probability(
     family: &RgFamily,
     graph: &FaultGraph,
     default_prob: f64,
+    pr_top: Option<f64>,
 ) -> (Vec<RankedByProbability>, f64) {
-    let pr_top = top_event_probability(family, graph, default_prob);
+    let pr_top = pr_top.unwrap_or_else(|| top_event_probability(family, graph, default_prob));
     let mut ranked: Vec<RankedByProbability> = family
         .groups()
         .map(|group| {
@@ -157,7 +160,7 @@ mod tests {
         // importances 0.2/0.224 = 0.8929 and 0.03/0.224 = 0.1339.
         let graph = fig4b_graph();
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let (ranked, pr_top) = rank_by_probability(&rgs, &graph, 0.0);
+        let (ranked, pr_top) = rank_by_probability(&rgs, &graph, 0.0, None);
         assert!((pr_top - 0.224).abs() < 1e-12, "Pr(T) = {pr_top}");
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].group.names(&graph), vec!["A2 fails"]);
@@ -209,7 +212,7 @@ mod tests {
         ])
         .unwrap();
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let (ranked, pr_top) = rank_by_probability(&rgs, &graph, 0.1);
+        let (ranked, pr_top) = rank_by_probability(&rgs, &graph, 0.1, None);
         assert!((pr_top - 0.1).abs() < 1e-12);
         assert!((ranked[0].probability - 0.1).abs() < 1e-12);
         assert!((ranked[0].importance - 1.0).abs() < 1e-12);

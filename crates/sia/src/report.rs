@@ -98,16 +98,19 @@ impl DeploymentAudit {
         }
     }
 
-    /// Audits one deployment with probability-based ranking.
+    /// Audits one deployment with probability-based ranking, normalised
+    /// by `pr_top` when the caller has the exact top-event probability
+    /// (see [`rank_by_probability`]).
     pub fn probability_based(
         name: impl Into<String>,
         family: &RgFamily,
         graph: &FaultGraph,
         replication: usize,
         default_prob: f64,
+        pr_top: Option<f64>,
         top_n: Option<usize>,
     ) -> Self {
-        let (ranked, pr_top) = rank_by_probability(family, graph, default_prob);
+        let (ranked, pr_top) = rank_by_probability(family, graph, default_prob, pr_top);
         let n = top_n.unwrap_or(ranked.len()).min(ranked.len());
         let score: f64 = ranked[..n].iter().map(|r| r.importance).sum();
         let unexpected = ranked
@@ -322,16 +325,30 @@ mod tests {
         ])
         .unwrap();
         let rgs_risky = minimal_risk_groups(&graph_risky, &MinimalConfig::default());
-        let risky =
-            DeploymentAudit::probability_based("risky", &rgs_risky, &graph_risky, 2, 0.1, None);
+        let risky = DeploymentAudit::probability_based(
+            "risky",
+            &rgs_risky,
+            &graph_risky,
+            2,
+            0.1,
+            None,
+            None,
+        );
         let graph_clean = component_sets_to_graph(&[
             ComponentSet::new("E1", ["a"]),
             ComponentSet::new("E2", ["b"]),
         ])
         .unwrap();
         let rgs_clean = minimal_risk_groups(&graph_clean, &MinimalConfig::default());
-        let clean =
-            DeploymentAudit::probability_based("clean", &rgs_clean, &graph_clean, 2, 0.1, None);
+        let clean = DeploymentAudit::probability_based(
+            "clean",
+            &rgs_clean,
+            &graph_clean,
+            2,
+            0.1,
+            None,
+            None,
+        );
         // Clean deployment: Pr(outage) = 0.01 < risky's 0.1.
         assert!(clean.failure_probability.unwrap() < risky.failure_probability.unwrap());
         let report = AuditReport::new(vec![risky, clean]);
@@ -349,7 +366,7 @@ mod tests {
             "a",
         );
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let b = DeploymentAudit::probability_based("b", &rgs, &graph, 2, 0.1, None);
+        let b = DeploymentAudit::probability_based("b", &rgs, &graph, 2, 0.1, None, None);
         let _ = AuditReport::new(vec![a, b]);
     }
 

@@ -17,7 +17,7 @@ use indaas::service::{names, Client, ClientError, ServeConfig};
 use indaas::simnet::SimNetwork;
 
 mod common;
-use common::{bind_daemon, boot_daemon, shutdown, LineSession, TestDaemon, PROVIDER_RECORDS};
+use common::{boot_daemon, shutdown, LineSession, TestDaemon, PROVIDER_RECORDS};
 
 #[test]
 fn three_daemon_audit_matches_simnetwork_run() {
@@ -423,15 +423,13 @@ fn ragged_ring_payload_fails_the_party_naming_its_sender() {
 
 /// Shutdown mid-round never hangs: a party waiting on a withheld frame
 /// is failed by the drain — its coordinator hears "daemon is shutting
-/// down" or sees the connection close — and `ServerHandle::shutdown`
-/// returns within the drain's linger.
+/// down" or sees the connection close — and a `Shutdown` sent on another
+/// connection ends the serve loop within the drain's linger.
 #[test]
 fn shutdown_mid_round_never_hangs() {
     let (successor, frame_arrived) = common::silent_successor("silent-harness");
-    let handle = bind_daemon(PROVIDER_RECORDS[0], &[])
-        .spawn()
-        .expect("spawn daemon");
-    let mut coordinator = Client::connect(handle.addr()).unwrap();
+    let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
+    let mut coordinator = Client::connect(&daemon.addr).unwrap();
     let pending = coordinator
         .begin(&Request::FederateStart {
             session: 0x5107,
@@ -450,7 +448,7 @@ fn shutdown_mid_round_never_hangs() {
         .expect("the daemon's round-0 frame arrives");
 
     let started = Instant::now();
-    handle.shutdown().expect("clean shutdown");
+    shutdown(vec![daemon]);
     // The drain's 2 s linger plus one second.
     assert!(
         started.elapsed() < Duration::from_secs(3),

@@ -10,6 +10,7 @@ use indaas::core::{AuditSpec, CandidateDeployment, RankingMetric, RgAlgorithm};
 use indaas::deps::ShardedDepDb;
 use indaas::service::{
     names, Client, MetricsAnswer, Request, Response, ServeConfig, Server, SpanEntry,
+    SubscriptionEnd,
 };
 
 mod common;
@@ -2066,39 +2067,35 @@ fn every_audit_path_records_exactly_one_audit_span() {
 }
 
 #[test]
-fn server_handle_spawn_and_shutdown() {
-    // `Server::spawn` replaces the hand-rolled thread + protocol-level
-    // `Shutdown` request dance: the handle owns the serve thread and
-    // `shutdown()` wakes the readiness loop directly.
-    let handle = common::bind(ServeConfig {
+fn shutdown_from_another_connection_ends_subscribers_cleanly() {
+    let daemon = common::boot(common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_capacity: 16,
         ..ServeConfig::default()
-    })
-    .spawn()
-    .expect("spawn serve thread");
-    let addr = handle.addr();
+    }));
+    let addr = daemon.addr.clone();
 
     // The daemon is live: a full ingest + audit round-trip works.
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::connect(&addr).expect("connect");
     let ack = client.ingest(RECORDS).expect("ingest");
     assert_eq!(ack.epoch, 1);
     let answer = client.audit_sia(&audit_spec(), None).expect("audit");
     assert!(!answer.cached);
 
-    // An open subscription gets the farewell push when the handle shuts
-    // the server down out-of-band (no protocol Shutdown request sent).
+    // An open subscription gets the farewell push when a `Shutdown`
+    // arrives on a different connection.
     let subscription = client.subscribe(&audit_spec()).expect("subscribe");
     client
         .next_event(subscription, None)
         .expect("session alive")
         .expect("initial pushed event");
 
-    handle.shutdown().expect("shutdown joins the serve loop");
+    common::shutdown(vec![daemon]);
 
-    // The listener is gone and the subscriber saw a clean end-of-stream
-    // (farewell or orderly close), not a hang.
-    assert!(TcpStream::connect(addr).is_err(), "listener closed");
+    // The listener is gone and the subscriber saw the announced drain,
+    // not a hang or a lost connection.
+    assert!(TcpStream::connect(&addr).is_err(), "listener closed");
     while let Ok(Some(_)) = client.next_event(subscription, None) {}
+    assert_eq!(client.end(), Some(SubscriptionEnd::CleanShutdown));
 }
