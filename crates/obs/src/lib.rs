@@ -329,14 +329,6 @@ impl Registry {
         Arc::clone(self.families().histos.entry(name.to_string()).or_default())
     }
 
-    /// Drop a counter from the registry (per-connection metrics are
-    /// removed at teardown so a long-lived daemon's registry stays
-    /// bounded). Existing handles keep working; the name just stops
-    /// appearing in snapshots.
-    pub fn remove_counter(&self, name: &str) -> Option<Arc<Counter>> {
-        self.families().counters.remove(name)
-    }
-
     pub fn snapshot(&self) -> RegistrySnapshot {
         let fams = self.families();
         RegistrySnapshot {
@@ -450,9 +442,5 @@ mod tests {
         assert_eq!(reg.snapshot().counter("req"), Some(2));
         reg.gauge("depth").set(7);
         assert_eq!(reg.snapshot().gauge("depth"), Some(7));
-        let kept = reg.counter("conn_1_shed");
-        reg.remove_counter("conn_1_shed");
-        kept.inc(); // handle survives removal
-        assert_eq!(reg.snapshot().counter("conn_1_shed"), None);
     }
 }

@@ -42,7 +42,6 @@ pub const CACHE_ENTRIES: &str = "cache_entries";
 pub const SUBSCRIPTIONS: &str = "subscriptions";
 pub const ACTIVE_CONNS: &str = "active_conns";
 pub const PUSHED_EVENTS: &str = "pushed_events";
-pub const CONN_REGISTERED: &str = "conn_registered";
 pub const WRITE_QUEUE_DEPTH: &str = "write_queue_depth";
 
 // Histograms (microseconds unless noted).
@@ -78,20 +77,13 @@ pub const ATTR_OUTCOME: &str = "outcome";
 pub const ATTR_PINS: &str = "pins";
 pub const OUTCOME_OK: &str = "ok";
 
-// Dynamic families: a fixed prefix plus a runtime component. The
-// helpers below are the only way non-test code builds these names.
+// Dynamic family: a fixed prefix plus a runtime component. The helper
+// below is the only way non-test code builds these names.
 pub const AUDIT_STAGE_PREFIX: &str = "audit_stage_";
-pub const OUTBOX_SHED_CONN_PREFIX: &str = "outbox_shed_conn_";
 
 /// `audit_stage_<stage>_us` — the per-engine-stage histogram family.
 pub fn audit_stage_us(stage: &str) -> String {
     format!("{AUDIT_STAGE_PREFIX}{stage}_us")
-}
-
-/// `outbox_shed_conn_<id>` — the per-connection shed counter family
-/// (registered at accept, removed at close).
-pub fn outbox_shed_conn(conn_id: u64) -> String {
-    format!("{OUTBOX_SHED_CONN_PREFIX}{conn_id}")
 }
 
 #[cfg(test)]
@@ -102,6 +94,5 @@ mod tests {
     fn dynamic_families_share_their_prefix() {
         assert!(audit_stage_us("rg_bdd").starts_with(AUDIT_STAGE_PREFIX));
         assert!(audit_stage_us("rg_bdd").ends_with("_us"));
-        assert!(outbox_shed_conn(7).starts_with(OUTBOX_SHED_CONN_PREFIX));
     }
 }

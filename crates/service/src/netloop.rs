@@ -55,7 +55,7 @@ use crate::server::{
     save_dirty, schedule_push_audit, status, trace_get, Mutation, ServiceState,
     MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
 };
-use crate::subs::Outbox;
+use crate::subs::{FrameKind, Outbox};
 use crate::telemetry::Telemetry;
 
 /// Token the listener is registered under.
@@ -159,7 +159,10 @@ impl ResponseSlot {
             .spans
             .record(self.ctx, self.kind, String::new(), elapsed_us);
         let frame = frame_answer(self.encoding, body, &self.telemetry.response_bytes);
-        self.outbox.push_response(frame);
+        match self.encoding {
+            SlotEncoding::V1 => self.outbox.push_line(frame),
+            SlotEncoding::V2 { .. } => self.outbox.push_response(frame),
+        };
         if let Some(gauge) = &self.in_flight {
             gauge.fetch_sub(1, Ordering::AcqRel);
         }
@@ -223,11 +226,11 @@ enum Mode {
 /// reader thread's stack, a writer thread's stack, and their shared
 /// outbox.
 struct Conn {
+    /// The connection's poller token, never reused within a loop: also
+    /// its id, which its subscriptions are keyed by.
     token: u64,
     stream: TcpStream,
-    conn_id: u64,
     outbox: Arc<Outbox>,
-    shed_name: String,
     inbuf: Vec<u8>,
     wq: WriteQueue,
     mode: Mode,
@@ -236,13 +239,6 @@ struct Conn {
     /// flush the write queue, then close.
     closing: bool,
     in_flight: Arc<AtomicUsize>,
-    /// Greeting/v1 lines the loop queued that are still in the outbox.
-    /// The `svc.frame.write` fault covers v2 envelope frames only (the
-    /// threaded server wrote lines outside its writer's fault point),
-    /// and a `Welcome` that flips the mode to `Frames` is pumped
-    /// *after* the flip — this counter is what still identifies it as
-    /// a line.
-    line_frames_queued: usize,
 }
 
 /// What servicing a connection decided about its future.
@@ -383,10 +379,6 @@ impl EventLoop<'_> {
             while let Some((_, ev)) = self.timers.pop_expired(now) {
                 self.fire_timer(ev);
             }
-            self.state
-                .telemetry
-                .conn_registered
-                .set(self.conns.len() as u64);
             let queued: usize = self.conns.values().map(|c| c.wq.queued_bytes()).sum();
             self.state.telemetry.write_queue_depth.set(queued as u64);
         }
@@ -410,27 +402,21 @@ impl EventLoop<'_> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let occupied = self.state.active_conns.fetch_add(1, Ordering::SeqCst) + 1;
-        let max = self.state.config.max_conns;
+        let active_conns = &self.state.telemetry.active_conns;
+        active_conns.add(1);
+        let occupied = active_conns.get();
+        let max = self.state.config.max_conns as u64;
         let token = self.next_token;
         self.next_token += 1;
-        let conn_id = self.state.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        // Sheds on this connection's outbox count both globally and
-        // under a per-connection name, for the connection's lifetime.
-        let shed_name = crate::names::outbox_shed_conn(conn_id);
-        let conn_shed = self.state.telemetry.registry.counter(&shed_name);
-        let outbox = Arc::new(Outbox::with_shed_counters(vec![
-            Arc::clone(&self.state.telemetry.outbox_shed_total),
-            conn_shed,
-        ]));
+        let outbox = Arc::new(Outbox::with_shed_counter(Arc::clone(
+            &self.state.telemetry.outbox_shed_total,
+        )));
         let shared = Arc::clone(&self.shared);
         outbox.set_notifier(move || shared.notify_conn(token));
         let mut conn = Conn {
             token,
             stream,
-            conn_id,
             outbox,
-            shed_name,
             inbuf: Vec::new(),
             wq: WriteQueue::new(),
             mode: Mode::Line {
@@ -440,13 +426,12 @@ impl EventLoop<'_> {
             interest: Interest::READABLE,
             closing: false,
             in_flight: Arc::new(AtomicUsize::new(0)),
-            line_frames_queued: 0,
         };
         if occupied > max {
             // Admission control: one clear error, then the connection is
             // flushed and dropped before it can claim loop state.
             self.push_line(
-                &mut conn,
+                &conn,
                 &Response::error(format!(
                     "connection limit reached ({max} concurrent connections); retry later"
                 )),
@@ -803,7 +788,7 @@ impl EventLoop<'_> {
                 "subscriptions require a protocol v2 session (open the connection with Hello)",
             ),
             Request::Subscribe { spec, engine } => {
-                match register_subscription(state, spec, &engine, &conn.outbox, conn.conn_id) {
+                match register_subscription(state, spec, &engine, &conn.outbox, conn.token) {
                     Ok((subscription, spec)) => {
                         // Answer first, then the initial audit: the
                         // outbox is FIFO, so `Subscribed` reaches the
@@ -824,7 +809,7 @@ impl EventLoop<'_> {
                 }
             }
             Request::Unsubscribe { subscription } => {
-                match state.subs.unregister(subscription, conn.conn_id) {
+                match state.subs.unregister(subscription, conn.token) {
                     Ok(()) => Response::Unsubscribed { subscription },
                     Err(e) => Response::error(e),
                 }
@@ -887,7 +872,7 @@ impl EventLoop<'_> {
                 if conn.wq.queued_bytes() > WRITE_HIGH_WATERMARK {
                     break true;
                 }
-                let Some(frame) = conn.outbox.try_pop() else {
+                let Some((kind, frame)) = conn.outbox.pop() else {
                     break false;
                 };
                 if let Mode::Line {
@@ -901,14 +886,12 @@ impl EventLoop<'_> {
                     };
                     resumed = true;
                 }
-                // Chaos hook: `svc.frame.write` loses one outgoing frame
-                // or severs the connection under the drain. v2 envelope
-                // frames only — greeting and v1 lines were written
-                // directly by the threaded server, outside its writer's
-                // fault point.
-                if conn.line_frames_queued > 0 {
-                    conn.line_frames_queued -= 1;
-                } else if matches!(conn.mode, Mode::Frames) {
+                // Chaos hook: `svc.frame.write` loses one outgoing
+                // envelope or severs the connection under the drain.
+                // Lines — greeting, v1 answers, peer-session errors — were
+                // written directly by the threaded server, outside its
+                // writer's fault point.
+                if kind != FrameKind::Line {
                     let fault = indaas_faultinj::point(indaas_faultinj::points::SVC_FRAME_WRITE);
                     if fault == indaas_faultinj::FaultAction::Drop {
                         continue;
@@ -958,7 +941,7 @@ impl EventLoop<'_> {
                 // connection's subscriptions die with it, the outbox
                 // closes (in-flight jobs' frames drop silently), and
                 // already-queued frames still reach the wire.
-                self.state.subs.drop_conn(conn.conn_id);
+                self.state.subs.drop_conn(conn.token);
                 conn.outbox.close();
                 conn.closing = true;
                 match self.pump(&mut conn) {
@@ -970,7 +953,7 @@ impl EventLoop<'_> {
                 }
             }
             Verdict::Close => {
-                self.state.subs.drop_conn(conn.conn_id);
+                self.state.subs.drop_conn(conn.token);
                 conn.outbox.close();
                 self.destroy(conn);
             }
@@ -1001,11 +984,7 @@ impl EventLoop<'_> {
         // Cut the socket so a peer blocked on reads (a watcher awaiting
         // pushes) sees EOF promptly instead of hanging.
         let _ = conn.stream.shutdown(Shutdown::Both);
-        self.state
-            .telemetry
-            .registry
-            .remove_counter(&conn.shed_name);
-        self.state.active_conns.fetch_sub(1, Ordering::SeqCst);
+        self.state.telemetry.active_conns.sub(1);
     }
 
     fn fire_timer(&mut self, ev: TimerEvent) {
@@ -1072,7 +1051,7 @@ impl EventLoop<'_> {
             let Some(mut conn) = self.conns.remove(&token) else {
                 continue;
             };
-            self.state.subs.drop_conn(conn.conn_id);
+            self.state.subs.drop_conn(conn.token);
             conn.outbox.close();
             conn.closing = true;
             match self.pump(&mut conn) {
@@ -1097,17 +1076,13 @@ impl EventLoop<'_> {
         )
     }
 
-    /// Enqueues one v1/greeting response line on the connection's outbox,
-    /// counting it so the pump exempts it from the v2 write fault point.
-    fn push_line(&self, conn: &mut Conn, response: &Response) {
-        let line = frame_answer(
+    /// Enqueues one v1/greeting response line on the connection's outbox.
+    fn push_line(&self, conn: &Conn, response: &Response) {
+        conn.outbox.push_line(frame_answer(
             SlotEncoding::V1,
             &encode_line(response),
             &self.state.telemetry.response_bytes,
-        );
-        if conn.outbox.push_response(line) {
-            conn.line_frames_queued += 1;
-        }
+        ));
     }
 }
 

@@ -60,7 +60,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -83,7 +83,9 @@ use crate::scheduler::Scheduler;
 use crate::subs::{Outbox, SubscriptionRegistry};
 use crate::telemetry::{audit_attrs, wire_histos, StageRecorder, Telemetry, DEFAULT_RECENT_AUDITS};
 
-/// Daemon tuning knobs.
+/// Daemon tuning knobs: only what the daemon itself reads. The shard
+/// count comes with the store [`Server::bind`] receives; the logger and
+/// fault injection are process-wide and set by the caller.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Listen address (`127.0.0.1:0` picks an ephemeral port).
@@ -96,10 +98,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Deadline applied to jobs whose request carries no `timeout_ms`.
     pub default_deadline: Duration,
-    /// Hard ceiling on client-supplied `timeout_ms` — a request cannot
-    /// arm a longer deadline than this (admission control would be
-    /// defeated by `timeout_ms: u64::MAX`).
-    pub max_deadline: Duration,
     /// Default per-round deadline for federated protocol rounds (a
     /// `FederateStart` may shorten it, clamped here at the top).
     pub round_timeout: Duration,
@@ -113,13 +111,6 @@ pub struct ServeConfig {
     /// Re-run the registered dependency collectors this often, ingesting
     /// whatever they report (`None` disables the timer).
     pub collect_interval: Option<Duration>,
-    /// Dependency-store shards (clamped to at least 1). More shards
-    /// make ingest cheaper (only the touched shard's snapshot is
-    /// re-cloned), write concurrency wider (writers lock only the
-    /// shards they touch) and cache invalidation narrower (audits
-    /// pinned to untouched shards stay cached); the cost is `shards`
-    /// short locks per snapshot.
-    pub shards: usize,
     /// Segmented persistence directory. The daemon saves dirty shards
     /// into it after every collector tick and at shutdown — each file
     /// written crash-safely. [`Server::bind`] does not load it: the
@@ -137,19 +128,6 @@ pub struct ServeConfig {
     /// (the `Metrics` answer carries the threshold). `0` marks
     /// everything (useful in tests).
     pub slow_audit_ms: u64,
-    /// Minimum severity the structured logger emits (process-global;
-    /// applied at bind).
-    pub log_level: indaas_obs::LogLevel,
-    /// Emit log lines as one JSON object per line instead of text
-    /// (process-global; applied at bind).
-    pub log_json: bool,
-    /// Fault-injection specs (`<point>=<policy>[:prob][:seed]`, see
-    /// `indaas-faultinj`) armed at bind. The registry is
-    /// process-global; this field exists so `serve --fault` arms it
-    /// through the same config surface as everything else. Empty (the
-    /// default) leaves injection entirely off — a single relaxed atomic
-    /// load per point.
-    pub faults: Vec<String>,
 }
 
 impl Default for ServeConfig {
@@ -162,18 +140,13 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             cache_capacity: 4096,
             default_deadline: Duration::from_secs(30),
-            max_deadline: Duration::from_secs(300),
             round_timeout: Duration::from_secs(10),
             node: None,
             peers: Vec::new(),
             collect_interval: None,
-            shards: 8,
             db_dir: None,
             max_conns: 1024,
             slow_audit_ms: 1000,
-            log_level: indaas_obs::LogLevel::Info,
-            log_json: false,
-            faults: Vec::new(),
         }
     }
 }
@@ -212,14 +185,6 @@ pub(crate) struct ServiceState {
     /// Live audit subscriptions across every v2 connection; the single
     /// write path asks it which ones each batch invalidated.
     pub(crate) subs: SubscriptionRegistry,
-    /// `AuditEvent` frames enqueued to subscriber outboxes since start.
-    pub(crate) pushed_events: AtomicU64,
-    /// Client connections currently being served (v1, v2 and federation
-    /// peer sessions alike) — compared against [`ServeConfig::max_conns`].
-    pub(crate) active_conns: AtomicUsize,
-    /// Connection-id source: ties subscriptions to the connection that
-    /// made them so teardown and `Unsubscribe` ownership checks work.
-    pub(crate) next_conn_id: AtomicU64,
     /// Metrics registry + span store + hot-path handles.
     pub(crate) telemetry: Arc<Telemetry>,
 }
@@ -233,15 +198,21 @@ pub struct Server {
 impl Server {
     /// Binds the listener and spawns the worker pool over `store` —
     /// typically [`ShardedDepDb::new`], or [`ShardedDepDb::open`] on
-    /// [`ServeConfig::db_dir`]. Files that store's load quarantined are
-    /// counted into `db_segments_quarantined_total`.
+    /// [`ServeConfig::db_dir`]; the store's shard count is the daemon's.
+    /// Files that store's load quarantined are counted into
+    /// `db_segments_quarantined_total`.
+    ///
+    /// Process-wide settings stay with the caller: the logger
+    /// (`indaas_obs::log::set_level`/`set_json`) and fault injection
+    /// (`indaas_faultinj::arm`, best done before the store opens so its
+    /// load is covered too). When faults are armed, bind hooks their
+    /// firings into `faults_injected_total` and logs that injection is
+    /// on.
     ///
     /// # Errors
     ///
     /// Propagates socket bind failures.
     pub fn bind(config: ServeConfig, store: ShardedDepDb) -> std::io::Result<Self> {
-        slog::set_level(config.log_level);
-        slog::set_json(config.log_json);
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let node = config
@@ -252,15 +223,8 @@ impl Server {
         // pool job: handshakes on the loop match against these.
         let peers = PeerAllowList::resolve_at_bind(&config.peers);
         let telemetry = Arc::new(Telemetry::new(config.slow_audit_ms));
-        // Chaos arming happens before the listener serves anything (the
-        // CLI additionally arms before opening the store, so boot-time
-        // loads are covered too; re-arming is harmless). The observer
-        // hook surfaces each firing as `faults_injected_total`.
-        if !config.faults.is_empty() {
-            for spec in &config.faults {
-                indaas_faultinj::arm(spec)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            }
+        let armed = indaas_faultinj::armed();
+        if !armed.is_empty() {
             let injected = Arc::clone(&telemetry.faults_injected_total);
             indaas_faultinj::set_observer(move |point| {
                 injected.add(1);
@@ -268,7 +232,7 @@ impl Server {
             });
             slog::warn(
                 "serve",
-                &format!("fault injection ARMED: {}", config.faults.join(", ")),
+                &format!("fault injection ARMED: {}", armed.join(", ")),
             );
         }
         let quarantined = store.quarantined().len() as u64;
@@ -299,9 +263,6 @@ impl Server {
             config,
             collectors: Mutex::new(Vec::new()),
             subs: SubscriptionRegistry::new(),
-            pushed_events: AtomicU64::new(0),
-            active_conns: AtomicUsize::new(0),
-            next_conn_id: AtomicU64::new(1),
             telemetry,
         });
         Ok(Server { listener, state })
@@ -463,6 +424,11 @@ fn encode_report(telemetry: &Telemetry, report: &impl serde::Serialize) -> Arc<s
 /// How long past its deadline a pooled job may run before the loop's
 /// guard timer answers for it.
 const GUARD_GRACE: Duration = Duration::from_secs(2);
+
+/// Hard ceiling on a job's deadline, client-supplied `timeout_ms`
+/// included — admission control would be defeated by
+/// `timeout_ms: u64::MAX`.
+const MAX_DEADLINE: Duration = Duration::from_secs(300);
 
 /// One audit bound for the worker pool, as its spans see it.
 struct PooledAudit {
@@ -705,7 +671,7 @@ pub(crate) fn schedule_push_audit(
                     );
                     // Counted before the enqueue so a subscriber can never
                     // observe an event the gauge does not yet include.
-                    st.pushed_events.fetch_add(1, Ordering::Relaxed);
+                    telemetry.pushed_events.add(1);
                     outbox.push_event(frame);
                     // Invalidate → re-audit → event enqueued, end to end.
                     telemetry
@@ -933,6 +899,53 @@ fn validate_spec(spec: &AuditSpec) -> Result<(), String> {
     Ok(())
 }
 
+/// Largest MinHash signature an `AuditPia` may ask for: the engine
+/// builds one hash function per signature slot and runs each over every
+/// provider element.
+pub const MAX_MINHASH: usize = 4096;
+
+/// Most provider combinations one `AuditPia` may rank. The engine
+/// enumerates every `way`-subset before its first deadline check, so
+/// this bounds one request's memory and time.
+const MAX_PIA_COMBINATIONS: usize = 1024;
+
+/// Rejects `AuditPia` parameters an engine cannot run within one job's
+/// bounds: too few providers for `way`, an empty set, a MinHash length
+/// outside `1..=MAX_MINHASH`, or more than [`MAX_PIA_COMBINATIONS`]
+/// `way`-subsets.
+fn validate_pia(
+    providers: &[(String, Vec<String>)],
+    way: usize,
+    minhash: Option<usize>,
+) -> Result<(), String> {
+    let n = providers.len();
+    if way < 2 || n < way {
+        return Err("need way >= 2 and at least `way` providers".into());
+    }
+    if providers.iter().any(|(_, set)| set.is_empty()) {
+        return Err("provider component sets must be non-empty".into());
+    }
+    if let Some(m) = minhash {
+        if !(1..=MAX_MINHASH).contains(&m) {
+            return Err(format!("minhash must be in 1..={MAX_MINHASH} (got {m})"));
+        }
+    }
+    // C(n, k) for k up to n/2 grows with each step, so the product can
+    // stop as soon as it passes the cap.
+    let mut combinations = 1usize;
+    for i in 1..=way.min(n - way) {
+        combinations = combinations
+            .checked_mul(n - i + 1)
+            .map_or(usize::MAX, |c| c / i);
+        if combinations > MAX_PIA_COMBINATIONS {
+            return Err(format!(
+                "{n} providers taken {way} at a time exceed {MAX_PIA_COMBINATIONS} combinations"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Admits an `AuditSia`: a cache hit is answered inline; a miss becomes
 /// a pooled job that fulfills `slot` itself — no thread waits on the
 /// result. The job polls its deadline-armed token and reports
@@ -1001,14 +1014,8 @@ pub(crate) fn admit_pia(
     timeout_ms: Option<u64>,
     slot: Arc<ResponseSlot>,
 ) -> Option<(Instant, TimerEvent)> {
-    if way < 2 || providers.len() < way {
-        slot.fulfill(Response::error(
-            "need way >= 2 and at least `way` providers",
-        ));
-        return None;
-    }
-    if providers.iter().any(|(_, set)| set.is_empty()) {
-        slot.fulfill(Response::error("provider component sets must be non-empty"));
+    if let Err(e) = validate_pia(&providers, way, minhash) {
+        slot.fulfill(Response::error(e));
         return None;
     }
     let started = Instant::now();
@@ -1082,12 +1089,12 @@ pub(crate) fn admit_pia(
 }
 
 /// Resolves the effective job deadline: the client's request, clamped
-/// to the configured ceiling.
+/// to [`MAX_DEADLINE`].
 fn job_deadline(config: &ServeConfig, timeout_ms: Option<u64>) -> Duration {
     timeout_ms
         .map(Duration::from_millis)
         .unwrap_or(config.default_deadline)
-        .min(config.max_deadline)
+        .min(MAX_DEADLINE)
 }
 
 /// `(hits, misses, entries)` of one result cache.
@@ -1135,7 +1142,7 @@ pub(crate) fn status(state: &ServiceState) -> Response {
             cache_hits as f64 / lookups as f64
         },
         subscriptions: state.subs.len(),
-        pushed_events: state.pushed_events.load(Ordering::Relaxed),
+        pushed_events: state.telemetry.pushed_events.get(),
         uptime_ms: state.started.elapsed().as_millis() as u64,
         uptime_secs: state.started.elapsed().as_secs(),
         sia_audits: state.telemetry.audits_sia_total.get(),
@@ -1145,9 +1152,11 @@ pub(crate) fn status(state: &ServiceState) -> Response {
 }
 
 /// Assembles a `Metrics` response: refreshes the derived gauges from
-/// their authoritative sources (per-shard atomics, cache stats,
-/// scheduler — the same reads `Status` does), snapshots the
-/// registry, and attaches the most recent audits' spans.
+/// their authoritative sources (per-shard atomics, cache stats, the
+/// scheduler's running count, the subscription registry — the same
+/// reads `Status` does), snapshots the registry, and attaches the most
+/// recent audits' spans. Live gauges are kept current by their one
+/// writer and are not touched here.
 pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let telemetry = &state.telemetry;
     let registry = &telemetry.registry;
@@ -1168,20 +1177,11 @@ pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
         .gauge(names::CACHE_ENTRIES)
         .set((sia_len + pia_len) as u64);
     registry
-        .gauge(names::SCHED_QUEUE_DEPTH)
-        .set(state.scheduler.queued() as u64);
-    registry
         .gauge(names::SCHED_JOBS_RUNNING)
         .set(state.scheduler.running() as u64);
     registry
         .gauge(names::SUBSCRIPTIONS)
         .set(state.subs.len() as u64);
-    registry
-        .gauge(names::ACTIVE_CONNS)
-        .set(state.active_conns.load(Ordering::Relaxed) as u64);
-    registry
-        .gauge(names::PUSHED_EVENTS)
-        .set(state.pushed_events.load(Ordering::Relaxed));
     let snap = registry.snapshot();
     let recent = telemetry
         .spans
@@ -1193,5 +1193,37 @@ pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
         histos: wire_histos(&snap.histos),
         recent: wire_spans(recent, &state.local_addr.to_string()),
         slow_threshold_us: telemetry.slow_threshold_us,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn providers(n: usize) -> Vec<(String, Vec<String>)> {
+        (0..n)
+            .map(|i| (format!("P{i}"), vec![format!("c{i}")]))
+            .collect()
+    }
+
+    /// The combination cap is exact at its edge, on both sides of n/2.
+    #[test]
+    fn validate_pia_caps_combinations_exactly() {
+        for (n, way, ok) in [
+            (45, 2, true),   // 990
+            (46, 2, false),  // 1,035
+            (12, 6, true),   // 924
+            (13, 6, false),  // 1,716
+            (46, 44, false), // C(46, 2)
+            (40, 20, false), // ~1.4e11
+            (2, 2, true),
+        ] {
+            let result = validate_pia(&providers(n), way, None);
+            assert_eq!(result.is_ok(), ok, "C({n}, {way}): {result:?}");
+        }
+        for minhash in [0, MAX_MINHASH + 1] {
+            assert!(validate_pia(&providers(3), 2, Some(minhash)).is_err());
+        }
+        assert!(validate_pia(&providers(3), 2, Some(MAX_MINHASH)).is_ok());
     }
 }

@@ -2,9 +2,10 @@
 //! registry that turns ingests into [`crate::proto::Response::AuditEvent`]
 //! pushes.
 //!
-//! Every protocol-v2 connection owns one [`Outbox`] — a bounded frame
-//! queue the readiness loop drains into the socket while the
-//! connection's write queue is under its high-watermark. Request handlers
+//! Every connection owns one [`Outbox`] — a bounded frame queue the
+//! readiness loop drains into the socket while the connection's write
+//! queue is under its high-watermark. Each frame records its
+//! [`FrameKind`]. Request handlers
 //! and push jobs enqueue pre-serialized frames and never touch the
 //! socket, so a slow or stalled consumer can never block an ingest,
 //! an audit worker, or another connection. Responses are always
@@ -44,30 +45,39 @@ pub const MAX_OUTBOX_EVENTS: usize = 64;
 /// total is bounded like every other peer-controlled resource.
 pub const MAX_SUBSCRIPTIONS: usize = 1024;
 
+/// What a queued frame is, set by whoever framed it. The readiness
+/// loop's `svc.frame.write` fault point covers envelopes only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameKind {
+    /// An NDJSON line: the greeting, a v1 answer or a peer-session error.
+    Line,
+    /// A length-prefixed v2 envelope answering a request (or announcing
+    /// shutdown).
+    Answer,
+    /// A pushed `AuditEvent` envelope: the only kind the outbox sheds.
+    Event,
+}
+
 struct OutMsg {
-    /// True for a pushed event (sheddable), false for a response.
-    event: bool,
+    kind: FrameKind,
     frame: Vec<u8>,
 }
 
 struct OutboxInner {
     queue: VecDeque<OutMsg>,
     events: usize,
-    shed: u64,
     closed: bool,
 }
 
 /// A bounded, closeable frame queue. The readiness loop drains it with
-/// [`Outbox::try_pop`] after the [notifier](Outbox::set_notifier) wakes
-/// it; nothing ever blocks on it.
+/// [`Outbox::pop`] after the [notifier](Outbox::set_notifier) wakes it;
+/// nothing ever blocks on it.
 pub struct Outbox {
     inner: Mutex<OutboxInner>,
-    /// External counters bumped once per shed event, on top of the
-    /// outbox's own total — the daemon passes its registry-wide
-    /// `outbox_shed_total` plus a per-connection counter, so a slow
-    /// subscriber's lost pushes are visible without walking every live
-    /// connection.
-    shed_counters: Vec<Arc<Counter>>,
+    /// Bumped once per shed event. The daemon passes its registry-wide
+    /// `outbox_shed_total`, so a slow subscriber's lost pushes are
+    /// visible without walking every live connection.
+    shed: Arc<Counter>,
     /// Called (outside the queue lock) after every state change a
     /// drainer cares about: a successful enqueue or a close. The
     /// readiness loop installs a hook that flags the connection and
@@ -82,23 +92,21 @@ impl Default for Outbox {
 }
 
 impl Outbox {
-    /// An open, empty outbox.
+    /// An open, empty outbox counting its sheds on a counter of its own.
     pub fn new() -> Self {
-        Self::with_shed_counters(Vec::new())
+        Self::with_shed_counter(Arc::new(Counter::new()))
     }
 
-    /// An open, empty outbox that also bumps `shed_counters` (e.g. the
-    /// daemon-wide and per-connection shed counters) every time it
-    /// sheds an event.
-    pub fn with_shed_counters(shed_counters: Vec<Arc<Counter>>) -> Self {
+    /// An open, empty outbox that bumps `shed` every time it sheds an
+    /// event.
+    pub fn with_shed_counter(shed: Arc<Counter>) -> Self {
         Outbox {
             inner: Mutex::new(OutboxInner {
                 queue: VecDeque::new(),
                 events: 0,
-                shed: 0,
                 closed: false,
             }),
-            shed_counters,
+            shed,
             notifier: Mutex::new(None),
         }
     }
@@ -122,23 +130,19 @@ impl Outbox {
         }
     }
 
-    /// Enqueues a response frame. Responses are never shed — their
+    /// Enqueues a response line (greeting, v1 answer, peer-session
+    /// error). Never shed, like every answer. Returns false if the
+    /// outbox is closed.
+    pub fn push_line(&self, frame: Vec<u8>) -> bool {
+        self.push(FrameKind::Line, frame)
+    }
+
+    /// Enqueues a response envelope. Responses are never shed — their
     /// number in flight is bounded by the connection's in-flight
     /// request cap. Returns false if the outbox is closed (the
     /// connection died; the frame is dropped).
     pub fn push_response(&self, frame: Vec<u8>) -> bool {
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            if inner.closed {
-                return false;
-            }
-            inner.queue.push_back(OutMsg {
-                event: false,
-                frame,
-            });
-        }
-        self.notify();
-        true
+        self.push(FrameKind::Answer, frame)
     }
 
     /// Enqueues a pushed-event frame, shedding the oldest buffered
@@ -147,37 +151,46 @@ impl Outbox {
     /// and the producer never blocks. Returns false if the outbox is
     /// closed.
     pub fn push_event(&self, frame: Vec<u8>) -> bool {
+        self.push(FrameKind::Event, frame)
+    }
+
+    fn push(&self, kind: FrameKind, frame: Vec<u8>) -> bool {
         {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             if inner.closed {
                 return false;
             }
-            if inner.events >= MAX_OUTBOX_EVENTS {
-                if let Some(pos) = inner.queue.iter().position(|m| m.event) {
-                    inner.queue.remove(pos);
-                    inner.events -= 1;
-                    inner.shed += 1;
-                    for c in &self.shed_counters {
-                        c.inc();
+            if kind == FrameKind::Event {
+                if inner.events >= MAX_OUTBOX_EVENTS {
+                    if let Some(pos) = inner.queue.iter().position(|m| m.kind == FrameKind::Event) {
+                        inner.queue.remove(pos);
+                        inner.events -= 1;
+                        self.shed.inc();
                     }
                 }
+                inner.events += 1;
             }
-            inner.queue.push_back(OutMsg { event: true, frame });
-            inner.events += 1;
+            inner.queue.push_back(OutMsg { kind, frame });
         }
         self.notify();
         true
     }
 
-    /// Pops the next queued frame without blocking; `None` means the
-    /// queue is (currently) empty.
-    pub fn try_pop(&self) -> Option<Vec<u8>> {
+    /// Pops the next queued frame and its kind without blocking; `None`
+    /// means the queue is (currently) empty.
+    pub fn pop(&self) -> Option<(FrameKind, Vec<u8>)> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let msg = inner.queue.pop_front()?;
-        if msg.event {
+        if msg.kind == FrameKind::Event {
             inner.events -= 1;
         }
-        Some(msg.frame)
+        Some((msg.kind, msg.frame))
+    }
+
+    /// [`Outbox::pop`] without the kind.
+    #[cfg(test)]
+    pub(crate) fn try_pop(&self) -> Option<Vec<u8>> {
+        self.pop().map(|(_, frame)| frame)
     }
 
     /// Closes the outbox: producers start dropping frames, and the
@@ -188,14 +201,6 @@ impl Outbox {
             .unwrap_or_else(PoisonError::into_inner)
             .closed = true;
         self.notify();
-    }
-
-    /// Events shed so far (slow-consumer back-pressure made visible).
-    pub fn shed(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shed
     }
 }
 
@@ -377,12 +382,13 @@ mod tests {
 
     #[test]
     fn events_shed_oldest_but_responses_never_do() {
-        let ob = Outbox::new();
+        let shed = Arc::new(Counter::new());
+        let ob = Outbox::with_shed_counter(Arc::clone(&shed));
         assert!(ob.push_response(b"resp".to_vec()));
         for i in 0..(MAX_OUTBOX_EVENTS + 10) {
             assert!(ob.push_event(format!("ev{i}").into_bytes()));
         }
-        assert_eq!(ob.shed(), 10);
+        assert_eq!(shed.get(), 10);
         // The response survives at the front; the oldest 10 events are
         // gone and the newest is still last.
         assert_eq!(ob.try_pop().unwrap(), b"resp");
@@ -416,14 +422,11 @@ mod tests {
     #[test]
     fn shed_counters_track_lost_events() {
         let global = Arc::new(Counter::new());
-        let per_conn = Arc::new(Counter::new());
-        let ob = Outbox::with_shed_counters(vec![Arc::clone(&global), Arc::clone(&per_conn)]);
+        let ob = Outbox::with_shed_counter(Arc::clone(&global));
         for i in 0..(MAX_OUTBOX_EVENTS + 3) {
             assert!(ob.push_event(format!("ev{i}").into_bytes()));
         }
-        assert_eq!(ob.shed(), 3);
         assert_eq!(global.get(), 3);
-        assert_eq!(per_conn.get(), 3);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! | `mutations_total` | ingest/retract batches applied |
 //! | `sched_jobs_total` | jobs admitted to the worker pool |
 //! | `outbox_shed_total` | pushed events shed by slow consumers |
-//! | `outbox_shed_conn_<id>` | same, per live connection (removed at close) |
 //! | `db_segment_saves_total` | dirty shard segments persisted |
 //! | `fed_wire_bytes_total` | bytes put on the wire by federation parties |
 //! | `fed_rounds_total` | federation ring messages sent |
@@ -52,9 +51,8 @@
 //! | `cache_pia_hits` / `cache_pia_misses` | PIA result-cache outcomes (derived) |
 //! | `cache_entries` | live cached results, both caches (derived) |
 //! | `subscriptions` | live audit subscriptions (derived) |
-//! | `active_conns` | open client connections (derived) |
-//! | `pushed_events` | audit events produced for subscribers (derived) |
-//! | `conn_registered` | connections registered with the readiness loop (live) |
+//! | `active_conns` | open client connections (live) |
+//! | `pushed_events` | audit events produced for subscribers (live) |
 //! | `write_queue_depth` | bytes queued across all connection write queues (live) |
 //!
 //! Histograms (all in microseconds):
@@ -81,7 +79,7 @@
 use std::sync::Arc;
 
 use indaas_core::StageObserver;
-use indaas_obs::{Attr, Counter, Histo, Registry, SpanStore, TraceContext};
+use indaas_obs::{Attr, Counter, Gauge, Histo, Registry, SpanStore, TraceContext};
 
 use crate::names;
 use crate::proto::MetricHisto;
@@ -141,8 +139,11 @@ pub struct Telemetry {
     pub fed_party_us: Arc<Histo>,
     pub loop_wakeups_total: Arc<Counter>,
     pub loop_ready_events: Arc<Histo>,
-    pub conn_registered: Arc<indaas_obs::Gauge>,
-    pub write_queue_depth: Arc<indaas_obs::Gauge>,
+    /// Read by connection admission against `ServeConfig::max_conns`.
+    pub active_conns: Arc<Gauge>,
+    /// Read by `Status` as well.
+    pub pushed_events: Arc<Gauge>,
+    pub write_queue_depth: Arc<Gauge>,
     pub report_encode_us: Arc<Histo>,
     pub response_bytes: Arc<Histo>,
 }
@@ -166,8 +167,6 @@ impl Telemetry {
             names::CACHE_PIA_MISSES,
             names::CACHE_ENTRIES,
             names::SUBSCRIPTIONS,
-            names::ACTIVE_CONNS,
-            names::PUSHED_EVENTS,
         ] {
             registry.gauge(gauge);
         }
@@ -198,7 +197,8 @@ impl Telemetry {
             fed_party_us: registry.histo(names::FED_PARTY_US),
             loop_wakeups_total: registry.counter(names::LOOP_WAKEUPS_TOTAL),
             loop_ready_events: registry.histo(names::LOOP_READY_EVENTS),
-            conn_registered: registry.gauge(names::CONN_REGISTERED),
+            active_conns: registry.gauge(names::ACTIVE_CONNS),
+            pushed_events: registry.gauge(names::PUSHED_EVENTS),
             write_queue_depth: registry.gauge(names::WRITE_QUEUE_DEPTH),
             report_encode_us: registry.histo(names::REPORT_ENCODE_US),
             response_bytes: registry.histo(names::RESPONSE_BYTES),

@@ -24,6 +24,7 @@ use indaas::obs::{build_span_tree, format_trace_id, log as slog, parse_trace_id,
 use indaas::pia::normalize::normalize_set;
 use indaas::pia::report::render_ranking;
 use indaas::pia::{rank_deployments, PsopConfig};
+use indaas::service::server::MAX_MINHASH;
 use indaas::service::{
     names, Client, MetricsAnswer, Request, ServeConfig, Server, SpanEntry, StatusAnswer,
     SubscriptionEnd,
@@ -288,33 +289,96 @@ OPTIONS:
   --plain           no screen clearing between refreshes (log-friendly)
 ";
 
-/// Simple flag cursor over argv.
+/// The command line each subcommand accepts, one token per argument:
+/// `--flag=` takes the next argument as its value, a bare `--flag` is a
+/// switch, and an upper-case name is a positional argument. `--help` and
+/// `-h` are always accepted.
+const SIA: &str = "--records= --deploy= --algorithm= --rounds= --max-order= --metric= \
+                   --default-prob= --only= --json";
+const PIA: &str = "--set= --way= --minhash= --json";
+const DOT: &str = "--records= --servers=";
+const SERVE: &str = "--listen= --workers= --queue= --cache= --shards= --deadline-ms= \
+                     --db-dir= --records= --max-conns= --peer= --node= --round-timeout-ms= \
+                     --collect-interval= --collect-truth= --collect-miss-rate= \
+                     --slow-audit-ms= --log-level= --log-json --fault=";
+const WATCH: &str = "--deploy= --addr= --count= --timeout-ms= --json --no-reconnect";
+const FEDERATE: &str = "--peer= --seed= --round-timeout-ms= --json";
+const METRICS: &str = "--addr= --recent= --prom --json";
+const TOP: &str = "--addr= --interval-ms= --count= --plain";
+const TRACE: &str = "TRACE_ID --addr= --json";
+const PING: &str = "--addr=";
+
+/// One subcommand's argv, checked against its syntax: an unknown flag, a
+/// value flag without its value, or a stray argument is an error naming
+/// it, never a silently applied default.
 struct Flags<'a> {
-    args: &'a [String],
+    /// Every flag in argv order, with its value if it takes one.
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    operands: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
-    fn values(&self, flag: &str) -> Vec<&'a str> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.args.len() {
-            if self.args[i] == flag {
-                if let Some(v) = self.args.get(i + 1) {
-                    out.push(v.as_str());
-                    i += 1;
-                }
+    fn parse(args: &'a [String], syntax: &str) -> Result<Self, String> {
+        let accepts = |arg: &str, suffix: &str| {
+            syntax
+                .split_whitespace()
+                .any(|t| t.strip_suffix(suffix) == Some(arg))
+        };
+        let most_operands = syntax
+            .split_whitespace()
+            .filter(|t| !t.starts_with('-'))
+            .count();
+        let mut parsed = Flags {
+            flags: Vec::new(),
+            operands: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if accepts(arg, "=") {
+                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                parsed.flags.push((arg, Some(value)));
+            } else if accepts(arg, "") || arg == "--help" || arg == "-h" {
+                parsed.flags.push((arg, None));
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg:?}"));
+            } else if parsed.operands.len() < most_operands {
+                parsed.operands.push(arg);
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
             }
-            i += 1;
         }
-        out
+        Ok(parsed)
+    }
+
+    fn values(&self, flag: &str) -> Vec<&'a str> {
+        self.flags
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .filter_map(|&(_, v)| v)
+            .collect()
     }
 
     fn value(&self, flag: &str) -> Option<&'a str> {
         self.values(flag).into_iter().next()
     }
 
+    /// The first value of `flag`, parsed; a parse failure names the flag.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+
     fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// True when `--help` or `-h` was given.
+    fn help(&self) -> bool {
+        self.has("--help") || self.has("-h")
     }
 }
 
@@ -350,23 +414,16 @@ fn parse_deployments(flags: &Flags) -> Result<Vec<CandidateDeployment>, String> 
 }
 
 fn cmd_sia(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, SIA)?;
     let db = load_db(&flags)?;
     let candidates = parse_deployments(&flags)?;
 
     let algorithm = match flags.value("--algorithm").unwrap_or("minimal") {
         "minimal" => RgAlgorithm::Minimal {
-            max_order: flags
-                .value("--max-order")
-                .map(|v| v.parse().map_err(|e| format!("--max-order: {e}")))
-                .transpose()?,
+            max_order: flags.parsed("--max-order")?,
         },
         "sampling" => RgAlgorithm::Sampling {
-            rounds: flags
-                .value("--rounds")
-                .unwrap_or("100000")
-                .parse()
-                .map_err(|e| format!("--rounds: {e}"))?,
+            rounds: flags.parsed("--rounds")?.unwrap_or(100_000),
             fail_prob: 0.5,
             seed: 2014,
             threads: 1,
@@ -376,11 +433,7 @@ fn cmd_sia(args: &[String]) -> Result<(), String> {
     let metric = match flags.value("--metric").unwrap_or("size") {
         "size" => RankingMetric::Size,
         "probability" | "prob" => RankingMetric::Probability {
-            default_prob: flags
-                .value("--default-prob")
-                .unwrap_or("0.05")
-                .parse()
-                .map_err(|e| format!("--default-prob: {e}"))?,
+            default_prob: flags.parsed("--default-prob")?.unwrap_or(0.05),
         },
         other => return Err(format!("unknown metric {other:?}")),
     };
@@ -411,7 +464,7 @@ fn cmd_sia(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_pia(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, PIA)?;
     let mut providers = Vec::new();
     for spec in flags.values("--set") {
         let (name, path) = spec
@@ -431,18 +484,14 @@ fn cmd_pia(args: &[String]) -> Result<(), String> {
     if providers.len() < 2 {
         return Err("at least two --set providers required".into());
     }
-    let way: usize = flags
-        .value("--way")
-        .unwrap_or("2")
-        .parse()
-        .map_err(|e| format!("--way: {e}"))?;
+    let way = flags.parsed("--way")?.unwrap_or(2);
     if way < 2 || way > providers.len() {
         return Err("--way must be between 2 and the number of providers".into());
     }
-    let minhash = flags
-        .value("--minhash")
-        .map(|v| v.parse().map_err(|e| format!("--minhash: {e}")))
-        .transpose()?;
+    let minhash = flags.parsed("--minhash")?;
+    if minhash.is_some_and(|m| !(1..=MAX_MINHASH).contains(&m)) {
+        return Err(format!("--minhash must be between 1 and {MAX_MINHASH}"));
+    }
     let rankings = rank_deployments(&providers, way, minhash, &PsopConfig::default());
     if flags.has("--json") {
         println!(
@@ -456,8 +505,8 @@ fn cmd_pia(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--help") || flags.has("-h") {
+    let flags = Flags::parse(args, SERVE)?;
+    if flags.help() {
         eprint!("{}", serve_usage());
         return Ok(());
     }
@@ -465,66 +514,47 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(addr) = flags.value("--listen") {
         config.addr = addr.to_string();
     }
-    if let Some(v) = flags.value("--workers") {
-        config.workers = v.parse().map_err(|e| format!("--workers: {e}"))?;
-        if config.workers == 0 {
-            return Err("--workers must be at least 1".into());
+    let ms = std::time::Duration::from_millis;
+    config.workers = flags.parsed("--workers")?.unwrap_or(config.workers);
+    config.queue_capacity = flags.parsed("--queue")?.unwrap_or(config.queue_capacity);
+    config.cache_capacity = flags.parsed("--cache")?.unwrap_or(config.cache_capacity);
+    config.max_conns = flags.parsed("--max-conns")?.unwrap_or(config.max_conns);
+    let shards = flags.parsed("--shards")?.unwrap_or(8);
+    for (flag, n) in [
+        ("--workers", config.workers),
+        ("--max-conns", config.max_conns),
+        ("--shards", shards),
+    ] {
+        if n == 0 {
+            return Err(format!("{flag} must be at least 1"));
         }
     }
-    if let Some(v) = flags.value("--queue") {
-        config.queue_capacity = v.parse().map_err(|e| format!("--queue: {e}"))?;
+    if let Some(deadline) = flags.parsed("--deadline-ms")? {
+        config.default_deadline = ms(deadline);
     }
-    if let Some(v) = flags.value("--cache") {
-        config.cache_capacity = v.parse().map_err(|e| format!("--cache: {e}"))?;
+    if let Some(timeout) = flags.parsed("--round-timeout-ms")? {
+        config.round_timeout = ms(timeout);
     }
-    if let Some(v) = flags.value("--shards") {
-        config.shards = v.parse().map_err(|e| format!("--shards: {e}"))?;
-        if config.shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-    }
-    if let Some(v) = flags.value("--max-conns") {
-        config.max_conns = v.parse().map_err(|e| format!("--max-conns: {e}"))?;
-        if config.max_conns == 0 {
-            return Err("--max-conns must be at least 1".into());
-        }
-    }
-    if let Some(v) = flags.value("--deadline-ms") {
-        let ms: u64 = v.parse().map_err(|e| format!("--deadline-ms: {e}"))?;
-        config.default_deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(v) = flags.value("--round-timeout-ms") {
-        let ms: u64 = v.parse().map_err(|e| format!("--round-timeout-ms: {e}"))?;
-        config.round_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(v) = flags.value("--collect-interval") {
-        let ms: u64 = v.parse().map_err(|e| format!("--collect-interval: {e}"))?;
-        if ms == 0 {
+    if let Some(interval) = flags.parsed("--collect-interval")? {
+        if interval == 0 {
             return Err("--collect-interval must be at least 1 ms".into());
         }
-        config.collect_interval = Some(std::time::Duration::from_millis(ms));
+        config.collect_interval = Some(ms(interval));
     }
-    if let Some(v) = flags.value("--slow-audit-ms") {
-        config.slow_audit_ms = v.parse().map_err(|e| format!("--slow-audit-ms: {e}"))?;
+    config.slow_audit_ms = flags
+        .parsed("--slow-audit-ms")?
+        .unwrap_or(config.slow_audit_ms);
+    // The logger and the fault registry are process-wide: set here, once.
+    if let Some(level) = flags.parsed("--log-level")? {
+        slog::set_level(level);
     }
-    if let Some(v) = flags.value("--log-level") {
-        config.log_level = v.parse().map_err(|e| format!("--log-level: {e}"))?;
-    }
-    if flags.has("--log-json") {
-        config.log_json = true;
-    }
+    slog::set_json(flags.has("--log-json"));
     if let Some(dir) = flags.value("--db-dir") {
         config.db_dir = Some(std::path::PathBuf::from(dir));
     }
     // Fault specs arm *before* the store opens so `db.load` faults
-    // cover boot-time recovery too; bind re-arms the same specs, which
-    // is harmless.
-    config.faults = flags
-        .values("--fault")
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    for spec in &config.faults {
+    // cover boot-time recovery too.
+    for spec in flags.values("--fault") {
         indaas::faultinj::arm(spec).map_err(|e| format!("--fault: {e}"))?;
     }
     // The store opens from --db-dir (segments in parallel; a missing
@@ -532,9 +562,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // a plain file is refused), then any
     // --records file is layered on top through the normal ingest path.
     let store = match &config.db_dir {
-        Some(dir) => ShardedDepDb::open(dir, config.shards)
+        Some(dir) => ShardedDepDb::open(dir, shards)
             .map_err(|e| format!("opening {}: {e}", dir.display()))?,
-        None => ShardedDepDb::new(config.shards),
+        None => ShardedDepDb::new(shards),
     };
     if let Some(path) = flags.value("--records") {
         let db = DepDb::load(path).map_err(|e| format!("loading {path}: {e}"))?;
@@ -555,11 +585,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(path) = flags.value("--collect-truth") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let truth = parse_records(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let miss_rate: f64 = flags
-            .value("--collect-miss-rate")
-            .unwrap_or("0.0")
-            .parse()
-            .map_err(|e| format!("--collect-miss-rate: {e}"))?;
+        let miss_rate = flags.parsed("--collect-miss-rate")?.unwrap_or(0.0);
         if !(0.0..1.0).contains(&miss_rate) {
             return Err("--collect-miss-rate must be in [0, 1)".into());
         }
@@ -577,22 +603,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--help") || flags.has("-h") {
+    let flags = Flags::parse(args, WATCH)?;
+    if flags.help() {
         eprint!("{WATCH_USAGE}");
         return Ok(());
     }
     let candidates = parse_deployments(&flags)?;
     let spec = AuditSpec::sia_size_based(candidates);
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:4914");
-    let count: Option<u64> = flags
-        .value("--count")
-        .map(|v| v.parse().map_err(|e| format!("--count: {e}")))
-        .transpose()?;
+    let count: Option<u64> = flags.parsed("--count")?;
     let timeout = flags
-        .value("--timeout-ms")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("--timeout-ms: {e}")))
-        .transpose()?
+        .parsed("--timeout-ms")?
         .map(std::time::Duration::from_millis);
     let json = flags.has("--json");
     let no_reconnect = flags.has("--no-reconnect");
@@ -747,8 +768,8 @@ fn reconnect_backoff(attempt: u32) -> std::time::Duration {
 }
 
 fn cmd_federate(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--help") || flags.has("-h") {
+    let flags = Flags::parse(args, FEDERATE)?;
+    if flags.help() {
         eprint!("{FEDERATE_USAGE}");
         return Ok(());
     }
@@ -761,12 +782,9 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         return Err("at least two --peer daemons required".into());
     }
     let mut config = PsopConfig::default();
-    if let Some(v) = flags.value("--seed") {
-        config.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-    }
+    config.seed = flags.parsed("--seed")?.unwrap_or(config.seed);
     let mut coordinator = FederationCoordinator::new(peers.clone()).with_config(config);
-    if let Some(v) = flags.value("--round-timeout-ms") {
-        let ms: u64 = v.parse().map_err(|e| format!("--round-timeout-ms: {e}"))?;
+    if let Some(ms) = flags.parsed("--round-timeout-ms")? {
         coordinator = coordinator.with_round_timeout(std::time::Duration::from_millis(ms));
     }
     let outcome = coordinator.run().map_err(|e| e.to_string())?;
@@ -891,31 +909,15 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--help") || flags.has("-h") {
+    let flags = Flags::parse(args, TRACE)?;
+    if flags.help() {
         eprint!("{TRACE_USAGE}");
         return Ok(());
     }
-    // One positional TRACE_ID among the flags.
-    let mut id: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => i += 2,
-            "--json" => i += 1,
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag {flag:?}\n{TRACE_USAGE}"));
-            }
-            positional => {
-                if id.is_some() {
-                    return Err(format!("more than one TRACE_ID given\n{TRACE_USAGE}"));
-                }
-                id = Some(positional);
-                i += 1;
-            }
-        }
-    }
-    let id = id.ok_or_else(|| format!("missing TRACE_ID\n{TRACE_USAGE}"))?;
+    let id = *flags
+        .operands
+        .first()
+        .ok_or_else(|| format!("missing TRACE_ID\n{TRACE_USAGE}"))?;
     let trace_id = parse_trace_id(id)
         .ok_or_else(|| format!("bad trace id {id:?} (expected up to 32 hex digits, nonzero)"))?;
     let addrs = {
@@ -1006,16 +1008,13 @@ fn render_span_nodes(out: &mut String, nodes: &[SpanNode], prefix: &str) {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--help") || flags.has("-h") {
+    let flags = Flags::parse(args, METRICS)?;
+    if flags.help() {
         eprint!("{METRICS_USAGE}");
         return Ok(());
     }
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:4914");
-    let recent = flags
-        .value("--recent")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("--recent: {e}")))
-        .transpose()?;
+    let recent = flags.parsed("--recent")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     if flags.has("--json") {
         let response = client
@@ -1162,21 +1161,14 @@ fn render_metrics(metrics: &MetricsAnswer) -> String {
 }
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
-    if flags.has("--help") || flags.has("-h") {
+    let flags = Flags::parse(args, TOP)?;
+    if flags.help() {
         eprint!("{TOP_USAGE}");
         return Ok(());
     }
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:4914");
-    let interval_ms: u64 = flags
-        .value("--interval-ms")
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|e| format!("--interval-ms: {e}"))?;
-    let count: Option<u64> = flags
-        .value("--count")
-        .map(|v| v.parse().map_err(|e| format!("--count: {e}")))
-        .transpose()?;
+    let interval_ms = flags.parsed("--interval-ms")?.unwrap_or(1000);
+    let count: Option<u64> = flags.parsed("--count")?;
     let plain = flags.has("--plain");
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let mut prev: Option<(MetricsAnswer, std::time::Instant)> = None;
@@ -1248,10 +1240,9 @@ fn render_top(
         status.subscriptions,
     ));
     out.push_str(&format!(
-        "loop:    {:.1} wakeups/s   {} conns registered   {} outbound bytes queued\n\n\
+        "loop:    {:.1} wakeups/s   {} outbound bytes queued\n\n\
          stage latency (us):\n",
         rate(names::LOOP_WAKEUPS_TOTAL),
-        gauge(names::CONN_REGISTERED),
         gauge(names::WRITE_QUEUE_DEPTH),
     ));
     for histo in &metrics.histos {
@@ -1279,7 +1270,7 @@ fn render_top(
 }
 
 fn cmd_ping(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, PING)?;
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:4914");
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     client.ping().map_err(|e| e.to_string())?;
@@ -1288,7 +1279,7 @@ fn cmd_ping(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::parse(args, DOT)?;
     let db = load_db(&flags)?;
     let servers: Vec<String> = flags
         .value("--servers")

@@ -283,6 +283,37 @@ fn read_fault_drops_sessions_and_subscribers_see_connection_loss() {
     shutdown(vec![daemon]);
 }
 
+/// What `svc.frame.write` covers: v2 envelopes (answers and pushes) and
+/// nothing else. With every covered frame dropped, a v1 line session is
+/// still answered and the v2 `Welcome` line still completes the
+/// handshake, but a v2 answer never arrives; once disarmed, a fresh
+/// client is answered again.
+#[test]
+fn write_fault_covers_envelopes_not_lines() {
+    let _guard = chaos();
+    let daemon = boot_daemon(PROVIDER_RECORDS[0], &[]);
+    faultinj::arm("svc.frame.write=drop").unwrap();
+
+    let mut line = common::LineSession::connect(&daemon.addr);
+    assert_eq!(line.raw("\"Ping\"").trim(), "\"Pong\"");
+
+    let mut client = Client::connect(&daemon.addr).expect("the Welcome line is not dropped");
+    client
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .expect("set read timeout");
+    assert!(
+        client.ping().is_err(),
+        "a v2 answer is an envelope: dropped"
+    );
+    assert!(faultinj::triggered("svc.frame.write") >= 1);
+    faultinj::disarm_all();
+
+    let mut fresh = Client::connect(&daemon.addr).expect("reconnect");
+    fresh.ping().expect("answered once disarmed");
+    drop((line, client, fresh));
+    shutdown(vec![daemon]);
+}
+
 /// An *announced* shutdown is the opposite terminal state: the daemon
 /// pushes `ShuttingDown` to every subscriber before draining, and the
 /// subscription ends `CleanShutdown` — the signal a self-healing client

@@ -133,6 +133,29 @@ fn bad_usage_fails_with_message() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
+/// A misspelled flag or a value flag missing its value is an error that
+/// names the flag — never a silently applied default.
+#[test]
+fn unknown_flags_and_missing_values_are_rejected() {
+    let records = write_temp("records-flags", RECORDS);
+    let records = records.to_str().unwrap();
+    let sia = ["sia", "--records", records, "--deploy", "pair=S1,S2"];
+    for (args, flag) in [
+        (
+            [&sia[..], &["--algoritm", "sampling"]].concat(),
+            "--algoritm",
+        ),
+        (vec!["ping", "--adr", "127.0.0.1:1"], "--adr"),
+        ([&sia[..], &["--max-order"]].concat(), "--max-order"),
+    ] {
+        let out = bin().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(records).ok();
+}
+
 #[test]
 fn serve_help_documents_daemon_and_protocol() {
     let out = bin()
@@ -721,6 +744,112 @@ fn live_federation_round_threads_are_loop_plus_pool() {
 
     drop(peer);
     coordinator.shutdown().expect("shutdown");
+    assert!(daemon.0.wait().expect("daemon exits").success());
+    std::fs::remove_file(&records).ok();
+}
+
+/// The readiness-loop gate, "a thousand idle watchers": 512 live
+/// subscriptions over 16 connections cost a `serve --workers 1` daemon
+/// no thread beyond its loop and its one worker, and one ingest wave
+/// still reaches every subscription promptly.
+#[test]
+fn idle_watchers_cost_no_threads() {
+    use indaas::core::{AuditSpec, CandidateDeployment};
+    use indaas::service::Client;
+    use std::io::{BufRead, BufReader};
+    use std::time::{Duration, Instant};
+
+    const SUBS: usize = 512;
+    const CONNS: usize = 16;
+    const WAVE_DEADLINE: Duration = Duration::from_secs(30);
+
+    /// Kills the daemon should an assertion fail before its shutdown.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let records = write_temp(
+        "idle-watchers-records.txt",
+        r#"
+        <src="S1" dst="Internet" route="tor1,core1"/>
+        <src="S2" dst="Internet" route="tor1,core2"/>
+        <src="S3" dst="Internet" route="tor2,core2"/>
+        <hw="S1" type="Disk" dep="S1-disk"/>
+        "#,
+    );
+    // The queue holds one wave's push audits: an overflowed push is
+    // dropped, which would fail the wave spuriously.
+    let mut daemon = Daemon(
+        bin()
+            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+            .args(["--queue", "1024", "--records", records.to_str().unwrap()])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let stderr = daemon.0.stderr.take().expect("stderr piped");
+    let mut banner = String::new();
+    BufReader::new(stderr)
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address in banner")
+        .to_string();
+
+    // The watcher fleet, every initial event drained so each watcher is
+    // idle when the threads are counted.
+    let spec = AuditSpec::sia_size_based(vec![
+        CandidateDeployment::replicated("S1+S2", ["S1", "S2"]),
+        CandidateDeployment::replicated("S1+S3", ["S1", "S3"]),
+    ]);
+    let mut clients: Vec<Client> = (0..CONNS)
+        .map(|_| Client::connect(&addr).expect("connect watcher"))
+        .collect();
+    let watchers: Vec<u64> = (0..SUBS)
+        .map(|i| clients[i % CONNS].subscribe(&spec).expect("subscribe"))
+        .collect();
+    for (i, &sub) in watchers.iter().enumerate() {
+        clients[i % CONNS]
+            .next_event(sub, Some(WAVE_DEADLINE))
+            .expect("initial event")
+            .expect("initial event arrives");
+    }
+
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.0.id()))
+        .expect("read /proc status");
+    let threads = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .map(str::trim)
+        .expect("Threads: line");
+    assert_eq!(threads, "2", "{SUBS} idle watchers: loop + 1 worker only");
+
+    // One wave: new hardware under S1 moves every subscription's pins.
+    let mut admin = Client::connect(&addr).expect("connect admin");
+    let wave = Instant::now();
+    let ack = admin
+        .ingest(r#"<hw="S1" type="Nic" dep="S1-nic"/>"#)
+        .expect("wave ingest");
+    for (i, &sub) in watchers.iter().enumerate() {
+        let left = WAVE_DEADLINE
+            .checked_sub(wave.elapsed())
+            .unwrap_or_else(|| panic!("wave missed watcher #{i} within {WAVE_DEADLINE:?}"));
+        let event = clients[i % CONNS]
+            .next_event(sub, Some(left))
+            .expect("wave event")
+            .unwrap_or_else(|| panic!("wave missed watcher #{i} within {WAVE_DEADLINE:?}"));
+        assert!(event.epoch >= ack.epoch, "watcher #{i} saw a stale epoch");
+    }
+
+    drop(clients);
+    admin.shutdown().expect("shutdown");
     assert!(daemon.0.wait().expect("daemon exits").success());
     std::fs::remove_file(&records).ok();
 }

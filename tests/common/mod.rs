@@ -44,15 +44,18 @@ pub const PROVIDER_RECORDS: [&str; 3] = [
     "#,
 ];
 
+/// Shards of every store these helpers open (the CLI's default).
+pub const SHARDS: usize = 8;
+
 /// A daemon serving on its own thread.
 pub struct TestDaemon {
     pub addr: String,
     pub handle: JoinHandle<std::io::Result<()>>,
 }
 
-/// Binds a daemon over a fresh, empty `config.shards`-shard store.
+/// Binds a daemon over a fresh, empty [`SHARDS`]-shard store.
 pub fn bind(config: ServeConfig) -> Server {
-    let store = ShardedDepDb::new(config.shards);
+    let store = ShardedDepDb::new(SHARDS);
     Server::bind(config, store).expect("bind daemon")
 }
 
@@ -67,7 +70,7 @@ pub fn bind_daemon_at(addr: &str, records: &str, allow: &[String]) -> Server {
         node: None,
         ..ServeConfig::default()
     };
-    let store = ShardedDepDb::new(config.shards);
+    let store = ShardedDepDb::new(SHARDS);
     store.ingest(parse_records(records).expect("test records parse"));
     Server::bind(config, store).expect("bind daemon")
 }

@@ -350,6 +350,49 @@ fn hostile_specs_are_rejected_or_survived() {
     daemon.join().unwrap().expect("serve loop");
 }
 
+/// `AuditPia` parameters that would crash a job (`minhash: 0`), abort
+/// the process (a MinHash family of 2^40 functions) or enumerate 10^11
+/// provider combinations are rejected at admission, fast, and the
+/// daemon keeps serving.
+#[test]
+fn hostile_pia_requests_are_rejected_at_admission() {
+    let (addr, daemon) = start_daemon();
+    let mut client = Client::connect(addr).expect("connect");
+    let set = |tag: &str| vec![format!("lib-{tag}"), "libc6".to_string()];
+    let two = vec![("A".to_string(), set("a")), ("B".to_string(), set("b"))];
+
+    let err = client
+        .audit_pia(two.clone(), 2, Some(0), None)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("minhash"), "got: {err}");
+    assert!(!err.contains("crashed"), "got: {err}");
+
+    let forty: Vec<(String, Vec<String>)> = (0..40)
+        .map(|i| (format!("P{i}"), set(&i.to_string())))
+        .collect();
+    for (providers, way, minhash, needle) in [
+        (two, 2, Some(1 << 40), "minhash"),
+        (forty, 20, None, "combinations"),
+    ] {
+        let started = Instant::now();
+        let err = client
+            .audit_pia(providers, way, minhash, None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(needle), "got: {err}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "rejected after {:?}",
+            started.elapsed()
+        );
+    }
+
+    client.ping().expect("the daemon still answers");
+    client.shutdown().expect("shutdown");
+    daemon.join().unwrap().expect("serve loop");
+}
+
 /// The default spec is the untruncated exact engine, so a request can
 /// name a deployment whose family outgrows the engine's cap: two servers
 /// that must both fail, 1,001 components each, is 1,002,001 minimal RGs.
@@ -618,12 +661,12 @@ fn cached_audit_survives_other_shard_ingest() {
     use indaas::deps::shard_index;
 
     const SHARDS: usize = 8;
-    let server = common::bind(ServeConfig {
+    let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: SHARDS,
         ..ServeConfig::default()
-    });
+    };
+    let server = Server::bind(config, ShardedDepDb::new(SHARDS)).expect("bind daemon");
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -758,7 +801,7 @@ fn daemon_restart_reloads_segmented_db_dir() {
             db_dir: Some(dir.clone()),
             ..ServeConfig::default()
         };
-        let store = ShardedDepDb::open(&dir, config.shards).expect("open db dir");
+        let store = ShardedDepDb::open(&dir, common::SHARDS).expect("open db dir");
         Server::bind(config, store).expect("bind daemon")
     };
     let server = bind();
@@ -912,12 +955,12 @@ fn subscription_pushes_on_relevant_ingests_only() {
     use indaas::deps::shard_index;
 
     const SHARDS: usize = 8;
-    let server = common::bind(ServeConfig {
+    let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: SHARDS,
         ..ServeConfig::default()
-    });
+    };
+    let server = Server::bind(config, ShardedDepDb::new(SHARDS)).expect("bind daemon");
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -1025,12 +1068,12 @@ fn subscriptions_are_independent_per_spec() {
     use indaas::deps::shard_index;
 
     const SHARDS: usize = 8;
-    let server = common::bind(ServeConfig {
+    let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: SHARDS,
         ..ServeConfig::default()
-    });
+    };
+    let server = Server::bind(config, ShardedDepDb::new(SHARDS)).expect("bind daemon");
     let addr = server.local_addr();
     let daemon = std::thread::spawn(move || server.run());
 
