@@ -10,15 +10,20 @@
 //! comparison — the paper's KS hits 10⁵+ seconds). Both protocols use
 //! 1024-bit keys, as in the paper.
 //!
+//! A third section runs the generic-SMPC baseline (a GMW boolean circuit,
+//! §4.2) for k = 2. Its work grows with n², so it sweeps n = 100–1000,
+//! under the same cap as KS: §4.2's point is that it is impractical
+//! beyond a few hundred components.
+//!
 //! Scale knobs: `FIG8_PSOP_MAX_N` (default 10000), `FIG8_KS_MAX_N`
-//! (default 1000).
+//! (default 1000; caps KS and SMPC).
 //!
 //! Run with: `cargo run --release -p indaas-bench --bin repro_fig8`
 
 #![forbid(unsafe_code)]
 
 use indaas_bench::{synthetic_datasets, timed};
-use indaas_pia::{run_ks, run_psop, KsConfig, PsopConfig};
+use indaas_pia::{run_ks, run_psop, run_smpc, KsConfig, PsopConfig, SmpcConfig};
 use indaas_simnet::SimNetwork;
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -85,9 +90,30 @@ fn main() {
         }
     }
 
+    println!("\n=== §4.2 — generic SMPC baseline (GMW), k = 2 ===");
+    println!(
+        "{:>4} {:>8} {:>16} {:>16} {:>12}",
+        "k", "n", "total MB sent", "AND gates", "seconds"
+    );
+    for n in [100usize, 316, 1_000].into_iter().filter(|&n| n <= ks_max) {
+        let datasets = synthetic_datasets(2, n, 0.3);
+        let mut net = SimNetwork::new(3);
+        let (out, secs) =
+            timed(|| run_smpc(&datasets[0], &datasets[1], &SmpcConfig::default(), &mut net));
+        println!(
+            "{:>4} {:>8} {:>16.2} {:>16} {:>12.2}",
+            2,
+            n,
+            out.traffic.total_bytes() as f64 / 1e6,
+            out.and_gates,
+            secs
+        );
+    }
+
     println!(
         "\nshape (as in the paper): both protocols scale ~linearly in n; KS's\n\
          computational overhead sits orders of magnitude above P-SOP's and its\n\
-         bandwidth grows faster with the number of providers k."
+         bandwidth grows faster with the number of providers k. SMPC compares\n\
+         every pair of elements, so its traffic grows with n²."
     );
 }

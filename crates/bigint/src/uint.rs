@@ -41,19 +41,6 @@ impl BigUint {
         }
     }
 
-    /// Builds a value from a 128-bit word.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        if hi == 0 {
-            Self::from_u64(lo)
-        } else {
-            BigUint {
-                limbs: vec![lo, hi],
-            }
-        }
-    }
-
     /// Builds a value from little-endian limbs, normalizing trailing zeros.
     pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
@@ -183,25 +170,6 @@ impl BigUint {
         let limb = i / 64;
         let off = i % 64;
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
-    }
-
-    /// Converts to `u64`, if the value fits.
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
-    }
-
-    /// Converts to `u128`, if the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some(self.limbs[0] as u128 | (self.limbs[1] as u128) << 64),
-            _ => None,
-        }
     }
 
     /// Checked subtraction: `self - other`, or `None` on underflow.
@@ -576,7 +544,8 @@ mod tests {
         let a = BigUint::from_u64(0xdead_beef_cafe_f00d);
         let b = BigUint::from_u64(0x1234_5678_9abc_def1);
         let expect = 0xdead_beef_cafe_f00d_u128 * 0x1234_5678_9abc_def1_u128;
-        assert_eq!((&a * &b).to_u128(), Some(expect));
+        let expect = BigUint::from_limbs(vec![expect as u64, (expect >> 64) as u64]);
+        assert_eq!(&a * &b, expect);
     }
 
     #[test]

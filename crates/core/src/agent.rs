@@ -1,7 +1,7 @@
 //! The auditing agent: executes audit specifications against dependency
 //! data (Steps 2–6 of the workflow in §2).
 
-use indaas_deps::{collect_all, DamError, DbSnapshot, DepDb, DepView, DependencyAcquisitionModule};
+use indaas_deps::{DbSnapshot, DepDb, DepView};
 use indaas_graph::{CancelToken, Cancelled};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::{
@@ -51,8 +51,6 @@ pub enum AuditError {
     NoCandidates,
     /// Fault-graph construction failed for a deployment.
     Build(String, BuildError),
-    /// Dependency acquisition failed.
-    Acquisition(DamError),
     /// The job was cancelled or overran its deadline.
     Cancelled(Cancelled),
     /// A deployment's minimal risk groups outgrew the engine's family cap.
@@ -66,7 +64,6 @@ impl std::fmt::Display for AuditError {
         match self {
             AuditError::NoCandidates => write!(f, "no candidate deployments specified"),
             AuditError::Build(name, e) => write!(f, "building {name:?} failed: {e}"),
-            AuditError::Acquisition(e) => write!(f, "dependency acquisition failed: {e}"),
             AuditError::Cancelled(c) => write!(f, "{c}"),
             AuditError::TooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
             AuditError::BddTooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
@@ -121,19 +118,6 @@ impl AuditingAgent {
     /// daemon's per-job entry point.
     pub fn from_snapshot(snapshot: DbSnapshot) -> Self {
         Self::from_view(std::sync::Arc::new(snapshot))
-    }
-
-    /// Creates an agent by running every acquisition module against every
-    /// host it knows (Step 3 of the workflow).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first collector failure.
-    pub fn from_modules(
-        modules: &mut [Box<dyn DependencyAcquisitionModule>],
-    ) -> Result<Self, AuditError> {
-        let records = collect_all(modules).map_err(AuditError::Acquisition)?;
-        Ok(Self::new(DepDb::from_records(records)))
     }
 
     /// The dependency view (for inspection and composition).
@@ -359,7 +343,7 @@ impl AuditingAgent {
 mod tests {
     use super::*;
     use crate::spec::CandidateDeployment;
-    use indaas_deps::{parse_records, FailureProbModel, SimCollector};
+    use indaas_deps::{parse_records, FailureProbModel};
 
     fn db() -> DepDb {
         DepDb::from_records(
@@ -408,7 +392,11 @@ mod tests {
     #[test]
     fn sia_probability_based_orders_by_outage_probability() {
         let agent = AuditingAgent::new(db());
-        let spec = AuditSpec::sia_probability_based(candidates(), FailureProbModel::new(0.1), 0.1);
+        let spec = AuditSpec {
+            metric: RankingMetric::Probability { default_prob: 0.1 },
+            prob_model: Some(FailureProbModel::new(0.1)),
+            ..AuditSpec::sia_size_based(candidates())
+        };
         let report = agent.audit_sia(&spec).unwrap();
         assert_eq!(report.best().unwrap().name, "S1+S3");
         let p_clean = report.deployments[0].failure_probability.unwrap();
@@ -452,7 +440,9 @@ mod tests {
         let prob = agent
             .audit_sia(&AuditSpec {
                 algorithm: RgAlgorithm::Bdd { max_nodes: 1 << 20 },
-                ..AuditSpec::sia_probability_based(candidates(), FailureProbModel::new(0.1), 0.1)
+                metric: RankingMetric::Probability { default_prob: 0.1 },
+                prob_model: Some(FailureProbModel::new(0.1)),
+                ..AuditSpec::sia_size_based(candidates())
             })
             .unwrap();
         assert_eq!(prob.best().unwrap().name, "S1+S3");
@@ -487,11 +477,9 @@ mod tests {
         let agent = AuditingAgent::new(DepDb::from_records(parse_records(&records).unwrap()));
         let spec = AuditSpec {
             algorithm: RgAlgorithm::Bdd { max_nodes: 1 << 20 },
-            ..AuditSpec::sia_probability_based(
-                vec![CandidateDeployment::replicated("pair", ["S1", "S2"])],
-                FailureProbModel::new(0.1),
-                0.1,
-            )
+            metric: RankingMetric::Probability { default_prob: 0.1 },
+            prob_model: Some(FailureProbModel::new(0.1)),
+            ..AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("pair", ["S1", "S2"])])
         };
         let audit = &agent.audit_sia(&spec).unwrap().deployments[0];
         let pr_top = audit.failure_probability.unwrap();
@@ -526,15 +514,6 @@ mod tests {
             agent.audit_sia(&spec),
             Err(AuditError::Build(name, _)) if name == "bad"
         ));
-    }
-
-    #[test]
-    fn agent_from_modules() {
-        let truth = parse_records(r#"<hw="H1" type="CPU" dep="cpu-a"/>"#).unwrap();
-        let mut modules: Vec<Box<dyn DependencyAcquisitionModule>> =
-            vec![Box::new(SimCollector::perfect("lshw", truth))];
-        let agent = AuditingAgent::from_modules(&mut modules).unwrap();
-        assert_eq!(agent.db().hardware_deps("H1").len(), 1);
     }
 
     #[test]

@@ -115,19 +115,6 @@ impl AuditSpec {
             prob_model: None,
         }
     }
-
-    /// A spec with probability-based ranking.
-    pub fn sia_probability_based(
-        candidates: Vec<CandidateDeployment>,
-        model: FailureProbModel,
-        default_prob: f64,
-    ) -> Self {
-        AuditSpec {
-            metric: RankingMetric::Probability { default_prob },
-            prob_model: Some(model),
-            ..Self::sia_size_based(candidates)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,11 +141,11 @@ mod tests {
 
     #[test]
     fn spec_serde_roundtrip() {
-        let spec = AuditSpec::sia_probability_based(
-            vec![CandidateDeployment::replicated("x", ["a", "b"])],
-            FailureProbModel::gill_defaults(),
-            0.1,
-        );
+        let spec = AuditSpec {
+            metric: RankingMetric::Probability { default_prob: 0.1 },
+            prob_model: Some(FailureProbModel::gill_defaults()),
+            ..AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("x", ["a", "b"])])
+        };
         let json = serde_json::to_string(&spec).unwrap();
         let back: AuditSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.candidates[0].name, "x");

@@ -25,10 +25,8 @@ pub mod commutative;
 pub mod hash;
 pub mod paillier;
 pub mod perm;
-pub mod rsa;
 
 pub use commutative::{CommutativeCipher, CommutativeKey, MODP_1024_HEX};
 pub use hash::{sha256, Hash64, Sha256};
 pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPublicKey};
 pub use perm::shuffle;
-pub use rsa::{Signature, SigningKey, VerifyingKey};

@@ -138,22 +138,6 @@ impl DependencyAcquisitionModule for SimCollector {
     }
 }
 
-/// Runs every module against every host it knows and gathers all records —
-/// the "Step 3" fan-out of the paper's workflow (each worker machine runs
-/// its local DAMs in parallel; here the fan-out is sequential but the
-/// aggregation semantics are identical).
-pub fn collect_all(
-    modules: &mut [Box<dyn DependencyAcquisitionModule>],
-) -> Result<Vec<DependencyRecord>, DamError> {
-    let mut out = Vec::new();
-    for m in modules {
-        for host in m.hosts() {
-            out.extend(m.collect(&host)?);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,23 +200,5 @@ mod tests {
     fn hosts_enumerated() {
         let c = SimCollector::perfect("x", truth());
         assert_eq!(c.hosts(), vec!["S1".to_string(), "S2".to_string()]);
-    }
-
-    #[test]
-    fn collect_all_merges_modules() {
-        let net: Vec<_> = truth()
-            .into_iter()
-            .filter(|r| r.kind() == "network")
-            .collect();
-        let rest: Vec<_> = truth()
-            .into_iter()
-            .filter(|r| r.kind() != "network")
-            .collect();
-        let mut modules: Vec<Box<dyn DependencyAcquisitionModule>> = vec![
-            Box::new(SimCollector::perfect("nsdminer", net)),
-            Box::new(SimCollector::perfect("lshw+apt", rest)),
-        ];
-        let all = collect_all(&mut modules).unwrap();
-        assert_eq!(all.len(), 5);
     }
 }

@@ -36,7 +36,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adapters;
 pub mod dam;
 pub mod depdb;
 pub mod failprob;
@@ -45,7 +44,7 @@ pub mod persist;
 pub mod record;
 pub mod sharded;
 
-pub use dam::{collect_all, DamError, DependencyAcquisitionModule, SimCollector};
+pub use dam::{DamError, DependencyAcquisitionModule, SimCollector};
 pub use depdb::{DepDb, DepRecordRef, DepView};
 pub use failprob::FailureProbModel;
 pub use format::{parse_record, parse_records, FormatError};

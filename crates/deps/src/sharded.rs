@@ -405,15 +405,6 @@ pub struct DbSnapshot {
 }
 
 impl DbSnapshot {
-    /// Wraps one monolithic database as a single-shard snapshot — the
-    /// adapter for non-sharded callers (tests, one-shot CLI paths).
-    pub fn single(db: Arc<DepDb>, epoch: Epoch) -> Self {
-        DbSnapshot {
-            shards: vec![db],
-            epochs: EpochVector(vec![epoch]),
-        }
-    }
-
     /// Number of shards composed.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -669,15 +660,6 @@ mod tests {
         let mut expect = vec![(snap.shard_of(&a) as u32, 1), (snap.shard_of(&b) as u32, 1)];
         expect.sort_unstable();
         assert_eq!(pins, expect, "pins are sorted and deduplicated");
-    }
-
-    #[test]
-    fn single_snapshot_wraps_a_monolithic_db() {
-        let db = Arc::new(DepDb::from_records(vec![host_record("S1", "cpu-1")]));
-        let snap = DbSnapshot::single(Arc::clone(&db), 3);
-        assert_eq!(snap.num_shards(), 1);
-        assert_eq!(snap.record_count(), 1);
-        assert_eq!(snap.pins_for_hosts(["S1", "S2"]), vec![(0, 3)]);
     }
 
     #[test]

@@ -241,16 +241,6 @@ pub fn arm_spec(spec: FaultSpec) {
     }
 }
 
-/// Disarms one point. Returns whether it was armed.
-pub fn disarm(point: &str) -> bool {
-    let mut points = registry().points.lock().unwrap();
-    let removed = points.remove(point).is_some();
-    if removed {
-        ARMED.fetch_sub(1, Ordering::Release);
-    }
-    removed
-}
-
 /// Disarms every point (used between chaos tests).
 pub fn disarm_all() {
     let mut points = registry().points.lock().unwrap();
@@ -330,21 +320,6 @@ fn point_slow(name: &str) -> FaultAction {
             FaultAction::Pass
         }
         FaultPolicy::Crash => std::process::abort(),
-    }
-}
-
-/// Convenience for I/O call sites: maps the point's action onto an
-/// `io::Result`, with `Drop` reported separately so the caller can skip
-/// the real operation while still reporting success.
-pub fn io_point(name: &str) -> Result<bool, std::io::Error> {
-    match point(name) {
-        FaultAction::Pass => Ok(false),
-        FaultAction::Drop => Ok(true),
-        FaultAction::Error => Err(std::io::Error::other(format!("injected fault at {name}"))),
-        FaultAction::Disconnect => Err(std::io::Error::new(
-            std::io::ErrorKind::ConnectionReset,
-            format!("injected disconnect at {name}"),
-        )),
     }
 }
 
@@ -430,10 +405,8 @@ mod tests {
         assert_eq!(triggered("t.err"), 2);
         assert_eq!(triggered("t.drop"), 1);
         assert_eq!(armed(), vec!["t.disc", "t.drop", "t.err"]);
-        assert!(disarm("t.err"));
-        assert!(!disarm("t.err"));
-        assert_eq!(point("t.err"), FaultAction::Pass);
         disarm_all();
+        assert_eq!(point("t.err"), FaultAction::Pass);
         assert_eq!(point("t.drop"), FaultAction::Pass);
     }
 
@@ -493,20 +466,5 @@ mod tests {
         let _ = point("t.obs");
         disarm_all();
         assert_eq!(*seen.lock().unwrap(), vec!["t.obs", "t.obs"]);
-    }
-
-    #[test]
-    fn io_point_maps_actions() {
-        let _guard = serial();
-        disarm_all();
-        assert!(!io_point("t.io").unwrap(), "unarmed = do the real work");
-        arm("t.io=drop").unwrap();
-        assert!(io_point("t.io").unwrap(), "drop = skip silently");
-        arm("t.io=error").unwrap();
-        assert!(io_point("t.io").is_err());
-        arm("t.io=disconnect").unwrap();
-        let err = io_point("t.io").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
-        disarm_all();
     }
 }

@@ -2,7 +2,7 @@
 //! workspace, declared exactly once.
 //!
 //! Arming code (`--fault <point>=<policy>`), firing sites
-//! (`point(..)` / `io_point(..)` calls) and help text all reference
+//! (`point(..)` calls) and help text all reference
 //! these consts; `indaas-lint`'s registry-consistency rule flags any
 //! other non-test code that spells a point name out, so a point cannot
 //! drift between the chaos harness and the code it is supposed to

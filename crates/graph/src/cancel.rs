@@ -73,11 +73,6 @@ impl CancelToken {
         }
     }
 
-    /// True if the token is cancelled or past its deadline.
-    pub fn is_cancelled(&self) -> bool {
-        self.state().is_some()
-    }
-
     /// Errors with the cancellation reason, for `?` in job inner loops.
     ///
     /// # Errors
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn default_token_never_cancels() {
         let t = CancelToken::new();
-        assert!(!t.is_cancelled());
+        assert!(t.state().is_none());
         t.check().unwrap();
     }
 
@@ -123,6 +118,6 @@ mod tests {
     #[test]
     fn future_deadline_does_not_trip() {
         let t = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert!(!t.is_cancelled());
+        assert!(t.state().is_none());
     }
 }

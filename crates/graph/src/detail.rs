@@ -1,11 +1,11 @@
-//! Component-set and fault-set levels of detail, and conversions between
-//! levels (Figure 4 of the paper).
+//! The component-set level of detail, lifted into a fault graph
+//! (Figure 4 of the paper).
 //!
-//! An information-rich fault graph can be *downgraded* to the lower levels
-//! by discarding structure; the lower levels can be *lifted* into the
-//! canonical two-level "AND-of-ORs" fault graph for uniform auditing.
+//! A component-set is *lifted* into the canonical two-level
+//! "AND-of-ORs" fault graph for uniform auditing. The fault-set level
+//! needs no type of its own: it is the same graph with each basic event
+//! built by `FaultGraphBuilder::basic(name, Some(p))`.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
@@ -31,44 +31,6 @@ impl ComponentSet {
         ComponentSet {
             source: source.into(),
             components: components.into_iter().map(Into::into).collect(),
-        }
-    }
-
-    /// Components shared with another set.
-    pub fn shared_with(&self, other: &ComponentSet) -> BTreeSet<String> {
-        self.components
-            .intersection(&other.components)
-            .cloned()
-            .collect()
-    }
-}
-
-/// Fault-set level of detail: components with failure probabilities.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FaultSet {
-    /// Data-source name.
-    pub source: String,
-    /// Component name → failure probability over the auditing period.
-    pub events: BTreeMap<String, f64>,
-}
-
-impl FaultSet {
-    /// Creates a fault-set from `(component, probability)` pairs.
-    pub fn new(
-        source: impl Into<String>,
-        events: impl IntoIterator<Item = (impl Into<String>, f64)>,
-    ) -> Self {
-        FaultSet {
-            source: source.into(),
-            events: events.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-        }
-    }
-
-    /// Drops the probabilities, downgrading to the component-set level.
-    pub fn to_component_set(&self) -> ComponentSet {
-        ComponentSet {
-            source: self.source.clone(),
-            components: self.events.keys().cloned().collect(),
         }
     }
 }
@@ -126,92 +88,6 @@ pub fn component_sets_to_graph(sets: &[ComponentSet]) -> Result<FaultGraph, Grap
     component_sets_to_graph_n_of_m(sets, 1)
 }
 
-/// Lifts fault-sets into the two-level graph of Figure 4(b), carrying the
-/// failure probabilities onto the basic events.
-///
-/// # Errors
-///
-/// As [`component_sets_to_graph_n_of_m`]; additionally out-of-range
-/// probabilities are rejected at build time.
-pub fn fault_sets_to_graph(sets: &[FaultSet]) -> Result<FaultGraph, GraphError> {
-    if sets.is_empty() {
-        return Err(GraphError::BadThreshold("redundancy deployment".into()));
-    }
-    let mut b = FaultGraphBuilder::new();
-    let mut source_events = Vec::with_capacity(sets.len());
-    for set in sets {
-        let comps: Vec<_> = set
-            .events
-            .iter()
-            .map(|(c, &p)| b.basic(format!("{c} fails"), Some(p)))
-            .collect();
-        if comps.is_empty() {
-            return Err(GraphError::EmptyGate(set.source.clone()));
-        }
-        source_events.push(b.gate(format!("{} fails", set.source), Gate::Or, comps));
-    }
-    let top = b.gate("deployment fails", Gate::And, source_events);
-    b.build(top)
-}
-
-impl FaultGraph {
-    /// Downgrades to the component-set level: for each child of the top
-    /// event, the set of basic components reachable beneath it. (When the
-    /// top event's children are the data sources — the shape produced by the
-    /// SIA builder — this matches the paper's notion exactly.)
-    pub fn to_component_sets(&self) -> Vec<ComponentSet> {
-        let top = self.node(self.top());
-        top.children
-            .iter()
-            .map(|&child| {
-                let mut comps = BTreeSet::new();
-                let mut stack = vec![child];
-                let mut seen = vec![false; self.len()];
-                while let Some(id) = stack.pop() {
-                    if std::mem::replace(&mut seen[id as usize], true) {
-                        continue;
-                    }
-                    let node = self.node(id);
-                    if node.is_basic() {
-                        comps.insert(node.name.clone());
-                    }
-                    stack.extend_from_slice(&node.children);
-                }
-                ComponentSet {
-                    source: self.node(child).name.clone(),
-                    components: comps,
-                }
-            })
-            .collect()
-    }
-
-    /// Downgrades to the fault-set level, keeping per-component
-    /// probabilities; components lacking a probability are assigned the
-    /// provided `default_prob`.
-    pub fn to_fault_sets(&self, default_prob: f64) -> Vec<FaultSet> {
-        self.to_component_sets()
-            .into_iter()
-            .map(|cs| {
-                let events = cs
-                    .components
-                    .into_iter()
-                    .map(|name| {
-                        let p = self
-                            .basic_by_name(&name)
-                            .and_then(|id| self.node(id).prob)
-                            .unwrap_or(default_prob);
-                        (name, p)
-                    })
-                    .collect();
-                FaultSet {
-                    source: cs.source,
-                    events,
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,13 +97,6 @@ mod tests {
             ComponentSet::new("E1", ["A1", "A2"]),
             ComponentSet::new("E2", ["A2", "A3"]),
         ]
-    }
-
-    #[test]
-    fn fig4a_shared_component_found() {
-        let sets = fig4a_sets();
-        let shared = sets[0].shared_with(&sets[1]);
-        assert_eq!(shared, BTreeSet::from(["A2".to_string()]));
     }
 
     #[test]
@@ -263,54 +132,5 @@ mod tests {
         assert!(component_sets_to_graph_n_of_m(&sets, 3).is_err());
         let with_empty = vec![ComponentSet::new("E1", Vec::<String>::new())];
         assert!(component_sets_to_graph(&with_empty).is_err());
-    }
-
-    #[test]
-    fn fault_set_lift_carries_probabilities() {
-        // Figure 4(b): probabilities 0.1, 0.2, 0.3.
-        let sets = vec![
-            FaultSet::new("E1", [("A1", 0.1), ("A2", 0.2)]),
-            FaultSet::new("E2", [("A2", 0.2), ("A3", 0.3)]),
-        ];
-        let g = fault_sets_to_graph(&sets).unwrap();
-        let a2 = g.basic_by_name("A2 fails").unwrap();
-        assert_eq!(g.node(a2).prob, Some(0.2));
-        assert!(g.evaluate_named(&["A2 fails"]).unwrap());
-    }
-
-    #[test]
-    fn downgrade_roundtrip() {
-        let sets = fig4a_sets();
-        let g = component_sets_to_graph(&sets).unwrap();
-        let mut back = g.to_component_sets();
-        // Source names gain a " fails" suffix in the graph; compare contents.
-        back.sort_by(|a, b| a.source.cmp(&b.source));
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back[0].components,
-            BTreeSet::from(["A1".to_string(), "A2".to_string()])
-        );
-        assert_eq!(
-            back[1].components,
-            BTreeSet::from(["A2".to_string(), "A3".to_string()])
-        );
-    }
-
-    #[test]
-    fn fault_set_downgrade_from_component_set() {
-        let fs = FaultSet::new("E1", [("A1", 0.25)]);
-        let cs = fs.to_component_set();
-        assert!(cs.components.contains("A1"));
-    }
-
-    #[test]
-    fn graph_to_fault_sets_uses_default_for_unweighted() {
-        let g = component_sets_to_graph(&fig4a_sets()).unwrap();
-        let fs = g.to_fault_sets(0.07);
-        for set in &fs {
-            for &p in set.events.values() {
-                assert_eq!(p, 0.07);
-            }
-        }
     }
 }

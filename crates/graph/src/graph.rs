@@ -148,11 +148,6 @@ impl FaultGraphBuilder {
         id
     }
 
-    /// Looks up a basic event id by component name.
-    pub fn find_basic(&self, name: &str) -> Option<NodeId> {
-        self.basic_names.get(name).copied()
-    }
-
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -6,7 +6,7 @@
 //! * **component-set** — each data source is a flat set of component names;
 //!   only *shared* components matter ([`detail::ComponentSet`]),
 //! * **fault-set** — components additionally carry failure probabilities
-//!   ([`detail::FaultSet`]),
+//!   (basic events built with [`FaultGraphBuilder::basic`]`(name, Some(p))`),
 //! * **fault graph** — arbitrary AND/OR/k-of-n structure with internal
 //!   redundancy ([`FaultGraph`]).
 //!
@@ -49,6 +49,6 @@ mod graph;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use compose::compose;
-pub use detail::{ComponentSet, FaultSet};
+pub use detail::ComponentSet;
 pub use dot::to_dot;
 pub use graph::{FaultGraph, FaultGraphBuilder, Gate, GraphError, IncrementalEval, Node, NodeId};

@@ -10,7 +10,7 @@
 //! turns the paper's auditing mindset inward with a zero-dependency
 //! static pass over the workspace source.
 //!
-//! Four rules:
+//! Five rules:
 //!
 //! * **blocking_in_loop** — from the readiness-loop roots
 //!   (`netloop.rs` event handlers, the codec pump, timer callbacks),
@@ -28,10 +28,14 @@
 //! * **panic_path** — `unwrap`/`expect`/`panic!`/array-indexing in
 //!   non-test daemon code (`crates/service`, `crates/federation`,
 //!   `crates/netpoll`) requires an allow-comment.
+//! * **test_only_pub** — every `pub` item of a library crate must be
+//!   named by something other than unit tests: non-test code, an
+//!   example, the benchmark, or an integration test.
 //!
-//! Any rule is suppressed at a site with
+//! The first four rules are suppressed at a site with
 //! `// lint:allow(<rule>) -- <reason>`; an allow without a reason is
-//! itself a finding.
+//! itself a finding, and so is one naming `test_only_pub`, which has no
+//! suppression.
 
 #![forbid(unsafe_code)]
 
@@ -49,9 +53,16 @@ pub const RULE_BLOCKING: &str = "blocking_in_loop";
 pub const RULE_LOCK_ORDER: &str = "lock_order";
 pub const RULE_REGISTRY: &str = "registry_consistency";
 pub const RULE_PANIC: &str = "panic_path";
+pub const RULE_TEST_ONLY: &str = "test_only_pub";
 pub const RULE_ANNOTATION: &str = "annotation";
 
-pub const KNOWN_RULES: &[&str] = &[RULE_BLOCKING, RULE_LOCK_ORDER, RULE_REGISTRY, RULE_PANIC];
+pub const KNOWN_RULES: &[&str] = &[
+    RULE_BLOCKING,
+    RULE_LOCK_ORDER,
+    RULE_REGISTRY,
+    RULE_PANIC,
+    RULE_TEST_ONLY,
+];
 
 #[derive(Debug, Clone)]
 pub struct Finding {
@@ -98,6 +109,10 @@ pub struct LintConfig {
     pub fault_point_prefixes: Vec<String>,
     /// Path prefixes under which the panic-path rule applies.
     pub panic_dirs: Vec<String>,
+    /// Directories under `root`, besides `scan_dirs`, whose code counts
+    /// as a caller of a `pub` item: examples, integration tests and the
+    /// benchmark. No other rule looks at them.
+    pub caller_dirs: Vec<String>,
 }
 
 impl LintConfig {
@@ -139,6 +154,11 @@ impl LintConfig {
                 "crates/service/src".into(),
                 "crates/federation/src".into(),
                 "crates/netpoll/src".into(),
+            ],
+            caller_dirs: vec![
+                "tests".into(),
+                "examples".into(),
+                "bench_pipeline/src".into(),
             ],
         }
     }
@@ -228,30 +248,16 @@ const STD_METHODS: &[&str] = &[
 /// for call resolution.
 pub struct Workspace {
     pub files: Vec<FileModel>,
+    /// Files under `caller_dirs`, read only for the names they use.
+    pub callers: Vec<FileModel>,
     /// fn name → (file idx, fn idx), non-test fns only.
     pub fn_index: HashMap<String, Vec<(usize, usize)>>,
 }
 
 impl Workspace {
     pub fn load(cfg: &LintConfig) -> std::io::Result<Workspace> {
-        let mut paths = Vec::new();
-        for dir in &cfg.scan_dirs {
-            collect_rs(&cfg.root.join(dir), &mut paths)?;
-        }
-        paths.sort();
-        let mut files = Vec::new();
-        for p in paths {
-            let rel = p
-                .strip_prefix(&cfg.root)
-                .unwrap_or(&p)
-                .to_string_lossy()
-                .replace('\\', "/");
-            if cfg.skip_substrings.iter().any(|s| rel.contains(s.as_str())) {
-                continue;
-            }
-            let src = std::fs::read_to_string(&p)?;
-            files.push(FileModel::build(&rel, &src));
-        }
+        let files = load_files(cfg, &cfg.scan_dirs)?;
+        let callers = load_files(cfg, &cfg.caller_dirs)?;
         let mut fn_index: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
         for (fi, file) in files.iter().enumerate() {
             for (fj, f) in file.fns.iter().enumerate() {
@@ -260,7 +266,11 @@ impl Workspace {
                 }
             }
         }
-        Ok(Workspace { files, fn_index })
+        Ok(Workspace {
+            files,
+            callers,
+            fn_index,
+        })
     }
 
     /// Resolve a call site, refusing std-library method names unless
@@ -308,6 +318,30 @@ impl Workspace {
     }
 }
 
+/// Model every `.rs` file under `dirs`, sorted by path, minus skipped
+/// ones.
+fn load_files(cfg: &LintConfig, dirs: &[String]) -> std::io::Result<Vec<FileModel>> {
+    let mut paths = Vec::new();
+    for dir in dirs {
+        collect_rs(&cfg.root.join(dir), &mut paths)?;
+    }
+    paths.sort();
+    let mut files = Vec::new();
+    for p in paths {
+        let rel = p
+            .strip_prefix(&cfg.root)
+            .unwrap_or(&p)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if cfg.skip_substrings.iter().any(|s| rel.contains(s.as_str())) {
+            continue;
+        }
+        let src = std::fs::read_to_string(&p)?;
+        files.push(FileModel::build(&rel, &src));
+    }
+    Ok(files)
+}
+
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
@@ -332,6 +366,7 @@ pub fn run(cfg: &LintConfig) -> std::io::Result<Vec<Finding>> {
     rules::lockorder::check(&ws, cfg, &mut findings);
     rules::registry::check(&ws, cfg, &mut findings);
     rules::panicpath::check(&ws, cfg, &mut findings);
+    rules::testonly::check(&ws, &mut findings);
     annotation_hygiene(&ws, &mut findings);
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.message == b.message);
@@ -342,7 +377,17 @@ pub fn run(cfg: &LintConfig) -> std::io::Result<Vec<Finding>> {
 fn annotation_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
     for file in &ws.files {
         for ann in &file.lexed.allows {
-            if !KNOWN_RULES.contains(&ann.rule.as_str()) {
+            if ann.rule == RULE_TEST_ONLY {
+                out.push(Finding {
+                    rule: RULE_ANNOTATION,
+                    file: file.rel.clone(),
+                    line: ann.comment_line,
+                    message: format!(
+                        "`{RULE_TEST_ONLY}` cannot be allowed — delete the item, narrow its \
+                         visibility, or move it under `#[cfg(test)]`"
+                    ),
+                });
+            } else if !KNOWN_RULES.contains(&ann.rule.as_str()) {
                 out.push(Finding {
                     rule: RULE_ANNOTATION,
                     file: file.rel.clone(),

@@ -14,7 +14,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use indaas_lint::{run, LintConfig};
+use indaas_lint::{run, LintConfig, KNOWN_RULES};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -58,9 +58,10 @@ fn main() -> ExitCode {
     }
     print!("{text}");
     let verdict = format!(
-        "indaas-lint: {} finding{} across 4 rules\n",
+        "indaas-lint: {} finding{} across {} rules\n",
         findings.len(),
-        if findings.len() == 1 { "" } else { "s" }
+        if findings.len() == 1 { "" } else { "s" },
+        KNOWN_RULES.len()
     );
     print!("{verdict}");
     if let Some(path) = report {

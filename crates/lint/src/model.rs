@@ -4,7 +4,7 @@
 //! This is deliberately a *model*, not an AST — a single forward walk
 //! over the token stream with a little context (paren depth, brace
 //! depth, loop scopes, `let`-bound lock guards). It is approximate in
-//! the ways a lexer-level tool must be, and exact in the ways the four
+//! the ways a lexer-level tool must be, and exact in the ways the
 //! rules need: lines are right, string/comment text never leaks into
 //! code matching, and closure bodies handed to `submit`/`spawn` are
 //! excluded from the caller's call graph (they run on another thread).
@@ -111,6 +111,9 @@ pub struct FileModel {
     pub fns: Vec<FnModel>,
     pub consts: Vec<ConstDecl>,
     pub lits: Vec<LitSite>,
+    /// Token ranges of `#[cfg(test)]` modules and test fns, from the
+    /// test attribute to the closing brace.
+    pub test_ranges: Vec<(usize, usize)>,
 }
 
 /// Calls whose closure arguments run on another thread: code inside
@@ -162,6 +165,7 @@ impl FileModel {
             fns,
             consts,
             lits,
+            test_ranges,
         }
     }
 }
@@ -183,6 +187,9 @@ fn scan_items(
 ) {
     let mut i = start;
     let mut pending_test = false;
+    // Where the pending test attribute starts: a test range covers the
+    // item's signature too, not just its body.
+    let mut test_attr = start;
     while i < end.min(toks.len()) {
         let t = &toks[i];
         // Attribute: #[...] — inspect for test markers, then skip.
@@ -190,8 +197,9 @@ fn scan_items(
             let close = match_bracket(toks, i + 1, end, b'[', b']');
             let body = &toks[i + 2..close.min(toks.len())];
             let has_test = body.iter().any(|t| t.is_ident("test"));
-            if has_test {
+            if has_test && !pending_test {
                 pending_test = true;
+                test_attr = i;
             }
             i = close.saturating_add(1);
             continue;
@@ -203,7 +211,7 @@ fn scan_items(
                     let close = match_bracket(toks, open, end, b'{', b'}');
                     let mod_test = in_test || pending_test;
                     if mod_test && !in_test {
-                        test_ranges.push((open, close));
+                        test_ranges.push((test_attr, close));
                     }
                     scan_items(
                         toks,
@@ -233,7 +241,7 @@ fn scan_items(
                 let close = match_bracket(toks, open, end, b'{', b'}');
                 let is_test = in_test || pending_test;
                 if is_test && !in_test {
-                    test_ranges.push((open, close));
+                    test_ranges.push((test_attr, close));
                 }
                 fns.push(extract_fn(
                     toks,
@@ -293,7 +301,7 @@ fn find_at(toks: &[Token], start: usize, end: usize, want: u8, alt: u8) -> Optio
 
 /// Index of the matching close bracket for the open at `open`;
 /// saturates to `end` when unbalanced (malformed input must not panic).
-fn match_bracket(toks: &[Token], open: usize, end: usize, ob: u8, cb: u8) -> usize {
+pub(crate) fn match_bracket(toks: &[Token], open: usize, end: usize, ob: u8, cb: u8) -> usize {
     let mut depth = 0i32;
     let mut i = open;
     while i < end.min(toks.len()) {

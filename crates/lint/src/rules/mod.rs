@@ -2,3 +2,4 @@ pub mod blocking;
 pub mod lockorder;
 pub mod panicpath;
 pub mod registry;
+pub mod testonly;

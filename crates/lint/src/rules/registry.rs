@@ -9,7 +9,7 @@
 //! 2. a non-test string literal equal to a declared name outside the
 //!    registries — the site must use the const;
 //! 3. a string literal passed straight to a name-taking call
-//!    (`point`, `io_point`, `arm`, `counter`, `gauge`, `histo`)
+//!    (`point`, `arm`, `counter`, `gauge`, `histo`)
 //!    outside the registries — declared or not, the name is drifting;
 //! 4. a fault-point-shaped literal (`svc.…`, `fed.…`, `db.…`,
 //!    `sched.…`) in non-test code that no registry declares.
@@ -19,15 +19,7 @@ use std::collections::HashMap;
 use crate::{Finding, LintConfig, Workspace, RULE_REGISTRY};
 
 /// Calls whose string argument is a fault-point or metric name.
-const NAME_SINKS: &[&str] = &[
-    "point",
-    "point_slow",
-    "io_point",
-    "arm",
-    "counter",
-    "gauge",
-    "histo",
-];
+const NAME_SINKS: &[&str] = &["point", "point_slow", "arm", "counter", "gauge", "histo"];
 
 pub fn check(ws: &Workspace, cfg: &LintConfig, out: &mut Vec<Finding>) {
     // Declared name -> (registry file, line).

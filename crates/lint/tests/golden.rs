@@ -3,12 +3,14 @@
 //! discipline-following) equivalent.
 //!
 //! The fixture trees under `fixtures/` mirror the real workspace
-//! layout (`crates/service/src/...`, `crates/faultinj/src/...`) so the
-//! default [`LintConfig::workspace`] applies unchanged — the same
-//! configuration that gates the real workspace is the one under test.
+//! layout (`crates/service/src/...`, `crates/faultinj/src/...`,
+//! `examples/`, `tests/`) so the default [`LintConfig::workspace`]
+//! applies unchanged — the same configuration that gates the real
+//! workspace is the one under test.
 
 use indaas_lint::{
-    run, Finding, LintConfig, RULE_BLOCKING, RULE_LOCK_ORDER, RULE_PANIC, RULE_REGISTRY,
+    run, Finding, LintConfig, RULE_ANNOTATION, RULE_BLOCKING, RULE_LOCK_ORDER, RULE_PANIC,
+    RULE_REGISTRY, RULE_TEST_ONLY,
 };
 
 fn lint_fixture(tree: &str) -> Vec<Finding> {
@@ -90,6 +92,35 @@ fn panic_path_fires_on_every_seeded_shape() {
         assert!(
             hits.iter().any(|f| f.message.contains(shape)),
             "{shape} must be flagged: {findings:?}"
+        );
+    }
+}
+
+#[test]
+fn test_only_pub_fires_on_every_seeded_case() {
+    let findings = lint_fixture("violations");
+    let hits = rule_hits(&findings, RULE_TEST_ONLY, "crates/pia/src/oracle.rs");
+    for item in [
+        "`pub fn own_test_only`",
+        "`pub fn other_crate_test_only`",
+        "`pub fn reexported_only`",
+        "`pub struct SelfContained`",
+    ] {
+        assert!(
+            hits.iter().any(|f| f.message.contains(item)),
+            "{item} must be flagged: {findings:?}"
+        );
+    }
+    assert!(
+        rule_hits(&findings, RULE_ANNOTATION, "crates/pia/src/oracle.rs")
+            .iter()
+            .any(|f| f.message.contains("cannot be allowed")),
+        "a lint:allow(test_only_pub) must itself be flagged: {findings:?}"
+    );
+    for caller in ["driven_by_integration_test", "driven_by_example"] {
+        assert!(
+            !hits.iter().any(|f| f.message.contains(caller)),
+            "{caller} has a real caller and must stay silent: {findings:?}"
         );
     }
 }

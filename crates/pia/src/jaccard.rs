@@ -7,10 +7,6 @@
 
 use std::collections::BTreeSet;
 
-/// Jaccard similarity threshold above which datasets are considered
-/// significantly correlated (per Walsh & Sirer [62], cited in §4.2.2).
-pub const SIGNIFICANT_CORRELATION: f64 = 0.75;
-
 /// Computes the exact Jaccard similarity across `sets`.
 ///
 /// Returns 0.0 for the degenerate all-empty case.
@@ -39,16 +35,16 @@ pub fn jaccard_exact<T: Ord>(sets: &[BTreeSet<T>]) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Convenience: Jaccard of two string slices.
-pub fn jaccard_of_pair(a: &[String], b: &[String]) -> f64 {
-    let sa: BTreeSet<&String> = a.iter().collect();
-    let sb: BTreeSet<&String> = b.iter().collect();
-    jaccard_exact(&[sa, sb])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Jaccard of two string slices.
+    fn jaccard_of_pair(a: &[String], b: &[String]) -> f64 {
+        let sa: BTreeSet<&String> = a.iter().collect();
+        let sb: BTreeSet<&String> = b.iter().collect();
+        jaccard_exact(&[sa, sb])
+    }
 
     fn set(items: &[&str]) -> BTreeSet<String> {
         items.iter().map(|s| s.to_string()).collect()

@@ -20,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod audit_trail;
 pub mod jaccard;
 pub mod ks;
 pub mod minhash;
@@ -29,10 +28,9 @@ pub mod psop;
 pub mod report;
 pub mod smpc;
 
-pub use audit_trail::{AuditTrail, MetaAuditError, SignedRecord};
-pub use jaccard::{jaccard_exact, jaccard_of_pair};
+pub use jaccard::jaccard_exact;
 pub use ks::{run_ks, KsConfig, KsOutcome};
-pub use minhash::{estimate_jaccard, minhash_signature};
+pub use minhash::minhash_signature;
 pub use normalize::normalize_component;
 pub use psop::{
     check_payload, count_final_lists, outcome_from_counts, run_psop, run_psop_cancellable,

@@ -35,24 +35,6 @@ pub fn minhash_signature(set: &[String], m: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Estimates the k-way Jaccard similarity from signatures: `δ/m`.
-///
-/// # Panics
-///
-/// Panics if `signatures` is empty or lengths differ.
-pub fn estimate_jaccard(signatures: &[Vec<u64>]) -> f64 {
-    assert!(!signatures.is_empty(), "need at least one signature");
-    let m = signatures[0].len();
-    assert!(
-        signatures.iter().all(|s| s.len() == m),
-        "signatures must have equal length"
-    );
-    let delta = (0..m)
-        .filter(|&i| signatures[1..].iter().all(|s| s[i] == signatures[0][i]))
-        .count();
-    delta as f64 / m as f64
-}
-
 /// The P-SOP-ready encoding of a signature: slot-tagged string elements,
 /// so set intersection across providers counts slot-wise agreements.
 pub fn signature_elements(signature: &[u64]) -> Vec<String> {
@@ -68,6 +50,17 @@ mod tests {
     use super::*;
     use crate::jaccard::jaccard_exact;
     use std::collections::BTreeSet;
+
+    /// The k-way Jaccard estimate in the clear, `δ/m`: what P-SOP over
+    /// slot-tagged elements computes privately.
+    fn estimate_jaccard(signatures: &[Vec<u64>]) -> f64 {
+        let m = signatures[0].len();
+        assert!(signatures.iter().all(|s| s.len() == m));
+        let delta = (0..m)
+            .filter(|&i| signatures[1..].iter().all(|s| s[i] == signatures[0][i]))
+            .count();
+        delta as f64 / m as f64
+    }
 
     fn strings(prefix: &str, n: usize) -> Vec<String> {
         (0..n).map(|i| format!("{prefix}-{i}")).collect()

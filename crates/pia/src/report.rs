@@ -6,7 +6,7 @@ use indaas_simnet::SimNetwork;
 use serde::{Deserialize, Serialize};
 
 use crate::minhash::{minhash_signature, signature_elements};
-use crate::psop::{run_psop, run_psop_cancellable, PsopConfig, PsopError};
+use crate::psop::{run_psop_cancellable, PsopConfig, PsopError};
 
 /// One ranked candidate deployment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -113,49 +113,6 @@ pub fn render_ranking(way: usize, rankings: &[PiaRanking]) -> String {
     out
 }
 
-/// An n-of-m deployment's similarity profile (§4.2.5): the paper requires
-/// the Jaccard similarity across the *n* primary providers and across all
-/// *m* providers of an n-of-m redundancy deployment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct NOfMRanking {
-    /// The n primary providers.
-    pub primaries: Vec<String>,
-    /// Jaccard across the n primaries.
-    pub primary_jaccard: f64,
-    /// Jaccard across all m providers.
-    pub full_jaccard: f64,
-}
-
-/// Evaluates an n-of-m deployment privately: one P-SOP run across the `n`
-/// primaries (`primary_idx` into `providers`) and one across all `m`.
-///
-/// # Panics
-///
-/// Panics if fewer than two primaries are given or indices are out of
-/// range.
-pub fn rank_n_of_m(
-    providers: &[(String, Vec<String>)],
-    primary_idx: &[usize],
-    config: &PsopConfig,
-) -> NOfMRanking {
-    assert!(primary_idx.len() >= 2, "need at least two primaries");
-    assert!(primary_idx.iter().all(|&i| i < providers.len()));
-    let run = |idx: &[usize]| -> f64 {
-        let datasets: Vec<Vec<String>> = idx.iter().map(|&i| providers[i].1.clone()).collect();
-        let mut net = SimNetwork::new(idx.len() + 1);
-        run_psop(&datasets, config, &mut net).jaccard
-    };
-    let all: Vec<usize> = (0..providers.len()).collect();
-    NOfMRanking {
-        primaries: primary_idx
-            .iter()
-            .map(|&i| providers[i].0.clone())
-            .collect(),
-        primary_jaccard: run(primary_idx),
-        full_jaccard: run(&all),
-    }
-}
-
 /// All `k`-subsets of `0..n`, lexicographic.
 fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
     fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
@@ -228,22 +185,6 @@ mod tests {
         let text = render_ranking(2, &r);
         assert!(text.contains("Cloud1 & Cloud4"));
         assert!(text.contains("Jaccard"));
-    }
-
-    #[test]
-    fn n_of_m_profile() {
-        let p = providers();
-        let r = rank_n_of_m(&p, &[1, 2], &PsopConfig::default());
-        assert_eq!(r.primaries, vec!["Cloud2", "Cloud3"]);
-        // Primary Jaccard must equal the pairwise ranking's value.
-        let pairwise = rank_deployments(&p, 2, None, &PsopConfig::default());
-        let same = pairwise
-            .iter()
-            .find(|x| x.providers == vec!["Cloud2", "Cloud3"])
-            .unwrap();
-        assert!((r.primary_jaccard - same.jaccard).abs() < 1e-12);
-        // The 4-way Jaccard is at most any pairwise one.
-        assert!(r.full_jaccard <= r.primary_jaccard + 1e-12);
     }
 
     #[test]

@@ -154,8 +154,10 @@ impl Bdd {
         Ok(bdd)
     }
 
-    /// Number of live BDD nodes (including terminals).
-    pub fn node_count(&self) -> usize {
+    /// Number of live BDD nodes (including terminals). Test-only until
+    /// an audit span reports the engine's sizes.
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -334,10 +336,8 @@ mod tests {
     use super::*;
     use crate::minimal::{minimal_risk_groups, MinimalConfig};
     use crate::ranking::top_event_probability;
-    use indaas_graph::detail::{
-        component_sets_to_graph, fault_sets_to_graph, ComponentSet, FaultSet,
-    };
-    use indaas_graph::FaultGraphBuilder;
+    use indaas_graph::detail::{component_sets_to_graph, ComponentSet};
+    use indaas_graph::{FaultGraphBuilder, Gate};
 
     const CAP: usize = 1 << 20;
 
@@ -356,11 +356,14 @@ mod tests {
 
     #[test]
     fn fig4b_exact_probability() {
-        let graph = fault_sets_to_graph(&[
-            FaultSet::new("E1", [("A1", 0.1), ("A2", 0.2)]),
-            FaultSet::new("E2", [("A2", 0.2), ("A3", 0.3)]),
-        ])
-        .unwrap();
+        let mut b = FaultGraphBuilder::new();
+        let a1 = b.basic("A1 fails", Some(0.1));
+        let a2 = b.basic("A2 fails", Some(0.2));
+        let e1 = b.gate("E1 fails", Gate::Or, vec![a1, a2]);
+        let a3 = b.basic("A3 fails", Some(0.3));
+        let e2 = b.gate("E2 fails", Gate::Or, vec![a2, a3]);
+        let top = b.gate("deployment fails", Gate::And, vec![e1, e2]);
+        let graph = b.build(top).unwrap();
         let bdd = Bdd::compile(&graph, CAP);
         let p = bdd.top_probability(&graph, 0.0);
         assert!((p - 0.224).abs() < 1e-12, "exact Pr(T) = {p}");

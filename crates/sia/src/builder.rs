@@ -51,15 +51,6 @@ impl BuildSpec {
             prob_model: None,
         }
     }
-
-    /// Disables all categories except network.
-    pub fn network_only(name: impl Into<String>, servers: Vec<String>) -> Self {
-        BuildSpec {
-            hardware: false,
-            software: false,
-            ..Self::all(name, servers)
-        }
-    }
 }
 
 /// Errors from fault-graph construction.
@@ -269,7 +260,11 @@ mod tests {
         let db = figure3_db();
         let g = build_fault_graph(
             &db,
-            &BuildSpec::network_only("net", vec!["S1".into(), "S2".into()]),
+            &BuildSpec {
+                hardware: false,
+                software: false,
+                ..BuildSpec::all("net", vec!["S1".into(), "S2".into()])
+            },
         )
         .unwrap();
         assert!(g.basic_by_name("ToR1").is_some());

@@ -49,6 +49,6 @@ pub use minimal::{
     minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig, MinimalError,
 };
 pub use ranking::{rank_by_probability, rank_by_size, top_event_probability};
-pub use report::{AuditDiff, AuditReport, DeploymentAudit, RankedRg, ScoreKind};
+pub use report::{AuditReport, DeploymentAudit, RankedRg, ScoreKind};
 pub use riskgroup::{RgFamily, RiskGroup};
 pub use sampling::{failure_sampling, failure_sampling_cancellable, SamplingConfig};

@@ -143,15 +143,18 @@ pub fn rank_by_probability(
 mod tests {
     use super::*;
     use crate::minimal::{minimal_risk_groups, MinimalConfig};
-    use indaas_graph::detail::{fault_sets_to_graph, FaultSet};
+    use indaas_graph::{FaultGraphBuilder, Gate};
 
     /// Figure 4(b): E1 = {A1: 0.1, A2: 0.2}, E2 = {A2: 0.2, A3: 0.3}.
     fn fig4b_graph() -> FaultGraph {
-        fault_sets_to_graph(&[
-            FaultSet::new("E1", [("A1", 0.1), ("A2", 0.2)]),
-            FaultSet::new("E2", [("A2", 0.2), ("A3", 0.3)]),
-        ])
-        .unwrap()
+        let mut b = FaultGraphBuilder::new();
+        let a1 = b.basic("A1 fails", Some(0.1));
+        let a2 = b.basic("A2 fails", Some(0.2));
+        let e1 = b.gate("E1 fails", Gate::Or, vec![a1, a2]);
+        let a3 = b.basic("A3 fails", Some(0.3));
+        let e2 = b.gate("E2 fails", Gate::Or, vec![a2, a3]);
+        let top = b.gate("deployment fails", Gate::And, vec![e1, e2]);
+        b.build(top).unwrap()
     }
 
     #[test]

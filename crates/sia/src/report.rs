@@ -23,16 +23,6 @@ pub enum ScoreKind {
     ProbabilityBased,
 }
 
-impl ScoreKind {
-    /// True if deployment score `a` is better than `b` under this rule.
-    pub fn better(&self, a: f64, b: f64) -> bool {
-        match self {
-            ScoreKind::SizeBased => a > b,
-            ScoreKind::ProbabilityBased => a < b,
-        }
-    }
-}
-
 /// One ranked risk group as it appears in a report.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RankedRg {
@@ -215,51 +205,6 @@ impl AuditReport {
     }
 }
 
-/// The change between two audits of the *same* deployment — the output of
-/// a periodic re-audit (§2: configuration changes or evolution can
-/// introduce new correlated-failure risks).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AuditDiff {
-    /// Risk groups present now but not in the baseline audit, ranked as in
-    /// the new audit. New *unexpected* groups are the alarm condition.
-    pub introduced: Vec<RankedRg>,
-    /// Risk groups from the baseline that no longer exist.
-    pub resolved: Vec<RankedRg>,
-    /// Change in the number of unexpected RGs (positive = regression).
-    pub unexpected_delta: i64,
-}
-
-impl AuditDiff {
-    /// Compares a fresh audit against a baseline of the same deployment.
-    pub fn between(baseline: &DeploymentAudit, current: &DeploymentAudit) -> Self {
-        let key = |rg: &RankedRg| rg.events.clone();
-        let base: std::collections::HashSet<Vec<String>> =
-            baseline.ranked_rgs.iter().map(key).collect();
-        let cur: std::collections::HashSet<Vec<String>> =
-            current.ranked_rgs.iter().map(key).collect();
-        AuditDiff {
-            introduced: current
-                .ranked_rgs
-                .iter()
-                .filter(|rg| !base.contains(&rg.events))
-                .cloned()
-                .collect(),
-            resolved: baseline
-                .ranked_rgs
-                .iter()
-                .filter(|rg| !cur.contains(&rg.events))
-                .cloned()
-                .collect(),
-            unexpected_delta: current.unexpected_rgs as i64 - baseline.unexpected_rgs as i64,
-        }
-    }
-
-    /// True if the re-audit found nothing new and nothing regressed.
-    pub fn is_clean(&self) -> bool {
-        self.introduced.is_empty() && self.unexpected_delta <= 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,55 +328,6 @@ mod tests {
         assert!(text.contains("demo"));
         assert!(text.contains("shared"));
         assert!(text.contains("unexpected RGs=1"));
-    }
-
-    #[test]
-    fn diff_flags_introduced_shared_dependency() {
-        // Baseline: clean. Later a config change routes both sources
-        // through one shared component.
-        let (before, _) = audit_of(
-            &[
-                ComponentSet::new("E1", ["a"]),
-                ComponentSet::new("E2", ["b"]),
-            ],
-            "svc",
-        );
-        let (after, _) = audit_of(
-            &[
-                ComponentSet::new("E1", ["a", "shared"]),
-                ComponentSet::new("E2", ["b", "shared"]),
-            ],
-            "svc",
-        );
-        let diff = AuditDiff::between(&before, &after);
-        assert!(!diff.is_clean());
-        assert_eq!(diff.unexpected_delta, 1);
-        assert!(diff
-            .introduced
-            .iter()
-            .any(|rg| rg.events == vec!["shared".to_string()]));
-        // And the reverse direction reports the fix.
-        let fix = AuditDiff::between(&after, &before);
-        assert!(fix.is_clean());
-        assert_eq!(fix.unexpected_delta, -1);
-        assert!(fix
-            .resolved
-            .iter()
-            .any(|rg| rg.events == vec!["shared".to_string()]));
-    }
-
-    #[test]
-    fn identical_audits_diff_clean() {
-        let (a, _) = audit_of(
-            &[
-                ComponentSet::new("E1", ["a"]),
-                ComponentSet::new("E2", ["b"]),
-            ],
-            "svc",
-        );
-        let diff = AuditDiff::between(&a, &a);
-        assert!(diff.is_clean());
-        assert!(diff.introduced.is_empty() && diff.resolved.is_empty());
     }
 
     #[test]

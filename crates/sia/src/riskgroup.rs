@@ -496,21 +496,6 @@ impl RgFamily {
         named.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         named
     }
-
-    /// Smallest group size, if any groups exist.
-    pub fn min_size(&self) -> Option<usize> {
-        self.lens.iter().min().map(|&len| len as usize)
-    }
-
-    /// Drops groups larger than `max_order`.
-    pub fn truncate_order(&mut self, max_order: usize) {
-        // Descending, so the row a removal moves has been looked at.
-        for r in (0..self.len()).rev() {
-            if self.lens[r] as usize > max_order {
-                self.remove_row(r);
-            }
-        }
-    }
 }
 
 impl FromIterator<RiskGroup> for RgFamily {
@@ -583,13 +568,5 @@ mod tests {
         assert!(fam.insert(rg(&[1, 2])));
         assert!(!fam.insert(rg(&[1, 2])));
         assert_eq!(fam.len(), 1);
-    }
-
-    #[test]
-    fn truncate_order_drops_large() {
-        let mut fam = RgFamily::from_groups([rg(&[1]), rg(&[2, 3]), rg(&[4, 5, 6])]);
-        fam.truncate_order(2);
-        assert_eq!(fam.len(), 2);
-        assert_eq!(fam.min_size(), Some(1));
     }
 }

@@ -65,16 +65,6 @@ impl Default for SamplingConfig {
     }
 }
 
-impl SamplingConfig {
-    /// Convenience constructor for the common case.
-    pub fn with_rounds(rounds: u64) -> Self {
-        SamplingConfig {
-            rounds,
-            ..Self::default()
-        }
-    }
-}
-
 /// Runs failure sampling and returns the (deduplicated, minimized) family
 /// of risk groups discovered.
 ///
@@ -401,7 +391,13 @@ mod tests {
     #[test]
     fn sampling_finds_all_rgs_of_small_graph() {
         let graph = fig4a_graph();
-        let fam = failure_sampling(&graph, &SamplingConfig::with_rounds(2000));
+        let fam = failure_sampling(
+            &graph,
+            &SamplingConfig {
+                rounds: 2000,
+                ..SamplingConfig::default()
+            },
+        );
         let exact = minimal_risk_groups(&graph, &MinimalConfig::default());
         assert_eq!(fam.to_named(&graph), exact.to_named(&graph));
     }
@@ -409,7 +405,13 @@ mod tests {
     #[test]
     fn minimized_witnesses_are_minimal() {
         let graph = fig4a_graph();
-        let fam = failure_sampling(&graph, &SamplingConfig::with_rounds(500));
+        let fam = failure_sampling(
+            &graph,
+            &SamplingConfig {
+                rounds: 500,
+                ..SamplingConfig::default()
+            },
+        );
         for g in fam.groups() {
             let mut assignment = vec![false; graph.len()];
             for &id in g.ids() {
@@ -511,12 +513,15 @@ mod tests {
     fn weighted_sampling_biases_toward_probable_groups() {
         // Shared component "hot" has probability 0.5, everything else
         // 0.001: weighted sampling should find {hot} within few rounds.
-        use indaas_graph::detail::{fault_sets_to_graph, FaultSet};
-        let graph = fault_sets_to_graph(&[
-            FaultSet::new("E1", [("hot", 0.5), ("a", 0.001)]),
-            FaultSet::new("E2", [("hot", 0.5), ("b", 0.001)]),
-        ])
-        .unwrap();
+        use indaas_graph::{FaultGraphBuilder, Gate};
+        let mut fb = FaultGraphBuilder::new();
+        let a = fb.basic("a fails", Some(0.001));
+        let hot = fb.basic("hot fails", Some(0.5));
+        let e1 = fb.gate("E1 fails", Gate::Or, vec![a, hot]);
+        let b = fb.basic("b fails", Some(0.001));
+        let e2 = fb.gate("E2 fails", Gate::Or, vec![b, hot]);
+        let top = fb.gate("deployment fails", Gate::And, vec![e1, e2]);
+        let graph = fb.build(top).unwrap();
         let config = SamplingConfig {
             rounds: 200,
             weighted: true,
@@ -532,12 +537,15 @@ mod tests {
     #[test]
     fn weighted_sampling_still_sound() {
         use crate::minimal::{minimal_risk_groups, MinimalConfig};
-        use indaas_graph::detail::{fault_sets_to_graph, FaultSet};
-        let graph = fault_sets_to_graph(&[
-            FaultSet::new("E1", [("x", 0.3), ("y", 0.4)]),
-            FaultSet::new("E2", [("y", 0.4), ("z", 0.2)]),
-        ])
-        .unwrap();
+        use indaas_graph::{FaultGraphBuilder, Gate};
+        let mut b = FaultGraphBuilder::new();
+        let x = b.basic("x fails", Some(0.3));
+        let y = b.basic("y fails", Some(0.4));
+        let e1 = b.gate("E1 fails", Gate::Or, vec![x, y]);
+        let z = b.basic("z fails", Some(0.2));
+        let e2 = b.gate("E2 fails", Gate::Or, vec![y, z]);
+        let top = b.gate("deployment fails", Gate::And, vec![e1, e2]);
+        let graph = b.build(top).unwrap();
         let exact: std::collections::HashSet<_> =
             minimal_risk_groups(&graph, &MinimalConfig::default())
                 .to_named(&graph)

@@ -32,11 +32,6 @@ impl BensonDatacenter {
         BensonDatacenter
     }
 
-    /// Rack (and ToR) count.
-    pub fn num_racks(&self) -> usize {
-        NUM_RACKS
-    }
-
     /// The server name hosted in rack `r` (1-based, one logical server per
     /// rack as in the case study).
     pub fn server_name(&self, r: usize) -> String {
@@ -103,7 +98,7 @@ mod tests {
     #[test]
     fn topology_shape_matches_figure() {
         let dc = BensonDatacenter::new();
-        assert_eq!(dc.num_racks(), 33);
+        assert_eq!(NUM_RACKS, 33);
         // 190 audited pairs, as in the paper.
         let racks = dc.audited_racks();
         assert_eq!(racks.len() * (racks.len() - 1) / 2, 190);

@@ -134,11 +134,6 @@ impl IaasLab {
         }
         out
     }
-
-    /// The 1-based VM indices running the redundant Riak service.
-    pub fn riak_vms(&self) -> [usize; 2] {
-        [7, 8]
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Tier-1 gate: the workspace must lint clean.
 //!
-//! `indaas-lint` enforces the daemon's structural invariants — no
-//! blocking calls reachable from the readiness loop, disciplined lock
-//! nesting, every fault point and metric name declared once in its
-//! registry, and no unannotated panic paths in daemon code. A finding
-//! here is a real regression (or a missing reasoned
-//! `// lint:allow(..)` annotation), so the whole suite fails on one.
+//! `indaas-lint` enforces five structural invariants — no blocking
+//! calls reachable from the readiness loop, disciplined lock nesting,
+//! every fault point and metric name declared once in its registry, no
+//! unannotated panic paths in daemon code, and no library `pub` item
+//! that only unit tests reach. A finding here is a real regression (or,
+//! for the first four, a missing reasoned `// lint:allow(..)`
+//! annotation), so the whole suite fails on one.
 
 use indaas_lint::{run, LintConfig};
 
