@@ -7,8 +7,10 @@
 //! k ∈ {2, 3, 4} providers, n elements per provider. The paper sweeps
 //! n = 10³–10⁵; P-SOP here runs the full sweep while KS is measured up to
 //! a smaller cap (its homomorphic arithmetic is the point of the
-//! comparison — the paper's KS hits 10⁵+ seconds). Both protocols use
-//! 1024-bit keys, as in the paper.
+//! comparison — the paper's KS hits 10⁵+ seconds). P-SOP uses the
+//! paper's 1024-bit group, with 256-bit exponents in its prime-order
+//! subgroup (a short exponent, not the paper's full-width key); KS keeps
+//! 1024-bit Paillier.
 //!
 //! A third section runs the generic-SMPC baseline (a GMW boolean circuit,
 //! §4.2) for k = 2. Its work grows with n², so it sweeps n = 100–1000,

@@ -1,15 +1,21 @@
-//! Pohlig–Hellman commutative encryption over a shared prime-order group.
+//! Pohlig–Hellman commutative encryption in a shared prime-order group.
 //!
 //! P-SOP (§4.2.2) requires a cipher with the commutativity property
-//! `E_K(E_J(m)) = E_J(E_K(m))`. Exponentiation modulo a shared prime `p`
-//! provides it: party `i` holds a secret exponent `e_i` coprime to `p-1`,
-//! encrypts with `m ↦ m^{e_i} mod p`, and exponentiations under different
-//! keys commute. The paper's prototype used commutative RSA (SRA "Mental
-//! Poker" [56]); Pohlig–Hellman [50] over a fixed safe prime is the standard
-//! equivalent that avoids a shared-modulus key ceremony.
+//! `E_K(E_J(m)) = E_J(E_K(m))`. Exponentiation in a shared group provides
+//! it: party `i` holds a secret exponent `e_i`, encrypts with
+//! `m ↦ m^{e_i} mod p`, and exponentiations under different keys commute.
+//! The paper's prototype used commutative RSA (SRA "Mental Poker" [56]);
+//! Pohlig–Hellman [50] over a fixed safe prime is the standard equivalent
+//! that avoids a shared-modulus key ceremony.
 //!
-//! The group is the 1024-bit MODP group from RFC 3526 (a well-known safe
-//! prime), matching the paper's 1024-bit key size in Figure 8.
+//! The modulus is RFC 3526's 1024-bit safe prime `p = 2q + 1`, matching
+//! the paper's 1024-bit key size in Figure 8. Elements are hashed by
+//! squaring into its quadratic residues, a subgroup of prime order `q`.
+//! There a ciphertext does not carry its element's Legendre symbol (every
+//! odd exponent keeps it in all of `Z_p*`, where DDH, which P-SOP's privacy
+//! rests on, fails), and any nonzero exponent below `q` is a permutation,
+//! so a key needs no inverse. Exponents are 256 bits, the standard
+//! short-exponent choice in a safe-prime group (van Oorschot–Wiener).
 
 use indaas_bigint::{BigUint, Montgomery, WindowedExp};
 use rand::Rng;
@@ -22,14 +28,8 @@ pub const MODP_1024_HEX: &str = "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd
      4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed\
      ee386bfb5a899fa5ae9f24117c4b1fe649286651ece65381ffffffffffffffff";
 
-/// A party's secret commutative-encryption key: an exponent and its inverse
-/// modulo `p-1`, each recoded into window digits once at key generation —
-/// a party raises every element it handles to the same exponent.
-#[derive(Clone, Debug)]
-pub struct CommutativeKey {
-    enc_exp: WindowedExp,
-    dec_exp: WindowedExp,
-}
+/// Bit length cap of a secret exponent.
+const EXPONENT_BITS: usize = 256;
 
 /// Commutative cipher context: the shared group plus a party's secret key.
 ///
@@ -49,7 +49,9 @@ pub struct CommutativeKey {
 /// ```
 pub struct CommutativeCipher {
     mont: Montgomery,
-    key: CommutativeKey,
+    /// The secret exponent, recoded into window digits once at key
+    /// generation — a party raises every element it handles to it.
+    exp: WindowedExp,
 }
 
 impl CommutativeCipher {
@@ -62,24 +64,12 @@ impl CommutativeCipher {
         Self::with_modulus(p, rng)
     }
 
-    /// Generates a key for an arbitrary odd prime modulus (tests use small
-    /// groups to keep exhaustive checks cheap).
-    pub fn with_modulus(p: BigUint, rng: &mut impl Rng) -> Self {
-        let p_minus_1 = p.checked_sub(&BigUint::one()).expect("p >= 2");
-        let key = loop {
-            let e = BigUint::random_below(rng, &p_minus_1);
-            if e.is_zero() {
-                continue;
-            }
-            if let Ok(d) = e.modinv(&p_minus_1) {
-                break CommutativeKey {
-                    enc_exp: WindowedExp::new(&e),
-                    dec_exp: WindowedExp::new(&d),
-                };
-            }
-        };
+    /// Generates a key for the quadratic-residue subgroup of the safe prime
+    /// `p` (tests use a small one to keep exhaustive checks cheap).
+    fn with_modulus(p: BigUint, rng: &mut impl Rng) -> Self {
+        let exp = WindowedExp::new(&draw_exponent(&p, rng));
         let mont = Montgomery::new(&p).expect("odd prime modulus");
-        CommutativeCipher { mont, key }
+        CommutativeCipher { mont, exp }
     }
 
     /// The group modulus.
@@ -87,35 +77,26 @@ impl CommutativeCipher {
         self.mont.modulus()
     }
 
-    /// The secret key (exposed for persistence in tests; never sent).
-    pub fn key(&self) -> &CommutativeKey {
-        &self.key
-    }
-
-    /// Deterministically maps arbitrary bytes into the group, via SHA-256.
+    /// Deterministically maps arbitrary bytes into the group: the SHA-256
+    /// digest `v`, squared modulo `p`.
     ///
-    /// The digest (256 bits) is always far below the 1024-bit modulus, and is
-    /// non-zero with overwhelming probability, so the map lands in the
-    /// multiplicative group.
+    /// Squares are the quadratic residues, the prime-order subgroup. In the
+    /// RFC 3526 group `v < 2^256 < p/2`, so `v ↦ v²` is injective and the
+    /// square needs no reduction. A digest that is zero modulo `p` (only
+    /// reachable in a small test group) maps to 1.
     pub fn hash_to_group(&self, data: &[u8]) -> BigUint {
-        let digest = sha256(data);
-        let v = BigUint::from_bytes_be(&digest);
-        // Extremely unlikely zero digest: map to 1 (still a group element).
+        let p = self.mont.modulus();
+        let v = BigUint::from_bytes_be(&sha256(data)).rem(p);
         if v.is_zero() {
             BigUint::one()
         } else {
-            v.rem(self.mont.modulus())
+            (&v * &v).rem(p)
         }
     }
 
     /// Encrypts a group element: `m^e mod p`.
     pub fn encrypt(&self, m: &BigUint) -> BigUint {
-        self.mont.pow(m, &self.key.enc_exp)
-    }
-
-    /// Decrypts one layer this party added: `c^d mod p`.
-    pub fn decrypt(&self, c: &BigUint) -> BigUint {
-        self.mont.pow(c, &self.key.dec_exp)
+        self.mont.pow(m, &self.exp)
     }
 
     /// [`CommutativeCipher::encrypt`] on serialized elements: reads one
@@ -151,7 +132,7 @@ impl CommutativeCipher {
     fn encrypt_limbs(&self, base: &[u64], out: &mut [u8]) {
         assert_eq!(out.len(), self.element_width(), "element width");
         let mut ct = vec![0u64; base.len()];
-        self.mont.pow_limbs(base, &self.key.enc_exp, &mut ct);
+        self.mont.pow_limbs(base, &self.exp, &mut ct);
         for (i, b) in out.iter_mut().rev().enumerate() {
             *b = (ct[i / 8] >> (8 * (i % 8))) as u8;
         }
@@ -160,6 +141,20 @@ impl CommutativeCipher {
     /// Byte length of a serialized element of this cipher's group.
     fn element_width(&self) -> usize {
         self.mont.modulus().bits().div_ceil(8)
+    }
+}
+
+/// Draws a secret exponent uniformly from `[1, min(q, 2^256))` for the
+/// safe prime `p = 2q + 1`: 256 bits in the RFC 3526 group, all of `[1, q)`
+/// in a small one. Any such exponent permutes the order-`q` subgroup.
+fn draw_exponent(p: &BigUint, rng: &mut impl Rng) -> BigUint {
+    let q = p >> 1;
+    let bound = q.min(BigUint::one() << EXPONENT_BITS);
+    loop {
+        let e = BigUint::random_below(rng, &bound);
+        if !e.is_zero() {
+            return e;
+        }
     }
 }
 
@@ -172,12 +167,126 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(0xc0ffee)
     }
 
+    /// The small safe prime of the exhaustive checks: 1019 = 2·509 + 1.
+    const P: u64 = 1019;
+    const Q: u64 = 509;
+
+    /// Plain square-and-multiply, the reference the Montgomery kernel is
+    /// checked against.
+    fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
+        let mut acc = 1;
+        base %= P;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = acc * base % P;
+            }
+            base = base * base % P;
+            exp >>= 1;
+        }
+        acc
+    }
+
+    /// The 509 quadratic residues modulo 1019, ascending.
+    fn small_qrs() -> Vec<u64> {
+        let mut qrs: Vec<u64> = (1..P).map(|x| x * x % P).collect();
+        qrs.sort_unstable();
+        qrs.dedup();
+        qrs
+    }
+
+    fn small_cipher(e: u64) -> CommutativeCipher {
+        let p = BigUint::from_u64(P);
+        CommutativeCipher {
+            mont: Montgomery::new(&p).unwrap(),
+            exp: WindowedExp::new(&BigUint::from_u64(e)),
+        }
+    }
+
+    fn encrypt_u64(c: &CommutativeCipher, m: u64) -> u64 {
+        c.encrypt(&BigUint::from_u64(m)).limbs()[0]
+    }
+
+    /// Every exponent in `1..q` permutes the 509 quadratic residues of
+    /// p = 1019, and agrees with the reference on each of them.
     #[test]
-    fn encrypt_decrypt_roundtrip() {
+    fn small_group_every_exponent_permutes_the_residues() {
+        let qrs = small_qrs();
+        assert_eq!(qrs.len() as u64, Q);
+        for e in 1..Q {
+            let c = small_cipher(e);
+            let mut image: Vec<u64> = qrs
+                .iter()
+                .map(|&m| {
+                    let ct = encrypt_u64(&c, m);
+                    assert_eq!(ct, pow_mod(m, e), "m={m} e={e}");
+                    ct
+                })
+                .collect();
+            image.sort_unstable();
+            assert_eq!(image, qrs, "e={e} is not a permutation");
+        }
+    }
+
+    /// Drawn keys of the small group commute on every quadratic residue.
+    #[test]
+    fn small_group_drawn_keys_commute_on_every_residue() {
         let mut r = rng();
-        let c = CommutativeCipher::generate(&mut r);
-        let m = c.hash_to_group(b"router 10.0.0.1");
-        assert_eq!(c.decrypt(&c.encrypt(&m)), m);
+        for _ in 0..8 {
+            let a = CommutativeCipher::with_modulus(BigUint::from_u64(P), &mut r);
+            let b = CommutativeCipher::with_modulus(BigUint::from_u64(P), &mut r);
+            for m in small_qrs() {
+                let ab = encrypt_u64(&b, encrypt_u64(&a, m));
+                assert_eq!(ab, encrypt_u64(&a, encrypt_u64(&b, m)), "m={m}");
+                assert_eq!(pow_mod(ab, Q), 1, "m={m} left the subgroup");
+            }
+        }
+    }
+
+    /// Every hashed element and every ciphertext in the RFC 3526 group is a
+    /// quadratic residue (Euler's criterion, `x^q ≡ 1`): a ciphertext does
+    /// not reveal its element's Legendre symbol.
+    #[test]
+    fn hashes_and_ciphertexts_are_quadratic_residues() {
+        let mut r = rng();
+        let a = CommutativeCipher::generate(&mut r);
+        let b = CommutativeCipher::generate(&mut r);
+        let q = a.modulus() >> 1;
+        let euler = |x: &BigUint| x.modpow(&q, a.modulus()).is_one();
+        for i in 0..64 {
+            let m = a.hash_to_group(format!("element-{i}").as_bytes());
+            let once = a.encrypt(&m);
+            let twice = b.encrypt(&once);
+            assert!(euler(&m), "hash of element-{i} is a non-residue");
+            assert!(
+                euler(&once),
+                "1-layer ciphertext of element-{i} is a non-residue"
+            );
+            assert!(
+                euler(&twice),
+                "2-layer ciphertext of element-{i} is a non-residue"
+            );
+        }
+    }
+
+    /// A drawn exponent is nonzero and at most 256 bits in the RFC 3526
+    /// group (and reaches 256 bits), and below q in the small one.
+    #[test]
+    fn drawn_exponents_are_short_and_nonzero() {
+        let mut r = rng();
+        let p = BigUint::from_hex(MODP_1024_HEX).unwrap();
+        let longest = (0..64)
+            .map(|_| {
+                let e = draw_exponent(&p, &mut r);
+                assert!(!e.is_zero());
+                e.bits()
+            })
+            .max();
+        assert_eq!(longest, Some(EXPONENT_BITS));
+        let small = BigUint::from_u64(P);
+        for _ in 0..1000 {
+            let e = draw_exponent(&small, &mut r);
+            assert!(!e.is_zero() && e < BigUint::from_u64(Q), "{e}");
+        }
     }
 
     #[test]
@@ -201,19 +310,6 @@ mod tests {
         let bca = parties[0].encrypt(&parties[2].encrypt(&parties[1].encrypt(&m)));
         assert_eq!(abc, cba);
         assert_eq!(abc, bca);
-    }
-
-    #[test]
-    fn layered_decrypt_in_any_order() {
-        let mut r = rng();
-        let a = CommutativeCipher::generate(&mut r);
-        let b = CommutativeCipher::generate(&mut r);
-        let m = a.hash_to_group(b"x");
-        let c2 = b.encrypt(&a.encrypt(&m));
-        // Remove layers in the opposite order they were applied, and also in
-        // the same order; both must recover m.
-        assert_eq!(a.decrypt(&b.decrypt(&c2)), m);
-        assert_eq!(b.decrypt(&a.decrypt(&c2)), m);
     }
 
     #[test]
@@ -249,32 +345,26 @@ mod tests {
         }
     }
 
-    /// Known answers from the bit-at-a-time kernel this cipher used before
-    /// its exponents were recoded into window digits.
+    /// Known answer for the first key drawn from the test seed. The value was
+    /// cross-checked outside this crate: Python's `pow(m, e, p)` on the same
+    /// digest square and exponent gives the same hex.
     #[test]
     fn known_answer_rfc3526() {
         let c = CommutativeCipher::generate(&mut rng());
         let m = c.hash_to_group(b"router 10.0.0.1");
         assert_eq!(
             c.encrypt(&m).to_hex(),
-            "a726365de8c8565039ca046ed816e6799f474495e2968feaee477af0451ce156\
-             7fe9cb518cd4e87ec2afb643eea52f6c6728789389cd519800ace3c18ba6c7a9\
-             a008418072125e4dbae50b3c8bb9087b5b0d95948ba681a73893f8dfcbd4611e\
-             a3082910458ee636f43aab0471f15db3292b3ce0a9753829c52a8e0a25ca887a"
-        );
-        assert_eq!(
-            c.decrypt(&m).to_hex(),
-            "262d0eed4221caa58675d1998bf87410a0248f162a2fb3a0e9c72b2953e2a941\
-             6e239dc94672221dd65c327fccac7aa57d94047289e7380ed18e7e59763b8d94\
-             10a26477d7fdc91347b237eb94d3e159268ad0d935ad38adf606efa92c0b32b1\
-             e4f223107891fd67a0aa9ef3e7b769442897945c260eb5370288132e0d8a5a7d"
+            "5786c8ccb8d2275666232b718036ea90f385643141c764d386bade8759067e9c\
+             a98ee7ae326c8dc1915a2edc6f3e7d60e2c58da068ca78199cf527de229451b2\
+             014b490541e7ddc12ad30dc707ae13eb530accd7caa70276d18a3f93eeab6269\
+             9c66089efc082c2cffd2c516b5e5fe7ab36c916ac4fae6e9aebe2a641ee72832"
         );
     }
 
-    /// Commutativity and decrypt∘encrypt = id on full-width (1,024-bit)
-    /// elements, where every limb of the kernel's operands is live.
+    /// Commutativity on full-width (1,024-bit) elements, where every limb
+    /// of the kernel's operands is live.
     #[test]
-    fn full_width_commutes_and_roundtrips() {
+    fn full_width_commutes() {
         let mut r = rng();
         let a = CommutativeCipher::generate(&mut r);
         let b = CommutativeCipher::generate(&mut r);
@@ -283,19 +373,6 @@ mod tests {
         elements.extend((0..6).map(|_| BigUint::random_below(&mut r, a.modulus())));
         for m in &elements {
             assert_eq!(b.encrypt(&a.encrypt(m)), a.encrypt(&b.encrypt(m)));
-            assert_eq!(&a.decrypt(&a.encrypt(m)), m);
-            assert_eq!(&b.decrypt(&a.decrypt(&b.encrypt(&a.encrypt(m)))), m);
-        }
-    }
-
-    #[test]
-    fn small_group_exhaustive_roundtrip() {
-        // p = 1019 (prime): test all residues round-trip.
-        let mut r = rng();
-        let c = CommutativeCipher::with_modulus(BigUint::from_u64(1019), &mut r);
-        for m in 1u64..1019 {
-            let mb = BigUint::from_u64(m);
-            assert_eq!(c.decrypt(&c.encrypt(&mb)), mb, "failed at m={m}");
         }
     }
 }

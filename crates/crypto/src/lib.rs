@@ -7,7 +7,8 @@
 //!   MinHash,
 //! * [`commutative`] — the Pohlig–Hellman commutative cipher that powers the
 //!   P-SOP private set-intersection-cardinality protocol (§4.2.2 of the
-//!   paper),
+//!   paper): 256-bit exponents in the prime-order subgroup of quadratic
+//!   residues modulo the RFC 3526 1024-bit safe prime,
 //! * [`paillier`] — the additively homomorphic Paillier cryptosystem used by
 //!   the Kissner–Song baseline (§6.3.2),
 //! * [`perm`] — uniform random permutations (each P-SOP party shuffles its
@@ -26,7 +27,7 @@ pub mod hash;
 pub mod paillier;
 pub mod perm;
 
-pub use commutative::{CommutativeCipher, CommutativeKey, MODP_1024_HEX};
+pub use commutative::{CommutativeCipher, MODP_1024_HEX};
 pub use hash::{sha256, Hash64, Sha256};
 pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPublicKey};
 pub use perm::shuffle;

@@ -657,7 +657,7 @@ mod tests {
             .collect();
         assert_eq!(
             digest,
-            "6d54eed9576860ebc2de409b55913b061d68bf018b714616c11dd6c14d0e41f3"
+            "f6088e12a333ad16c4cbc651b51aa650bc069ab453dff26ce0d76f7b1dfe2028"
         );
     }
 
@@ -730,8 +730,8 @@ mod tests {
     #[test]
     fn cancellation_lands_inside_a_relay() {
         use std::time::{Duration, Instant};
-        // 4,000 valid elements: seconds of modexp if run to completion.
-        let payload: Vec<u8> = (0..4000u32)
+        // 16,000 valid elements: seconds of modexp if run to completion.
+        let payload: Vec<u8> = (0..16_000u32)
             .flat_map(|i| [vec![0u8; 124], (i + 2).to_be_bytes().to_vec()].concat())
             .collect();
         let msg = message(1, payload);
@@ -757,8 +757,9 @@ mod tests {
             party.relay(&msg),
             Err(PsopError::Cancelled(Cancelled::DeadlineExceeded))
         );
-        // One element is ~0.5 ms of work; a run that only polled between
-        // payloads would return Ok after all 4,000.
+        // One element is 0.15–0.25 ms of work on a 2-vCPU Xeon (a 256-bit
+        // exponent), so all 16,000 take 2.4–4 s: a run that only polled
+        // between payloads would return Ok long after the bound below.
         assert!(started.elapsed() < deadline + Duration::from_millis(500));
     }
 }
