@@ -161,6 +161,37 @@ mod tests {
         }
     }
 
+    /// The benchmark's ranked report (topology A, 16-way, `k = 2`, order
+    /// <= 4): every group's position and member names, in rank order, hash
+    /// to one digest. The fig7 family pin holds the groups; this one holds
+    /// the order they are reported in, ties included.
+    #[test]
+    fn fig7_ranked_report_is_pinned() {
+        use indaas_sia::{minimal_risk_groups, DeploymentAudit, MinimalConfig};
+        let graph = topology_a_16_way(15);
+        let family = minimal_risk_groups(&graph, &MinimalConfig::with_max_order(4));
+        let audit = DeploymentAudit::size_based("pinned", &family, &graph, 16, None);
+        assert_eq!(audit.ranked_rgs.len(), 1_923);
+        let mut hasher = indaas_crypto::Sha256::new();
+        for (position, group) in audit.ranked_rgs.iter().enumerate() {
+            hasher.update(&(position as u32).to_be_bytes());
+            hasher.update(&(group.events.len() as u32).to_be_bytes());
+            for name in &group.events {
+                hasher.update(&(name.len() as u32).to_be_bytes());
+                hasher.update(name.as_bytes());
+            }
+        }
+        let digest: String = hasher
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            digest,
+            "42d83badaaecf72d4d274897edbb611c1747219b20fc29354c5172340e9f1b9b"
+        );
+    }
+
     #[test]
     fn synthetic_datasets_overlap() {
         let sets = synthetic_datasets(3, 100, 0.4);

@@ -72,11 +72,6 @@ impl CommutativeCipher {
         CommutativeCipher { mont, exp }
     }
 
-    /// The group modulus.
-    pub fn modulus(&self) -> &BigUint {
-        self.mont.modulus()
-    }
-
     /// Deterministically maps arbitrary bytes into the group: the SHA-256
     /// digest `v`, squared modulo `p`.
     ///
@@ -250,8 +245,8 @@ mod tests {
         let mut r = rng();
         let a = CommutativeCipher::generate(&mut r);
         let b = CommutativeCipher::generate(&mut r);
-        let q = a.modulus() >> 1;
-        let euler = |x: &BigUint| x.modpow(&q, a.modulus()).is_one();
+        let q = a.mont.modulus() >> 1;
+        let euler = |x: &BigUint| x.modpow(&q, a.mont.modulus()).is_one();
         for i in 0..64 {
             let m = a.hash_to_group(format!("element-{i}").as_bytes());
             let once = a.encrypt(&m);
@@ -368,9 +363,9 @@ mod tests {
         let mut r = rng();
         let a = CommutativeCipher::generate(&mut r);
         let b = CommutativeCipher::generate(&mut r);
-        let p_minus_1 = a.modulus() - &BigUint::one();
+        let p_minus_1 = a.mont.modulus() - &BigUint::one();
         let mut elements = vec![p_minus_1, BigUint::one()];
-        elements.extend((0..6).map(|_| BigUint::random_below(&mut r, a.modulus())));
+        elements.extend((0..6).map(|_| BigUint::random_below(&mut r, a.mont.modulus())));
         for m in &elements {
             assert_eq!(b.encrypt(&a.encrypt(m)), a.encrypt(&b.encrypt(m)));
         }

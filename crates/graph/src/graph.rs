@@ -119,12 +119,13 @@ impl FaultGraphBuilder {
     ///
     /// Adding the same name twice returns the existing id, so collectors can
     /// feed overlapping dependency data without bookkeeping; a differing
-    /// probability on re-add is ignored (first write wins).
-    pub fn basic(&mut self, name: impl Into<String>, prob: Option<f64>) -> NodeId {
-        let name = name.into();
-        if let Some(&id) = self.basic_names.get(&name) {
+    /// probability on re-add is ignored (first write wins). The name is
+    /// looked up as a `&str` and only copied the first time it is added.
+    pub fn basic(&mut self, name: impl AsRef<str> + Into<String>, prob: Option<f64>) -> NodeId {
+        if let Some(&id) = self.basic_names.get(name.as_ref()) {
             return id;
         }
+        let name = name.into();
         let id = self.nodes.len() as NodeId;
         self.basic_names.insert(name.clone(), id);
         self.nodes.push(Node {

@@ -124,7 +124,7 @@ pub fn build_fault_graph<D: DepView + ?Sized>(
                             .iter()
                             .map(|dev| {
                                 let p = prob(dev);
-                                b.basic(dev.clone(), p)
+                                b.basic(dev, p)
                             })
                             .collect();
                         b.gate(
@@ -146,7 +146,7 @@ pub fn build_fault_graph<D: DepView + ?Sized>(
                     .iter()
                     .map(|h| {
                         let p = prob(&h.dep);
-                        b.basic(h.dep.clone(), p)
+                        b.basic(&h.dep, p)
                     })
                     .collect();
                 causes.push(b.gate(format!("{server} hardware fails"), Gate::Or, comps));
@@ -164,10 +164,10 @@ pub fn build_fault_graph<D: DepView + ?Sized>(
                     .map(|s| {
                         let mut parts: Vec<NodeId> = Vec::with_capacity(s.deps.len() + 1);
                         let self_prob = prob(&s.pgm);
-                        parts.push(b.basic(s.pgm.clone(), self_prob));
+                        parts.push(b.basic(&s.pgm, self_prob));
                         for pkg in &s.deps {
                             let p = prob(pkg);
-                            parts.push(b.basic(pkg.clone(), p));
+                            parts.push(b.basic(pkg, p));
                         }
                         b.gate(format!("{server}:{} fails", s.pgm), Gate::Or, parts)
                     })

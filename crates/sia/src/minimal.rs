@@ -11,6 +11,8 @@
 //! `T[k]` (OR is `T[1]`, AND is `T[n]`). Only the slots the remaining children can still lift to `k`
 //! are updated, so an AND is its one chain of products and a k-of-n gate
 //! costs `k·n` products instead of one per k-subset of its children.
+//! `T[0]` is never built: `{∅} × F = F`, so `T[1]` takes each child's rows
+//! as they are, and an OR gate forms no product at all.
 //!
 //! A product `A × B` (the minimal unions of one set from each operand)
 //! absorbs before it multiplies: a row of one operand that the *other*
@@ -30,6 +32,13 @@
 //!   groups" the audit is hunting.
 //! * `max_family` — a hard cap on intermediate family sizes; exceeding it
 //!   is a [`MinimalError::FamilyTooLarge`].
+//!
+//! Cancellation is metered by work, not by node: the token is polled once
+//! up front and then after every 1,024 units, a unit being a basic event's
+//! one row, a row a gate reads or takes over, or a union a product forms.
+//! A deadline therefore lands inside one large product, while the many
+//! tiny gates of a real graph (the benchmark's has 1,024 path ORs of a
+//! few devices each) share a handful of clock reads between them.
 
 use indaas_graph::{CancelToken, Cancelled, FaultGraph, NodeId};
 
@@ -114,8 +123,12 @@ pub fn minimal_risk_groups(graph: &FaultGraph, config: &MinimalConfig) -> RgFami
 }
 
 /// [`minimal_risk_groups`] with cooperative cancellation: the token is
-/// polled once per graph node and once per product row, so jobs stop
-/// within a bounded amount of work of a cancel/deadline.
+/// polled once before the first node and then once every 1,024 units of
+/// work (`POLL_EVERY`), a unit being a basic event's one row, a row a gate
+/// reads or takes over, or a union a product forms. A job therefore stops
+/// within a bounded amount of work of a cancel or deadline, inside a
+/// product as well as between nodes, and a graph of many small gates
+/// reads the clock a handful of times rather than once per node.
 ///
 /// # Errors
 ///
@@ -127,18 +140,18 @@ pub fn minimal_risk_groups_cancellable(
     config: &MinimalConfig,
     token: &CancelToken,
 ) -> Result<RgFamily, MinimalError> {
-    let empty = RgFamily::for_graph(graph);
-    let mut unit = empty.clone();
-    unit.insert_ids(&[]);
-    let mut scratch = Scratch {
-        union: vec![0; empty.stride()],
-        rest: Vec::new(),
-    };
+    token.check()?;
     let kernel = Kernel {
         config,
-        token,
-        empty,
-        unit,
+        empty: RgFamily::for_graph(graph),
+    };
+    let mut scratch = Scratch {
+        union: vec![0; kernel.empty.stride()],
+        rest: Vec::new(),
+        meter: Meter {
+            token,
+            left: POLL_EVERY,
+        },
     };
     let mut families: Vec<Option<RgFamily>> = (0..graph.len()).map(|_| None).collect();
     // Count remaining uses so child families can be dropped early (keeps
@@ -152,10 +165,10 @@ pub fn minimal_risk_groups_cancellable(
     remaining_uses[graph.top() as usize] += 1;
 
     for id in 0..graph.len() as NodeId {
-        token.check()?;
         let node = graph.node(id);
         let fam = match node.gate {
             None => {
+                scratch.meter.tick()?;
                 let mut fam = kernel.empty.clone();
                 if kernel.fits(1) {
                     fam.insert_ids(&[id]);
@@ -189,22 +202,44 @@ pub fn minimal_risk_groups_cancellable(
         .expect("top family computed"))
 }
 
+/// Units of work between two polls of the cancel token (see
+/// [`minimal_risk_groups_cancellable`]). The benchmark's audit is about
+/// 12,000 units, so it polls 12 times; a unit there is about 0.1 µs.
+const POLL_EVERY: usize = 1024;
+
+/// Counts work down to the next poll of the token.
+struct Meter<'a> {
+    token: &'a CancelToken,
+    /// Units left before the next poll.
+    left: usize,
+}
+
+impl Meter<'_> {
+    /// Spends one unit of work, polling the token when the budget runs out.
+    fn tick(&mut self) -> Result<(), Cancelled> {
+        self.left -= 1;
+        if self.left > 0 {
+            return Ok(());
+        }
+        self.left = POLL_EVERY;
+        self.token.check()
+    }
+}
+
 /// What every gate of one computation shares.
 struct Kernel<'a> {
     config: &'a MinimalConfig,
-    token: &'a CancelToken,
     /// The family of no sets, over the graph's event index.
     empty: RgFamily,
-    /// `T[0]`: the family of the empty set, which fails at least none.
-    unit: RgFamily,
 }
 
-/// Buffers every product reuses.
-struct Scratch {
+/// Buffers every product reuses, and the work meter.
+struct Scratch<'a> {
     /// One row: the union under test.
     union: Vec<u64>,
     /// Rows of a product's right operand that are cross-multiplied.
     rest: Vec<usize>,
+    meter: Meter<'a>,
 }
 
 impl Kernel<'_> {
@@ -223,7 +258,7 @@ impl Kernel<'_> {
         // Smallest families first keeps the intermediate products small.
         children.sort_by_key(|f| f.len());
         let n = children.len();
-        // t[j - 1] is T[j]; T[0] is `self.unit`.
+        // t[j - 1] is T[j].
         let mut t = vec![self.empty.clone(); k];
         for (i, child) in children.into_iter().enumerate() {
             let seen = i + 1;
@@ -231,14 +266,33 @@ impl Kernel<'_> {
             let lowest = k.saturating_sub(n - seen).max(1);
             for j in (lowest..=seen.min(k)).rev() {
                 let (below, from) = t.split_at_mut(j - 1);
-                let lower = below.last().unwrap_or(&self.unit);
-                self.add_product(&mut from[0], lower, child, gate, scratch)?;
+                match below.last() {
+                    // T[0] = {∅}, and {∅} × F = F.
+                    None => self.add_rows(&mut from[0], child, gate, scratch)?,
+                    Some(lower) => self.add_product(&mut from[0], lower, child, gate, scratch)?,
+                }
             }
             if lowest > 1 {
                 t[lowest - 2] = self.empty.clone();
             }
         }
         Ok(t.pop().expect("k >= 1 slots"))
+    }
+
+    /// `out ∪= f`, the product with `T[0]`: every row of `f` already fits
+    /// the order.
+    fn add_rows(
+        &self,
+        out: &mut RgFamily,
+        f: &RgFamily,
+        gate: &str,
+        scratch: &mut Scratch,
+    ) -> Result<(), MinimalError> {
+        for r in 0..f.len() {
+            scratch.meter.tick()?;
+            out.insert_row(f.row(r));
+        }
+        self.within_cap(out, gate)
     }
 
     /// `out ∪= a × b`, kept to the configured order.
@@ -254,6 +308,7 @@ impl Kernel<'_> {
         // absorbs every product it would take part in.
         scratch.rest.clear();
         for rb in 0..b.len() {
+            scratch.meter.tick()?;
             let row = b.row(rb);
             if !a.subsumes(row) {
                 scratch.rest.push(rb);
@@ -262,10 +317,11 @@ impl Kernel<'_> {
             }
         }
         for ra in 0..a.len() {
-            self.token.check()?;
+            scratch.meter.tick()?;
             let row = a.row(ra);
             if !b.subsumes(row) {
                 for &rb in &scratch.rest {
+                    scratch.meter.tick()?;
                     let len = union_into(row, b.row(rb), &mut scratch.union);
                     if self.fits(len) {
                         out.insert_row(Row {
@@ -277,12 +333,17 @@ impl Kernel<'_> {
             } else if self.fits(row.len) {
                 out.insert_row(row);
             }
-            if out.len() > self.config.max_family {
-                return Err(MinimalError::FamilyTooLarge {
-                    gate: gate.to_string(),
-                    cap: self.config.max_family,
-                });
-            }
+            self.within_cap(out, gate)?;
+        }
+        Ok(())
+    }
+
+    fn within_cap(&self, out: &RgFamily, gate: &str) -> Result<(), MinimalError> {
+        if out.len() > self.config.max_family {
+            return Err(MinimalError::FamilyTooLarge {
+                gate: gate.to_string(),
+                cap: self.config.max_family,
+            });
         }
         Ok(())
     }
@@ -294,6 +355,7 @@ mod tests {
     use crate::riskgroup::RiskGroup;
     use indaas_graph::detail::{component_sets_to_graph, ComponentSet};
     use indaas_graph::{FaultGraphBuilder, Gate, NodeId};
+    use std::time::Instant;
 
     #[test]
     fn fig4a_minimal_rgs() {
@@ -435,6 +497,43 @@ mod tests {
         }
         let algo = minimal_risk_groups(&graph, &MinimalConfig::default());
         assert_eq!(algo.to_named(&graph), brute.to_named(&graph));
+    }
+
+    #[test]
+    fn deadline_lands_inside_one_product() {
+        // An AND of two 400-wide ORs: the top node is one product of
+        // 160,000 unions, so a token polled only between nodes would not
+        // see the deadline until the whole family is built.
+        let mut b = FaultGraphBuilder::new();
+        let mut wide_or = |prefix: &str| {
+            let events = (0..400)
+                .map(|i| b.basic(format!("{prefix}{i}"), None))
+                .collect();
+            b.gate(format!("{prefix} fails"), Gate::Or, events)
+        };
+        let (x, y) = (wide_or("x"), wide_or("y"));
+        let top = b.gate("top", Gate::And, vec![x, y]);
+        let graph = b.build(top).unwrap();
+        let config = MinimalConfig::default();
+
+        let started = Instant::now();
+        let full = minimal_risk_groups_cancellable(&graph, &config, &CancelToken::default());
+        let uncancelled = started.elapsed();
+        assert_eq!(full.unwrap().len(), 160_000);
+
+        // The two ORs take microseconds; the deadline falls in the product.
+        let token = CancelToken::with_deadline(uncancelled / 20);
+        let started = Instant::now();
+        let result = minimal_risk_groups_cancellable(&graph, &config, &token);
+        let cancelled = started.elapsed();
+        assert_eq!(
+            result.map(|family| family.len()),
+            Err(MinimalError::Cancelled(Cancelled::DeadlineExceeded))
+        );
+        assert!(
+            cancelled < uncancelled / 4,
+            "stopped after {cancelled:?} of an uncancelled {uncancelled:?}"
+        );
     }
 
     #[test]

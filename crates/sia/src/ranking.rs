@@ -1,5 +1,7 @@
 //! Risk-group ranking (§4.1.3): size-based and failure-probability-based.
 
+use std::cmp::Ordering;
+
 use indaas_graph::FaultGraph;
 use rand::{Rng, SeedableRng};
 
@@ -9,13 +11,44 @@ use crate::riskgroup::{RgFamily, RiskGroup};
 /// beyond it [`top_event_probability`] falls back to Monte-Carlo.
 pub const INCLUSION_EXCLUSION_LIMIT: usize = 20;
 
-/// Ranks risk groups by size, smallest first (ties broken lexicographically
-/// by member names so reports are deterministic; the paper notes SIA
-/// "randomly orders RGs with the same size").
+/// Ranks risk groups by size, smallest first.
+///
+/// Groups of one size are ordered by their member names, taken in node-id
+/// order and compared as a sequence: the order of
+/// `(g.len(), g.names(graph))`. The paper's SIA "randomly orders RGs with
+/// the same size"; this is a deterministic stand-in, so one spec always
+/// gets one report (it does depend on the order the spec lists servers
+/// in, which decides node ids).
 pub fn rank_by_size(family: &RgFamily, graph: &FaultGraph) -> Vec<RiskGroup> {
+    let position = name_positions(graph);
     let mut groups: Vec<RiskGroup> = family.groups().collect();
-    groups.sort_by_cached_key(|g| (g.len(), g.names(graph)));
+    groups.sort_by(|a, b| {
+        a.len()
+            .cmp(&b.len())
+            .then_with(|| by_names(&position, a, b))
+    });
     groups
+}
+
+/// Each basic event's position in name order, indexed by node id (gates
+/// are never read). Basic names are unique in a built graph, so comparing
+/// two events' positions compares their names.
+fn name_positions(graph: &FaultGraph) -> Vec<u32> {
+    let mut basics = graph.basic_ids();
+    basics.sort_unstable_by(|&a, &b| graph.node(a).name.cmp(&graph.node(b).name));
+    let mut position = vec![0; graph.len()];
+    for (at, id) in (0..).zip(basics) {
+        position[id as usize] = at;
+    }
+    position
+}
+
+/// Compares two groups' member names, taken in node-id order, as
+/// sequences — `a.names(graph).cmp(&b.names(graph))` without a string.
+fn by_names(position: &[u32], a: &RiskGroup, b: &RiskGroup) -> Ordering {
+    let a = a.ids().iter().map(|&id| position[id as usize]);
+    let b = b.ids().iter().map(|&id| position[id as usize]);
+    a.cmp(b)
 }
 
 /// The probability that *all* events of `group` occur, assuming independent
@@ -113,6 +146,10 @@ pub struct RankedByProbability {
 /// the exact top-event probability (the BDD engine does), and
 /// [`top_event_probability`] otherwise. Returns the ranking plus the
 /// normalizer.
+///
+/// Groups of equal importance are ordered as [`rank_by_size`] orders a
+/// size tie: by member names taken in node-id order, compared as a
+/// sequence — a deterministic stand-in for the paper's random order.
 pub fn rank_by_probability(
     family: &RgFamily,
     graph: &FaultGraph,
@@ -131,10 +168,11 @@ pub fn rank_by_probability(
             }
         })
         .collect();
+    let position = name_positions(graph);
     ranked.sort_by(|a, b| {
         b.importance
             .total_cmp(&a.importance)
-            .then_with(|| a.group.names(graph).cmp(&b.group.names(graph)))
+            .then_with(|| by_names(&position, &a.group, &b.group))
     });
     (ranked, pr_top)
 }
@@ -189,6 +227,94 @@ mod tests {
         let ranked = rank_by_size(&rgs, &graph);
         assert_eq!(ranked[0].len(), 1);
         assert_eq!(ranked[1].len(), 2);
+    }
+
+    /// A graph whose basic events are named in the reverse of their
+    /// node-id order (`e01` is the last one created). The top event is an
+    /// OR of ANDs over `cuts`, so its minimal RGs are the minimal cuts.
+    fn reverse_named_graph(n: usize, probs: &[Option<f64>], cuts: &[Vec<usize>]) -> FaultGraph {
+        let mut b = FaultGraphBuilder::new();
+        let basics: Vec<_> = (0..n)
+            .map(|i| b.basic(format!("e{:02}", n - i), probs[i % probs.len()]))
+            .collect();
+        let gates = cuts
+            .iter()
+            .enumerate()
+            .map(|(i, cut)| {
+                let members = cut.iter().map(|&m| basics[m]).collect();
+                b.gate(format!("cut{i}"), Gate::And, members)
+            })
+            .collect();
+        let top = b.gate("top", Gate::Or, gates);
+        b.build(top).unwrap()
+    }
+
+    /// The ranking's tie order, held to the sort it replaced: groups keyed
+    /// by `(len, names())` for size, and by descending importance then
+    /// `names()` for probability, with names taken in node-id order.
+    fn assert_matches_reference(graph: &FaultGraph) {
+        let family = minimal_risk_groups(graph, &MinimalConfig::default());
+
+        let mut reference: Vec<RiskGroup> = family.groups().collect();
+        reference.sort_by_cached_key(|g| (g.len(), g.names(graph)));
+        assert_eq!(rank_by_size(&family, graph), reference);
+
+        let (ranked, _) = rank_by_probability(&family, graph, 0.1, None);
+        let mut reference = ranked.clone();
+        reference.sort_by(|a, b| {
+            b.importance
+                .total_cmp(&a.importance)
+                .then_with(|| a.group.names(graph).cmp(&b.group.names(graph)))
+        });
+        let groups = |r: &[RankedByProbability]| -> Vec<RiskGroup> {
+            r.iter().map(|r| r.group.clone()).collect()
+        };
+        assert_eq!(groups(&ranked), groups(&reference));
+    }
+
+    #[test]
+    fn tie_order_is_names_in_node_id_order() {
+        // Ids 0..6 are named e06..e01. {1, 4} reads ["e05", "e02"] and
+        // {2, 3} reads ["e04", "e03"]: in id order {2, 3} comes first,
+        // although {1, 4} holds the lowest name ("e02" < "e03").
+        let cuts = [vec![0], vec![5], vec![1, 4], vec![2, 3], vec![2, 4]];
+        let graph = reverse_named_graph(6, &[None], &cuts);
+        assert_matches_reference(&graph);
+        let family = minimal_risk_groups(&graph, &MinimalConfig::default());
+        let names_by_size: Vec<Vec<String>> = rank_by_size(&family, &graph)
+            .iter()
+            .map(|g| g.names(&graph))
+            .collect();
+        assert_eq!(
+            names_by_size,
+            [
+                vec!["e01"],
+                vec!["e06"],
+                vec!["e04", "e02"],
+                vec!["e04", "e03"],
+                vec!["e05", "e02"],
+            ]
+        );
+        // Equal probabilities make equal importances within a size.
+        let (ranked, _) = rank_by_probability(&family, &graph, 0.1, None);
+        let names: Vec<Vec<String>> = ranked.iter().map(|r| r.group.names(&graph)).collect();
+        assert_eq!(names[..2], [vec!["e01"], vec!["e06"]]);
+        assert_eq!(names[2..], names_by_size[2..]);
+    }
+
+    #[test]
+    fn ranking_matches_reference_sort_on_random_families() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut below = |k: usize| rng.gen_below(k as u64) as usize;
+        for _ in 0..200 {
+            let n = 4 + below(12);
+            let cuts: Vec<Vec<usize>> = (0..2 + below(10))
+                .map(|_| (0..1 + below(3)).map(|_| below(n)).collect())
+                .collect();
+            // Two probabilities, so importances tie often but not always.
+            let graph = reverse_named_graph(n, &[Some(0.1), Some(0.2), None], &cuts);
+            assert_matches_reference(&graph);
+        }
     }
 
     #[test]
