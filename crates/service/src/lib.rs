@@ -8,12 +8,13 @@
 //! * **incremental sharded ingestion, no global lock** — Table-1
 //!   records stream into a host-sharded [`indaas_deps::ShardedDepDb`];
 //!   each effective batch bumps the global epoch and the epochs of
-//!   exactly the shards it changed, re-cloning only those shards'
-//!   copy-on-write snapshots (ingest cost is proportional to what
-//!   changed, not to database size); batches lock only the shards they
-//!   touch, a snapshot takes one short uncontended lock per shard to
-//!   read its `Arc` and epoch together, and duplicates are absorbed
-//!   silently;
+//!   exactly the shards it changed, and each such shard's publish
+//!   copies its host index plus the touched hosts' record lists, while
+//!   every other list stays shared with the older snapshot (ingest cost
+//!   is proportional to what changed, not to database size); batches
+//!   lock only the shards they touch, a snapshot takes one short
+//!   uncontended lock per shard to read its `Arc` and epoch together,
+//!   and duplicates are absorbed silently;
 //! * **segmented persistence** — a store opened from a db dir loads one
 //!   Table-1 segment file per shard in parallel, and with
 //!   [`ServeConfig::db_dir`] set the daemon saves dirty shards

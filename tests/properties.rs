@@ -414,6 +414,54 @@ proptest! {
         }
     }
 
+    /// Old snapshots never change. Over random ingest/retract batch
+    /// sequences on 1–4 shards, every snapshot taken along the way still
+    /// reads, shard by shard, exactly the records it read when it was
+    /// taken: a write copies the host lists it changes and never edits a
+    /// list an older snapshot shares. The live store ends equal to a
+    /// monolithic replay of the same sequence.
+    #[test]
+    fn old_snapshots_never_change(
+        batches in proptest::collection::vec(record_batch(), 1..10),
+        // Bit i set: batch i is ingested; clear: it is retracted.
+        ingests in any::<u16>(),
+        shards in 1usize..5,
+    ) {
+        let sharded = ShardedDepDb::new(shards);
+        let mut mono = DepDb::new();
+        let mut taken = Vec::new();
+        for (i, batch) in batches.into_iter().enumerate() {
+            if ingests >> i & 1 == 1 {
+                sharded.ingest(batch.clone());
+                for r in batch {
+                    mono.insert(r);
+                }
+            } else {
+                sharded.retract(&batch);
+                for r in &batch {
+                    mono.remove(r);
+                }
+            }
+            let snap = sharded.snapshot();
+            let read: Vec<Vec<DependencyRecord>> =
+                (0..shards).map(|s| snap.shard(s).all_records()).collect();
+            taken.push((snap, read));
+        }
+        for (snap, read) in &taken {
+            for (s, records) in read.iter().enumerate() {
+                prop_assert_eq!(&snap.shard(s).all_records(), records);
+            }
+        }
+        let live = sharded.snapshot();
+        prop_assert_eq!(live.record_count(), mono.len());
+        prop_assert_eq!(DepView::hosts(&live), mono.hosts());
+        for host in mono.hosts() {
+            prop_assert_eq!(live.network_deps(&host), mono.network_deps(&host));
+            prop_assert_eq!(live.hardware_deps(&host), mono.hardware_deps(&host));
+            prop_assert_eq!(live.software_deps(&host), mono.software_deps(&host));
+        }
+    }
+
     /// Every minimal RG fails the top event, and removing any member
     /// un-fails it (definition of minimality, §4.1.2).
     #[test]
