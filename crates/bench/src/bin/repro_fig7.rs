@@ -90,7 +90,6 @@ fn main() {
                         threads: std::thread::available_parallelism()
                             .map(|p| p.get())
                             .unwrap_or(1),
-                        weighted: false,
                     },
                 )
             });

@@ -115,7 +115,6 @@ fn main() {
                     fail_prob: 0.5,
                     seed: 9,
                     threads: 1,
-                    weighted: false,
                 },
             )
         });

@@ -3,7 +3,6 @@
 
 use indaas_deps::{DbSnapshot, DepDb, DepView};
 use indaas_graph::{CancelToken, Cancelled};
-use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::{
     build_fault_graph, failure_sampling_cancellable, minimal_risk_groups_cancellable, AuditReport,
     Bdd, BddError, BuildError, BuildSpec, DeploymentAudit, MinimalConfig, MinimalError,
@@ -134,33 +133,19 @@ impl AuditingAgent {
     /// Returns an [`AuditError`] if the spec is empty or any deployment's
     /// fault graph cannot be built.
     pub fn audit_sia(&self, spec: &AuditSpec) -> Result<AuditReport, AuditError> {
-        self.audit_sia_cancellable(spec, &CancelToken::default())
+        self.audit_sia_observed(spec, &CancelToken::default(), &())
     }
 
-    /// [`AuditingAgent::audit_sia`] with cooperative cancellation — the
-    /// entry point the `indaas-service` scheduler uses to enforce per-job
-    /// deadlines. The token is threaded into every risk-group engine.
+    /// [`AuditingAgent::audit_sia`] with cooperative cancellation, reporting
+    /// per-stage timings (fault-graph build, risk-group engine, ranking) to
+    /// a [`StageObserver`] — the entry point the daemon's scheduler and
+    /// stage recorder ride. The token is threaded into every risk-group
+    /// engine, so a per-job deadline stops the audit.
     ///
     /// # Errors
     ///
     /// As [`AuditingAgent::audit_sia`], plus [`AuditError::Cancelled`]
     /// when the token trips.
-    pub fn audit_sia_cancellable(
-        &self,
-        spec: &AuditSpec,
-        token: &CancelToken,
-    ) -> Result<AuditReport, AuditError> {
-        self.audit_sia_observed(spec, token, &())
-    }
-
-    /// [`AuditingAgent::audit_sia_cancellable`] reporting per-stage
-    /// timings (fault-graph build, risk-group engine, ranking) to a
-    /// [`StageObserver`] — the entry point the daemon's stage recorder
-    /// rides.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditingAgent::audit_sia_cancellable`].
     pub fn audit_sia_observed(
         &self,
         spec: &AuditSpec,
@@ -214,7 +199,6 @@ impl AuditingAgent {
                         fail_prob,
                         seed,
                         threads,
-                        weighted: false,
                     };
                     observed(obs, "rg_sampling", || {
                         failure_sampling_cancellable(&graph, &config, token)
@@ -306,36 +290,6 @@ impl AuditingAgent {
             });
         }
         Ok(out)
-    }
-
-    /// Runs a private independence audit across provider component sets:
-    /// ranks every `way`-sized provider combination by Jaccard similarity
-    /// via P-SOP (optionally MinHash-compressed), without this agent ever
-    /// seeing plaintext components.
-    pub fn audit_pia(
-        &self,
-        providers: &[(String, Vec<String>)],
-        way: usize,
-        minhash: Option<usize>,
-    ) -> Vec<PiaRanking> {
-        self.audit_pia_cancellable(providers, way, minhash, &CancelToken::default())
-            .expect("default token never cancels")
-    }
-
-    /// [`AuditingAgent::audit_pia`] with cooperative cancellation between
-    /// provider-combination P-SOP runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the token trips.
-    pub fn audit_pia_cancellable(
-        &self,
-        providers: &[(String, Vec<String>)],
-        way: usize,
-        minhash: Option<usize>,
-        token: &CancelToken,
-    ) -> Result<Vec<PiaRanking>, Cancelled> {
-        rank_deployments_cancellable(providers, way, minhash, &PsopConfig::default(), token)
     }
 }
 
@@ -540,19 +494,5 @@ mod tests {
                 .unwrap()
                 .outage
         );
-    }
-
-    #[test]
-    fn pia_ranking_through_agent() {
-        let agent = AuditingAgent::new(DepDb::new());
-        let providers = vec![
-            ("A".to_string(), vec!["x".to_string(), "y".to_string()]),
-            ("B".to_string(), vec!["x".to_string(), "z".to_string()]),
-            ("C".to_string(), vec!["q".to_string(), "r".to_string()]),
-        ];
-        let ranking = agent.audit_pia(&providers, 2, None);
-        assert_eq!(ranking.len(), 3);
-        // A&B share x; the disjoint pairs rank first.
-        assert_eq!(ranking[2].providers, vec!["A", "B"]);
     }
 }

@@ -10,8 +10,9 @@
 //!   [`indaas_deps::DepDb`];
 //! * the **auditing agent** ([`agent::AuditingAgent`]) mediates: it builds
 //!   fault graphs, runs the risk-group algorithms, ranks deployments and
-//!   returns an auditing report — or, in the private (PIA) case, supervises
-//!   the P-SOP protocol across providers without seeing their data.
+//!   returns an auditing report. The private (PIA) case, P-SOP across
+//!   providers without seeing their data, is `indaas-pia`'s
+//!   `rank_deployments`, which the daemon calls directly.
 //!
 //! # Examples
 //!

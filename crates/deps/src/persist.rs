@@ -14,8 +14,7 @@
 //!
 //! * **Segments** are plain Table-1 text — the same portable format
 //!   [`DepDb::load`] reads — holding exactly the records that route to
-//!   their shard index, so a loader can rebuild per-shard databases
-//!   without a routing pass.
+//!   their shard index.
 //! * **Every file is written atomically** ([`write_atomic`]): contents
 //!   go to a temp file in the same directory which is then `rename`d
 //!   into place, so readers (and the next boot) see either the old or
@@ -27,11 +26,10 @@
 //!   collector ticks; a full [`ShardedDepDb::save_segments`] happens on
 //!   the first save into an empty directory or a shard-count change.
 //! * **Loads are parallel**: [`ShardedDepDb::load_segments`] parses
-//!   segments on a small worker pool. If the manifest's shard count
-//!   matches the requested one (and every record routes to its segment),
-//!   shards are rebuilt directly; otherwise all records are merged and
-//!   re-routed — which is also the migration path from a different
-//!   `--shards` setting or a hand-edited directory.
+//!   segments on a small worker pool and routes every record to its
+//!   host's shard — which is also the migration path from a different
+//!   `--shards` setting or a hand-edited directory. A full save after
+//!   such a migration deletes the old layout's surplus segment files.
 //! * **Corruption is quarantined, not fatal**: a torn or bit-flipped
 //!   segment file is renamed to `<name>.quarantine` and the surviving
 //!   shards are served; a garbled `MANIFEST.json` is quarantined the
@@ -240,14 +238,27 @@ impl ShardedDepDb {
                 .map_err(|e| io::Error::other(format!("manifest serialization: {e}")))?;
             write_atomic(dir.join(MANIFEST_FILE), &format!("{json}\n"))?;
         }
+        if !only_dirty {
+            // A full save after a shard-count change leaves the old
+            // layout's higher-numbered segments behind. Once the manifest
+            // names the new count they are stale, and a rescan after a
+            // lost manifest would serve them — records retracted since
+            // included.
+            for entry in std::fs::read_dir(dir)? {
+                let entry = entry?;
+                if segment_index(&entry.file_name().to_string_lossy()).is_some_and(|i| i >= shards)
+                {
+                    std::fs::remove_file(entry.path())?;
+                }
+            }
+        }
         Ok(written)
     }
 
     /// Loads a segmented db directory into a store with `shards` shards,
-    /// parsing segment files in parallel. A manifest saved with the same
-    /// shard count rebuilds shards directly; any mismatch (different
-    /// count, or a record routed to the wrong segment by a hand edit)
-    /// merges and re-routes every record instead.
+    /// parsing segment files in parallel and routing every record to its
+    /// host's shard — which also migrates a directory saved with a
+    /// different shard count or repairs a hand edit.
     ///
     /// Corrupt files do not abort the load: a torn or bit-flipped
     /// segment is renamed to `<name>.quarantine` and its shard served
@@ -302,23 +313,12 @@ impl ShardedDepDb {
             None => scan_segment_count(dir)?,
         };
         let segments = load_segment_files(dir, segments_on_disk, &mut quarantined)?;
-        let routed_ok = manifest.is_some()
-            && shards == segments_on_disk
-            && segments
-                .iter()
-                .enumerate()
-                .all(|(s, records)| records.iter().all(|r| shard_index(r.host(), shards) == s));
-        let routed: Vec<DepDb> = if routed_ok {
-            segments.into_iter().map(DepDb::from_records).collect()
-        } else {
-            // Shard-count migration (or a repaired hand edit, or a lost
-            // manifest): one re-route pass over every record.
-            let mut routed = vec![DepDb::new(); shards];
-            for record in segments.into_iter().flatten() {
-                routed[shard_index(record.host(), shards)].insert(record);
-            }
-            routed
-        };
+        // Every record is routed by its host, so a shard-count change, a
+        // hand-edited segment and a lost manifest all load the same way.
+        let mut routed = vec![DepDb::new(); shards];
+        for record in segments.into_iter().flatten() {
+            routed[shard_index(record.host(), shards)].insert(record);
+        }
         let mut store = ShardedDepDb::from_routed(routed);
         store.quarantined = quarantined;
         Ok(store)
@@ -389,19 +389,20 @@ fn read_manifest(dir: &Path) -> io::Result<Manifest> {
     Ok(manifest)
 }
 
+/// The shard index of a `shard-NNNN.tbl` file name; `None` for
+/// quarantine files and foreign names.
+fn segment_index(name: &str) -> Option<usize> {
+    name.strip_prefix("shard-")
+        .and_then(|rest| rest.strip_suffix(".tbl"))
+        .and_then(|digits| digits.parse().ok())
+}
+
 /// Highest `shard-NNNN.tbl` index present in `dir`, plus one — how many
-/// segment slots to scan when the manifest is gone. Quarantine files and
-/// foreign names are ignored.
+/// segment slots to scan when the manifest is gone.
 fn scan_segment_count(dir: &Path) -> io::Result<usize> {
     let mut count = 0usize;
     for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(idx) = name
-            .strip_prefix("shard-")
-            .and_then(|rest| rest.strip_suffix(".tbl"))
-            .and_then(|digits| digits.parse::<usize>().ok())
-        {
+        if let Some(idx) = segment_index(&entry?.file_name().to_string_lossy()) {
             count = count.max(idx + 1);
         }
     }
@@ -600,6 +601,31 @@ mod tests {
         for host in crate::depdb::DepView::hosts(&a) {
             assert_eq!(a.component_set_of(&host), b.component_set_of(&host));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn narrowing_save_deletes_stale_segments() {
+        let dir = temp_dir("narrow");
+        let wide = ShardedDepDb::new(8);
+        wide.ingest(sample_records(40));
+        assert_eq!(wide.len(), 80);
+        wide.save_segments(&dir).unwrap();
+        // Reopen with half the shards and retract a record whose host
+        // lived in a segment the narrower layout no longer writes.
+        let narrow = ShardedDepDb::open(&dir, 4).unwrap();
+        let victim = sample_records(40)
+            .into_iter()
+            .find(|r| shard_index(r.host(), 8) >= 4)
+            .unwrap();
+        assert_eq!(narrow.retract(&[victim]).touched.len(), 1);
+        narrow.save_dirty_segments(&dir).unwrap();
+        assert!(!dir.join(segment_file(4)).exists());
+        // Losing the manifest rescans the directory: only the four
+        // current segments are left to serve, so the record stays gone.
+        std::fs::write(dir.join(MANIFEST_FILE), "not json").unwrap();
+        let back = ShardedDepDb::load_segments(&dir, 4).unwrap();
+        assert_eq!(back.len(), 79);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -33,8 +33,9 @@
 //!   across unrelated ingests.
 //!
 //! Per-shard write counters and a contended-acquisition gauge
-//! ([`ShardedDepDb::counters`]) make the parallelism observable through
-//! the daemon's `Status` response.
+//! ([`ShardedDepDb::counters`]) make the parallelism observable: the
+//! daemon's `Status` answer carries the per-shard writes, its `Metrics`
+//! answer the totals and the contention gauge.
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;

@@ -109,7 +109,8 @@ pub struct IngestAnswer {
     pub epoch: u64,
 }
 
-/// A typed `Status` answer — every counter the daemon reports.
+/// A typed `Status` answer: the store's shape and the result cache's
+/// lookup totals. Every other count is in [`MetricsAnswer`].
 #[derive(Clone, Debug)]
 pub struct StatusAnswer {
     /// Current global database epoch.
@@ -124,35 +125,10 @@ pub struct StatusAnswer {
     pub shard_records: Vec<usize>,
     /// Effective write batches applied per shard since startup.
     pub shard_writes: Vec<u64>,
-    /// Writer lock-contention events, summed over all shards.
-    pub lock_waits: u64,
-    /// Audit jobs queued (admitted, not yet running).
-    pub jobs_queued: usize,
-    /// Audit jobs currently executing.
-    pub jobs_running: usize,
-    /// Live audit-result cache entries.
-    pub cache_entries: usize,
-    /// Cache hits since startup.
+    /// Result-cache hits since startup, both engines.
     pub cache_hits: u64,
-    /// Cache misses since startup.
+    /// Result-cache misses since startup, both engines.
     pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, 0 before the first
-    /// lookup.
-    pub hit_ratio: f64,
-    /// Live audit subscriptions across all connections.
-    pub subscriptions: usize,
-    /// Pushed `AuditEvent` frames enqueued since startup.
-    pub pushed_events: u64,
-    /// Milliseconds since the daemon started.
-    pub uptime_ms: u64,
-    /// Seconds since the daemon started.
-    pub uptime_secs: u64,
-    /// SIA audits executed since startup (cache hits excluded).
-    pub sia_audits: u64,
-    /// PIA audits executed since startup (cache hits excluded).
-    pub pia_audits: u64,
-    /// Pushed events shed because a subscriber's outbox was full.
-    pub dropped_events: u64,
 }
 
 /// A typed `Metrics` answer: the registry snapshot plus the recent
@@ -699,7 +675,7 @@ impl Client {
         }
     }
 
-    /// Fetches service counters as a typed [`StatusAnswer`].
+    /// Fetches the store's shape as a typed [`StatusAnswer`].
     ///
     /// # Errors
     ///
@@ -713,20 +689,8 @@ impl Client {
                 shard_epochs,
                 shard_records,
                 shard_writes,
-                lock_waits,
-                jobs_queued,
-                jobs_running,
-                cache_entries,
                 cache_hits,
                 cache_misses,
-                hit_ratio,
-                subscriptions,
-                pushed_events,
-                uptime_ms,
-                uptime_secs,
-                sia_audits,
-                pia_audits,
-                dropped_events,
             } => Ok(StatusAnswer {
                 epoch,
                 records,
@@ -734,20 +698,8 @@ impl Client {
                 shard_epochs,
                 shard_records,
                 shard_writes,
-                lock_waits,
-                jobs_queued,
-                jobs_running,
-                cache_entries,
                 cache_hits,
                 cache_misses,
-                hit_ratio,
-                subscriptions,
-                pushed_events,
-                uptime_ms,
-                uptime_secs,
-                sia_audits,
-                pia_audits,
-                dropped_events,
             }),
             other => Err(unexpected("Status", &other)),
         }

@@ -4,12 +4,12 @@
 //!
 //! `indaas-lint`'s registry-consistency rule enforces that no other
 //! non-test code spells these strings out: registration
-//! ([`crate::telemetry::Telemetry::new`]), refresh sites, the `--prom`
-//! exposition, the `Metrics{recent}` query and the `indaas top`
-//! dashboard all reference the consts, so a renamed metric or span is a
-//! one-line change the compiler propagates instead of silent scrape
-//! drift. The metric *meanings* are documented in the catalog tables in
-//! [`crate::telemetry`].
+//! ([`crate::telemetry::Telemetry::new`]), the derived gauges of a
+//! `Metrics` answer, the `--prom` exposition, the `Metrics{recent}`
+//! query and the `indaas top` dashboard all reference the consts, so a
+//! renamed metric or span is a one-line change the compiler propagates
+//! instead of silent scrape drift. The metric *meanings* are documented
+//! in the catalog tables in [`crate::telemetry`].
 
 // Counters (monotonic since startup).
 pub const REQUESTS_TOTAL: &str = "requests_total";

@@ -1089,7 +1089,7 @@ impl EventLoop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indaas_obs::Histo;
+    use indaas_obs::{Counter, Histo};
 
     const ID: u64 = 7;
     const KIND: &str = "request:AuditSia";
@@ -1116,7 +1116,7 @@ mod tests {
         let gauge = Arc::new(AtomicUsize::new(1));
         let slot = Arc::new(ResponseSlot {
             claimed: AtomicBool::new(false),
-            outbox: Arc::new(Outbox::new()),
+            outbox: Arc::new(Outbox::with_shed_counter(Arc::new(Counter::new()))),
             encoding: SlotEncoding::V2 { id: ID },
             in_flight: Some(Arc::clone(&gauge)),
             ctx: TraceContext::root(),

@@ -41,9 +41,10 @@
 //! — across ingests that touch no shard its candidate hosts route to.
 //! Each shard carries its own write lock, so concurrent `Ingest`
 //! requests touching different hosts' shards land in parallel; `Status`
-//! exposes the per-shard write counters (`shard_writes`), a
-//! `lock_waits` contention gauge, and the push-path gauges
-//! (`subscriptions`, `pushed_events`).
+//! exposes the per-shard write counters (`shard_writes`). `Status` is
+//! the store's shape; every other count the daemon keeps — lock waits,
+//! queue occupancy, subscriptions, pushed and shed events, audits run,
+//! uptime — is read once, from `Metrics`.
 //!
 //! **Observability** rides the same protocol: [`Request::Metrics`]
 //! (either protocol version) answers [`Response::Metrics`] — every
@@ -202,7 +203,8 @@ pub enum Request {
         /// The id [`Response::Subscribed`] returned.
         subscription: u64,
     },
-    /// Service counters and database state.
+    /// The store's shape (epochs, records, hosts per shard) and the
+    /// result cache's lookup totals; every other count is in `Metrics`.
     Status,
     /// Full observability snapshot: every registered counter/gauge,
     /// every latency histogram (log₂ buckets plus precomputed
@@ -324,49 +326,14 @@ pub enum Response {
         shard_records: Vec<usize>,
         /// Effective write batches applied per shard since startup,
         /// indexed like `shard_epochs` (a batch spanning K shards
-        /// counts once on each). Together with `lock_waits` this makes
-        /// the store's write parallelism observable over the wire.
+        /// counts once on each).
         shard_writes: Vec<u64>,
-        /// Times a writer found a shard lock held by another writer and
-        /// had to wait, summed over all shards. Stays near zero while
-        /// concurrent ingests touch disjoint shards — a growing value
-        /// means hot-shard contention (consider more shards).
-        lock_waits: u64,
-        /// Audit jobs currently queued (admitted, not yet running).
-        jobs_queued: usize,
-        /// Audit jobs currently executing on workers.
-        jobs_running: usize,
-        /// Live audit-result cache entries.
-        cache_entries: usize,
-        /// Cache hits since startup.
+        /// Result-cache hits since startup, SIA and PIA together. The
+        /// benchmark's `cache_lookups` reads this and `cache_misses`;
+        /// `Metrics` splits them per engine (`cache_sia_hits`, …).
         cache_hits: u64,
-        /// Cache misses since startup.
+        /// Result-cache misses since startup, SIA and PIA together.
         cache_misses: u64,
-        /// `cache_hits / (cache_hits + cache_misses)`, 0 before the
-        /// first lookup.
-        hit_ratio: f64,
-        /// Live audit subscriptions across all connections.
-        subscriptions: usize,
-        /// [`Response::AuditEvent`] frames produced for subscribers
-        /// since startup (shed events — a slow consumer's overwritten
-        /// backlog — still count: they were produced).
-        pushed_events: u64,
-        /// Milliseconds since the daemon started.
-        uptime_ms: u64,
-        /// Whole seconds since the daemon started. Appended after
-        /// `uptime_ms` (kept for byte-compatibility) because every
-        /// human consumer rounded it anyway.
-        uptime_secs: u64,
-        /// SIA audits actually executed (cache misses and subscription
-        /// re-audits; cache hits excluded) since startup.
-        sia_audits: u64,
-        /// PIA audits actually executed since startup.
-        pia_audits: u64,
-        /// [`Response::AuditEvent`] frames shed by slow consumers'
-        /// outboxes since startup — pushes that were produced and
-        /// counted in `pushed_events` but never reached a subscriber.
-        /// Nonzero means some subscriber is not keeping up.
-        dropped_events: u64,
     },
     /// Answer to [`Request::Metrics`]: the full observability snapshot.
     ///
@@ -389,7 +356,7 @@ pub enum Response {
         /// Monotonic counters, name-sorted.
         counters: Vec<(String, u64)>,
         /// Instantaneous levels, name-sorted. Derived values (cache
-        /// hits, per-shard totals, queue occupancy) are refreshed at
+        /// hits, per-shard totals, running jobs) are computed at
         /// snapshot time.
         gauges: Vec<(String, u64)>,
         /// Latency histograms, name-sorted.

@@ -28,9 +28,9 @@ use indaas_core::CancelToken;
 use indaas_obs::{Counter, Gauge, Histo};
 
 /// Observability hooks for the pool: queue occupancy, queue-wait
-/// latency, and total admissions. All optional — [`Scheduler::new`]
-/// runs unobserved (tests, embedded use); the daemon passes handles
-/// from its registry via [`Scheduler::with_metrics`].
+/// latency, and total admissions. Optional — `None` runs the pool
+/// unobserved; the daemon passes handles from its registry to
+/// [`Scheduler::with_metrics`].
 #[derive(Clone)]
 pub struct SchedMetrics {
     /// Jobs admitted but not yet picked up (set on every transition).
@@ -85,18 +85,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Spawns `workers` threads sharing a queue of at most `capacity`
-    /// pending jobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        Self::with_metrics(workers, capacity, None)
-    }
-
-    /// [`Scheduler::new`] with observability hooks: the pool keeps
-    /// `queue_depth` current, records every job's queue wait into
-    /// `wait_us`, and counts admissions into `jobs_total`.
+    /// pending jobs. With `metrics`, the pool keeps `queue_depth`
+    /// current, records every job's queue wait into `wait_us`, and
+    /// counts admissions into `jobs_total`.
     ///
     /// # Panics
     ///
@@ -180,17 +171,6 @@ impl Scheduler {
         Ok(token)
     }
 
-    /// Jobs admitted but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
-        self.shared
-            .queue
-            // lint:allow(blocking_in_loop) -- bounded short critical
-            // section; never held across blocking work
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
     /// Jobs currently executing.
     pub fn running(&self) -> usize {
         self.shared.running.load(Ordering::Relaxed)
@@ -272,7 +252,7 @@ mod tests {
 
     #[test]
     fn jobs_run_and_results_flow_back() {
-        let s = Scheduler::new(2, 8);
+        let s = Scheduler::with_metrics(2, 8, None);
         let (tx, rx) = mpsc::channel();
         for i in 0..6u32 {
             let tx = tx.clone();
@@ -286,7 +266,7 @@ mod tests {
 
     #[test]
     fn queue_full_sheds_load() {
-        let s = Scheduler::new(1, 1);
+        let s = Scheduler::with_metrics(1, 1, None);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         // Occupy the single worker...
@@ -306,7 +286,7 @@ mod tests {
 
     #[test]
     fn deadline_expires_while_queued() {
-        let s = Scheduler::new(1, 8);
+        let s = Scheduler::with_metrics(1, 8, None);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         s.submit(None, move |_| {
@@ -326,7 +306,7 @@ mod tests {
 
     #[test]
     fn caller_can_cancel_via_returned_token() {
-        let s = Scheduler::new(1, 8);
+        let s = Scheduler::with_metrics(1, 8, None);
         let (tx, rx) = mpsc::channel();
         let token = s
             .submit(None, move |t: &CancelToken| {
@@ -343,7 +323,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
-        let s = Scheduler::new(1, 8);
+        let s = Scheduler::with_metrics(1, 8, None);
         s.submit(None, |_| panic!("boom")).unwrap();
         // The sole worker must survive to run the next job.
         let (tx, rx) = mpsc::channel();
@@ -389,7 +369,7 @@ mod tests {
 
     #[test]
     fn shutdown_and_join_runs_queued_work_first() {
-        let s = Scheduler::new(2, 16);
+        let s = Scheduler::with_metrics(2, 16, None);
         let (tx, rx) = mpsc::channel();
         for i in 0..5u32 {
             let tx = tx.clone();
@@ -406,7 +386,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let s = Scheduler::new(1, 8);
+        let s = Scheduler::with_metrics(1, 8, None);
         s.shutdown();
         assert_eq!(
             s.submit(None, |_| {}).unwrap_err(),

@@ -51,8 +51,8 @@
 //! Writes take no global lock: the [`ShardedDepDb`] routes each batch
 //! by host shard before locking, then locks only the touched shards —
 //! concurrent ingests to different hosts' shards land in parallel.
-//! Per-shard write counters and a `lock_waits` contention gauge surface
-//! through `Status`.
+//! Per-shard write counters surface through `Status`, the
+//! `db_lock_waits` contention gauge through `Metrics`.
 //!
 //! With [`ServeConfig::db_dir`] set, the store persists as one segment
 //! file per shard plus a manifest: dirty shards are saved on collector
@@ -1116,80 +1116,55 @@ pub(crate) fn status(state: &ServiceState) -> Response {
     let records = shard_records.iter().sum();
     let hosts = DepView::hosts(&snapshot).len();
     let shard_epochs = snapshot.epochs().as_slice().to_vec();
-    let counters = state.db.counters();
-    let (sia_hits, sia_misses, sia_len) = cache_stats(&state.sia_cache);
-    let (pia_hits, pia_misses, pia_len) = cache_stats(&state.pia_cache);
-    let cache_entries = sia_len + pia_len;
-    let cache_hits = sia_hits + pia_hits;
-    let cache_misses = sia_misses + pia_misses;
-    let lookups = cache_hits + cache_misses;
+    let (sia_hits, sia_misses, _) = cache_stats(&state.sia_cache);
+    let (pia_hits, pia_misses, _) = cache_stats(&state.pia_cache);
     Response::Status {
         epoch,
         records,
         hosts,
         shard_epochs,
         shard_records,
-        shard_writes: counters.shard_writes,
-        lock_waits: counters.lock_waits,
-        jobs_queued: state.scheduler.queued(),
-        jobs_running: state.scheduler.running(),
-        cache_entries,
-        cache_hits,
-        cache_misses,
-        hit_ratio: if lookups == 0 {
-            0.0
-        } else {
-            cache_hits as f64 / lookups as f64
-        },
-        subscriptions: state.subs.len(),
-        pushed_events: state.telemetry.pushed_events.get(),
-        uptime_ms: state.started.elapsed().as_millis() as u64,
-        uptime_secs: state.started.elapsed().as_secs(),
-        sia_audits: state.telemetry.audits_sia_total.get(),
-        pia_audits: state.telemetry.audits_pia_total.get(),
-        dropped_events: state.telemetry.outbox_shed_total.get(),
+        shard_writes: state.db.counters().shard_writes,
+        cache_hits: sia_hits + pia_hits,
+        cache_misses: sia_misses + pia_misses,
     }
 }
 
-/// Assembles a `Metrics` response: refreshes the derived gauges from
-/// their authoritative sources (per-shard atomics, cache stats, the
-/// scheduler's running count, the subscription registry — the same
-/// reads `Status` does), snapshots the registry, and attaches the most
-/// recent audits' spans. Live gauges are kept current by their one
-/// writer and are not touched here.
+/// Assembles a `Metrics` response: snapshots the registry, adds the
+/// derived gauges read from their authoritative sources (per-shard
+/// atomics, cache stats, the scheduler's running count, the
+/// subscription registry) to its name-sorted gauge list, and attaches
+/// the most recent audits' spans. The registry holds only numbers with
+/// one live writer; nothing is written to it here.
 pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let telemetry = &state.telemetry;
-    let registry = &telemetry.registry;
     let counters = state.db.counters();
-    registry
-        .gauge(names::DB_SHARD_WRITES)
-        .set(counters.shard_writes.iter().sum());
-    registry
-        .gauge(names::DB_LOCK_WAITS)
-        .set(counters.lock_waits);
     let (sia_hits, sia_misses, sia_len) = cache_stats(&state.sia_cache);
     let (pia_hits, pia_misses, pia_len) = cache_stats(&state.pia_cache);
-    registry.gauge(names::CACHE_SIA_HITS).set(sia_hits);
-    registry.gauge(names::CACHE_SIA_MISSES).set(sia_misses);
-    registry.gauge(names::CACHE_PIA_HITS).set(pia_hits);
-    registry.gauge(names::CACHE_PIA_MISSES).set(pia_misses);
-    registry
-        .gauge(names::CACHE_ENTRIES)
-        .set((sia_len + pia_len) as u64);
-    registry
-        .gauge(names::SCHED_JOBS_RUNNING)
-        .set(state.scheduler.running() as u64);
-    registry
-        .gauge(names::SUBSCRIPTIONS)
-        .set(state.subs.len() as u64);
-    let snap = registry.snapshot();
+    let snap = telemetry.registry.snapshot();
+    let mut gauges = snap.gauges;
+    gauges.extend(
+        [
+            (names::SCHED_JOBS_RUNNING, state.scheduler.running() as u64),
+            (names::DB_SHARD_WRITES, counters.shard_writes.iter().sum()),
+            (names::DB_LOCK_WAITS, counters.lock_waits),
+            (names::CACHE_SIA_HITS, sia_hits),
+            (names::CACHE_SIA_MISSES, sia_misses),
+            (names::CACHE_PIA_HITS, pia_hits),
+            (names::CACHE_PIA_MISSES, pia_misses),
+            (names::CACHE_ENTRIES, (sia_len + pia_len) as u64),
+            (names::SUBSCRIPTIONS, state.subs.len() as u64),
+        ]
+        .map(|(name, value)| (name.to_string(), value)),
+    );
+    gauges.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let recent = telemetry
         .spans
         .recent_named(names::SPAN_AUDIT, recent.unwrap_or(DEFAULT_RECENT_AUDITS));
     Response::Metrics {
         uptime_secs: state.started.elapsed().as_secs(),
         counters: snap.counters,
-        gauges: snap.gauges,
+        gauges,
         histos: wire_histos(&snap.histos),
         recent: wire_spans(recent, &state.local_addr.to_string()),
         slow_threshold_us: telemetry.slow_threshold_us,

@@ -85,18 +85,7 @@ pub struct Outbox {
     notifier: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
-impl Default for Outbox {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Outbox {
-    /// An open, empty outbox counting its sheds on a counter of its own.
-    pub fn new() -> Self {
-        Self::with_shed_counter(Arc::new(Counter::new()))
-    }
-
     /// An open, empty outbox that bumps `shed` every time it sheds an
     /// event.
     pub fn with_shed_counter(shed: Arc<Counter>) -> Self {
@@ -369,7 +358,7 @@ mod tests {
 
     #[test]
     fn outbox_delivers_in_order_and_closes() {
-        let ob = Outbox::new();
+        let ob = Outbox::with_shed_counter(Arc::new(Counter::new()));
         assert!(ob.push_response(b"a".to_vec()));
         assert!(ob.push_event(b"b".to_vec()));
         assert_eq!(ob.try_pop().unwrap(), b"a");
@@ -402,7 +391,7 @@ mod tests {
 
     #[test]
     fn try_pop_and_notifier_drive_a_poll_drainer() {
-        let ob = Outbox::new();
+        let ob = Outbox::with_shed_counter(Arc::new(Counter::new()));
         let hits = Arc::new(Counter::new());
         let h = Arc::clone(&hits);
         ob.set_notifier(move || h.inc());
@@ -432,7 +421,7 @@ mod tests {
     #[test]
     fn registry_triggers_once_per_epoch_wave() {
         let reg = SubscriptionRegistry::new();
-        let ob = Arc::new(Outbox::new());
+        let ob = Arc::new(Outbox::with_shed_counter(Arc::new(Counter::new())));
         let id = reg
             .register(spec(), vec![(0, 1), (2, 4)], Arc::clone(&ob), 7)
             .unwrap();
@@ -449,7 +438,7 @@ mod tests {
     #[test]
     fn unregister_enforces_ownership_and_drop_conn_sweeps() {
         let reg = SubscriptionRegistry::new();
-        let ob = Arc::new(Outbox::new());
+        let ob = Arc::new(Outbox::with_shed_counter(Arc::new(Counter::new())));
         let a = reg
             .register(spec(), vec![(0, 0)], Arc::clone(&ob), 1)
             .unwrap();

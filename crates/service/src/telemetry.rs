@@ -37,9 +37,10 @@
 //! | `faults_injected_total` | chaos faults fired by the `--fault` harness |
 //! | `loop_wakeups_total` | readiness-loop `epoll_wait` returns |
 //!
-//! Gauges (instantaneous; the derived ones are refreshed from their
-//! authoritative sources — shard counters, cache stats, scheduler —
-//! each time a snapshot is taken):
+//! Gauges (instantaneous). A live gauge sits in the registry and has
+//! one writer; a derived one is read from its authoritative source —
+//! shard counters, cache stats, scheduler, subscription registry — into
+//! each `Metrics` answer and is never stored in the registry:
 //!
 //! | name | meaning |
 //! |---|---|
@@ -141,7 +142,6 @@ pub struct Telemetry {
     pub loop_ready_events: Arc<Histo>,
     /// Read by connection admission against `ServeConfig::max_conns`.
     pub active_conns: Arc<Gauge>,
-    /// Read by `Status` as well.
     pub pushed_events: Arc<Gauge>,
     pub write_queue_depth: Arc<Gauge>,
     pub report_encode_us: Arc<Histo>,
@@ -149,27 +149,14 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Builds the registry with every static metric pre-registered (so
+    /// Builds the registry with every live metric pre-registered (so
     /// expositions show the full catalog from the first scrape, zeros
     /// included — a daemon that has not yet audited still advertises
     /// the per-stage families).
     pub fn new(slow_audit_ms: u64) -> Self {
         let registry = Registry::new();
         let stage_us = STAGES.map(|stage| registry.histo(&names::audit_stage_us(stage)));
-        for gauge in [
-            names::SCHED_QUEUE_DEPTH,
-            names::SCHED_JOBS_RUNNING,
-            names::DB_SHARD_WRITES,
-            names::DB_LOCK_WAITS,
-            names::CACHE_SIA_HITS,
-            names::CACHE_SIA_MISSES,
-            names::CACHE_PIA_HITS,
-            names::CACHE_PIA_MISSES,
-            names::CACHE_ENTRIES,
-            names::SUBSCRIPTIONS,
-        ] {
-            registry.gauge(gauge);
-        }
+        registry.gauge(names::SCHED_QUEUE_DEPTH);
         registry.counter(names::SCHED_JOBS_TOTAL);
         registry.histo(names::SCHED_WAIT_US);
         Telemetry {

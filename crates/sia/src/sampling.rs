@@ -45,12 +45,6 @@ pub struct SamplingConfig {
     pub seed: u64,
     /// Worker threads (1 = fully deterministic single-threaded run).
     pub threads: usize,
-    /// Weight coin flips by each basic event's failure probability instead
-    /// of the uniform `fail_prob` (events without a probability fall back
-    /// to `fail_prob`). Biases rounds toward *likely* risk groups — the
-    /// importance-sampling refinement in the spirit of the SAT-counting
-    /// methods the paper cites [67].
-    pub weighted: bool,
 }
 
 impl Default for SamplingConfig {
@@ -60,7 +54,6 @@ impl Default for SamplingConfig {
             fail_prob: 0.5,
             seed: 0,
             threads: 1,
-            weighted: false,
         }
     }
 }
@@ -140,7 +133,7 @@ fn sample_worker(
     token: &CancelToken,
 ) -> Result<RgFamily, Cancelled> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut eval = LazyEval::new(graph, per_basic_thresholds(graph, config));
+    let mut eval = LazyEval::new(graph, (config.fail_prob * u64::MAX as f64) as u64);
     let mut shrink = IncrementalEval::new(graph);
     let mut fam = RgFamily::for_graph(graph);
     let mut kept: Vec<NodeId> = Vec::new();
@@ -183,26 +176,6 @@ fn sample_worker(
     Ok(fam)
 }
 
-/// Per-basic-event coin-flip thresholds: uniform `fail_prob`, or the
-/// node's own probability in weighted mode.
-fn per_basic_thresholds(graph: &FaultGraph, config: &SamplingConfig) -> Vec<u64> {
-    let uniform = (config.fail_prob * u64::MAX as f64) as u64;
-    graph
-        .nodes()
-        .iter()
-        .map(|node| {
-            if config.weighted {
-                match node.prob {
-                    Some(p) => (p * u64::MAX as f64) as u64,
-                    None => uniform,
-                }
-            } else {
-                uniform
-            }
-        })
-        .collect()
-}
-
 /// A stamped, memoizing, short-circuiting evaluator of random rounds.
 ///
 /// `next_round` invalidates all memoized values in O(1); `value` computes a
@@ -211,8 +184,8 @@ fn per_basic_thresholds(graph: &FaultGraph, config: &SamplingConfig) -> Vec<u64>
 /// across rounds.
 struct LazyEval<'g> {
     graph: &'g FaultGraph,
-    /// Coin-flip threshold per node id (read for basic events only).
-    thresholds: Vec<u64>,
+    /// A basic event fails when its coin draw is at most this.
+    threshold: u64,
     /// `val[i]` is this round's state of node `i` iff `stamp[i] == cur`.
     stamp: Vec<u32>,
     val: Vec<bool>,
@@ -227,10 +200,10 @@ struct LazyEval<'g> {
 }
 
 impl<'g> LazyEval<'g> {
-    fn new(graph: &'g FaultGraph, thresholds: Vec<u64>) -> Self {
+    fn new(graph: &'g FaultGraph, threshold: u64) -> Self {
         LazyEval {
             graph,
-            thresholds,
+            threshold,
             stamp: vec![0; graph.len()],
             val: vec![false; graph.len()],
             visited: vec![0; graph.len()],
@@ -256,7 +229,7 @@ impl<'g> LazyEval<'g> {
         }
         let node = self.graph.node(id);
         let v = match node.gate {
-            None => rng.next_u64() <= self.thresholds[idx],
+            None => rng.next_u64() <= self.threshold,
             Some(gate) => {
                 let total = node.children.len();
                 let need = gate.threshold(total);
@@ -507,61 +480,6 @@ mod tests {
         };
         let fam = failure_sampling(&graph, &config);
         assert!(fam.to_named(&graph).contains(&vec!["A2".to_string()]));
-    }
-
-    #[test]
-    fn weighted_sampling_biases_toward_probable_groups() {
-        // Shared component "hot" has probability 0.5, everything else
-        // 0.001: weighted sampling should find {hot} within few rounds.
-        use indaas_graph::{FaultGraphBuilder, Gate};
-        let mut fb = FaultGraphBuilder::new();
-        let a = fb.basic("a fails", Some(0.001));
-        let hot = fb.basic("hot fails", Some(0.5));
-        let e1 = fb.gate("E1 fails", Gate::Or, vec![a, hot]);
-        let b = fb.basic("b fails", Some(0.001));
-        let e2 = fb.gate("E2 fails", Gate::Or, vec![b, hot]);
-        let top = fb.gate("deployment fails", Gate::And, vec![e1, e2]);
-        let graph = fb.build(top).unwrap();
-        let config = SamplingConfig {
-            rounds: 200,
-            weighted: true,
-            fail_prob: 0.001,
-            ..SamplingConfig::default()
-        };
-        let fam = failure_sampling(&graph, &config);
-        assert!(fam
-            .to_named(&graph)
-            .contains(&vec!["hot fails".to_string()]));
-    }
-
-    #[test]
-    fn weighted_sampling_still_sound() {
-        use crate::minimal::{minimal_risk_groups, MinimalConfig};
-        use indaas_graph::{FaultGraphBuilder, Gate};
-        let mut b = FaultGraphBuilder::new();
-        let x = b.basic("x fails", Some(0.3));
-        let y = b.basic("y fails", Some(0.4));
-        let e1 = b.gate("E1 fails", Gate::Or, vec![x, y]);
-        let z = b.basic("z fails", Some(0.2));
-        let e2 = b.gate("E2 fails", Gate::Or, vec![y, z]);
-        let top = b.gate("deployment fails", Gate::And, vec![e1, e2]);
-        let graph = b.build(top).unwrap();
-        let exact: std::collections::HashSet<_> =
-            minimal_risk_groups(&graph, &MinimalConfig::default())
-                .to_named(&graph)
-                .into_iter()
-                .collect();
-        let fam = failure_sampling(
-            &graph,
-            &SamplingConfig {
-                rounds: 2000,
-                weighted: true,
-                ..SamplingConfig::default()
-            },
-        );
-        for g in fam.to_named(&graph) {
-            assert!(exact.contains(&g), "weighted sample {g:?} not minimal");
-        }
     }
 
     #[test]

@@ -1226,18 +1226,20 @@ fn render_top(
         rate(names::MUTATIONS_TOTAL),
         rate(names::PUSH_AUDITS_TOTAL),
     ));
+    // `max(1)`: before the first lookup there are no hits either.
+    let lookups = (status.cache_hits + status.cache_misses).max(1);
     out.push_str(&format!(
         "cache:   {:.0}% hit   {} entries      queue: {} waiting, {} running\n",
-        status.hit_ratio * 100.0,
-        status.cache_entries,
+        status.cache_hits as f64 * 100.0 / lookups as f64,
+        gauge(names::CACHE_ENTRIES),
         gauge(names::SCHED_QUEUE_DEPTH),
         gauge(names::SCHED_JOBS_RUNNING),
     ));
     out.push_str(&format!(
         "events:  {} pushed   {} shed      subs: {}\n",
-        status.pushed_events,
+        gauge(names::PUSHED_EVENTS),
         metrics.counter(names::OUTBOX_SHED_TOTAL).unwrap_or(0),
-        status.subscriptions,
+        gauge(names::SUBSCRIPTIONS),
     ));
     out.push_str(&format!(
         "loop:    {:.1} wakeups/s   {} outbound bytes queued\n\n\

@@ -522,7 +522,6 @@ proptest! {
             fail_prob: 0.5,
             seed,
             threads: 1,
-            weighted: false,
         });
         let exact_named: std::collections::HashSet<_> =
             exact.to_named(&graph).into_iter().collect();

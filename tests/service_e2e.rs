@@ -610,12 +610,37 @@ fn status_reports_counters() {
     assert_eq!(status.epoch, 1);
     assert_eq!(status.records, 9);
     assert_eq!(status.hosts, 3);
-    assert_eq!(status.cache_entries, 1);
     assert_eq!(status.cache_hits, 1);
     assert_eq!(status.cache_misses, 1);
-    assert!((status.hit_ratio - 0.5).abs() < 1e-12, "1 hit / 2 lookups");
-    assert_eq!(status.subscriptions, 0);
-    assert_eq!(status.pushed_events, 0);
+    // Status is the store's shape plus the two cache totals, nothing
+    // more: every other count has its one home in Metrics.
+    let line = LineSession::connect(addr).raw(r#""Status""#);
+    let Ok(serde_json::Value::Object(answer)) = serde_json::from_str(line.trim()) else {
+        panic!("Status line is no JSON object: {line}");
+    };
+    let Some(serde_json::Value::Object(fields)) = answer.get("Status") else {
+        panic!("expected a Status answer: {line}");
+    };
+    assert_eq!(
+        fields.keys().map(String::as_str).collect::<Vec<_>>(),
+        [
+            "cache_hits",
+            "cache_misses",
+            "epoch",
+            "hosts",
+            "records",
+            "shard_epochs",
+            "shard_records",
+            "shard_writes",
+        ]
+    );
+    let metrics = client.metrics(Some(0)).expect("metrics");
+    assert_eq!(metrics.gauge(names::CACHE_ENTRIES), Some(1));
+    // The hit ratio's two sides, per engine: 1 hit / 2 lookups.
+    assert_eq!(metrics.gauge(names::CACHE_SIA_HITS), Some(1));
+    assert_eq!(metrics.gauge(names::CACHE_SIA_MISSES), Some(1));
+    assert_eq!(metrics.gauge(names::SUBSCRIPTIONS), Some(0));
+    assert_eq!(metrics.gauge(names::PUSHED_EVENTS), Some(0));
     client.shutdown().expect("shutdown");
     daemon.join().unwrap().expect("serve loop");
 }
@@ -763,8 +788,8 @@ fn cached_audit_survives_other_shard_ingest() {
 }
 
 /// Per-shard write observability at the protocol surface: `Status`
-/// reports which shards absorbed write batches, and single-client
-/// traffic never produces lock contention.
+/// reports which shards absorbed write batches, and `Metrics` shows
+/// that single-client traffic never produces lock contention.
 #[test]
 fn status_reports_shard_writes_and_lock_waits() {
     let (addr, daemon) = start_daemon();
@@ -793,7 +818,11 @@ fn status_reports_shard_writes_and_lock_waits() {
         );
     }
     assert_eq!(
-        status.lock_waits, 0,
+        client
+            .metrics(Some(0))
+            .expect("metrics")
+            .gauge(names::DB_LOCK_WAITS),
+        Some(0),
         "one client can never contend with itself"
     );
     client.shutdown().expect("shutdown");
@@ -1015,9 +1044,9 @@ fn subscription_pushes_on_relevant_ingests_only() {
     assert_eq!(initial.subscription, subscription);
     assert_eq!(initial.report.deployments[0].name, "pair");
 
-    let status = client.status().expect("status");
-    assert_eq!(status.subscriptions, 1);
-    assert!(status.pushed_events >= 1);
+    let metrics = client.metrics(Some(0)).expect("metrics");
+    assert_eq!(metrics.gauge(names::SUBSCRIPTIONS), Some(1));
+    assert!(metrics.gauge(names::PUSHED_EVENTS) >= Some(1));
 
     // A bystander-shard ingest must push nothing.
     client
@@ -1051,8 +1080,9 @@ fn subscription_pushes_on_relevant_ingests_only() {
     // daemon's gauge drops to zero and its pushed-event counter stops
     // moving (the session stops holding the subscription too).
     client.unsubscribe(subscription).expect("unsubscribe");
-    assert_eq!(client.status().expect("status").subscriptions, 0);
-    let pushed_before = client.status().expect("status").pushed_events;
+    let gauge = |client: &mut Client, name| client.metrics(Some(0)).expect("metrics").gauge(name);
+    assert_eq!(gauge(&mut client, names::SUBSCRIPTIONS), Some(0));
+    let pushed_before = gauge(&mut client, names::PUSHED_EVENTS);
     client
         .ingest(&format!(
             r#"<src="{a2}" dst="Internet" route="tor2,core9"/>"#
@@ -1060,7 +1090,7 @@ fn subscription_pushes_on_relevant_ingests_only() {
         .expect("post-unsubscribe ingest");
     std::thread::sleep(std::time::Duration::from_millis(400));
     assert_eq!(
-        client.status().expect("status").pushed_events,
+        gauge(&mut client, names::PUSHED_EVENTS),
         pushed_before,
         "no events are produced after unsubscribe"
     );
@@ -1178,24 +1208,25 @@ fn subscription_that_stops_reading_is_shed_not_buffered() {
     // one event; wait for each push so the audit queue never overflows.
     let toggle = r#"<hw="W1" type="Nic" dep="W1-nic"/>"#;
     let deadline = Instant::now() + std::time::Duration::from_secs(60);
-    let mut status = admin.status().expect("status");
+    let pushed = |m: &MetricsAnswer| m.gauge(names::PUSHED_EVENTS).expect("pushed_events gauge");
+    let mut metrics = admin.metrics(Some(0)).expect("metrics");
     let mut mutations = 0;
-    while status.dropped_events == 0 {
+    while metrics.counter(names::OUTBOX_SHED_TOTAL) == Some(0) {
         assert!(
             mutations < 2_000 && Instant::now() < deadline,
             "no event shed after {mutations} mutations ({} pushed)",
-            status.pushed_events
+            pushed(&metrics)
         );
-        let owed = status.pushed_events + 1;
+        let owed = pushed(&metrics) + 1;
         if mutations % 2 == 0 {
             admin.ingest(toggle).expect("ingest");
         } else {
             admin.retract(toggle).expect("retract");
         }
         mutations += 1;
-        while status.pushed_events < owed {
+        while pushed(&metrics) < owed {
             assert!(Instant::now() < deadline, "push {owed} never produced");
-            status = admin.status().expect("status");
+            metrics = admin.metrics(Some(0)).expect("metrics");
         }
     }
     assert!(
@@ -1727,6 +1758,7 @@ fn every_dispatched_request_records_one_span_and_one_dispatch_sample() {
 
 #[test]
 fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
+    let booted = Instant::now();
     // --slow-audit-ms 0: every audit's total is >= 0, so all are slow.
     let server = common::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -1875,14 +1907,15 @@ fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
     assert_eq!(request.parent_span_id, 0, "a minted context is a root");
     assert_eq!(v1.parent_span_id, request.span_id);
 
-    // The Status satellites: uptime_secs and per-engine audit counts
-    // (the two computed audits, not the hit) ride the same counters;
-    // nothing was shed.
-    let status = client.status().expect("status");
-    assert_eq!(status.sia_audits, 2);
-    assert_eq!(status.pia_audits, 0);
-    assert_eq!(status.dropped_events, 0);
-    assert!(status.uptime_secs <= status.uptime_ms / 1000 + 1);
+    // Per-engine audit counts (the two computed audits, not the hit)
+    // ride the same counters; nothing was shed; the daemon has been up
+    // no longer than this test.
+    let later = client.metrics(Some(0)).expect("metrics");
+    assert_eq!(later.counter(names::AUDITS_SIA_TOTAL), Some(2));
+    assert_eq!(later.counter(names::AUDITS_PIA_TOTAL), Some(0));
+    assert_eq!(later.counter(names::OUTBOX_SHED_TOTAL), Some(0));
+    assert!(later.uptime_secs >= metrics.uptime_secs);
+    assert!(later.uptime_secs <= booted.elapsed().as_secs());
 
     client.shutdown().expect("shutdown");
     daemon.join().unwrap().expect("serve loop");
@@ -1891,8 +1924,8 @@ fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
 #[test]
 fn v1_session_serves_metrics_and_extended_status() {
     // The Metrics request is not v2-only: a plain line-mode session
-    // (no Hello) gets the same snapshot, and the appended Status fields
-    // arrive without disturbing the original ones.
+    // (no Hello) gets the same snapshot, so the counts Status does not
+    // carry reach v1 clients too.
     let (addr, daemon) = start_daemon();
     let mut v1 = LineSession::connect(addr);
     let Response::Metrics {
@@ -1901,21 +1934,15 @@ fn v1_session_serves_metrics_and_extended_status() {
     else {
         panic!("expected a Metrics response");
     };
-    assert!(counters.iter().any(|(n, _)| n == "requests_total"));
+    let counter = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert!(counter(names::REQUESTS_TOTAL).is_some());
     assert!(histos.iter().any(|h| h.name == "dispatch_us"));
-    let Response::Status {
-        records,
-        uptime_secs: _,
-        sia_audits,
-        dropped_events,
-        ..
-    } = v1.request(&Request::Status)
-    else {
+    assert_eq!(counter(names::AUDITS_SIA_TOTAL), Some(0));
+    assert_eq!(counter(names::OUTBOX_SHED_TOTAL), Some(0));
+    let Response::Status { records, .. } = v1.request(&Request::Status) else {
         panic!("expected a Status response");
     };
     assert_eq!(records, 0);
-    assert_eq!(sia_audits, 0);
-    assert_eq!(dropped_events, 0);
     assert!(matches!(
         v1.request(&Request::Shutdown),
         Response::ShuttingDown
