@@ -137,6 +137,14 @@ mod tests {
         assert_eq!(failure_sampling(&topology_a_16_way(15), &config).len(), 701);
     }
 
+    /// The benchmark's exact family for each `needed_alive` of
+    /// [`fig7_minimal_family_is_pinned`]: groups by order 0–4.
+    const FIG7_FAMILIES: [(usize, [usize; 5]); 3] = [
+        (15, [0, 3, 1_920, 0, 0]),  // k = 2: C(16,2) · 4²
+        (14, [0, 3, 0, 35_840, 0]), // k = 3: C(16,3) · 4³
+        (1, [0, 3, 0, 0, 0]),       // k = 16: one event per server exceeds order 4
+    ];
+
     /// The benchmark's exact audit (order ≤ 4) and its two neighbours, so
     /// that OR-like (`k = 2`), AND (`k = n`) and a deeper threshold
     /// (`k = 3`) top gates all run on a real graph. Every server's family
@@ -146,11 +154,7 @@ mod tests {
     #[test]
     fn fig7_minimal_family_is_pinned() {
         use indaas_sia::{minimal_risk_groups, MinimalConfig};
-        for (needed_alive, by_order) in [
-            (15, [0, 3, 1_920, 0, 0]),  // k = 2: C(16,2) · 4²
-            (14, [0, 3, 0, 35_840, 0]), // k = 3: C(16,3) · 4³
-            (1, [0, 3, 0, 0, 0]),       // k = 16: one event per server exceeds order 4
-        ] {
+        for (needed_alive, by_order) in FIG7_FAMILIES {
             let graph = topology_a_16_way(needed_alive);
             let family = minimal_risk_groups(&graph, &MinimalConfig::with_max_order(4));
             let mut histogram = [0usize; 5];
@@ -160,6 +164,65 @@ mod tests {
             assert_eq!(histogram, by_order, "needed_alive = {needed_alive}");
         }
     }
+
+    /// The benchmark's spec (topology A, 16-way, order ≤ 4) through the
+    /// auditing agent, which composes the family from per-server
+    /// families; one agent, so the second and third `k` reuse the
+    /// servers' families the first computed.
+    fn fig7_through_the_agent(needed_alive: usize) -> indaas_sia::DeploymentAudit {
+        use indaas_core::{AuditSpec, AuditingAgent, RgAlgorithm};
+        use std::sync::OnceLock;
+        static AGENT: OnceLock<(AuditingAgent, CandidateDeployment)> = OnceLock::new();
+        let (agent, cand) = AGENT.get_or_init(|| {
+            let (db, cand) = fig7_workload(FatTreeConfig::topology_a(), 16, None);
+            (AuditingAgent::new(db), cand)
+        });
+        let spec = AuditSpec {
+            algorithm: RgAlgorithm::Minimal { max_order: Some(4) },
+            ..AuditSpec::sia_size_based(vec![CandidateDeployment {
+                name: "pinned".into(),
+                needed_alive,
+                ..cand.clone()
+            }])
+        };
+        let mut report = agent.audit_sia(&spec).unwrap();
+        report.deployments.remove(0)
+    }
+
+    /// [`fig7_minimal_family_is_pinned`] through the agent.
+    #[test]
+    fn fig7_minimal_family_is_pinned_through_the_agent() {
+        for (needed_alive, by_order) in FIG7_FAMILIES {
+            let mut histogram = [0usize; 5];
+            for group in &fig7_through_the_agent(needed_alive).ranked_rgs {
+                histogram[group.size] += 1;
+            }
+            assert_eq!(histogram, by_order, "needed_alive = {needed_alive}");
+        }
+    }
+
+    /// SHA-256 over every group's position and member names, in rank
+    /// order.
+    fn ranked_digest(audit: &indaas_sia::DeploymentAudit) -> String {
+        let mut hasher = indaas_crypto::Sha256::new();
+        for (position, group) in audit.ranked_rgs.iter().enumerate() {
+            hasher.update(&(position as u32).to_be_bytes());
+            hasher.update(&(group.events.len() as u32).to_be_bytes());
+            for name in &group.events {
+                hasher.update(&(name.len() as u32).to_be_bytes());
+                hasher.update(name.as_bytes());
+            }
+        }
+        hasher
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// The digest of the benchmark's ranked report.
+    const FIG7_RANKED_DIGEST: &str =
+        "42d83badaaecf72d4d274897edbb611c1747219b20fc29354c5172340e9f1b9b";
 
     /// The benchmark's ranked report (topology A, 16-way, `k = 2`, order
     /// <= 4): every group's position and member names, in rank order, hash
@@ -172,24 +235,16 @@ mod tests {
         let family = minimal_risk_groups(&graph, &MinimalConfig::with_max_order(4));
         let audit = DeploymentAudit::size_based("pinned", &family, &graph, 16, None);
         assert_eq!(audit.ranked_rgs.len(), 1_923);
-        let mut hasher = indaas_crypto::Sha256::new();
-        for (position, group) in audit.ranked_rgs.iter().enumerate() {
-            hasher.update(&(position as u32).to_be_bytes());
-            hasher.update(&(group.events.len() as u32).to_be_bytes());
-            for name in &group.events {
-                hasher.update(&(name.len() as u32).to_be_bytes());
-                hasher.update(name.as_bytes());
-            }
-        }
-        let digest: String = hasher
-            .finalize()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            digest,
-            "42d83badaaecf72d4d274897edbb611c1747219b20fc29354c5172340e9f1b9b"
-        );
+        assert_eq!(ranked_digest(&audit), FIG7_RANKED_DIGEST);
+    }
+
+    /// [`fig7_ranked_report_is_pinned`] through the agent: a composed
+    /// family ranks to the same digest.
+    #[test]
+    fn fig7_ranked_report_is_pinned_through_the_agent() {
+        let audit = fig7_through_the_agent(15);
+        assert_eq!(audit.ranked_rgs.len(), 1_923);
+        assert_eq!(ranked_digest(&audit), FIG7_RANKED_DIGEST);
     }
 
     #[test]

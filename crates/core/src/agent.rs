@@ -1,12 +1,15 @@
 //! The auditing agent: executes audit specifications against dependency
 //! data (Steps 2–6 of the workflow in §2).
 
+use std::sync::Arc;
+
 use indaas_deps::{DbSnapshot, DepDb, DepView};
-use indaas_graph::{CancelToken, Cancelled};
+use indaas_graph::{CancelToken, Cancelled, FaultGraph};
+use indaas_sia::ranking::INCLUSION_EXCLUSION_LIMIT;
 use indaas_sia::{
-    build_fault_graph, failure_sampling_cancellable, minimal_risk_groups_cancellable, AuditReport,
-    Bdd, BddError, BuildError, BuildSpec, DeploymentAudit, MinimalConfig, MinimalError,
-    SamplingConfig,
+    build_fault_graph, compose_minimal, failure_sampling_cancellable, top_event_probability,
+    AuditReport, Bdd, BddError, BuildError, BuildSpec, ComposeError, DeploymentAudit, FamilyMemo,
+    MinimalConfig, MinimalError, SamplingConfig,
 };
 
 use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
@@ -19,7 +22,10 @@ use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
 /// [`AuditingAgent::audit_sia_observed`]; everyone else gets the no-op
 /// `()` implementation for free. Stage names are stable identifiers:
 /// `"graph_build"`, `"rg_minimal"`, `"rg_sampling"`, `"rg_bdd"`,
-/// `"ranking"`. A stage is reported once per candidate deployment.
+/// `"ranking"`. A stage is reported once per candidate deployment. An
+/// exact audit's `"graph_build"` covers every graph it builds (its
+/// missed servers', the reduced one, and the full graph when ranking
+/// samples Pr(T) from it) and its `"rg_minimal"` both MOCUS passes.
 ///
 /// The daemon's implementation records each reported stage as a child
 /// span of the audit's own span, so `indaas trace`, `indaas metrics` and
@@ -86,37 +92,54 @@ pub struct WhatIfOutcome {
 /// The auditing agent: owns a read-only view of dependency data and runs
 /// audits.
 ///
-/// The view is held behind an [`Arc`](std::sync::Arc) of a [`DepView`]
-/// trait object, so agents are cheap to clone and agnostic to *how* the
-/// data is stored — a monolithic [`DepDb`], or the multi-`Arc` sharded
-/// [`DbSnapshot`] the `indaas-service` daemon pins per audit job at
-/// admission time.
+/// The view is held behind an [`Arc`] of a [`DepView`] trait object, so
+/// agents are cheap to clone and agnostic to *how* the data is stored — a
+/// monolithic [`DepDb`], or the multi-`Arc` sharded [`DbSnapshot`] the
+/// `indaas-service` daemon pins per audit job at admission time.
+///
+/// Exact (`Minimal`) audits compose each deployment's family from
+/// per-server families ([`indaas_sia::compose`]) kept in a
+/// [`FamilyMemo`]. An agent starts with a memo of its own, which its
+/// clones share; [`AuditingAgent::with_families`] hands it one that
+/// outlives it, as the daemon does for every job.
 #[derive(Clone, Debug)]
 pub struct AuditingAgent {
-    db: std::sync::Arc<dyn DepView>,
+    db: Arc<dyn DepView>,
+    families: Arc<FamilyMemo>,
 }
 
 impl AuditingAgent {
     /// Creates an agent over an existing dependency database.
     pub fn new(db: DepDb) -> Self {
-        Self::from_shared(std::sync::Arc::new(db))
+        Self::from_shared(Arc::new(db))
     }
 
     /// Creates an agent over a shared monolithic snapshot without
     /// copying it.
-    pub fn from_shared(db: std::sync::Arc<DepDb>) -> Self {
-        AuditingAgent { db }
+    pub fn from_shared(db: Arc<DepDb>) -> Self {
+        Self::from_view(db)
     }
 
     /// Creates an agent over any shared read-only dependency view.
-    pub fn from_view(db: std::sync::Arc<dyn DepView>) -> Self {
-        AuditingAgent { db }
+    pub fn from_view(db: Arc<dyn DepView>) -> Self {
+        AuditingAgent {
+            db,
+            families: Arc::default(),
+        }
     }
 
     /// Creates an agent over an epoch-pinned sharded snapshot — the
     /// daemon's per-job entry point.
     pub fn from_snapshot(snapshot: DbSnapshot) -> Self {
-        Self::from_view(std::sync::Arc::new(snapshot))
+        Self::from_view(Arc::new(snapshot))
+    }
+
+    /// The same agent, keeping per-server families in `memo`.
+    pub fn with_families(self, memo: Arc<FamilyMemo>) -> Self {
+        AuditingAgent {
+            families: memo,
+            ..self
+        }
     }
 
     /// The dependency view (for inspection and composition).
@@ -166,27 +189,53 @@ impl AuditingAgent {
                 software: spec.software,
                 prob_model: spec.prob_model.clone(),
             };
-            let graph = observed(obs, "graph_build", || {
-                build_fault_graph(self.db.as_ref(), &build)
-            })
-            .map_err(|e| AuditError::Build(cand.name.clone(), e))?;
+            let build_error = |e| AuditError::Build(cand.name.clone(), e);
+            let build_full = || {
+                observed(obs, "graph_build", || {
+                    build_fault_graph(self.db.as_ref(), &build)
+                })
+                .map_err(build_error)
+            };
             // The BDD engine additionally yields an exact top-event
             // probability, which normalises probability-based ranking;
             // the other engines defer to the ranking module.
             let mut exact_pr: Option<Bdd> = None;
-            let family = match spec.algorithm {
+            // Beside a composed family's reduced graph: the full graph,
+            // kept only when ranking samples Pr(T) from it.
+            let mut full: Option<FaultGraph> = None;
+            let (graph, family) = match spec.algorithm {
                 RgAlgorithm::Minimal { max_order } => {
                     let config = MinimalConfig {
                         max_order,
                         ..MinimalConfig::default()
                     };
-                    observed(obs, "rg_minimal", || {
-                        minimal_risk_groups_cancellable(&graph, &config, token)
-                    })
-                    .map_err(|e| match e {
-                        MinimalError::Cancelled(c) => AuditError::Cancelled(c),
-                        too_large => AuditError::TooLarge(cand.name.clone(), too_large),
-                    })?
+                    let composed =
+                        compose_minimal(self.db.as_ref(), &build, &config, &self.families, token)
+                            .map_err(|e| match e {
+                            ComposeError::Build(e) => build_error(e),
+                            ComposeError::Minimal(MinimalError::Cancelled(c)) => {
+                                AuditError::Cancelled(c)
+                            }
+                            ComposeError::Minimal(too_large) => {
+                                AuditError::TooLarge(cand.name.clone(), too_large)
+                            }
+                        })?;
+                    let mut build_us = composed.build_us;
+                    // Past inclusion–exclusion's limit Pr(T) is sampled
+                    // from the graph, and only the full graph fails as
+                    // the deployment does: the reduced one keeps no cut
+                    // set past the order cap.
+                    if matches!(spec.metric, RankingMetric::Probability { .. })
+                        && composed.family.len() > INCLUSION_EXCLUSION_LIMIT
+                    {
+                        let started = std::time::Instant::now();
+                        full =
+                            Some(build_fault_graph(self.db.as_ref(), &build).map_err(build_error)?);
+                        build_us += started.elapsed().as_micros() as u64;
+                    }
+                    obs.stage("graph_build", build_us);
+                    obs.stage("rg_minimal", composed.minimal_us);
+                    (composed.graph, composed.family)
                 }
                 RgAlgorithm::Sampling {
                     rounds,
@@ -194,18 +243,21 @@ impl AuditingAgent {
                     seed,
                     threads,
                 } => {
+                    let graph = build_full()?;
                     let config = SamplingConfig {
                         rounds,
                         fail_prob,
                         seed,
                         threads,
                     };
-                    observed(obs, "rg_sampling", || {
+                    let family = observed(obs, "rg_sampling", || {
                         failure_sampling_cancellable(&graph, &config, token)
                     })
-                    .map_err(AuditError::Cancelled)?
+                    .map_err(AuditError::Cancelled)?;
+                    (graph, family)
                 }
                 RgAlgorithm::Bdd { max_nodes } => {
+                    let graph = build_full()?;
                     let (bdd, family) = observed(obs, "rg_bdd", || {
                         Bdd::compile_cancellable(&graph, max_nodes, token).map(|bdd| {
                             let family = bdd.minimal_cut_sets();
@@ -217,7 +269,7 @@ impl AuditingAgent {
                         too_large => AuditError::BddTooLarge(cand.name.clone(), too_large),
                     })?;
                     exact_pr = Some(bdd);
-                    family
+                    (graph, family)
                 }
             };
             let replication = cand.servers.len();
@@ -229,17 +281,26 @@ impl AuditingAgent {
                     replication,
                     spec.top_n,
                 ),
-                RankingMetric::Probability { default_prob } => DeploymentAudit::probability_based(
-                    cand.name.clone(),
-                    &family,
-                    &graph,
-                    replication,
-                    *default_prob,
-                    exact_pr
-                        .as_ref()
-                        .map(|bdd| bdd.top_probability(&graph, *default_prob)),
-                    spec.top_n,
-                ),
+                RankingMetric::Probability { default_prob } => {
+                    let pr_top = match (&exact_pr, &full) {
+                        (Some(bdd), _) => Some(bdd.top_probability(&graph, *default_prob)),
+                        // Past the limit the estimate reads only the
+                        // graph; the family just says it is past.
+                        (None, Some(full)) => {
+                            Some(top_event_probability(&family, full, *default_prob))
+                        }
+                        (None, None) => None,
+                    };
+                    DeploymentAudit::probability_based(
+                        cand.name.clone(),
+                        &family,
+                        &graph,
+                        replication,
+                        *default_prob,
+                        pr_top,
+                        spec.top_n,
+                    )
+                }
             });
             audits.push(audit);
         }

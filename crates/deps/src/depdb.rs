@@ -32,6 +32,11 @@ pub trait DepView: std::fmt::Debug + Send + Sync {
     /// Total number of distinct records visible through the view.
     fn record_count(&self) -> usize;
 
+    /// `host`'s three record lists as the shared handles the store keeps
+    /// them behind — what a cache of per-host results keys on (see
+    /// [`HostLists::same`]).
+    fn host_lists(&self, host: &str) -> HostLists;
+
     /// The flat component universe `host` depends on: network devices on
     /// its routes, hardware component ids, programs and their packages.
     /// This is the *component-set* the PIA protocol feeds into P-SOP.
@@ -52,6 +57,45 @@ pub trait DepView: std::fmt::Debug + Send + Sync {
             }
         }
         set
+    }
+}
+
+/// One host's record lists, one shared handle per record kind (`None`
+/// for a kind the host has no record of) — the identity of the data an
+/// audit of that host reads.
+///
+/// Two `HostLists` are [`HostLists::same`] iff each kind is absent from
+/// both or is one allocation in both. That is sound as a cache key for
+/// two reasons. A holder of these handles keeps the lists alive, so no
+/// later list can be allocated at a held address. And every [`DepDb`]
+/// write goes through `Arc::make_mut` (or allocates a fresh list for a
+/// new host), which copies a list whose handle is held anywhere else
+/// instead of editing it: a held list never changes, and any change to
+/// a host gives it a new handle.
+#[derive(Clone, Debug, Default)]
+pub struct HostLists {
+    /// Network routes originating at the host.
+    pub network: Option<Arc<Vec<NetworkDep>>>,
+    /// The host's hardware components.
+    pub hardware: Option<Arc<Vec<HardwareDep>>>,
+    /// Software records for programs running on the host.
+    pub software: Option<Arc<Vec<SoftwareDep>>>,
+}
+
+impl HostLists {
+    /// True iff both name the very same lists (pointer identity, not
+    /// contents): nothing under the host changed between the two reads.
+    pub fn same(&self, other: &HostLists) -> bool {
+        fn same<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+            match (a, b) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+        same(&self.network, &other.network)
+            && same(&self.hardware, &other.hardware)
+            && same(&self.software, &other.software)
     }
 }
 
@@ -310,6 +354,14 @@ impl DepView for DepDb {
 
     fn record_count(&self) -> usize {
         self.len()
+    }
+
+    fn host_lists(&self, host: &str) -> HostLists {
+        HostLists {
+            network: self.network.get(host).cloned(),
+            hardware: self.hardware.get(host).cloned(),
+            software: self.software.get(host).cloned(),
+        }
     }
 
     fn component_set_of(&self, host: &str) -> BTreeSet<String> {

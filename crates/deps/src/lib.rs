@@ -45,7 +45,7 @@ pub mod record;
 pub mod sharded;
 
 pub use dam::{DamError, DependencyAcquisitionModule, SimCollector};
-pub use depdb::{DepDb, DepRecordRef, DepView};
+pub use depdb::{DepDb, DepRecordRef, DepView, HostLists};
 pub use failprob::FailureProbModel;
 pub use format::{parse_record, parse_records, FormatError};
 pub use persist::{write_atomic, Manifest, MANIFEST_FILE, SEGMENT_FORMAT_VERSION};

@@ -43,7 +43,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use crate::depdb::{DepDb, DepView};
+use crate::depdb::{DepDb, DepView, HostLists};
 use crate::record::{DependencyRecord, HardwareDep, NetworkDep, SoftwareDep};
 
 /// Monotonic database version. Epoch 0 is the empty database.
@@ -474,6 +474,10 @@ impl DepView for DbSnapshot {
         self.shards.iter().map(|s| s.len()).sum()
     }
 
+    fn host_lists(&self, host: &str) -> HostLists {
+        self.shard_for(host).host_lists(host)
+    }
+
     fn component_set_of(&self, host: &str) -> BTreeSet<String> {
         self.shard_for(host).component_set_of(host)
     }
@@ -601,6 +605,50 @@ mod tests {
         assert_eq!(before.hardware_deps(a), [cpu(a, "cpu-1")]);
         assert_eq!(after.network_deps(a).len(), 2);
         assert_eq!(after.hardware_deps(a).len(), 2);
+    }
+
+    /// The soundness of keying a per-host cache on list identity: a held
+    /// handle never sees a write, any write under a host renews its
+    /// handles (even one a retract undoes), and a publish of the host's
+    /// shard leaves every other host's handles as they were.
+    #[test]
+    fn held_host_lists_never_change_and_writes_renew_them() {
+        let db = ShardedDepDb::new(8);
+        let a = "H0";
+        let b = (1..10_000)
+            .map(|i| format!("H{i}"))
+            .find(|h| db.shard_of(h) == db.shard_of(a))
+            .expect("a host sharing H0's shard");
+        db.ingest([
+            rec(&format!(
+                r#"<src="{a}" dst="Internet" route="tor1,core1"/>"#
+            )),
+            host_record(a, "cpu-1"),
+            host_record(&b, "cpu-2"),
+        ]);
+        let held_a = db.snapshot().host_lists(a);
+        let held_b = db.snapshot().host_lists(&b);
+        let (routes, cpus) = (
+            held_a.network.as_deref().cloned(),
+            held_a.hardware.as_deref().cloned(),
+        );
+        assert!(held_a.software.is_none(), "a has no software records");
+
+        let nic = host_record(a, "nic-1");
+        assert_eq!(db.ingest([nic.clone()]).changed, 1);
+        assert_eq!(db.retract(&[nic]).changed, 1);
+        let now = db.snapshot();
+
+        assert_eq!(held_a.network.as_deref(), routes.as_ref());
+        assert_eq!(held_a.hardware.as_deref(), cpus.as_ref());
+        let fresh = now.host_lists(a);
+        assert_eq!(fresh.hardware.as_deref(), cpus.as_ref(), "same contents");
+        assert!(!fresh.same(&held_a), "a write under a renews its handles");
+        assert!(
+            now.host_lists(&b).same(&held_b),
+            "b shares a's shard but was not written"
+        );
+        assert!(now.host_lists("H-absent").same(&HostLists::default()));
     }
 
     #[test]

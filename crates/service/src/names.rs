@@ -39,6 +39,9 @@ pub const CACHE_SIA_MISSES: &str = "cache_sia_misses";
 pub const CACHE_PIA_HITS: &str = "cache_pia_hits";
 pub const CACHE_PIA_MISSES: &str = "cache_pia_misses";
 pub const CACHE_ENTRIES: &str = "cache_entries";
+pub const SIA_FAMILY_HITS: &str = "sia_family_hits";
+pub const SIA_FAMILY_MISSES: &str = "sia_family_misses";
+pub const SIA_FAMILY_ENTRIES: &str = "sia_family_entries";
 pub const SUBSCRIPTIONS: &str = "subscriptions";
 pub const ACTIVE_CONNS: &str = "active_conns";
 pub const PUSHED_EVENTS: &str = "pushed_events";

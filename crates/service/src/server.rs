@@ -70,6 +70,7 @@ use indaas_deps::{
 };
 use indaas_obs::{format_trace_id, log as slog, Span, SpanRecord, TraceContext, TraceScope};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
+use indaas_sia::FamilyMemo;
 
 use crate::cache::{job_key, AuditCache, EpochPins, JobKey};
 use crate::federation::PeerAllowList;
@@ -166,6 +167,10 @@ pub(crate) struct ServiceState {
     /// ([`crate::proto::sia_body`], [`crate::proto::audit_event_body`]).
     pub(crate) sia_cache: Mutex<AuditCache<Arc<str>>>,
     pub(crate) pia_cache: Mutex<AuditCache<Vec<PiaRanking>>>,
+    /// Per-server minimal families, one memo for request misses and
+    /// push re-audits alike: a push re-audits only the hosts a mutation
+    /// changed ([`indaas_sia::compose`]).
+    pub(crate) families: Arc<FamilyMemo>,
     pub(crate) scheduler: Scheduler,
     pub(crate) started: Instant,
     pub(crate) shutting_down: AtomicBool,
@@ -253,6 +258,7 @@ impl Server {
             ),
             sia_cache: Mutex::new(AuditCache::new(config.cache_capacity)),
             pia_cache: Mutex::new(AuditCache::new(config.cache_capacity)),
+            families: Arc::default(),
             db: store,
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
@@ -599,6 +605,7 @@ fn sia_report(
     }
     let recorder = StageRecorder::new(&st.telemetry, exec);
     let result = AuditingAgent::from_snapshot(snapshot)
+        .with_families(Arc::clone(&st.families))
         .audit_sia_observed(spec, token, &recorder)
         .map(|report| {
             let report = encode_report(&st.telemetry, &report);
@@ -1132,8 +1139,8 @@ pub(crate) fn status(state: &ServiceState) -> Response {
 
 /// Assembles a `Metrics` response: snapshots the registry, adds the
 /// derived gauges read from their authoritative sources (per-shard
-/// atomics, cache stats, the scheduler's running count, the
-/// subscription registry) to its name-sorted gauge list, and attaches
+/// atomics, cache and family-memo stats, the scheduler's running count,
+/// the subscription registry) to its name-sorted gauge list, and attaches
 /// the most recent audits' spans. The registry holds only numbers with
 /// one live writer; nothing is written to it here.
 pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
@@ -1141,6 +1148,7 @@ pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let counters = state.db.counters();
     let (sia_hits, sia_misses, sia_len) = cache_stats(&state.sia_cache);
     let (pia_hits, pia_misses, pia_len) = cache_stats(&state.pia_cache);
+    let (family_hits, family_misses, family_len) = state.families.stats();
     let snap = telemetry.registry.snapshot();
     let mut gauges = snap.gauges;
     gauges.extend(
@@ -1153,6 +1161,9 @@ pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
             (names::CACHE_PIA_HITS, pia_hits),
             (names::CACHE_PIA_MISSES, pia_misses),
             (names::CACHE_ENTRIES, (sia_len + pia_len) as u64),
+            (names::SIA_FAMILY_HITS, family_hits),
+            (names::SIA_FAMILY_MISSES, family_misses),
+            (names::SIA_FAMILY_ENTRIES, family_len as u64),
             (names::SUBSCRIPTIONS, state.subs.len() as u64),
         ]
         .map(|(name, value)| (name.to_string(), value)),

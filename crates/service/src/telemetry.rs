@@ -39,8 +39,9 @@
 //!
 //! Gauges (instantaneous). A live gauge sits in the registry and has
 //! one writer; a derived one is read from its authoritative source —
-//! shard counters, cache stats, scheduler, subscription registry — into
-//! each `Metrics` answer and is never stored in the registry:
+//! shard counters, cache and family-memo stats, scheduler, subscription
+//! registry — into each `Metrics` answer and is never stored in the
+//! registry:
 //!
 //! | name | meaning |
 //! |---|---|
@@ -51,6 +52,8 @@
 //! | `cache_sia_hits` / `cache_sia_misses` | SIA result-cache outcomes (derived) |
 //! | `cache_pia_hits` / `cache_pia_misses` | PIA result-cache outcomes (derived) |
 //! | `cache_entries` | live cached results, both caches (derived) |
+//! | `sia_family_hits` / `sia_family_misses` | per-server minimal-family lookups of exact SIA audits, answered from the memo or computed (derived) |
+//! | `sia_family_entries` | server families the memo holds (derived) |
 //! | `subscriptions` | live audit subscriptions (derived) |
 //! | `active_conns` | open client connections (live) |
 //! | `pushed_events` | audit events produced for subscribers (live) |

@@ -97,102 +97,142 @@ pub fn build_fault_graph<D: DepView + ?Sized>(
     db: &D,
     spec: &BuildSpec,
 ) -> Result<FaultGraph, BuildError> {
+    let k = fail_threshold(spec)?;
+    let mut b = FaultGraphBuilder::new();
+    let mut server_events: Vec<NodeId> = Vec::with_capacity(spec.servers.len());
+    for server in &spec.servers {
+        server_events.push(add_server(
+            &mut b,
+            db,
+            server,
+            spec,
+            spec.prob_model.as_ref(),
+        )?);
+    }
+    let gate = threshold_gate(k, server_events.len());
+    let top = b.gate(format!("{} fails", spec.name), gate, server_events);
+    Ok(b.build(top)?)
+}
+
+/// Step 2: redundancy across servers. The deployment fails once
+/// `m - needed_alive + 1` of its `m` servers have failed; this is that
+/// count.
+///
+/// # Errors
+///
+/// [`BuildError::NoServers`] or [`BuildError::BadRedundancy`] for a spec
+/// with no servers or a `needed_alive` outside `1..=m`.
+pub(crate) fn fail_threshold(spec: &BuildSpec) -> Result<usize, BuildError> {
     if spec.servers.is_empty() {
         return Err(BuildError::NoServers);
     }
     if spec.needed_alive == 0 || spec.needed_alive > spec.servers.len() {
         return Err(BuildError::BadRedundancy);
     }
-    let mut b = FaultGraphBuilder::new();
-    let prob = |name: &str| spec.prob_model.as_ref().map(|m| m.prob_for(name));
+    Ok(spec.servers.len() - spec.needed_alive + 1)
+}
 
-    let mut server_events: Vec<NodeId> = Vec::with_capacity(spec.servers.len());
-    for server in &spec.servers {
-        let mut causes: Vec<NodeId> = Vec::new();
-
-        // Step 5: network failure = AND over redundant routes, each route
-        // an OR over its devices.
-        if spec.network {
-            let routes = db.network_deps(server);
-            if !routes.is_empty() {
-                let path_events: Vec<NodeId> = routes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, route)| {
-                        let devices: Vec<NodeId> = route
-                            .route
-                            .iter()
-                            .map(|dev| {
-                                let p = prob(dev);
-                                b.basic(dev, p)
-                            })
-                            .collect();
-                        b.gate(
-                            format!("{server} path#{i} ({}→{})", route.src, route.dst),
-                            Gate::Or,
-                            devices,
-                        )
-                    })
-                    .collect();
-                causes.push(b.gate(format!("{server} network fails"), Gate::And, path_events));
-            }
-        }
-
-        // Step 4: hardware failure = OR over physical components.
-        if spec.hardware {
-            let hw = db.hardware_deps(server);
-            if !hw.is_empty() {
-                let comps: Vec<NodeId> = hw
-                    .iter()
-                    .map(|h| {
-                        let p = prob(&h.dep);
-                        b.basic(&h.dep, p)
-                    })
-                    .collect();
-                causes.push(b.gate(format!("{server} hardware fails"), Gate::Or, comps));
-            }
-        }
-
-        // Step 6: software failure = OR over programs; program = OR over
-        // its packages (plus the program itself as a basic event, so a
-        // program with no package data still contributes a failure mode).
-        if spec.software {
-            let sw = db.software_deps(server);
-            if !sw.is_empty() {
-                let pgm_events: Vec<NodeId> = sw
-                    .iter()
-                    .map(|s| {
-                        let mut parts: Vec<NodeId> = Vec::with_capacity(s.deps.len() + 1);
-                        let self_prob = prob(&s.pgm);
-                        parts.push(b.basic(&s.pgm, self_prob));
-                        for pkg in &s.deps {
-                            let p = prob(pkg);
-                            parts.push(b.basic(pkg, p));
-                        }
-                        b.gate(format!("{server}:{} fails", s.pgm), Gate::Or, parts)
-                    })
-                    .collect();
-                causes.push(b.gate(format!("{server} software fails"), Gate::Or, pgm_events));
-            }
-        }
-
-        if causes.is_empty() {
-            return Err(BuildError::NoData(server.clone()));
-        }
-        // Step 3: the server fails if any category fails.
-        server_events.push(b.gate(format!("{server} fails"), Gate::Or, causes));
-    }
-
-    // Step 2: redundancy across servers. The deployment fails once
-    // (m - needed_alive + 1) servers have failed.
-    let fail_threshold = spec.servers.len() - spec.needed_alive + 1;
-    let gate = if fail_threshold == spec.servers.len() {
+/// The gate that fails once `k` of its `n` children have.
+pub(crate) fn threshold_gate(k: usize, n: usize) -> Gate {
+    if k == n {
         Gate::And
     } else {
-        Gate::KofN(fail_threshold as u32)
-    };
-    let top = b.gate(format!("{} fails", spec.name), gate, server_events);
-    Ok(b.build(top)?)
+        Gate::KofN(k as u32)
+    }
+}
+
+/// Adds one server's subtree (steps 3–6) to `b` and returns the event
+/// "`server` fails". Basic events are weighted by `prob_model`, if any.
+/// The subtree names its basic events in one left-to-right order —
+/// route devices, then hardware components, then each program and its
+/// packages — and [`crate::compose`] relies on a walk of its children
+/// meeting them in that order.
+///
+/// # Errors
+///
+/// [`BuildError::NoData`] if `server` has no records in any category
+/// `spec` audits.
+pub(crate) fn add_server<D: DepView + ?Sized>(
+    b: &mut FaultGraphBuilder,
+    db: &D,
+    server: &str,
+    spec: &BuildSpec,
+    prob_model: Option<&FailureProbModel>,
+) -> Result<NodeId, BuildError> {
+    let prob = |name: &str| prob_model.map(|m| m.prob_for(name));
+    let mut causes: Vec<NodeId> = Vec::new();
+
+    // Step 5: network failure = AND over redundant routes, each route
+    // an OR over its devices.
+    if spec.network {
+        let routes = db.network_deps(server);
+        if !routes.is_empty() {
+            let path_events: Vec<NodeId> = routes
+                .iter()
+                .enumerate()
+                .map(|(i, route)| {
+                    let devices: Vec<NodeId> = route
+                        .route
+                        .iter()
+                        .map(|dev| {
+                            let p = prob(dev);
+                            b.basic(dev, p)
+                        })
+                        .collect();
+                    b.gate(
+                        format!("{server} path#{i} ({}→{})", route.src, route.dst),
+                        Gate::Or,
+                        devices,
+                    )
+                })
+                .collect();
+            causes.push(b.gate(format!("{server} network fails"), Gate::And, path_events));
+        }
+    }
+
+    // Step 4: hardware failure = OR over physical components.
+    if spec.hardware {
+        let hw = db.hardware_deps(server);
+        if !hw.is_empty() {
+            let comps: Vec<NodeId> = hw
+                .iter()
+                .map(|h| {
+                    let p = prob(&h.dep);
+                    b.basic(&h.dep, p)
+                })
+                .collect();
+            causes.push(b.gate(format!("{server} hardware fails"), Gate::Or, comps));
+        }
+    }
+
+    // Step 6: software failure = OR over programs; program = OR over
+    // its packages (plus the program itself as a basic event, so a
+    // program with no package data still contributes a failure mode).
+    if spec.software {
+        let sw = db.software_deps(server);
+        if !sw.is_empty() {
+            let pgm_events: Vec<NodeId> = sw
+                .iter()
+                .map(|s| {
+                    let mut parts: Vec<NodeId> = Vec::with_capacity(s.deps.len() + 1);
+                    let self_prob = prob(&s.pgm);
+                    parts.push(b.basic(&s.pgm, self_prob));
+                    for pkg in &s.deps {
+                        let p = prob(pkg);
+                        parts.push(b.basic(pkg, p));
+                    }
+                    b.gate(format!("{server}:{} fails", s.pgm), Gate::Or, parts)
+                })
+                .collect();
+            causes.push(b.gate(format!("{server} software fails"), Gate::Or, pgm_events));
+        }
+    }
+
+    if causes.is_empty() {
+        return Err(BuildError::NoData(server.to_string()));
+    }
+    // Step 3: the server fails if any category fails.
+    Ok(b.gate(format!("{server} fails"), Gate::Or, causes))
 }
 
 #[cfg(test)]

@@ -6,7 +6,13 @@
 //!    deployment ([`builder`], §4.1.1 steps 1–6),
 //! 2. determines *risk groups* — sets of basic failures that take the whole
 //!    deployment down — with either the exact [`minimal`] cut-set algorithm
-//!    or the scalable Monte-Carlo [`sampling`] algorithm (§4.1.2),
+//!    or the scalable Monte-Carlo [`sampling`] algorithm (§4.1.2). An
+//!    exact audit is [`compose`]d: each server's family is computed once
+//!    per version of its records and kept in a [`FamilyMemo`], and the
+//!    deployment's family is the MOCUS of a reduced graph — one OR of the
+//!    family's rows per server under the same k-of-n gate — whose events
+//!    keep the full graph's relative id order, so ranking and report are
+//!    the full graph's byte for byte,
 //! 3. ranks the risk groups by size or failure probability ([`ranking`],
 //!    §4.1.3), and
 //! 4. renders an auditing report with per-deployment independence scores
@@ -37,6 +43,7 @@
 
 pub mod bdd;
 pub mod builder;
+pub mod compose;
 pub mod minimal;
 pub mod ranking;
 pub mod report;
@@ -45,8 +52,10 @@ pub mod sampling;
 
 pub use bdd::{Bdd, BddError};
 pub use builder::{build_fault_graph, BuildError, BuildSpec};
+pub use compose::{compose_minimal, ComposeError, Composed, FamilyMemo};
 pub use minimal::{
-    minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig, MinimalError,
+    minimal_child_families, minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig,
+    MinimalError,
 };
 pub use ranking::{rank_by_probability, rank_by_size, top_event_probability};
 pub use report::{AuditReport, DeploymentAudit, RankedRg, ScoreKind};

@@ -23,6 +23,18 @@
 //! rows that absorb. Families are subsumption-minimal after every insert
 //! ([`RgFamily`]), which keeps them exactly the *minimal* cut sets.
 //!
+//! A deployment's family is assembled from its servers' families rather
+//! than from its full graph: the top gate is this same recurrence over
+//! the servers' families, so [`minimal_child_families`] stops below the
+//! top and hands back each child's family, and [`crate::compose`] keeps
+//! those per server and runs [`minimal_risk_groups_cancellable`] on a
+//! reduced graph of one OR of rows per server. That graph creates its
+//! events in the order the full graph first names them, so node ids —
+//! which order a report's events and break its rank ties — keep the
+//! full graph's relative order; and a family's row order depends only
+//! on the order rows are offered in, never on bit positions, so its rows
+//! come out in the full graph's order too.
+//!
 //! The problem is NP-hard in general (Valiant [59]); the paper measures
 //! 1046 minutes for topology B. Two standard mitigations are provided:
 //!
@@ -140,6 +152,45 @@ pub fn minimal_risk_groups_cancellable(
     config: &MinimalConfig,
     token: &CancelToken,
 ) -> Result<RgFamily, MinimalError> {
+    let mut families = node_families(graph, config, token, graph.len() as NodeId)?;
+    Ok(families[graph.top() as usize]
+        .take()
+        .expect("top family computed"))
+}
+
+/// The minimal families of the top event's children, in child order: the
+/// recurrence of [`minimal_risk_groups_cancellable`] over every node
+/// below the top, without the top gate itself. One pass over a graph
+/// whose top joins several subtrees yields each subtree's family.
+///
+/// # Errors
+///
+/// As [`minimal_risk_groups_cancellable`].
+pub fn minimal_child_families(
+    graph: &FaultGraph,
+    config: &MinimalConfig,
+    token: &CancelToken,
+) -> Result<Vec<RgFamily>, MinimalError> {
+    let families = node_families(graph, config, token, graph.top())?;
+    Ok(graph
+        .node(graph.top())
+        .children
+        .iter()
+        .map(|&c| families[c as usize].clone().expect("child computed"))
+        .collect())
+}
+
+/// Runs the recurrence over the nodes with ids below `upto` and returns
+/// every family still held: those of nodes whose parents are all at or
+/// above `upto`, and always the top's children's. Families a node's
+/// last parent has read are dropped as it goes, which keeps peak memory
+/// proportional to the frontier, not the whole graph.
+fn node_families(
+    graph: &FaultGraph,
+    config: &MinimalConfig,
+    token: &CancelToken,
+    upto: NodeId,
+) -> Result<Vec<Option<RgFamily>>, MinimalError> {
     token.check()?;
     let kernel = Kernel {
         config,
@@ -154,8 +205,6 @@ pub fn minimal_risk_groups_cancellable(
         },
     };
     let mut families: Vec<Option<RgFamily>> = (0..graph.len()).map(|_| None).collect();
-    // Count remaining uses so child families can be dropped early (keeps
-    // peak memory proportional to the frontier, not the whole graph).
     let mut remaining_uses = vec![0usize; graph.len()];
     for node in graph.nodes() {
         for &c in &node.children {
@@ -164,7 +213,7 @@ pub fn minimal_risk_groups_cancellable(
     }
     remaining_uses[graph.top() as usize] += 1;
 
-    for id in 0..graph.len() as NodeId {
+    for id in 0..upto {
         let node = graph.node(id);
         let fam = match node.gate {
             None => {
@@ -197,9 +246,7 @@ pub fn minimal_risk_groups_cancellable(
         }
         families[id as usize] = Some(fam);
     }
-    Ok(families[graph.top() as usize]
-        .take()
-        .expect("top family computed"))
+    Ok(families)
 }
 
 /// Units of work between two polls of the cancel token (see

@@ -1245,3 +1245,268 @@ mod wire_props {
         }
     }
 }
+
+/// Exact audits composed from per-server families, held to the full
+/// graph: random mutation sequences against one shared family memo,
+/// every step's report serialised and compared byte for byte with
+/// `build_fault_graph` → `minimal_risk_groups` → the report of the
+/// spec's metric.
+mod compose_props {
+    use std::sync::Arc;
+
+    use indaas::core::{AuditSpec, AuditingAgent, CandidateDeployment, RankingMetric, RgAlgorithm};
+    use indaas::deps::{
+        DependencyRecord, FailureProbModel, HardwareDep, NetworkDep, ShardedDepDb, SoftwareDep,
+    };
+    use indaas::sia::ranking::INCLUSION_EXCLUSION_LIMIT;
+    use indaas::sia::{
+        build_fault_graph, minimal_risk_groups, AuditReport, BuildSpec, DeploymentAudit,
+        FamilyMemo, MinimalConfig,
+    };
+    use indaas::topology::{FatTree, FatTreeConfig};
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
+
+    /// A host with two disjoint one-device routes and no other record:
+    /// no single event fails it, so at order 1 its family is empty.
+    const DUAL: &str = "dual-homed";
+
+    /// One server in each pod of a 4-port fat tree, then [`DUAL`].
+    fn hosts() -> Vec<String> {
+        let tree = FatTree::new(FatTreeConfig {
+            ports: 4,
+            max_paths_per_server: None,
+        });
+        let mut hosts: Vec<String> = (0..4).map(|p| tree.server_name(p, 0, 0)).collect();
+        hosts.push(DUAL.into());
+        hosts
+    }
+
+    fn base_records() -> Vec<DependencyRecord> {
+        let tree = FatTree::new(FatTreeConfig {
+            ports: 4,
+            max_paths_per_server: None,
+        });
+        let coords: Vec<(usize, usize, usize)> = (0..4).map(|p| (p, 0, 0)).collect();
+        let mut records = tree.deployment_records(&coords);
+        for dev in ["uplink-a", "uplink-b"] {
+            records.push(DependencyRecord::Network(NetworkDep {
+                src: DUAL.into(),
+                dst: "Internet".into(),
+                route: vec![dev.into()],
+            }));
+        }
+        records
+    }
+
+    /// Mutation `n`: a record under one host that adds a failure mode —
+    /// shared or the host's own, in each category, and a route that
+    /// changes which sets cut the host's network.
+    fn mutation(hosts: &[String], n: u32) -> DependencyRecord {
+        let host = hosts[(n / 5) as usize % hosts.len()].clone();
+        match n % 5 {
+            0 => DependencyRecord::Hardware(HardwareDep {
+                hw: host,
+                hw_type: "PSU".into(),
+                dep: "shared-psu".into(),
+            }),
+            1 => DependencyRecord::Hardware(HardwareDep {
+                dep: format!("{host}-nic"),
+                hw: host,
+                hw_type: "Nic".into(),
+            }),
+            2 => DependencyRecord::Software(SoftwareDep {
+                pgm: "agent".into(),
+                deps: vec!["libshared".into(), format!("{host}-lib")],
+                hw: host,
+            }),
+            3 => DependencyRecord::Network(NetworkDep {
+                route: vec![format!("{host}-uplink")],
+                src: host,
+                dst: "Internet".into(),
+            }),
+            _ => DependencyRecord::Network(NetworkDep {
+                route: vec!["spine-x".into(), format!("{host}-alt")],
+                src: host,
+                dst: "Internet".into(),
+            }),
+        }
+    }
+
+    /// The spec `shape` decodes to: `m` hosts from a rotation of
+    /// `hosts`, a redundancy level, the categories, an order cap and
+    /// the metric. Unbounded orders are kept to top gates of k ≤ 2 so
+    /// a family stays small.
+    fn spec(hosts: &[String], shape: u32) -> AuditSpec {
+        let mut pick = shape;
+        let mut draw = |n: u32| {
+            let v = pick % n;
+            pick /= n;
+            v as usize
+        };
+        let rotate = draw(hosts.len() as u32);
+        let m = 2 + draw(hosts.len() as u32 - 1);
+        let servers: Vec<String> = hosts.iter().cycle().skip(rotate).take(m).cloned().collect();
+        let needed_alive = 1 + draw(m as u32);
+        let k = m - needed_alive + 1;
+        let categories = match draw(8) {
+            0 => 7,
+            c => c,
+        };
+        let max_order = match draw(5) {
+            4 if k <= 2 => None,
+            order => Some(order.min(3)),
+        };
+        let probability = draw(4) == 0;
+        exact_spec(servers, needed_alive, categories, max_order, probability)
+    }
+
+    /// An exact audit of one candidate, `categories` a bit set of
+    /// network (1), hardware (2) and software (4).
+    fn exact_spec(
+        servers: Vec<String>,
+        needed_alive: usize,
+        categories: usize,
+        max_order: Option<usize>,
+        probability: bool,
+    ) -> AuditSpec {
+        AuditSpec {
+            candidates: vec![CandidateDeployment {
+                name: "d".into(),
+                servers,
+                needed_alive,
+            }],
+            network: categories & 1 != 0,
+            hardware: categories & 2 != 0,
+            software: categories & 4 != 0,
+            algorithm: RgAlgorithm::Minimal { max_order },
+            metric: if probability {
+                RankingMetric::Probability { default_prob: 0.05 }
+            } else {
+                RankingMetric::Size
+            },
+            top_n: None,
+            prob_model: probability.then(|| FailureProbModel::new(0.05).with_rule("core", 0.01)),
+        }
+    }
+
+    /// The report of the full-graph path, or its error as the agent
+    /// words it.
+    fn full_graph_report(
+        db: &indaas::deps::DbSnapshot,
+        spec: &AuditSpec,
+    ) -> Result<AuditReport, String> {
+        let mut audits = Vec::new();
+        for cand in &spec.candidates {
+            let build = BuildSpec {
+                name: cand.name.clone(),
+                servers: cand.servers.clone(),
+                needed_alive: cand.needed_alive,
+                network: spec.network,
+                hardware: spec.hardware,
+                software: spec.software,
+                prob_model: spec.prob_model.clone(),
+            };
+            let graph = build_fault_graph(db, &build)
+                .map_err(|e| format!("building {:?} failed: {e}", cand.name))?;
+            let RgAlgorithm::Minimal { max_order } = spec.algorithm else {
+                unreachable!("exact audits only");
+            };
+            let config = MinimalConfig {
+                max_order,
+                ..MinimalConfig::default()
+            };
+            let family = minimal_risk_groups(&graph, &config);
+            let n = cand.servers.len();
+            audits.push(match spec.metric {
+                RankingMetric::Size => {
+                    DeploymentAudit::size_based(&cand.name, &family, &graph, n, spec.top_n)
+                }
+                RankingMetric::Probability { default_prob } => DeploymentAudit::probability_based(
+                    &cand.name,
+                    &family,
+                    &graph,
+                    n,
+                    default_prob,
+                    None,
+                    spec.top_n,
+                ),
+            });
+        }
+        Ok(AuditReport::new(audits))
+    }
+
+    /// Audits `spec` through the agent and through the full graph and
+    /// requires the same bytes (or the same error). Returns the number
+    /// of groups reported.
+    fn same_report(
+        db: &ShardedDepDb,
+        memo: &Arc<FamilyMemo>,
+        spec: &AuditSpec,
+    ) -> Result<usize, TestCaseError> {
+        let snapshot = db.snapshot();
+        let composed = AuditingAgent::from_snapshot(snapshot.clone())
+            .with_families(Arc::clone(memo))
+            .audit_sia(spec)
+            .map_err(|e| e.to_string());
+        let full = full_graph_report(&snapshot, spec);
+        let text = |r: &Result<AuditReport, String>| match r {
+            Ok(report) => serde_json::to_string(report).unwrap(),
+            Err(e) => e.clone(),
+        };
+        let groups = full
+            .as_ref()
+            .map_or(0, |r| r.deployments[0].ranked_rgs.len());
+        let (composed, full) = (text(&composed), text(&full));
+        prop_assert!(
+            composed == full,
+            "spec {spec:?}\n composed: {composed}\n     full: {full}"
+        );
+        Ok(groups)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn composed_audits_equal_full_graph_audits(
+            steps in proptest::collection::vec(0u32..50, 1..7),
+            shapes in proptest::collection::vec(any::<u32>(), 6..7),
+            sample_pr in 0u32..4,
+        ) {
+            let hosts = hosts();
+            let db = ShardedDepDb::new(4);
+            db.ingest(base_records());
+            let memo = Arc::new(FamilyMemo::default());
+            for (&step, &shape) in steps.iter().zip(&shapes) {
+                let record = mutation(&hosts, step / 2);
+                if step % 2 == 0 {
+                    db.ingest([record]);
+                } else {
+                    db.retract(&[record]);
+                }
+                same_report(&db, &memo, &spec(&hosts, shape))?;
+            }
+            // The two edges, on the data the sequence left. At order 1
+            // on network records DUAL can never fail: first with enough
+            // servers left for the top gate (k = 1), then with too few
+            // (k = 4).
+            let network = 1;
+            for needed_alive in [4, 1] {
+                let servers = std::iter::once(DUAL.to_string())
+                    .chain(hosts[..3].iter().cloned())
+                    .collect();
+                let spec = exact_spec(servers, needed_alive, network, Some(1), false);
+                same_report(&db, &memo, &spec)?;
+            }
+            // Past inclusion–exclusion's limit (every server's own
+            // singletons and aggregation pairs), Pr(T) is sampled from
+            // the full graph; 200,000 rounds twice, so one case in four.
+            if sample_pr == 0 {
+                let spec = exact_spec(hosts[..4].to_vec(), 4, 7, Some(2), true);
+                let groups = same_report(&db, &memo, &spec)?;
+                prop_assert!(groups > INCLUSION_EXCLUSION_LIMIT, "{groups} groups");
+            }
+        }
+    }
+}

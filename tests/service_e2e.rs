@@ -12,6 +12,9 @@ use indaas::service::{
     names, Client, MetricsAnswer, Request, Response, ServeConfig, Server, SpanEntry,
     SubscriptionEnd,
 };
+use indaas::sia::{
+    build_fault_graph, minimal_risk_groups, AuditReport, BuildSpec, DeploymentAudit, MinimalConfig,
+};
 
 mod common;
 use common::LineSession;
@@ -1060,7 +1063,18 @@ fn subscription_pushes_on_relevant_ingests_only() {
         "other-shard ingests must not wake the subscriber"
     );
 
-    // An ingest touching an audited shard pushes a fresh result.
+    // An ingest touching an audited shard pushes a fresh result, and
+    // re-audits only the host it touched: one server family computed,
+    // the other served from the family memo.
+    let families = |client: &mut Client| {
+        let metrics = client.metrics(Some(0)).expect("metrics");
+        let gauge = |name| metrics.gauge(name).expect("family gauge");
+        (
+            gauge(names::SIA_FAMILY_HITS),
+            gauge(names::SIA_FAMILY_MISSES),
+        )
+    };
+    let (hits, misses) = families(&mut client);
     client
         .ingest(&format!(
             r#"<src="{a1}" dst="Internet" route="tor1,core9"/>"#
@@ -1074,6 +1088,31 @@ fn subscription_pushes_on_relevant_ingests_only() {
     assert!(
         fresh.epoch > initial.epoch,
         "the pushed audit ran against the post-ingest epoch"
+    );
+    assert_eq!(
+        families(&mut client),
+        (hits + 1, misses + 1),
+        "a one-host ingest costs one miss and n - 1 hits"
+    );
+    // The composed report is the full graph's, byte for byte.
+    let records = indaas::deps::parse_records(&format!(
+        r#"
+        <src="{a1}" dst="Internet" route="tor1,core1"/>
+        <src="{a2}" dst="Internet" route="tor2,core2"/>
+        <src="{a1}" dst="Internet" route="tor1,core9"/>
+    "#
+    ))
+    .expect("records");
+    let db = indaas::deps::DepDb::from_records(records);
+    let graph = build_fault_graph(&db, &BuildSpec::all("pair", vec![a1.clone(), a2.clone()]))
+        .expect("full graph");
+    let family = minimal_risk_groups(&graph, &MinimalConfig::default());
+    let full = AuditReport::new(vec![DeploymentAudit::size_based(
+        "pair", &family, &graph, 2, None,
+    )]);
+    assert_eq!(
+        serde_json::to_string(&fresh.report).unwrap(),
+        serde_json::to_string(&full).unwrap()
     );
 
     // After unsubscribing, even relevant ingests push nothing: the
