@@ -170,6 +170,16 @@ mod tests {
     /// families; one agent, so the second and third `k` reuse the
     /// servers' families the first computed.
     fn fig7_through_the_agent(needed_alive: usize) -> indaas_sia::DeploymentAudit {
+        let (agent, spec) = fig7_agent_and_spec(needed_alive);
+        let mut report = agent.audit_sia(&spec).unwrap();
+        report.deployments.remove(0)
+    }
+
+    /// The one agent of the fig7 twins, and the benchmark's spec with
+    /// `needed_alive` of its 16 servers.
+    fn fig7_agent_and_spec(
+        needed_alive: usize,
+    ) -> (&'static indaas_core::AuditingAgent, indaas_core::AuditSpec) {
         use indaas_core::{AuditSpec, AuditingAgent, RgAlgorithm};
         use std::sync::OnceLock;
         static AGENT: OnceLock<(AuditingAgent, CandidateDeployment)> = OnceLock::new();
@@ -185,8 +195,7 @@ mod tests {
                 ..cand.clone()
             }])
         };
-        let mut report = agent.audit_sia(&spec).unwrap();
-        report.deployments.remove(0)
+        (agent, spec)
     }
 
     /// [`fig7_minimal_family_is_pinned`] through the agent.
@@ -243,6 +252,21 @@ mod tests {
     #[test]
     fn fig7_ranked_report_is_pinned_through_the_agent() {
         let audit = fig7_through_the_agent(15);
+        assert_eq!(audit.ranked_rgs.len(), 1_923);
+        assert_eq!(ranked_digest(&audit), FIG7_RANKED_DIGEST);
+    }
+
+    /// [`fig7_ranked_report_is_pinned`] through the agent's text entry,
+    /// the daemon's path: the report written from the ranked rows decodes
+    /// to the same digest.
+    #[test]
+    fn fig7_ranked_report_is_pinned_through_the_text_path() {
+        let (agent, spec) = fig7_agent_and_spec(15);
+        let text = agent
+            .audit_sia_text(&spec, &indaas_core::CancelToken::default(), &())
+            .unwrap();
+        let mut report: indaas_sia::AuditReport = serde_json::from_str(&text).unwrap();
+        let audit = report.deployments.remove(0);
         assert_eq!(audit.ranked_rgs.len(), 1_923);
         assert_eq!(ranked_digest(&audit), FIG7_RANKED_DIGEST);
     }

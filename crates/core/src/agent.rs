@@ -8,8 +8,8 @@ use indaas_graph::{CancelToken, Cancelled, FaultGraph};
 use indaas_sia::ranking::INCLUSION_EXCLUSION_LIMIT;
 use indaas_sia::{
     build_fault_graph, compose_minimal, failure_sampling_cancellable, top_event_probability,
-    AuditReport, Bdd, BddError, BuildError, BuildSpec, ComposeError, DeploymentAudit, FamilyMemo,
-    MinimalConfig, MinimalError, SamplingConfig,
+    write_report, AuditReport, Bdd, BddError, BuildError, BuildSpec, ComposeError, DeploymentAudit,
+    FamilyMemo, MinimalConfig, MinimalError, Ranking, SamplingConfig,
 };
 
 use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
@@ -26,8 +26,10 @@ use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
 /// exact audit's `"graph_build"` covers every graph it builds (its
 /// missed servers', the reduced one, and the full graph when ranking
 /// samples Pr(T) from it) and its `"rg_minimal"` both MOCUS passes.
+/// [`AuditingAgent::audit_sia_text`] reports one more, once per audit:
+/// `"report_encode"`, the writer of the report's text.
 ///
-/// The daemon's implementation records each reported stage as a child
+/// The daemon's implementation records each engine stage as a child
 /// span of the audit's own span, so `indaas trace`, `indaas metrics` and
 /// `indaas top` show per-stage timing inside the request tree without
 /// this crate knowing anything about tracing.
@@ -161,8 +163,7 @@ impl AuditingAgent {
 
     /// [`AuditingAgent::audit_sia`] with cooperative cancellation, reporting
     /// per-stage timings (fault-graph build, risk-group engine, ranking) to
-    /// a [`StageObserver`] — the entry point the daemon's scheduler and
-    /// stage recorder ride. The token is threaded into every risk-group
+    /// a [`StageObserver`]. The token is threaded into every risk-group
     /// engine, so a per-job deadline stops the audit.
     ///
     /// # Errors
@@ -175,6 +176,50 @@ impl AuditingAgent {
         token: &CancelToken,
         obs: &dyn StageObserver,
     ) -> Result<AuditReport, AuditError> {
+        let audits = self.rank_candidates(spec, token, obs, |name, graph, ranking| {
+            DeploymentAudit::from_ranking(name, &graph, &ranking)
+        })?;
+        Ok(AuditReport::new(audits))
+    }
+
+    /// [`AuditingAgent::audit_sia_observed`]'s report as its compact JSON
+    /// text — byte for byte `serde_json::to_string` of the typed report —
+    /// written straight from the ranked rows by
+    /// [`indaas_sia::write_report`]: the entry point the daemon's
+    /// scheduler rides, caching the text every answer splices. The
+    /// writer's time is reported as the `"report_encode"` stage.
+    ///
+    /// # Errors
+    ///
+    /// As [`AuditingAgent::audit_sia_observed`].
+    pub fn audit_sia_text(
+        &self,
+        spec: &AuditSpec,
+        token: &CancelToken,
+        obs: &dyn StageObserver,
+    ) -> Result<String, AuditError> {
+        let ranked = self.rank_candidates(spec, token, obs, |name, graph, ranking| {
+            (name, graph, ranking)
+        })?;
+        Ok(observed(obs, "report_encode", || {
+            write_report(
+                ranked
+                    .iter()
+                    .map(|(name, graph, ranking)| (name.as_str(), graph, ranking)),
+            )
+        }))
+    }
+
+    /// Runs the spec's engine on every candidate and ranks each family
+    /// once, handing the candidate's name, its graph and the ranking to
+    /// `finish` inside the `"ranking"` stage.
+    fn rank_candidates<T>(
+        &self,
+        spec: &AuditSpec,
+        token: &CancelToken,
+        obs: &dyn StageObserver,
+        finish: impl Fn(String, FaultGraph, Ranking) -> T,
+    ) -> Result<Vec<T>, AuditError> {
         if spec.candidates.is_empty() {
             return Err(AuditError::NoCandidates);
         }
@@ -273,38 +318,36 @@ impl AuditingAgent {
                 }
             };
             let replication = cand.servers.len();
-            let audit = observed(obs, "ranking", || match &spec.metric {
-                RankingMetric::Size => DeploymentAudit::size_based(
-                    cand.name.clone(),
-                    &family,
-                    &graph,
-                    replication,
-                    spec.top_n,
-                ),
-                RankingMetric::Probability { default_prob } => {
-                    let pr_top = match (&exact_pr, &full) {
-                        (Some(bdd), _) => Some(bdd.top_probability(&graph, *default_prob)),
-                        // Past the limit the estimate reads only the
-                        // graph; the family just says it is past.
-                        (None, Some(full)) => {
-                            Some(top_event_probability(&family, full, *default_prob))
-                        }
-                        (None, None) => None,
-                    };
-                    DeploymentAudit::probability_based(
-                        cand.name.clone(),
-                        &family,
-                        &graph,
-                        replication,
-                        *default_prob,
-                        pr_top,
-                        spec.top_n,
-                    )
-                }
+            let audit = observed(obs, "ranking", || {
+                let ranking = match &spec.metric {
+                    RankingMetric::Size => {
+                        Ranking::by_size(&family, &graph, replication, spec.top_n)
+                    }
+                    RankingMetric::Probability { default_prob } => {
+                        let pr_top = match (&exact_pr, &full) {
+                            (Some(bdd), _) => Some(bdd.top_probability(&graph, *default_prob)),
+                            // Past the limit the estimate reads only the
+                            // graph; the family just says it is past.
+                            (None, Some(full)) => {
+                                Some(top_event_probability(&family, full, *default_prob))
+                            }
+                            (None, None) => None,
+                        };
+                        Ranking::by_probability(
+                            &family,
+                            &graph,
+                            replication,
+                            *default_prob,
+                            pr_top,
+                            spec.top_n,
+                        )
+                    }
+                };
+                finish(cand.name.clone(), graph, ranking)
             });
             audits.push(audit);
         }
-        Ok(AuditReport::new(audits))
+        Ok(audits)
     }
 
     /// "What-if" analysis: given components assumed failed (say, every

@@ -17,11 +17,12 @@
 //! deployment comparison, many tenants auditing a popular rack pair —
 //! hit the cache instead of recomputing BDDs or sampling rounds.
 //!
-//! The daemon's SIA cache holds each report as its **encoded wire
-//! text** (`Arc<str>`, exactly what `encode_line(&report)` produced,
-//! written once by the worker that computed it): a hit is an `Arc` clone
-//! that the answer splices in verbatim (`proto::sia_body`), so
-//! no hit ever clones or re-encodes a report. The PIA cache keeps its
+//! The daemon's SIA cache holds each report as its **wire text**
+//! (`Arc<str>`, written once from the ranked rows by the worker that
+//! computed it — `AuditingAgent::audit_sia_text` — and byte-identical to
+//! `encode_line(&report)` of the typed report): a hit is an `Arc` clone
+//! that the answer splices in verbatim (`proto::sia_body`), so no hit
+//! ever clones or re-encodes a report. The PIA cache keeps its
 //! typed rankings; the cache itself is generic over the value.
 //!
 //! The same [`EpochPins`] mechanism drives the protocol-v2 push path:

@@ -89,8 +89,10 @@
 //! daemons into one tree), and every pushed [`Response::AuditEvent`]
 //! names the originating request's trace in `trace_id`.
 //!
-//! **Encoded once.** A SIA report is encoded to JSON once, by the worker
-//! that computed it, and the result cache keeps that text. Every
+//! **Encoded once.** A SIA report is written as JSON once, straight from
+//! its ranked rows, by the worker that computed it (byte-identical to
+//! `encode_line` of the typed [`AuditReport`]), and the result cache
+//! keeps that text. Every
 //! [`Response::Sia`] and [`Response::AuditEvent`] the daemon sends —
 //! fresh, cached or pushed — is that text spliced between its scalar
 //! fields (`sia_body`, `audit_event_body`), so a cached answer is
@@ -609,9 +611,8 @@ pub struct ResponseEnvelope {
 }
 
 /// The [`Response::Sia`] body around an already-encoded report: exactly
-/// `encode_line(&Response::Sia { .. })`, with `report` — the
-/// `encode_line` text of the [`AuditReport`] — copied in verbatim
-/// instead of re-encoded.
+/// `encode_line(&Response::Sia { .. })`, with `report` — the JSON text
+/// of the [`AuditReport`] — copied in verbatim instead of re-encoded.
 pub(crate) fn sia_body(epoch: u64, cached: bool, elapsed_us: u64, report: &str) -> String {
     splice("Sia", cached, elapsed_us, epoch, report, "}}")
 }

@@ -161,10 +161,11 @@ pub(crate) struct ServiceState {
     /// snapshotting for an audit is N uncontended locks regardless of
     /// database size or writer traffic.
     pub(crate) db: ShardedDepDb,
-    /// SIA results as their wire text: each entry is exactly what
-    /// `encode_line(&report)` produced, written once by the worker that
-    /// computed the report; every answer splices it in
-    /// ([`crate::proto::sia_body`], [`crate::proto::audit_event_body`]).
+    /// SIA results as their wire text: each entry is written once, from
+    /// the ranked rows, by the worker that computed the report
+    /// ([`AuditingAgent::audit_sia_text`]) and is byte-identical to
+    /// `encode_line(&report)` of the typed report; every answer splices
+    /// it in ([`crate::proto::sia_body`], [`crate::proto::audit_event_body`]).
     pub(crate) sia_cache: Mutex<AuditCache<Arc<str>>>,
     pub(crate) pia_cache: Mutex<AuditCache<Vec<PiaRanking>>>,
     /// Per-server minimal families, one memo for request misses and
@@ -418,15 +419,6 @@ fn spec_hosts(spec: &AuditSpec) -> impl Iterator<Item = &str> {
         .flat_map(|c| c.servers.iter().map(String::as_str))
 }
 
-/// Encodes a freshly computed report, once, into the text the SIA cache
-/// keeps and every answer splices; the cost lands in `report_encode_us`.
-fn encode_report(telemetry: &Telemetry, report: &impl serde::Serialize) -> Arc<str> {
-    let span = Span::start(Arc::clone(&telemetry.report_encode_us));
-    let encoded = Arc::from(encode_line(report));
-    drop(span);
-    encoded
-}
-
 /// How long past its deadline a pooled job may run before the loop's
 /// guard timer answers for it.
 const GUARD_GRACE: Duration = Duration::from_secs(2);
@@ -580,8 +572,10 @@ fn sia_lookup(state: &ServiceState, spec: &AuditSpec) -> SiaLookup {
 
 /// The report text for a looked-up spec — the one lookup-or-compute
 /// step of the request miss and the push alike: the cache's text on a
-/// hit; on a miss the audit runs against the pinned snapshot, and its
-/// report is encoded once and cached under the pinned key.
+/// hit; on a miss the audit runs against the pinned snapshot, its report
+/// is written once, straight from the ranked rows
+/// ([`AuditingAgent::audit_sia_text`], timed in `report_encode_us`), and
+/// cached under the pinned key.
 fn sia_report(
     st: &ServiceState,
     spec: &AuditSpec,
@@ -606,9 +600,9 @@ fn sia_report(
     let recorder = StageRecorder::new(&st.telemetry, exec);
     let result = AuditingAgent::from_snapshot(snapshot)
         .with_families(Arc::clone(&st.families))
-        .audit_sia_observed(spec, token, &recorder)
+        .audit_sia_text(spec, token, &recorder)
         .map(|report| {
-            let report = encode_report(&st.telemetry, &report);
+            let report: Arc<str> = Arc::from(report);
             st.sia_cache
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)

@@ -73,17 +73,18 @@
 //! | `audit_stage_rg_sampling_us` | failure-sampling engine |
 //! | `audit_stage_rg_bdd_us` | BDD compile + cut-set extraction |
 //! | `audit_stage_ranking_us` | risk-group ranking |
-//! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report encode included (every executed audit — request miss or push, failed or not; a cache hit executes none) |
+//! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report writing included (every executed audit — request miss or push, failed or not; a cache hit executes none) |
 //! | `push_latency_us` | ingest invalidation → event frame enqueued |
 //! | `ingest_us` | one ingest/retract batch through the write path |
 //! | `fed_party_us` | one federation party run, all ring rounds |
-//! | `report_encode_us` | encoding one computed SIA report to the text the cache keeps (misses and push misses; a hit encodes nothing) |
+//! | `report_encode_us` | writing one computed SIA report's text, the text the cache keeps, from its ranked rows (misses and push misses; a hit writes nothing) |
 //! | `response_bytes` | bytes of every answer frame, length prefix or newline included (a size distribution, not µs) |
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use indaas_core::StageObserver;
-use indaas_obs::{Attr, Counter, Gauge, Histo, Registry, SpanStore, TraceContext};
+use indaas_obs::{Attr, Counter, Gauge, Histo, Registry, SpanRecord, SpanStore, TraceContext};
 
 use crate::names;
 use crate::proto::MetricHisto;
@@ -107,6 +108,11 @@ const STAGES: [&str; 5] = [
     "rg_bdd",
     "ranking",
 ];
+
+/// The stage the agent's text entry reports for its report writer
+/// ([`indaas_core::AuditingAgent::audit_sia_text`]): not an engine stage,
+/// so it lands in `report_encode_us` and adds no child span.
+const REPORT_ENCODE: &str = "report_encode";
 
 /// Registry + span store + pre-resolved hot-path handles.
 pub struct Telemetry {
@@ -238,30 +244,48 @@ pub fn audit_attrs(
     attrs
 }
 
-/// A per-audit [`StageObserver`]: feeds each stage timing into its
-/// per-stage histogram and records it as a child span of the audit's
-/// own span.
+/// A per-audit [`StageObserver`]: feeds each engine stage's timing into
+/// its per-stage histogram and records it as a child span of the audit's
+/// own span; the report writer's timing goes to `report_encode_us`.
 pub struct StageRecorder<'a> {
     telemetry: &'a Telemetry,
     audit: TraceContext,
+    /// Where the last stage span starts. Stages are reported in the order
+    /// they ran, but an exact audit reports its summed build and MOCUS
+    /// times at one instant, where "now − elapsed" would put the longer
+    /// one first: a stage span never starts before the one reported
+    /// ahead of it.
+    last_start_us: AtomicU64,
 }
 
 impl<'a> StageRecorder<'a> {
     /// A recorder for the audit running as span `audit`.
     pub fn new(telemetry: &'a Telemetry, audit: TraceContext) -> Self {
-        StageRecorder { telemetry, audit }
+        StageRecorder {
+            telemetry,
+            audit,
+            last_start_us: AtomicU64::new(0),
+        }
     }
 }
 
 impl StageObserver for StageRecorder<'_> {
     fn stage(&self, stage: &'static str, elapsed_us: u64) {
+        if stage == REPORT_ENCODE {
+            self.telemetry.report_encode_us.record(elapsed_us);
+            return;
+        }
         let histos = STAGES.iter().zip(&self.telemetry.stage_us);
         if let Some((_, histo)) = histos.into_iter().find(|(s, _)| **s == stage) {
             histo.record(elapsed_us);
         }
-        self.telemetry
-            .spans
-            .record(self.audit.child(), stage, String::new(), elapsed_us);
+        let mut span = SpanRecord::finished(self.audit.child(), stage, String::new(), elapsed_us);
+        // Relaxed: one audit's stages are reported from its one thread.
+        span.start_us = span
+            .start_us
+            .max(self.last_start_us.load(Ordering::Relaxed) + 1);
+        self.last_start_us.store(span.start_us, Ordering::Relaxed);
+        self.telemetry.spans.push(span);
     }
 }
 
@@ -293,11 +317,17 @@ mod tests {
         let audit = TraceContext::root().child();
         let rec = StageRecorder::new(&t, audit);
         rec.stage("graph_build", 120);
+        // Reported at once, as an exact audit's summed stages are: the
+        // longer one still starts after the one reported first.
         rec.stage("rg_minimal", 4_000);
+        rec.stage(REPORT_ENCODE, 70);
         let snap = t.registry.snapshot();
         for stage in ["graph_build", "rg_minimal"] {
             assert_eq!(snap.histo(&names::audit_stage_us(stage)).unwrap().count, 1);
         }
+        // The report writer is no engine stage: its histogram, no span.
+        let encode = snap.histo(names::REPORT_ENCODE_US).unwrap();
+        assert_eq!((encode.count, encode.sum), (1, 70));
         let spans = t.spans.spans_for(audit.trace_id);
         assert_eq!(
             spans
@@ -307,6 +337,7 @@ mod tests {
             [("graph_build", 120), ("rg_minimal", 4_000)]
         );
         assert!(spans.iter().all(|s| s.parent_span_id == audit.span_id));
+        assert!(spans[0].start_us < spans[1].start_us);
     }
 
     #[test]

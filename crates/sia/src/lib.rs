@@ -13,10 +13,12 @@
 //!    family's rows per server under the same k-of-n gate — whose events
 //!    keep the full graph's relative id order, so ranking and report are
 //!    the full graph's byte for byte,
-//! 3. ranks the risk groups by size or failure probability ([`ranking`],
-//!    §4.1.3), and
+//! 3. ranks the risk groups by size or failure probability once, over
+//!    the family's rows ([`Ranking`], §4.1.3), and
 //! 4. renders an auditing report with per-deployment independence scores
-//!    ([`report`], §4.1.4).
+//!    from that ranking ([`report`], §4.1.4): the typed [`AuditReport`],
+//!    or its JSON text written straight from the rows
+//!    ([`write_report`]).
 //!
 //! # Examples
 //!
@@ -57,7 +59,7 @@ pub use minimal::{
     minimal_child_families, minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig,
     MinimalError,
 };
-pub use ranking::{rank_by_probability, rank_by_size, top_event_probability};
-pub use report::{AuditReport, DeploymentAudit, RankedRg, ScoreKind};
+pub use ranking::{top_event_probability, Ranking};
+pub use report::{write_report, AuditReport, DeploymentAudit, RankedRg, ScoreKind};
 pub use riskgroup::{RgFamily, RiskGroup};
 pub use sampling::{failure_sampling, failure_sampling_cancellable, SamplingConfig};

@@ -1,54 +1,179 @@
 //! Risk-group ranking (§4.1.3): size-based and failure-probability-based.
 
-use std::cmp::Ordering;
-
-use indaas_graph::FaultGraph;
+use indaas_graph::{FaultGraph, NodeId};
 use rand::{Rng, SeedableRng};
 
+use crate::report::ScoreKind;
 use crate::riskgroup::{RgFamily, RiskGroup};
 
 /// Inclusion–exclusion is exact up to this many minimal RGs (2²⁰ subsets);
 /// beyond it [`top_event_probability`] falls back to Monte-Carlo.
 pub const INCLUSION_EXCLUSION_LIMIT: usize = 20;
 
-/// Ranks risk groups by size, smallest first.
+/// A family's risk groups ranked once, over row indices: the order, the
+/// independence score, the unexpected count and, for the probability
+/// metric, every group's probability and relative importance. Both
+/// report consumers read it — the typed [`crate::DeploymentAudit`] and
+/// the JSON writer [`crate::report::write_report`] — so neither sorts
+/// or scores again.
 ///
-/// Groups of one size are ordered by their member names, taken in node-id
-/// order and compared as a sequence: the order of
-/// `(g.len(), g.names(graph))`. The paper's SIA "randomly orders RGs with
-/// the same size"; this is a deterministic stand-in, so one spec always
-/// gets one report (it does depend on the order the spec lists servers
-/// in, which decides node ids).
-pub fn rank_by_size(family: &RgFamily, graph: &FaultGraph) -> Vec<RiskGroup> {
-    let position = name_positions(graph);
-    let mut groups: Vec<RiskGroup> = family.groups().collect();
-    groups.sort_by(|a, b| {
-        a.len()
-            .cmp(&b.len())
-            .then_with(|| by_names(&position, a, b))
-    });
-    groups
+/// Groups are ordered by size, smallest first, or by relative importance
+/// `I_C = Pr(C) / Pr(T)`, largest first. Ties are broken by the groups'
+/// member names, taken in node-id order and compared as a sequence. The
+/// paper's SIA "randomly orders RGs with the same size"; this is a
+/// deterministic stand-in, so one spec always gets one report (it does
+/// depend on the order the spec lists servers in, which decides node
+/// ids). Names are never compared as strings: each basic event's
+/// position in name order stands for its name, and a row is held as its
+/// members' positions.
+#[derive(Clone, Debug)]
+pub struct Ranking {
+    /// The scoring rule, which says which direction is better.
+    pub(crate) kind: ScoreKind,
+    /// The graph's basic events in name order: position → node id.
+    pub(crate) basics: Vec<NodeId>,
+    /// Every row's members as name positions, in node-id order; row `r`
+    /// is `members[starts[r]..starts[r + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<u32>,
+    /// Row indices, best-ranked first.
+    order: Vec<u32>,
+    /// Per row, `(Pr(C), I_C)`; empty under the size metric.
+    weights: Vec<(f64, f64)>,
+    /// The independence score over the top-n groups.
+    pub(crate) score: f64,
+    /// Groups strictly smaller than the replication factor.
+    pub(crate) unexpected: usize,
+    /// The normalizer `Pr(T)`, under the probability metric.
+    pub(crate) pr_top: Option<f64>,
 }
 
-/// Each basic event's position in name order, indexed by node id (gates
-/// are never read). Basic names are unique in a built graph, so comparing
-/// two events' positions compares their names.
-fn name_positions(graph: &FaultGraph) -> Vec<u32> {
-    let mut basics = graph.basic_ids();
-    basics.sort_unstable_by(|&a, &b| graph.node(a).name.cmp(&graph.node(b).name));
-    let mut position = vec![0; graph.len()];
-    for (at, id) in (0..).zip(basics) {
-        position[id as usize] = at;
+impl Ranking {
+    /// Ranks `family` by size. `top_n` limits how many groups feed the
+    /// score (`None` = all); a group smaller than `replication` is
+    /// unexpected.
+    pub fn by_size(
+        family: &RgFamily,
+        graph: &FaultGraph,
+        replication: usize,
+        top_n: Option<usize>,
+    ) -> Self {
+        Self::new(family, graph, None, replication, top_n)
     }
-    position
-}
 
-/// Compares two groups' member names, taken in node-id order, as
-/// sequences — `a.names(graph).cmp(&b.names(graph))` without a string.
-fn by_names(position: &[u32], a: &RiskGroup, b: &RiskGroup) -> Ordering {
-    let a = a.ids().iter().map(|&id| position[id as usize]);
-    let b = b.ids().iter().map(|&id| position[id as usize]);
-    a.cmp(b)
+    /// Ranks `family` by relative importance, normalised by `pr_top` when
+    /// the caller has the exact top-event probability (the BDD engine
+    /// does) and by [`top_event_probability`] otherwise. Basic events
+    /// without a probability fail with `default_prob`.
+    pub fn by_probability(
+        family: &RgFamily,
+        graph: &FaultGraph,
+        replication: usize,
+        default_prob: f64,
+        pr_top: Option<f64>,
+        top_n: Option<usize>,
+    ) -> Self {
+        let pr_top = pr_top.unwrap_or_else(|| top_event_probability(family, graph, default_prob));
+        Self::new(
+            family,
+            graph,
+            Some((default_prob, pr_top)),
+            replication,
+            top_n,
+        )
+    }
+
+    /// Ranks by size, or by importance given `(default_prob, Pr(T))`.
+    fn new(
+        family: &RgFamily,
+        graph: &FaultGraph,
+        probability: Option<(f64, f64)>,
+        replication: usize,
+        top_n: Option<usize>,
+    ) -> Self {
+        let mut basics = graph.basic_ids();
+        basics.sort_unstable_by(|&a, &b| graph.node(a).name.cmp(&graph.node(b).name));
+        let mut position = vec![0; graph.len()];
+        for (at, &id) in (0..).zip(&basics) {
+            position[id as usize] = at;
+        }
+        let n = family.len();
+        let mut members = Vec::new();
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        let mut ids = Vec::new();
+        for r in 0..n {
+            ids.clear();
+            ids.extend(family.row_ids(r));
+            ids.sort_unstable();
+            members.extend(ids.iter().map(|&id| position[id as usize]));
+            starts.push(members.len() as u32);
+        }
+        let row = |r: usize| &members[starts[r] as usize..starts[r + 1] as usize];
+
+        let weights: Vec<(f64, f64)> = match probability {
+            None => Vec::new(),
+            Some((default_prob, pr_top)) => {
+                let prob: Vec<f64> = basics
+                    .iter()
+                    .map(|&id| graph.node(id).prob.unwrap_or(default_prob))
+                    .collect();
+                // Multiplied in node-id order, as `group_probability` does.
+                (0..n)
+                    .map(|r| {
+                        let p: f64 = row(r).iter().map(|&at| prob[at as usize]).product();
+                        (p, if pr_top > 0.0 { p / pr_top } else { 0.0 })
+                    })
+                    .collect()
+            }
+        };
+        let importance = |r: usize| weights[r].1;
+
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        // No two rows are equal, so any sort gives this order; the
+        // stable one is the faster on the engines' nearly sorted rows.
+        order.sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            let primary = match probability {
+                None => row(a).len().cmp(&row(b).len()),
+                Some(_) => importance(b).total_cmp(&importance(a)),
+            };
+            primary.then_with(|| row(a).cmp(row(b)))
+        });
+        let top = order.iter().map(|&r| r as usize).take(top_n.unwrap_or(n));
+        let score = match probability {
+            None => top.map(|r| row(r).len() as f64).sum(),
+            Some(_) => top.map(importance).sum(),
+        };
+        let unexpected = (0..n).filter(|&r| row(r).len() < replication).count();
+        Ranking {
+            kind: match probability {
+                None => ScoreKind::SizeBased,
+                Some(_) => ScoreKind::ProbabilityBased,
+            },
+            basics,
+            members,
+            starts,
+            order,
+            weights,
+            score,
+            unexpected,
+            pr_top: probability.map(|(_, pr_top)| pr_top),
+        }
+    }
+
+    /// The groups best-first: each one's members as name positions (in
+    /// node-id order) and, under the probability metric, its
+    /// `(Pr(C), I_C)`.
+    pub(crate) fn ranked(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&[u32], Option<(f64, f64)>)> + '_ {
+        self.order.iter().map(|&r| {
+            let r = r as usize;
+            let row = &self.members[self.starts[r] as usize..self.starts[r + 1] as usize];
+            (row, self.weights.get(r).copied())
+        })
+    }
 }
 
 /// The probability that *all* events of `group` occur, assuming independent
@@ -130,53 +255,6 @@ pub fn monte_carlo_top_probability(
     fails as f64 / rounds as f64
 }
 
-/// A risk group with its relative importance `I_C = Pr(C) / Pr(T)`.
-#[derive(Clone, Debug)]
-pub struct RankedByProbability {
-    /// The risk group.
-    pub group: RiskGroup,
-    /// Pr(all events in the group fail).
-    pub probability: f64,
-    /// Relative importance with respect to the top event.
-    pub importance: f64,
-}
-
-/// Ranks risk groups by relative importance, most important (highest
-/// `I_C`) first. The normalizer is `pr_top` when the caller already has
-/// the exact top-event probability (the BDD engine does), and
-/// [`top_event_probability`] otherwise. Returns the ranking plus the
-/// normalizer.
-///
-/// Groups of equal importance are ordered as [`rank_by_size`] orders a
-/// size tie: by member names taken in node-id order, compared as a
-/// sequence — a deterministic stand-in for the paper's random order.
-pub fn rank_by_probability(
-    family: &RgFamily,
-    graph: &FaultGraph,
-    default_prob: f64,
-    pr_top: Option<f64>,
-) -> (Vec<RankedByProbability>, f64) {
-    let pr_top = pr_top.unwrap_or_else(|| top_event_probability(family, graph, default_prob));
-    let mut ranked: Vec<RankedByProbability> = family
-        .groups()
-        .map(|group| {
-            let p = group_probability(&group, graph, default_prob);
-            RankedByProbability {
-                group,
-                probability: p,
-                importance: if pr_top > 0.0 { p / pr_top } else { 0.0 },
-            }
-        })
-        .collect();
-    let position = name_positions(graph);
-    ranked.sort_by(|a, b| {
-        b.importance
-            .total_cmp(&a.importance)
-            .then_with(|| by_names(&position, &a.group, &b.group))
-    });
-    (ranked, pr_top)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +273,45 @@ mod tests {
         b.build(top).unwrap()
     }
 
+    /// The ranked groups, best first.
+    fn groups(ranking: &Ranking) -> Vec<RiskGroup> {
+        ranking
+            .ranked()
+            .map(|(row, _)| {
+                RiskGroup::new(row.iter().map(|&at| ranking.basics[at as usize]).collect())
+            })
+            .collect()
+    }
+
+    /// The ranked groups' member names, in node-id order.
+    fn names(ranking: &Ranking, graph: &FaultGraph) -> Vec<Vec<String>> {
+        groups(ranking).iter().map(|g| g.names(graph)).collect()
+    }
+
+    /// The ranked groups' `I_C`, best first.
+    fn importances(ranking: &Ranking) -> Vec<f64> {
+        ranking.ranked().map(|(_, w)| w.unwrap().1).collect()
+    }
+
     #[test]
     fn fig4b_worked_example() {
         // Paper: Pr(T) = 0.1·0.3 + 0.2 − 0.1·0.3·0.2 = 0.224;
         // importances 0.2/0.224 = 0.8929 and 0.03/0.224 = 0.1339.
         let graph = fig4b_graph();
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let (ranked, pr_top) = rank_by_probability(&rgs, &graph, 0.0, None);
+        let ranking = Ranking::by_probability(&rgs, &graph, 2, 0.0, None, None);
+        let pr_top = ranking.pr_top.unwrap();
         assert!((pr_top - 0.224).abs() < 1e-12, "Pr(T) = {pr_top}");
-        assert_eq!(ranked.len(), 2);
-        assert_eq!(ranked[0].group.names(&graph), vec!["A2 fails"]);
-        assert!((ranked[0].importance - 0.8929).abs() < 1e-4);
-        assert_eq!(ranked[1].group.names(&graph), vec!["A1 fails", "A3 fails"]);
-        assert!((ranked[1].importance - 0.1339).abs() < 1e-4);
+        assert_eq!(
+            names(&ranking, &graph),
+            [vec!["A2 fails"], vec!["A1 fails", "A3 fails"]]
+        );
+        let importance = importances(&ranking);
+        assert!((importance[0] - 0.8929).abs() < 1e-4);
+        assert!((importance[1] - 0.1339).abs() < 1e-4);
+        // Summed over the whole family, importances total about 1.
+        assert_eq!(ranking.score, importance.iter().sum::<f64>());
+        assert_eq!(ranking.unexpected, 1);
     }
 
     #[test]
@@ -224,9 +328,12 @@ mod tests {
     fn size_ranking_orders_smallest_first() {
         let graph = fig4b_graph();
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let ranked = rank_by_size(&rgs, &graph);
-        assert_eq!(ranked[0].len(), 1);
-        assert_eq!(ranked[1].len(), 2);
+        let ranking = Ranking::by_size(&rgs, &graph, 2, None);
+        let sizes: Vec<usize> = groups(&ranking).iter().map(RiskGroup::len).collect();
+        assert_eq!(sizes, [1, 2]);
+        assert_eq!((ranking.score, ranking.unexpected), (3.0, 1));
+        assert_eq!(Ranking::by_size(&rgs, &graph, 2, Some(1)).score, 1.0);
+        assert_eq!(ranking.pr_top, None);
     }
 
     /// A graph whose basic events are named in the reverse of their
@@ -249,27 +356,40 @@ mod tests {
         b.build(top).unwrap()
     }
 
-    /// The ranking's tie order, held to the sort it replaced: groups keyed
-    /// by `(len, names())` for size, and by descending importance then
-    /// `names()` for probability, with names taken in node-id order.
+    /// The ranking, held to the sort it replaced: groups keyed by
+    /// `(len, names())` for size, and by descending importance then
+    /// `names()` for probability, with names taken in node-id order and
+    /// each group's probability from [`group_probability`].
     fn assert_matches_reference(graph: &FaultGraph) {
         let family = minimal_risk_groups(graph, &MinimalConfig::default());
 
         let mut reference: Vec<RiskGroup> = family.groups().collect();
         reference.sort_by_cached_key(|g| (g.len(), g.names(graph)));
-        assert_eq!(rank_by_size(&family, graph), reference);
+        assert_eq!(
+            groups(&Ranking::by_size(&family, graph, 2, None)),
+            reference
+        );
 
-        let (ranked, _) = rank_by_probability(&family, graph, 0.1, None);
-        let mut reference = ranked.clone();
+        let ranking = Ranking::by_probability(&family, graph, 2, 0.1, None, None);
+        let pr_top = top_event_probability(&family, graph, 0.1);
+        assert_eq!(ranking.pr_top, Some(pr_top));
+        let mut reference: Vec<(RiskGroup, f64, f64)> = family
+            .groups()
+            .map(|g| {
+                let p = group_probability(&g, graph, 0.1);
+                (g, p, p / pr_top)
+            })
+            .collect();
         reference.sort_by(|a, b| {
-            b.importance
-                .total_cmp(&a.importance)
-                .then_with(|| a.group.names(graph).cmp(&b.group.names(graph)))
+            b.2.total_cmp(&a.2)
+                .then_with(|| a.0.names(graph).cmp(&b.0.names(graph)))
         });
-        let groups = |r: &[RankedByProbability]| -> Vec<RiskGroup> {
-            r.iter().map(|r| r.group.clone()).collect()
-        };
-        assert_eq!(groups(&ranked), groups(&reference));
+        let ranked: Vec<(RiskGroup, f64, f64)> = groups(&ranking)
+            .into_iter()
+            .zip(ranking.ranked())
+            .map(|(g, (_, w))| (g, w.unwrap().0, w.unwrap().1))
+            .collect();
+        assert_eq!(ranked, reference);
     }
 
     #[test]
@@ -281,10 +401,7 @@ mod tests {
         let graph = reverse_named_graph(6, &[None], &cuts);
         assert_matches_reference(&graph);
         let family = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let names_by_size: Vec<Vec<String>> = rank_by_size(&family, &graph)
-            .iter()
-            .map(|g| g.names(&graph))
-            .collect();
+        let names_by_size = names(&Ranking::by_size(&family, &graph, 2, None), &graph);
         assert_eq!(
             names_by_size,
             [
@@ -296,8 +413,8 @@ mod tests {
             ]
         );
         // Equal probabilities make equal importances within a size.
-        let (ranked, _) = rank_by_probability(&family, &graph, 0.1, None);
-        let names: Vec<Vec<String>> = ranked.iter().map(|r| r.group.names(&graph)).collect();
+        let by_probability = Ranking::by_probability(&family, &graph, 2, 0.1, None, None);
+        let names = names(&by_probability, &graph);
         assert_eq!(names[..2], [vec!["e01"], vec!["e06"]]);
         assert_eq!(names[2..], names_by_size[2..]);
     }
@@ -330,6 +447,9 @@ mod tests {
     fn empty_family_has_zero_top_probability() {
         let graph = fig4b_graph();
         assert_eq!(top_event_probability(&RgFamily::new(), &graph, 0.0), 0.0);
+        let ranking = Ranking::by_probability(&RgFamily::new(), &graph, 2, 0.0, None, None);
+        assert_eq!(ranking.ranked().len(), 0);
+        assert_eq!(ranking.pr_top, Some(0.0));
     }
 
     #[test]
@@ -341,9 +461,11 @@ mod tests {
         ])
         .unwrap();
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let (ranked, pr_top) = rank_by_probability(&rgs, &graph, 0.1, None);
-        assert!((pr_top - 0.1).abs() < 1e-12);
-        assert!((ranked[0].probability - 0.1).abs() < 1e-12);
-        assert!((ranked[0].importance - 1.0).abs() < 1e-12);
+        let ranking = Ranking::by_probability(&rgs, &graph, 2, 0.1, None, None);
+        assert!((ranking.pr_top.unwrap() - 0.1).abs() < 1e-12);
+        let (_, weights) = ranking.ranked().next().unwrap();
+        let (probability, importance) = weights.unwrap();
+        assert!((probability - 0.1).abs() < 1e-12);
+        assert!((importance - 1.0).abs() < 1e-12);
     }
 }

@@ -6,11 +6,21 @@
 //! sum the sizes of the top-n RGs (bigger = more independent); probability
 //! based scores sum the top-n relative importances (smaller = more
 //! independent).
+//!
+//! Both consumers read one [`Ranking`] per deployment, which orders and
+//! scores the family's rows once. [`DeploymentAudit`] is the typed
+//! report (the CLI's and the library's). [`write_report`] is the wire
+//! text, written straight from the rows: each basic event's name is
+//! quoted once per graph, and no per-group value is built. Its bytes
+//! equal `serde_json::to_string` of the typed report, whose derived
+//! `Serialize` is the specification the writer is held to.
+
+use std::cmp::Ordering;
 
 use indaas_graph::FaultGraph;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
-use crate::ranking::{rank_by_probability, rank_by_size};
+use crate::ranking::Ranking;
 use crate::riskgroup::RgFamily;
 
 /// Which scoring rule produced an independence score, and therefore which
@@ -66,31 +76,13 @@ impl DeploymentAudit {
         replication: usize,
         top_n: Option<usize>,
     ) -> Self {
-        let ranked = rank_by_size(family, graph);
-        let n = top_n.unwrap_or(ranked.len()).min(ranked.len());
-        let score: f64 = ranked[..n].iter().map(|g| g.len() as f64).sum();
-        let unexpected = ranked.iter().filter(|g| g.len() < replication).count();
-        DeploymentAudit {
-            name: name.into(),
-            ranked_rgs: ranked
-                .iter()
-                .map(|g| RankedRg {
-                    events: g.names(graph),
-                    size: g.len(),
-                    probability: None,
-                    importance: None,
-                })
-                .collect(),
-            independence_score: score,
-            score_kind: ScoreKind::SizeBased,
-            unexpected_rgs: unexpected,
-            failure_probability: None,
-        }
+        let ranking = Ranking::by_size(family, graph, replication, top_n);
+        Self::from_ranking(name, graph, &ranking)
     }
 
     /// Audits one deployment with probability-based ranking, normalised
     /// by `pr_top` when the caller has the exact top-event probability
-    /// (see [`rank_by_probability`]).
+    /// (see [`Ranking::by_probability`]).
     pub fn probability_based(
         name: impl Into<String>,
         family: &RgFamily,
@@ -100,30 +92,144 @@ impl DeploymentAudit {
         pr_top: Option<f64>,
         top_n: Option<usize>,
     ) -> Self {
-        let (ranked, pr_top) = rank_by_probability(family, graph, default_prob, pr_top);
-        let n = top_n.unwrap_or(ranked.len()).min(ranked.len());
-        let score: f64 = ranked[..n].iter().map(|r| r.importance).sum();
-        let unexpected = ranked
-            .iter()
-            .filter(|r| r.group.len() < replication)
-            .count();
+        let ranking =
+            Ranking::by_probability(family, graph, replication, default_prob, pr_top, top_n);
+        Self::from_ranking(name, graph, &ranking)
+    }
+
+    /// The typed audit of a deployment ranked over `graph`.
+    pub fn from_ranking(name: impl Into<String>, graph: &FaultGraph, ranking: &Ranking) -> Self {
+        let basics = &ranking.basics;
         DeploymentAudit {
             name: name.into(),
-            ranked_rgs: ranked
-                .iter()
-                .map(|r| RankedRg {
-                    events: r.group.names(graph),
-                    size: r.group.len(),
-                    probability: Some(r.probability),
-                    importance: Some(r.importance),
+            ranked_rgs: ranking
+                .ranked()
+                .map(|(row, weights)| RankedRg {
+                    events: row
+                        .iter()
+                        .map(|&at| graph.node(basics[at as usize]).name.clone())
+                        .collect(),
+                    size: row.len(),
+                    probability: weights.map(|(p, _)| p),
+                    importance: weights.map(|(_, importance)| importance),
                 })
                 .collect(),
-            independence_score: score,
-            score_kind: ScoreKind::ProbabilityBased,
-            unexpected_rgs: unexpected,
-            failure_probability: Some(pr_top),
+            independence_score: ranking.score,
+            score_kind: ranking.kind,
+            unexpected_rgs: ranking.unexpected,
+            failure_probability: ranking.pr_top,
         }
     }
+}
+
+/// Writes the report of ranked deployments — `(name, graph, ranking)`,
+/// each ranked over its graph — as compact JSON, byte for byte
+/// `serde_json::to_string` of the [`AuditReport`] the typed path builds
+/// from them, straight from the rankings' rows: no [`RankedRg`] and no
+/// name `String` per group. Each basic event's name is quoted once per
+/// graph and copied into every group that holds it. Keys are written in
+/// the derive's (sorted) order and deployments in [`AuditReport::new`]'s.
+///
+/// # Panics
+///
+/// Panics if deployments mix scoring rules.
+pub fn write_report<'a>(
+    deployments: impl IntoIterator<Item = (&'a str, &'a FaultGraph, &'a Ranking)>,
+) -> String {
+    let mut deployments: Vec<_> = deployments.into_iter().collect();
+    if let Some(kind) = deployments.first().map(|(_, _, r)| r.kind) {
+        assert!(
+            deployments.iter().all(|(_, _, r)| r.kind == kind),
+            "cannot mix scoring rules in one report"
+        );
+        let key = |&(name, _, r): &(&'a str, _, &Ranking)| (r.score, r.pr_top, name);
+        deployments.sort_by(|a, b| best_first(kind, key(a), key(b)));
+    }
+    let mut w = Writer::compact();
+    w.begin_object();
+    w.quoted_key(r#""deployments":"#);
+    w.begin_array();
+    for (name, graph, ranking) in deployments {
+        w.element();
+        write_deployment(&mut w, name, graph, ranking);
+    }
+    w.end_array();
+    w.end_object();
+    w.into_string()
+}
+
+/// One [`DeploymentAudit`] object of [`write_report`].
+fn write_deployment(w: &mut Writer, name: &str, graph: &FaultGraph, ranking: &Ranking) {
+    // The name at position `at` is `quoted[ends[at]..ends[at + 1]]`.
+    let mut quoted = Writer::compact();
+    let mut ends = Vec::with_capacity(ranking.basics.len() + 1);
+    ends.push(0);
+    for &id in &ranking.basics {
+        quoted.str(&graph.node(id).name);
+        ends.push(quoted.as_str().len());
+    }
+    let quoted = quoted.into_string();
+    w.begin_object();
+    w.quoted_key(r#""failure_probability":"#);
+    ranking.pr_top.serialize(w);
+    w.quoted_key(r#""independence_score":"#);
+    w.f64(ranking.score);
+    w.quoted_key(r#""name":"#);
+    w.str(name);
+    w.quoted_key(r#""ranked_rgs":"#);
+    w.begin_array();
+    for (row, weights) in ranking.ranked() {
+        w.element();
+        w.begin_object();
+        w.quoted_key(r#""events":"#);
+        w.begin_array();
+        for &at in row {
+            w.element();
+            w.raw(&quoted[ends[at as usize]..ends[at as usize + 1]]);
+        }
+        w.end_array();
+        w.quoted_key(r#""importance":"#);
+        weights.map(|(_, importance)| importance).serialize(w);
+        w.quoted_key(r#""probability":"#);
+        weights.map(|(p, _)| p).serialize(w);
+        w.quoted_key(r#""size":"#);
+        w.u64(row.len() as u64);
+        w.end_object();
+    }
+    w.end_array();
+    w.quoted_key(r#""score_kind":"#);
+    ranking.kind.serialize(w);
+    w.quoted_key(r#""unexpected_rgs":"#);
+    w.u64(ranking.unexpected as u64);
+    w.end_object();
+}
+
+/// The order [`AuditReport::new`] puts two deployments in, each given as
+/// `(independence score, failure probability, name)`.
+///
+/// Size-based audits order by descending score (Σ sizes of the top-n
+/// RGs). Probability-based audits order by ascending estimated
+/// whole-deployment failure probability — the quantity the paper's
+/// §6.2.1 case study uses to crown the winning deployment — with the
+/// Σ-of-importances score kept as a reported field (summing relative
+/// importances over the *full* RG list always totals ≈ 1, so it only
+/// discriminates under a client-chosen `top_n` cutoff). Ties go by name.
+fn best_first(
+    kind: ScoreKind,
+    (a_score, a_pr, a_name): (f64, Option<f64>, &str),
+    (b_score, b_pr, b_name): (f64, Option<f64>, &str),
+) -> Ordering {
+    let primary = match kind {
+        // `total_cmp`: a NaN score (say, `inf - inf` from out-of-range
+        // probabilities) sorts last instead of panicking.
+        ScoreKind::SizeBased => b_score.total_cmp(&a_score),
+        ScoreKind::ProbabilityBased => {
+            let pa = a_pr.unwrap_or(f64::INFINITY);
+            let pb = b_pr.unwrap_or(f64::INFINITY);
+            pa.total_cmp(&pb)
+        }
+    };
+    primary.then_with(|| a_name.cmp(b_name))
 }
 
 /// The full auditing report returned to the client (Step 6 of §2):
@@ -135,15 +241,8 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// Assembles a report, sorting deployments best-first.
-    ///
-    /// Size-based audits order by descending score (Σ sizes of the top-n
-    /// RGs). Probability-based audits order by ascending estimated
-    /// whole-deployment failure probability — the quantity the paper's
-    /// §6.2.1 case study uses to crown the winning deployment — with the
-    /// Σ-of-importances score kept as a reported field (summing relative
-    /// importances over the *full* RG list always totals ≈ 1, so it only
-    /// discriminates under a client-chosen `top_n` cutoff).
+    /// Assembles a report, sorting deployments best-first (see
+    /// [`write_report`] for the order).
     ///
     /// # Panics
     ///
@@ -154,20 +253,10 @@ impl AuditReport {
                 deployments.iter().all(|d| d.score_kind == kind),
                 "cannot mix scoring rules in one report"
             );
-            deployments.sort_by(|a, b| {
-                let primary = match kind {
-                    // `total_cmp`: a NaN score (say, `inf - inf` from
-                    // out-of-range probabilities) sorts last instead of
-                    // panicking.
-                    ScoreKind::SizeBased => b.independence_score.total_cmp(&a.independence_score),
-                    ScoreKind::ProbabilityBased => {
-                        let pa = a.failure_probability.unwrap_or(f64::INFINITY);
-                        let pb = b.failure_probability.unwrap_or(f64::INFINITY);
-                        pa.total_cmp(&pb)
-                    }
-                };
-                primary.then_with(|| a.name.cmp(&b.name))
-            });
+            fn key(d: &DeploymentAudit) -> (f64, Option<f64>, &str) {
+                (d.independence_score, d.failure_probability, &d.name)
+            }
+            deployments.sort_by(|a, b| best_first(kind, key(a), key(b)));
         }
         AuditReport { deployments }
     }
@@ -328,6 +417,50 @@ mod tests {
         assert!(text.contains("demo"));
         assert!(text.contains("shared"));
         assert!(text.contains("unexpected RGs=1"));
+    }
+
+    /// What `serde_json::to_string` writes for a typed report.
+    fn typed_text(report: &AuditReport) -> String {
+        let mut w = Writer::compact();
+        report.serialize(&mut w);
+        w.into_string()
+    }
+
+    #[test]
+    fn written_report_is_the_typed_encoding() {
+        // Names JSON must escape; two deployments tied on score, so the
+        // order falls to their names; an empty family.
+        let tied = [
+            ComponentSet::new("E1", ["sh\"ared", "a\u{1}"]),
+            ComponentSet::new("E2", ["sh\"ared", "b\\é"]),
+        ];
+        let graph = component_sets_to_graph(&tied).unwrap();
+        let family = minimal_risk_groups(&graph, &MinimalConfig::default());
+        let empty = RgFamily::new();
+        for top_n in [None, Some(1)] {
+            let size: Vec<_> = [("z\n", &family), ("a\"", &family), ("none", &empty)]
+                .map(|(name, family)| (name, Ranking::by_size(family, &graph, 2, top_n)))
+                .into();
+            let prob: Vec<_> = [("p\t", &family), ("q", &empty)]
+                .map(|(name, family)| {
+                    (
+                        name,
+                        Ranking::by_probability(family, &graph, 2, 0.1, None, top_n),
+                    )
+                })
+                .into();
+            for rankings in [size, prob] {
+                let typed = AuditReport::new(
+                    rankings
+                        .iter()
+                        .map(|(name, r)| DeploymentAudit::from_ranking(*name, &graph, r))
+                        .collect(),
+                );
+                let text = write_report(rankings.iter().map(|(name, r)| (*name, &graph, r)));
+                assert_eq!(text, typed_text(&typed));
+            }
+        }
+        assert_eq!(write_report([]), typed_text(&AuditReport::new(Vec::new())));
     }
 
     #[test]

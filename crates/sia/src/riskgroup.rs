@@ -269,11 +269,15 @@ impl RgFamily {
     /// The minimized groups, in row order.
     pub fn groups(&self) -> impl ExactSizeIterator<Item = RiskGroup> + '_ {
         (0..self.len()).map(|r| {
-            let row = self.row(r);
-            let mut ids = Vec::with_capacity(row.len as usize);
-            ids.extend(members(row.words).map(|bit| self.events.node_of[bit]));
+            let mut ids = Vec::with_capacity(self.lens[r] as usize);
+            ids.extend(self.row_ids(r));
             RiskGroup::new(ids)
         })
+    }
+
+    /// Row `r`'s member ids, in the order of their bits (not sorted).
+    pub(crate) fn row_ids(&self, r: usize) -> impl Iterator<Item = NodeId> + '_ {
+        members(self.row(r).words).map(|bit| self.events.node_of[bit])
     }
 
     /// Number of groups.

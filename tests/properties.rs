@@ -1007,10 +1007,10 @@ mod wire_props {
     ];
 
     /// Builds wire values from one seed (splitmix64).
-    struct Gen(u64);
+    pub(super) struct Gen(pub(super) u64);
 
     impl Gen {
-        fn next(&mut self) -> u64 {
+        pub(super) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1018,15 +1018,15 @@ mod wire_props {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(super) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
 
-        fn bool(&mut self) -> bool {
+        pub(super) fn bool(&mut self) -> bool {
             self.next() & 1 == 1
         }
 
-        fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> Option<T> {
+        pub(super) fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> Option<T> {
             if self.bool() {
                 Some(f(self))
             } else {
@@ -1034,7 +1034,7 @@ mod wire_props {
             }
         }
 
-        fn name(&mut self) -> String {
+        pub(super) fn name(&mut self) -> String {
             (0..self.below(12))
                 .map(|_| {
                     if self.bool() {
@@ -1051,7 +1051,7 @@ mod wire_props {
         }
 
         /// In `[0, 1)`, all 53 mantissa bits in play.
-        fn unit(&mut self) -> f64 {
+        pub(super) fn unit(&mut self) -> f64 {
             (self.next() >> 11) as f64 / (1u64 << 53) as f64
         }
 
@@ -1242,6 +1242,140 @@ mod wire_props {
             codec_is_canonical(&g.spec())?;
             codec_is_canonical(&g.request())?;
             codec_is_canonical(&g.response())?;
+        }
+    }
+}
+
+/// The report writer held to the typed report it replaces: random
+/// deployments over names JSON must escape, through all three engines
+/// and both metrics, with `top_n`, tied candidates and empty families —
+/// `audit_sia_text` is byte for byte `serde_json::to_string` of
+/// `audit_sia`'s report, or fails with the same error.
+mod report_writer_props {
+    use indaas::core::{
+        AuditSpec, AuditingAgent, CancelToken, CandidateDeployment, RankingMetric, RgAlgorithm,
+    };
+    use indaas::deps::{
+        DepDb, DependencyRecord, FailureProbModel, HardwareDep, NetworkDep, SoftwareDep,
+    };
+    use proptest::prelude::*;
+
+    use super::wire_props::Gen;
+
+    /// Hosts, each with one or two routes over a shared pool of devices
+    /// (so groups are shared and sizes tie), maybe a disk from the pool
+    /// or its own, maybe a program — every name drawn with escapes,
+    /// control characters and non-ASCII.
+    fn records(g: &mut Gen, hosts: &[String]) -> Vec<DependencyRecord> {
+        let pool: Vec<String> = (0..3 + g.below(5)).map(|_| g.name()).collect();
+        let pick = |g: &mut Gen| pool[g.below(pool.len() as u64) as usize].clone();
+        let mut records = Vec::new();
+        for host in hosts {
+            for _ in 0..1 + g.below(2) {
+                records.push(DependencyRecord::Network(NetworkDep {
+                    src: host.clone(),
+                    dst: "Internet".into(),
+                    route: (0..1 + g.below(2)).map(|_| pick(g)).collect(),
+                }));
+            }
+            if g.bool() {
+                let dep = if g.bool() {
+                    pick(g)
+                } else {
+                    format!("{host}{}", g.name())
+                };
+                records.push(DependencyRecord::Hardware(HardwareDep {
+                    hw: host.clone(),
+                    hw_type: "Disk".into(),
+                    dep,
+                }));
+            }
+            if g.bool() {
+                records.push(DependencyRecord::Software(SoftwareDep {
+                    pgm: g.name(),
+                    hw: host.clone(),
+                    deps: (0..g.below(3)).map(|_| pick(g)).collect(),
+                }));
+            }
+        }
+        records
+    }
+
+    /// One to three candidates over `hosts`; a later one may copy the
+    /// first one's servers under another name, tying their scores.
+    fn spec(g: &mut Gen, hosts: &[String]) -> AuditSpec {
+        let mut candidates: Vec<CandidateDeployment> = Vec::new();
+        for _ in 0..1 + g.below(3) {
+            let (servers, needed_alive) = match candidates.first() {
+                Some(first) if g.bool() => (first.servers.clone(), first.needed_alive),
+                _ => {
+                    let m = 2 + g.below(hosts.len() as u64 - 1) as usize;
+                    let skip = g.below(hosts.len() as u64) as usize;
+                    let servers = hosts.iter().cycle().skip(skip).take(m).cloned().collect();
+                    (servers, 1 + g.below(m as u64) as usize)
+                }
+            };
+            candidates.push(CandidateDeployment {
+                name: g.name(),
+                servers,
+                needed_alive,
+            });
+        }
+        let probability = g.bool();
+        AuditSpec {
+            candidates,
+            network: true,
+            hardware: g.bool(),
+            software: g.bool(),
+            // Order 0 and zero sampling rounds give empty families.
+            algorithm: match g.below(3) {
+                0 => RgAlgorithm::Minimal {
+                    max_order: g.opt(|g| g.below(4) as usize),
+                },
+                1 => RgAlgorithm::Sampling {
+                    rounds: g.below(300),
+                    fail_prob: 0.3,
+                    seed: g.next(),
+                    threads: 1,
+                },
+                _ => RgAlgorithm::Bdd { max_nodes: 1 << 16 },
+            },
+            metric: if probability {
+                RankingMetric::Probability {
+                    default_prob: 0.01 + 0.2 * g.unit(),
+                }
+            } else {
+                RankingMetric::Size
+            },
+            top_n: g.opt(|g| g.below(5) as usize),
+            prob_model: (probability && g.bool()).then(|| {
+                let mut model = FailureProbModel::new(0.2 * g.unit());
+                for _ in 0..g.below(3) {
+                    model = model.with_rule(g.name(), 0.3 * g.unit());
+                }
+                model
+            }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn written_reports_equal_typed_encodings(seed in any::<u64>()) {
+            let mut g = Gen(seed);
+            let hosts: Vec<String> =
+                (0..2 + g.below(3)).map(|i| format!("h{i}{}", g.name())).collect();
+            let agent = AuditingAgent::new(DepDb::from_records(records(&mut g, &hosts)));
+            let spec = spec(&mut g, &hosts);
+            let typed = agent
+                .audit_sia(&spec)
+                .map(|report| serde_json::to_string(&report).unwrap())
+                .map_err(|e| e.to_string());
+            let written = agent
+                .audit_sia_text(&spec, &CancelToken::default(), &())
+                .map_err(|e| e.to_string());
+            prop_assert!(written == typed, "spec {spec:?}\n written: {written:?}\n   typed: {typed:?}");
         }
     }
 }

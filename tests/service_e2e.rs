@@ -1350,9 +1350,13 @@ fn subscription_event_split_across_a_timeout_arrives_whole() {
 /// Encode once, at the bytes: the same `AuditSia` sent twice over a raw
 /// v1 line answers fresh, then cached, with lines identical but for
 /// `cached` and `elapsed_us` — and a subscriber's pushed `AuditEvent`
-/// for that spec carries the very same report text.
+/// for that spec carries the very same report text. That text, written
+/// by the daemon straight from the ranked rows, is the typed report's
+/// `encode_line` byte for byte.
 #[test]
 fn cached_and_pushed_answers_splice_identical_report_bytes() {
+    use indaas::core::AuditingAgent;
+    use indaas::deps::{parse_records, DepDb};
     use indaas::service::proto::{encode_line, read_frame, write_frame, Envelope, FrameRead};
 
     /// The answer with the two per-answer fields reduced to their keys.
@@ -1395,6 +1399,15 @@ fn cached_and_pushed_answers_splice_identical_report_bytes() {
         .and_then(|(_, rest)| rest.strip_suffix("}}"))
         .expect("report text");
     assert!(report.contains("S1+S3"));
+    let db = DepDb::from_records(parse_records(RECORDS).expect("records parse"));
+    let typed = AuditingAgent::new(db)
+        .audit_sia(&audit_spec())
+        .expect("in-process audit");
+    assert_eq!(
+        report,
+        encode_line(&typed),
+        "the written report is the typed report's encoding"
+    );
 
     // A raw v2 subscriber to the same spec: its initial push is served
     // from the same cache entry.
