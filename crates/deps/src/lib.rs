@@ -51,5 +51,5 @@ pub use format::{parse_record, parse_records, FormatError};
 pub use persist::{write_atomic, Manifest, MANIFEST_FILE, SEGMENT_FORMAT_VERSION};
 pub use record::{DependencyRecord, HardwareDep, NetworkDep, SoftwareDep};
 pub use sharded::{
-    shard_index, DbSnapshot, Epoch, EpochVector, ShardCounters, ShardedDepDb, ShardedIngestReport,
+    shard_index, DbSnapshot, Epoch, EpochVector, Fnv1a, ShardedDepDb, ShardedIngestReport,
 };

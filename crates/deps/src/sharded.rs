@@ -32,13 +32,14 @@
 //!   keys on those pins, so audits over untouched shards stay cached
 //!   across unrelated ingests.
 //!
-//! Per-shard write counters and a contended-acquisition gauge
-//! ([`ShardedDepDb::counters`]) make the parallelism observable: the
-//! daemon's `Status` answer carries the per-shard writes, its `Metrics`
-//! answer the totals and the contention gauge.
+//! The per-shard epochs (one bump per effective batch a shard absorbs)
+//! and a contended-acquisition gauge ([`ShardedDepDb::lock_waits`]) make
+//! the parallelism observable: the daemon's `Status` answer carries the
+//! epochs, its `Metrics` answer the contention gauge.
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
@@ -49,7 +50,40 @@ use crate::record::{DependencyRecord, HardwareDep, NetworkDep, SoftwareDep};
 /// Monotonic database version. Epoch 0 is the empty database.
 pub type Epoch = u64;
 
-/// Deterministic host → shard routing (FNV-1a over the host key).
+/// 64-bit FNV-1a, the one fast deterministic byte hasher: shard routing,
+/// audit-cache keys, the reduced graph's event table. Not
+/// collision-resistant.
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of `bytes`.
+    pub fn of(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::default();
+        h.write(bytes);
+        h.finish()
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Deterministic host → shard routing ([`Fnv1a`] over the host key).
 ///
 /// Stable across processes and daemon restarts, so cache pins, segment
 /// files and status reports mean the same thing on every node with the
@@ -60,12 +94,7 @@ pub type Epoch = u64;
 /// Panics if `shards` is zero.
 pub fn shard_index(host: &str, shards: usize) -> usize {
     assert!(shards > 0, "shard count must be at least 1");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in host.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
+    (Fnv1a::of(host.as_bytes()) % shards as u64) as usize
 }
 
 /// The per-shard epochs of a sharded store at one instant.
@@ -122,18 +151,6 @@ pub struct ShardedIngestReport {
     pub touched: Vec<usize>,
 }
 
-/// Write-side observability counters ([`ShardedDepDb::counters`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Effective write batches applied per shard (a batch spanning K
-    /// shards counts once on each).
-    pub shard_writes: Vec<u64>,
-    /// Times a writer found a shard lock already held and had to wait,
-    /// summed over all shards — the contention gauge: near zero when
-    /// writers stay on disjoint shards.
-    pub lock_waits: u64,
-}
-
 /// What readers see of one shard. The fields are only ever read or
 /// replaced together, under the shard's publish lock.
 #[derive(Debug)]
@@ -150,7 +167,7 @@ pub(crate) struct Published {
 }
 
 /// One shard of the store: its writer's database, what it has
-/// published, and observability counters.
+/// published, and its lock-contention counter.
 #[derive(Debug)]
 pub(crate) struct ShardCell {
     /// The writer's private database, mutated in place. Held across a
@@ -159,8 +176,6 @@ pub(crate) struct ShardCell {
     /// Held only to clone or swap the snapshot `Arc` and read or bump
     /// the epoch — nothing is cloned or freed under it.
     published: Mutex<Published>,
-    /// Effective write batches applied to this shard.
-    writes: AtomicU64,
     /// Contended write-lock acquisitions on this shard.
     lock_waits: AtomicU64,
 }
@@ -176,7 +191,6 @@ impl ShardCell {
         ShardCell {
             write: Mutex::new(db),
             published: Mutex::new(published),
-            writes: AtomicU64::new(0),
             lock_waits: AtomicU64::new(0),
         }
     }
@@ -205,7 +219,6 @@ impl ShardCell {
         // The last reference to an old snapshot is freed here, after the
         // publish lock is released.
         drop(old);
-        self.writes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -272,20 +285,14 @@ impl ShardedDepDb {
         EpochVector(self.shards.iter().map(|c| c.published().epoch).collect())
     }
 
-    /// Per-shard write counters and the lock-contention gauge.
-    pub fn counters(&self) -> ShardCounters {
-        ShardCounters {
-            shard_writes: self
-                .shards
-                .iter()
-                .map(|c| c.writes.load(Ordering::Relaxed))
-                .collect(),
-            lock_waits: self
-                .shards
-                .iter()
-                .map(|c| c.lock_waits.load(Ordering::Relaxed))
-                .sum(),
-        }
+    /// Times a writer found a shard lock already held and had to wait,
+    /// summed over all shards — the contention gauge: near zero when
+    /// writers stay on disjoint shards.
+    pub fn lock_waits(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|c| c.lock_waits.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Distinct records in shard `shard` (via its published snapshot).
@@ -776,15 +783,29 @@ mod tests {
         db.ingest([host_record(&a, "cpu-1")]);
         db.ingest([host_record(&a, "cpu-2"), host_record(&b, "cpu-1")]);
         db.ingest([host_record(&a, "cpu-2")]); // pure duplicate: no write
-        let counters = db.counters();
-        assert_eq!(counters.shard_writes[db.shard_of(&a)], 2);
-        assert_eq!(counters.shard_writes[db.shard_of(&b)], 1);
+        let epochs = db.epochs();
+        assert_eq!(epochs.get(db.shard_of(&a)), 2);
+        assert_eq!(epochs.get(db.shard_of(&b)), 1);
         assert_eq!(
-            counters.shard_writes.iter().sum::<u64>(),
+            epochs.as_slice().iter().sum::<u64>(),
             3,
-            "only effective batches count as writes"
+            "only effective batches move a shard epoch"
         );
-        assert_eq!(counters.lock_waits, 0, "uncontended writes never wait");
+        assert_eq!(db.lock_waits(), 0, "uncontended writes never wait");
+    }
+
+    /// Routing decides segment files and cache pins on disk and on the
+    /// wire, so it must never move: these are the values FNV-1a routing
+    /// has always given.
+    #[test]
+    fn shard_routing_is_pinned() {
+        let hosts = ["S1", "S2", "rack-07-host-12", "Internet", ""];
+        let routed = |shards| hosts.map(|h| shard_index(h, shards));
+        assert_eq!(routed(1), [0; 5]);
+        assert_eq!(routed(8), [1, 0, 7, 4, 5]);
+        assert_eq!(routed(16), [9, 0, 7, 12, 5]);
+        assert_eq!(Fnv1a::of(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::of(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     /// Writers on disjoint shards running concurrently land exactly the

@@ -35,18 +35,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use indaas_deps::{Epoch, EpochVector};
+use indaas_deps::{Epoch, EpochVector, Fnv1a};
 use serde::Serialize;
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The `(shard, epoch)` pairs an audit read — what pins a cache entry to
 /// the data it was computed from. Empty pins mean the result does not
@@ -76,7 +66,7 @@ pub fn job_key<S: Serialize, T: Serialize>(scope: &S, kind: &str, spec: &T) -> J
     let spec_json = serde_json::to_string(spec).expect("specs always serialize"); // lint:allow(panic_path) -- audit specs are plain data; JSON serialization cannot fail
     let canonical = format!("{scope_json}\u{1f}{kind}\u{1f}{spec_json}");
     JobKey {
-        hash: fnv1a(canonical.as_bytes()),
+        hash: Fnv1a::of(canonical.as_bytes()),
         canonical,
     }
 }

@@ -123,8 +123,6 @@ pub struct StatusAnswer {
     pub shard_epochs: Vec<u64>,
     /// Distinct records per shard.
     pub shard_records: Vec<usize>,
-    /// Effective write batches applied per shard since startup.
-    pub shard_writes: Vec<u64>,
     /// Result-cache hits since startup, both engines.
     pub cache_hits: u64,
     /// Result-cache misses since startup, both engines.
@@ -688,7 +686,6 @@ impl Client {
                 hosts,
                 shard_epochs,
                 shard_records,
-                shard_writes,
                 cache_hits,
                 cache_misses,
             } => Ok(StatusAnswer {
@@ -697,7 +694,6 @@ impl Client {
                 hosts,
                 shard_epochs,
                 shard_records,
-                shard_writes,
                 cache_hits,
                 cache_misses,
             }),

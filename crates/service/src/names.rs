@@ -13,10 +13,7 @@
 
 // Counters (monotonic since startup).
 pub const REQUESTS_TOTAL: &str = "requests_total";
-pub const AUDITS_SIA_TOTAL: &str = "audits_sia_total";
-pub const AUDITS_PIA_TOTAL: &str = "audits_pia_total";
 pub const PUSH_AUDITS_TOTAL: &str = "push_audits_total";
-pub const MUTATIONS_TOTAL: &str = "mutations_total";
 pub const SCHED_JOBS_TOTAL: &str = "sched_jobs_total";
 pub const OUTBOX_SHED_TOTAL: &str = "outbox_shed_total";
 pub const DB_SEGMENT_SAVES_TOTAL: &str = "db_segment_saves_total";
@@ -27,12 +24,10 @@ pub const FED_REDIALS_TOTAL: &str = "fed_redials_total";
 pub const FED_PARTY_FAILURES_TOTAL: &str = "fed_party_failures_total";
 pub const DB_SEGMENTS_QUARANTINED_TOTAL: &str = "db_segments_quarantined_total";
 pub const FAULTS_INJECTED_TOTAL: &str = "faults_injected_total";
-pub const LOOP_WAKEUPS_TOTAL: &str = "loop_wakeups_total";
 
 // Gauges (instantaneous; some derived at snapshot time).
 pub const SCHED_QUEUE_DEPTH: &str = "sched_queue_depth";
 pub const SCHED_JOBS_RUNNING: &str = "sched_jobs_running";
-pub const DB_SHARD_WRITES: &str = "db_shard_writes";
 pub const DB_LOCK_WAITS: &str = "db_lock_waits";
 pub const CACHE_SIA_HITS: &str = "cache_sia_hits";
 pub const CACHE_SIA_MISSES: &str = "cache_sia_misses";
@@ -44,7 +39,6 @@ pub const SIA_FAMILY_MISSES: &str = "sia_family_misses";
 pub const SIA_FAMILY_ENTRIES: &str = "sia_family_entries";
 pub const SUBSCRIPTIONS: &str = "subscriptions";
 pub const ACTIVE_CONNS: &str = "active_conns";
-pub const PUSHED_EVENTS: &str = "pushed_events";
 pub const WRITE_QUEUE_DEPTH: &str = "write_queue_depth";
 
 // Histograms (microseconds unless noted).

@@ -344,7 +344,6 @@ impl EventLoop<'_> {
                 .next_deadline()
                 .map(|at| at.saturating_duration_since(Instant::now()));
             let n = self.poller.wait(&mut events, timeout)?; // lint:allow(blocking_in_loop) -- the loop's own poll wait: this is its idle point, not a stall
-            self.state.telemetry.loop_wakeups_total.inc();
             self.state.telemetry.loop_ready_events.record(n as u64);
             for ev in events.iter().copied() {
                 match ev.token {

@@ -40,11 +40,12 @@
 //! changes, and a cached `AuditSia` answer stays valid — `cached: true`
 //! — across ingests that touch no shard its candidate hosts route to.
 //! Each shard carries its own write lock, so concurrent `Ingest`
-//! requests touching different hosts' shards land in parallel; `Status`
-//! exposes the per-shard write counters (`shard_writes`). `Status` is
-//! the store's shape; every other count the daemon keeps — lock waits,
-//! queue occupancy, subscriptions, pushed and shed events, audits run,
-//! uptime — is read once, from `Metrics`.
+//! requests touching different hosts' shards land in parallel, and a
+//! shard's epoch counts the effective batches that touched it. `Status`
+//! is the store's shape; every other count the daemon keeps — lock
+//! waits, queue occupancy, subscriptions, pushed and shed events, audits
+//! run, uptime — is read once, from `Metrics`, where an event a
+//! histogram times is counted by that histogram's `count`.
 //!
 //! **Observability** rides the same protocol: [`Request::Metrics`]
 //! (either protocol version) answers [`Response::Metrics`] — every
@@ -61,8 +62,8 @@
 //! Prometheus text exposition format — `indaas_<name>` gauge lines for
 //! counters/gauges, classic `_bucket{le="..."}`/`_sum`/`_count`
 //! families for histograms (bucket `i` becomes `le="2^i - 1"` in
-//! seconds), and `indaas_shard_writes{shard="N"}`-style labeled series
-//! for the per-shard store counters taken from `Status`.
+//! seconds), and `indaas_shard_epoch{shard="N"}`-style labeled series
+//! for the per-shard epochs taken from `Status`.
 //!
 //! **Tracing.** Every request the daemon dispatches runs under a trace
 //! context, and the spans recorded under it are the daemon's only
@@ -321,15 +322,12 @@ pub enum Response {
         hosts: usize,
         /// Per-shard epochs of the host-sharded store, indexed by shard.
         /// A shard's epoch moves exactly when an ingest/retract changes
-        /// *that shard's* records — cached audits pinned to other shards
-        /// survive the batch.
+        /// *that shard's* records — once per such batch, so it counts the
+        /// shard's effective writes (plus one if it booted non-empty) —
+        /// and cached audits pinned to other shards survive the batch.
         shard_epochs: Vec<u64>,
         /// Distinct records per shard, indexed like `shard_epochs`.
         shard_records: Vec<usize>,
-        /// Effective write batches applied per shard since startup,
-        /// indexed like `shard_epochs` (a batch spanning K shards
-        /// counts once on each).
-        shard_writes: Vec<u64>,
         /// Result-cache hits since startup, SIA and PIA together. The
         /// benchmark's `cache_lookups` reads this and `cache_misses`;
         /// `Metrics` splits them per engine (`cache_sia_hits`, …).

@@ -51,8 +51,8 @@
 //! Writes take no global lock: the [`ShardedDepDb`] routes each batch
 //! by host shard before locking, then locks only the touched shards —
 //! concurrent ingests to different hosts' shards land in parallel.
-//! Per-shard write counters surface through `Status`, the
-//! `db_lock_waits` contention gauge through `Metrics`.
+//! Per-shard epochs surface through `Status`, the `db_lock_waits`
+//! contention gauge through `Metrics`.
 //!
 //! With [`ServeConfig::db_dir`] set, the store persists as one segment
 //! file per shard plus a manifest: dirty shards are saved on collector
@@ -500,12 +500,11 @@ fn submit_audit<T>(
         } = run(&st, token, exec);
         let elapsed_us = started.elapsed().as_micros() as u64;
         if !cached {
-            let (audits, audit_us) = if kind == "pia" {
-                (&telemetry.audits_pia_total, &telemetry.audit_pia_us)
+            let audit_us = if kind == "pia" {
+                &telemetry.audit_pia_us
             } else {
-                (&telemetry.audits_sia_total, &telemetry.audit_sia_us)
+                &telemetry.audit_sia_us
             };
-            audits.inc();
             audit_us.record(elapsed_us);
         }
         let error = result.as_ref().err().cloned();
@@ -670,14 +669,13 @@ pub(crate) fn schedule_push_audit(
                         &body,
                         &telemetry.response_bytes,
                     );
-                    // Counted before the enqueue so a subscriber can never
-                    // observe an event the gauge does not yet include.
-                    telemetry.pushed_events.add(1);
-                    outbox.push_event(frame);
-                    // Invalidate → re-audit → event enqueued, end to end.
+                    // Invalidate → re-audit → event enqueued, end to end;
+                    // recorded before the enqueue so a subscriber can never
+                    // observe an event the histogram's count omits.
                     telemetry
                         .push_latency_us
                         .record(origin.elapsed().as_micros() as u64);
+                    outbox.push_event(frame);
                 }
                 Err(e) => slog::error(
                     "server",
@@ -781,7 +779,6 @@ fn apply_mutation(
     // The push-latency clock starts here: "invalidate → re-audit →
     // event enqueued" is measured from the moment the write begins.
     let origin = Instant::now();
-    state.telemetry.mutations_total.inc();
     let ingest_span = Span::start(Arc::clone(&state.telemetry.ingest_us));
     let report = match mutation {
         Mutation::Ingest => state.db.ingest(records),
@@ -1107,8 +1104,8 @@ fn cache_stats<V: Clone>(cache: &Mutex<AuditCache<V>>) -> (u64, u64, usize) {
 
 pub(crate) fn status(state: &ServiceState) -> Response {
     // Status reads the same snapshot path audits use (one short lock
-    // per shard, never a write lock); the counters come from per-shard
-    // atomics, so a dashboard polling Status never slows writers down.
+    // per shard, never a write lock), so a dashboard polling Status never
+    // slows writers down.
     let snapshot = state.db.snapshot();
     let epoch = state.db.epoch();
     let shard_records: Vec<usize> = (0..snapshot.num_shards())
@@ -1125,21 +1122,19 @@ pub(crate) fn status(state: &ServiceState) -> Response {
         hosts,
         shard_epochs,
         shard_records,
-        shard_writes: state.db.counters().shard_writes,
         cache_hits: sia_hits + pia_hits,
         cache_misses: sia_misses + pia_misses,
     }
 }
 
 /// Assembles a `Metrics` response: snapshots the registry, adds the
-/// derived gauges read from their authoritative sources (per-shard
+/// derived gauges read from their authoritative sources (lock-wait
 /// atomics, cache and family-memo stats, the scheduler's running count,
 /// the subscription registry) to its name-sorted gauge list, and attaches
 /// the most recent audits' spans. The registry holds only numbers with
 /// one live writer; nothing is written to it here.
 pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     let telemetry = &state.telemetry;
-    let counters = state.db.counters();
     let (sia_hits, sia_misses, sia_len) = cache_stats(&state.sia_cache);
     let (pia_hits, pia_misses, pia_len) = cache_stats(&state.pia_cache);
     let (family_hits, family_misses, family_len) = state.families.stats();
@@ -1148,8 +1143,7 @@ pub(crate) fn metrics(state: &ServiceState, recent: Option<usize>) -> Response {
     gauges.extend(
         [
             (names::SCHED_JOBS_RUNNING, state.scheduler.running() as u64),
-            (names::DB_SHARD_WRITES, counters.shard_writes.iter().sum()),
-            (names::DB_LOCK_WAITS, counters.lock_waits),
+            (names::DB_LOCK_WAITS, state.db.lock_waits()),
             (names::CACHE_SIA_HITS, sia_hits),
             (names::CACHE_SIA_MISSES, sia_misses),
             (names::CACHE_PIA_HITS, pia_hits),

@@ -21,10 +21,7 @@
 //! | name | meaning |
 //! |---|---|
 //! | `requests_total` | requests handled (both protocol versions) |
-//! | `audits_sia_total` | SIA audits executed (cache misses + push re-audits) |
-//! | `audits_pia_total` | PIA audits executed |
 //! | `push_audits_total` | subscription re-audits executed |
-//! | `mutations_total` | ingest/retract batches applied |
 //! | `sched_jobs_total` | jobs admitted to the worker pool |
 //! | `outbox_shed_total` | pushed events shed by slow consumers |
 //! | `db_segment_saves_total` | dirty shard segments persisted |
@@ -35,11 +32,10 @@
 //! | `fed_party_failures_total` | federation party runs that failed |
 //! | `db_segments_quarantined_total` | torn/garbage segment files quarantined at load |
 //! | `faults_injected_total` | chaos faults fired by the `--fault` harness |
-//! | `loop_wakeups_total` | readiness-loop `epoll_wait` returns |
 //!
 //! Gauges (instantaneous). A live gauge sits in the registry and has
 //! one writer; a derived one is read from its authoritative source —
-//! shard counters, cache and family-memo stats, scheduler, subscription
+//! shard locks, cache and family-memo stats, scheduler, subscription
 //! registry — into each `Metrics` answer and is never stored in the
 //! registry:
 //!
@@ -47,7 +43,6 @@
 //! |---|---|
 //! | `sched_queue_depth` | jobs admitted, not yet picked up (live) |
 //! | `sched_jobs_running` | jobs executing (derived) |
-//! | `db_shard_writes` | effective write batches, all shards (derived) |
 //! | `db_lock_waits` | contended shard-lock acquisitions (derived) |
 //! | `cache_sia_hits` / `cache_sia_misses` | SIA result-cache outcomes (derived) |
 //! | `cache_pia_hits` / `cache_pia_misses` | PIA result-cache outcomes (derived) |
@@ -56,26 +51,26 @@
 //! | `sia_family_entries` | server families the memo holds (derived) |
 //! | `subscriptions` | live audit subscriptions (derived) |
 //! | `active_conns` | open client connections (live) |
-//! | `pushed_events` | audit events produced for subscribers (live) |
 //! | `write_queue_depth` | bytes queued across all connection write queues (live) |
 //!
-//! Histograms (all in microseconds):
+//! Histograms (all in microseconds). A histogram's count is the number
+//! of events it timed, so no counter repeats one:
 //!
-//! | name | what is timed |
+//! | name | what is timed; what its count counts |
 //! |---|---|
 //! | `envelope_decode_us` | v2 frame → envelope parse |
 //! | `dispatch_us` | request dispatch to response produced |
 //! | `write_us` | one write-queue drain pass onto a socket |
-//! | `loop_ready_events` | fds ready per `epoll_wait` return (a batch-size distribution, not µs) |
+//! | `loop_ready_events` | fds ready per `epoll_wait` return (a batch-size distribution, not µs); count: readiness-loop wakeups |
 //! | `sched_wait_us` | job queue wait |
 //! | `audit_stage_graph_build_us` | fault-graph construction, per candidate |
 //! | `audit_stage_rg_minimal_us` | minimal risk-group engine |
 //! | `audit_stage_rg_sampling_us` | failure-sampling engine |
 //! | `audit_stage_rg_bdd_us` | BDD compile + cut-set extraction |
 //! | `audit_stage_ranking_us` | risk-group ranking |
-//! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report writing included (every executed audit — request miss or push, failed or not; a cache hit executes none) |
-//! | `push_latency_us` | ingest invalidation → event frame enqueued |
-//! | `ingest_us` | one ingest/retract batch through the write path |
+//! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report writing included; count: audits executed (request miss or push, failed or not; a cache hit executes none) |
+//! | `push_latency_us` | ingest invalidation → event frame enqueued; count: audit events produced for subscribers |
+//! | `ingest_us` | one ingest/retract batch through the write path; count: batches applied, no-ops and unwound writes included |
 //! | `fed_party_us` | one federation party run, all ring rounds |
 //! | `report_encode_us` | writing one computed SIA report's text, the text the cache keeps, from its ranked rows (misses and push misses; a hit writes nothing) |
 //! | `response_bytes` | bytes of every answer frame, length prefix or newline included (a size distribution, not µs) |
@@ -129,14 +124,11 @@ pub struct Telemetry {
     pub envelope_decode_us: Arc<Histo>,
     pub dispatch_us: Arc<Histo>,
     pub write_us: Arc<Histo>,
-    pub audits_sia_total: Arc<Counter>,
-    pub audits_pia_total: Arc<Counter>,
     pub push_audits_total: Arc<Counter>,
     pub audit_sia_us: Arc<Histo>,
     pub audit_pia_us: Arc<Histo>,
     pub push_latency_us: Arc<Histo>,
     pub ingest_us: Arc<Histo>,
-    pub mutations_total: Arc<Counter>,
     pub outbox_shed_total: Arc<Counter>,
     pub db_segment_saves_total: Arc<Counter>,
     pub fed_wire_bytes_total: Arc<Counter>,
@@ -147,11 +139,9 @@ pub struct Telemetry {
     pub db_segments_quarantined_total: Arc<Counter>,
     pub faults_injected_total: Arc<Counter>,
     pub fed_party_us: Arc<Histo>,
-    pub loop_wakeups_total: Arc<Counter>,
     pub loop_ready_events: Arc<Histo>,
     /// Read by connection admission against `ServeConfig::max_conns`.
     pub active_conns: Arc<Gauge>,
-    pub pushed_events: Arc<Gauge>,
     pub write_queue_depth: Arc<Gauge>,
     pub report_encode_us: Arc<Histo>,
     pub response_bytes: Arc<Histo>,
@@ -173,14 +163,11 @@ impl Telemetry {
             envelope_decode_us: registry.histo(names::ENVELOPE_DECODE_US),
             dispatch_us: registry.histo(names::DISPATCH_US),
             write_us: registry.histo(names::WRITE_US),
-            audits_sia_total: registry.counter(names::AUDITS_SIA_TOTAL),
-            audits_pia_total: registry.counter(names::AUDITS_PIA_TOTAL),
             push_audits_total: registry.counter(names::PUSH_AUDITS_TOTAL),
             audit_sia_us: registry.histo(names::AUDIT_SIA_US),
             audit_pia_us: registry.histo(names::AUDIT_PIA_US),
             push_latency_us: registry.histo(names::PUSH_LATENCY_US),
             ingest_us: registry.histo(names::INGEST_US),
-            mutations_total: registry.counter(names::MUTATIONS_TOTAL),
             outbox_shed_total: registry.counter(names::OUTBOX_SHED_TOTAL),
             db_segment_saves_total: registry.counter(names::DB_SEGMENT_SAVES_TOTAL),
             fed_wire_bytes_total: registry.counter(names::FED_WIRE_BYTES_TOTAL),
@@ -191,10 +178,8 @@ impl Telemetry {
             db_segments_quarantined_total: registry.counter(names::DB_SEGMENTS_QUARANTINED_TOTAL),
             faults_injected_total: registry.counter(names::FAULTS_INJECTED_TOTAL),
             fed_party_us: registry.histo(names::FED_PARTY_US),
-            loop_wakeups_total: registry.counter(names::LOOP_WAKEUPS_TOTAL),
             loop_ready_events: registry.histo(names::LOOP_READY_EVENTS),
             active_conns: registry.gauge(names::ACTIVE_CONNS),
-            pushed_events: registry.gauge(names::PUSHED_EVENTS),
             write_queue_depth: registry.gauge(names::WRITE_QUEUE_DEPTH),
             report_encode_us: registry.histo(names::REPORT_ENCODE_US),
             response_bytes: registry.histo(names::RESPONSE_BYTES),

@@ -48,7 +48,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use indaas_deps::{DepView, HostLists};
+use indaas_deps::{DepView, Fnv1a, HostLists};
 use indaas_graph::{CancelToken, FaultGraph, FaultGraphBuilder, Gate, NodeId};
 
 use crate::builder::{add_server, fail_threshold, threshold_gate, BuildError, BuildSpec};
@@ -268,31 +268,6 @@ impl ServerFamily {
     }
 }
 
-/// FNV-1a, the reduced graph's event-table hasher: building the graph
-/// probes the table with every event of every server (about 1,300
-/// short names on the benchmark's deployment), where the default
-/// hasher takes several times as long per name.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 const UNSEEN: u32 = u32::MAX;
 
 /// Why [`compose_minimal`] stopped without a family.
@@ -432,7 +407,11 @@ fn reduced_graph(
     k: usize,
     families: &[&ServerFamily],
 ) -> Result<Option<FaultGraph>, BuildError> {
-    let mut events: HashMap<&str, NodeId, BuildHasherDefault<Fnv>> = HashMap::default();
+    // FNV-1a: building the graph probes the table with every event of
+    // every server (about 1,300 short names on the benchmark's
+    // deployment), where the default hasher takes several times as long
+    // per name.
+    let mut events: HashMap<&str, NodeId, BuildHasherDefault<Fnv1a>> = HashMap::default();
     for family in families {
         for &e in &family.members {
             events.insert(family.event(e), UNCREATED);

@@ -1039,8 +1039,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 /// Renders the snapshot in Prometheus text exposition format. Histogram
 /// names drop their `_us` suffix for `_seconds` families (sums and `le`
 /// bounds converted to seconds: log₂ bucket `i` covers up to `2^i - 1`
-/// µs); the per-shard write counters come from `Status` as one labeled
-/// family.
+/// µs); the per-shard epochs come from `Status` as one labeled family.
 fn render_prometheus(metrics: &MetricsAnswer, status: &StatusAnswer) -> String {
     let mut out = String::new();
     for (name, value) in &metrics.counters {
@@ -1071,10 +1070,10 @@ fn render_prometheus(metrics: &MetricsAnswer, status: &StatusAnswer) -> String {
         out.push_str(&format!("{family}_sum {}\n", histo.sum_us as f64 / 1e6));
         out.push_str(&format!("{family}_count {}\n", histo.count));
     }
-    out.push_str("# TYPE indaas_shard_writes counter\n");
-    for (shard, writes) in status.shard_writes.iter().enumerate() {
+    out.push_str("# TYPE indaas_shard_epoch counter\n");
+    for (shard, epoch) in status.shard_epochs.iter().enumerate() {
         out.push_str(&format!(
-            "indaas_shard_writes{{shard=\"{shard}\"}} {writes}\n"
+            "indaas_shard_epoch{{shard=\"{shard}\"}} {epoch}\n"
         ));
     }
     out.push_str(&format!(
@@ -1200,13 +1199,17 @@ fn render_top(
     status: &StatusAnswer,
     prev: Option<&(MetricsAnswer, std::time::Instant)>,
 ) -> String {
-    // Counter rate since the previous tick, in events/second.
+    // A counter, or a histogram's count: the events it timed.
+    let count = |m: &MetricsAnswer, name: &str| {
+        m.histo(name)
+            .map_or(m.counter(name).unwrap_or(0), |h| h.count)
+    };
+    // Its rate since the previous tick, in events/second.
     let rate = |name: &str| -> f64 {
-        let current = metrics.counter(name).unwrap_or(0);
         match prev {
             Some((p, at)) => {
                 let dt = at.elapsed().as_secs_f64().max(1e-9);
-                current.saturating_sub(p.counter(name).unwrap_or(0)) as f64 / dt
+                count(metrics, name).saturating_sub(count(p, name)) as f64 / dt
             }
             None => 0.0,
         }
@@ -1222,8 +1225,8 @@ fn render_top(
     out.push_str(&format!(
         "rates:   {:.1} req/s   {:.1} audits/s   {:.1} ingests/s   {:.1} pushes/s\n",
         rate(names::REQUESTS_TOTAL),
-        rate(names::AUDITS_SIA_TOTAL) + rate(names::AUDITS_PIA_TOTAL),
-        rate(names::MUTATIONS_TOTAL),
+        rate(names::AUDIT_SIA_US) + rate(names::AUDIT_PIA_US),
+        rate(names::INGEST_US),
         rate(names::PUSH_AUDITS_TOTAL),
     ));
     // `max(1)`: before the first lookup there are no hits either.
@@ -1237,14 +1240,14 @@ fn render_top(
     ));
     out.push_str(&format!(
         "events:  {} pushed   {} shed      subs: {}\n",
-        gauge(names::PUSHED_EVENTS),
-        metrics.counter(names::OUTBOX_SHED_TOTAL).unwrap_or(0),
+        count(metrics, names::PUSH_LATENCY_US),
+        count(metrics, names::OUTBOX_SHED_TOTAL),
         gauge(names::SUBSCRIPTIONS),
     ));
     out.push_str(&format!(
         "loop:    {:.1} wakeups/s   {} outbound bytes queued\n\n\
          stage latency (us):\n",
-        rate(names::LOOP_WAKEUPS_TOTAL),
+        rate(names::LOOP_READY_EVENTS),
         gauge(names::WRITE_QUEUE_DEPTH),
     ));
     for histo in &metrics.histos {

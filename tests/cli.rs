@@ -1,12 +1,60 @@
 //! Integration tests for the `indaas` command-line tool.
 
-use std::io::Write;
-use std::process::Command;
+use std::io::{BufRead, BufReader, Write};
+use std::process::{Child, Command, Stdio};
 
 mod common;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_indaas"))
+}
+
+/// A spawned `indaas serve`, killed on drop so a failed assertion never
+/// leaves it running (holding the test binary's output open).
+struct Daemon {
+    child: Child,
+    /// The bound address, read from the listen banner on stderr.
+    addr: String,
+}
+
+impl Daemon {
+    /// Spawns `indaas serve --listen 127.0.0.1:0` plus `args`.
+    fn serve(args: &[&str]) -> Daemon {
+        let mut child = bin()
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(args)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("daemon starts");
+        let mut banner = String::new();
+        BufReader::new(child.stderr.take().expect("stderr piped"))
+            .read_line(&mut banner)
+            .expect("read banner");
+        let addr = banner.trim().rsplit(' ').next().expect("address in banner");
+        Daemon {
+            addr: addr.to_string(),
+            child,
+        }
+    }
+
+    /// Waits for the exit a `Shutdown` request began; it must succeed.
+    fn exits_cleanly(&mut self) {
+        assert!(self.child.wait().expect("daemon exits").success());
+    }
+
+    /// Sends `Shutdown` over a raw v1 line, then waits for a clean exit.
+    fn shut_down(&mut self) {
+        let ack = common::LineSession::connect(&self.addr).raw(r#""Shutdown""#);
+        assert_eq!(ack.trim(), r#""ShuttingDown""#);
+        self.exits_cleanly();
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
@@ -237,8 +285,6 @@ fn serve_rejects_bad_flags_and_missing_records() {
 /// directory alone and still knows every record.
 #[test]
 fn serve_db_dir_persists_across_processes() {
-    use std::io::{BufRead, BufReader, Write};
-
     let dir = std::env::temp_dir().join(format!("indaas-cli-dbdir-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let records = write_temp(
@@ -251,36 +297,9 @@ fn serve_db_dir_persists_across_processes() {
     );
 
     let run_daemon = |extra: &[&str]| -> String {
-        let mut args = vec!["serve", "--listen", "127.0.0.1:0", "--db-dir"];
-        args.push(dir.to_str().unwrap());
-        args.extend_from_slice(extra);
-        let mut child = bin()
-            .args(&args)
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("daemon starts");
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut banner = String::new();
-        BufReader::new(stderr)
-            .read_line(&mut banner)
-            .expect("read banner");
-        let addr = banner
-            .trim()
-            .rsplit(' ')
-            .next()
-            .expect("address in banner")
-            .to_string();
-
-        let stream = std::net::TcpStream::connect(&addr).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        writer.write_all(b"\"Status\"\n").expect("write");
-        reader.read_line(&mut status_line).expect("read status");
-        let mut line = String::new();
-        writer.write_all(b"\"Shutdown\"\n").expect("write");
-        reader.read_line(&mut line).expect("read shutdown ack");
-        assert!(child.wait().expect("daemon exits").success());
+        let mut daemon = Daemon::serve(&[&["--db-dir", dir.to_str().unwrap()], extra].concat());
+        let status_line = common::LineSession::connect(&daemon.addr).raw(r#""Status""#);
+        daemon.shut_down();
         status_line
     };
 
@@ -302,28 +321,10 @@ fn serve_db_dir_persists_across_processes() {
 
 #[test]
 fn serve_answers_ping_and_malformed_requests_over_tcp() {
-    use std::io::{BufRead, BufReader, Write};
-
     // Spawn the daemon on an ephemeral port; it prints the bound address
     // on stderr ("indaas daemon listening on 127.0.0.1:PORT").
-    let mut child = bin()
-        .args(["serve", "--listen", "127.0.0.1:0"])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon starts");
-    let stderr = child.stderr.take().expect("stderr piped");
-    let mut banner = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-
-    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut daemon = Daemon::serve(&[]);
+    let stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -345,9 +346,7 @@ fn serve_answers_ping_and_malformed_requests_over_tcp() {
     writer.write_all(b"\"Shutdown\"\n").expect("write");
     reader.read_line(&mut line).expect("read");
     assert_eq!(line.trim(), "\"ShuttingDown\"");
-
-    let status = child.wait().expect("daemon exits");
-    assert!(status.success());
+    daemon.exits_cleanly();
 }
 
 /// The `watch` quickstart, end to end across two processes: a daemon
@@ -355,8 +354,6 @@ fn serve_answers_ping_and_malformed_requests_over_tcp() {
 /// protocol and exiting after the initial pushed event.
 #[test]
 fn watch_receives_the_initial_pushed_event() {
-    use std::io::{BufRead, BufReader, Write};
-
     let records = write_temp(
         "watch-records.txt",
         r#"
@@ -365,29 +362,8 @@ fn watch_receives_the_initial_pushed_event() {
         <src="S3" dst="Internet" route="tor2,core2"/>
         "#,
     );
-    let mut daemon = bin()
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--records",
-            records.to_str().unwrap(),
-        ])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon starts");
-    let stderr = daemon.stderr.take().expect("stderr piped");
-    let mut banner = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-
+    let mut daemon = Daemon::serve(&["--records", records.to_str().unwrap()]);
+    let addr = daemon.addr.clone();
     let out = bin()
         .args([
             "watch",
@@ -434,14 +410,7 @@ fn watch_receives_the_initial_pushed_event() {
     let v: serde_json::Value = serde_json::from_str(line.trim()).expect("valid JSON event");
     assert_eq!(v["report"]["deployments"][0]["name"], "pair");
 
-    // Shut the daemon down over a raw v1 line.
-    let stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    writer.write_all(b"\"Shutdown\"\n").expect("write");
-    reader.read_line(&mut line).expect("read shutdown ack");
-    assert!(daemon.wait().expect("daemon exits").success());
+    daemon.shut_down();
     std::fs::remove_file(&records).ok();
 }
 
@@ -453,34 +422,15 @@ fn watch_receives_the_initial_pushed_event() {
 fn metrics_and_top_render_recent_audits() {
     use indaas::core::{AuditSpec, CandidateDeployment};
     use indaas::service::Client;
-    use std::io::{BufRead, BufReader};
 
     let records = write_temp("metrics-records.txt", RECORDS);
-    let mut daemon = bin()
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--slow-audit-ms",
-            "0",
-            "--records",
-            records.to_str().unwrap(),
-        ])
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon starts");
-    let stderr = daemon.stderr.take().expect("stderr piped");
-    let mut banner = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-
+    let mut daemon = Daemon::serve(&[
+        "--slow-audit-ms",
+        "0",
+        "--records",
+        records.to_str().unwrap(),
+    ]);
+    let addr = daemon.addr.clone();
     // One miss, one hit, one engine failure (servers nobody recorded).
     let mut client = Client::connect(&addr).expect("connect");
     let pair = |name: &str, servers: [&str; 2]| {
@@ -553,7 +503,7 @@ fn metrics_and_top_render_recent_audits() {
     check(&text);
 
     client.shutdown().expect("shutdown");
-    assert!(daemon.wait().expect("daemon exits").success());
+    daemon.exits_cleanly();
     std::fs::remove_file(&records).ok();
 }
 
@@ -562,8 +512,6 @@ fn metrics_and_top_render_recent_audits() {
 /// federate` as the auditing agent.
 #[test]
 fn federate_audits_three_serve_processes() {
-    use std::io::{BufRead, BufReader};
-
     let provider_records = [
         r#"<src="A1" dst="Internet" route="tor-shared,coreA"/>
 <pgm="Riak" hw="A1" dep="libc6,openssl,erlang"/>"#,
@@ -572,36 +520,13 @@ fn federate_audits_three_serve_processes() {
         r#"<src="C1" dst="Internet" route="tor-C,coreC"/>
 <pgm="Redis" hw="C1" dep="libc6,jemalloc"/>"#,
     ];
-    let mut children = Vec::new();
-    let mut addrs = Vec::new();
-    for (i, records) in provider_records.iter().enumerate() {
-        let path = write_temp(&format!("federate-cli-{i}.txt"), records);
-        let mut child = bin()
-            .args([
-                "serve",
-                "--listen",
-                "127.0.0.1:0",
-                "--records",
-                path.to_str().unwrap(),
-            ])
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("daemon starts");
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut banner = String::new();
-        BufReader::new(stderr)
-            .read_line(&mut banner)
-            .expect("read banner");
-        addrs.push(
-            banner
-                .trim()
-                .rsplit(' ')
-                .next()
-                .expect("address in banner")
-                .to_string(),
-        );
-        children.push(child);
-    }
+    let mut daemons: Vec<Daemon> = (provider_records.iter().enumerate())
+        .map(|(i, records)| {
+            let path = write_temp(&format!("federate-cli-{i}.txt"), records);
+            Daemon::serve(&["--records", path.to_str().unwrap()])
+        })
+        .collect();
+    let addrs: Vec<String> = daemons.iter().map(|d| d.addr.clone()).collect();
 
     let out = bin()
         .args([
@@ -625,15 +550,8 @@ fn federate_audits_three_serve_processes() {
     assert!(num(&v["parties"][0]["sent_bytes"]) > 0.0);
     assert_eq!(v["parties"][2]["addr"], addrs[2].as_str());
 
-    for (child, addr) in children.iter_mut().zip(&addrs) {
-        use std::io::Write;
-        let stream = std::net::TcpStream::connect(addr).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        writer.write_all(b"\"Shutdown\"\n").expect("write");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        assert!(child.wait().expect("daemon exits").success());
+    for daemon in &mut daemons {
+        daemon.shut_down();
     }
 }
 
@@ -647,48 +565,18 @@ fn federate_audits_three_serve_processes() {
 fn live_federation_round_threads_are_loop_plus_pool() {
     use indaas::service::proto::FEDERATION_PROTOCOL_VERSION;
     use indaas::service::{Client, Request, Response};
-    use std::io::{BufRead, BufReader};
     use std::time::{Duration, Instant};
 
-    /// Kills the daemon should an assertion fail before its shutdown.
-    struct Daemon(std::process::Child);
-    impl Drop for Daemon {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-
     let records = write_temp("thread-gate-records.txt", RECORDS);
-    let mut daemon = Daemon(
-        bin()
-            .args([
-                "serve",
-                "--listen",
-                "127.0.0.1:0",
-                "--workers",
-                "1",
-                "--round-timeout-ms",
-                "3000",
-                "--records",
-                records.to_str().unwrap(),
-            ])
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("daemon starts"),
-    );
-    let stderr = daemon.0.stderr.take().expect("stderr piped");
-    let mut banner = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-
+    let mut daemon = Daemon::serve(&[
+        "--workers",
+        "1",
+        "--round-timeout-ms",
+        "3000",
+        "--records",
+        records.to_str().unwrap(),
+    ]);
+    let addr = daemon.addr.clone();
     let (successor, frame_arrived) = common::silent_successor("harness-party-1");
     // Party 1's own peer session to the daemon: welcomed, then silent.
     let mut peer = common::LineSession::connect(&addr);
@@ -717,7 +605,7 @@ fn live_federation_round_threads_are_loop_plus_pool() {
         .expect("the daemon's round-0 frame arrives");
 
     // Mid-round: the party waits on the withheld frame.
-    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.0.id()))
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
         .expect("read /proc status");
     let threads = status
         .lines()
@@ -744,7 +632,7 @@ fn live_federation_round_threads_are_loop_plus_pool() {
 
     drop(peer);
     coordinator.shutdown().expect("shutdown");
-    assert!(daemon.0.wait().expect("daemon exits").success());
+    daemon.exits_cleanly();
     std::fs::remove_file(&records).ok();
 }
 
@@ -756,21 +644,11 @@ fn live_federation_round_threads_are_loop_plus_pool() {
 fn idle_watchers_cost_no_threads() {
     use indaas::core::{AuditSpec, CandidateDeployment};
     use indaas::service::Client;
-    use std::io::{BufRead, BufReader};
     use std::time::{Duration, Instant};
 
     const SUBS: usize = 512;
     const CONNS: usize = 16;
     const WAVE_DEADLINE: Duration = Duration::from_secs(30);
-
-    /// Kills the daemon should an assertion fail before its shutdown.
-    struct Daemon(std::process::Child);
-    impl Drop for Daemon {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
 
     let records = write_temp(
         "idle-watchers-records.txt",
@@ -783,26 +661,15 @@ fn idle_watchers_cost_no_threads() {
     );
     // The queue holds one wave's push audits: an overflowed push is
     // dropped, which would fail the wave spuriously.
-    let mut daemon = Daemon(
-        bin()
-            .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
-            .args(["--queue", "1024", "--records", records.to_str().unwrap()])
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("daemon starts"),
-    );
-    let stderr = daemon.0.stderr.take().expect("stderr piped");
-    let mut banner = String::new();
-    BufReader::new(stderr)
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-
+    let mut daemon = Daemon::serve(&[
+        "--workers",
+        "1",
+        "--queue",
+        "1024",
+        "--records",
+        records.to_str().unwrap(),
+    ]);
+    let addr = daemon.addr.clone();
     // The watcher fleet, every initial event drained so each watcher is
     // idle when the threads are counted.
     let spec = AuditSpec::sia_size_based(vec![
@@ -822,7 +689,7 @@ fn idle_watchers_cost_no_threads() {
             .expect("initial event arrives");
     }
 
-    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.0.id()))
+    let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
         .expect("read /proc status");
     let threads = status
         .lines()
@@ -850,6 +717,6 @@ fn idle_watchers_cost_no_threads() {
 
     drop(clients);
     admin.shutdown().expect("shutdown");
-    assert!(daemon.0.wait().expect("daemon exits").success());
+    daemon.exits_cleanly();
     std::fs::remove_file(&records).ok();
 }
