@@ -113,13 +113,7 @@ pub struct AuditingAgent {
 impl AuditingAgent {
     /// Creates an agent over an existing dependency database.
     pub fn new(db: DepDb) -> Self {
-        Self::from_shared(Arc::new(db))
-    }
-
-    /// Creates an agent over a shared monolithic snapshot without
-    /// copying it.
-    pub fn from_shared(db: Arc<DepDb>) -> Self {
-        Self::from_view(db)
+        Self::from_view(Arc::new(db))
     }
 
     /// Creates an agent over any shared read-only dependency view.

@@ -26,8 +26,8 @@
 //!   (`indaas_faultinj::points`, `indaas_service::names`) and
 //!   referenced from it; stringly-typed drift is a finding.
 //! * **panic_path** — `unwrap`/`expect`/`panic!`/array-indexing in
-//!   non-test daemon code (`crates/service`, `crates/federation`,
-//!   `crates/netpoll`) requires an allow-comment.
+//!   non-test daemon code (`crates/service`, `crates/netpoll`) requires
+//!   an allow-comment.
 //! * **test_only_pub** — every `pub` item of a library crate must be
 //!   named by something other than unit tests: non-test code, an
 //!   example, the benchmark, or an integration test.
@@ -150,11 +150,7 @@ impl LintConfig {
                 "crates/service/src/names.rs".into(),
             ],
             fault_point_prefixes: vec!["svc.".into(), "fed.".into(), "db.".into(), "sched.".into()],
-            panic_dirs: vec![
-                "crates/service/src".into(),
-                "crates/federation/src".into(),
-                "crates/netpoll/src".into(),
-            ],
+            panic_dirs: vec!["crates/service/src".into(), "crates/netpoll/src".into()],
             caller_dirs: vec![
                 "tests".into(),
                 "examples".into(),

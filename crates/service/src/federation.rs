@@ -1,5 +1,6 @@
-//! The daemon side of federated PIA (§4.2), driven from the readiness
-//! loop like every other connection.
+//! Federated PIA (§4.2): both ends of the multi-party P-SOP ring. Each
+//! daemon plays its party from the readiness loop like every other
+//! connection; the [`FederationCoordinator`] plays the auditing agent.
 //!
 //! * **Handshake policy** — [`handshake`] answers a `FederateHello`
 //!   (version floor, self-peering, the `--peer` allow-list, which
@@ -24,11 +25,16 @@
 //!   to [`MAX_SEND_ATTEMPTS`] times per connection under exponential
 //!   backoff, then re-dial once; round deadlines, the session budget,
 //!   backoff and the dial deadline are all [`TimerWheel`] timers.
+//! * **The auditing agent** — [`FederationCoordinator`] drives the ring
+//!   from outside it and reports a [`FederatedOutcome`], degraded rather
+//!   than all-or-nothing when a minority of daemons dies.
 //!
 //! During a live P-SOP round the daemon therefore runs its loop and its
 //! pool threads, nothing else.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
@@ -40,18 +46,34 @@ use indaas_faultinj::{points, FaultAction};
 use indaas_netpoll::{Event, Interest, Poller, TimerWheel};
 use indaas_obs::{log as slog, TraceContext, TraceScope};
 use indaas_pia::normalize::normalize_set;
-use indaas_pia::{PsopConfig, PsopError, PsopParty};
-use indaas_simnet::Message;
+use indaas_pia::{
+    check_payload, count_final_lists, outcome_from_counts, PsopConfig, PsopError, PsopOutcome,
+    PsopParty,
+};
+use indaas_simnet::{Message, TrafficStats};
 
+use crate::client::{Client, ClientError};
 use crate::codec::{self, WriteProgress, WriteQueue};
 use crate::names;
 use crate::netloop::{LoopShared, ResponseSlot, TimerEvent};
 use crate::proto::{
-    decode_line, decode_traced_round_frame, encode_line, encode_payload, encode_traced_round_frame,
-    Request, Response, FEDERATION_PROTOCOL_VERSION, MAX_FEDERATE_PAYLOAD_BYTES,
-    MAX_NODE_NAME_BYTES,
+    decode_line, decode_payload, decode_traced_round_frame, encode_line, encode_payload,
+    encode_traced_round_frame, Request, Response, FEDERATION_PROTOCOL_VERSION,
+    MAX_FEDERATE_PAYLOAD_BYTES, MAX_NODE_NAME_BYTES,
 };
 use crate::server::ServiceState;
+
+/// Default per-round deadline of a federated run: the daemon's ceiling
+/// (`serve --round-timeout-ms`) and what the coordinator asks for.
+pub const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long one party may run its whole session: `parties` rounds, the
+/// agent hop and one of slack — saturating, never panicking.
+fn session_budget(round_timeout: Duration, parties: u32) -> Duration {
+    round_timeout
+        .checked_mul(parties.saturating_add(2))
+        .unwrap_or(Duration::MAX)
+}
 
 /// Most provider parties one federated audit may span — bounds the
 /// session-wide deadline multiplier and the `from` index a frame may
@@ -598,16 +620,12 @@ impl Ring {
             return;
         };
         // The coordinator may only shorten the server's round deadline.
-        // The budget is `round_timeout × (parties + 2)` — k rounds, the
-        // agent hop and one of slack — saturating, never panicking.
         let ceiling = io.state.config.round_timeout;
         let round_timeout = round_timeout_ms
             .map(Duration::from_millis)
             .unwrap_or(ceiling)
             .min(ceiling);
-        let budget = round_timeout
-            .checked_mul(parties.saturating_add(2))
-            .unwrap_or(Duration::MAX);
+        let budget = session_budget(round_timeout, parties);
         self.next_id += 1;
         let id = self.next_id;
         let party = Party {
@@ -1095,6 +1113,356 @@ impl Ring {
     }
 }
 
+/// What one daemon reported back for its party.
+struct PartyReport {
+    payload: Vec<u8>,
+    sent_bytes: u64,
+    recv_bytes: u64,
+    sent_msgs: u64,
+    wire_sent_bytes: u64,
+}
+
+/// One party that did not complete its rounds, as reported in a
+/// degraded [`FederatedOutcome`].
+#[derive(Clone, Debug)]
+pub struct PartyFailure {
+    /// Ring index of the failed party.
+    pub index: usize,
+    /// The daemon's address, as configured.
+    pub peer: String,
+    /// What went wrong, human-readable.
+    pub error: String,
+    /// `true` when the daemon was alive and *answered* with a failure
+    /// (a refusal, an empty database, a round deadline); `false` when
+    /// it was unreachable — connect failure, dropped connection, or no
+    /// answer at all (the "daemon died mid-round" class).
+    pub reachable: bool,
+}
+
+/// Outcome of a federated private overlap audit.
+///
+/// A run where every party completed carries the full [`PsopOutcome`];
+/// when a strict *minority* of daemons died mid-round the coordinator
+/// returns a **degraded** outcome instead of an all-or-nothing error —
+/// `psop` is `None` (the counting step needs every final list),
+/// `parties_failed` names each party that did not complete and whether
+/// it was reachable, and the surviving ring state is preserved for the
+/// caller to report. [`FederatedOutcome::degraded`] distinguishes the
+/// two shapes.
+#[derive(Clone, Debug)]
+pub struct FederatedOutcome {
+    /// Session id the parties ran under.
+    pub session: u64,
+    /// The P-SOP result with reassembled per-party traffic (parties
+    /// `0..k` are the daemons in peer order, party `k` the coordinator).
+    /// `None` in a degraded outcome: a partial ring cannot produce the
+    /// intersection/union counts.
+    pub psop: Option<PsopOutcome>,
+    /// Parties that failed, in ring order. Empty on a clean run.
+    pub parties_failed: Vec<PartyFailure>,
+    /// Bytes each provider daemon actually wrote to its ring successor,
+    /// framing included, in peer order. Unlike `psop.traffic` (protocol
+    /// payload, identical whatever the framing), this is the number the
+    /// binary frame encoding halves versus v1 hex lines.
+    pub party_wire_bytes: Vec<u64>,
+    /// The trace every party's spans were recorded under: each
+    /// `FederateStart` carried a child of this root, so
+    /// `indaas trace <trace_id>` against the ring daemons stitches the
+    /// whole audit into one tree.
+    pub trace: TraceContext,
+}
+
+impl FederatedOutcome {
+    /// Whether this is a degraded (partial-failure) outcome: at least
+    /// one party failed and no combined P-SOP result exists.
+    pub fn degraded(&self) -> bool {
+        !self.parties_failed.is_empty()
+    }
+}
+
+/// The auditing agent of a federated P-SOP run. It plays party `k`: it
+/// instructs each provider daemon to run its ring rounds
+/// (`FederateStart`), collects the fully-encrypted lists
+/// (`FederateDone`), counts equal ciphertexts, and reassembles the
+/// per-party traffic accounting. Each party's RNG stream is derived
+/// independently (see [`PsopParty`]), so these are the same numbers a
+/// single-process [`indaas_simnet::SimNetwork`] run of the identical
+/// topology reports.
+pub struct FederationCoordinator {
+    peers: Vec<String>,
+    config: PsopConfig,
+    round_timeout: Duration,
+}
+
+impl FederationCoordinator {
+    /// A coordinator over `peers` (ring order; at least two), with the
+    /// default P-SOP configuration and [`DEFAULT_ROUND_TIMEOUT`].
+    pub fn new(peers: impl IntoIterator<Item = String>) -> Self {
+        FederationCoordinator {
+            peers: peers.into_iter().collect(),
+            config: PsopConfig::default(),
+            round_timeout: DEFAULT_ROUND_TIMEOUT,
+        }
+    }
+
+    /// Overrides the P-SOP configuration (seed, multiset handling).
+    #[must_use]
+    pub fn with_config(mut self, config: PsopConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Overrides the per-round deadline sent to every daemon.
+    #[must_use]
+    pub fn with_round_timeout(mut self, timeout: Duration) -> Self {
+        self.round_timeout = timeout;
+        self
+    }
+
+    /// Runs the audit: one `FederateStart` per daemon, all sent before
+    /// any answer is awaited (the ring cannot make progress unless every
+    /// party is live), then the agent counting step over the returned
+    /// lists.
+    ///
+    /// When parties fail *and* the pattern is "a strict minority of
+    /// daemons unreachable" (died mid-round, connection dropped, never
+    /// answered), the coordinator does not abort: it returns `Ok` with
+    /// a degraded [`FederatedOutcome`] naming every failed party — the
+    /// caller decides what a partial ring is worth. Failures with **no**
+    /// unreachable daemon (refusals, empty databases, deadline answers
+    /// from live daemons) and majority-unreachable rings still error:
+    /// those are configuration or total-outage conditions a retry or a
+    /// human must fix. A daemon counts as reachable exactly when its
+    /// failure is [`ClientError::Remote`]: it answered.
+    ///
+    /// # Errors
+    ///
+    /// An invalid ring (fewer than two peers, a peer listed twice) as
+    /// [`std::io::ErrorKind::InvalidInput`], and non-degradable failure
+    /// patterns as above — the first error in ring order wins.
+    pub fn run(&self) -> Result<FederatedOutcome, ClientError> {
+        let k = self.peers.len();
+        if k < 2 {
+            return Err(invalid_ring(
+                "federated P-SOP needs at least two provider daemons".to_string(),
+            ));
+        }
+        for (i, p) in self.peers.iter().enumerate() {
+            if self.peers[..i].contains(p) {
+                return Err(invalid_ring(format!(
+                    "peer {p} appears twice in the ring; a daemon cannot play two parties"
+                )));
+            }
+        }
+        let session = self.session_id();
+        // The whole audit shares one trace: the root is virtual (the
+        // coordinator records no span store of its own) and every
+        // party's `FederateStart` carries a distinct child of it, so
+        // the daemons' span trees merge under one id.
+        let root = TraceContext::root();
+
+        // Every daemon must be driving its rounds at once: party 0's
+        // round-1 input only exists after party k-1 sent its round-0
+        // list. So every party's `FederateStart` goes out, in ring
+        // order, before any answer is awaited.
+        let ring = self.peers.iter().zip(self.peers.iter().cycle().skip(1));
+        let started: Vec<_> = ring
+            .enumerate()
+            .map(|(i, (peer, next))| (i, peer, self.start_party(session, i, peer, next, root)))
+            .collect();
+        let reports: Vec<_> = started
+            .into_iter()
+            .map(|(i, peer, started)| {
+                let answer = started.and_then(|(mut client, id)| client.wait(id));
+                party_report(session, i, peer, answer)
+            })
+            .collect();
+        if reports.iter().any(Result::is_err) {
+            return self.degrade_or_fail(session, root, reports);
+        }
+        let parties: Vec<PartyReport> = reports.into_iter().flatten().collect();
+
+        let (intersection, union) =
+            count_final_lists(parties.iter().map(|p| p.payload.as_slice()), k)
+                .map_err(|e| ClientError::Protocol(e.to_string()))?;
+        // Reassemble the (k+1)-party traffic matrix from each daemon's
+        // own accounting; the coordinator (party k) sends nothing and
+        // receives every final list.
+        let mut sent: Vec<u64> = parties.iter().map(|p| p.sent_bytes).collect();
+        let mut received: Vec<u64> = parties.iter().map(|p| p.recv_bytes).collect();
+        sent.push(0);
+        received.push(parties.iter().map(|p| p.payload.len() as u64).sum());
+        let messages = parties.iter().map(|p| p.sent_msgs).sum();
+        let traffic = TrafficStats::from_parts(sent, received, messages);
+        let party_wire_bytes = parties.iter().map(|p| p.wire_sent_bytes).collect();
+        Ok(FederatedOutcome {
+            session,
+            psop: Some(outcome_from_counts(intersection, union, traffic)),
+            parties_failed: Vec::new(),
+            party_wire_bytes,
+            trace: root,
+        })
+    }
+
+    /// Decides what a run with failed parties becomes: a degraded
+    /// outcome when a strict minority of daemons was unreachable (the
+    /// partial-failure class the ring should survive *observably*), the
+    /// first error in ring order otherwise.
+    fn degrade_or_fail(
+        &self,
+        session: u64,
+        root: TraceContext,
+        reports: Vec<Result<PartyReport, ClientError>>,
+    ) -> Result<FederatedOutcome, ClientError> {
+        let mut parties_failed = Vec::new();
+        let mut party_wire_bytes = Vec::with_capacity(reports.len());
+        let mut first_error = None;
+        for ((index, report), peer) in reports.into_iter().enumerate().zip(&self.peers) {
+            match report {
+                Ok(p) => party_wire_bytes.push(p.wire_sent_bytes),
+                Err(e) => {
+                    party_wire_bytes.push(0);
+                    parties_failed.push(PartyFailure {
+                        index,
+                        peer: peer.clone(),
+                        reachable: matches!(e, ClientError::Remote(_)),
+                        error: e.to_string(),
+                    });
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        let unreachable = parties_failed.iter().filter(|f| !f.reachable).count();
+        if unreachable == 0 || unreachable * 2 >= self.peers.len() {
+            // No daemon actually died (refusals / deadlines from live
+            // daemons = configuration trouble), or so many died no
+            // "partial" reading is honest — fail loudly.
+            if let Some(e) = first_error {
+                return Err(e);
+            }
+        }
+        Ok(FederatedOutcome {
+            session,
+            psop: None,
+            parties_failed,
+            party_wire_bytes,
+            trace: root,
+        })
+    }
+
+    /// Dials party `index`'s daemon and sends its `FederateStart` under
+    /// a child of `root`; returns the session and the envelope id its
+    /// answer will carry.
+    fn start_party(
+        &self,
+        session: u64,
+        index: usize,
+        peer: &str,
+        successor: &str,
+        root: TraceContext,
+    ) -> Result<(Client, u64), ClientError> {
+        let parties = u32::try_from(self.peers.len()).unwrap_or(u32::MAX);
+        let mut client = Client::connect(peer)?;
+        client.set_read_timeout(Some(socket_deadline(self.round_timeout, parties)))?;
+        let request = Request::FederateStart {
+            session,
+            index: index as u32,
+            parties,
+            successor: successor.to_string(),
+            seed: self.config.seed,
+            multiset: self.config.multiset,
+            round_timeout_ms: Some(self.round_timeout.as_millis() as u64),
+        };
+        let id = client.begin_traced(&request, Some(root.child()))?;
+        Ok((client, id))
+    }
+
+    /// Derives a session id from the ring, the configuration and the
+    /// current time — unique enough that retries and concurrent audits
+    /// on the same daemons do not collide.
+    fn session_id(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.peers.hash(&mut h);
+        self.config.seed.hash(&mut h);
+        if let Ok(elapsed) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
+            elapsed.as_nanos().hash(&mut h);
+        }
+        h.finish()
+    }
+}
+
+/// The coordinator's socket deadline: the parties' session budget plus
+/// two rounds for its own hops, so a wedged daemon fails the audit
+/// instead of hanging it, and never before the daemons' own budgets run
+/// out — those are the precise control.
+fn socket_deadline(round_timeout: Duration, parties: u32) -> Duration {
+    session_budget(round_timeout, parties.saturating_add(2))
+}
+
+/// A ring the coordinator refuses before dialing anyone.
+fn invalid_ring(message: String) -> ClientError {
+    ClientError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        message,
+    ))
+}
+
+/// What party `index` reported, from its `FederateStart` answer. The
+/// error class must survive to `run`: a `Remote` answer means the daemon
+/// is alive (it *said* no), anything else means it is unreachable — the
+/// distinction the degraded-outcome decision is built on.
+fn party_report(
+    session: u64,
+    index: usize,
+    peer: &str,
+    answer: Result<Response, ClientError>,
+) -> Result<PartyReport, ClientError> {
+    match answer {
+        Ok(Response::FederateDone {
+            session: echoed,
+            payload,
+            sent_bytes,
+            recv_bytes,
+            sent_msgs,
+            recv_msgs: _,
+            wire_sent_bytes,
+        }) => {
+            if echoed != session {
+                return Err(ClientError::Protocol(format!(
+                    "party {index} answered for session {echoed}, expected {session}"
+                )));
+            }
+            let payload = decode_payload(&payload)
+                .map_err(|e| ClientError::Protocol(format!("party {index}: {e}")))?;
+            // A truncated list would count its tail as one more distinct
+            // ciphertext and silently inflate the union — a list that is
+            // not whole group elements fails this party, by name, before
+            // any counting.
+            check_payload(index, &payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
+            Ok(PartyReport {
+                payload,
+                sent_bytes,
+                recv_bytes,
+                sent_msgs,
+                wire_sent_bytes,
+            })
+        }
+        Ok(Response::Error { message }) | Err(ClientError::Remote(message)) => Err(
+            ClientError::Remote(format!("party {index} ({peer}): {message}")),
+        ),
+        Ok(other) => Err(ClientError::Protocol(format!(
+            "party {index} ({peer}) answered {other:?}"
+        ))),
+        Err(ClientError::Io(err)) => Err(ClientError::Io(std::io::Error::new(
+            err.kind(),
+            format!("party {index} ({peer}): {err}"),
+        ))),
+        Err(ClientError::Protocol(m)) => Err(ClientError::Protocol(format!(
+            "party {index} ({peer}): {m}"
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1205,5 +1573,149 @@ mod tests {
             provider_component_set(&db),
             vec!["core1", "intel-x5550", "libc6", "openssl-1.0.1f", "tor1"]
         );
+    }
+
+    #[test]
+    fn too_few_peers_rejected() {
+        let c = FederationCoordinator::new(["127.0.0.1:1".to_string()]);
+        let err = c.run().unwrap_err();
+        assert!(matches!(&err, ClientError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput));
+        assert!(err.to_string().contains("at least two provider daemons"));
+    }
+
+    #[test]
+    fn duplicate_peers_rejected() {
+        let c = FederationCoordinator::new(["127.0.0.1:1".to_string(), "127.0.0.1:1".to_string()]);
+        let err = c.run().unwrap_err();
+        assert!(err.to_string().contains("twice"));
+    }
+
+    #[test]
+    fn session_ids_differ_across_runs() {
+        let c = FederationCoordinator::new(["a:1".to_string(), "b:2".to_string()]);
+        assert_ne!(c.session_id(), c.session_id());
+    }
+
+    /// A coordinator over `k` made-up peers; the degrade rule never dials.
+    fn ring(k: usize) -> FederationCoordinator {
+        FederationCoordinator::new((0..k).map(|i| format!("10.0.0.{i}:4914")))
+    }
+
+    /// A party that completed, wrote `wire` bytes to its successor.
+    fn done(wire: u64) -> Result<PartyReport, ClientError> {
+        Ok(PartyReport {
+            payload: Vec::new(),
+            sent_bytes: 0,
+            recv_bytes: 0,
+            sent_msgs: 0,
+            wire_sent_bytes: wire,
+        })
+    }
+
+    /// A party whose daemon died: no answer at all.
+    fn dead(what: &str) -> Result<PartyReport, ClientError> {
+        let kind = std::io::ErrorKind::ConnectionReset;
+        Err(ClientError::Io(std::io::Error::new(kind, what.to_string())))
+    }
+
+    /// A party whose daemon answered with a failure.
+    fn refused(what: &str) -> Result<PartyReport, ClientError> {
+        Err(ClientError::Remote(what.to_string()))
+    }
+
+    fn degrade(
+        k: usize,
+        reports: Vec<Result<PartyReport, ClientError>>,
+    ) -> Result<FederatedOutcome, ClientError> {
+        ring(k).degrade_or_fail(7, TraceContext::root(), reports)
+    }
+
+    #[test]
+    fn degrade_one_unreachable_of_three_keeps_survivors_wire_bytes() {
+        let outcome = degrade(3, vec![done(11), dead("party 1 died"), done(33)]).unwrap();
+        assert!(outcome.degraded());
+        assert!(outcome.psop.is_none());
+        assert_eq!(outcome.session, 7);
+        assert_eq!(outcome.party_wire_bytes, vec![11, 0, 33]);
+        let [failure] = outcome.parties_failed.as_slice() else {
+            panic!("one failed party, got {:?}", outcome.parties_failed);
+        };
+        assert_eq!((failure.index, failure.peer.as_str()), (1, "10.0.0.1:4914"));
+        assert!(!failure.reachable);
+        assert!(failure.error.contains("party 1 died"), "{}", failure.error);
+    }
+
+    #[test]
+    fn degrade_refuses_two_unreachable_of_three_with_the_first_error() {
+        let err = degrade(3, vec![done(1), dead("first"), dead("second")]).unwrap_err();
+        assert!(matches!(&err, ClientError::Io(e) if e.to_string() == "first"));
+    }
+
+    #[test]
+    fn degrade_refuses_one_unreachable_of_two() {
+        let err = degrade(2, vec![dead("gone"), done(1)]).unwrap_err();
+        assert!(matches!(err, ClientError::Io(_)));
+    }
+
+    #[test]
+    fn degrade_refuses_when_every_failure_answered() {
+        let err = degrade(3, vec![done(1), refused("empty db"), refused("late")]).unwrap_err();
+        assert!(matches!(&err, ClientError::Remote(m) if m == "empty db"));
+    }
+
+    #[test]
+    fn degrade_names_a_refusal_reachable_beside_a_death() {
+        let reports = vec![done(1), refused("no"), done(3), dead("gone"), done(5)];
+        let outcome = degrade(5, reports).unwrap();
+        assert_eq!(outcome.party_wire_bytes, vec![1, 0, 3, 0, 5]);
+        let named: Vec<_> = outcome
+            .parties_failed
+            .iter()
+            .map(|f| (f.index, f.reachable))
+            .collect();
+        assert_eq!(named, vec![(1, true), (3, false)]);
+        assert!(outcome.parties_failed[0]
+            .error
+            .starts_with("server error: "));
+    }
+
+    /// The daemon's session budget is `round × (k + 2)` and the
+    /// coordinator's socket deadline `round × (k + 4)`, saturating at
+    /// `Duration::MAX`: the socket outlives every party's budget.
+    #[test]
+    fn ring_deadlines_keep_their_values() {
+        let rounds = [
+            Duration::ZERO,
+            Duration::from_millis(1),
+            Duration::from_millis(250),
+            DEFAULT_ROUND_TIMEOUT,
+            Duration::from_secs(3600),
+            Duration::from_secs(u64::MAX / 8),
+            Duration::MAX,
+        ];
+        for round in rounds {
+            for k in [2u32, 3, 5, MAX_PARTIES, u32::MAX - 3, u32::MAX] {
+                let old_budget = round.checked_mul(k.saturating_add(2));
+                let old_socket = round.checked_mul(k.saturating_add(4));
+                assert_eq!(
+                    session_budget(round, k),
+                    old_budget.unwrap_or(Duration::MAX)
+                );
+                assert_eq!(
+                    socket_deadline(round, k),
+                    old_socket.unwrap_or(Duration::MAX)
+                );
+                assert!(socket_deadline(round, k) >= session_budget(round, k));
+            }
+        }
+        assert_eq!(
+            session_budget(DEFAULT_ROUND_TIMEOUT, 3),
+            Duration::from_secs(50)
+        );
+        assert_eq!(
+            socket_deadline(DEFAULT_ROUND_TIMEOUT, 3),
+            Duration::from_secs(70)
+        );
+        assert_eq!(socket_deadline(Duration::MAX, 2), Duration::MAX);
     }
 }

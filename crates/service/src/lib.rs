@@ -45,13 +45,14 @@
 //!   every affected subscriber over its bounded per-connection outbox
 //!   (slow consumers shed their oldest events, never block ingest) —
 //!   `indaas watch` is the CLI surface;
-//! * **federated PIA on the loop** ([`federation`]) — the daemon side of
-//!   the multi-provider P-SOP ring: `FederateHello` peer sessions and the
-//!   session table their round frames route through, each
-//!   `FederateStart` party's state machine with its crypto on the worker
-//!   pool, and the non-blocking successor dial with retry, backoff and
-//!   one re-dial — no federation thread anywhere (the coordinator side
-//!   lives in `indaas-federation`);
+//! * **federated PIA** ([`federation`]) — both ends of the
+//!   multi-provider P-SOP ring. The daemon side runs on the loop:
+//!   `FederateHello` peer sessions and the session table their round
+//!   frames route through, each `FederateStart` party's state machine
+//!   with its crypto on the worker pool, and the non-blocking successor
+//!   dial with retry, backoff and one re-dial — no federation thread
+//!   anywhere. The auditing agent, [`FederationCoordinator`], drives the
+//!   ring through [`Client`] sessions and reports degraded outcomes;
 //! * **observability on one span model** ([`telemetry`]) — every stage
 //!   of the pipeline records into a lock-cheap metrics registry
 //!   (counters, gauges, log₂ latency histograms), and every request
@@ -118,6 +119,7 @@ pub use client::{
     AuditEvent, Client, ClientError, IngestAnswer, MetricsAnswer, PiaAnswer, SiaAnswer,
     StatusAnswer, SubscriptionEnd,
 };
+pub use federation::{FederatedOutcome, FederationCoordinator, PartyFailure};
 pub use proto::{Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry};
 pub use scheduler::{SchedMetrics, Scheduler, SubmitError};
 pub use server::{ServeConfig, Server};

@@ -1,22 +1,20 @@
 //! The readiness loop: one thread, one `epoll` instance, every client
 //! connection.
 //!
-//! The threaded server spent two OS threads per connection (a blocking
-//! reader plus an outbox-draining writer) and a short-lived thread per
-//! in-flight v2 envelope. This module replaces all of them with a
-//! single loop that owns the listener, every client socket, an eventfd
-//! [`Waker`], and a [`TimerWheel`]:
+//! One loop owns the listener, every client socket, an eventfd
+//! [`Waker`], and a [`TimerWheel`], so the daemon's thread count does
+//! not grow with its connections or with the requests in flight:
 //!
 //! - **Reads** append whatever the kernel has ready to a per-connection
 //!   buffer; the incremental codecs ([`crate::codec`]) pop complete
 //!   lines/frames out of it, so byte-at-a-time delivery decodes exactly
-//!   like the old blocking readers.
+//!   like whole-message delivery.
 //! - **Writes** go through the connection's [`Outbox`] (jobs and push
-//!   audits enqueue fully-framed bytes from worker threads, exactly as
-//!   before) into a [`WriteQueue`] the loop drains on `EPOLLOUT`,
-//!   resuming mid-frame across `WouldBlock`. Frames move on only while
-//!   the write queue is under its high-watermark, so the outbox's
-//!   bounded event shedding is what a stalled reader meets.
+//!   audits enqueue fully-framed bytes from worker threads) into a
+//!   [`WriteQueue`] the loop drains on `EPOLLOUT`, resuming mid-frame
+//!   across `WouldBlock`. Frames move on only while the write queue is
+//!   under its high-watermark, so the outbox's bounded event shedding
+//!   is what a stalled reader meets.
 //! - **Requests** on either protocol get a [`ResponseSlot`] and go
 //!   through one `match` (`EventLoop::dispatch`): cheap ones are
 //!   answered inline, cache-miss audits are admitted onto the bounded
@@ -25,8 +23,8 @@
 //!   timer answers for a wedged worker; a [`CrashGuard`] answers for a
 //!   panicked one. Only line mode's greeting (`Hello`, `FederateHello`)
 //!   is handled before dispatch: it switches the connection's mode.
-//! - **Timers** absorb the old detached collector thread, per-request
-//!   deadline guards, and every federation deadline and retry backoff.
+//! - **Timers** drive the collector ticks, per-request deadline guards,
+//!   and every federation deadline and retry backoff.
 //! - **Federation** is loop state too ([`crate::federation`]): a
 //!   `FederateHello` switches its connection to peer mode, whose round
 //!   frames route through the loop-owned session table; a
@@ -81,8 +79,10 @@ const SHUTDOWN_LINGER: Duration = Duration::from_secs(2);
 /// only through this.
 pub(crate) struct LoopShared {
     waker: Waker,
+    loop_thread: std::thread::ThreadId,
     /// Connections whose outbox gained a frame (or closed) since the
-    /// loop last drained this list.
+    /// loop last drained this list. It drains it last in every turn, so
+    /// a notification raised on `loop_thread` needs no wake.
     ready: Mutex<Vec<u64>>,
     /// Federation pool jobs' results, taken under one lock per
     /// iteration.
@@ -95,7 +95,9 @@ impl LoopShared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(token);
-        self.waker.wake();
+        if std::thread::current().id() != self.loop_thread {
+            self.waker.wake();
+        }
     }
 
     fn take_ready(&self) -> Vec<u64> {
@@ -121,7 +123,7 @@ impl LoopShared {
 /// wins; later calls are no-ops. Fulfilling records the dispatch
 /// latency and the request span, frames the response for the session's
 /// protocol, and enqueues it on the connection's outbox (whose notifier
-/// wakes the loop).
+/// wakes the loop when the slot is fulfilled off the loop thread).
 pub(crate) struct ResponseSlot {
     claimed: AtomicBool,
     outbox: Arc<Outbox>,
@@ -172,8 +174,7 @@ impl ResponseSlot {
 
 /// Fulfills its slot with the crash message when dropped unclaimed —
 /// jobs own one so a panic mid-audit (unwound by the scheduler's
-/// `catch_unwind`) still answers the request, exactly as the old
-/// disconnected-channel path did.
+/// `catch_unwind`) still answers the request.
 pub(crate) struct CrashGuard(pub(crate) Arc<ResponseSlot>);
 
 impl Drop for CrashGuard {
@@ -185,8 +186,7 @@ impl Drop for CrashGuard {
 
 /// What the loop's timer wheel carries.
 pub(crate) enum TimerEvent {
-    /// Re-run the registered collectors (the old detached collector
-    /// thread, absorbed).
+    /// Re-run the registered collectors.
     Collect,
     /// A pooled job's deadline-plus-grace guard: answers "audit timed
     /// out" for a wedged worker and cancels its token.
@@ -222,9 +222,7 @@ enum Mode {
     Peer,
 }
 
-/// One client connection's entire state — what used to live across a
-/// reader thread's stack, a writer thread's stack, and their shared
-/// outbox.
+/// One client connection's entire state.
 struct Conn {
     /// The connection's poller token, never reused within a loop: also
     /// its id, which its subscriptions are keyed by.
@@ -284,6 +282,7 @@ pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std:
     let waker = Waker::new(&poller, WAKER_TOKEN)?;
     let shared = Arc::new(LoopShared {
         waker,
+        loop_thread: std::thread::current().id(),
         ready: Mutex::new(Vec::new()),
         parties: Mutex::new(Vec::new()),
     });
@@ -366,9 +365,6 @@ impl EventLoop<'_> {
                     }
                 }
             }
-            for token in self.shared.take_ready() {
-                self.service_writable(token);
-            }
             let posts = self.shared.take_parties();
             let (ring, mut io) = self.ring_io();
             for post in posts {
@@ -377,6 +373,9 @@ impl EventLoop<'_> {
             let now = Instant::now();
             while let Some((_, ev)) = self.timers.pop_expired(now) {
                 self.fire_timer(ev);
+            }
+            for token in self.shared.take_ready() {
+                self.service_writable(token);
             }
             let queued: usize = self.conns.values().map(|c| c.wq.queued_bytes()).sum();
             self.state.telemetry.write_queue_depth.set(queued as u64);
@@ -484,9 +483,9 @@ impl EventLoop<'_> {
                     v => return v,
                 },
                 Ok(codec::Fill::WouldBlock) => return Verdict::Keep,
-                // EOF and read errors end the session the same way the
-                // threaded reader did: stop reading, flush what the
-                // writer still holds, then sever.
+                // EOF and read errors stop reading but still flush what
+                // is queued, then sever: answers already owed to a
+                // half-closed peer still reach it.
                 Ok(codec::Fill::Eof) | Err(_) => return Verdict::CloseAfterFlush,
             }
         }
@@ -859,11 +858,11 @@ impl EventLoop<'_> {
     }
 
     /// Moves outbox frames into the write queue (one `svc.frame.write`
-    /// fault check per frame, as the writer thread did), writes what
-    /// the socket will take, and resumes a lock-step v1 parse freed by
-    /// a response. Past [`WRITE_HIGH_WATERMARK`] frames stay in the
-    /// outbox, so a subscriber that stops reading sheds its oldest
-    /// events there instead of growing the write queue.
+    /// fault check per frame), writes what the socket will take, and
+    /// resumes a lock-step v1 parse freed by a response. Past
+    /// [`WRITE_HIGH_WATERMARK`] frames stay in the outbox, so a
+    /// subscriber that stops reading sheds its oldest events there
+    /// instead of growing the write queue.
     fn pump(&mut self, conn: &mut Conn) -> Verdict {
         loop {
             let mut resumed = false;
@@ -887,9 +886,10 @@ impl EventLoop<'_> {
                 }
                 // Chaos hook: `svc.frame.write` loses one outgoing
                 // envelope or severs the connection under the drain.
-                // Lines — greeting, v1 answers, peer-session errors — were
-                // written directly by the threaded server, outside its
-                // writer's fault point.
+                // Lines — greeting, v1 answers, peer-session errors — pass
+                // unchecked: a lost envelope fails its own id, but a
+                // lock-step v1 client that loses its answer line waits
+                // forever.
                 if kind != FrameKind::Line {
                     let fault = indaas_faultinj::point(indaas_faultinj::points::SVC_FRAME_WRITE);
                     if fault == indaas_faultinj::FaultAction::Drop {
@@ -936,8 +936,8 @@ impl EventLoop<'_> {
                 self.conns.insert(token, conn);
             }
             Verdict::CloseAfterFlush => {
-                // Teardown, in the threaded server's order: this
-                // connection's subscriptions die with it, the outbox
+                // Teardown: this connection's subscriptions die with it
+                // so no push is queued for it afterwards, the outbox
                 // closes (in-flight jobs' frames drop silently), and
                 // already-queued frames still reach the wire.
                 self.state.subs.drop_conn(conn.token);

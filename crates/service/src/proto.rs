@@ -858,7 +858,7 @@ pub fn decode_line<T: serde::Deserialize>(line: &str) -> Result<T, serde_json::E
 
 /// Hex-encodes a `FederateDone` payload for the wire (lowercase, no
 /// prefix).
-pub fn encode_payload(bytes: &[u8]) -> String {
+pub(crate) fn encode_payload(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = Vec::with_capacity(bytes.len() * 2);
     for &b in bytes {
@@ -875,7 +875,7 @@ pub fn encode_payload(bytes: &[u8]) -> String {
 ///
 /// Returns a human-readable message for odd-length input, non-hex
 /// characters, or an oversized payload.
-pub fn decode_payload(hex: &str) -> Result<Vec<u8>, String> {
+pub(crate) fn decode_payload(hex: &str) -> Result<Vec<u8>, String> {
     if !hex.len().is_multiple_of(2) {
         return Err("hex payload has odd length".to_string());
     }

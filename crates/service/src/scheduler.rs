@@ -28,9 +28,8 @@ use indaas_core::CancelToken;
 use indaas_obs::{Counter, Gauge, Histo};
 
 /// Observability hooks for the pool: queue occupancy, queue-wait
-/// latency, and total admissions. Optional — `None` runs the pool
-/// unobserved; the daemon passes handles from its registry to
-/// [`Scheduler::with_metrics`].
+/// latency, and total admissions. The daemon passes handles from its
+/// registry to [`Scheduler::new`].
 #[derive(Clone)]
 pub struct SchedMetrics {
     /// Jobs admitted but not yet picked up (set on every transition).
@@ -73,7 +72,7 @@ struct Shared {
     capacity: usize,
     shutdown: AtomicBool,
     running: AtomicUsize,
-    metrics: Option<SchedMetrics>,
+    metrics: SchedMetrics,
 }
 
 /// The worker pool. Dropping it drains nothing: queued jobs whose
@@ -85,14 +84,14 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Spawns `workers` threads sharing a queue of at most `capacity`
-    /// pending jobs. With `metrics`, the pool keeps `queue_depth`
-    /// current, records every job's queue wait into `wait_us`, and
-    /// counts admissions into `jobs_total`.
+    /// pending jobs. The pool keeps `metrics.queue_depth` current,
+    /// records every job's queue wait into `wait_us`, and counts
+    /// admissions into `jobs_total`.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
-    pub fn with_metrics(workers: usize, capacity: usize, metrics: Option<SchedMetrics>) -> Self {
+    pub fn new(workers: usize, capacity: usize, metrics: SchedMetrics) -> Self {
         assert!(workers >= 1, "need at least one worker");
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -162,10 +161,9 @@ impl Scheduler {
                 return Err(SubmitError::QueueFull);
             }
             queue.push_back(job);
-            if let Some(m) = &self.shared.metrics {
-                m.jobs_total.inc();
-                m.queue_depth.set(queue.len() as u64);
-            }
+            let m = &self.shared.metrics;
+            m.jobs_total.inc();
+            m.queue_depth.set(queue.len() as u64);
         }
         self.shared.available.notify_one();
         Ok(token)
@@ -212,9 +210,7 @@ fn worker_loop(shared: &Shared) {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(job) = queue.pop_front() {
-                    if let Some(m) = &shared.metrics {
-                        m.queue_depth.set(queue.len() as u64);
-                    }
+                    shared.metrics.queue_depth.set(queue.len() as u64);
                     break job;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -226,9 +222,10 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        if let Some(m) = &shared.metrics {
-            m.wait_us.record(job.enqueued.elapsed().as_micros() as u64);
-        }
+        shared
+            .metrics
+            .wait_us
+            .record(job.enqueued.elapsed().as_micros() as u64);
         shared.running.fetch_add(1, Ordering::Relaxed);
         // The job body observes queue-time expiry through its token.
         // A panicking job (bad algorithm parameters tripping an assert
@@ -250,9 +247,19 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
+    /// Handles from a fresh registry, as the daemon's telemetry hands out.
+    fn metrics() -> SchedMetrics {
+        let registry = indaas_obs::Registry::new();
+        SchedMetrics {
+            queue_depth: registry.gauge("queue_depth"),
+            wait_us: registry.histo("wait_us"),
+            jobs_total: registry.counter("jobs_total"),
+        }
+    }
+
     #[test]
     fn jobs_run_and_results_flow_back() {
-        let s = Scheduler::with_metrics(2, 8, None);
+        let s = Scheduler::new(2, 8, metrics());
         let (tx, rx) = mpsc::channel();
         for i in 0..6u32 {
             let tx = tx.clone();
@@ -266,7 +273,7 @@ mod tests {
 
     #[test]
     fn queue_full_sheds_load() {
-        let s = Scheduler::with_metrics(1, 1, None);
+        let s = Scheduler::new(1, 1, metrics());
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         // Occupy the single worker...
@@ -286,7 +293,7 @@ mod tests {
 
     #[test]
     fn deadline_expires_while_queued() {
-        let s = Scheduler::with_metrics(1, 8, None);
+        let s = Scheduler::new(1, 8, metrics());
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         s.submit(None, move |_| {
@@ -306,7 +313,7 @@ mod tests {
 
     #[test]
     fn caller_can_cancel_via_returned_token() {
-        let s = Scheduler::with_metrics(1, 8, None);
+        let s = Scheduler::new(1, 8, metrics());
         let (tx, rx) = mpsc::channel();
         let token = s
             .submit(None, move |t: &CancelToken| {
@@ -323,7 +330,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
-        let s = Scheduler::with_metrics(1, 8, None);
+        let s = Scheduler::new(1, 8, metrics());
         s.submit(None, |_| panic!("boom")).unwrap();
         // The sole worker must survive to run the next job.
         let (tx, rx) = mpsc::channel();
@@ -343,12 +350,8 @@ mod tests {
 
     #[test]
     fn metrics_track_admissions_and_queue_wait() {
-        let m = SchedMetrics {
-            queue_depth: Arc::new(Gauge::new()),
-            wait_us: Arc::new(Histo::new()),
-            jobs_total: Arc::new(Counter::new()),
-        };
-        let s = Scheduler::with_metrics(1, 8, Some(m.clone()));
+        let m = metrics();
+        let s = Scheduler::new(1, 8, m.clone());
         let (tx, rx) = mpsc::channel();
         for _ in 0..3 {
             let tx = tx.clone();
@@ -369,7 +372,7 @@ mod tests {
 
     #[test]
     fn shutdown_and_join_runs_queued_work_first() {
-        let s = Scheduler::with_metrics(2, 16, None);
+        let s = Scheduler::new(2, 16, metrics());
         let (tx, rx) = mpsc::channel();
         for i in 0..5u32 {
             let tx = tx.clone();
@@ -386,7 +389,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let s = Scheduler::with_metrics(1, 8, None);
+        let s = Scheduler::new(1, 8, metrics());
         s.shutdown();
         assert_eq!(
             s.submit(None, |_| {}).unwrap_err(),

@@ -141,7 +141,7 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             cache_capacity: 4096,
             default_deadline: Duration::from_secs(30),
-            round_timeout: Duration::from_secs(10),
+            round_timeout: crate::federation::DEFAULT_ROUND_TIMEOUT,
             node: None,
             peers: Vec::new(),
             collect_interval: None,
@@ -252,10 +252,10 @@ impl Server {
             );
         }
         let state = Arc::new(ServiceState {
-            scheduler: Scheduler::with_metrics(
+            scheduler: Scheduler::new(
                 config.workers,
                 config.queue_capacity,
-                Some(telemetry.sched_metrics()),
+                telemetry.sched_metrics(),
             ),
             sia_cache: Mutex::new(AuditCache::new(config.cache_capacity)),
             pia_cache: Mutex::new(AuditCache::new(config.cache_capacity)),

@@ -18,16 +18,16 @@ use std::process::ExitCode;
 use indaas::core::{AuditSpec, AuditingAgent, CandidateDeployment, RankingMetric, RgAlgorithm};
 use indaas::deps::{parse_records, DepDb, FailureProbModel, ShardedDepDb, SimCollector};
 use indaas::faultinj::points;
-use indaas::federation::FederationCoordinator;
 use indaas::graph::to_dot;
 use indaas::obs::{build_span_tree, format_trace_id, log as slog, parse_trace_id, SpanNode};
 use indaas::pia::normalize::normalize_set;
 use indaas::pia::report::render_ranking;
 use indaas::pia::{rank_deployments, PsopConfig};
+use indaas::service::federation::DEFAULT_ROUND_TIMEOUT;
 use indaas::service::server::MAX_MINHASH;
 use indaas::service::{
-    names, Client, MetricsAnswer, Request, ServeConfig, Server, SpanEntry, StatusAnswer,
-    SubscriptionEnd,
+    names, Client, FederationCoordinator, MetricsAnswer, Request, ServeConfig, Server, SpanEntry,
+    StatusAnswer, SubscriptionEnd,
 };
 use indaas::sia::{build_fault_graph, BuildSpec};
 
@@ -105,9 +105,11 @@ OPTIONS:
   --queue N              bounded job-queue capacity (default 256)
   --cache N              audit-result cache entries (default 4096)
   --shards N             dependency-store shards (default 8); an ingest
-                         re-clones and invalidates only the shards it
-                         touches, so more shards = cheaper ingest and
-                         narrower cache invalidation
+                         copies a touched shard's host index plus the
+                         touched hosts' record lists, and invalidates
+                         only the shards it touches, so more shards =
+                         smaller index copies and narrower cache
+                         invalidation
   --deadline-ms MS       default per-job deadline (default 30000)
   --db-dir DIR           segmented persistence directory: segments load
                          in parallel at boot and dirty shards are saved
@@ -123,7 +125,7 @@ OPTIONS:
                          no --peer = accept any peer)
   --node NAME            node name announced in peer handshakes
                          (default: the bound listen address)
-  --round-timeout-ms MS  per-round federation deadline ceiling (default 10000)
+  --round-timeout-ms MS  per-round federation deadline ceiling (default {round_timeout_ms})
   --collect-interval MS  re-run registered collectors this often
   --collect-truth FILE   Table-1 ground truth for a simulated collector
   --collect-miss-rate R  simulated collector miss rate in [0, 1) (default 0)
@@ -159,7 +161,7 @@ PROTOCOL v1 (no Hello: line-delimited JSON, lock-step; still served):
 
 /// Renders `SERVE_USAGE` with the `--fault` point list generated from
 /// the registry ([`points::ALL`]), so the advertised points can never
-/// drift from the declared ones.
+/// drift from the declared ones, and the default round deadline.
 fn serve_usage() -> String {
     let indent = " ".repeat(25);
     let mut lines: Vec<String> = Vec::new();
@@ -174,7 +176,14 @@ fn serve_usage() -> String {
             _ => lines.push(format!("{indent}{word}")),
         }
     }
-    SERVE_USAGE.replace("{fault_points}", &lines.join("\n"))
+    fill_round_timeout(SERVE_USAGE).replace("{fault_points}", &lines.join("\n"))
+}
+
+/// Fills in `usage`'s default round deadline from the one the daemon
+/// and the coordinator use.
+fn fill_round_timeout(usage: &str) -> String {
+    let ms = DEFAULT_ROUND_TIMEOUT.as_millis().to_string();
+    usage.replace("{round_timeout_ms}", &ms)
 }
 
 const WATCH_USAGE: &str = "\
@@ -220,7 +229,7 @@ USAGE:
 OPTIONS:
   --peer ADDR            a provider daemon, in ring order (at least two)
   --seed N               P-SOP seed shared by all parties (default 20560)
-  --round-timeout-ms MS  per-round deadline sent to every daemon (default 10000)
+  --round-timeout-ms MS  per-round deadline sent to every daemon (default {round_timeout_ms})
   --json                 machine-readable output
 
 DEGRADED OUTCOMES:
@@ -770,7 +779,7 @@ fn reconnect_backoff(attempt: u32) -> std::time::Duration {
 fn cmd_federate(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, FEDERATE)?;
     if flags.help() {
-        eprint!("{FEDERATE_USAGE}");
+        eprint!("{}", fill_round_timeout(FEDERATE_USAGE));
         return Ok(());
     }
     let peers: Vec<String> = flags

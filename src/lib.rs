@@ -17,7 +17,6 @@ pub use indaas_core as core;
 pub use indaas_crypto as crypto;
 pub use indaas_deps as deps;
 pub use indaas_faultinj as faultinj;
-pub use indaas_federation as federation;
 pub use indaas_graph as graph;
 pub use indaas_obs as obs;
 pub use indaas_pia as pia;

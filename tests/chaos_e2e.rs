@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 use indaas::core::{AuditSpec, CandidateDeployment};
 use indaas::faultinj;
-use indaas::federation::FederationCoordinator;
-use indaas::service::{Client, SubscriptionEnd};
+use indaas::service::{Client, FederationCoordinator, SubscriptionEnd};
 use proptest::prelude::*;
 
 mod common;

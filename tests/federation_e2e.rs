@@ -6,14 +6,13 @@
 use std::time::{Duration, Instant};
 
 use indaas::deps::{parse_records, DepDb};
-use indaas::federation::FederationCoordinator;
 use indaas::obs::{TraceContext, TRACE_CONTEXT_BYTES};
 use indaas::pia::{run_psop, PsopConfig, CIPHERTEXT_BYTES};
 use indaas::service::federation::provider_component_set;
 use indaas::service::proto::{
     encode_line, Request, Response, FEDERATION_PROTOCOL_VERSION, ROUND_FRAME_HEADER_BYTES,
 };
-use indaas::service::{names, Client, ClientError, ServeConfig};
+use indaas::service::{names, Client, ClientError, FederationCoordinator, ServeConfig};
 use indaas::simnet::SimNetwork;
 
 mod common;

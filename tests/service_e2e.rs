@@ -2308,3 +2308,41 @@ fn shutdown_from_another_connection_ends_subscribers_cleanly() {
     while let Ok(Some(_)) = client.next_event(subscription, None) {}
     assert_eq!(client.end(), Some(SubscriptionEnd::CleanShutdown));
 }
+
+#[test]
+fn inline_answers_cost_one_loop_wakeup_each() {
+    let daemon = common::boot(common::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_capacity: 16,
+        ..ServeConfig::default()
+    }));
+    let mut client = Client::connect(&daemon.addr).expect("connect");
+    client.ingest(RECORDS).expect("ingest");
+    let spec = audit_spec();
+    assert!(!client.audit_sia(&spec, None).expect("miss").cached);
+
+    // Pings and cache hits are answered on the loop thread, which
+    // pumps the answer itself: the request's readable event is the
+    // only wakeup, with no eventfd self-wake behind it.
+    const ROUNDS: u64 = 40;
+    let wakeups = |client: &mut Client| {
+        let metrics = client.metrics(Some(0)).expect("metrics");
+        metrics
+            .histo(names::LOOP_READY_EVENTS)
+            .expect("wakeups")
+            .count
+    };
+    let before = wakeups(&mut client);
+    for _ in 0..ROUNDS {
+        client.ping().expect("ping");
+        assert!(client.audit_sia(&spec, None).expect("hit").cached);
+    }
+    let spent = wakeups(&mut client) - before;
+    assert!(
+        spent <= 2 * ROUNDS + ROUNDS / 2,
+        "{spent} wakeups for {} inline answers",
+        2 * ROUNDS
+    );
+    common::shutdown(vec![daemon]);
+}
