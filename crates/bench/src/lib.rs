@@ -271,6 +271,36 @@ mod tests {
         assert_eq!(ranked_digest(&audit), FIG7_RANKED_DIGEST);
     }
 
+    /// Pr(T) of the benchmark's spec and its two neighbours (topology
+    /// A, 16-way, order <= 4, `default_prob` 0.01), as a BDD of the whole
+    /// fault graph computed it, to 16 digits, per `needed_alive`.
+    const FIG7_FULL_GRAPH_PR_TOP: [(usize, f64); 3] = [
+        (16, 0.490_014_253_750_435_45),
+        (15, 0.155_297_506_461_669_2),
+        (14, 0.052_321_006_254_788_96),
+    ];
+
+    /// A probability-ranked audit of the benchmark's spec through the
+    /// agent normalises by the exact Pr(T): the groups past order 4 add
+    /// less than 1e-12 to it.
+    #[test]
+    fn fig7_top_probability_is_pinned() {
+        use indaas_core::RankingMetric;
+        for (needed_alive, full_graph) in FIG7_FULL_GRAPH_PR_TOP {
+            let (agent, spec) = fig7_agent_and_spec(needed_alive);
+            let spec = indaas_core::AuditSpec {
+                metric: RankingMetric::Probability { default_prob: 0.01 },
+                ..spec
+            };
+            let audit = &agent.audit_sia(&spec).unwrap().deployments[0];
+            let pr_top = audit.failure_probability.unwrap();
+            assert!(
+                (pr_top - full_graph).abs() < 1e-12,
+                "needed_alive = {needed_alive}: {pr_top} vs {full_graph}"
+            );
+        }
+    }
+
     #[test]
     fn synthetic_datasets_overlap() {
         let sets = synthetic_datasets(3, 100, 0.4);

@@ -5,11 +5,10 @@ use std::sync::Arc;
 
 use indaas_deps::{DbSnapshot, DepDb, DepView};
 use indaas_graph::{CancelToken, Cancelled, FaultGraph};
-use indaas_sia::ranking::INCLUSION_EXCLUSION_LIMIT;
 use indaas_sia::{
-    build_fault_graph, compose_minimal, failure_sampling_cancellable, top_event_probability,
-    write_report, AuditReport, Bdd, BddError, BuildError, BuildSpec, ComposeError, DeploymentAudit,
-    FamilyMemo, MinimalConfig, MinimalError, Ranking, SamplingConfig,
+    build_fault_graph, compose_minimal, failure_sampling_cancellable, write_report, AuditReport,
+    BuildError, BuildSpec, ComposeError, DeploymentAudit, FamilyMemo, MinimalConfig, MinimalError,
+    ProbabilityError, Ranking, SamplingConfig,
 };
 
 use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
@@ -21,11 +20,11 @@ use crate::spec::{AuditSpec, RankingMetric, RgAlgorithm};
 /// and span store) implement this trait and pass it to
 /// [`AuditingAgent::audit_sia_observed`]; everyone else gets the no-op
 /// `()` implementation for free. Stage names are stable identifiers:
-/// `"graph_build"`, `"rg_minimal"`, `"rg_sampling"`, `"rg_bdd"`,
-/// `"ranking"`. A stage is reported once per candidate deployment. An
-/// exact audit's `"graph_build"` covers every graph it builds (its
-/// missed servers', the reduced one, and the full graph when ranking
-/// samples Pr(T) from it) and its `"rg_minimal"` both MOCUS passes.
+/// `"graph_build"`, `"rg_minimal"`, `"rg_sampling"`, `"ranking"`. A
+/// stage is reported once per candidate deployment. An exact audit's
+/// `"graph_build"` covers both graphs it builds (its missed servers'
+/// and the reduced one) and its `"rg_minimal"` both MOCUS passes;
+/// `"ranking"` includes Pr(T) under the probability metric.
 /// [`AuditingAgent::audit_sia_text`] reports one more, once per audit:
 /// `"report_encode"`, the writer of the report's text.
 ///
@@ -62,8 +61,8 @@ pub enum AuditError {
     Cancelled(Cancelled),
     /// A deployment's minimal risk groups outgrew the engine's family cap.
     TooLarge(String, MinimalError),
-    /// A deployment's BDD outgrew the spec's `max_nodes` budget.
-    BddTooLarge(String, BddError),
+    /// A deployment's Pr(T) outgrew the diagram one audit may hold.
+    Probability(String, ProbabilityError),
 }
 
 impl std::fmt::Display for AuditError {
@@ -73,7 +72,7 @@ impl std::fmt::Display for AuditError {
             AuditError::Build(name, e) => write!(f, "building {name:?} failed: {e}"),
             AuditError::Cancelled(c) => write!(f, "{c}"),
             AuditError::TooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
-            AuditError::BddTooLarge(name, e) => write!(f, "auditing {name:?} failed: {e}"),
+            AuditError::Probability(name, e) => write!(f, "auditing {name:?} failed: {e}"),
         }
     }
 }
@@ -229,19 +228,6 @@ impl AuditingAgent {
                 prob_model: spec.prob_model.clone(),
             };
             let build_error = |e| AuditError::Build(cand.name.clone(), e);
-            let build_full = || {
-                observed(obs, "graph_build", || {
-                    build_fault_graph(self.db.as_ref(), &build)
-                })
-                .map_err(build_error)
-            };
-            // The BDD engine additionally yields an exact top-event
-            // probability, which normalises probability-based ranking;
-            // the other engines defer to the ranking module.
-            let mut exact_pr: Option<Bdd> = None;
-            // Beside a composed family's reduced graph: the full graph,
-            // kept only when ranking samples Pr(T) from it.
-            let mut full: Option<FaultGraph> = None;
             let (graph, family) = match spec.algorithm {
                 RgAlgorithm::Minimal { max_order } => {
                     let config = MinimalConfig {
@@ -259,20 +245,7 @@ impl AuditingAgent {
                                 AuditError::TooLarge(cand.name.clone(), too_large)
                             }
                         })?;
-                    let mut build_us = composed.build_us;
-                    // Past inclusion–exclusion's limit Pr(T) is sampled
-                    // from the graph, and only the full graph fails as
-                    // the deployment does: the reduced one keeps no cut
-                    // set past the order cap.
-                    if matches!(spec.metric, RankingMetric::Probability { .. })
-                        && composed.family.len() > INCLUSION_EXCLUSION_LIMIT
-                    {
-                        let started = std::time::Instant::now();
-                        full =
-                            Some(build_fault_graph(self.db.as_ref(), &build).map_err(build_error)?);
-                        build_us += started.elapsed().as_micros() as u64;
-                    }
-                    obs.stage("graph_build", build_us);
+                    obs.stage("graph_build", composed.build_us);
                     obs.stage("rg_minimal", composed.minimal_us);
                     (composed.graph, composed.family)
                 }
@@ -282,7 +255,10 @@ impl AuditingAgent {
                     seed,
                     threads,
                 } => {
-                    let graph = build_full()?;
+                    let graph = observed(obs, "graph_build", || {
+                        build_fault_graph(self.db.as_ref(), &build)
+                    })
+                    .map_err(build_error)?;
                     let config = SamplingConfig {
                         rounds,
                         fail_prob,
@@ -295,21 +271,6 @@ impl AuditingAgent {
                     .map_err(AuditError::Cancelled)?;
                     (graph, family)
                 }
-                RgAlgorithm::Bdd { max_nodes } => {
-                    let graph = build_full()?;
-                    let (bdd, family) = observed(obs, "rg_bdd", || {
-                        Bdd::compile_cancellable(&graph, max_nodes, token).map(|bdd| {
-                            let family = bdd.minimal_cut_sets();
-                            (bdd, family)
-                        })
-                    })
-                    .map_err(|e| match e {
-                        BddError::Cancelled(c) => AuditError::Cancelled(c),
-                        too_large => AuditError::BddTooLarge(cand.name.clone(), too_large),
-                    })?;
-                    exact_pr = Some(bdd);
-                    (graph, family)
-                }
             };
             let replication = cand.servers.len();
             let audit = observed(obs, "ranking", || {
@@ -317,28 +278,21 @@ impl AuditingAgent {
                     RankingMetric::Size => {
                         Ranking::by_size(&family, &graph, replication, spec.top_n)
                     }
-                    RankingMetric::Probability { default_prob } => {
-                        let pr_top = match (&exact_pr, &full) {
-                            (Some(bdd), _) => Some(bdd.top_probability(&graph, *default_prob)),
-                            // Past the limit the estimate reads only the
-                            // graph; the family just says it is past.
-                            (None, Some(full)) => {
-                                Some(top_event_probability(&family, full, *default_prob))
-                            }
-                            (None, None) => None,
-                        };
-                        Ranking::by_probability(
-                            &family,
-                            &graph,
-                            replication,
-                            *default_prob,
-                            pr_top,
-                            spec.top_n,
-                        )
-                    }
+                    RankingMetric::Probability { default_prob } => Ranking::by_probability(
+                        &family,
+                        &graph,
+                        replication,
+                        *default_prob,
+                        spec.top_n,
+                        token,
+                    )
+                    .map_err(|e| match e {
+                        ProbabilityError::Cancelled(c) => AuditError::Cancelled(c),
+                        too_large => AuditError::Probability(cand.name.clone(), too_large),
+                    })?,
                 };
-                finish(cand.name.clone(), graph, ranking)
-            });
+                Ok(finish(cand.name.clone(), graph, ranking))
+            })?;
             audits.push(audit);
         }
         Ok(audits)
@@ -473,53 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn bdd_algorithm_agrees_with_minimal_and_gives_exact_pr() {
-        let agent = AuditingAgent::new(db());
-        let minimal = agent
-            .audit_sia(&AuditSpec::sia_size_based(candidates()))
-            .unwrap();
-        let bdd = agent
-            .audit_sia(&AuditSpec {
-                algorithm: RgAlgorithm::Bdd { max_nodes: 1 << 20 },
-                ..AuditSpec::sia_size_based(candidates())
-            })
-            .unwrap();
-        assert_eq!(bdd.best().unwrap().name, minimal.best().unwrap().name);
-        for (a, b) in bdd.deployments.iter().zip(&minimal.deployments) {
-            assert_eq!(a.ranked_rgs.len(), b.ranked_rgs.len());
-        }
-        // Probability metric through the BDD path: exact Pr(T).
-        let prob = agent
-            .audit_sia(&AuditSpec {
-                algorithm: RgAlgorithm::Bdd { max_nodes: 1 << 20 },
-                metric: RankingMetric::Probability { default_prob: 0.1 },
-                prob_model: Some(FailureProbModel::new(0.1)),
-                ..AuditSpec::sia_size_based(candidates())
-            })
-            .unwrap();
-        assert_eq!(prob.best().unwrap().name, "S1+S3");
-        assert!(prob.best().unwrap().failure_probability.unwrap() > 0.0);
-        // A budget the graph outgrows is an audit error, not a panic.
-        let err = agent
-            .audit_sia(&AuditSpec {
-                algorithm: RgAlgorithm::Bdd { max_nodes: 2 },
-                ..AuditSpec::sia_size_based(candidates())
-            })
-            .unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                AuditError::BddTooLarge(_, BddError::TooLarge { cap: 2 })
-            ),
-            "{err}"
-        );
-        assert!(err.to_string().contains("BDD exceeded 2 nodes"), "{err}");
-    }
-
-    #[test]
-    fn bdd_probability_ranking_normalises_by_exact_top_probability() {
-        // Two servers with five disks each: 25 two-disk groups, past the
-        // inclusion–exclusion limit, so only the BDD gives Pr(T) exactly.
+    fn probability_ranking_normalises_by_exact_top_probability() {
+        // Two servers with five disks each: 25 two-disk groups, and
+        // Pr(T) = Pr(a server loses a disk)².
         let records: String = ["S1", "S2"]
             .iter()
             .flat_map(|s| {
@@ -528,7 +438,6 @@ mod tests {
             .collect();
         let agent = AuditingAgent::new(DepDb::from_records(parse_records(&records).unwrap()));
         let spec = AuditSpec {
-            algorithm: RgAlgorithm::Bdd { max_nodes: 1 << 20 },
             metric: RankingMetric::Probability { default_prob: 0.1 },
             prob_model: Some(FailureProbModel::new(0.1)),
             ..AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("pair", ["S1", "S2"])])

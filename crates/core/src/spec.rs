@@ -50,12 +50,6 @@ pub enum RgAlgorithm {
         /// Worker threads.
         threads: usize,
     },
-    /// Binary-decision-diagram compilation: exact cut sets *and* exact
-    /// top-event probability (no inclusion–exclusion subset cap).
-    Bdd {
-        /// Abort if the BDD grows beyond this many nodes.
-        max_nodes: usize,
-    },
 }
 
 impl Default for RgAlgorithm {

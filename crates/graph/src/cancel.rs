@@ -5,8 +5,9 @@
 //! A continuously-serving daemon therefore needs every algorithm to be
 //! *cancellable*: the scheduler hands each job a [`CancelToken`]
 //! (optionally carrying a deadline) and the inner loops of the
-//! minimal-RG, sampling and BDD engines poll it at bounded intervals,
-//! unwinding with [`Cancelled`] instead of burning a worker thread.
+//! minimal-RG and sampling engines and of Pr(T)'s diagram poll it at
+//! bounded intervals, unwinding with [`Cancelled`] instead of burning a
+//! worker thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -185,7 +185,7 @@ pub struct SpanRecord {
     pub trace_id: u128,
     pub span_id: u64,
     pub parent_span_id: u64,
-    /// What kind of work: `request:AuditSia`, `queue_wait`, `rg_bdd`, …
+    /// What kind of work: `request:AuditSia`, `queue_wait`, `rg_minimal`, …
     pub name: String,
     /// Free-form qualifier (candidate names, session id, …); may be empty.
     pub detail: String,

@@ -15,7 +15,7 @@
 //!
 //! Repeated or overlapping queries — a dashboard polling the same
 //! deployment comparison, many tenants auditing a popular rack pair —
-//! hit the cache instead of recomputing BDDs or sampling rounds.
+//! hit the cache instead of recomputing cut sets or sampling rounds.
 //!
 //! The daemon's SIA cache holds each report as its **wire text**
 //! (`Arc<str>`, written once from the ranked rows by the worker that

@@ -67,6 +67,11 @@ use crate::server::ServiceState;
 /// (`serve --round-timeout-ms`) and what the coordinator asks for.
 pub const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// What a party's error says when its round or session deadline
+/// expired. Such an expiry is often the echo of another party's failure
+/// upstream in the ring, so the coordinator reports that failure first.
+const ROUND_DEADLINE_EXCEEDED: &str = "round deadline exceeded";
+
 /// How long one party may run its whole session: `parties` rounds, the
 /// agent hop and one of slack — saturating, never panicking.
 fn session_budget(round_timeout: Duration, parties: u32) -> Duration {
@@ -1034,15 +1039,15 @@ impl Ring {
                 };
                 if p.psop.is_some() && p.outgoing.is_none() && p.recv_round == awaiting {
                     let e = format!(
-                        "round deadline exceeded: no frame within the {}ms round deadline",
+                        "{ROUND_DEADLINE_EXCEEDED}: no frame within the {}ms round deadline",
                         p.round_timeout.as_millis()
                     );
                     self.finish(io, party, Err(e));
                 }
             }
             FedTimer::Budget(party) => {
-                let e = "round deadline exceeded: federation session deadline exceeded";
-                self.finish(io, party, Err(e.into()));
+                let e = format!("{ROUND_DEADLINE_EXCEEDED}: federation session deadline exceeded");
+                self.finish(io, party, Err(e));
             }
             FedTimer::Retry(party) => self.try_send(io, party),
             FedTimer::Dial(party, link) => {
@@ -1306,8 +1311,9 @@ impl FederationCoordinator {
 
     /// Decides what a run with failed parties becomes: a degraded
     /// outcome when a strict minority of daemons was unreachable (the
-    /// partial-failure class the ring should survive *observably*), the
-    /// first error in ring order otherwise.
+    /// partial-failure class the ring should survive *observably*), an
+    /// error otherwise: the first in ring order that is not a deadline
+    /// expiry, or the first of all when every one is.
     fn degrade_or_fail(
         &self,
         session: u64,
@@ -1316,19 +1322,25 @@ impl FederationCoordinator {
     ) -> Result<FederatedOutcome, ClientError> {
         let mut parties_failed = Vec::new();
         let mut party_wire_bytes = Vec::with_capacity(reports.len());
-        let mut first_error = None;
+        let (mut first_cause, mut first_deadline) = (None, None);
         for ((index, report), peer) in reports.into_iter().enumerate().zip(&self.peers) {
             match report {
                 Ok(p) => party_wire_bytes.push(p.wire_sent_bytes),
                 Err(e) => {
                     party_wire_bytes.push(0);
+                    let error = e.to_string();
+                    let expired = error.contains(ROUND_DEADLINE_EXCEEDED);
                     parties_failed.push(PartyFailure {
                         index,
                         peer: peer.clone(),
                         reachable: matches!(e, ClientError::Remote(_)),
-                        error: e.to_string(),
+                        error,
                     });
-                    first_error.get_or_insert(e);
+                    if expired {
+                        first_deadline.get_or_insert(e);
+                    } else {
+                        first_cause.get_or_insert(e);
+                    }
                 }
             }
         }
@@ -1337,7 +1349,7 @@ impl FederationCoordinator {
             // No daemon actually died (refusals / deadlines from live
             // daemons = configuration trouble), or so many died no
             // "partial" reading is honest — fail loudly.
-            if let Some(e) = first_error {
+            if let Some(e) = first_cause.or(first_deadline) {
                 return Err(e);
             }
         }
@@ -1661,6 +1673,25 @@ mod tests {
     fn degrade_refuses_when_every_failure_answered() {
         let err = degrade(3, vec![done(1), refused("empty db"), refused("late")]).unwrap_err();
         assert!(matches!(&err, ClientError::Remote(m) if m == "empty db"));
+    }
+
+    #[test]
+    fn degrade_reports_a_refusal_before_the_deadlines_it_caused() {
+        let deadline = |ms| {
+            refused(&format!(
+                "federated audit failed: {ROUND_DEADLINE_EXCEEDED}: \
+                 no frame within the {ms}ms round deadline"
+            ))
+        };
+        let err = degrade(
+            3,
+            vec![deadline(10), refused("no components"), deadline(20)],
+        )
+        .unwrap_err();
+        assert!(matches!(&err, ClientError::Remote(m) if m == "no components"));
+        // Every failure a deadline: the first of them.
+        let err = degrade(2, vec![deadline(10), deadline(20)]).unwrap_err();
+        assert!(matches!(&err, ClientError::Remote(m) if m.contains("10ms")));
     }
 
     #[test]

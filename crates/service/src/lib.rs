@@ -26,8 +26,8 @@
 //!   points in `indaas-core`/`indaas-sia`/`indaas-pia`;
 //! * **content-hash caching** — results are cached by a hash of
 //!   `(epoch pins of the shards the spec reads, audit spec)`
-//!   ([`cache`]), so repeated or overlapping queries skip BDD
-//!   compilation and sampling entirely, an ingest invalidates exactly
+//!   ([`cache`]), so repeated or overlapping queries skip the
+//!   risk-group engines entirely, an ingest invalidates exactly
 //!   the entries pinned to the shards it touched, and audits over
 //!   untouched shards stay cached across unrelated ingests;
 //! * **a multiplexed, binary-framed wire protocol** ([`proto`]) — a v2

@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn dynamic_families_share_their_prefix() {
-        assert!(audit_stage_us("rg_bdd").starts_with(AUDIT_STAGE_PREFIX));
-        assert!(audit_stage_us("rg_bdd").ends_with("_us"));
+        assert!(audit_stage_us("rg_minimal").starts_with(AUDIT_STAGE_PREFIX));
+        assert!(audit_stage_us("rg_minimal").ends_with("_us"));
     }
 }

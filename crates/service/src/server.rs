@@ -869,21 +869,10 @@ fn validate_spec(spec: &AuditSpec) -> Result<(), String> {
                 return Err(format!("fail_prob must be in (0, 1) (got {fail_prob})"));
             }
         }
-        indaas_core::RgAlgorithm::Bdd { max_nodes } => {
-            // The node budget bounds one job's memory; uncapped it lets
-            // a single request grow allocations past any deadline's
-            // reach (the token is only polled between graph nodes).
-            const MAX_BDD_NODES: usize = 1 << 24;
-            if !(2..=MAX_BDD_NODES).contains(&max_nodes) {
-                return Err(format!(
-                    "bdd max_nodes must be in 2..={MAX_BDD_NODES} (got {max_nodes})"
-                ));
-            }
-        }
         indaas_core::RgAlgorithm::Minimal { .. } => {}
     }
-    // Out-of-range probabilities turn inclusion–exclusion into
-    // `inf - inf`; every probability a request carries must be one.
+    // Every probability a request carries must be one: Pr(T) and the
+    // importances it normalises mean nothing outside [0, 1].
     if let indaas_core::RankingMetric::Probability { default_prob } = spec.metric {
         if !(0.0..=1.0).contains(&default_prob) {
             return Err(format!(

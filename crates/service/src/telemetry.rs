@@ -66,8 +66,7 @@
 //! | `audit_stage_graph_build_us` | fault-graph construction, per candidate |
 //! | `audit_stage_rg_minimal_us` | minimal risk-group engine |
 //! | `audit_stage_rg_sampling_us` | failure-sampling engine |
-//! | `audit_stage_rg_bdd_us` | BDD compile + cut-set extraction |
-//! | `audit_stage_ranking_us` | risk-group ranking |
+//! | `audit_stage_ranking_us` | risk-group ranking, Pr(T) included |
 //! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report writing included; count: audits executed (request miss or push, failed or not; a cache hit executes none) |
 //! | `push_latency_us` | ingest invalidation → event frame enqueued; count: audit events produced for subscribers |
 //! | `ingest_us` | one ingest/retract batch through the write path; count: batches applied, no-ops and unwound writes included |
@@ -96,13 +95,7 @@ pub const DEFAULT_RECENT_AUDITS: usize = 32;
 
 /// The engine stages [`indaas_core::StageObserver`] reports, in the
 /// order their histograms sit in [`Telemetry`].
-const STAGES: [&str; 5] = [
-    "graph_build",
-    "rg_minimal",
-    "rg_sampling",
-    "rg_bdd",
-    "ranking",
-];
+const STAGES: [&str; 4] = ["graph_build", "rg_minimal", "rg_sampling", "ranking"];
 
 /// The stage the agent's text entry reports for its report writer
 /// ([`indaas_core::AuditingAgent::audit_sia_text`]): not an engine stage,

@@ -34,8 +34,7 @@
 //! are left out, which moves no other event's relative order. Row order
 //! is kept too: a server's rows enter its OR in the order its own MOCUS
 //! left them, so the top gate sees what it sees in the full graph, and
-//! the deployment's rows — which inclusion–exclusion sums in order —
-//! come out in the same order.
+//! the deployment's rows come out in the same order.
 //!
 //! A server whose family is empty at the order cap never fails within
 //! it. It is left out of the top gate and k is kept; with fewer than k

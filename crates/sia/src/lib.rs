@@ -14,7 +14,9 @@
 //!    keep the full graph's relative id order, so ranking and report are
 //!    the full graph's byte for byte,
 //! 3. ranks the risk groups by size or failure probability once, over
-//!    the family's rows ([`Ranking`], §4.1.3), and
+//!    the family's rows ([`Ranking`], §4.1.3); importances are normalised
+//!    by the exact probability that some group fails, one diagram of the
+//!    family's rows for every engine ([`top_event_probability`]), and
 //! 4. renders an auditing report with per-deployment independence scores
 //!    from that ranking ([`report`], §4.1.4): the typed [`AuditReport`],
 //!    or its JSON text written straight from the rows
@@ -43,7 +45,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bdd;
+mod bdd;
 pub mod builder;
 pub mod compose;
 pub mod minimal;
@@ -52,14 +54,13 @@ pub mod report;
 pub mod riskgroup;
 pub mod sampling;
 
-pub use bdd::{Bdd, BddError};
 pub use builder::{build_fault_graph, BuildError, BuildSpec};
 pub use compose::{compose_minimal, ComposeError, Composed, FamilyMemo};
 pub use minimal::{
     minimal_child_families, minimal_risk_groups, minimal_risk_groups_cancellable, MinimalConfig,
     MinimalError,
 };
-pub use ranking::{top_event_probability, Ranking};
+pub use ranking::{top_event_probability, ProbabilityError, Ranking};
 pub use report::{write_report, AuditReport, DeploymentAudit, RankedRg, ScoreKind};
 pub use riskgroup::{RgFamily, RiskGroup};
 pub use sampling::{failure_sampling, failure_sampling_cancellable, SamplingConfig};

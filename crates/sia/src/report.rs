@@ -60,7 +60,8 @@ pub struct DeploymentAudit {
     /// Number of *unexpected* RGs: groups strictly smaller than the
     /// replication factor.
     pub unexpected_rgs: usize,
-    /// Estimated top-event (whole-deployment failure) probability, when
+    /// Pr(T), the exact probability that some listed group fails (the
+    /// whole deployment's when the family is complete), when
     /// probabilities were used.
     pub failure_probability: Option<f64>,
 }
@@ -77,23 +78,6 @@ impl DeploymentAudit {
         top_n: Option<usize>,
     ) -> Self {
         let ranking = Ranking::by_size(family, graph, replication, top_n);
-        Self::from_ranking(name, graph, &ranking)
-    }
-
-    /// Audits one deployment with probability-based ranking, normalised
-    /// by `pr_top` when the caller has the exact top-event probability
-    /// (see [`Ranking::by_probability`]).
-    pub fn probability_based(
-        name: impl Into<String>,
-        family: &RgFamily,
-        graph: &FaultGraph,
-        replication: usize,
-        default_prob: f64,
-        pr_top: Option<f64>,
-        top_n: Option<usize>,
-    ) -> Self {
-        let ranking =
-            Ranking::by_probability(family, graph, replication, default_prob, pr_top, top_n);
         Self::from_ranking(name, graph, &ranking)
     }
 
@@ -208,7 +192,7 @@ fn write_deployment(w: &mut Writer, name: &str, graph: &FaultGraph, ranking: &Ra
 /// `(independence score, failure probability, name)`.
 ///
 /// Size-based audits order by descending score (Σ sizes of the top-n
-/// RGs). Probability-based audits order by ascending estimated
+/// RGs). Probability-based audits order by ascending
 /// whole-deployment failure probability — the quantity the paper's
 /// §6.2.1 case study uses to crown the winning deployment — with the
 /// Σ-of-importances score kept as a reported field (summing relative
@@ -309,6 +293,17 @@ mod tests {
         )
     }
 
+    /// `family` ranked by probability at replication 2, `default_prob` 0.1.
+    fn by_probability(family: &RgFamily, graph: &FaultGraph, top_n: Option<usize>) -> Ranking {
+        let token = indaas_graph::CancelToken::default();
+        Ranking::by_probability(family, graph, 2, 0.1, top_n, &token).unwrap()
+    }
+
+    /// The typed audit of [`by_probability`].
+    fn probability_based(name: &str, family: &RgFamily, graph: &FaultGraph) -> DeploymentAudit {
+        DeploymentAudit::from_ranking(name, graph, &by_probability(family, graph, None))
+    }
+
     #[test]
     fn unexpected_rg_counting() {
         let (audit, _) = audit_of(
@@ -359,30 +354,14 @@ mod tests {
         ])
         .unwrap();
         let rgs_risky = minimal_risk_groups(&graph_risky, &MinimalConfig::default());
-        let risky = DeploymentAudit::probability_based(
-            "risky",
-            &rgs_risky,
-            &graph_risky,
-            2,
-            0.1,
-            None,
-            None,
-        );
+        let risky = probability_based("risky", &rgs_risky, &graph_risky);
         let graph_clean = component_sets_to_graph(&[
             ComponentSet::new("E1", ["a"]),
             ComponentSet::new("E2", ["b"]),
         ])
         .unwrap();
         let rgs_clean = minimal_risk_groups(&graph_clean, &MinimalConfig::default());
-        let clean = DeploymentAudit::probability_based(
-            "clean",
-            &rgs_clean,
-            &graph_clean,
-            2,
-            0.1,
-            None,
-            None,
-        );
+        let clean = probability_based("clean", &rgs_clean, &graph_clean);
         // Clean deployment: Pr(outage) = 0.01 < risky's 0.1.
         assert!(clean.failure_probability.unwrap() < risky.failure_probability.unwrap());
         let report = AuditReport::new(vec![risky, clean]);
@@ -400,7 +379,7 @@ mod tests {
             "a",
         );
         let rgs = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let b = DeploymentAudit::probability_based("b", &rgs, &graph, 2, 0.1, None, None);
+        let b = probability_based("b", &rgs, &graph);
         let _ = AuditReport::new(vec![a, b]);
     }
 
@@ -442,12 +421,7 @@ mod tests {
                 .map(|(name, family)| (name, Ranking::by_size(family, &graph, 2, top_n)))
                 .into();
             let prob: Vec<_> = [("p\t", &family), ("q", &empty)]
-                .map(|(name, family)| {
-                    (
-                        name,
-                        Ranking::by_probability(family, &graph, 2, 0.1, None, top_n),
-                    )
-                })
+                .map(|(name, family)| (name, by_probability(family, &graph, top_n)))
                 .into();
             for rankings in [size, prob] {
                 let typed = AuditReport::new(

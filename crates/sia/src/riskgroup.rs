@@ -78,34 +78,6 @@ impl RiskGroup {
         true
     }
 
-    /// Union of two risk groups (sorted merge).
-    pub fn union(&self, other: &RiskGroup) -> RiskGroup {
-        let mut out = Vec::with_capacity(self.ids.len() + other.ids.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.ids[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.ids[i..]);
-        out.extend_from_slice(&other.ids[j..]);
-        RiskGroup {
-            ids: out.into_boxed_slice(),
-        }
-    }
-
     /// Resolves member ids to component names.
     pub fn names(&self, graph: &FaultGraph) -> Vec<String> {
         self.ids
@@ -530,11 +502,6 @@ mod tests {
         assert!(!rg(&[1, 4]).is_subset_of(&rg(&[1, 2, 3])));
         assert!(rg(&[]).is_subset_of(&rg(&[1])));
         assert!(!rg(&[1, 2, 3]).is_subset_of(&rg(&[1, 2])));
-    }
-
-    #[test]
-    fn union_merges_sorted() {
-        assert_eq!(rg(&[1, 3]).union(&rg(&[2, 3, 5])).ids(), &[1, 2, 3, 5]);
     }
 
     #[test]

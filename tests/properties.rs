@@ -5,10 +5,9 @@ use indaas::deps::{
     SoftwareDep,
 };
 use indaas::graph::detail::{component_sets_to_graph, ComponentSet};
-use indaas::graph::{FaultGraph, FaultGraphBuilder, Gate, IncrementalEval, NodeId};
-use indaas::sia::ranking::{monte_carlo_top_probability, INCLUSION_EXCLUSION_LIMIT};
+use indaas::graph::{CancelToken, FaultGraph, FaultGraphBuilder, Gate, IncrementalEval, NodeId};
 use indaas::sia::{
-    failure_sampling, minimal_risk_groups, top_event_probability, Bdd, MinimalConfig, RgFamily,
+    failure_sampling, minimal_risk_groups, top_event_probability, MinimalConfig, RgFamily,
     RiskGroup, SamplingConfig,
 };
 use proptest::prelude::*;
@@ -591,24 +590,21 @@ proptest! {
         }
     }
 
-    /// The exact engine and the BDD engine compute the same minimal cut
-    /// sets on random DAGs with shared gates.
+    /// The exact engine computes the minimal cut sets that trying every
+    /// assignment finds, on random DAGs with shared gates.
     #[test]
-    fn minimal_rgs_equal_bdd_cut_sets(basics in 3usize..8, genes in dag_genes()) {
+    fn minimal_rgs_equal_brute_force_on_random_dags(basics in 3usize..8, genes in dag_genes()) {
         let graph = monotone_dag(basics, &genes);
         let mocus = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let bdd = Bdd::compile(&graph, 1 << 16).minimal_cut_sets();
-        prop_assert_eq!(group_set(&mocus), group_set(&bdd));
         prop_assert_eq!(group_set(&mocus), brute_force_minimal(&graph));
     }
 
-    /// Pr(top) three ways on random DAGs: the BDD's Shannon expansion and
-    /// inclusion–exclusion over the minimal family (Monte-Carlo beyond
-    /// its limit) equal a sum over all 2^b assignments through
-    /// `FaultGraph::evaluate`, and seeded Monte-Carlo lands near it.
+    /// Pr(top) of the uncapped minimal family, at every family size,
+    /// equals a sum over all 2^b assignments through
+    /// `FaultGraph::evaluate`.
     #[test]
     fn top_probability_matches_enumeration(
-        basics in 3usize..8, genes in dag_genes(), permille in 50u32..950, seed in any::<u64>(),
+        basics in 3usize..8, genes in dag_genes(), permille in 50u32..950,
     ) {
         let (graph, p) = (monotone_dag(basics, &genes), f64::from(permille) / 1000.0);
         let mut assignment = vec![false; graph.len()];
@@ -620,14 +616,9 @@ proptest! {
                 exact += p.powi(failed) * (1.0 - p).powi(basics as i32 - failed);
             }
         }
-        let bdd = Bdd::compile(&graph, 1 << 16).top_probability(&graph, p);
-        prop_assert!((bdd - exact).abs() < 1e-9, "BDD {bdd} vs {exact}");
         let family = minimal_risk_groups(&graph, &MinimalConfig::default());
-        let bound = if family.len() <= INCLUSION_EXCLUSION_LIMIT { 1e-9 } else { 0.03 };
-        let ie = top_event_probability(&family, &graph, p);
-        prop_assert!((ie - exact).abs() < bound, "{} groups: {ie} vs {exact}", family.len());
-        let mc = monte_carlo_top_probability(&graph, p, 20_000, seed);
-        prop_assert!((mc - exact).abs() < 0.03, "Monte-Carlo {mc} vs {exact}");
+        let got = top_event_probability(&family, &graph, p, &CancelToken::default()).unwrap();
+        prop_assert!((got - exact).abs() < 1e-9, "{} groups: {got} vs {exact}", family.len());
     }
 
     /// `max_order = Some(k)` yields exactly the groups of the untruncated
@@ -1119,18 +1110,15 @@ mod wire_props {
                 network: self.bool(),
                 hardware: self.bool(),
                 software: self.bool(),
-                algorithm: match self.below(3) {
+                algorithm: match self.below(2) {
                     0 => RgAlgorithm::Minimal {
                         max_order: self.opt(|g| g.below(6) as usize),
                     },
-                    1 => RgAlgorithm::Sampling {
+                    _ => RgAlgorithm::Sampling {
                         rounds: self.next(),
                         fail_prob: self.float(),
                         seed: self.next(),
                         threads: self.below(8) as usize,
-                    },
-                    _ => RgAlgorithm::Bdd {
-                        max_nodes: self.next() as usize,
                     },
                 },
                 metric: if self.bool() {
@@ -1328,17 +1316,16 @@ mod report_writer_props {
             hardware: g.bool(),
             software: g.bool(),
             // Order 0 and zero sampling rounds give empty families.
-            algorithm: match g.below(3) {
+            algorithm: match g.below(2) {
                 0 => RgAlgorithm::Minimal {
                     max_order: g.opt(|g| g.below(4) as usize),
                 },
-                1 => RgAlgorithm::Sampling {
+                _ => RgAlgorithm::Sampling {
                     rounds: g.below(300),
                     fail_prob: 0.3,
                     seed: g.next(),
                     threads: 1,
                 },
-                _ => RgAlgorithm::Bdd { max_nodes: 1 << 16 },
             },
             metric: if probability {
                 RankingMetric::Probability {
@@ -1392,10 +1379,10 @@ mod compose_props {
     use indaas::deps::{
         DependencyRecord, FailureProbModel, HardwareDep, NetworkDep, ShardedDepDb, SoftwareDep,
     };
-    use indaas::sia::ranking::INCLUSION_EXCLUSION_LIMIT;
+    use indaas::graph::CancelToken;
     use indaas::sia::{
         build_fault_graph, minimal_risk_groups, AuditReport, BuildSpec, DeploymentAudit,
-        FamilyMemo, MinimalConfig,
+        FamilyMemo, MinimalConfig, Ranking,
     };
     use indaas::topology::{FatTree, FatTreeConfig};
     use proptest::prelude::*;
@@ -1552,20 +1539,15 @@ mod compose_props {
             };
             let family = minimal_risk_groups(&graph, &config);
             let n = cand.servers.len();
-            audits.push(match spec.metric {
-                RankingMetric::Size => {
-                    DeploymentAudit::size_based(&cand.name, &family, &graph, n, spec.top_n)
+            let ranking = match spec.metric {
+                RankingMetric::Size => Ranking::by_size(&family, &graph, n, spec.top_n),
+                RankingMetric::Probability { default_prob } => {
+                    let token = CancelToken::default();
+                    Ranking::by_probability(&family, &graph, n, default_prob, spec.top_n, &token)
+                        .map_err(|e| format!("auditing {:?} failed: {e}", cand.name))?
                 }
-                RankingMetric::Probability { default_prob } => DeploymentAudit::probability_based(
-                    &cand.name,
-                    &family,
-                    &graph,
-                    n,
-                    default_prob,
-                    None,
-                    spec.top_n,
-                ),
-            });
+            };
+            audits.push(DeploymentAudit::from_ranking(&cand.name, &graph, &ranking));
         }
         Ok(AuditReport::new(audits))
     }
@@ -1606,7 +1588,6 @@ mod compose_props {
         fn composed_audits_equal_full_graph_audits(
             steps in proptest::collection::vec(0u32..50, 1..7),
             shapes in proptest::collection::vec(any::<u32>(), 6..7),
-            sample_pr in 0u32..4,
         ) {
             let hosts = hosts();
             let db = ShardedDepDb::new(4);
@@ -1633,14 +1614,11 @@ mod compose_props {
                 let spec = exact_spec(servers, needed_alive, network, Some(1), false);
                 same_report(&db, &memo, &spec)?;
             }
-            // Past inclusion–exclusion's limit (every server's own
-            // singletons and aggregation pairs), Pr(T) is sampled from
-            // the full graph; 200,000 rounds twice, so one case in four.
-            if sample_pr == 0 {
-                let spec = exact_spec(hosts[..4].to_vec(), 4, 7, Some(2), true);
-                let groups = same_report(&db, &memo, &spec)?;
-                prop_assert!(groups > INCLUSION_EXCLUSION_LIMIT, "{groups} groups");
-            }
+            // Probability-ranked past 20 groups: every server's own
+            // singletons and aggregation pairs.
+            let spec = exact_spec(hosts[..4].to_vec(), 4, 7, Some(2), true);
+            let groups = same_report(&db, &memo, &spec)?;
+            prop_assert!(groups > 20, "{groups} groups");
         }
     }
 }

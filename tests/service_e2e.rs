@@ -296,33 +296,9 @@ fn hostile_specs_are_rejected_or_survived() {
     let err = client.audit_sia(&bad_prob, None).unwrap_err();
     assert!(err.to_string().contains("fail_prob"), "got: {err}");
 
-    // An uncapped BDD node budget must be rejected up front.
-    let huge_bdd = AuditSpec {
-        algorithm: RgAlgorithm::Bdd {
-            max_nodes: usize::MAX,
-        },
-        ..audit_spec()
-    };
-    let err = client.audit_sia(&huge_bdd, None).unwrap_err();
-    assert!(err.to_string().contains("max_nodes"), "got: {err}");
-
-    // A BDD budget too small for the graph is an audit error the job
-    // answers itself — not a panic the crash guard has to report.
-    let tiny_bdd = AuditSpec {
-        algorithm: RgAlgorithm::Bdd { max_nodes: 2 },
-        ..audit_spec()
-    };
-    let err = client.audit_sia(&tiny_bdd, None).unwrap_err().to_string();
-    assert!(
-        err.contains("audit failed") && err.contains("BDD exceeded 2 nodes"),
-        "got: {err}"
-    );
-    assert!(!err.contains("crashed"), "got: {err}");
-
-    // Request-supplied probabilities outside [0, 1] make inclusion–
-    // exclusion compute `inf - inf`: rejected up front, never a crashed
-    // job. The model's rules arrive through `Deserialize`, which skips
-    // the constructors' range asserts.
+    // Request-supplied probabilities outside [0, 1] are rejected up
+    // front, never a crashed job. The model's rules arrive through
+    // `Deserialize`, which skips the constructors' range asserts.
     let huge_prob = AuditSpec {
         metric: RankingMetric::Probability {
             default_prob: 1e300,
@@ -370,6 +346,66 @@ fn hostile_specs_are_rejected_or_survived() {
 /// the process (a MinHash family of 2^40 functions) or enumerate 10^11
 /// provider combinations are rejected at admission, fast, and the
 /// daemon keeps serving.
+#[test]
+fn the_removed_bdd_engine_is_a_malformed_request() {
+    use indaas::service::proto::{
+        decode_line, encode_line, read_frame, write_frame, FrameRead, ResponseEnvelope,
+    };
+
+    let (addr, daemon) = start_daemon();
+    let request = encode_line(&Request::AuditSia {
+        spec: audit_spec(),
+        timeout_ms: None,
+    });
+    let minimal = r#"{"Minimal":{"max_order":null}}"#;
+    assert!(request.contains(minimal), "{request}");
+    let bdd = request.replace(minimal, r#"{"Bdd":{"max_nodes":1024}}"#);
+
+    // v2: the spec in an envelope is answered on its id, then dropped.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone socket");
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "{}", encode_line(&Request::Hello { version: 2 })).expect("hello");
+    let mut welcome = String::new();
+    reader.read_line(&mut welcome).expect("welcome");
+    assert!(welcome.contains("Welcome"), "got: {welcome}");
+    let envelope = format!(r#"{{"id":1,"body":{bdd}}}"#);
+    write_frame(&mut writer, envelope.as_bytes()).expect("envelope frame");
+    let mut frame = Vec::new();
+    assert!(matches!(
+        read_frame(&mut reader, &mut frame, 1 << 24).expect("answer frame"),
+        FrameRead::Frame
+    ));
+    let answer: ResponseEnvelope =
+        decode_line(std::str::from_utf8(&frame).expect("UTF-8 frame")).expect("envelope");
+    match answer.body {
+        Response::Error { message } => assert!(
+            message.contains("malformed envelope") && message.contains(r#"unknown variant "Bdd""#),
+            "got: {message}"
+        ),
+        other => panic!("expected an error, got {other:?}"),
+    }
+
+    // v1: the same spec on a line.
+    let mut v1 = LineSession::connect(addr);
+    let answer = v1.raw(&bdd);
+    assert!(
+        answer.starts_with(r#"{"Error":"#)
+            && answer.contains("malformed request")
+            && answer.contains(r#"unknown variant \"Bdd\""#),
+        "got: {answer}"
+    );
+
+    // A second connection is still served.
+    let mut fresh = LineSession::connect(addr);
+    assert!(matches!(fresh.request(&Request::Ping), Response::Pong));
+    assert!(matches!(
+        fresh.request(&Request::Shutdown),
+        Response::ShuttingDown
+    ));
+    daemon.join().unwrap().expect("serve loop");
+}
+
 #[test]
 fn hostile_pia_requests_are_rejected_at_admission() {
     let (addr, daemon) = start_daemon();
