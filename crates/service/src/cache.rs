@@ -18,8 +18,9 @@
 //! hit the cache instead of recomputing cut sets or sampling rounds.
 //!
 //! The daemon's SIA cache holds each report as its **wire text**
-//! (`Arc<str>`, written once from the ranked rows by the worker that
-//! computed it — `AuditingAgent::audit_sia_text` — and byte-identical to
+//! (`Arc<String>`, written once from the ranked rows by the worker that
+//! computed it — `AuditingAgent::audit_sia_text` — into a buffer of
+//! exactly its length, kept without a second copy, and byte-identical to
 //! `encode_line(&report)` of the typed report): a hit is an `Arc` clone
 //! that the answer splices in verbatim (`proto::sia_body`), so no hit
 //! ever clones or re-encodes a report. The PIA cache keeps its

@@ -163,10 +163,12 @@ pub(crate) struct ServiceState {
     pub(crate) db: ShardedDepDb,
     /// SIA results as their wire text: each entry is written once, from
     /// the ranked rows, by the worker that computed the report
-    /// ([`AuditingAgent::audit_sia_text`]) and is byte-identical to
-    /// `encode_line(&report)` of the typed report; every answer splices
-    /// it in ([`crate::proto::sia_body`], [`crate::proto::audit_event_body`]).
-    pub(crate) sia_cache: Mutex<AuditCache<Arc<str>>>,
+    /// ([`AuditingAgent::audit_sia_text`]) into a buffer of exactly its
+    /// length, kept as written (no second copy), and is byte-identical
+    /// to `encode_line(&report)` of the typed report; every answer
+    /// splices it in ([`crate::proto::sia_body`],
+    /// [`crate::proto::audit_event_body`]).
+    pub(crate) sia_cache: Mutex<AuditCache<Arc<String>>>,
     pub(crate) pia_cache: Mutex<AuditCache<Vec<PiaRanking>>>,
     /// Per-server minimal families, one memo for request misses and
     /// push re-audits alike: a push re-audits only the hosts a mutation
@@ -544,7 +546,7 @@ struct SiaLookup {
     snapshot: DbSnapshot,
     pins: EpochPins,
     key: JobKey,
-    hit: Option<Arc<str>>,
+    hit: Option<Arc<String>>,
 }
 
 /// Pins the snapshot, keys the spec and consults the cache. Wait-free
@@ -574,14 +576,15 @@ fn sia_lookup(state: &ServiceState, spec: &AuditSpec) -> SiaLookup {
 /// hit; on a miss the audit runs against the pinned snapshot, its report
 /// is written once, straight from the ranked rows
 /// ([`AuditingAgent::audit_sia_text`], timed in `report_encode_us`), and
-/// cached under the pinned key.
+/// that text itself, whose buffer is exactly its length, is cached under
+/// the pinned key.
 fn sia_report(
     st: &ServiceState,
     spec: &AuditSpec,
     lookup: SiaLookup,
     token: &CancelToken,
     exec: TraceContext,
-) -> Audited<(Epoch, Arc<str>)> {
+) -> Audited<(Epoch, Arc<String>)> {
     let SiaLookup {
         epoch,
         snapshot,
@@ -601,7 +604,7 @@ fn sia_report(
         .with_families(Arc::clone(&st.families))
         .audit_sia_text(spec, token, &recorder)
         .map(|report| {
-            let report: Arc<str> = Arc::from(report);
+            let report = Arc::new(report);
             st.sia_cache
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)

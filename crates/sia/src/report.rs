@@ -60,9 +60,12 @@ pub struct DeploymentAudit {
     /// Number of *unexpected* RGs: groups strictly smaller than the
     /// replication factor.
     pub unexpected_rgs: usize,
-    /// Pr(T), the exact probability that some listed group fails (the
-    /// whole deployment's when the family is complete), when
-    /// probabilities were used.
+    /// The exact probability that some listed group fails, when
+    /// probabilities were used: Pr(∪ listed groups), from
+    /// [`crate::top_event_probability`]. For a complete family (an
+    /// uncapped exact audit) that is the deployment's own Pr(T). Under an
+    /// order cap or the sampling engine the family omits groups, and the
+    /// value is a lower bound on the deployment's Pr(T).
     pub failure_probability: Option<f64>,
 }
 
@@ -110,9 +113,15 @@ impl DeploymentAudit {
 /// each ranked over its graph — as compact JSON, byte for byte
 /// `serde_json::to_string` of the [`AuditReport`] the typed path builds
 /// from them, straight from the rankings' rows: no [`RankedRg`] and no
-/// name `String` per group. Each basic event's name is quoted once per
-/// graph and copied into every group that holds it. Keys are written in
-/// the derive's (sorted) order and deployments in [`AuditReport::new`]'s.
+/// name `String` per group. Keys are written in the derive's (sorted)
+/// order and deployments in [`AuditReport::new`]'s.
+///
+/// One pass measures, one writes. The first quotes each basic event's
+/// name once per graph, writes every deployment's own fields and, under
+/// the probability metric, every group's two numbers, and sums the
+/// report's length: those texts, each group's fixed text and the digits
+/// of its size. The second copies them into a buffer of exactly that
+/// length, which never grows, each group's fixed text as whole slices.
 ///
 /// # Panics
 ///
@@ -120,72 +129,176 @@ impl DeploymentAudit {
 pub fn write_report<'a>(
     deployments: impl IntoIterator<Item = (&'a str, &'a FaultGraph, &'a Ranking)>,
 ) -> String {
-    let mut deployments: Vec<_> = deployments.into_iter().collect();
-    if let Some(kind) = deployments.first().map(|(_, _, r)| r.kind) {
-        assert!(
-            deployments.iter().all(|(_, _, r)| r.kind == kind),
-            "cannot mix scoring rules in one report"
-        );
-        let key = |&(name, _, r): &(&'a str, _, &Ranking)| (r.score, r.pr_top, name);
-        deployments.sort_by(|a, b| best_first(kind, key(a), key(b)));
-    }
-    let mut w = Writer::compact();
-    w.begin_object();
-    w.quoted_key(r#""deployments":"#);
-    w.begin_array();
-    for (name, graph, ranking) in deployments {
-        w.element();
-        write_deployment(&mut w, name, graph, ranking);
-    }
-    w.end_array();
-    w.end_object();
-    w.into_string()
+    ReportText::new(deployments).write()
 }
 
-/// One [`DeploymentAudit`] object of [`write_report`].
-fn write_deployment(w: &mut Writer, name: &str, graph: &FaultGraph, ranking: &Ranking) {
-    // The name at position `at` is `quoted[ends[at]..ends[at + 1]]`.
-    let mut quoted = Writer::compact();
-    let mut ends = Vec::with_capacity(ranking.basics.len() + 1);
-    ends.push(0);
-    for &id in &ranking.basics {
-        quoted.str(&graph.node(id).name);
-        ends.push(quoted.as_str().len());
-    }
-    let quoted = quoted.into_string();
-    w.begin_object();
-    w.quoted_key(r#""failure_probability":"#);
-    ranking.pr_top.serialize(w);
-    w.quoted_key(r#""independence_score":"#);
-    w.f64(ranking.score);
-    w.quoted_key(r#""name":"#);
-    w.str(name);
-    w.quoted_key(r#""ranked_rgs":"#);
-    w.begin_array();
-    for (row, weights) in ranking.ranked() {
-        w.element();
-        w.begin_object();
-        w.quoted_key(r#""events":"#);
-        w.begin_array();
-        for &at in row {
-            w.element();
-            w.raw(&quoted[ends[at as usize]..ends[at as usize + 1]]);
+/// What [`write_report`] writes, measured: every text it copies but the
+/// groups' fixed text, and the report's length in bytes.
+struct ReportText<'a> {
+    deployments: Vec<DeploymentText<'a>>,
+    len: usize,
+}
+
+/// One deployment of a [`ReportText`].
+struct DeploymentText<'a> {
+    ranking: &'a Ranking,
+    /// From the object's `{` to the `[` that opens `ranked_rgs`.
+    head: String,
+    /// From the `]` that closes `ranked_rgs` to the object's `}`.
+    tail: String,
+    /// Every basic event's name quoted, after a comma, by position.
+    names: Vec<String>,
+    /// Under the probability metric, each ranked group's text from the
+    /// `]` after its names to the colon before its size: group `g` is
+    /// `weights[weight_ends[g]..weight_ends[g + 1]]`.
+    weights: String,
+    weight_ends: Vec<usize>,
+}
+
+/// A group's text before its names, after a comma.
+const GROUP_OPEN: &str = r#",{"events":["#;
+/// A size-ranked group's text from the `]` after its names to the colon
+/// before its size.
+const NO_WEIGHTS: &str = r#"],"importance":null,"probability":null,"size":"#;
+
+impl<'a> ReportText<'a> {
+    fn new(deployments: impl IntoIterator<Item = (&'a str, &'a FaultGraph, &'a Ranking)>) -> Self {
+        let mut deployments: Vec<_> = deployments.into_iter().collect();
+        if let Some(kind) = deployments.first().map(|(_, _, r)| r.kind) {
+            assert!(
+                deployments.iter().all(|(_, _, r)| r.kind == kind),
+                "cannot mix scoring rules in one report"
+            );
+            let key = |&(name, _, r): &(&'a str, _, &Ranking)| (r.score, r.pr_top, name);
+            deployments.sort_by(|a, b| best_first(kind, key(a), key(b)));
         }
-        w.end_array();
-        w.quoted_key(r#""importance":"#);
-        weights.map(|(_, importance)| importance).serialize(w);
-        w.quoted_key(r#""probability":"#);
-        weights.map(|(p, _)| p).serialize(w);
-        w.quoted_key(r#""size":"#);
-        w.u64(row.len() as u64);
-        w.end_object();
+        let deployments: Vec<_> = deployments
+            .into_iter()
+            .map(|(name, graph, ranking)| DeploymentText::new(name, graph, ranking))
+            .collect();
+        let fixed = r#"{"deployments":[]}"#.len() + deployments.len().saturating_sub(1);
+        let len = fixed + deployments.iter().map(DeploymentText::len).sum::<usize>();
+        ReportText { deployments, len }
     }
-    w.end_array();
-    w.quoted_key(r#""score_kind":"#);
-    ranking.kind.serialize(w);
-    w.quoted_key(r#""unexpected_rgs":"#);
-    w.u64(ranking.unexpected as u64);
-    w.end_object();
+
+    fn write(&self) -> String {
+        let mut w = Writer::with_capacity(self.len);
+        w.raw(r#"{"deployments":["#);
+        for (i, deployment) in self.deployments.iter().enumerate() {
+            if i > 0 {
+                w.raw(",");
+            }
+            deployment.write(&mut w);
+        }
+        w.raw("]}");
+        let text = w.into_string();
+        debug_assert_eq!(text.len(), self.len, "a report's measured length");
+        text
+    }
+}
+
+impl<'a> DeploymentText<'a> {
+    fn new(name: &str, graph: &FaultGraph, ranking: &'a Ranking) -> Self {
+        let names = ranking
+            .basics
+            .iter()
+            .map(|&id| {
+                let mut name = Writer::compact();
+                name.raw(",");
+                name.str(&graph.node(id).name);
+                name.into_string()
+            })
+            .collect();
+        let mut weights = Writer::compact();
+        let mut weight_ends = vec![0];
+        if ranking.kind == ScoreKind::ProbabilityBased {
+            for (probability, importance) in ranking.ranked().filter_map(|(_, group)| group) {
+                weights.raw(r#"],"importance":"#);
+                weights.f64(importance);
+                weights.raw(r#","probability":"#);
+                weights.f64(probability);
+                weights.raw(r#","size":"#);
+                weight_ends.push(weights.as_str().len());
+            }
+        }
+        let mut head = Writer::compact();
+        head.raw(r#"{"failure_probability":"#);
+        ranking.pr_top.serialize(&mut head);
+        head.raw(r#","independence_score":"#);
+        head.f64(ranking.score);
+        head.raw(r#","name":"#);
+        head.str(name);
+        head.raw(r#","ranked_rgs":["#);
+        let mut tail = Writer::compact();
+        tail.raw(r#"],"score_kind":"#);
+        ranking.kind.serialize(&mut tail);
+        tail.raw(r#","unexpected_rgs":"#);
+        tail.u64(ranking.unexpected as u64);
+        tail.raw("}");
+        DeploymentText {
+            ranking,
+            head: head.into_string(),
+            tail: tail.into_string(),
+            names,
+            weights: weights.into_string(),
+            weight_ends,
+        }
+    }
+
+    /// The quoted name at `at`, after its comma.
+    fn name(&self, at: u32) -> &str {
+        &self.names[at as usize]
+    }
+
+    /// Group `g`'s text from the `]` after its names to its size.
+    fn weights(&self, g: usize) -> &str {
+        match self.weight_ends.get(g + 1) {
+            Some(&end) => &self.weights[self.weight_ends[g]..end],
+            None => NO_WEIGHTS,
+        }
+    }
+
+    /// This deployment's length in bytes.
+    fn len(&self) -> usize {
+        let groups: usize = self
+            .ranking
+            .ranked()
+            .enumerate()
+            .map(|(g, (row, _))| {
+                let names: usize = row.iter().map(|&at| self.name(at).len()).sum();
+                // A group's first name goes without its comma; the closing
+                // brace is the 1.
+                GROUP_OPEN.len() + names - usize::from(!row.is_empty())
+                    + self.weights(g).len()
+                    + digits(row.len() as u64)
+                    + 1
+            })
+            .sum();
+        // The first group goes without its comma.
+        self.head.len() + groups.saturating_sub(1) + self.tail.len()
+    }
+
+    fn write(&self, w: &mut Writer) {
+        w.raw(&self.head);
+        for (g, (row, _)) in self.ranking.ranked().enumerate() {
+            w.raw(&GROUP_OPEN[usize::from(g == 0)..]);
+            if let Some((&first, rest)) = row.split_first() {
+                w.raw(&self.name(first)[1..]);
+                for &at in rest {
+                    w.raw(self.name(at));
+                }
+            }
+            w.raw(self.weights(g));
+            w.u64(row.len() as u64);
+            w.raw("}");
+        }
+        w.raw(&self.tail);
+    }
+}
+
+/// How many decimal digits `v` is written with.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// The order [`AuditReport::new`] puts two deployments in, each given as
@@ -405,10 +518,21 @@ mod tests {
         w.into_string()
     }
 
+    /// Writes the report of `deployments` and checks that its measured
+    /// length is the written length and its buffer never grew.
+    fn assert_sized<'a>(deployments: &[(&'a str, &'a FaultGraph, &'a Ranking)]) -> String {
+        let report = ReportText::new(deployments.iter().copied());
+        let len = report.len;
+        let text = report.write();
+        assert_eq!((text.len(), text.capacity()), (len, len));
+        text
+    }
+
     #[test]
     fn written_report_is_the_typed_encoding() {
         // Names JSON must escape; two deployments tied on score, so the
-        // order falls to their names; an empty family.
+        // order falls to their names; an empty family. Each report fills
+        // its measured buffer.
         let tied = [
             ComponentSet::new("E1", ["sh\"ared", "a\u{1}"]),
             ComponentSet::new("E2", ["sh\"ared", "b\\é"]),
@@ -430,11 +554,52 @@ mod tests {
                         .map(|(name, r)| DeploymentAudit::from_ranking(*name, &graph, r))
                         .collect(),
                 );
-                let text = write_report(rankings.iter().map(|(name, r)| (*name, &graph, r)));
-                assert_eq!(text, typed_text(&typed));
+                let deployments: Vec<_> = rankings
+                    .iter()
+                    .map(|(name, r)| (*name, &graph, r))
+                    .collect();
+                assert_eq!(assert_sized(&deployments), typed_text(&typed));
             }
         }
-        assert_eq!(write_report([]), typed_text(&AuditReport::new(Vec::new())));
+        assert_eq!(assert_sized(&[]), typed_text(&AuditReport::new(Vec::new())));
+    }
+
+    #[test]
+    fn fig7_reports_fill_their_measured_buffers() {
+        use crate::builder::{build_fault_graph, BuildSpec};
+        use indaas_deps::DepDb;
+        use indaas_topology::{FatTree, FatTreeConfig};
+
+        // The benchmark's report: topology A, one server per pod, 16-way,
+        // `needed_alive` 15, order <= 4; and the same family ranked by
+        // probability.
+        let tree = FatTree::new(FatTreeConfig::topology_a());
+        let coords: Vec<_> = (0..16).map(|pod| (pod, 0, 0)).collect();
+        let db = DepDb::from_records(tree.deployment_records(&coords));
+        let spec = BuildSpec {
+            name: "fig7".into(),
+            servers: coords
+                .iter()
+                .map(|&(p, e, s)| tree.server_name(p, e, s))
+                .collect(),
+            needed_alive: 15,
+            network: true,
+            hardware: true,
+            software: true,
+            prob_model: None,
+        };
+        let graph = build_fault_graph(&db, &spec).unwrap();
+        let family = minimal_risk_groups(&graph, &MinimalConfig::with_max_order(4));
+        assert_eq!(family.len(), 1_923);
+        let size = Ranking::by_size(&family, &graph, 16, None);
+        let text = assert_sized(&[("fig7", &graph, &size)]);
+        assert!(text.len() > 180_000, "{} bytes", text.len());
+        let token = indaas_graph::CancelToken::default();
+        let probability = Ranking::by_probability(&family, &graph, 16, 0.01, None, &token).unwrap();
+        assert_sized(&[
+            ("fig7", &graph, &probability),
+            ("again", &graph, &probability),
+        ]);
     }
 
     #[test]

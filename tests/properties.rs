@@ -57,6 +57,22 @@ fn monotone_dag_nodes(b: &mut FaultGraphBuilder, basics: usize, genes: &[Vec<u32
     nodes
 }
 
+/// Pr(top) of `graph` summed over all 2^b assignments of its first
+/// `basics` node ids (its basic events), each failing with probability
+/// `p`, through `FaultGraph::evaluate`.
+fn enumerated_top_probability(graph: &FaultGraph, basics: usize, p: f64) -> f64 {
+    let mut assignment = vec![false; graph.len()];
+    let mut exact = 0.0;
+    for mask in 0u32..1 << basics {
+        (0..basics).for_each(|bit| assignment[bit] = mask >> bit & 1 == 1);
+        let failed = mask.count_ones() as i32;
+        if graph.evaluate(&assignment) {
+            exact += p.powi(failed) * (1.0 - p).powi(basics as i32 - failed);
+        }
+    }
+    exact
+}
+
 /// [`monotone_dag_nodes`] with the last gate as the top event.
 fn monotone_dag(basics: usize, genes: &[Vec<u32>]) -> FaultGraph {
     let mut b = FaultGraphBuilder::new();
@@ -607,18 +623,36 @@ proptest! {
         basics in 3usize..8, genes in dag_genes(), permille in 50u32..950,
     ) {
         let (graph, p) = (monotone_dag(basics, &genes), f64::from(permille) / 1000.0);
-        let mut assignment = vec![false; graph.len()];
-        let mut exact = 0.0;
-        for mask in 0u32..1 << basics {
-            (0..basics).for_each(|bit| assignment[bit] = mask >> bit & 1 == 1);
-            let failed = mask.count_ones() as i32;
-            if graph.evaluate(&assignment) {
-                exact += p.powi(failed) * (1.0 - p).powi(basics as i32 - failed);
-            }
-        }
+        let exact = enumerated_top_probability(&graph, basics, p);
         let family = minimal_risk_groups(&graph, &MinimalConfig::default());
         let got = top_event_probability(&family, &graph, p, &CancelToken::default()).unwrap();
         prop_assert!((got - exact).abs() < 1e-9, "{} groups: {got} vs {exact}", family.len());
+    }
+
+    /// Under an order cap or the sampling engine a family lists only some
+    /// minimal groups, so its Pr(∪ family) — a report's
+    /// `failure_probability` — is a lower bound on Pr(top): never above
+    /// the sum over all 2^b assignments. Uncapped, it is that sum.
+    #[test]
+    fn capped_and_sampled_top_probabilities_are_lower_bounds(
+        basics in 3usize..8, genes in dag_genes(), permille in 50u32..950,
+        order in 0usize..4, seed in 0u64..1000, rounds in 1u64..8,
+    ) {
+        let (graph, p) = (monotone_dag(basics, &genes), f64::from(permille) / 1000.0);
+        let exact = enumerated_top_probability(&graph, basics, p);
+        let pr = |family: &RgFamily| {
+            top_event_probability(family, &graph, p, &CancelToken::default()).unwrap()
+        };
+        let full = pr(&minimal_risk_groups(&graph, &MinimalConfig::default()));
+        prop_assert!((full - exact).abs() < 1e-9, "uncapped: {full} vs {exact}");
+        let capped = pr(&minimal_risk_groups(&graph, &MinimalConfig::with_max_order(order)));
+        prop_assert!(capped <= exact + 1e-9, "order <= {order}: {capped} vs {exact}");
+        let sampled = pr(&failure_sampling(&graph, &SamplingConfig {
+            rounds,
+            seed,
+            ..SamplingConfig::default()
+        }));
+        prop_assert!(sampled <= exact + 1e-9, "{rounds} rounds: {sampled} vs {exact}");
     }
 
     /// `max_order = Some(k)` yields exactly the groups of the untruncated
