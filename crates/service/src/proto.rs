@@ -1178,6 +1178,75 @@ mod tests {
         );
     }
 
+    /// The previous release wrote every `None` (and every non-finite
+    /// float) as an explicit `null`; this one leaves those keys out.
+    /// Each message in the old shape decodes to what the same message in
+    /// the new shape decodes to, and both re-encode as the new text.
+    #[test]
+    fn answers_with_explicit_nulls_decode_as_answers_without() {
+        let answers = [
+            (
+                concat!(
+                    r#"{"body":{"Sia":{"cached":false,"elapsed_us":90,"epoch":3,"report":{"deployments":["#,
+                    r#"{"failure_probability":null,"independence_score":3.0,"name":"S1+S3","ranked_rgs":["#,
+                    r#"{"events":["core1"],"importance":null,"probability":null,"size":1},"#,
+                    r#"{"events":["S1-disk","S3-disk"],"importance":null,"probability":null,"size":2}],"#,
+                    r#""score_kind":"SizeBased","unexpected_rgs":1}]}}},"id":4}"#
+                ),
+                concat!(
+                    r#"{"body":{"Sia":{"cached":false,"elapsed_us":90,"epoch":3,"report":{"deployments":["#,
+                    r#"{"independence_score":3.0,"name":"S1+S3","ranked_rgs":["#,
+                    r#"{"events":["core1"],"size":1},"#,
+                    r#"{"events":["S1-disk","S3-disk"],"size":2}],"#,
+                    r#""score_kind":"SizeBased","unexpected_rgs":1}]}}},"id":4}"#
+                ),
+            ),
+            (
+                concat!(
+                    r#"{"body":{"AuditEvent":{"cached":true,"elapsed_us":5,"epoch":8,"report":{"deployments":["#,
+                    r#"{"failure_probability":0.0199,"independence_score":0.5,"name":"p","ranked_rgs":["#,
+                    r#"{"events":["tor1"],"importance":0.5,"probability":0.01,"size":1},"#,
+                    r#"{"events":["a","b"],"importance":null,"probability":0.0001,"size":2}],"#,
+                    r#""score_kind":"ProbabilityBased","unexpected_rgs":1}]},"#,
+                    r#""subscription":2,"trace_id":"00ff"}},"id":0}"#
+                ),
+                concat!(
+                    r#"{"body":{"AuditEvent":{"cached":true,"elapsed_us":5,"epoch":8,"report":{"deployments":["#,
+                    r#"{"failure_probability":0.0199,"independence_score":0.5,"name":"p","ranked_rgs":["#,
+                    r#"{"events":["tor1"],"importance":0.5,"probability":0.01,"size":1},"#,
+                    r#"{"events":["a","b"],"probability":0.0001,"size":2}],"#,
+                    r#""score_kind":"ProbabilityBased","unexpected_rgs":1}]},"#,
+                    r#""subscription":2,"trace_id":"00ff"}},"id":0}"#
+                ),
+            ),
+        ];
+        for (old, new) in answers {
+            let (old_value, new_value): (ResponseEnvelope, ResponseEnvelope) =
+                (decode_line(old).unwrap(), decode_line(new).unwrap());
+            assert_eq!(format!("{old_value:?}"), format!("{new_value:?}"));
+            assert_eq!(encode_line(&old_value), new);
+            assert_eq!(encode_line(&new_value), new);
+        }
+
+        let old = concat!(
+            r#"{"body":{"AuditSia":{"spec":{"algorithm":{"Minimal":{"max_order":null}},"#,
+            r#""candidates":[{"name":"pair","needed_alive":1,"servers":["S1","S2"]}],"#,
+            r#""hardware":true,"metric":"Size","network":true,"prob_model":null,"#,
+            r#""software":true,"top_n":null},"timeout_ms":null}},"id":1,"trace":null}"#
+        );
+        let new = concat!(
+            r#"{"body":{"AuditSia":{"spec":{"algorithm":{"Minimal":{}},"#,
+            r#""candidates":[{"name":"pair","needed_alive":1,"servers":["S1","S2"]}],"#,
+            r#""hardware":true,"metric":"Size","network":true,"#,
+            r#""software":true}}},"id":1}"#
+        );
+        let (old_value, new_value): (Envelope, Envelope) =
+            (decode_line(old).unwrap(), decode_line(new).unwrap());
+        assert_eq!(format!("{old_value:?}"), format!("{new_value:?}"));
+        assert_eq!(encode_line(&old_value), new);
+        assert_eq!(encode_line(&new_value), new);
+    }
+
     /// Reports that stress the encoder: escapes of every kind, non-ASCII,
     /// non-finite and integral floats, absent options — and no report at
     /// all.

@@ -114,7 +114,10 @@ impl DeploymentAudit {
 /// `serde_json::to_string` of the [`AuditReport`] the typed path builds
 /// from them, straight from the rankings' rows: no [`RankedRg`] and no
 /// name `String` per group. Keys are written in the derive's (sorted)
-/// order and deployments in [`AuditReport::new`]'s.
+/// order and deployments in [`AuditReport::new`]'s; a field the typed
+/// encoding leaves out (a `None` or non-finite number, see
+/// [`serde::Serialize::is_absent`]) is left out here too, so a
+/// size-ranked group is only its events and size.
 ///
 /// One pass measures, one writes. The first quotes each basic event's
 /// name once per graph, writes every deployment's own fields and, under
@@ -158,8 +161,9 @@ struct DeploymentText<'a> {
 /// A group's text before its names, after a comma.
 const GROUP_OPEN: &str = r#",{"events":["#;
 /// A size-ranked group's text from the `]` after its names to the colon
-/// before its size.
-const NO_WEIGHTS: &str = r#"],"importance":null,"probability":null,"size":"#;
+/// before its size: its `importance` and `probability` are `None`, which
+/// the typed encoding leaves out.
+const NO_WEIGHTS: &str = r#"],"size":"#;
 
 impl<'a> ReportText<'a> {
     fn new(deployments: impl IntoIterator<Item = (&'a str, &'a FaultGraph, &'a Ranking)>) -> Self {
@@ -213,20 +217,32 @@ impl<'a> DeploymentText<'a> {
         let mut weight_ends = vec![0];
         if ranking.kind == ScoreKind::ProbabilityBased {
             for (probability, importance) in ranking.ranked().filter_map(|(_, group)| group) {
-                weights.raw(r#"],"importance":"#);
-                weights.f64(importance);
-                weights.raw(r#","probability":"#);
-                weights.f64(probability);
+                weights.raw("]");
+                if !importance.is_absent() {
+                    weights.raw(r#","importance":"#);
+                    weights.f64(importance);
+                }
+                if !probability.is_absent() {
+                    weights.raw(r#","probability":"#);
+                    weights.f64(probability);
+                }
                 weights.raw(r#","size":"#);
                 weight_ends.push(weights.as_str().len());
             }
         }
         let mut head = Writer::compact();
-        head.raw(r#"{"failure_probability":"#);
-        ranking.pr_top.serialize(&mut head);
-        head.raw(r#","independence_score":"#);
-        head.f64(ranking.score);
-        head.raw(r#","name":"#);
+        head.raw("{");
+        if !ranking.pr_top.is_absent() {
+            head.raw(r#""failure_probability":"#);
+            ranking.pr_top.serialize(&mut head);
+            head.raw(",");
+        }
+        if !ranking.score.is_absent() {
+            head.raw(r#""independence_score":"#);
+            head.f64(ranking.score);
+            head.raw(",");
+        }
+        head.raw(r#""name":"#);
         head.str(name);
         head.raw(r#","ranked_rgs":["#);
         let mut tail = Writer::compact();
@@ -593,7 +609,10 @@ mod tests {
         assert_eq!(family.len(), 1_923);
         let size = Ranking::by_size(&family, &graph, 16, None);
         let text = assert_sized(&[("fig7", &graph, &size)]);
-        assert!(text.len() > 180_000, "{} bytes", text.len());
+        // The benchmark's answer carries this report: a size-ranked group
+        // is its events and size, with no `null` anywhere.
+        assert_eq!(text.len(), 111_100);
+        assert!(!text.contains("null"));
         let token = indaas_graph::CancelToken::default();
         let probability = Ranking::by_probability(&family, &graph, 16, 0.01, None, &token).unwrap();
         assert_sized(&[

@@ -1096,8 +1096,8 @@ mod wire_props {
             }
         }
 
-        /// An optional float that may also be NaN or infinite: written as
-        /// `null`, so it reads back as `None` and re-encodes the same.
+        /// An optional float that may also be NaN or infinite: left out
+        /// like `None`, so it reads back as `None` and re-encodes the same.
         fn opt_float(&mut self) -> Option<f64> {
             match self.below(8) {
                 0 => Some(f64::NAN),

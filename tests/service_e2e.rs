@@ -342,9 +342,8 @@ fn hostile_specs_are_rejected_or_survived() {
     daemon.join().unwrap().expect("serve loop");
 }
 
-/// `AuditPia` parameters that would crash a job (`minhash: 0`), abort
-/// the process (a MinHash family of 2^40 functions) or enumerate 10^11
-/// provider combinations are rejected at admission, fast, and the
+/// A spec naming the removed `Bdd` engine is no `RgAlgorithm`: answered
+/// as a malformed envelope (v2, on its id) or request (v1), and the
 /// daemon keeps serving.
 #[test]
 fn the_removed_bdd_engine_is_a_malformed_request() {
@@ -353,11 +352,13 @@ fn the_removed_bdd_engine_is_a_malformed_request() {
     };
 
     let (addr, daemon) = start_daemon();
+    let mut spec = audit_spec();
+    spec.algorithm = RgAlgorithm::Minimal { max_order: Some(4) };
     let request = encode_line(&Request::AuditSia {
-        spec: audit_spec(),
+        spec,
         timeout_ms: None,
     });
-    let minimal = r#"{"Minimal":{"max_order":null}}"#;
+    let minimal = r#"{"Minimal":{"max_order":4}}"#;
     assert!(request.contains(minimal), "{request}");
     let bdd = request.replace(minimal, r#"{"Bdd":{"max_nodes":1024}}"#);
 
@@ -406,6 +407,10 @@ fn the_removed_bdd_engine_is_a_malformed_request() {
     daemon.join().unwrap().expect("serve loop");
 }
 
+/// `AuditPia` parameters that would crash a job (`minhash: 0`), abort
+/// the process (a MinHash family of 2^40 functions) or enumerate 10^11
+/// provider combinations are rejected at admission, fast, and the
+/// daemon keeps serving.
 #[test]
 fn hostile_pia_requests_are_rejected_at_admission() {
     let (addr, daemon) = start_daemon();
