@@ -230,10 +230,7 @@ impl AuditingAgent {
             let build_error = |e| AuditError::Build(cand.name.clone(), e);
             let (graph, family) = match spec.algorithm {
                 RgAlgorithm::Minimal { max_order } => {
-                    let config = MinimalConfig {
-                        max_order,
-                        ..MinimalConfig::default()
-                    };
+                    let config = MinimalConfig { max_order };
                     let composed =
                         compose_minimal(self.db.as_ref(), &build, &config, &self.families, token)
                             .map_err(|e| match e {

@@ -21,10 +21,11 @@
 //!   as `FederateDone`.
 //! * **The successor link** — a non-blocking dial
 //!   ([`indaas_netpoll::connect_nonblocking`]), the hello/welcome
-//!   exchange, then ring frames through a [`WriteQueue`]. Sends retry up
-//!   to [`MAX_SEND_ATTEMPTS`] times per connection under exponential
-//!   backoff, then re-dial once; round deadlines, the session budget,
-//!   backoff and the dial deadline are all [`TimerWheel`] timers.
+//!   exchange, then ring frames through a [`WriteQueue`]. A failed send
+//!   drops the link; each retry waits out [`retry_backoff`] and dials
+//!   afresh, up to [`MAX_SEND_ATTEMPTS`] attempts per frame. Round
+//!   deadlines, the session budget, backoff and the dial deadline are all
+//!   [`TimerWheel`] timers.
 //! * **The auditing agent** — [`FederationCoordinator`] drives the ring
 //!   from outside it and reports a [`FederatedOutcome`], degraded rather
 //!   than all-or-nothing when a minority of daemons dies.
@@ -35,7 +36,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,12 +98,22 @@ const MAX_SESSIONS: usize = 64;
 /// Largest accepted handshake answer — a `FederateWelcome` is tiny.
 const MAX_WELCOME_LINE: u64 = 4 * 1024;
 
-/// Send attempts per frame on one connection: the try plus two retries.
+/// Send attempts per frame: the try plus two retries, each on a fresh
+/// dial.
 const MAX_SEND_ATTEMPTS: u32 = 3;
 
-/// First retry backoff; doubles per retry (20 ms, 40 ms), always capped
-/// by the round deadline.
+/// First retry backoff; [`retry_backoff`] doubles it per failed attempt.
 const INITIAL_SEND_BACKOFF: Duration = Duration::from_millis(20);
+
+/// How long a party waits after the `failed`-th failed attempt at a
+/// frame before it dials its successor again: 20 ms, 40 ms, …, never
+/// past the round deadline.
+fn retry_backoff(failed: u32, round_timeout: Duration) -> Duration {
+    let doublings = 2u32.saturating_pow(failed.saturating_sub(1));
+    INITIAL_SEND_BACKOFF
+        .saturating_mul(doublings)
+        .min(round_timeout)
+}
 
 /// Successor-link poller tokens live above every connection token, so
 /// the loop tells them apart with one bit test.
@@ -372,20 +383,27 @@ struct Party {
     link: Option<Link>,
     send_round: u32,
     recv_round: u32,
+    /// Failed attempts at the outgoing frame.
     attempts: u32,
-    backoff: Duration,
-    /// Whether the one re-dial is spent.
-    redialed: bool,
-    /// The send failure a running re-dial answers.
-    redial_cause: Option<String>,
+    /// Dials started; the next one's ordinal.
+    dials: u32,
     sent_bytes: u64,
     recv_bytes: u64,
     sent_msgs: u64,
     recv_msgs: u64,
-    /// Wire bytes of connections a re-dial replaced.
+    /// Wire bytes of the links this party dropped.
     wire_base: u64,
     retries: u64,
-    redials: u64,
+}
+
+impl Party {
+    /// Closes the successor link, if any, keeping its wire bytes.
+    fn drop_link(&mut self, poller: &Poller) {
+        if let Some(link) = self.link.take() {
+            self.wire_base += link.wire_sent;
+            let _ = poller.delete(link.stream.as_raw_fd());
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -393,12 +411,11 @@ enum Phase {
     Connecting,
     Welcome,
     Ready,
-    /// Closed by the successor or an injected cut; every send fails.
-    Dead,
 }
 
 /// A party's outbound connection to its ring successor, polled under a
-/// token carrying the party's id.
+/// token carrying the party's id and the dial's ordinal. A link that
+/// fails is dropped, never reused.
 struct Link {
     token: u64,
     stream: TcpStream,
@@ -428,12 +445,6 @@ fn hello_line(node: &str) -> Vec<u8> {
 }
 
 impl Link {
-    fn close(&mut self, poller: &Poller) {
-        let _ = poller.delete(self.stream.as_raw_fd());
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.phase = Phase::Dead;
-    }
-
     fn on_event(&mut self, poller: &Poller, ev: &Event, successor: &str, node: &str) -> LinkEvent {
         if self.phase == Phase::Connecting {
             match self.stream.take_error() {
@@ -448,7 +459,7 @@ impl Link {
             }
         }
         if ev.readable || ev.closed {
-            if let Some(outcome) = self.read(poller, successor, node) {
+            if let Some(outcome) = self.read(successor, node) {
                 return outcome;
             }
         }
@@ -458,7 +469,7 @@ impl Link {
     /// Reads what the successor sent: the welcome while handshaking,
     /// discarded noise after it (a refused frame's error line). EOF kills
     /// the link.
-    fn read(&mut self, poller: &Poller, successor: &str, node: &str) -> Option<LinkEvent> {
+    fn read(&mut self, successor: &str, node: &str) -> Option<LinkEvent> {
         let lost = match codec::fill_buf(&mut self.stream, &mut self.inbuf) {
             Ok(codec::Fill::Bytes(_) | codec::Fill::WouldBlock) => None,
             Ok(codec::Fill::Eof) if self.phase == Phase::Welcome => Some(format!(
@@ -468,14 +479,10 @@ impl Link {
             Err(e) => Some(format!("connection error: {e}")),
         };
         if let Some(e) = lost {
-            let handshaking = self.phase == Phase::Welcome;
-            self.close(poller);
-            return Some(if handshaking {
+            return Some(if self.phase == Phase::Welcome {
                 LinkEvent::DialFailed(e)
-            } else if self.flushing.take().is_some() {
-                LinkEvent::SendFailed(e)
             } else {
-                LinkEvent::Idle
+                LinkEvent::SendFailed(e)
             });
         }
         if self.phase != Phase::Welcome {
@@ -504,10 +511,8 @@ impl Link {
         let fd = self.stream.as_raw_fd();
         match self.wq.write_to(&mut self.stream) {
             Err(e) => {
-                let handshaking = self.phase == Phase::Welcome;
-                self.close(poller);
                 let e = format!("connection error: {e}");
-                if handshaking {
+                if self.phase == Phase::Welcome {
                     LinkEvent::DialFailed(e)
                 } else {
                     LinkEvent::SendFailed(e)
@@ -653,16 +658,13 @@ impl Ring {
             send_round: 0,
             recv_round: 0,
             attempts: 0,
-            backoff: INITIAL_SEND_BACKOFF,
-            redialed: false,
-            redial_cause: None,
+            dials: 0,
             sent_bytes: 0,
             recv_bytes: 0,
             sent_msgs: 0,
             recv_msgs: 0,
             wire_base: 0,
             retries: 0,
-            redials: 0,
         };
         let token = party.token.clone();
         self.parties.insert(id, party);
@@ -754,7 +756,6 @@ impl Ring {
         }
         p.outgoing = Some((payload, p.trace.child()));
         p.attempts = 0;
-        p.backoff = INITIAL_SEND_BACKOFF;
         self.try_send(io, id);
     }
 
@@ -770,43 +771,35 @@ impl Ring {
         let Some(link) = p.link.as_mut() else {
             return self.dial(io, id);
         };
-        let event = match link.phase {
-            Phase::Connecting | Phase::Welcome => return,
-            Phase::Dead => LinkEvent::SendFailed(format!(
-                "connection error: {}",
-                std::io::Error::from_raw_os_error(32)
+        if link.phase != Phase::Ready {
+            return;
+        }
+        // Chaos hook: `fed.frame.send` fails, drops or severs one ring hop
+        // per attempt — the fault classes retry and re-dial exist to absorb.
+        let event = match indaas_faultinj::point(points::FED_FRAME_SEND) {
+            FaultAction::Pass => {
+                let frame = codec::frame_bytes(&encode_traced_round_frame(
+                    p.session,
+                    p.send_round,
+                    p.index,
+                    payload,
+                    ctx,
+                ));
+                link.flushing = Some(frame.len() as u64);
+                link.wq.push(frame);
+                link.flush(io.poller)
+            }
+            FaultAction::Error => LinkEvent::SendFailed(format!(
+                "connection error: injected fault at {}",
+                points::FED_FRAME_SEND
             )),
-            // Chaos hook: `fed.frame.send` fails, drops or severs one ring
-            // hop per attempt — the fault classes retry, backoff and
-            // re-dial exist to absorb.
-            Phase::Ready => match indaas_faultinj::point(points::FED_FRAME_SEND) {
-                FaultAction::Pass => {
-                    let frame = codec::frame_bytes(&encode_traced_round_frame(
-                        p.session,
-                        p.send_round,
-                        p.index,
-                        payload,
-                        ctx,
-                    ));
-                    link.flushing = Some(frame.len() as u64);
-                    link.wq.push(frame);
-                    link.flush(io.poller)
-                }
-                FaultAction::Error => LinkEvent::SendFailed(format!(
-                    "connection error: injected fault at {}",
-                    points::FED_FRAME_SEND
-                )),
-                // Lost on the floor but reported sent; the successor's
-                // round deadline is what notices.
-                FaultAction::Drop => LinkEvent::Sent,
-                FaultAction::Disconnect => {
-                    link.close(io.poller);
-                    LinkEvent::SendFailed(format!(
-                        "connection error: injected disconnect at {}",
-                        points::FED_FRAME_SEND
-                    ))
-                }
-            },
+            // Lost on the floor but reported sent; the successor's round
+            // deadline is what notices.
+            FaultAction::Drop => LinkEvent::Sent,
+            FaultAction::Disconnect => LinkEvent::SendFailed(format!(
+                "connection error: injected disconnect at {}",
+                points::FED_FRAME_SEND
+            )),
         };
         self.link_outcome(io, id, event);
     }
@@ -814,19 +807,7 @@ impl Ring {
     fn link_outcome(&mut self, io: &mut LoopIo, id: u64, event: LinkEvent) {
         match event {
             LinkEvent::Idle => {}
-            LinkEvent::Connected => {
-                let redial = self
-                    .parties
-                    .get_mut(&id)
-                    .filter(|p| p.redial_cause.is_some());
-                if let Some(p) = redial {
-                    p.redial_cause = None;
-                    p.redials += 1;
-                    p.attempts = 0;
-                    p.backoff = INITIAL_SEND_BACKOFF;
-                }
-                self.try_send(io, id);
-            }
+            LinkEvent::Connected => self.try_send(io, id),
             LinkEvent::DialFailed(e) => self.dial_failed(io, id, e),
             LinkEvent::Sent => self.sent(io, id),
             LinkEvent::SendFailed(e) => self.send_failed(io, id, e),
@@ -838,7 +819,8 @@ impl Ring {
         let Some(p) = self.parties.get_mut(&id) else {
             return;
         };
-        let token = LINK_TOKEN_BIT | id << 1 | u64::from(p.redialed);
+        let token = LINK_TOKEN_BIT | id << 32 | u64::from(p.dials);
+        p.dials += 1;
         // Chaos hook: an armed `fed.dial` point fails the dial before a
         // single byte leaves this daemon.
         let stream = if indaas_faultinj::point(points::FED_DIAL) != FaultAction::Pass {
@@ -872,45 +854,37 @@ impl Ring {
         }
     }
 
+    /// A failed first dial ends the party; a failed re-dial is one more
+    /// failed attempt at the frame it carries.
     fn dial_failed(&mut self, io: &mut LoopIo, id: u64, err: String) {
-        let Some(p) = self.parties.get_mut(&id) else {
+        let Some(p) = self.parties.get(&id) else {
             return;
         };
-        let e = match p.redial_cause.take() {
-            None => format!("dialing successor {}: {err}", p.successor),
-            Some(cause) => format!(
-                "transport closed: connection error: sending to ring successor failed \
-                 ({cause}) and the re-dial failed too ({err})"
-            ),
-        };
+        if p.dials > 1 {
+            return self.send_failed(io, id, err);
+        }
+        let e = format!("dialing successor {}: {err}", p.successor);
         self.finish(io, id, Err(e));
     }
 
-    /// A failed attempt: back off and retry, then re-dial once, then fail.
+    /// A failed attempt drops the link. The next one waits out the
+    /// backoff and dials afresh, until the frame's attempts are spent.
     fn send_failed(&mut self, io: &mut LoopIo, id: u64, err: String) {
         let Some(p) = self.parties.get_mut(&id) else {
             return;
         };
-        p.attempts += 1;
-        if p.attempts < MAX_SEND_ATTEMPTS {
-            p.retries += 1;
-            let after = p.backoff.min(p.round_timeout);
-            p.backoff = p.backoff.saturating_mul(2);
-            return io.arm(after, FedTimer::Retry(id));
+        p.drop_link(io.poller);
+        if p.outgoing.is_none() {
+            // The link died between frames: the next one dials afresh.
+            return;
         }
-        if p.redialed {
+        p.attempts += 1;
+        if p.attempts >= MAX_SEND_ATTEMPTS {
             return self.finish(io, id, Err(format!("transport closed: {err}")));
         }
-        // Retries on this connection are spent. One re-dial per party
-        // run: a successor that crashed and came back (or whose
-        // connection a middlebox severed) gets a second chance.
-        p.redialed = true;
-        p.redial_cause = Some(err);
-        if let Some(mut old) = p.link.take() {
-            p.wire_base += old.wire_sent;
-            old.close(io.poller);
-        }
-        self.dial(io, id);
+        p.retries += 1;
+        let after = retry_backoff(p.attempts, p.round_timeout);
+        io.arm(after, FedTimer::Retry(id));
     }
 
     fn sent(&mut self, io: &mut LoopIo, id: u64) {
@@ -1020,7 +994,7 @@ impl Ring {
 
     /// A readiness event on a successor link.
     pub(crate) fn link_event(&mut self, io: &mut LoopIo, token: u64, ev: &Event) {
-        let id = (token & !LINK_TOKEN_BIT) >> 1;
+        let id = (token & !LINK_TOKEN_BIT) >> 32;
         let Some(p) = self.parties.get_mut(&id) else {
             return;
         };
@@ -1052,9 +1026,7 @@ impl Ring {
             FedTimer::Retry(party) => self.try_send(io, party),
             FedTimer::Dial(party, link) => {
                 let handshaking = self.parties.get(&party).and_then(|p| p.link.as_ref());
-                if handshaking.is_some_and(|l| {
-                    l.token == link && matches!(l.phase, Phase::Connecting | Phase::Welcome)
-                }) {
+                if handshaking.is_some_and(|l| l.token == link && l.phase != Phase::Ready) {
                     self.dial_failed(io, party, "connection error: connection timed out".into());
                 }
             }
@@ -1080,11 +1052,8 @@ impl Ring {
         };
         p.token.cancel();
         self.table.remove(p.session, id);
-        let mut wire = p.wire_base;
-        if let Some(mut link) = p.link.take() {
-            wire += link.wire_sent;
-            link.close(io.poller);
-        }
+        p.drop_link(io.poller);
+        let wire = p.wire_base;
         let telemetry = &io.state.telemetry;
         let elapsed_us = p.started.elapsed().as_micros() as u64;
         telemetry.fed_party_us.record(elapsed_us);
@@ -1099,7 +1068,6 @@ impl Ring {
                 telemetry.fed_wire_bytes_total.add(wire);
                 telemetry.fed_rounds_total.add(p.sent_msgs);
                 telemetry.fed_frame_retries_total.add(p.retries);
-                telemetry.fed_redials_total.add(p.redials);
                 Response::FederateDone {
                     session: p.session,
                     payload: encode_payload(&payload),
@@ -1708,6 +1676,25 @@ mod tests {
         assert!(outcome.parties_failed[0]
             .error
             .starts_with("server error: "));
+    }
+
+    /// A failed send re-dials after the first backoff, 20 ms, then after
+    /// 40 ms: a frame's three attempts wait 60 ms in all, none of it on
+    /// a closed socket. The round deadline caps every wait.
+    #[test]
+    fn retry_backoff_redials_after_20_then_40_ms() {
+        let waits: Vec<Duration> = (1..MAX_SEND_ATTEMPTS)
+            .map(|failed| retry_backoff(failed, DEFAULT_ROUND_TIMEOUT))
+            .collect();
+        let ms = Duration::from_millis;
+        assert_eq!(waits, [ms(20), ms(40)]);
+        assert_eq!(retry_backoff(1, ms(5)), ms(5));
+        assert_eq!(retry_backoff(2, ms(30)), ms(30));
+        assert_eq!(retry_backoff(1, Duration::ZERO), Duration::ZERO);
+        assert_eq!(
+            retry_backoff(u32::MAX, DEFAULT_ROUND_TIMEOUT),
+            DEFAULT_ROUND_TIMEOUT
+        );
     }
 
     /// The daemon's session budget is `round × (k + 2)` and the

@@ -50,9 +50,10 @@
 //!   `FederateHello` peer sessions and the session table their round
 //!   frames route through, each `FederateStart` party's state machine
 //!   with its crypto on the worker pool, and the non-blocking successor
-//!   dial with retry, backoff and one re-dial — no federation thread
-//!   anywhere. The auditing agent, [`FederationCoordinator`], drives the
-//!   ring through [`Client`] sessions and reports degraded outcomes;
+//!   dial, which a failed send drops and a retry dials afresh after a
+//!   backoff — no federation thread anywhere. The auditing agent,
+//!   [`FederationCoordinator`], drives the ring through [`Client`]
+//!   sessions and reports degraded outcomes;
 //! * **observability on one span model** ([`telemetry`]) — every stage
 //!   of the pipeline records into a lock-cheap metrics registry
 //!   (counters, gauges, log₂ latency histograms), and every request

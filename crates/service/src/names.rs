@@ -20,7 +20,6 @@ pub const DB_SEGMENT_SAVES_TOTAL: &str = "db_segment_saves_total";
 pub const FED_WIRE_BYTES_TOTAL: &str = "fed_wire_bytes_total";
 pub const FED_ROUNDS_TOTAL: &str = "fed_rounds_total";
 pub const FED_FRAME_RETRIES_TOTAL: &str = "fed_frame_retries_total";
-pub const FED_REDIALS_TOTAL: &str = "fed_redials_total";
 pub const FED_PARTY_FAILURES_TOTAL: &str = "fed_party_failures_total";
 pub const DB_SEGMENTS_QUARANTINED_TOTAL: &str = "db_segments_quarantined_total";
 pub const FAULTS_INJECTED_TOTAL: &str = "faults_injected_total";

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use indaas_core::CancelToken;
@@ -184,14 +184,25 @@ impl Drop for CrashGuard {
     }
 }
 
+/// A guard timer fired. A job that still holds its slot is wedged: the
+/// guard answers for it and cancels it. A slot nobody holds was answered.
+fn fire_guard(slot: &Weak<ResponseSlot>, token: &CancelToken) {
+    let timed_out = |s: Arc<ResponseSlot>| s.fulfill(Response::error("audit timed out"));
+    if slot.upgrade().is_some_and(timed_out) {
+        token.cancel();
+    }
+}
+
 /// What the loop's timer wheel carries.
 pub(crate) enum TimerEvent {
     /// Re-run the registered collectors.
     Collect,
     /// A pooled job's deadline-plus-grace guard: answers "audit timed
-    /// out" for a wedged worker and cancels its token.
+    /// out" for a wedged worker and cancels its token. The slot is held
+    /// weakly, so an answered slot (and its connection's outbox) is
+    /// freed when its job ends, not when the guard fires.
     Guard {
-        slot: Arc<ResponseSlot>,
+        slot: Weak<ResponseSlot>,
         token: CancelToken,
     },
     /// The shutdown drain's patience ran out; force-close stragglers.
@@ -557,7 +568,7 @@ impl EventLoop<'_> {
             };
             // Chaos hook: `svc.frame.read` ends the peer session
             // (error/disconnect) or loses one round frame (drop) — the
-            // sender's retry/re-dial path is what recovers.
+            // sender's retry, on a fresh dial, is what recovers.
             match indaas_faultinj::point(indaas_faultinj::points::SVC_FRAME_READ) {
                 indaas_faultinj::FaultAction::Pass => {}
                 indaas_faultinj::FaultAction::Drop => continue,
@@ -1010,11 +1021,7 @@ impl EventLoop<'_> {
                 self.timers
                     .arm(Instant::now() + interval, TimerEvent::Collect);
             }
-            TimerEvent::Guard { slot, token } => {
-                if slot.fulfill(Response::error("audit timed out")) {
-                    token.cancel();
-                }
-            }
+            TimerEvent::Guard { slot, token } => fire_guard(&slot, &token),
             TimerEvent::Fed(timer) => {
                 let (ring, mut io) = self.ring_io();
                 ring.on_timer(&mut io, timer);
@@ -1211,5 +1218,30 @@ mod tests {
                 .unwrap_or(CRASH);
             assert_answered_once(&slot, &gauge, winner);
         }
+    }
+
+    /// The guard holds its slot weakly. While the job holds the slot,
+    /// firing answers "audit timed out" and cancels the job. Once the
+    /// job has answered and dropped it, the slot and its outbox are
+    /// freed, and firing answers nothing and cancels nothing.
+    #[test]
+    fn guard_answers_only_for_a_slot_its_job_still_holds() {
+        let (held, gauge) = slot();
+        let token = CancelToken::new();
+        fire_guard(&Arc::downgrade(&held), &token);
+        assert_answered_once(&held, &gauge, GUARD);
+        assert!(token.state().is_some(), "the wedged job is cancelled");
+
+        let (answered, _gauge) = slot();
+        let guard = Arc::downgrade(&answered);
+        let outbox = Arc::clone(&answered.outbox);
+        fire(&answered, JOB);
+        drop(answered);
+        assert_eq!(Arc::strong_count(&outbox), 1, "the slot freed its outbox");
+        let token = CancelToken::new();
+        fire_guard(&guard, &token);
+        assert!(outbox.try_pop().is_some(), "the job's answer");
+        assert_eq!(outbox.try_pop(), None, "and none from the guard");
+        assert_eq!(token.state(), None, "nothing cancelled");
     }
 }

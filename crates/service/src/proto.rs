@@ -344,8 +344,8 @@ pub enum Response {
     ///
     /// The chaos-hardening counters ride that rule: `faults_injected_total`
     /// (armed `--fault` points that actually fired),
-    /// `fed_frame_retries_total` / `fed_redials_total` (federation frames
-    /// re-sent and ring successors re-dialed after transient faults),
+    /// `fed_frame_retries_total` (federation frames re-sent, each on a
+    /// fresh dial of the ring successor, after transient faults),
     /// `fed_party_failures_total` (parties a coordinated round lost,
     /// reachable or not), and `db_segments_quarantined_total` (torn or
     /// corrupt persistence segments renamed `*.quarantine` at load so the
@@ -441,13 +441,13 @@ pub enum Response {
         /// opposed to `sent_bytes`, which counts protocol payload only.
         ///
         /// Under transient successor faults a party retries each frame
-        /// (bounded, exponential backoff) and may re-dial its successor
-        /// once; bytes burned on failed attempts are *included* here, so
-        /// a retried run legitimately reports more wire bytes than a
-        /// clean one. The retry/redial counts surface as the daemon's
-        /// `fed_frame_retries_total` / `fed_redials_total` counters in
-        /// [`Response::Metrics`], not on this answer — the wire shape is
-        /// unchanged from protocol v2.
+        /// (bounded, exponential backoff), each retry on a fresh dial of
+        /// its successor; bytes burned on failed attempts and the links
+        /// they dropped are *included* here, so a retried run
+        /// legitimately reports more wire bytes than a clean one. The
+        /// retry count surfaces as the daemon's `fed_frame_retries_total`
+        /// counter in [`Response::Metrics`], not on this answer — the
+        /// wire shape is unchanged from protocol v2.
         ///
         /// A party that cannot finish its rounds answers
         /// [`Response::Error`] instead; the coordinator classifies that

@@ -519,7 +519,10 @@ fn submit_audit<T>(
     match (submitted, guard_slot) {
         (Ok(token), Some(slot)) => Some((
             Instant::now() + deadline + GUARD_GRACE,
-            TimerEvent::Guard { slot, token },
+            TimerEvent::Guard {
+                slot: Arc::downgrade(&slot),
+                token,
+            },
         )),
         (Ok(_), None) => None,
         (Err(e), Some(slot)) => {

@@ -27,8 +27,7 @@
 //! | `db_segment_saves_total` | dirty shard segments persisted |
 //! | `fed_wire_bytes_total` | bytes put on the wire by federation parties |
 //! | `fed_rounds_total` | federation ring messages sent |
-//! | `fed_frame_retries_total` | ring frame sends retried after transient failures |
-//! | `fed_redials_total` | ring successor re-dials after retries were exhausted |
+//! | `fed_frame_retries_total` | ring frame sends retried, each on a fresh dial, after a failed attempt |
 //! | `fed_party_failures_total` | federation party runs that failed |
 //! | `db_segments_quarantined_total` | torn/garbage segment files quarantined at load |
 //! | `faults_injected_total` | chaos faults fired by the `--fault` harness |
@@ -127,7 +126,6 @@ pub struct Telemetry {
     pub fed_wire_bytes_total: Arc<Counter>,
     pub fed_rounds_total: Arc<Counter>,
     pub fed_frame_retries_total: Arc<Counter>,
-    pub fed_redials_total: Arc<Counter>,
     pub fed_party_failures_total: Arc<Counter>,
     pub db_segments_quarantined_total: Arc<Counter>,
     pub faults_injected_total: Arc<Counter>,
@@ -166,7 +164,6 @@ impl Telemetry {
             fed_wire_bytes_total: registry.counter(names::FED_WIRE_BYTES_TOTAL),
             fed_rounds_total: registry.counter(names::FED_ROUNDS_TOTAL),
             fed_frame_retries_total: registry.counter(names::FED_FRAME_RETRIES_TOTAL),
-            fed_redials_total: registry.counter(names::FED_REDIALS_TOTAL),
             fed_party_failures_total: registry.counter(names::FED_PARTY_FAILURES_TOTAL),
             db_segments_quarantined_total: registry.counter(names::DB_SEGMENTS_QUARANTINED_TOTAL),
             faults_injected_total: registry.counter(names::FAULTS_INJECTED_TOTAL),

@@ -481,10 +481,7 @@ mod tests {
     /// Size-ranked report of the composed and of the full-graph path,
     /// as `Debug` text (which spells every float exactly).
     fn both(db: &DepDb, spec: &BuildSpec, order: Option<usize>, memo: &FamilyMemo) -> [String; 2] {
-        let config = MinimalConfig {
-            max_order: order,
-            ..MinimalConfig::default()
-        };
+        let config = MinimalConfig { max_order: order };
         let token = CancelToken::default();
         let composed = compose_minimal(db, spec, &config, memo, &token).unwrap();
         let full = build_fault_graph(db, spec).unwrap();

@@ -42,8 +42,8 @@
 //!   For coherent (monotone) fault graphs this provably loses no cut set of
 //!   size ≤ `k`, and small cut sets are precisely the "unexpected risk
 //!   groups" the audit is hunting.
-//! * `max_family` — a hard cap on intermediate family sizes; exceeding it
-//!   is a [`MinimalError::FamilyTooLarge`].
+//! * a hard cap of one million cut sets on every intermediate family;
+//!   exceeding it is a [`MinimalError::FamilyTooLarge`].
 //!
 //! Cancellation is metered by work, not by node: the token is polled once
 //! up front and then after every 1,024 units, a unit being a basic event's
@@ -54,42 +54,32 @@
 
 use indaas_graph::{CancelToken, Cancelled, FaultGraph, NodeId};
 
-use crate::riskgroup::{union_into, RgFamily, Row};
+use crate::riskgroup::{cone_uses, union_into, RgFamily, Row};
 
 /// Configuration for the minimal RG computation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MinimalConfig {
     /// Keep only cut sets with at most this many events (`None` = all).
     pub max_order: Option<usize>,
-    /// Abort if an intermediate family would exceed this size.
-    pub max_family: usize,
-}
-
-impl Default for MinimalConfig {
-    fn default() -> Self {
-        MinimalConfig {
-            max_order: None,
-            max_family: 1_000_000,
-        }
-    }
 }
 
 impl MinimalConfig {
     /// Convenience: truncated configuration keeping cut sets of size ≤ `k`.
     pub fn with_max_order(k: usize) -> Self {
-        MinimalConfig {
-            max_order: Some(k),
-            ..Self::default()
-        }
+        MinimalConfig { max_order: Some(k) }
     }
 }
+
+/// Most cut sets an intermediate family may hold before the computation
+/// stops with [`MinimalError::FamilyTooLarge`].
+const MAX_FAMILY: usize = 1_000_000;
 
 /// Why a minimal RG computation stopped without a family.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MinimalError {
     /// The token tripped mid-computation.
     Cancelled(Cancelled),
-    /// The family of `gate` outgrew [`MinimalConfig::max_family`].
+    /// The family of `gate` outgrew the cap of one million cut sets.
     FamilyTooLarge {
         /// Name of the gate whose family was being built.
         gate: String,
@@ -105,7 +95,7 @@ impl std::fmt::Display for MinimalError {
             MinimalError::FamilyTooLarge { gate, cap } => write!(
                 f,
                 "minimal RG family at {gate:?} exceeded {cap} cut sets; \
-                 set a max_order or raise max_family"
+                 set a smaller max_order"
             ),
         }
     }
@@ -126,8 +116,8 @@ impl From<Cancelled> for MinimalError {
 ///
 /// # Panics
 ///
-/// Panics if an intermediate family exceeds `config.max_family` — raise the
-/// cap or set a `max_order` for graphs that large, or call
+/// Panics if an intermediate family exceeds one million cut sets — set a
+/// `max_order` for graphs that large, or call
 /// [`minimal_risk_groups_cancellable`], which returns it as an error.
 pub fn minimal_risk_groups(graph: &FaultGraph, config: &MinimalConfig) -> RgFamily {
     minimal_risk_groups_cancellable(graph, config, &CancelToken::default())
@@ -146,7 +136,7 @@ pub fn minimal_risk_groups(graph: &FaultGraph, config: &MinimalConfig) -> RgFami
 ///
 /// [`MinimalError::Cancelled`] if the token trips mid-computation,
 /// [`MinimalError::FamilyTooLarge`] if an intermediate family exceeds
-/// `config.max_family`.
+/// one million cut sets.
 pub fn minimal_risk_groups_cancellable(
     graph: &FaultGraph,
     config: &MinimalConfig,
@@ -180,11 +170,11 @@ pub fn minimal_child_families(
         .collect())
 }
 
-/// Runs the recurrence over the nodes with ids below `upto` and returns
-/// every family still held: those of nodes whose parents are all at or
-/// above `upto`, and always the top's children's. Families a node's
-/// last parent has read are dropped as it goes, which keeps peak memory
-/// proportional to the frontier, not the whole graph.
+/// Runs the recurrence over the nodes of the top's cone with ids below
+/// `upto` and returns every family still held: those of nodes whose
+/// parents are all at or above `upto`, and always the top's children's.
+/// Families a node's last parent has read are dropped as it goes, which
+/// keeps peak memory proportional to the frontier, not the whole graph.
 fn node_families(
     graph: &FaultGraph,
     config: &MinimalConfig,
@@ -192,9 +182,10 @@ fn node_families(
     upto: NodeId,
 ) -> Result<Vec<Option<RgFamily>>, MinimalError> {
     token.check()?;
+    let mut remaining_uses = cone_uses(graph);
     let kernel = Kernel {
         config,
-        empty: RgFamily::for_graph(graph),
+        empty: RgFamily::for_cone(graph, &remaining_uses),
     };
     let mut scratch = Scratch {
         union: vec![0; kernel.empty.stride()],
@@ -205,15 +196,12 @@ fn node_families(
         },
     };
     let mut families: Vec<Option<RgFamily>> = (0..graph.len()).map(|_| None).collect();
-    let mut remaining_uses = vec![0usize; graph.len()];
-    for node in graph.nodes() {
-        for &c in &node.children {
-            remaining_uses[c as usize] += 1;
-        }
-    }
-    remaining_uses[graph.top() as usize] += 1;
-
     for id in 0..upto {
+        // Only a node's parents, which come after it, lower its count: a
+        // zero here is a node outside the top's cone.
+        if remaining_uses[id as usize] == 0 {
+            continue;
+        }
         let node = graph.node(id);
         let fam = match node.gate {
             None => {
@@ -386,10 +374,10 @@ impl Kernel<'_> {
     }
 
     fn within_cap(&self, out: &RgFamily, gate: &str) -> Result<(), MinimalError> {
-        if out.len() > self.config.max_family {
+        if out.len() > MAX_FAMILY {
             return Err(MinimalError::FamilyTooLarge {
                 gate: gate.to_string(),
-                cap: self.config.max_family,
+                cap: MAX_FAMILY,
             });
         }
         Ok(())
@@ -583,24 +571,37 @@ mod tests {
         );
     }
 
-    #[test]
-    fn family_budget_enforced() {
-        // 2 sources × 12 disjoint components each → 144 cross products.
-        let e1: Vec<String> = (0..12).map(|i| format!("x{i}")).collect();
-        let e2: Vec<String> = (0..12).map(|i| format!("y{i}")).collect();
-        let graph =
-            component_sets_to_graph(&[ComponentSet::new("E1", e1), ComponentSet::new("E2", e2)])
-                .unwrap();
-        let config = MinimalConfig {
-            max_order: None,
-            max_family: 100,
-        };
-        let err = minimal_risk_groups_cancellable(&graph, &config, &CancelToken::default());
-        match err {
-            Err(MinimalError::FamilyTooLarge { gate, cap: 100 }) => {
-                assert_eq!(gate, graph.node(graph.top()).name);
+    /// Six events under the top, and with `off_cone` 600 more the top
+    /// cannot reach, interleaved with them, plus a stray gate over both.
+    fn graph_with_off_cone_basics(off_cone: bool) -> indaas_graph::FaultGraph {
+        let mut b = FaultGraphBuilder::new();
+        let (mut c, mut x) = (Vec::new(), Vec::new());
+        for i in 0..6 {
+            if off_cone {
+                x.extend((0..100).map(|j| b.basic(format!("x{i}-{j}"), None)));
             }
-            other => panic!("expected FamilyTooLarge, got {other:?}"),
+            c.push(b.basic(format!("c{i}"), None));
         }
+        if off_cone {
+            b.gate("stray", Gate::And, vec![x[0], c[0]]);
+        }
+        let a = b.gate("a", Gate::And, vec![c[0], c[1]]);
+        let o = b.gate("o", Gate::Or, vec![c[2], c[3]]);
+        let t = b.gate("t", Gate::KofN(2), vec![c[3], c[4], c[5]]);
+        let top = b.gate("top", Gate::And, vec![a, o, t]);
+        b.build(top).unwrap()
+    }
+
+    #[test]
+    fn rows_cover_only_the_top_cone() {
+        let wide = graph_with_off_cone_basics(true);
+        let narrow = graph_with_off_cone_basics(false);
+        assert_eq!(wide.num_basic(), 606);
+        let config = MinimalConfig::default();
+        let family = minimal_risk_groups(&wide, &config);
+        assert_eq!(family.stride(), 1, "6 events in the cone, not 606");
+        let expected = minimal_risk_groups(&narrow, &config);
+        assert!(!expected.is_empty());
+        assert_eq!(family.to_named(&wide), expected.to_named(&narrow));
     }
 }

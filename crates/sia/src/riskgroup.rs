@@ -9,9 +9,10 @@
 //!
 //! A family stores each group as one fixed-stride row of `u64` words in a
 //! single flat buffer. Bit `d` of a row stands for the `d`-th basic event
-//! of the family's event index — a dense numbering of the basic events,
-//! not of the graph's nodes, so the benchmark's 259 basics of 1,364 nodes
-//! take 5 words a row. Subset, union and equality are word AND/OR/compare.
+//! of the family's event index — a dense numbering of the basic events
+//! the top event reaches, not of the graph's nodes, so the benchmark's
+//! 259 basics of 1,364 nodes take 5 words a row. Subset, union and
+//! equality are word AND/OR/compare.
 //! Once a family outgrows a linear scan it keeps one posting list per
 //! event (the rows that contain it): a subset of a candidate is on the
 //! list of one of the candidate's members and is not larger than it, a
@@ -85,6 +86,22 @@ impl RiskGroup {
             .map(|&id| graph.node(id).name.clone())
             .collect()
     }
+}
+
+/// How many gates of the top event's cone read each node of `graph`, the
+/// top counting one: zero exactly for the nodes the top cannot reach.
+/// Children precede parents, so one pass down the ids counts them.
+pub(crate) fn cone_uses(graph: &FaultGraph) -> Vec<usize> {
+    let mut uses = vec![0; graph.len()];
+    uses[graph.top() as usize] = 1;
+    for id in (0..=graph.top()).rev() {
+        if uses[id as usize] > 0 {
+            for &c in &graph.node(id).children {
+                uses[c as usize] += 1;
+            }
+        }
+    }
+    uses
 }
 
 /// A family builds its posting lists when it first holds more rows than
@@ -214,13 +231,21 @@ impl RgFamily {
         Self::default()
     }
 
-    /// An empty family over `graph`'s basic events. Clones of it share one
-    /// event index, which is what lets the engines combine their rows word
-    /// by word.
+    /// An empty family over the basic events `graph`'s top event reaches:
+    /// no row pays a bit for an event that cannot fail the top. Clones of
+    /// it share one event index, which is what lets the engines combine
+    /// their rows word by word.
     pub fn for_graph(graph: &FaultGraph) -> Self {
+        Self::for_cone(graph, &cone_uses(graph))
+    }
+
+    /// [`RgFamily::for_graph`] given the graph's [`cone_uses`].
+    pub(crate) fn for_cone(graph: &FaultGraph, uses: &[usize]) -> Self {
         let mut events = EventIndex::default();
         for id in graph.basic_ids() {
-            events.add(id);
+            if uses[id as usize] > 0 {
+                events.add(id);
+            }
         }
         RgFamily {
             stride: events.node_of.len().div_ceil(64),

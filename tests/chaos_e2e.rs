@@ -78,16 +78,15 @@ fn unarmed_runs_are_byte_identical_with_zero_retries() {
             .run()
             .expect("clean federated audit");
         let retries = counter_sum(&daemons, "fed_frame_retries_total");
-        let redials = counter_sum(&daemons, "fed_redials_total");
         let injected = counter_sum(&daemons, "faults_injected_total");
         shutdown(daemons);
-        (outcome, retries, redials, injected)
+        (outcome, retries, injected)
     };
-    let (first, r1, d1, i1) = run_once();
-    let (second, r2, d2, i2) = run_once();
+    let (first, r1, i1) = run_once();
+    let (second, r2, i2) = run_once();
 
-    assert_eq!((r1, d1, i1), (0, 0, 0), "no-fault run must not retry");
-    assert_eq!((r2, d2, i2), (0, 0, 0));
+    assert_eq!((r1, i1), (0, 0), "no-fault run must not retry");
+    assert_eq!((r2, i2), (0, 0));
     assert!(!first.degraded() && !second.degraded());
     let (a, b) = (first.psop.unwrap(), second.psop.unwrap());
     assert_eq!(a.intersection, b.intersection);
@@ -170,6 +169,52 @@ fn frame_send_errors_retry_to_the_same_answer_or_fail_loudly() {
             // An explicit, attributable error is the other allowed shape.
             assert!(!e.to_string().is_empty());
         }
+    }
+    shutdown(daemons);
+}
+
+/// Injected disconnects cut the successor link the way a real failure
+/// does, so every retry is a fresh dial. Same two acceptable shapes as
+/// send errors: the clean run's answer with the retries recorded, or an
+/// explicit degraded outcome / error — never a hang.
+#[test]
+fn frame_send_disconnects_redial_to_the_same_answer_or_fail_loudly() {
+    let _guard = chaos();
+    let daemons = boot_ring();
+    let peers: Vec<String> = daemons.iter().map(|d| d.addr.clone()).collect();
+    let clean = FederationCoordinator::new(peers.clone())
+        .run()
+        .expect("clean run")
+        .psop
+        .unwrap();
+
+    faultinj::arm("fed.frame.send=disconnect:0.2:42").unwrap();
+    let faulted = FederationCoordinator::new(peers)
+        .with_round_timeout(Duration::from_secs(2))
+        .run();
+    assert!(faultinj::triggered("fed.frame.send") > 0, "fault must fire");
+    faultinj::disarm_all();
+    match faulted {
+        Ok(outcome) if !outcome.degraded() => {
+            let got = outcome.psop.unwrap();
+            assert_eq!(
+                got.intersection, clean.intersection,
+                "re-dialed run drifted"
+            );
+            assert_eq!(got.union, clean.union);
+            assert!(
+                counter_sum(&daemons, "fed_frame_retries_total") > 0,
+                "a clean completion under disconnects must have retried"
+            );
+        }
+        Ok(outcome) => {
+            assert!(outcome.psop.is_none(), "degraded outcome carries no result");
+            assert!(
+                !outcome.parties_failed.is_empty(),
+                "degradation names parties"
+            );
+        }
+        Err(e) => assert!(!e.to_string().is_empty()),
     }
     shutdown(daemons);
 }

@@ -1567,10 +1567,7 @@ mod compose_props {
             let RgAlgorithm::Minimal { max_order } = spec.algorithm else {
                 unreachable!("exact audits only");
             };
-            let config = MinimalConfig {
-                max_order,
-                ..MinimalConfig::default()
-            };
+            let config = MinimalConfig { max_order };
             let family = minimal_risk_groups(&graph, &config);
             let n = cand.servers.len();
             let ranking = match spec.metric {

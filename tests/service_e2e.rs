@@ -2056,7 +2056,6 @@ fn metrics_over_the_wire_show_miss_hit_transition_and_slow_traces() {
         names::FED_WIRE_BYTES_TOTAL,
         names::FED_ROUNDS_TOTAL,
         names::FED_FRAME_RETRIES_TOTAL,
-        names::FED_REDIALS_TOTAL,
         names::FED_PARTY_FAILURES_TOTAL,
         names::DB_SEGMENTS_QUARANTINED_TOTAL,
         names::FAULTS_INJECTED_TOTAL,
