@@ -169,8 +169,9 @@ impl MetricsAnswer {
     }
 }
 
-/// A pushed audit result, as [`Client::next_event`] returns it.
-#[derive(Clone, Debug)]
+/// A pushed audit result, as [`Client::next_event`] returns it (and as
+/// `indaas watch --json` prints it).
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct AuditEvent {
     /// The subscription this event belongs to.
     pub subscription: u64,

@@ -194,7 +194,8 @@ pub fn frame_parts(parts: &[&[u8]]) -> Vec<u8> {
     out
 }
 
-/// Encodes one v1 response line (newline appended).
+/// Encodes one NDJSON line (newline appended): a v1 answer, a greeting
+/// or hello, or a peer-session error.
 pub fn line_bytes(line: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(line.len() + 1);
     out.extend_from_slice(line.as_bytes());

@@ -349,7 +349,6 @@ pub(crate) struct LoopIo<'a> {
     pub(crate) state: &'a Arc<ServiceState>,
     pub(crate) poller: &'a Poller,
     pub(crate) timers: &'a mut TimerWheel<TimerEvent>,
-    pub(crate) shared: &'a Arc<LoopShared>,
 }
 
 impl LoopIo<'_> {
@@ -705,9 +704,9 @@ impl Ring {
         let Some(p) = self.parties.get(&id) else {
             return;
         };
-        let (shared, trace) = (Arc::clone(io.shared), p.trace);
+        let (inbox, trace) = (Arc::clone(&io.state.inbox), p.trace);
         let submitted = io.state.scheduler.submit(None, move |_| {
-            let mut post = JobPost(shared, id, None);
+            let mut post = JobPost(inbox, id, None);
             let _scope = TraceScope::enter(trace);
             post.2 = Some(job());
         });
@@ -1034,8 +1033,8 @@ impl Ring {
     }
 
     /// The shutdown drain: every live party fails, its token is
-    /// cancelled and its link closed — before the loop closes the
-    /// outboxes its answers ride.
+    /// cancelled and its link closed — before the loop begins closing
+    /// the connections its answers go to.
     pub(crate) fn shutdown(&mut self, io: &mut LoopIo) {
         let ids: Vec<u64> = self.parties.keys().copied().collect();
         for id in ids {

@@ -42,9 +42,10 @@
 //!   a spec to the `(shard, epoch)` pairs its hosts route to; when an
 //!   ingest bumps a pinned shard the daemon re-runs the audit through
 //!   the normal scheduler and cache and pushes the fresh result to
-//!   every affected subscriber over its bounded per-connection outbox
-//!   (slow consumers shed their oldest events, never block ingest) —
-//!   `indaas watch` is the CLI surface;
+//!   every affected subscriber, posted to the readiness loop's one
+//!   inbox by connection token like every answer (slow consumers shed
+//!   their oldest events, never block ingest) — `indaas watch` is the
+//!   CLI surface;
 //! * **federated PIA** ([`federation`]) — both ends of the
 //!   multi-provider P-SOP ring. The daemon side runs on the loop:
 //!   `FederateHello` peer sessions and the session table their round
@@ -124,5 +125,5 @@ pub use federation::{FederatedOutcome, FederationCoordinator, PartyFailure};
 pub use proto::{Envelope, MetricHisto, Request, Response, ResponseEnvelope, SpanEntry};
 pub use scheduler::{SchedMetrics, Scheduler, SubmitError};
 pub use server::{ServeConfig, Server};
-pub use subs::{Outbox, SubscriptionRegistry};
+pub use subs::SubscriptionRegistry;
 pub use telemetry::Telemetry;

@@ -9,12 +9,14 @@
 //!   buffer; the incremental codecs ([`crate::codec`]) pop complete
 //!   lines/frames out of it, so byte-at-a-time delivery decodes exactly
 //!   like whole-message delivery.
-//! - **Writes** go through the connection's [`Outbox`] (jobs and push
-//!   audits enqueue fully-framed bytes from worker threads) into a
-//!   [`WriteQueue`] the loop drains on `EPOLLOUT`, resuming mid-frame
-//!   across `WouldBlock`. Frames move on only while the write queue is
-//!   under its high-watermark, so the outbox's bounded event shedding
-//!   is what a stalled reader meets.
+//! - **Writes** are posted to the loop's one inbox ([`LoopShared`]) as
+//!   fully-framed bytes addressed by connection token, from worker
+//!   threads and from the loop alike. The loop delivers them to their
+//!   connection's held frames and from there into a [`WriteQueue`] it
+//!   drains on `EPOLLOUT`, resuming mid-frame across `WouldBlock`.
+//!   Frames move on only while the write queue is under its
+//!   high-watermark, so the held frames' bounded event shedding is what
+//!   a stalled reader meets.
 //! - **Requests** on either protocol get a [`ResponseSlot`] and go
 //!   through one `match` (`EventLoop::dispatch`): cheap ones are
 //!   answered inline, cache-miss audits are admitted onto the bounded
@@ -31,16 +33,17 @@
 //!   `FederateStart` becomes a party whose crypto runs as pool jobs and
 //!   whose successor link is one more non-blocking socket on the poller.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use indaas_core::CancelToken;
 use indaas_netpoll::{Event, Interest, Poller, TimerWheel, Waker};
-use indaas_obs::{log as slog, Span, TraceContext};
+use indaas_obs::{log as slog, Counter, Span, TraceContext};
 
 use crate::codec::{self, WriteQueue};
 use crate::federation::{self, FedTimer, LoopIo, PartyPost, Ring};
@@ -53,7 +56,7 @@ use crate::server::{
     save_dirty, schedule_push_audit, status, trace_get, Mutation, ServiceState,
     MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_LINE,
 };
-use crate::subs::{FrameKind, Outbox};
+use crate::subs::MAX_OUTBOX_EVENTS;
 use crate::telemetry::Telemetry;
 
 /// Token the listener is registered under.
@@ -63,10 +66,11 @@ const WAKER_TOKEN: u64 = 1;
 /// First token handed to a client connection.
 const FIRST_CONN_TOKEN: u64 = 16;
 /// Bytes of pending output past which the loop stops *reading* a
-/// connection and stops moving its outbox frames into the write queue —
+/// connection and stops moving its held frames into the write queue —
 /// a peer that writes requests faster than it drains responses gets TCP
-/// backpressure, and a subscriber that stops reading sheds events in its
-/// bounded outbox, instead of either costing unbounded server memory.
+/// backpressure, and a subscriber that stops reading sheds events from
+/// its bounded held frames, instead of either costing unbounded server
+/// memory.
 const WRITE_HIGH_WATERMARK: usize = 4 * 1024 * 1024;
 /// Socket-read chunks serviced per readiness event before yielding to
 /// other connections (level-triggered epoll re-reports the remainder).
@@ -75,46 +79,128 @@ const MAX_FILLS_PER_EVENT: usize = 8;
 /// their final frames before force-closing them.
 const SHUTDOWN_LINGER: Duration = Duration::from_secs(2);
 
-/// The cross-thread face of the loop: worker threads reach the loop
-/// only through this.
+/// The loop's one inbox, and the only way into it from another thread:
+/// frames addressed to a connection by its token, and federation pool
+/// jobs' results, in post order. [`ServiceState`] owns it; the loop
+/// takes everything posted at least once per turn.
 pub(crate) struct LoopShared {
     waker: Waker,
-    loop_thread: std::thread::ThreadId,
-    /// Connections whose outbox gained a frame (or closed) since the
-    /// loop last drained this list. It drains it last in every turn, so
-    /// a notification raised on `loop_thread` needs no wake.
-    ready: Mutex<Vec<u64>>,
-    /// Federation pool jobs' results, taken under one lock per
-    /// iteration.
-    parties: Mutex<Vec<PartyPost>>,
+    /// The loop's thread, once it runs: a post from it is taken later in
+    /// the same turn, so it needs no wake.
+    loop_thread: OnceLock<ThreadId>,
+    posts: Mutex<Vec<Post>>,
+}
+
+/// One item of the loop's inbox.
+enum Post {
+    /// A framed answer, line or pushed event for the connection whose
+    /// token it names.
+    Frame(u64, FrameKind, Vec<u8>),
+    /// Boxed: a party's keyed state would bloat every frame post.
+    Party(Box<PartyPost>),
 }
 
 impl LoopShared {
-    fn notify_conn(&self, token: u64) {
-        self.ready
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(token);
-        if std::thread::current().id() != self.loop_thread {
-            self.waker.wake();
-        }
+    /// An empty inbox whose waker is registered with `poller`.
+    pub(crate) fn new(poller: &Poller) -> std::io::Result<Self> {
+        Ok(LoopShared {
+            waker: Waker::new(poller, WAKER_TOKEN)?,
+            loop_thread: OnceLock::new(),
+            posts: Mutex::new(Vec::new()),
+        })
     }
 
-    fn take_ready(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.ready.lock().unwrap_or_else(PoisonError::into_inner))
+    /// Posts one frame for connection `conn`. It is dropped on delivery
+    /// if that connection is gone or began closing before the post.
+    pub(crate) fn post_frame(&self, conn: u64, kind: FrameKind, frame: Vec<u8>) {
+        self.post(Post::Frame(conn, kind, frame));
     }
 
     /// Hands a federation pool job's result to the loop.
     pub(crate) fn post_party(&self, post: PartyPost) {
-        self.parties
+        self.post(Post::Party(Box::new(post)));
+    }
+
+    fn post(&self, post: Post) {
+        self.posts
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(post);
-        self.waker.wake();
+        if self.loop_thread.get() != Some(&std::thread::current().id()) {
+            self.waker.wake();
+        }
     }
 
-    fn take_parties(&self) -> Vec<PartyPost> {
-        std::mem::take(&mut *self.parties.lock().unwrap_or_else(PoisonError::into_inner))
+    fn take(&self) -> Vec<Post> {
+        std::mem::take(&mut *self.posts.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Takes the frames posted for `conn` and not yet delivered, in post
+    /// order, leaving every other post in place.
+    fn take_frames(&self, conn: u64) -> Vec<(FrameKind, Vec<u8>)> {
+        self.posts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extract_if(
+                ..,
+                |post| matches!(post, Post::Frame(token, ..) if *token == conn),
+            )
+            .filter_map(|post| match post {
+                Post::Frame(_, kind, frame) => Some((kind, frame)),
+                Post::Party(_) => None,
+            })
+            .collect()
+    }
+}
+
+/// What a posted frame is, set by whoever framed it. The readiness
+/// loop's `svc.frame.write` fault point covers envelopes only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FrameKind {
+    /// An NDJSON line: a greeting, a v1 answer or a peer-session error.
+    Line,
+    /// A length-prefixed v2 envelope answering a request (or announcing
+    /// shutdown).
+    Answer,
+    /// A pushed `AuditEvent` envelope: the only kind a connection sheds.
+    Event,
+}
+
+/// A connection's frames that its write queue has not taken yet. The
+/// pump moves them on only while the queue is under
+/// [`WRITE_HIGH_WATERMARK`], so what a stalled reader is sent waits here.
+#[derive(Default)]
+struct Held {
+    frames: VecDeque<(FrameKind, Vec<u8>)>,
+    events: usize,
+}
+
+impl Held {
+    /// Holds one frame. Answers and lines are never shed: a v2
+    /// connection's in-flight cap and a line session's lock-step bound
+    /// them. Past [`MAX_OUTBOX_EVENTS`] held events the oldest event is
+    /// shed first, counted in `shed`: a dashboard that fell behind wants
+    /// the freshest result, not a replay of every intermediate one.
+    fn push(&mut self, kind: FrameKind, frame: Vec<u8>, shed: &Counter) {
+        if kind == FrameKind::Event {
+            if self.events >= MAX_OUTBOX_EVENTS {
+                if let Some(pos) = self.frames.iter().position(|(k, _)| *k == FrameKind::Event) {
+                    self.frames.remove(pos);
+                    self.events -= 1;
+                    shed.inc();
+                }
+            }
+            self.events += 1;
+        }
+        self.frames.push_back((kind, frame));
+    }
+
+    fn pop(&mut self) -> Option<(FrameKind, Vec<u8>)> {
+        let (kind, frame) = self.frames.pop_front()?;
+        if kind == FrameKind::Event {
+            self.events -= 1;
+        }
+        Some((kind, frame))
     }
 }
 
@@ -122,11 +208,11 @@ impl LoopShared {
 /// it first — the job, the deadline guard timer, or the crash guard —
 /// wins; later calls are no-ops. Fulfilling records the dispatch
 /// latency and the request span, frames the response for the session's
-/// protocol, and enqueues it on the connection's outbox (whose notifier
-/// wakes the loop when the slot is fulfilled off the loop thread).
+/// protocol, and posts it to the loop for the connection `conn`.
 pub(crate) struct ResponseSlot {
     claimed: AtomicBool,
-    outbox: Arc<Outbox>,
+    inbox: Arc<LoopShared>,
+    conn: u64,
     encoding: SlotEncoding,
     /// The v2 per-connection in-flight gauge; `None` for v1 (lock-step
     /// sessions have at most one outstanding request by construction).
@@ -161,10 +247,11 @@ impl ResponseSlot {
             .spans
             .record(self.ctx, self.kind, String::new(), elapsed_us);
         let frame = frame_answer(self.encoding, body, &self.telemetry.response_bytes);
-        match self.encoding {
-            SlotEncoding::V1 => self.outbox.push_line(frame),
-            SlotEncoding::V2 { .. } => self.outbox.push_response(frame),
+        let kind = match self.encoding {
+            SlotEncoding::V1 => FrameKind::Line,
+            SlotEncoding::V2 { .. } => FrameKind::Answer,
         };
+        self.inbox.post_frame(self.conn, kind, frame);
         if let Some(gauge) = &self.in_flight {
             gauge.fetch_sub(1, Ordering::AcqRel);
         }
@@ -199,8 +286,8 @@ pub(crate) enum TimerEvent {
     Collect,
     /// A pooled job's deadline-plus-grace guard: answers "audit timed
     /// out" for a wedged worker and cancels its token. The slot is held
-    /// weakly, so an answered slot (and its connection's outbox) is
-    /// freed when its job ends, not when the guard fires.
+    /// weakly, so an answered slot is freed when its job ends, not when
+    /// the guard fires.
     Guard {
         slot: Weak<ResponseSlot>,
         token: CancelToken,
@@ -220,9 +307,13 @@ enum Mode {
         /// Whether any effective line has been consumed — `Hello` is
         /// only legal before this flips.
         greeted: bool,
-        /// A v1 request is on the pool; line parsing pauses until its
-        /// response pops from the outbox (lock-step, as the blocking
-        /// loop behaved).
+        /// Lines consumed whose answer the pump has not yet moved into
+        /// the write queue: every line consumed is answered by exactly
+        /// one line, in order.
+        owed: usize,
+        /// A pool job or federation party owes the last line's answer:
+        /// parsing pauses until that answer, the last one owed, is moved
+        /// (lock-step, as the blocking loop behaved).
         busy: bool,
     },
     /// Negotiated protocol ≥ 2: length-prefixed envelope frames, many
@@ -239,13 +330,14 @@ struct Conn {
     /// its id, which its subscriptions are keyed by.
     token: u64,
     stream: TcpStream,
-    outbox: Arc<Outbox>,
+    held: Held,
     inbuf: Vec<u8>,
     wq: WriteQueue,
     mode: Mode,
     interest: Interest,
     /// Read side is done (EOF, protocol violation, shutdown drain):
-    /// flush the write queue, then close.
+    /// flush what was posted before, drop what is posted after, then
+    /// close.
     closing: bool,
     in_flight: Arc<AtomicUsize>,
 }
@@ -273,53 +365,29 @@ fn request_context(header: Option<&str>) -> TraceContext {
         .unwrap_or_else(TraceContext::root)
 }
 
-/// A pool job or federation party owes the answer: a lock-step line
-/// session stops parsing until it lands (the pump resumes it).
+/// A pool job or federation party owes the answer to a line session's
+/// last line: it stops parsing until that answer is moved (the pump
+/// resumes it).
 fn await_answer(conn: &mut Conn) {
-    if let Mode::Line { greeted, .. } = conn.mode {
-        conn.mode = Mode::Line {
-            greeted,
-            busy: true,
-        };
+    if let Mode::Line { busy, .. } = &mut conn.mode {
+        *busy = true;
     }
 }
 
 /// Runs the readiness loop until shutdown completes. This is
 /// `Server::run`'s core; the caller handles pool teardown and the
 /// final segment saves.
-pub(crate) fn run_loop(listener: TcpListener, state: &Arc<ServiceState>) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    let waker = Waker::new(&poller, WAKER_TOKEN)?;
-    let shared = Arc::new(LoopShared {
-        waker,
-        loop_thread: std::thread::current().id(),
-        ready: Mutex::new(Vec::new()),
-        parties: Mutex::new(Vec::new()),
-    });
-    poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-    let mut timers = TimerWheel::new();
-    if let Some(interval) = state.config.collect_interval {
-        timers.arm(Instant::now() + interval, TimerEvent::Collect);
-    }
-    let mut el = EventLoop {
-        state,
-        poller,
-        shared,
-        listener,
-        conns: HashMap::new(),
-        next_token: FIRST_CONN_TOKEN,
-        timers,
-        ring: Ring::default(),
-        draining: false,
-    };
-    el.serve()
+pub(crate) fn run_loop(
+    listener: TcpListener,
+    poller: Poller,
+    state: &Arc<ServiceState>,
+) -> std::io::Result<()> {
+    EventLoop::new(listener, poller, state)?.serve()
 }
 
 struct EventLoop<'a> {
     state: &'a Arc<ServiceState>,
     poller: Poller,
-    shared: Arc<LoopShared>,
     listener: TcpListener,
     conns: HashMap<u64, Conn>,
     next_token: u64,
@@ -328,14 +396,39 @@ struct EventLoop<'a> {
     draining: bool,
 }
 
-impl EventLoop<'_> {
+impl<'a> EventLoop<'a> {
+    /// A loop on the calling thread over `listener` and `poller` (which
+    /// `state`'s inbox wakes).
+    fn new(
+        listener: TcpListener,
+        poller: Poller,
+        state: &'a Arc<ServiceState>,
+    ) -> std::io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        poller.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        let _ = state.inbox.loop_thread.set(std::thread::current().id());
+        let mut timers = TimerWheel::new();
+        if let Some(interval) = state.config.collect_interval {
+            timers.arm(Instant::now() + interval, TimerEvent::Collect);
+        }
+        Ok(EventLoop {
+            state,
+            poller,
+            listener,
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+            timers,
+            ring: Ring::default(),
+            draining: false,
+        })
+    }
+
     /// The federation ring plus the loop resources it drives parties with.
     fn ring_io(&mut self) -> (&mut Ring, LoopIo<'_>) {
         let io = LoopIo {
             state: self.state,
             poller: &self.poller,
             timers: &mut self.timers,
-            shared: &self.shared,
         };
         (&mut self.ring, io)
     }
@@ -362,7 +455,7 @@ impl EventLoop<'_> {
                             self.accept_ready()?;
                         }
                     }
-                    WAKER_TOKEN => self.shared.waker.drain(),
+                    WAKER_TOKEN => self.state.inbox.waker.drain(),
                     token if token & federation::LINK_TOKEN_BIT != 0 => {
                         let (ring, mut io) = self.ring_io();
                         ring.link_event(&mut io, token, &ev);
@@ -376,20 +469,52 @@ impl EventLoop<'_> {
                     }
                 }
             }
-            let posts = self.shared.take_parties();
-            let (ring, mut io) = self.ring_io();
-            for post in posts {
-                ring.on_post(&mut io, post);
-            }
+            // Before the timers, so a party's result beats its deadline
+            // in the same turn; after them, for the answers they gave.
+            self.deliver_posts();
             let now = Instant::now();
             while let Some((_, ev)) = self.timers.pop_expired(now) {
                 self.fire_timer(ev);
             }
-            for token in self.shared.take_ready() {
-                self.service_writable(token);
-            }
+            self.deliver_posts();
             let queued: usize = self.conns.values().map(|c| c.wq.queued_bytes()).sum();
             self.state.telemetry.write_queue_depth.set(queued as u64);
+        }
+    }
+
+    /// Delivers the inbox until it stays empty: each frame joins its
+    /// connection's held frames, or is dropped when that connection is
+    /// gone (tokens are never reused) or closing; each party result goes
+    /// to the ring. Every connection that gained a frame is pumped once
+    /// the whole batch is held; a line session the pump resumes posts
+    /// its next answers for a later pass.
+    fn deliver_posts(&mut self) {
+        loop {
+            let posts = self.state.inbox.take();
+            if posts.is_empty() {
+                return;
+            }
+            let mut gained = Vec::new();
+            for post in posts {
+                match post {
+                    Post::Frame(token, kind, frame) => {
+                        if let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.closing) {
+                            let shed = &self.state.telemetry.outbox_shed_total;
+                            conn.held.push(kind, frame, shed);
+                            if gained.last() != Some(&token) {
+                                gained.push(token);
+                            }
+                        }
+                    }
+                    Post::Party(post) => {
+                        let (ring, mut io) = self.ring_io();
+                        ring.on_post(&mut io, *post);
+                    }
+                }
+            }
+            for token in gained {
+                self.service_writable(token);
+            }
         }
     }
 
@@ -417,25 +542,29 @@ impl EventLoop<'_> {
         let max = self.state.config.max_conns as u64;
         let token = self.next_token;
         self.next_token += 1;
-        let outbox = Arc::new(Outbox::with_shed_counter(Arc::clone(
-            &self.state.telemetry.outbox_shed_total,
-        )));
-        let shared = Arc::clone(&self.shared);
-        outbox.set_notifier(move || shared.notify_conn(token));
-        let mut conn = Conn {
+        let conn = Conn {
             token,
             stream,
-            outbox,
+            held: Held::default(),
             inbuf: Vec::new(),
             wq: WriteQueue::new(),
             mode: Mode::Line {
                 greeted: false,
+                owed: 0,
                 busy: false,
             },
             interest: Interest::READABLE,
             closing: false,
             in_flight: Arc::new(AtomicUsize::new(0)),
         };
+        if self
+            .poller
+            .add(conn.stream.as_raw_fd(), token, conn.interest)
+            .is_err()
+        {
+            self.destroy(conn);
+            return;
+        }
         if occupied > max {
             // Admission control: one clear error, then the connection is
             // flushed and dropped before it can claim loop state.
@@ -445,19 +574,10 @@ impl EventLoop<'_> {
                     "connection limit reached ({max} concurrent connections); retry later"
                 )),
             );
-            conn.closing = true;
-            conn.outbox.close();
+            self.finish(token, conn, Verdict::CloseAfterFlush);
+        } else {
+            self.conns.insert(token, conn);
         }
-        if self
-            .poller
-            .add(conn.stream.as_raw_fd(), token, conn.interest)
-            .is_err()
-        {
-            self.destroy(conn);
-            return;
-        }
-        let verdict = self.pump(&mut conn);
-        self.finish(token, conn, verdict);
     }
 
     /// Readable (or hung-up) socket: pull bytes, parse, dispatch, then
@@ -473,8 +593,8 @@ impl EventLoop<'_> {
         self.finish(token, conn, verdict);
     }
 
-    /// Writable socket or outbox notification: drain outbox → write
-    /// queue → socket.
+    /// Writable socket or delivered frames: held frames → write queue →
+    /// socket.
     fn service_writable(&mut self, token: u64) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
@@ -523,10 +643,11 @@ impl EventLoop<'_> {
                 Ok(Some(frame)) => frame,
                 Ok(None) => return Verdict::Keep,
                 Err(codec::DecodeError::Oversized { .. }) => {
-                    conn.outbox.push_response(self.envelope_frame(
+                    self.push_envelope(
+                        conn,
                         EVENT_ENVELOPE_ID,
                         Response::error(format!("request frame exceeds {MAX_REQUEST_LINE} bytes")),
-                    ));
+                    );
                     return Verdict::CloseAfterFlush; // cannot resync
                 }
             };
@@ -598,28 +719,31 @@ impl EventLoop<'_> {
                 // v2 frames come only from machine encoders; an
                 // unparseable envelope is a broken peer, not a typo —
                 // answer once and drop.
-                conn.outbox.push_response(self.envelope_frame(
+                self.push_envelope(
+                    conn,
                     EVENT_ENVELOPE_ID,
                     Response::error(format!("malformed envelope: {e}")),
-                ));
+                );
                 return Verdict::CloseAfterFlush;
             }
         };
         if id == EVENT_ENVELOPE_ID {
-            conn.outbox.push_response(self.envelope_frame(
+            self.push_envelope(
+                conn,
                 EVENT_ENVELOPE_ID,
                 Response::error("envelope id 0 is reserved for server pushes"),
-            ));
+            );
             return Verdict::CloseAfterFlush;
         }
         state.telemetry.requests_total.inc();
         if conn.in_flight.load(Ordering::Acquire) >= MAX_IN_FLIGHT_REQUESTS {
-            conn.outbox.push_response(self.envelope_frame(
+            self.push_envelope(
+                conn,
                 id,
                 Response::error(format!(
                     "too many in-flight requests (max {MAX_IN_FLIGHT_REQUESTS})"
                 )),
-            ));
+            );
             return Verdict::Keep;
         }
         let slot = self.slot(
@@ -633,12 +757,17 @@ impl EventLoop<'_> {
 
     fn process_lines(&mut self, conn: &mut Conn) -> Verdict {
         loop {
-            let Mode::Line { greeted, busy } = conn.mode else {
+            let Mode::Line {
+                greeted,
+                owed,
+                busy,
+            } = conn.mode
+            else {
                 return Verdict::Rescan;
             };
             if busy {
                 // Lock-step: the pool owns the current request; the
-                // pump resumes parsing when its response pops.
+                // pump resumes parsing when its answer is moved.
                 return Verdict::Keep;
             }
             let line = match codec::try_extract_line(&mut conn.inbuf, MAX_REQUEST_LINE) {
@@ -658,13 +787,14 @@ impl EventLoop<'_> {
             if line.trim().is_empty() {
                 continue;
             }
+            conn.mode = Mode::Line {
+                greeted: true,
+                owed: owed + 1,
+                busy: false,
+            };
             let request = match decode_line::<Request>(line.trim()) {
                 Ok(request) => request,
                 Err(e) => {
-                    conn.mode = Mode::Line {
-                        greeted: true,
-                        busy: false,
-                    };
                     self.push_line(conn, &Response::error(format!("malformed request: {e}")));
                     continue;
                 }
@@ -690,10 +820,6 @@ impl EventLoop<'_> {
                     }
                 }
             }
-            conn.mode = Mode::Line {
-                greeted: true,
-                busy: false,
-            };
             self.state.telemetry.requests_total.inc();
             // v1 lines carry no envelope, hence no caller context.
             let slot = self.slot(conn, SlotEncoding::V1, request_context(None), &request);
@@ -709,10 +835,6 @@ impl EventLoop<'_> {
     /// stays in the lock-step line mode. A later hello is no greeting:
     /// it is dispatched like any other request.
     fn greet(&mut self, conn: &mut Conn, version: u32) -> Verdict {
-        conn.mode = Mode::Line {
-            greeted: true,
-            busy: false,
-        };
         if version < MIN_PROTOCOL_VERSION {
             self.push_line(
                 conn,
@@ -760,7 +882,8 @@ impl EventLoop<'_> {
         };
         Arc::new(ResponseSlot {
             claimed: AtomicBool::new(false),
-            outbox: Arc::clone(&conn.outbox),
+            inbox: Arc::clone(&self.state.inbox),
+            conn: conn.token,
             encoding,
             in_flight,
             ctx,
@@ -797,21 +920,14 @@ impl EventLoop<'_> {
                 "subscriptions require a protocol v2 session (open the connection with Hello)",
             ),
             Request::Subscribe { spec, engine } => {
-                match register_subscription(state, spec, &engine, &conn.outbox, conn.token) {
+                match register_subscription(state, spec, &engine, conn.token) {
                     Ok((subscription, spec)) => {
                         // Answer first, then the initial audit: the
-                        // outbox is FIFO, so `Subscribed` reaches the
+                        // inbox is FIFO, so `Subscribed` reaches the
                         // wire before the first `AuditEvent` can.
                         slot.fulfill(Response::Subscribed { subscription });
-                        let outbox = Arc::clone(&conn.outbox);
-                        schedule_push_audit(
-                            state,
-                            subscription,
-                            spec,
-                            outbox,
-                            Instant::now(),
-                            slot.ctx,
-                        );
+                        let now = Instant::now();
+                        schedule_push_audit(state, subscription, spec, conn.token, now, slot.ctx);
                         return Verdict::Keep;
                     }
                     Err(message) => Response::error(message),
@@ -868,32 +984,31 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Moves outbox frames into the write queue (one `svc.frame.write`
+    /// Moves held frames into the write queue (one `svc.frame.write`
     /// fault check per frame), writes what the socket will take, and
-    /// resumes a lock-step v1 parse freed by a response. Past
-    /// [`WRITE_HIGH_WATERMARK`] frames stay in the outbox, so a
-    /// subscriber that stops reading sheds its oldest events there
-    /// instead of growing the write queue.
+    /// resumes a lock-step line session once its answer is moved. Past
+    /// [`WRITE_HIGH_WATERMARK`] frames stay held, so a subscriber that
+    /// stops reading sheds its oldest events there instead of growing
+    /// the write queue.
     fn pump(&mut self, conn: &mut Conn) -> Verdict {
+        let mut resumed = false;
         loop {
-            let mut resumed = false;
-            let held = loop {
+            let full = loop {
                 if conn.wq.queued_bytes() > WRITE_HIGH_WATERMARK {
                     break true;
                 }
-                let Some((kind, frame)) = conn.outbox.pop() else {
+                let Some((kind, frame)) = conn.held.pop() else {
                     break false;
                 };
-                if let Mode::Line {
-                    greeted,
-                    busy: true,
-                } = conn.mode
-                {
-                    conn.mode = Mode::Line {
-                        greeted,
-                        busy: false,
-                    };
-                    resumed = true;
+                if let Mode::Line { owed, busy, .. } = &mut conn.mode {
+                    // Saturating: the two lines that answer no consumed
+                    // line (an oversized line, the connection limit)
+                    // each close the session.
+                    *owed = owed.saturating_sub(1);
+                    if *busy && *owed == 0 {
+                        *busy = false;
+                        resumed = true;
+                    }
                 }
                 // Chaos hook: `svc.frame.write` loses one outgoing
                 // envelope or severs the connection under the drain.
@@ -920,21 +1035,18 @@ impl EventLoop<'_> {
                     return Verdict::Close;
                 }
             }
-            if held && conn.wq.queued_bytes() <= WRITE_HIGH_WATERMARK {
+            if full && conn.wq.queued_bytes() <= WRITE_HIGH_WATERMARK {
                 continue; // the write made room for held frames
             }
             if conn.closing && conn.wq.is_empty() {
-                // Everything queued reached the wire: an empty write
-                // queue here means nothing is held in the outbox either,
-                // and the outbox is closed on every path that sets
-                // `closing`, so nothing more can arrive.
+                // Everything posted before the close reached the wire:
+                // `begin_close` held it, an empty write queue means
+                // nothing is held any more, and later posts are dropped.
                 return Verdict::Close;
             }
             if resumed && !conn.closing && !conn.inbuf.is_empty() {
-                match self.process_inbuf(conn) {
-                    Verdict::Keep => continue, // may have queued responses
-                    v => return v,
-                }
+                // The answers it posts are delivered on a later pass.
+                return self.process_inbuf(conn);
             }
             return Verdict::Keep;
         }
@@ -947,13 +1059,7 @@ impl EventLoop<'_> {
                 self.conns.insert(token, conn);
             }
             Verdict::CloseAfterFlush => {
-                // Teardown: this connection's subscriptions die with it
-                // so no push is queued for it afterwards, the outbox
-                // closes (in-flight jobs' frames drop silently), and
-                // already-queued frames still reach the wire.
-                self.state.subs.drop_conn(conn.token);
-                conn.outbox.close();
-                conn.closing = true;
+                self.begin_close(&mut conn);
                 match self.pump(&mut conn) {
                     Verdict::Keep => {
                         self.update_interest(&mut conn);
@@ -964,10 +1070,25 @@ impl EventLoop<'_> {
             }
             Verdict::Close => {
                 self.state.subs.drop_conn(conn.token);
-                conn.outbox.close();
                 self.destroy(conn);
             }
             Verdict::Rescan => unreachable!("Rescan never escapes process_inbuf"), // lint:allow(panic_path) -- pump re-runs process_inbuf on Rescan; it never reaches finish
+        }
+    }
+
+    /// Stops reading `conn` and ends its subscriptions. What was posted
+    /// to it before still reaches the wire: it is held here, ahead of
+    /// the inbox's next delivery, which drops whatever is posted to it
+    /// from now on (an in-flight job's late answer vanishes silently).
+    fn begin_close(&self, conn: &mut Conn) {
+        if conn.closing {
+            return;
+        }
+        conn.closing = true;
+        self.state.subs.drop_conn(conn.token);
+        let shed = &self.state.telemetry.outbox_shed_total;
+        for (kind, frame) in self.state.inbox.take_frames(conn.token) {
+            conn.held.push(kind, frame, shed);
         }
     }
 
@@ -1038,34 +1159,26 @@ impl EventLoop<'_> {
     }
 
     /// Enters the shutdown drain: stop accepting, fail every live
-    /// federation party (its answer must reach an outbox still open),
-    /// broadcast the farewell push to every subscribed connection (so a
-    /// watcher can tell a clean drain from a dropped connection), close
-    /// every outbox, and flush. Sockets that will not take their final
-    /// bytes get [`SHUTDOWN_LINGER`], then force-close.
+    /// federation party, post the farewell push to every subscribed
+    /// connection (so a watcher can tell a clean drain from a dropped
+    /// connection), then begin closing every connection, which flushes
+    /// all of that and every earlier post. Sockets that will not take
+    /// their final bytes get [`SHUTDOWN_LINGER`], then force-close.
     fn begin_drain(&mut self) {
         self.draining = true;
         let (ring, mut io) = self.ring_io();
         ring.shutdown(&mut io);
         let _ = self.poller.delete(self.listener.as_raw_fd());
         let farewell = self.envelope_frame(EVENT_ENVELOPE_ID, Response::ShuttingDown);
-        for outbox in self.state.subs.subscriber_outboxes() {
-            outbox.push_response(farewell.clone());
+        for token in self.state.subs.subscribers() {
+            self.state
+                .inbox
+                .post_frame(token, FrameKind::Answer, farewell.clone());
         }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            let Some(mut conn) = self.conns.remove(&token) else {
-                continue;
-            };
-            self.state.subs.drop_conn(conn.token);
-            conn.outbox.close();
-            conn.closing = true;
-            match self.pump(&mut conn) {
-                Verdict::Keep => {
-                    self.update_interest(&mut conn);
-                    self.conns.insert(token, conn);
-                }
-                _ => self.destroy(conn),
+            if let Some(conn) = self.conns.remove(&token) {
+                self.finish(token, conn, Verdict::CloseAfterFlush);
             }
         }
         self.timers
@@ -1082,20 +1195,32 @@ impl EventLoop<'_> {
         )
     }
 
-    /// Enqueues one v1/greeting response line on the connection's outbox.
+    /// Posts one answer envelope on id `id` to `conn`.
+    fn push_envelope(&self, conn: &Conn, id: u64, response: Response) {
+        let frame = self.envelope_frame(id, response);
+        self.state
+            .inbox
+            .post_frame(conn.token, FrameKind::Answer, frame);
+    }
+
+    /// Posts one greeting, v1 answer or peer-session error line to `conn`.
     fn push_line(&self, conn: &Conn, response: &Response) {
-        conn.outbox.push_line(frame_answer(
+        let frame = frame_answer(
             SlotEncoding::V1,
             &encode_line(response),
             &self.state.telemetry.response_bytes,
-        ));
+        );
+        self.state
+            .inbox
+            .post_frame(conn.token, FrameKind::Line, frame);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indaas_obs::{Counter, Histo};
+    use indaas_obs::Histo;
+    use std::io::Read;
 
     const ID: u64 = 7;
     const KIND: &str = "request:AuditSia";
@@ -1103,7 +1228,7 @@ mod tests {
     /// The three parties that may answer a pooled request: the job's
     /// spliced body, the deadline guard's timeout, and the crash guard a
     /// job drops. Each answers with a distinct response, so the frame
-    /// that reaches the outbox names the winner.
+    /// posted to the inbox names the winner.
     const JOB: usize = 0;
     const GUARD: usize = 1;
     const CRASH: usize = 2;
@@ -1116,13 +1241,35 @@ mod tests {
         }
     }
 
-    /// A v2 slot over a fresh outbox and telemetry, its connection's
+    /// The token the test slots answer.
+    const CONN: u64 = FIRST_CONN_TOKEN;
+
+    /// An inbox over a fresh poller (its waker needs one registered).
+    fn inbox() -> Arc<LoopShared> {
+        Arc::new(LoopShared::new(&Poller::new().unwrap()).unwrap())
+    }
+
+    /// Takes every frame posted to `inbox`, in post order: its token and
+    /// bytes.
+    fn posted(inbox: &LoopShared) -> Vec<(u64, Vec<u8>)> {
+        inbox
+            .take()
+            .into_iter()
+            .map(|post| match post {
+                Post::Frame(token, _, frame) => (token, frame),
+                Post::Party(_) => panic!("a party post where only frames were posted"),
+            })
+            .collect()
+    }
+
+    /// A v2 slot over a fresh inbox and telemetry, its connection's
     /// in-flight gauge at 1 as dispatch leaves it.
     fn slot() -> (Arc<ResponseSlot>, Arc<AtomicUsize>) {
         let gauge = Arc::new(AtomicUsize::new(1));
         let slot = Arc::new(ResponseSlot {
             claimed: AtomicBool::new(false),
-            outbox: Arc::new(Outbox::with_shed_counter(Arc::new(Counter::new()))),
+            inbox: inbox(),
+            conn: CONN,
             encoding: SlotEncoding::V2 { id: ID },
             in_flight: Some(Arc::clone(&gauge)),
             ctx: TraceContext::root(),
@@ -1154,8 +1301,11 @@ mod tests {
             &encode_line(&answer(winner)),
             &Histo::new(),
         );
-        assert_eq!(slot.outbox.try_pop(), Some(expected), "the winner's frame");
-        assert_eq!(slot.outbox.try_pop(), None, "exactly one frame");
+        assert_eq!(
+            posted(&slot.inbox),
+            [(CONN, expected)],
+            "exactly one frame, the winner's"
+        );
         assert_eq!(slot.telemetry.dispatch_us.snapshot().count, 1);
         let spans = slot.telemetry.spans.spans_for(slot.ctx.trace_id);
         assert_eq!(spans.len(), 1, "one request span");
@@ -1222,8 +1372,8 @@ mod tests {
 
     /// The guard holds its slot weakly. While the job holds the slot,
     /// firing answers "audit timed out" and cancels the job. Once the
-    /// job has answered and dropped it, the slot and its outbox are
-    /// freed, and firing answers nothing and cancels nothing.
+    /// job has answered and dropped it, the slot is freed, and firing
+    /// answers nothing and cancels nothing.
     #[test]
     fn guard_answers_only_for_a_slot_its_job_still_holds() {
         let (held, gauge) = slot();
@@ -1234,14 +1384,137 @@ mod tests {
 
         let (answered, _gauge) = slot();
         let guard = Arc::downgrade(&answered);
-        let outbox = Arc::clone(&answered.outbox);
+        let inbox = Arc::clone(&answered.inbox);
         fire(&answered, JOB);
         drop(answered);
-        assert_eq!(Arc::strong_count(&outbox), 1, "the slot freed its outbox");
+        assert!(guard.upgrade().is_none(), "the answered slot is freed");
         let token = CancelToken::new();
         fire_guard(&guard, &token);
-        assert!(outbox.try_pop().is_some(), "the job's answer");
-        assert_eq!(outbox.try_pop(), None, "and none from the guard");
+        let frames = posted(&inbox);
+        assert_eq!(frames.len(), 1, "the job's answer, and none from the guard");
         assert_eq!(token.state(), None, "nothing cancelled");
+    }
+
+    /// Pops every held frame's bytes.
+    fn drain(held: &mut Held) -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| held.pop().map(|(_, frame)| frame)).collect()
+    }
+
+    #[test]
+    fn events_shed_oldest_but_responses_never_do() {
+        let shed = Counter::new();
+        let mut held = Held::default();
+        held.push(FrameKind::Answer, b"resp".to_vec(), &shed);
+        for i in 0..(MAX_OUTBOX_EVENTS + 10) {
+            held.push(FrameKind::Event, format!("ev{i}").into_bytes(), &shed);
+        }
+        held.push(FrameKind::Line, b"line".to_vec(), &shed);
+        assert_eq!(shed.get(), 10);
+        // The answer survives at the front; the oldest 10 events are
+        // gone, the newest is still last of them, and the line follows.
+        let frames = drain(&mut held);
+        assert_eq!(frames.len(), MAX_OUTBOX_EVENTS + 2);
+        assert_eq!(frames[0], b"resp");
+        assert_eq!(frames[1], b"ev10");
+        assert_eq!(
+            frames[MAX_OUTBOX_EVENTS],
+            format!("ev{}", MAX_OUTBOX_EVENTS + 9).into_bytes()
+        );
+        assert_eq!(frames[MAX_OUTBOX_EVENTS + 1], b"line");
+    }
+
+    #[test]
+    fn shed_counters_track_lost_events() {
+        let shed = Counter::new();
+        let mut held = Held::default();
+        for i in 0..(MAX_OUTBOX_EVENTS + 3) {
+            held.push(FrameKind::Event, format!("ev{i}").into_bytes(), &shed);
+        }
+        assert_eq!(shed.get(), 3);
+        // Popping makes room again: the next event sheds nothing.
+        held.pop();
+        held.push(FrameKind::Event, b"next".to_vec(), &shed);
+        assert_eq!(shed.get(), 3);
+    }
+
+    /// A post from off the loop thread wakes the poller once; a post
+    /// from the loop thread wakes nothing, since the loop takes it later
+    /// in the same turn. Either way the frames are taken in post order.
+    #[test]
+    fn posts_wake_the_loop_only_from_off_its_thread() {
+        let poller = Poller::new().unwrap();
+        let inbox = LoopShared::new(&poller).unwrap();
+        inbox.loop_thread.set(std::thread::current().id()).unwrap();
+        let mut events = Vec::new();
+        let mut wakes = |inbox: &LoopShared| {
+            let n = poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            inbox.waker.drain();
+            n
+        };
+        inbox.post_frame(CONN, FrameKind::Answer, b"a".to_vec());
+        assert_eq!(wakes(&inbox), 0, "no wake from the loop thread");
+        for frame in [b"b", b"c"] {
+            std::thread::scope(|s| {
+                s.spawn(|| inbox.post_frame(CONN, FrameKind::Event, frame.to_vec()));
+            });
+            assert_eq!(wakes(&inbox), 1, "one wake per post from off the loop");
+        }
+        let frames: Vec<Vec<u8>> = posted(&inbox).into_iter().map(|(_, f)| f).collect();
+        assert_eq!(frames, [b"a", b"b", b"c"]);
+        assert_eq!(wakes(&inbox), 0, "taking wakes nothing");
+    }
+
+    /// Delivery by token: a frame for an unknown or a closed token is
+    /// dropped; a frame posted before its connection began closing is
+    /// still flushed, and one posted after is dropped.
+    #[test]
+    fn frames_for_closed_or_unknown_tokens_drop_while_earlier_frames_drain() {
+        let config = crate::ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..crate::ServeConfig::default()
+        };
+        let crate::Server {
+            listener,
+            poller,
+            state,
+        } = crate::Server::bind(config, indaas_deps::ShardedDepDb::new(1)).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut el = EventLoop::new(listener, poller, &state).unwrap();
+        while el.conns.is_empty() {
+            el.accept_ready().unwrap();
+        }
+        let answer = |token, frame: &[u8]| {
+            state
+                .inbox
+                .post_frame(token, FrameKind::Answer, frame.to_vec());
+        };
+        answer(CONN, b"a");
+        answer(CONN + 1, b"stray");
+        el.deliver_posts();
+        answer(CONN, b"b");
+        let mut conn = el.conns.remove(&CONN).unwrap();
+        el.begin_close(&mut conn);
+        el.conns.insert(CONN, conn);
+        answer(CONN, b"late");
+        el.deliver_posts();
+        let held: Vec<&[u8]> = el.conns[&CONN]
+            .held
+            .frames
+            .iter()
+            .map(|(_, f)| &f[..])
+            .collect();
+        assert_eq!(
+            held,
+            [b"b"],
+            "b, posted before the close, and not the late frame"
+        );
+        el.service_writable(CONN);
+        assert!(el.conns.is_empty(), "flushed, then closed");
+        answer(CONN, b"closed");
+        el.deliver_posts();
+        let mut wire = Vec::new();
+        client.read_to_end(&mut wire).unwrap();
+        assert_eq!(wire, b"ab");
     }
 }

@@ -6,11 +6,12 @@
 //! served by the single epoll loop, which parses requests, consults the
 //! audit-result cache, and admits real work onto the pool with a
 //! response slot the job fulfills when done. Responses and pushed
-//! [`Response::AuditEvent`] frames share each connection's bounded
-//! outbox ([`crate::subs::Outbox`]) — a slow consumer sheds its oldest
-//! events and never blocks anything — drained by the loop on
-//! writability. A slow audit can never starve protocol handling, and an
-//! idle connection costs a poll registration, not two thread stacks.
+//! [`Response::AuditEvent`] frames are posted to the loop's one inbox
+//! ([`crate::netloop::LoopShared`]) addressed by connection token, and
+//! the loop writes them on writability — a slow consumer sheds its
+//! oldest events and never blocks anything. A slow audit can never
+//! starve protocol handling, and an idle connection costs a poll
+//! registration, not two thread stacks.
 //!
 //! This module owns everything that is not the loop itself: the config,
 //! the shared [`ServiceState`], the request handlers the loop's one
@@ -68,6 +69,7 @@ use indaas_core::{AuditSpec, AuditingAgent, CancelToken};
 use indaas_deps::{
     DbSnapshot, DepView, DependencyAcquisitionModule, DependencyRecord, Epoch, ShardedDepDb,
 };
+use indaas_netpoll::Poller;
 use indaas_obs::{format_trace_id, log as slog, Span, SpanRecord, TraceContext, TraceScope};
 use indaas_pia::{rank_deployments_cancellable, PiaRanking, PsopConfig};
 use indaas_sia::FamilyMemo;
@@ -75,13 +77,13 @@ use indaas_sia::FamilyMemo;
 use crate::cache::{job_key, AuditCache, EpochPins, JobKey};
 use crate::federation::PeerAllowList;
 use crate::names;
-use crate::netloop::{CrashGuard, ResponseSlot, TimerEvent};
+use crate::netloop::{CrashGuard, FrameKind, LoopShared, ResponseSlot, TimerEvent};
 use crate::proto::{
     audit_event_body, encode_line, frame_answer, sia_body, Request, Response, SlotEncoding,
     SpanEntry, EVENT_ENVELOPE_ID,
 };
 use crate::scheduler::Scheduler;
-use crate::subs::{Outbox, SubscriptionRegistry};
+use crate::subs::SubscriptionRegistry;
 use crate::telemetry::{audit_attrs, wire_histos, StageRecorder, Telemetry, DEFAULT_RECENT_AUDITS};
 
 /// Daemon tuning knobs: only what the daemon itself reads. The shard
@@ -195,12 +197,18 @@ pub(crate) struct ServiceState {
     pub(crate) subs: SubscriptionRegistry,
     /// Metrics registry + span store + hot-path handles.
     pub(crate) telemetry: Arc<Telemetry>,
+    /// The readiness loop's inbox: every answer and pushed event is
+    /// posted here for its connection's token, and every federation
+    /// pool job's result.
+    pub(crate) inbox: Arc<LoopShared>,
 }
 
 /// A bound (but not yet serving) daemon.
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<ServiceState>,
+    pub(crate) listener: TcpListener,
+    /// The readiness loop's poller, which the state's inbox wakes.
+    pub(crate) poller: Poller,
+    pub(crate) state: Arc<ServiceState>,
 }
 
 impl Server {
@@ -219,9 +227,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket bind failures.
+    /// Propagates socket bind and poller setup failures.
     pub fn bind(config: ServeConfig, store: ShardedDepDb) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
+        let poller = Poller::new()?;
+        let inbox = Arc::new(LoopShared::new(&poller)?);
         let local_addr = listener.local_addr()?;
         let node = config
             .node
@@ -273,8 +283,13 @@ impl Server {
             collectors: Mutex::new(Vec::new()),
             subs: SubscriptionRegistry::new(),
             telemetry,
+            inbox,
         });
-        Ok(Server { listener, state })
+        Ok(Server {
+            listener,
+            poller,
+            state,
+        })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -301,7 +316,7 @@ impl Server {
     ///
     /// Propagates readiness-loop I/O failures.
     pub fn run(self) -> std::io::Result<()> {
-        let result = crate::netloop::run_loop(self.listener, &self.state);
+        let result = crate::netloop::run_loop(self.listener, self.poller, &self.state);
         // The loop has drained: no connection can submit new jobs, so
         // the pool joins cleanly here (idempotent with `Drop`).
         self.state.scheduler.shutdown_and_join();
@@ -382,15 +397,15 @@ pub(crate) fn request_kind(request: &Request) -> &'static str {
     }
 }
 
-/// Validates a `Subscribe` and registers it, pinned to the spec's
-/// shards. Returns the new subscription id and the spec (for the
-/// caller to schedule the initial pushed audit *after* it enqueued the
-/// `Subscribed` response), or the error message to send instead.
+/// Validates a `Subscribe` from connection `conn` and registers it,
+/// pinned to the spec's shards. Returns the new subscription id and the
+/// spec (for the caller to schedule the initial pushed audit *after* it
+/// posted the `Subscribed` response), or the error message to send
+/// instead.
 pub(crate) fn register_subscription(
     state: &Arc<ServiceState>,
     spec: AuditSpec,
     engine: &str,
-    outbox: &Arc<Outbox>,
     conn: u64,
 ) -> Result<(u64, AuditSpec), String> {
     if engine != "sia" {
@@ -409,7 +424,7 @@ pub(crate) fn register_subscription(
     let pins = snapshot.pins_for_hosts(spec_hosts(&spec));
     state
         .subs
-        .register(spec.clone(), pins, Arc::clone(outbox), conn)
+        .register(spec.clone(), pins, conn)
         .map(|id| (id, spec))
 }
 
@@ -624,14 +639,14 @@ fn sia_report(
 
 /// Schedules one pushed audit on the worker pool: re-runs (or serves
 /// from cache) the subscription's audit against a fresh snapshot and
-/// enqueues the `AuditEvent` frame. Runs entirely off the ingest path —
-/// a full queue costs the subscriber one event, never a writer any
-/// latency; the subscription stays armed for the next batch.
+/// posts the `AuditEvent` frame for connection `conn`. Runs entirely off
+/// the ingest path — a full queue costs the subscriber one event, never
+/// a writer any latency; the subscription stays armed for the next batch.
 pub(crate) fn schedule_push_audit(
     state: &Arc<ServiceState>,
     subscription: u64,
     spec: AuditSpec,
-    outbox: Arc<Outbox>,
+    conn: u64,
     origin: Instant,
     parent: TraceContext,
 ) {
@@ -675,13 +690,13 @@ pub(crate) fn schedule_push_audit(
                         &body,
                         &telemetry.response_bytes,
                     );
-                    // Invalidate → re-audit → event enqueued, end to end;
-                    // recorded before the enqueue so a subscriber can never
+                    // Invalidate → re-audit → event posted, end to end;
+                    // recorded before the post so a subscriber can never
                     // observe an event the histogram's count omits.
                     telemetry
                         .push_latency_us
                         .record(origin.elapsed().as_micros() as u64);
-                    outbox.push_event(frame);
+                    st.inbox.post_frame(conn, FrameKind::Event, frame);
                 }
                 Err(e) => slog::error(
                     "server",
@@ -783,7 +798,7 @@ fn apply_mutation(
         return None;
     }
     // The push-latency clock starts here: "invalidate → re-audit →
-    // event enqueued" is measured from the moment the write begins.
+    // event posted" is measured from the moment the write begins.
     let origin = Instant::now();
     let ingest_span = Span::start(Arc::clone(&state.telemetry.ingest_us));
     let report = match mutation {
@@ -811,7 +826,7 @@ fn apply_mutation(
     // trigger once per wave) but the audits themselves run later, off
     // this write path — an ingest never waits on a subscriber.
     for hit in state.subs.affected(&epochs) {
-        schedule_push_audit(state, hit.subscription, hit.spec, hit.outbox, origin, ctx);
+        schedule_push_audit(state, hit.subscription, hit.spec, hit.conn, origin, ctx);
     }
     Some(report)
 }

@@ -23,7 +23,7 @@
 //! | `requests_total` | requests handled (both protocol versions) |
 //! | `push_audits_total` | subscription re-audits executed |
 //! | `sched_jobs_total` | jobs admitted to the worker pool |
-//! | `outbox_shed_total` | pushed events shed by slow consumers |
+//! | `outbox_shed_total` | pushed events shed by slow consumers: the oldest past 64 held on one connection |
 //! | `db_segment_saves_total` | dirty shard segments persisted |
 //! | `fed_wire_bytes_total` | bytes put on the wire by federation parties |
 //! | `fed_rounds_total` | federation ring messages sent |
@@ -67,7 +67,7 @@
 //! | `audit_stage_rg_sampling_us` | failure-sampling engine |
 //! | `audit_stage_ranking_us` | risk-group ranking, Pr(T) included |
 //! | `audit_sia_us` / `audit_pia_us` | whole audit execution, report writing included; count: audits executed (request miss or push, failed or not; a cache hit executes none) |
-//! | `push_latency_us` | ingest invalidation → event frame enqueued; count: audit events produced for subscribers |
+//! | `push_latency_us` | ingest invalidation → event frame posted to the loop; count: audit events produced for subscribers |
 //! | `ingest_us` | one ingest/retract batch through the write path; count: batches applied, no-ops and unwound writes included |
 //! | `fed_party_us` | one federation party run, all ring rounds |
 //! | `report_encode_us` | writing one computed SIA report's text, the text the cache keeps, from its ranked rows (misses and push misses; a hit writes nothing) |

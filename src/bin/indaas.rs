@@ -711,26 +711,9 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             };
             last_epoch = Some(event.epoch);
             if json {
-                #[derive(serde::Serialize)]
-                struct EventJson {
-                    subscription: u64,
-                    epoch: u64,
-                    cached: bool,
-                    elapsed_us: u64,
-                    trace_id: String,
-                    report: indaas::sia::AuditReport,
-                }
                 println!(
                     "{}",
-                    serde_json::to_string(&EventJson {
-                        subscription: event.subscription,
-                        epoch: event.epoch,
-                        cached: event.cached,
-                        elapsed_us: event.elapsed_us,
-                        trace_id: event.trace_id,
-                        report: event.report,
-                    })
-                    .map_err(|e| e.to_string())?
+                    serde_json::to_string(&event).map_err(|e| e.to_string())?
                 );
             } else {
                 let best = event

@@ -409,6 +409,20 @@ fn watch_receives_the_initial_pushed_event() {
     let line = String::from_utf8_lossy(&out.stdout);
     let v: serde_json::Value = serde_json::from_str(line.trim()).expect("valid JSON event");
     assert_eq!(v["report"]["deployments"][0]["name"], "pair");
+    let serde_json::Value::Object(event) = &v else {
+        panic!("expected a JSON object, got: {line}");
+    };
+    assert_eq!(
+        event.keys().map(String::as_str).collect::<Vec<_>>(),
+        [
+            "cached",
+            "elapsed_us",
+            "epoch",
+            "report",
+            "subscription",
+            "trace_id"
+        ]
+    );
 
     daemon.shut_down();
     std::fs::remove_file(&records).ok();

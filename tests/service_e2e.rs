@@ -1268,9 +1268,9 @@ fn subscriptions_are_independent_per_spec() {
 }
 
 /// A subscriber that stops reading is shed, not buffered: once the
-/// kernel buffers and the daemon's write queue are full, further events
-/// wait in the connection's bounded outbox, which drops its oldest
-/// event for each new one.
+/// kernel buffers and the daemon's write queue are full, the loop holds
+/// further events on the connection, at most 64, dropping the oldest
+/// held event for each new one.
 #[test]
 fn subscription_that_stops_reading_is_shed_not_buffered() {
     // W1 and W2 each hang off 24 disks, so the pair's minimal risk
@@ -1567,6 +1567,48 @@ fn protocol_compat_v1_client_against_v2_daemon() {
         Response::ShuttingDown
     ));
     daemon.join().unwrap().expect("serve loop");
+}
+
+/// A line session is lock-step: a pooled audit between two inline pings,
+/// all three lines in one write, is answered in request order on every
+/// fresh session — each line's answer reaches the wire before the next
+/// line is parsed, so a lock-step client never takes a `Pong` for its
+/// audit's answer.
+#[test]
+fn lock_step_line_session_answers_in_request_order() {
+    use indaas::service::proto::{decode_line, encode_line};
+
+    let daemon = common::boot_daemon(&common::PROVIDER_RECORDS.concat(), &[]);
+    for i in 0..20 {
+        // A fresh candidate name per session keeps every audit a cache
+        // miss, answered from the pool.
+        let spec = AuditSpec::sia_size_based(vec![CandidateDeployment::replicated(
+            format!("pair-{i}"),
+            ["A1", "B1", "C1"],
+        )]);
+        let audit = encode_line(&Request::AuditSia {
+            spec,
+            timeout_ms: None,
+        });
+        let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+        stream
+            .write_all(format!("\"Ping\"\n{audit}\n\"Ping\"\n").as_bytes())
+            .expect("write three lines at once");
+        let mut reader = BufReader::new(stream);
+        let answers: Vec<&str> = (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("answer line");
+                match decode_line::<Response>(line.trim()).expect("decode answer") {
+                    Response::Pong => "Pong",
+                    Response::Sia { .. } => "Sia",
+                    other => panic!("session {i}: unexpected answer {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(answers, ["Pong", "Sia", "Pong"], "session {i}");
+    }
+    common::shutdown(vec![daemon]);
 }
 
 /// `serve --max-conns`: excess connections get one clear error and are
