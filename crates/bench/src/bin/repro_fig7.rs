@@ -87,9 +87,6 @@ fn main() {
                         rounds,
                         fail_prob: 0.5,
                         seed: 7,
-                        threads: std::thread::available_parallelism()
-                            .map(|p| p.get())
-                            .unwrap_or(1),
                     },
                 )
             });

@@ -114,7 +114,6 @@ fn main() {
                     rounds: sampling_rounds,
                     fail_prob: 0.5,
                     seed: 9,
-                    threads: 1,
                 },
             )
         });

@@ -250,7 +250,7 @@ impl AuditingAgent {
                     rounds,
                     fail_prob,
                     seed,
-                    threads,
+                    threads: _,
                 } => {
                     let graph = observed(obs, "graph_build", || {
                         build_fault_graph(self.db.as_ref(), &build)
@@ -260,7 +260,6 @@ impl AuditingAgent {
                         rounds,
                         fail_prob,
                         seed,
-                        threads,
                     };
                     let family = observed(obs, "rg_sampling", || {
                         failure_sampling_cancellable(&graph, &config, token)
@@ -407,20 +406,31 @@ mod tests {
         assert!(p_clean < p_risky);
     }
 
+    /// Sampling agrees with the exact engine on the best deployment, and
+    /// its answer ignores the spec's `threads`: every round runs on the
+    /// calling thread.
     #[test]
     fn sia_sampling_algorithm_agrees_on_best() {
         let agent = AuditingAgent::new(db());
-        let spec = AuditSpec {
+        let spec = |threads| AuditSpec {
             algorithm: RgAlgorithm::Sampling {
                 rounds: 5000,
                 fail_prob: 0.5,
                 seed: 7,
-                threads: 1,
+                threads,
             },
             ..AuditSpec::sia_size_based(candidates())
         };
-        let report = agent.audit_sia(&spec).unwrap();
+        let report = agent.audit_sia(&spec(1)).unwrap();
         assert_eq!(report.best().unwrap().name, "S1+S3");
+        let text = |threads| {
+            agent
+                .audit_sia_text(&spec(threads), &CancelToken::default(), &())
+                .unwrap()
+        };
+        let one = text(1);
+        assert_eq!(text(0), one);
+        assert_eq!(text(8), one);
     }
 
     #[test]

@@ -47,7 +47,10 @@ pub enum RgAlgorithm {
         fail_prob: f64,
         /// RNG seed.
         seed: u64,
-        /// Worker threads.
+        /// Ignored: every round runs on the audit's one pool worker, so
+        /// the family depends on `rounds`, `fail_prob` and `seed` alone.
+        /// The field stays only because the benchmark's request
+        /// generator names it; its deletion is ROADMAP item 3a.
         threads: usize,
     },
 }

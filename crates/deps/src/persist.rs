@@ -101,10 +101,10 @@ fn quarantine_path(path: &Path) -> PathBuf {
 ///
 /// Propagates I/O failures; the temp file is removed on a failed write.
 pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> io::Result<()> {
-    // Unique per *call*, not just per process: the daemon's collector
-    // tick and its shutdown path can save concurrently, and two writers
-    // interleaving on one shared temp file would rename a torn file
-    // into place — the exact failure this function exists to prevent.
+    // Unique per *call*, not just per process: callers may write from
+    // several threads at once, and two writers interleaving on one
+    // shared temp file would rename a torn file into place — the exact
+    // failure this function exists to prevent.
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let path = path.as_ref();
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
@@ -177,10 +177,13 @@ impl ShardedDepDb {
     }
 
     fn save_segments_inner(&self, dir: &Path, only_dirty: bool) -> io::Result<usize> {
-        // One saver at a time: the daemon's collector tick can race its
-        // shutdown save, and unserialized savers could claim dirty
-        // flags and rename segments in an order that publishes an older
-        // snapshot over a newer one.
+        // One saver at a time. The daemon's shutdown save runs after
+        // its pool has joined, so only overlapping collector ticks on
+        // the pool can meet here; a library caller may save from any
+        // number of threads (`dirty_saves_race_writers_safely`).
+        // Unserialized savers could claim dirty flags and rename
+        // segments in an order that publishes an older snapshot over a
+        // newer one.
         let _saving = self.persist.lock().unwrap_or_else(PoisonError::into_inner);
         // Chaos hook: `db.save` fails the save before any dirty flag is
         // claimed (error/disconnect) or silently skips the tick (drop) —

@@ -941,9 +941,9 @@ impl<'a> EventLoop<'a> {
             }
             Request::Shutdown => {
                 slot.fulfill(Response::ShuttingDown);
-                // SeqCst pairs with the mutation gate in
-                // `apply_mutation`; the drain begins at the top of the
-                // next loop iteration, after this ack is queued.
+                // From here `apply_mutation` refuses writes; the drain
+                // begins at the top of the next loop iteration, after
+                // this ack is queued.
                 state.shutting_down.store(true, Ordering::SeqCst);
                 return Verdict::CloseAfterFlush;
             }

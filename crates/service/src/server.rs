@@ -61,7 +61,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -122,9 +122,9 @@ pub struct ServeConfig {
     pub db_dir: Option<PathBuf>,
     /// Most concurrently served client connections. A connection past
     /// the limit is answered with one clear protocol error and dropped
-    /// before it can claim a handler thread's stack or a subscription
+    /// before it can claim a connection's buffers or a subscription
     /// slot — unbounded fan-in degrades into fast, explicit rejection
-    /// instead of thread exhaustion.
+    /// instead of descriptor or memory exhaustion.
     pub max_conns: usize,
     /// Slow threshold: an audit whose span reaches this many
     /// milliseconds renders as slow in `indaas metrics`/`indaas top`
@@ -179,12 +179,6 @@ pub(crate) struct ServiceState {
     pub(crate) scheduler: Scheduler,
     pub(crate) started: Instant,
     pub(crate) shutting_down: AtomicBool,
-    /// Mutations currently inside [`apply_mutation`]. The shutdown path
-    /// waits for this to drain before its final segment save, so an
-    /// acknowledged ingest can never slip in after the last save and
-    /// vanish with the process (mutations arriving after the shutdown
-    /// flag are rejected instead of acknowledged).
-    pub(crate) in_flight_mutations: AtomicU64,
     pub(crate) local_addr: SocketAddr,
     /// The federation node name: [`ServeConfig::node`] or the bound
     /// address.
@@ -275,7 +269,6 @@ impl Server {
             db: store,
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
-            in_flight_mutations: AtomicU64::new(0),
             local_addr,
             node,
             peers,
@@ -320,48 +313,28 @@ impl Server {
         // The loop has drained: no connection can submit new jobs, so
         // the pool joins cleanly here (idempotent with `Drop`).
         self.state.scheduler.shutdown_and_join();
-        // Final persistence: wait out mutations already past the
-        // shutdown gate (new ones are rejected), then save until a pass
-        // writes nothing — every acknowledged record reaches disk. The
-        // wait is bounded: mutations are short, their counter is
-        // panic-safe (`InFlightGuard`), and a wedged worker must not
-        // turn shutdown into a hang — after the deadline the save runs
-        // with whatever landed.
-        let drain_deadline = Instant::now() + Duration::from_secs(5);
-        while self.state.in_flight_mutations.load(Ordering::SeqCst) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::yield_now();
-        }
-        for _ in 0..16 {
-            match save_dirty(&self.state) {
-                Some(written) if written > 0 => continue,
-                _ => break,
-            }
-        }
+        // Final persistence. Mutations run only on the loop thread
+        // (`ingest`) and in pool jobs (`run_collectors`); both have
+        // finished, so one save writes every acknowledged record.
+        save_dirty(&self.state);
         result
     }
 }
 
-/// Persists dirty shards into the configured db directory. Returns the
-/// segments written, or `None` without a db dir or on failure. Failures
-/// are logged, never fatal: a daemon that cannot reach its disk keeps
-/// serving from memory and retries on the next tick — the dirty flags
-/// survive a failed save.
-pub(crate) fn save_dirty(state: &ServiceState) -> Option<usize> {
-    let dir = state.config.db_dir.as_ref()?;
+/// Persists dirty shards into the configured db directory, if there is
+/// one. Failures are logged, never fatal: a daemon that cannot reach its
+/// disk keeps serving from memory and retries on the next tick — the
+/// dirty flags survive a failed save.
+pub(crate) fn save_dirty(state: &ServiceState) {
+    let Some(dir) = state.config.db_dir.as_ref() else {
+        return;
+    };
     match state.db.save_dirty_segments(dir) {
-        Ok(written) => {
-            state.telemetry.db_segment_saves_total.add(written as u64);
-            Some(written)
-        }
-        Err(e) => {
-            slog::error(
-                "server",
-                &format!("saving segments to {} failed: {e}", dir.display()),
-            );
-            None
-        }
+        Ok(written) => state.telemetry.db_segment_saves_total.add(written as u64),
+        Err(e) => slog::error(
+            "server",
+            &format!("saving segments to {} failed: {e}", dir.display()),
+        ),
     }
 }
 
@@ -761,18 +734,6 @@ pub(crate) fn ingest(
     }
 }
 
-/// Decrements the in-flight mutation counter on drop, so a panic
-/// anywhere inside [`apply_mutation`] (a poisoned cache or shard lock)
-/// cannot leave the shutdown drain waiting forever on a count that
-/// will never reach zero.
-struct InFlightGuard<'a>(&'a AtomicU64);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// The single write path into the sharded database: every mutation —
 /// protocol ingest/retract or a timer-driven collector batch — lands
 /// here, so epoch bumps, per-shard snapshot refreshes and cache
@@ -788,12 +749,8 @@ fn apply_mutation(
     mutation: &Mutation,
     ctx: TraceContext,
 ) -> Option<indaas_deps::ShardedIngestReport> {
-    // Shutdown gate (Dekker-style, all SeqCst): either this thread sees
-    // the shutdown flag and bails before touching the store, or the
-    // shutdown path's drain loop sees this in-flight count and waits —
-    // so the final segment save never misses an acknowledged mutation.
-    state.in_flight_mutations.fetch_add(1, Ordering::SeqCst);
-    let _in_flight = InFlightGuard(&state.in_flight_mutations);
+    // Once a `Shutdown` is acknowledged, writes are refused rather than
+    // acknowledged: the daemon is exiting.
     if state.shutting_down.load(Ordering::SeqCst) {
         return None;
     }
@@ -872,25 +829,12 @@ pub(crate) fn run_collectors(state: &Arc<ServiceState>) -> usize {
 }
 
 /// Rejects request-controlled algorithm parameters and probabilities
-/// that would panic an engine or defeat the scheduler's admission
-/// control (e.g. a spec asking one pooled job to spawn thousands of
-/// sampling threads).
+/// that would panic an engine.
 fn validate_spec(spec: &AuditSpec) -> Result<(), String> {
-    const MAX_SAMPLING_THREADS: usize = 8;
-    match spec.algorithm {
-        indaas_core::RgAlgorithm::Sampling {
-            threads, fail_prob, ..
-        } => {
-            if threads == 0 || threads > MAX_SAMPLING_THREADS {
-                return Err(format!(
-                    "sampling threads must be in 1..={MAX_SAMPLING_THREADS} (got {threads})"
-                ));
-            }
-            if !(fail_prob > 0.0 && fail_prob < 1.0) {
-                return Err(format!("fail_prob must be in (0, 1) (got {fail_prob})"));
-            }
+    if let indaas_core::RgAlgorithm::Sampling { fail_prob, .. } = spec.algorithm {
+        if !(fail_prob > 0.0 && fail_prob < 1.0) {
+            return Err(format!("fail_prob must be in (0, 1) (got {fail_prob})"));
         }
-        indaas_core::RgAlgorithm::Minimal { .. } => {}
     }
     // Every probability a request carries must be one: Pr(T) and the
     // importances it normalises mean nothing outside [0, 1].

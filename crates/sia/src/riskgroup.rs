@@ -472,13 +472,6 @@ impl RgFamily {
         self.lens.swap_remove(r);
     }
 
-    /// Merges another family in.
-    pub fn merge(&mut self, other: RgFamily) {
-        for g in other.groups() {
-            self.insert(g);
-        }
-    }
-
     /// Whether the family contains exactly this group.
     pub fn contains(&self, g: &RiskGroup) -> bool {
         let mut words = Vec::new();

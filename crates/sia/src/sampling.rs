@@ -13,17 +13,16 @@
 //!   of minimal RGs detected" metric of Figure 7 is directly measurable.
 //!   A shrink trial asks [`IncrementalEval`] what one member's recovery
 //!   changes, which costs that member's ancestors, not the graph, and
-//!   draws no random numbers;
-//! * rounds can be spread across threads, each with an independent seeded
-//!   RNG, merging the (deduplicated) findings at the end.
+//!   draws no random numbers.
 //!
 //! The sampled family is a function of the graph's structure (node ids and
-//! child order), the seed and the thread count — never of node names or
-//! hash-map order. A round in steady state allocates nothing: the group
-//! it reports goes into the family as one row of bits. Measured on the
-//! benchmark's graph (topology A, 16-way, 1,364 nodes; every round fails
-//! the top), 2,000 rounds take ~12 ms: 3.7 random evaluation, 2.6 witness
-//! extraction, 5.2 shrink, 0.6 `RgFamily::insert_ids`.
+//! child order), the round count, `fail_prob` and the seed — never of node
+//! names or hash-map order. Every round runs on the calling thread. A
+//! round in steady state allocates nothing: the group it reports goes
+//! into the family as one row of bits. Measured on the benchmark's graph
+//! (topology A, 16-way, 1,364 nodes; every round fails the top), 2,000
+//! rounds take ~12 ms: 3.7 random evaluation, 2.6 witness extraction, 5.2
+//! shrink, 0.6 `RgFamily::insert_ids`.
 //!
 //! The algorithm stays linear per round but is non-deterministic and may
 //! miss RGs; Figure 7's experiments quantify that accuracy/time trade-off.
@@ -41,10 +40,8 @@ pub struct SamplingConfig {
     /// Per-event failure probability for the coin flip. The paper flips
     /// fair coins; lower values bias sampling toward small risk groups.
     pub fail_prob: f64,
-    /// RNG seed (rounds are reproducible given the seed and thread count).
+    /// RNG seed (rounds are reproducible given the seed).
     pub seed: u64,
-    /// Worker threads (1 = fully deterministic single-threaded run).
-    pub threads: usize,
 }
 
 impl Default for SamplingConfig {
@@ -53,7 +50,6 @@ impl Default for SamplingConfig {
             rounds: 10_000,
             fail_prob: 0.5,
             seed: 0,
-            threads: 1,
         }
     }
 }
@@ -63,15 +59,15 @@ impl Default for SamplingConfig {
 ///
 /// # Panics
 ///
-/// Panics if `fail_prob` is outside `(0, 1)` or `threads` is zero.
+/// Panics if `fail_prob` is outside `(0, 1)`.
 pub fn failure_sampling(graph: &FaultGraph, config: &SamplingConfig) -> RgFamily {
     failure_sampling_cancellable(graph, config, &CancelToken::default())
         .expect("default token never cancels")
 }
 
-/// [`failure_sampling`] with cooperative cancellation: every worker polls
-/// the token once per [`CANCEL_POLL_ROUNDS`] rounds, so multi-threaded
-/// jobs unwind promptly on cancel or deadline.
+/// [`failure_sampling`] with cooperative cancellation: the rounds poll
+/// the token once per [`CANCEL_POLL_ROUNDS`] rounds, so a job unwinds
+/// promptly on cancel or deadline.
 ///
 /// # Errors
 ///
@@ -79,7 +75,7 @@ pub fn failure_sampling(graph: &FaultGraph, config: &SamplingConfig) -> RgFamily
 ///
 /// # Panics
 ///
-/// Panics if `fail_prob` is outside `(0, 1)` or `threads` is zero.
+/// Panics if `fail_prob` is outside `(0, 1)`.
 pub fn failure_sampling_cancellable(
     graph: &FaultGraph,
     config: &SamplingConfig,
@@ -89,56 +85,26 @@ pub fn failure_sampling_cancellable(
         config.fail_prob > 0.0 && config.fail_prob < 1.0,
         "fail_prob must be in (0, 1)"
     );
-    assert!(config.threads >= 1, "need at least one thread");
-
-    if config.threads == 1 {
-        return sample_worker(graph, config.rounds, config.seed, config, token);
-    }
-    let per = config.rounds / config.threads as u64;
-    let extra = config.rounds % config.threads as u64;
-    let mut out = RgFamily::new();
-    let mut cancelled = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..config.threads {
-            let rounds = per + u64::from((t as u64) < extra);
-            let seed = config
-                .seed
-                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1));
-            handles.push(scope.spawn(move || sample_worker(graph, rounds, seed, config, token)));
-        }
-        for h in handles {
-            match h.join().expect("sampling worker panicked") {
-                Ok(fam) => out.merge(fam),
-                Err(c) => cancelled = Some(c),
-            }
-        }
-    });
-    match cancelled {
-        Some(c) => Err(c),
-        None => Ok(out),
-    }
+    sample_worker(graph, config, token)
 }
 
 /// How many sampling rounds run between cancellation polls.
 pub const CANCEL_POLL_ROUNDS: u64 = 128;
 
-/// One worker's rounds: lazy random evaluation, witness extraction, greedy
-/// shrink to a minimal RG.
+/// The rounds: lazy random evaluation, witness extraction, greedy shrink
+/// to a minimal RG.
 fn sample_worker(
     graph: &FaultGraph,
-    rounds: u64,
-    seed: u64,
     config: &SamplingConfig,
     token: &CancelToken,
 ) -> Result<RgFamily, Cancelled> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let mut eval = LazyEval::new(graph, (config.fail_prob * u64::MAX as f64) as u64);
     let mut shrink = IncrementalEval::new(graph);
     let mut fam = RgFamily::for_graph(graph);
     let mut kept: Vec<NodeId> = Vec::new();
 
-    for round in 0..rounds {
+    for round in 0..config.rounds {
         if round % CANCEL_POLL_ROUNDS == 0 {
             token.check()?;
         }
@@ -418,23 +384,19 @@ mod tests {
     }
 
     /// The benchmark's oracle holds one expected answer for every audit of
-    /// a shape: the family must depend on structure, seed and thread count
-    /// alone.
+    /// a shape: the family must depend on structure and seed alone.
     #[test]
-    fn deterministic_given_seed_and_threads() {
+    fn deterministic_given_seed() {
         let graph = shared_gate_graph(str::to_string);
-        for threads in [1, 4] {
-            let config = SamplingConfig {
-                rounds: 300,
-                seed: 99,
-                threads,
-                ..SamplingConfig::default()
-            };
-            let a = failure_sampling(&graph, &config);
-            let b = failure_sampling(&graph, &config);
-            assert!(!a.is_empty());
-            assert!(a.groups().eq(b.groups()), "threads = {threads}");
-        }
+        let config = SamplingConfig {
+            rounds: 300,
+            seed: 99,
+            ..SamplingConfig::default()
+        };
+        let a = failure_sampling(&graph, &config);
+        let b = failure_sampling(&graph, &config);
+        assert!(!a.is_empty());
+        assert!(a.groups().eq(b.groups()));
     }
 
     #[test]
@@ -456,11 +418,10 @@ mod tests {
     }
 
     #[test]
-    fn multithreaded_matches_exact_on_small_graph() {
+    fn matches_exact_on_small_graph() {
         let graph = fig4a_graph();
         let config = SamplingConfig {
             rounds: 4000,
-            threads: 4,
             ..SamplingConfig::default()
         };
         let fam = failure_sampling(&graph, &config);

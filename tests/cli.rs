@@ -650,6 +650,66 @@ fn live_federation_round_threads_are_loop_plus_pool() {
     std::fs::remove_file(&records).ok();
 }
 
+/// The thread gate for sampling: a `serve --workers 1` daemon running a
+/// long sampling audit that asks for 8 threads still runs its readiness
+/// loop and its one worker, nothing else — the rounds run on the worker
+/// the job holds, at every reading until the answer arrives.
+#[test]
+fn sampling_audit_threads_are_loop_plus_pool() {
+    use indaas::core::{AuditSpec, CandidateDeployment, RgAlgorithm};
+    use indaas::service::Client;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let records = write_temp("sampling-gate-records.txt", RECORDS);
+    let mut daemon = Daemon::serve(&["--workers", "1", "--records", records.to_str().unwrap()]);
+    let addr = daemon.addr.clone();
+    let spec = AuditSpec {
+        algorithm: RgAlgorithm::Sampling {
+            rounds: 2_000_000,
+            fail_prob: 0.5,
+            seed: 1,
+            threads: 8,
+        },
+        ..AuditSpec::sia_size_based(vec![CandidateDeployment::replicated("S1+S2", ["S1", "S2"])])
+    };
+    let (answered, answer) = mpsc::channel();
+    let auditor = std::thread::spawn(move || {
+        let mut client = Client::connect(&addr).expect("connect");
+        let result = client.audit_sia(&spec, Some(120_000));
+        answered.send(()).expect("the gate is listening");
+        (client, result)
+    });
+
+    let mut readings = Vec::new();
+    while answer.recv_timeout(Duration::from_millis(20)).is_err() {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.child.id()))
+            .expect("read /proc status");
+        let threads = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .map(|n| n.trim().to_string())
+            .expect("Threads: line");
+        readings.push(threads);
+    }
+    let (mut client, result) = auditor.join().expect("auditor thread");
+    let report = result.expect("the sampling audit is answered").report;
+    assert_eq!(report.best().unwrap().name, "S1+S2");
+    assert!(
+        readings.len() >= 5,
+        "the audit answered after only {} readings",
+        readings.len()
+    );
+    assert!(
+        readings.iter().all(|t| t == "2"),
+        "a sampling audit runs on the loop + 1 worker only, read {readings:?}"
+    );
+
+    client.shutdown().expect("shutdown");
+    daemon.exits_cleanly();
+    std::fs::remove_file(&records).ok();
+}
+
 /// The readiness-loop gate, "a thousand idle watchers": 512 live
 /// subscriptions over 16 connections cost a `serve --workers 1` daemon
 /// no thread beyond its loop and its one worker, and one ingest wave

@@ -536,7 +536,6 @@ proptest! {
             rounds: 300,
             fail_prob: 0.5,
             seed,
-            threads: 1,
         });
         let exact_named: std::collections::HashSet<_> =
             exact.to_named(&graph).into_iter().collect();
@@ -1584,11 +1583,15 @@ mod compose_props {
     }
 
     /// Audits `spec` through the agent and through the full graph and
-    /// requires the same bytes (or the same error). Returns the number
-    /// of groups reported.
+    /// requires the same bytes (or the same error). The agent's answer
+    /// must not depend on the memo or the shard count either: `db` is
+    /// audited again with a fresh memo, and each replica (a store fed
+    /// the same mutations on another shard count) with its own warm memo
+    /// and a fresh one. Returns the number of groups reported.
     fn same_report(
         db: &ShardedDepDb,
         memo: &Arc<FamilyMemo>,
+        replicas: &[(ShardedDepDb, Arc<FamilyMemo>)],
         spec: &AuditSpec,
     ) -> Result<usize, TestCaseError> {
         let snapshot = db.snapshot();
@@ -1609,6 +1612,22 @@ mod compose_props {
             composed == full,
             "spec {spec:?}\n composed: {composed}\n     full: {full}"
         );
+        let stores =
+            std::iter::once((db, memo)).chain(replicas.iter().map(|(db, memo)| (db, memo)));
+        for (db, warm) in stores {
+            for memo in [Arc::clone(warm), Arc::default()] {
+                let other = AuditingAgent::from_snapshot(db.snapshot())
+                    .with_families(memo)
+                    .audit_sia(spec)
+                    .map_err(|e| e.to_string());
+                let other = text(&other);
+                prop_assert!(
+                    other == full,
+                    "spec {spec:?} on {} shards\n agent: {other}\n  full: {full}",
+                    db.num_shards()
+                );
+            }
+        }
         Ok(groups)
     }
 
@@ -1624,14 +1643,25 @@ mod compose_props {
             let db = ShardedDepDb::new(4);
             db.ingest(base_records());
             let memo = Arc::new(FamilyMemo::default());
+            // The same steps replayed into a 1-shard and an 8-shard store.
+            let replicas: Vec<(ShardedDepDb, Arc<FamilyMemo>)> = [1, 8]
+                .into_iter()
+                .map(|shards| {
+                    let replica = ShardedDepDb::new(shards);
+                    replica.ingest(base_records());
+                    (replica, Arc::default())
+                })
+                .collect();
             for (&step, &shape) in steps.iter().zip(&shapes) {
                 let record = mutation(&hosts, step / 2);
-                if step % 2 == 0 {
-                    db.ingest([record]);
-                } else {
-                    db.retract(&[record]);
+                for store in std::iter::once(&db).chain(replicas.iter().map(|(r, _)| r)) {
+                    if step % 2 == 0 {
+                        store.ingest([record.clone()]);
+                    } else {
+                        store.retract(std::slice::from_ref(&record));
+                    }
                 }
-                same_report(&db, &memo, &spec(&hosts, shape))?;
+                same_report(&db, &memo, &replicas, &spec(&hosts, shape))?;
             }
             // The two edges, on the data the sequence left. At order 1
             // on network records DUAL can never fail: first with enough
@@ -1643,12 +1673,12 @@ mod compose_props {
                     .chain(hosts[..3].iter().cloned())
                     .collect();
                 let spec = exact_spec(servers, needed_alive, network, Some(1), false);
-                same_report(&db, &memo, &spec)?;
+                same_report(&db, &memo, &replicas, &spec)?;
             }
             // Probability-ranked past 20 groups: every server's own
             // singletons and aggregation pairs.
             let spec = exact_spec(hosts[..4].to_vec(), 4, 7, Some(2), true);
-            let groups = same_report(&db, &memo, &spec)?;
+            let groups = same_report(&db, &memo, &replicas, &spec)?;
             prop_assert!(groups > 20, "{groups} groups");
         }
     }

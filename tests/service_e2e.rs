@@ -271,18 +271,29 @@ fn hostile_specs_are_rejected_or_survived() {
     let mut client = Client::connect(addr).expect("connect");
     client.ingest(RECORDS).expect("ingest");
 
-    // Request-controlled thread counts must not defeat the pool.
-    let flood = AuditSpec {
+    // A request-controlled thread count cannot defeat the pool: sampling
+    // runs on its job's one worker and ignores `threads`, so the flood
+    // is answered with the report of the same spec at `threads: 1`.
+    let sampling = |threads| AuditSpec {
         algorithm: RgAlgorithm::Sampling {
             rounds: 1000,
             fail_prob: 0.5,
             seed: 1,
-            threads: 100_000,
+            threads,
         },
         ..audit_spec()
     };
-    let err = client.audit_sia(&flood, None).unwrap_err();
-    assert!(err.to_string().contains("invalid spec"), "got: {err}");
+    let flood = client
+        .audit_sia(&sampling(100_000), None)
+        .expect("the flood spec is answered");
+    let single = client
+        .audit_sia(&sampling(1), None)
+        .expect("the one-thread spec is answered");
+    assert!(!flood.cached && !single.cached, "both specs ran");
+    assert_eq!(
+        indaas::service::proto::encode_line(&flood.report),
+        indaas::service::proto::encode_line(&single.report)
+    );
 
     let bad_prob = AuditSpec {
         algorithm: RgAlgorithm::Sampling {
